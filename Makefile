@@ -7,7 +7,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify build test race bench bench-smoke bench-filedisk bench-record bench-baseline bench-depth allocs lint lint-tool lint-selftest lint-timing fuzz
+.PHONY: verify build test race bench bench-smoke bench-filedisk bench-record bench-baseline bench-depth benchmark benchmark-compare benchmark-smoke allocs lint lint-tool lint-selftest lint-timing fuzz
 
 verify: build test race
 
@@ -67,6 +67,28 @@ bench-depth:
 	$(GO) run ./cmd/emcgm-bench -fig pipeline $(BENCH_SCALE) -depth 2 -bench bench-depth2.json > /dev/null
 	$(GO) run ./cmd/emcgm-bench -fig pipeline $(BENCH_SCALE) -depth 0 -bench bench-depthauto.json > /dev/null
 	$(GO) run ./cmd/emcgm-benchdiff -tol 1.0 bench-depth2.json bench-depthauto.json
+
+# The repository's benchmark (BENCHMARK.json, benchmark/README.md): every
+# workload, the untraced end-to-end run and the traced per-layer run, as
+# a table; pass flags through ARGS, e.g.
+#
+#	make benchmark ARGS='-workloads sort_seq_model -seconds 5 -out a.json'
+#
+# benchmark-compare judges two such recordings against the per-workload
+# bounds (exit 1 on a regression). benchmark-smoke is the CI step: one
+# short untraced run of sort_seq_model must verify its output and repeat
+# the pinned PDM count.
+benchmark:
+	bash benchmark/run.sh $(ARGS)
+
+benchmark-compare:
+	bash benchmark/run.sh -compare $(A) $(B)
+
+benchmark-smoke:
+	@out=$$($(GO) run ./benchmark -workload sort_seq_model -seconds 2 -trace 0 | tail -n 1); \
+	echo "$$out"; \
+	echo "$$out" | grep -q '"correct":true' || { echo "benchmark-smoke: output not verified"; exit 1; }; \
+	echo "$$out" | grep -q '"parallel_ios":{"value":2664,' || { echo "benchmark-smoke: parallel_ios is not 2664"; exit 1; }
 
 # Allocation profile of the hot path: the dispatch benchmark must report
 # 0 allocs/op and the end-to-end sort should stay well under the seed's

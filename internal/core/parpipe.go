@@ -122,39 +122,37 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 	owner := func(vp int) int { return vp / localV }
 	localIdx := func(vp int) int { return vp % localV }
 	cacheCtx := cfg.CacheContexts && localV == 1
-	cached := make([][]T, p) // resident contexts when cacheCtx
+	var cached [][]T // resident contexts, nil unless cacheCtx
+	if cacheCtx {
+		cached = make([][]T, p)
+	}
 
 	res := &Result[T]{Outputs: make([][]T, v)}
 
-	// Input distribution — synchronous, identical to runPar.
+	// Per-proc split-phase state, owned by processor i's goroutine for the
+	// round's duration (and by this goroutine during input distribution);
+	// rounds are sequenced by the barrier, so reuse — and the between-round
+	// ring growth below — is race-free.
+	pends := make([][]vpInflight, p)
+	routePends := make([][]pdm.PendingSet, p)
+	for i := 0; i < p; i++ {
+		pends[i] = make([]vpInflight, k, maxK)
+		routePends[i] = make([]pdm.PendingSet, k, maxK)
+	}
+
+	// Input distribution: write-behind over each processor's ring, drained
+	// before round 0's prologue (see distributeInputs).
 	ledBase := rec.StepCount()
 	initSpan := rec.Begin(mtrack, "input distribution", "init")
-	for j := 0; j < v; j++ {
-		vp := &cgm.VP[T]{ID: j, V: v}
-		prog.Init(vp, inputs[j])
-		if len(vp.State) > res.MaxCtxObserved {
-			res.MaxCtxObserved = len(vp.State)
-		}
-		if cacheCtx {
-			if len(vp.State) > maxCtx {
-				initSpan.End()
-				return nil, fmt.Errorf("core: context of %d items exceeds μ = %d", len(vp.State), maxCtx)
-			}
-			cached[owner(j)] = vp.State
-			continue
-		}
+	maxObserved, stallNS, err := distributeInputs(prog, codec, cfg, inputs, maxCtx, func(j int) ctxSlot {
 		i, l := owner(j), localIdx(j)
-		scr := scrs[i].img[0]
-		if err := encodeCtxInto(codec, vp.State, maxCtx, scr.ctxImg); err != nil {
-			initSpan.End()
-			return nil, err
-		}
-		scr.bufs = layout.SplitBlocksInto(scr.bufs[:0], scr.ctxImg, cfg.B)
-		if err := layout.WriteStripedScratch(arrays[i], 0, l*cb, scr.bufs, &scr.lay); err != nil {
-			initSpan.End()
-			return nil, err
-		}
+		return ctxSlot{arr: arrays[i], s: scrs[i].img[l%k], sl: &pends[i][l%k], start: l * cb}
+	}, cached, rec, mtrack)
+	if err != nil {
+		initSpan.End()
+		return nil, err
 	}
+	res.MaxCtxObserved = maxObserved
 	initOps := int64(0)
 	for _, a := range arrays {
 		initOps += a.Stats().ParallelOps
@@ -200,16 +198,6 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 	for i := 0; i < p; i++ {
 		sentItems[i] = make([]int, localV)
 		recvItems[i] = make([]int, localV)
-	}
-
-	// Per-proc split-phase state, owned by processor i's goroutine for the
-	// round's duration; rounds are sequenced by the barrier, so reuse —
-	// and the between-round ring growth below — is race-free.
-	pends := make([][]vpInflight, p)
-	routePends := make([][]pdm.PendingSet, p)
-	for i := 0; i < p; i++ {
-		pends[i] = make([]vpInflight, k, maxK)
-		routePends[i] = make([]pdm.PendingSet, k, maxK)
 	}
 
 	// emcgm:barrier(send=chans,rounds=v)
@@ -261,17 +249,7 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 		}
 
 		wait := func(ps *pdm.PendingSet) error {
-			if rec == nil {
-				return ps.Wait()
-			}
-			if ps.Len() == 0 {
-				return nil
-			}
-			t0 := time.Now()
-			err := ps.Wait()
-			out.stallNS += time.Since(t0).Nanoseconds()
-			rec.SpanSince(track, stallName, "wait", t0)
-			return err
+			return stallWait(rec, track, stallName, ps, &out.stallNS)
 		}
 
 		lastOps, lastBlocks := prevOps[i], prevBlocks[i]
@@ -564,7 +542,6 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 		return out
 	}
 
-	var stallNS int64
 	const maxRounds = 1 << 20
 	for round := 0; ; round++ {
 		if round >= maxRounds {

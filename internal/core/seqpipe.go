@@ -119,27 +119,18 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 		}
 	}
 
-	// Input distribution: initialise and write every context,
-	// synchronously, exactly as the reference schedule does.
+	// Input distribution: write-behind over the ring, drained before round
+	// 0's prologue (see distributeInputs).
 	ledBase := rec.StepCount()
 	initSpan := rec.Begin(track, "input distribution", "init")
-	for j := 0; j < v; j++ {
-		vp := &cgm.VP[T]{ID: j, V: v}
-		prog.Init(vp, inputs[j])
-		s := scr[0]
-		if err := encodeCtxInto(codec, vp.State, maxCtx, s.ctxImg); err != nil {
-			initSpan.End()
-			return nil, fmt.Errorf("vp %d: %w", j, err)
-		}
-		if len(vp.State) > res.MaxCtxObserved {
-			res.MaxCtxObserved = len(vp.State)
-		}
-		s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg, cfg.B)
-		if err := layout.WriteStripedScratch(arr, 0, j*cb, s.bufs, &s.lay); err != nil {
-			initSpan.End()
-			return nil, err
-		}
+	maxObserved, stallNS, err := distributeInputs(prog, codec, cfg, inputs, maxCtx, func(j int) ctxSlot {
+		return ctxSlot{arr: arr, s: scr[j%k], sl: &pend[j%k], start: j * cb}
+	}, nil, rec, track)
+	if err != nil {
+		initSpan.End()
+		return nil, err
 	}
+	res.MaxCtxObserved = maxObserved
 	res.CtxOps = arr.Stats().ParallelOps
 	if rec != nil {
 		initSpan.EndIO(obs.SuperstepIO{Proc: 0, Round: -1, VP: -1, Label: "init",
@@ -186,22 +177,10 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 	}
 
 	// wait drains a pending set, charging the blocked time to the stall
-	// account when recording (the determinism contract forbids wall-clock
-	// reads otherwise). The span name carries the current ring depth, so
-	// a trace shows which depth each residual stall was measured under.
-	var stallNS int64
+	// account when recording. The span name carries the current ring depth,
+	// so a trace shows which depth each residual stall was measured under.
 	wait := func(ps *pdm.PendingSet) error {
-		if rec == nil {
-			return ps.Wait()
-		}
-		if ps.Len() == 0 {
-			return nil
-		}
-		t0 := time.Now()
-		err := ps.Wait()
-		stallNS += time.Since(t0).Nanoseconds()
-		rec.SpanSince(track, stallName, "wait", t0)
-		return err
+		return stallWait(rec, track, stallName, ps, &stallNS)
 	}
 
 	recvItems := make([]int, v)

@@ -68,29 +68,27 @@ type Run struct {
 // stream of parallel I/Os; the parallel machine's processors proceed
 // concurrently between round barriers, so each round costs the maximum
 // per-processor predicted time and the init distribution is spread
-// evenly over the processors.
+// evenly over the processors (see initWall for how it is priced).
 func (r Run) ModelWall(tm pdm.TimeModel) time.Duration {
 	op := tm.OpTime(r.Machine.B)
-	if !r.Machine.Par {
-		return time.Duration(r.PredOps) * op
-	}
 	var total time.Duration
-	// roundOps[proc] accumulates one round at a time; rows arrive in
-	// recording order but procs interleave, so bucket by round.
+	// perRound[round][proc] accumulates the parallel machine one round at
+	// a time; rows arrive in recording order but procs interleave.
 	perRound := map[int]map[int]int64{}
 	for _, row := range r.Rows {
-		if row.Label == "init" {
-			ops := row.PredOps()
-			p := int64(r.Machine.P)
-			total += time.Duration((ops+p-1)/p) * op
-			continue
+		switch {
+		case row.Label == "init":
+			total += r.initWall(tm, row.PredOps())
+		case !r.Machine.Par:
+			total += time.Duration(row.PredOps()) * op
+		default:
+			m := perRound[row.Round]
+			if m == nil {
+				m = map[int]int64{}
+				perRound[row.Round] = m
+			}
+			m[row.Proc] += row.PredOps()
 		}
-		m := perRound[row.Round]
-		if m == nil {
-			m = map[int]int64{}
-			perRound[row.Round] = m
-		}
-		m[row.Proc] += row.PredOps()
 	}
 	for _, procs := range perRound {
 		var max int64
@@ -100,6 +98,39 @@ func (r Run) ModelWall(tm pdm.TimeModel) time.Duration {
 			}
 		}
 		total += time.Duration(max) * op
+	}
+	return total
+}
+
+// initWall prices an init row of ops parallel I/Os. The synchronous
+// schedule waits every operation, so each of a processor's ops/p costs
+// one OpTime. The pipelined drivers (Depth > 0) distribute the inputs as
+// write-behind over their ring of Depth slots: contexts are stored in
+// consecutive format, so each disk's share is one ascending contiguous
+// run of ⌈cb/D⌉ tracks per context, of which at most Depth contexts are
+// queued at once. Each turn of that window costs the batching worker one
+// call for the refill's first track — it is idle when the refill starts
+// and takes what is queued — and the rest of the window in calls of at
+// most pdm.MaxBatchTracks tracks, each positioning once.
+func (r Run) initWall(tm pdm.TimeModel, ops int64) time.Duration {
+	m := r.Machine
+	if m.Depth == 0 {
+		p := int64(1)
+		if m.Par {
+			p = int64(m.P)
+		}
+		return time.Duration((ops+p-1)/p) * tm.OpTime(m.B)
+	}
+	if ops == 0 {
+		return 0 // resident contexts: nothing is written
+	}
+	perCtx := int(stripedOps(m.CB, m.D))
+	var total time.Duration
+	for left := m.LocalV(); left > 0; left -= m.Depth {
+		total += tm.BatchTime(m.B, 1)
+		for w := min(left, m.Depth)*perCtx - 1; w > 0; w -= pdm.MaxBatchTracks {
+			total += tm.BatchTime(m.B, min(w, pdm.MaxBatchTracks))
+		}
 	}
 	return total
 }
