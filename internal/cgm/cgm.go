@@ -44,6 +44,17 @@ type VP[T any] struct {
 // Programs must be deterministic and must not retain references to inbox
 // slices across rounds (store copies in State instead): under the EM
 // simulation those buffers are recycled disk blocks.
+//
+// Ownership: under the EM simulation vp.State (as handed to Round) and
+// every inbox[s] are views of the simulator's memory — the one context
+// and one inbox a real processor holds — valid for the duration of the
+// call and reused for the next virtual processor. Each has cap == len, so
+// append allocates memory of the program's own. Whatever the program hands
+// back — outbox messages, the State it leaves in vp, the slice Output
+// returns — may be its own memory or may still be (a re-slice of) those
+// views; the driver copies out anything that still points there before
+// reusing them. Nothing reachable only through a field of the Program
+// value survives, and the views must not be written after the call.
 type Program[T any] interface {
 	Init(vp *VP[T], input []T)
 	Round(vp *VP[T], round int, inbox [][]T) (outbox [][]T, done bool)

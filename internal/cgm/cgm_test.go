@@ -311,3 +311,44 @@ func TestSizeMatrixPerRound(t *testing.T) {
 		}
 	}
 }
+
+// TestOutboxOneBacking: the messages hold exactly their counts, appending
+// up to the count never reallocates, and the whole outbox costs one
+// data-sized allocation plus its header.
+func TestOutboxOneBacking(t *testing.T) {
+	counts := []int{3, 0, 5, 1}
+	out := Outbox[int64](counts)
+	if len(out) != len(counts) {
+		t.Fatalf("len = %d, want %d", len(out), len(counts))
+	}
+	next := int64(0)
+	for d, c := range counts {
+		if c == 0 {
+			if out[d] != nil {
+				t.Errorf("message %d: want nil for no items", d)
+			}
+			continue
+		}
+		if len(out[d]) != 0 || cap(out[d]) != c {
+			t.Fatalf("message %d: len %d cap %d, want 0 and %d", d, len(out[d]), cap(out[d]), c)
+		}
+		for i := 0; i < c; i++ {
+			out[d] = append(out[d], next)
+			next++
+		}
+	}
+	// Filled to capacity, no message ran into its neighbour.
+	next = 0
+	for d := range out {
+		for _, x := range out[d] {
+			if x != next {
+				t.Fatalf("message %d holds %d, want %d", d, x, next)
+			}
+			next++
+		}
+	}
+	big := []int{1 << 10, 1 << 12, 0, 1 << 11}
+	if allocs := testing.AllocsPerRun(20, func() { Outbox[int64](big) }); allocs != 2 {
+		t.Errorf("Outbox made %v allocations, want 2 (backing array and header)", allocs)
+	}
+}

@@ -47,3 +47,25 @@ func Scatter[T any](items []T, v int) [][]T {
 	}
 	return parts
 }
+
+// Outbox returns an outbox whose message to VP d is empty with capacity
+// counts[d], all of them cut from one backing array — so a Round that
+// counts its items per destination first and appends them second makes
+// one allocation the size of its data instead of growing len(counts)
+// slices by doubling. Messages with no items stay nil.
+func Outbox[T any](counts []int) [][]T {
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	backing := make([]T, total)
+	out := make([][]T, len(counts))
+	off := 0
+	for d, c := range counts {
+		if c > 0 {
+			out[d] = backing[off : off : off+c]
+			off += c
+		}
+	}
+	return out
+}

@@ -48,14 +48,15 @@ import (
 // superstepScratch is the reusable working storage of one real processor's
 // compound-superstep hot path: the context image, the flat inbox/outbox
 // image, request/buffer staging, and the layout layer's own scratch. It is
-// allocated once before the round loop and reused every round, so a
-// steady-state superstep performs no heap allocation beyond the decoded
-// item slices handed to the program (which owns them).
+// allocated once before the round loop and reused every round; the typed
+// items the program sees are decoded out of it into the processor's vpMem
+// arena, so a steady-state superstep performs no heap allocation of its
+// own.
 //
 // Ownership rule: a scratch belongs to exactly one real processor's
 // goroutine; nothing inside it escapes a superstep except through explicit
-// copies (disk writes copy block contents; decode allocates fresh item
-// slices).
+// copies (disk writes copy block contents; decode copies items into the
+// arena).
 type superstepScratch struct {
 	ctxImg []pdm.Word     // cb·B words: context encode/decode image
 	flat   []pdm.Word     // flat inbox/outbox slot images
@@ -471,16 +472,6 @@ func encodeCtxInto[T any](codec wordcodec.Codec[T], state []T, maxCtx int, img [
 	return nil
 }
 
-// decodeCtx deserialises a context image.
-func decodeCtx[T any](codec wordcodec.Codec[T], img []pdm.Word) ([]T, error) {
-	n := int(img[0])
-	iw := codec.Words()
-	if n < 0 || 1+n*iw > len(img) {
-		return nil, fmt.Errorf("core: corrupt context header: %d items in %d words", n, len(img))
-	}
-	return wordcodec.DecodeSlice(codec, make([]T, 0, n), img[1:], n), nil
-}
-
 // encodeMsgInto serialises one message into the slot image img,
 // overwriting every word. Like encodeCtxInto, img is caller-owned scratch.
 // emcgm:hotpath
@@ -493,19 +484,6 @@ func encodeMsgInto[T any](codec wordcodec.Codec[T], msg []T, maxMsg int, img []p
 	wordcodec.EncodeInto(codec, img[1:end], msg)
 	clear(img[end:])
 	return nil
-}
-
-// decodeMsg deserialises one message slot.
-func decodeMsg[T any](codec wordcodec.Codec[T], img []pdm.Word) ([]T, error) {
-	n := int(img[0])
-	iw := codec.Words()
-	if n < 0 || 1+n*iw > len(img) {
-		return nil, fmt.Errorf("core: corrupt message header: %d items in %d words", n, len(img))
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	return wordcodec.DecodeSlice(codec, make([]T, 0, n), img[1:], n), nil
 }
 
 // RunSeq simulates program prog as a single-processor EM-CGM algorithm

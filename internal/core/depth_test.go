@@ -25,6 +25,8 @@ import (
 // synchronous schedule, on sorting, permutation and transposition,
 // sequential and parallel drivers alike. Only the begin/wait overlap may
 // change with k, and that is invisible to the model by construction.
+// CheckedIO is on so that the decode arena is zeroed after every
+// superstep: a program or driver still reading it then fails here.
 func TestPipelineDepthEquivalence(t *testing.T) {
 	const v, n = 8, 1 << 10
 	keys := workload.Int64s(11, n)
@@ -59,7 +61,7 @@ func TestPipelineDepthEquivalence(t *testing.T) {
 	}
 
 	for _, p := range []int{1, 2, 4} {
-		base := core.Config{V: v, P: p, D: 2, B: 8}
+		base := core.Config{V: v, P: p, D: 2, B: 8, CheckedIO: true}
 		tagP := fmt.Sprintf("p=%d", p)
 
 		run(t, "sort/"+tagP, func(cfg core.Config) (any, error) {
@@ -79,7 +81,7 @@ func TestPipelineDepthEquivalence(t *testing.T) {
 	// The sequential machine proper (Algorithm 2, not p=1 of Algorithm 3).
 	run(t, "sort/seq", func(cfg core.Config) (any, error) {
 		return core.RunSeq[int64](sortalg.Sorter[int64]{}, wordcodec.I64{}, sortalg.EMSortConfig(cfg, n), cgm.Scatter(keys, v))
-	}, core.Config{V: v, P: 1, D: 2, B: 8})
+	}, core.Config{V: v, P: 1, D: 2, B: 8, CheckedIO: true})
 }
 
 // TestPipelineDepthSingleVP is the v == 1 boundary: one virtual

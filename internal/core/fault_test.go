@@ -63,12 +63,13 @@ func TestParDiskFaultSurfaces(t *testing.T) {
 	cb := pdm.BlocksFor(cw, b)
 	img := make([]pdm.Word, cb*b)
 	var scr layout.Scratch
+	mem := newVPMem[int64](v, false)
 	for l := 0; l < localV; l++ {
 		j := 0*localV + l
 		if err := layout.ReadStripedScratch(arr, 0, l*cb, img, &scr); err != nil {
 			t.Fatalf("vp %d: read context: %v", j, err)
 		}
-		state, err := decodeCtx[int64](codec, img)
+		state, _, _, err := mem.decode(codec, img, nil, 0)
 		if err != nil {
 			t.Fatalf("vp %d: context corrupted: %v", j, err)
 		}

@@ -110,7 +110,9 @@ func TestChaosEquivalence(t *testing.T) {
 		}
 
 		// The chaos program can concentrate items; allow worst-case slots.
-		cfg := Config{V: v, P: 1, D: 2, B: 8, MaxMsgItems: 4 * n, MaxCtxItems: 8*n + 16}
+		// CheckedIO zeroes the decode arena after every superstep, so a
+		// reference kept past it is a mismatch here.
+		cfg := Config{V: v, P: 1, D: 2, B: 8, MaxMsgItems: 4 * n, MaxCtxItems: 8*n + 16, CheckedIO: true}
 		sres, err := RunSeq[int64](prog, codec, cfg, parts)
 		if err != nil || !check(sres, "seq") {
 			t.Logf("seq: %v", err)

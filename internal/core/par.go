@@ -30,6 +30,7 @@ type batch[T any] struct {
 type procScratch[T any] struct {
 	*superstepScratch
 	send [][][]T
+	mem  *vpMem[T]
 }
 
 // runPar is Algorithm 3: ParCompoundSuperstep. p real processors run as
@@ -96,7 +97,7 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 			return nil, err
 		}
 		matrices[i] = [2]layout.Rect{m0, m1}
-		s := &procScratch[T]{superstepScratch: newSuperstepScratch(cb, v*bpm, cfg.B)}
+		s := &procScratch[T]{superstepScratch: newSuperstepScratch(cb, v*bpm, cfg.B), mem: newVPMem[T](v, cfg.CheckedIO)}
 		s.send = make([][][]T, localV*p)
 		for k := range s.send {
 			s.send[k] = make([][]T, localV)
@@ -133,13 +134,6 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 		}
 		scr.bufs = layout.SplitBlocksInto(scr.bufs[:0], scr.ctxImg, cfg.B)
 		return layout.WriteStripedScratch(arrays[proc], 0, l*cb, scr.bufs, &scr.lay)
-	}
-	readCtx := func(proc, l int) ([]T, error) {
-		scr := scrs[proc]
-		if err := layout.ReadStripedScratch(arrays[proc], 0, l*cb, scr.ctxImg, &scr.lay); err != nil {
-			return nil, err
-		}
-		return decodeCtx(codec, scr.ctxImg)
 	}
 
 	res := &Result[T]{Outputs: make([][]T, v)}
@@ -235,6 +229,7 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 		}()
 		arr := arrays[i]
 		scr := scrs[i]
+		mem := scr.mem
 		readM := matrices[i][round%2]
 		writeParity := (round + 1) % 2
 		ctxOps, msgOps := int64(0), int64(0)
@@ -258,14 +253,10 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 				ssCtx0, ssMsg0, ssBlk0 = ctxOps, msgOps, arr.Stats().BlocksMoved
 			}
 			// (a) Context in (skipped when resident).
-			var state []T
-			if cacheCtx {
-				state = cached[i]
-			} else {
+			var ctxImg []pdm.Word
+			if !cacheCtx {
 				sp := rec.Begin(track, "ctx read", "phase")
-				var err error
-				state, err = readCtx(i, l)
-				if err != nil {
+				if err := layout.ReadStripedScratch(arr, 0, l*cb, scr.ctxImg, &scr.lay); err != nil {
 					sp.End()
 					ss.End()
 					out.err = fmt.Errorf("core: round %d vp %d: read context: %w", round, j, err)
@@ -273,9 +264,9 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 				}
 				sp.End()
 				account(true)
+				ctxImg = scr.ctxImg
 			}
 			// (b) Inbox in.
-			inbox := make([][]T, v)
 			if round > 0 {
 				sp := rec.Begin(track, "inbox read", "phase")
 				scr.reqs = readM.AppendRegionReqs(scr.reqs[:0], l)
@@ -286,20 +277,19 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 					out.err = fmt.Errorf("core: round %d vp %d: read inbox: %w", round, j, err)
 					return out
 				}
-				for src := 0; src < v; src++ {
-					msg, err := decodeMsg(codec, scr.flat[src*bpm*cfg.B:(src+1)*bpm*cfg.B])
-					if err != nil {
-						sp.End()
-						ss.End()
-						out.err = fmt.Errorf("core: round %d vp %d: message from %d: %w", round, j, src, err)
-						return out
-					}
-					inbox[src] = msg
-					out.recv[l] += len(msg)
-				}
 				sp.End()
 				account(false)
 			}
+			state, inbox, recv, err := mem.decode(codec, ctxImg, scr.flat, round)
+			if err != nil {
+				ss.End()
+				out.err = fmt.Errorf("core: round %d vp %d: %w", round, j, err)
+				return out
+			}
+			if cacheCtx {
+				state = cached[i]
+			}
+			out.recv[l] = recv
 			// (c) Compute.
 			cp := rec.Begin(track, "compute", "phase")
 			vp := &cgm.VP[T]{ID: j, V: v, State: state}
@@ -319,7 +309,7 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 				return out
 			}
 			if done {
-				res.Outputs[j] = prog.Output(vp)
+				res.Outputs[j] = mem.keep(prog.Output(vp))
 			}
 			// (d) Send generated messages to their real destinations.
 			sp := rec.Begin(track, "send", "phase")
@@ -331,7 +321,7 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 						msgs[dl] = nil
 						dst := k*localV + dl
 						if outbox != nil {
-							msgs[dl] = outbox[dst]
+							msgs[dl] = mem.keep(outbox[dst])
 							if len(outbox[dst]) > out.maxMsg {
 								out.maxMsg = len(outbox[dst])
 							}
@@ -358,7 +348,7 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 						round, j, len(vp.State), maxCtx)
 					return out
 				}
-				cached[i] = vp.State
+				cached[i] = mem.keep(vp.State)
 			} else {
 				wp := rec.Begin(track, "ctx write", "phase")
 				if err := writeCtx(i, l, vp.State); err != nil {
@@ -370,6 +360,7 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 				wp.End()
 				account(true)
 			}
+			mem.release()
 			if rec != nil {
 				ss.EndIO(obs.SuperstepIO{Proc: i, Round: round, VP: j, Label: "superstep",
 					CtxOps: ctxOps - ssCtx0, MsgOps: msgOps - ssMsg0,

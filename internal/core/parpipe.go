@@ -22,6 +22,7 @@ import (
 type pipeProcScratch[T any] struct {
 	img  []*superstepScratch
 	send [][][]T
+	mem  *vpMem[T]
 }
 
 // runParPipelined is runPar under the PipelineOn schedule: each real
@@ -88,7 +89,7 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 			return nil, err
 		}
 		matrices[i] = [2]layout.Rect{m0, m1}
-		s := &pipeProcScratch[T]{img: make([]*superstepScratch, 0, maxK)}
+		s := &pipeProcScratch[T]{img: make([]*superstepScratch, 0, maxK), mem: newVPMem[T](v, cfg.CheckedIO)}
 		for len(s.img) < k {
 			s.img = append(s.img, newSuperstepScratch(cb, v*bpm, cfg.B))
 		}
@@ -227,6 +228,7 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 		}()
 		arr := arrays[i]
 		scr := scrs[i]
+		mem := scr.mem
 		pend := pends[i]
 		routePend := routePends[i]
 		K := len(scr.img)
@@ -329,33 +331,21 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 				out.err = fmt.Errorf("core: round %d vp %d: read context/inbox: %w", round, j, err)
 				return out
 			}
-			var state []T
+			ctxImg := s.ctxImg
+			if cacheCtx {
+				ctxImg = nil
+			}
+			state, inbox, recv, err := mem.decode(codec, ctxImg, s.flat, round)
+			if err != nil {
+				ss.End()
+				drain()
+				out.err = fmt.Errorf("core: round %d vp %d: %w", round, j, err)
+				return out
+			}
 			if cacheCtx {
 				state = cached[i]
-			} else {
-				var err error
-				state, err = decodeCtx(codec, s.ctxImg)
-				if err != nil {
-					ss.End()
-					drain()
-					out.err = fmt.Errorf("core: round %d vp %d: %w", round, j, err)
-					return out
-				}
 			}
-			inbox := make([][]T, v)
-			if round > 0 {
-				for src := 0; src < v; src++ {
-					msg, err := decodeMsg(codec, s.flat[src*bpm*cfg.B:(src+1)*bpm*cfg.B])
-					if err != nil {
-						ss.End()
-						drain()
-						out.err = fmt.Errorf("core: round %d vp %d: message from %d: %w", round, j, src, err)
-						return out
-					}
-					inbox[src] = msg
-					out.recv[l] += len(msg)
-				}
-			}
+			out.recv[l] = recv
 
 			// Slide the window: the slot VP l+pf prefetches into still
 			// backs VP l+pf−K's write-behind.
@@ -395,7 +385,7 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 				return out
 			}
 			if done {
-				res.Outputs[j] = prog.Output(vp)
+				res.Outputs[j] = mem.keep(prog.Output(vp))
 			}
 			// (d) Send generated messages to their real destinations.
 			sp := rec.Begin(track, "send", "phase")
@@ -407,7 +397,7 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 						msgs[dl] = nil
 						dst := k*localV + dl
 						if outbox != nil {
-							msgs[dl] = outbox[dst]
+							msgs[dl] = mem.keep(outbox[dst])
 							if len(outbox[dst]) > out.maxMsg {
 								out.maxMsg = len(outbox[dst])
 							}
@@ -435,7 +425,7 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 						round, j, len(vp.State), maxCtx)
 					return out
 				}
-				cached[i] = vp.State
+				cached[i] = mem.keep(vp.State)
 			} else {
 				wp := rec.Begin(track, "ctx write", "writeback")
 				if err := encodeCtxInto(codec, vp.State, maxCtx, s.ctxImg); err != nil {
@@ -456,6 +446,7 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 				wp.End()
 				bank(sl, true)
 			}
+			mem.release()
 			out.ctxOps += sl.ctxOps
 			out.msgOps += sl.msgOps
 			if rec != nil {

@@ -17,9 +17,9 @@ import (
 // [j·cb, (j+1)·cb) from track 0 — followed by the single-copy staggered
 // message matrix with Observation 2's alternating placement.
 //
-// All transient storage of the round loop lives in one superstepScratch,
-// so steady-state supersteps allocate only the decoded item slices handed
-// to the program. The parallel I/O sequence is identical to the scratch-
+// All transient storage of the round loop lives in one superstepScratch
+// and one vpMem decode arena, so steady-state supersteps allocate nothing
+// of their own. The parallel I/O sequence is identical to the scratch-
 // free formulation: the PDM accounting is invariant under this reuse.
 //
 // This body is the synchronous reference schedule (PipelineOff): every
@@ -73,6 +73,7 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 
 	res := &Result[T]{Outputs: make([][]T, v)}
 	scr := newSuperstepScratch(cb, v*bpm, cfg.B)
+	mem := newVPMem[T](v, cfg.CheckedIO)
 
 	writeCtx := func(j int, state []T) error {
 		if err := encodeCtxInto(codec, state, maxCtx, scr.ctxImg); err != nil {
@@ -83,12 +84,6 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 		}
 		scr.bufs = layout.SplitBlocksInto(scr.bufs[:0], scr.ctxImg, cfg.B)
 		return layout.WriteStripedScratch(arr, 0, j*cb, scr.bufs, &scr.lay)
-	}
-	readCtx := func(j int) ([]T, error) {
-		if err := layout.ReadStripedScratch(arr, 0, j*cb, scr.ctxImg, &scr.lay); err != nil {
-			return nil, err
-		}
-		return decodeCtx(codec, scr.ctxImg)
 	}
 
 	// Input distribution: initialise and write every context.
@@ -141,8 +136,7 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 
 			// (a) Read the context of virtual processor j.
 			sp := rec.Begin(track, "ctx read", "phase")
-			state, err := readCtx(j)
-			if err != nil {
+			if err := layout.ReadStripedScratch(arr, 0, j*cb, scr.ctxImg, &scr.lay); err != nil {
 				sp.End()
 				ss.End()
 				return nil, fmt.Errorf("core: round %d vp %d: read context: %w", round, j, err)
@@ -151,7 +145,6 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 			account(true)
 
 			// (b) Read the packets received by virtual processor j.
-			inbox := make([][]T, v)
 			if round > 0 {
 				sp = rec.Begin(track, "inbox read", "phase")
 				scr.reqs = matrix.AppendInboxReqs(scr.reqs[:0], round, j)
@@ -161,19 +154,15 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 					ss.End()
 					return nil, fmt.Errorf("core: round %d vp %d: read inbox: %w", round, j, err)
 				}
-				for src := 0; src < v; src++ {
-					msg, err := decodeMsg(codec, scr.flat[src*bpm*cfg.B:(src+1)*bpm*cfg.B])
-					if err != nil {
-						sp.End()
-						ss.End()
-						return nil, fmt.Errorf("core: round %d vp %d: message from %d: %w", round, j, src, err)
-					}
-					inbox[src] = msg
-					recvItems[j] += len(msg)
-				}
 				sp.End()
 				account(false)
 			}
+			state, inbox, recv, err := mem.decode(codec, scr.ctxImg, scr.flat, round)
+			if err != nil {
+				ss.End()
+				return nil, fmt.Errorf("core: round %d vp %d: %w", round, j, err)
+			}
+			recvItems[j] = recv
 
 			// (c) Simulate the local computation.
 			sp = rec.Begin(track, "compute", "phase")
@@ -220,7 +209,7 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 				sp.End()
 				account(false)
 			} else {
-				res.Outputs[j] = prog.Output(vp)
+				res.Outputs[j] = mem.keep(prog.Output(vp))
 			}
 
 			// (e) Write the changed context back (consecutive).
@@ -232,6 +221,7 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 			}
 			sp.End()
 			account(true)
+			mem.release()
 
 			if rec != nil {
 				ss.EndIO(obs.SuperstepIO{Proc: 0, Round: round, VP: j, Label: "superstep",

@@ -107,6 +107,7 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 	scr := make([]*superstepScratch, 0, maxK)
 	pend := make([]vpInflight, 0, maxK)
 	scr, pend = growRing(scr, pend, k, cb, v*bpm, cfg.B)
+	mem := newVPMem[T](v, cfg.CheckedIO)
 
 	// drain waits out every in-flight operation before an error return:
 	// no handle leaks, no worker left holding a buffer reference. The
@@ -240,25 +241,13 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 				drain()
 				return nil, fmt.Errorf("core: round %d vp %d: read context/inbox: %w", round, j, err)
 			}
-			state, err := decodeCtx(codec, s.ctxImg)
+			state, inbox, recv, err := mem.decode(codec, s.ctxImg, s.flat, round)
 			if err != nil {
 				ss.End()
 				drain()
 				return nil, fmt.Errorf("core: round %d vp %d: %w", round, j, err)
 			}
-			inbox := make([][]T, v)
-			if round > 0 {
-				for src := 0; src < v; src++ {
-					msg, err := decodeMsg(codec, s.flat[src*bpm*cfg.B:(src+1)*bpm*cfg.B])
-					if err != nil {
-						ss.End()
-						drain()
-						return nil, fmt.Errorf("core: round %d vp %d: message from %d: %w", round, j, src, err)
-					}
-					inbox[src] = msg
-					recvItems[j] += len(msg)
-				}
-			}
+			recvItems[j] = recv
 
 			// Slide the window: the slot VP j+pf is about to prefetch into
 			// still backs VP j+pf−K's write-behind; it must land before the
@@ -326,7 +315,7 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 				wb.End()
 				bank(sl, false)
 			} else {
-				res.Outputs[j] = prog.Output(vp)
+				res.Outputs[j] = mem.keep(prog.Output(vp))
 			}
 
 			// (e) Begin the context write-back (consecutive).
@@ -349,6 +338,7 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 			}
 			wb.End()
 			bank(sl, true)
+			mem.release()
 
 			res.CtxOps += sl.ctxOps
 			res.MsgOps += sl.msgOps

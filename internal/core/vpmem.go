@@ -1,0 +1,130 @@
+package core
+
+import (
+	"fmt"
+	"unsafe"
+
+	"repro/internal/pdm"
+	"repro/internal/wordcodec"
+)
+
+// vpMem is one real processor's decode arena: the typed memory that holds
+// the one context and the one inbox Algorithms 2 and 3 keep resident, and
+// that every virtual processor the real processor simulates is decoded
+// into in turn. It only ever grows — to the largest context and the
+// largest inbox total actually seen, read from the image headers, never to
+// the MaxCtxItems/MaxMsgItems bounds the disk slots are sized by.
+//
+// Ownership rule: what decode returns is valid until the next decode on
+// the same arena, i.e. for one compound superstep. The drivers copy out
+// (keep) the three things that outlive it when they still point here — an
+// outbox message queued for the route phase, a context kept resident
+// under CacheContexts, and the slice prog.Output returned; everything else
+// is consumed (encoded to a word image) before the superstep ends.
+type vpMem[T any] struct {
+	state   []T   // context items
+	msgs    []T   // the v messages of one inbox, back to back
+	inbox   [][]T // inbox header handed to Round
+	checked bool  // CheckedIO: release zeroes the arena
+}
+
+func newVPMem[T any](v int, checked bool) *vpMem[T] {
+	// state starts empty but non-nil: an empty context decodes to an empty
+	// slice, as it did when every decode allocated.
+	return &vpMem[T]{state: []T{}, inbox: make([][]T, v), checked: checked}
+}
+
+// headerItems reads the count header of a context or message-slot image
+// of iw-word items and checks it against the image's length.
+// emcgm:hotpath
+func headerItems(img []pdm.Word, iw int) (n int, ok bool) {
+	n = int(img[0])
+	return n, n >= 0 && n <= (len(img)-1)/iw
+}
+
+// decode deserialises virtual processor state and inbox for one superstep
+// out of the context image ctxImg (nil when the context is resident) and,
+// after round 0, the flat image of the v equal message slots. Every slice
+// is handed out with cap == len, so a program's append reallocates rather
+// than running into its neighbour. recv is the number of items received.
+// emcgm:hotpath
+func (m *vpMem[T]) decode(codec wordcodec.Codec[T], ctxImg, flat []pdm.Word, round int) (state []T, inbox [][]T, recv int, err error) {
+	iw := codec.Words()
+	if ctxImg != nil {
+		n, ok := headerItems(ctxImg, iw)
+		if !ok {
+			return nil, nil, 0, fmt.Errorf("core: corrupt context header: %d items in %d words", n, len(ctxImg))
+		}
+		if n > cap(m.state) {
+			// emcgm:coldpath growth to the largest context seen; steady
+			// state decodes in place
+			m.state = make([]T, n)
+		}
+		state = m.state[:n:n]
+		wordcodec.DecodeInto(codec, state, ctxImg[1:1+n*iw])
+	}
+	clear(m.inbox)
+	if round == 0 {
+		return state, m.inbox, 0, nil
+	}
+	sw := len(flat) / len(m.inbox)
+	for src := range m.inbox {
+		img := flat[src*sw : (src+1)*sw]
+		n, ok := headerItems(img, iw)
+		if !ok {
+			return nil, nil, 0, fmt.Errorf("message from %d: core: corrupt message header: %d items in %d words", src, n, len(img))
+		}
+		recv += n
+	}
+	if recv > cap(m.msgs) {
+		// emcgm:coldpath growth to the largest inbox seen
+		m.msgs = make([]T, recv)
+	}
+	off := 0
+	for src := range m.inbox {
+		img := flat[src*sw : (src+1)*sw]
+		n := int(img[0])
+		if n == 0 {
+			continue
+		}
+		m.inbox[src] = m.msgs[off : off+n : off+n]
+		wordcodec.DecodeInto(codec, m.inbox[src], img[1:1+n*iw])
+		off += n
+	}
+	return state, m.inbox, recv, nil
+}
+
+// keep returns s, or a copy of it when s points into the arena and would
+// be overwritten by the next decode.
+func (m *vpMem[T]) keep(s []T) []T {
+	if !within(s, m.state) && !within(s, m.msgs) {
+		return s
+	}
+	c := make([]T, len(s))
+	copy(c, s)
+	return c
+}
+
+// within reports whether s's backing array starts inside arena's. The
+// addresses are only compared, never converted back.
+func within[T any](s, arena []T) bool {
+	if cap(s) == 0 || cap(arena) == 0 {
+		return false
+	}
+	var item T
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(arena)))
+	return p >= lo && p-lo < uintptr(cap(arena))*unsafe.Sizeof(item)
+}
+
+// release ends a superstep. In checked mode it zeroes the arena, so a
+// reference the driver failed to keep reads zeros at once instead of
+// another virtual processor's data some supersteps later.
+func (m *vpMem[T]) release() {
+	if !m.checked {
+		return
+	}
+	clear(m.state[:cap(m.state)])
+	clear(m.msgs[:cap(m.msgs)])
+	clear(m.inbox)
+}

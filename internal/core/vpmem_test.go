@@ -1,0 +1,213 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/cgm"
+	"repro/internal/pdm"
+	"repro/internal/wordcodec"
+)
+
+// wideCodec stores an int64 in the first of w words.
+type wideCodec struct{ w int }
+
+func (c wideCodec) Words() int                     { return c.w }
+func (c wideCodec) Encode(dst []pdm.Word, v int64) { dst[0] = pdm.Word(v) }
+func (c wideCodec) Decode(src []pdm.Word) int64    { return int64(src[0]) }
+
+// TestDecodeCorruptHeader: a count header no image of that length can
+// hold is reported as corrupt — including the counts whose n·iw wraps
+// around, which used to pass the guard and panic in make.
+func TestDecodeCorruptHeader(t *testing.T) {
+	const words = 64
+	for _, iw := range []int{1, 2, 7} {
+		fits := (words - 1) / iw
+		for _, tc := range []struct {
+			n  uint64
+			ok bool
+		}{
+			{1 << 62, false},
+			{math.MaxInt64, false},
+			{1 << 63, false},
+			{uint64(words/iw + 1), false},
+			{uint64(fits + 1), false},
+			{uint64(fits), true},
+			{0, true},
+		} {
+			tag := fmt.Sprintf("iw=%d n=%d", iw, tc.n)
+			codec := wideCodec{iw}
+			mem := newVPMem[int64](2, false)
+			img := make([]pdm.Word, words)
+			img[0] = tc.n
+			state, _, _, err := mem.decode(codec, img, nil, 0)
+			if tc.ok {
+				if err != nil || uint64(len(state)) != tc.n {
+					t.Errorf("%s: context: %d items, err %v", tag, len(state), err)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), "corrupt context header") {
+				t.Errorf("%s: context: err = %v, want corrupt context header", tag, err)
+			}
+
+			flat := make([]pdm.Word, 2*words)
+			flat[words] = tc.n // slot of source 1
+			_, inbox, recv, err := mem.decode(codec, nil, flat, 1)
+			if tc.ok {
+				if err != nil || uint64(recv) != tc.n || uint64(len(inbox[1])) != tc.n || inbox[0] != nil {
+					t.Errorf("%s: message: recv %d, err %v", tag, recv, err)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), "message from 1: core: corrupt message header") {
+				t.Errorf("%s: message: err = %v, want corrupt message header from 1", tag, err)
+			}
+		}
+	}
+}
+
+// hostile keeps nothing of its own: every outbox message, the state it
+// leaves behind and the output it returns are re-slices of the memory the
+// driver decoded for it. It never writes an item, so the in-memory
+// runtime (where the same slices are shared between VPs) is a valid
+// reference.
+type hostile struct{}
+
+func (hostile) Init(vp *cgm.VP[int64], input []int64) { vp.State = append([]int64(nil), input...) }
+
+func (hostile) Round(vp *cgm.VP[int64], round int, inbox [][]int64) ([][]int64, bool) {
+	v := vp.V
+	out := make([][]int64, v)
+	switch round {
+	case 0, 2: // pieces of the state
+		for d := 0; d < v; d++ {
+			lo, hi := cgm.PartRange(len(vp.State), v, d)
+			out[d] = vp.State[lo:hi]
+		}
+		if round == 2 && len(vp.State) > 0 {
+			vp.State = vp.State[1:]
+		}
+		return out, false
+	case 1: // whole and partial inbox messages; the state becomes one too
+		for d := 0; d < v; d++ {
+			m := inbox[(d+vp.ID)%v]
+			out[d] = m[len(m)/3:]
+		}
+		vp.State = inbox[0]
+		return out, false
+	default:
+		if vp.ID%2 == 1 {
+			vp.State = inbox[vp.ID]
+		}
+		return nil, true
+	}
+}
+
+func (hostile) Output(vp *cgm.VP[int64]) []int64 { return vp.State }
+
+// TestArenaAliasSafety: whatever a program hands back that still points
+// into the decode arena must reach its consumer intact. Checked mode
+// zeroes the arena at the end of every superstep, so a reference the
+// driver failed to copy out shows up here as zeros (the inputs have none).
+func TestArenaAliasSafety(t *testing.T) {
+	const v, n = 4, 103
+	in := make([]int64, n)
+	for i := range in {
+		in[i] = int64(1000 + i)
+	}
+	parts := cgm.Scatter(in, v)
+	ref, err := cgm.Run[int64](hostile{}, v, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec := wordcodec.I64{}
+	for _, checked := range []bool{true, false} {
+		for _, cache := range []bool{false, true} {
+			for _, k := range []int{0, 1, 2, 8} { // 0: the synchronous drivers
+				cfg := Config{V: v, D: 2, B: 8, MaxMsgItems: n, MaxCtxItems: n,
+					CheckedIO: checked, CacheContexts: cache, PipelineDepth: k}
+				if k == 0 {
+					cfg.Pipeline = PipelineOff
+				}
+				tag := fmt.Sprintf("checked=%v cache=%v k=%d", checked, cache, k)
+				res, err := RunSeq[int64](hostile{}, codec, cfg, parts)
+				if err != nil {
+					t.Fatalf("seq %s: %v", tag, err)
+				}
+				sameOutputs(t, "seq "+tag, res.Outputs, ref.Outputs)
+				for _, p := range []int{1, 2, 4} {
+					cfg.P = p
+					res, err := RunPar[int64](hostile{}, codec, cfg, parts)
+					if err != nil {
+						t.Fatalf("par p=%d %s: %v", p, tag, err)
+					}
+					sameOutputs(t, fmt.Sprintf("par p=%d %s", p, tag), res.Outputs, ref.Outputs)
+				}
+			}
+		}
+	}
+}
+
+// holdEcho keeps its whole partition as state, untouched, sends four
+// items to everyone in round 0 and echoes its inbox for R more rounds.
+type holdEcho struct{ R int }
+
+func (holdEcho) Init(vp *cgm.VP[int64], input []int64) { vp.State = append([]int64(nil), input...) }
+
+func (p holdEcho) Round(vp *cgm.VP[int64], round int, inbox [][]int64) ([][]int64, bool) {
+	switch {
+	case round == 0:
+		out := make([][]int64, vp.V)
+		for d := range out {
+			out[d] = append([]int64(nil), vp.State[:4]...)
+		}
+		return out, false
+	case round < p.R:
+		return inbox, false
+	}
+	return nil, true
+}
+
+func (holdEcho) Output(vp *cgm.VP[int64]) []int64 { return vp.State[:1] }
+
+// TestDecodeAllocIndependentOfRounds: the context is decoded into the
+// arena, so what a further round allocates is headers, closures and the
+// echoed 4-item messages — a constant that does not grow with the N
+// items of state every superstep swaps in and out.
+func TestDecodeAllocIndependentOfRounds(t *testing.T) {
+	const (
+		v        = 4
+		perVP    = 1 << 14 // 128 KiB of state per VP, 512 KiB swapped per round
+		perRound = 32 << 10
+	)
+	parts := cgm.Scatter(seq64(v*perVP), v)
+	codec := wordcodec.I64{}
+	for _, tc := range []struct {
+		name string
+		seq  bool
+		mode PipelineMode
+	}{
+		{"seq", true, PipelineOff}, {"seqpipe", true, PipelineOn},
+		{"par", false, PipelineOff}, {"parpipe", false, PipelineOn},
+	} {
+		total := func(rounds int) uint64 {
+			cfg := Config{V: v, P: 2, D: 2, B: 64, MaxMsgItems: 8, MaxCtxItems: perVP, Pipeline: tc.mode}
+			run := RunPar[int64]
+			if tc.seq {
+				run = RunSeq[int64]
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := run(holdEcho{R: rounds}, codec, cfg, parts); err != nil {
+				t.Fatalf("%s R=%d: %v", tc.name, rounds, err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		short, long := total(4), total(16)
+		if long > short+12*perRound {
+			t.Errorf("%s: 12 more rounds allocated %d bytes (%d per round), want < %d per round",
+				tc.name, long-short, (long-short)/12, perRound)
+		}
+	}
+}

@@ -63,7 +63,11 @@ func (Program) Init(vp *cgm.VP[Item], input []Item) {
 func (p Program) Round(vp *cgm.VP[Item], round int, inbox [][]Item) ([][]Item, bool) {
 	switch round {
 	case 0:
-		out := make([][]Item, vp.V)
+		counts := make([]int, vp.V)
+		for _, it := range vp.State {
+			counts[cgm.Owner(p.N, vp.V, int(it.Dest))]++
+		}
+		out := cgm.Outbox[Item](counts)
 		for _, it := range vp.State {
 			d := cgm.Owner(p.N, vp.V, int(it.Dest))
 			out[d] = append(out[d], it)
@@ -112,12 +116,21 @@ func EMPermute(vals, dests []int64, cfg core.Config) ([]int64, *core.Result[Item
 	if err != nil {
 		return nil, nil, err
 	}
-	flat := res.Output()
+	return Values(res.Outputs, n), res, nil
+}
+
+// Values projects the n values out of per-VP output partitions, in VP
+// order, without concatenating the partitions first.
+func Values(parts [][]Item, n int) []int64 {
 	out := make([]int64, n)
-	for i, it := range flat {
-		out[i] = it.Val
+	i := 0
+	for _, part := range parts {
+		for _, it := range part {
+			out[i] = it.Val
+			i++
+		}
 	}
-	return out, res, nil
+	return out
 }
 
 // Sequential permutes vals by dests in RAM — the Θ(N) reference.

@@ -42,7 +42,9 @@ func (TournamentSorter[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, 
 	K := tournamentRounds(v)
 	for _, msg := range inbox {
 		if len(msg) > 0 {
-			vp.State = mergeTwo(vp.State, msg)
+			merged := make([]T, len(vp.State)+len(msg))
+			mergeTwo(merged, vp.State, msg)
+			vp.State = merged
 		}
 	}
 	if round >= K {

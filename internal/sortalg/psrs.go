@@ -154,38 +154,63 @@ func upperBound[T cmp.Ordered](xs []T, key T) int {
 	return lo
 }
 
-// mergeRuns k-way merges sorted runs by repeated pairwise merging.
+// mergeRuns k-way merges sorted runs of total items in all by repeated
+// pairwise merging of neighbours, stably (on ties the earlier run wins).
+// Every level merges out of one total-sized buffer into the other, so the
+// merge allocates two buffers however many levels it has, one for two
+// runs, none for a single run (which is returned as it is). runs is
+// overwritten.
 func mergeRuns[T cmp.Ordered](runs [][]T, total int) []T {
-	if len(runs) == 0 {
+	switch len(runs) {
+	case 0:
 		return nil
+	case 1:
+		return runs[0]
+	}
+	dst := make([]T, total)
+	var src []T
+	if len(runs) > 2 {
+		src = make([]T, total)
 	}
 	for len(runs) > 1 {
-		next := make([][]T, 0, (len(runs)+1)/2)
-		for i := 0; i+1 < len(runs); i += 2 {
-			next = append(next, mergeTwo(runs[i], runs[i+1]))
+		n, off := 0, 0
+		for i := 0; i < len(runs); i += 2 {
+			var m int
+			if i+1 < len(runs) {
+				m = mergeTwo(dst[off:], runs[i], runs[i+1])
+			} else {
+				// The odd run is copied along: left behind in src, it
+				// would be merged over two levels on, when src is dst
+				// again.
+				m = copy(dst[off:], runs[i])
+			}
+			runs[n] = dst[off : off+m]
+			n++
+			off += m
 		}
-		if len(runs)%2 == 1 {
-			next = append(next, runs[len(runs)-1])
-		}
-		runs = next
+		runs = runs[:n]
+		dst, src = src, dst
 	}
 	return runs[0]
 }
 
-func mergeTwo[T cmp.Ordered](a, b []T) []T {
-	out := make([]T, 0, len(a)+len(b))
-	i, j := 0, 0
+// mergeTwo merges sorted a and b into out, which must hold them both, and
+// returns the number of items written.
+func mergeTwo[T cmp.Ordered](out, a, b []T) int {
+	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		if b[j] < a[i] {
-			out = append(out, b[j])
+			out[k] = b[j]
 			j++
 		} else {
-			out = append(out, a[i])
+			out[k] = a[i]
 			i++
 		}
+		k++
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	k += copy(out[k:], a[i:])
+	k += copy(out[k:], b[j:])
+	return k
 }
 
 // EMSortConfig fills sensible EM-CGM limits for sorting n items: bucket

@@ -305,3 +305,62 @@ func TestEMSortZipfSkewNeedsBalancing(t *testing.T) {
 	}
 	checkSorted(t, "zipf", got, in)
 }
+
+// TestMergeRunsTwoBuffers: the merge equals a stable sort of the
+// concatenated runs for every run count — none, one, two, odd, sixteen,
+// empty runs among them — and allocates at most two data-sized buffers
+// however many levels it takes. Stability is visible on float64 zeros:
+// -0 and +0 compare equal, so their sign bits must keep the run order.
+func TestMergeRunsTwoBuffers(t *testing.T) {
+	mkRuns := func(k int) ([][]float64, int) {
+		runs := make([][]float64, k)
+		total := 0
+		for i := range runs {
+			m := (i * 7) % 5 // 0, 2, 4, 1, 3, ...: empty runs included
+			run := make([]float64, 0, m+2)
+			for j := 0; j < m; j++ {
+				run = append(run, float64((i*3+j*5)%11-5))
+			}
+			zero := math.Copysign(0, float64(i%2*2-1)) // -0 in even runs, +0 in odd
+			run = append(run, zero, zero)
+			slices.Sort(run)
+			runs[i] = run
+			total += len(run)
+		}
+		return runs, total
+	}
+	for _, k := range []int{0, 1, 2, 3, 5, 16} {
+		runs, total := mkRuns(k)
+		want := slices.Concat(runs...)
+		slices.SortStableFunc(want, func(a, b float64) int {
+			switch {
+			case a < b:
+				return -1
+			case a > b:
+				return 1
+			}
+			return 0
+		})
+		got := mergeRuns(runs, total)
+		if len(got) != len(want) {
+			t.Fatalf("k=%d: %d items, want %d", k, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("k=%d: item %d = %v (sign %v), want %v (sign %v)", k, i,
+					got[i], math.Signbit(got[i]), want[i], math.Signbit(want[i]))
+			}
+		}
+	}
+	for _, tc := range []struct{ k, allocs int }{{1, 0}, {2, 1}, {5, 2}, {16, 2}} {
+		orig, total := mkRuns(tc.k)
+		runs := make([][]float64, tc.k)
+		allocs := testing.AllocsPerRun(20, func() {
+			copy(runs, orig) // mergeRuns overwrites its argument
+			mergeRuns(runs, total)
+		})
+		if int(allocs) != tc.allocs {
+			t.Errorf("k=%d: %v allocations, want %d", tc.k, allocs, tc.allocs)
+		}
+	}
+}

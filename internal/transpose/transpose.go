@@ -43,11 +43,13 @@ func (p Program) Round(vp *cgm.VP[permute.Item], round int, inbox [][]permute.It
 	n := p.K * p.L
 	switch round {
 	case 0:
-		out := make([][]permute.Item, vp.V)
+		counts := make([]int, vp.V)
 		for _, it := range vp.State {
-			g := int(it.Dest) // row-major position, set by EMTranspose
-			r, c := g/p.L, g%p.L
-			dest := c*p.K + r
+			counts[cgm.Owner(n, vp.V, p.dest(it))]++
+		}
+		out := cgm.Outbox[permute.Item](counts)
+		for _, it := range vp.State {
+			dest := p.dest(it)
 			d := cgm.Owner(n, vp.V, dest)
 			out[d] = append(out[d], permute.Item{Dest: int64(dest), Val: it.Val})
 		}
@@ -63,6 +65,14 @@ func (p Program) Round(vp *cgm.VP[permute.Item], round int, inbox [][]permute.It
 		}
 		return nil, true
 	}
+}
+
+// dest is the column-major position of an element still tagged with its
+// row-major position (set by EMTranspose).
+func (p Program) dest(it permute.Item) int {
+	g := int(it.Dest)
+	r, c := g/p.L, g%p.L
+	return c*p.K + r
 }
 
 // Output returns the column-major partition.
@@ -95,12 +105,7 @@ func EMTranspose(vals []int64, k, l int, cfg core.Config) ([]int64, *core.Result
 	if err != nil {
 		return nil, nil, err
 	}
-	flat := res.Output()
-	out := make([]int64, n)
-	for i, it := range flat {
-		out[i] = it.Val
-	}
-	return out, res, nil
+	return permute.Values(res.Outputs, n), res, nil
 }
 
 // Sequential transposes in RAM — the Θ(N) reference.
