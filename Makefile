@@ -23,9 +23,9 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Brief race-detector pass over the pipelined hot path driven by the
+# Brief race-detector pass over the superstep hot path driven by the
 # real benchmarks: the split-phase dispatch benchmarks and one
-# end-to-end sort under the (default-on) pipelined schedule. A fixed
+# end-to-end sort under the default (auto-depth) window. A fixed
 # small -benchtime keeps this a smoke test — the race detector needs
 # iterations, not statistics.
 bench-smoke:
@@ -33,7 +33,7 @@ bench-smoke:
 	$(GO) test -race -run '^$$' -bench 'BenchmarkFig5GroupA/sort-emcgm' -benchtime 2x .
 
 # File-backed PDM smoke: one small end-to-end run of the FileDisk
-# figure (buffered + direct I/O rows, sync vs pipelined schedule). The
+# figure (buffered + direct I/O rows, k=1 vs windowed schedule). The
 # committed BENCH_filedisk.json (benchfmt schema) uses the full size:
 #
 #	go run ./cmd/emcgm-bench -fig filedisk -n 131072 -v 16 -b 128 -bench BENCH_filedisk.json
@@ -41,7 +41,7 @@ bench-filedisk:
 	$(GO) run ./cmd/emcgm-bench -fig filedisk -n 16384 -v 8 -b 64
 
 # Benchmark recording and the regression gate. bench-record runs the
-# pipeline figure (sync vs pipelined over mem / mem+delay / file
+# pipeline figure (k=1 vs windowed over mem / mem+delay / file
 # backends) at smoke scale, writes the versioned benchfmt recording to
 # bench-out.json, and diffs it against the committed BENCH_smoke.json
 # baseline. The gate uses -exact-only: wall times are machine-specific
@@ -57,15 +57,19 @@ bench-record:
 bench-baseline:
 	$(GO) run ./cmd/emcgm-bench -fig pipeline $(BENCH_SCALE) -bench BENCH_smoke.json > /dev/null
 
-# Two-point depth-sweep smoke: run the pipeline figure at a fixed k=2
-# window and under the auto policy, then diff the recordings. The exact
-# metrics (PDM parallel I/Os, rounds) must be bit-identical across
-# depths — the window only reorders begins — and the wide -tol keeps the
-# noisy wall/stall_frac comparison from flaking on shared runners while
-# still printing the stall_frac movement for inspection.
+# Three-point depth-sweep smoke: run the pipeline figure at k=1 (the
+# synchronous issue order), at a fixed k=2 window and under the auto
+# policy, then diff 1 vs 2 and 2 vs auto. The exact metrics (PDM parallel
+# I/Os, rounds) must be bit-identical across depths — the window only
+# reorders begins — so the synchronous schedule stays pinned against the
+# windowed ones in CI; the wide -tol keeps the noisy wall/stall_frac
+# comparison from flaking on shared runners while still printing the
+# stall_frac movement for inspection.
 bench-depth:
+	$(GO) run ./cmd/emcgm-bench -fig pipeline $(BENCH_SCALE) -depth 1 -bench bench-depth1.json > /dev/null
 	$(GO) run ./cmd/emcgm-bench -fig pipeline $(BENCH_SCALE) -depth 2 -bench bench-depth2.json > /dev/null
 	$(GO) run ./cmd/emcgm-bench -fig pipeline $(BENCH_SCALE) -depth 0 -bench bench-depthauto.json > /dev/null
+	$(GO) run ./cmd/emcgm-benchdiff -tol 1.0 bench-depth1.json bench-depth2.json
 	$(GO) run ./cmd/emcgm-benchdiff -tol 1.0 bench-depth2.json bench-depthauto.json
 
 # The repository's benchmark (BENCHMARK.json, benchmark/README.md): every

@@ -33,8 +33,7 @@ func main() {
 	directio := flag.Bool("directio", false, "open file disks with O_DIRECT, bypassing the page cache (needs -disks; falls back to buffered I/O where unsupported)")
 	traceOut := flag.String("trace", "", "write a Chrome trace of all pipeline phases to this file (load in Perfetto)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace.json, /steps and /debug/pprof on this address (e.g. :6060)")
-	pipeline := flag.Bool("pipeline", true, "use the split-phase pipelined superstep schedule (PDM counts are identical either way)")
-	depth := flag.Int("depth", 0, "pipeline window depth k for every phase (0 = auto from the calibrated time model)")
+	depth := flag.Int("depth", 0, "pipeline window depth k for every phase (0 = auto from the calibrated time model, 1 = the synchronous schedule; PDM counts are identical at every depth)")
 	flag.Parse()
 
 	for _, f := range []struct {
@@ -101,9 +100,6 @@ func main() {
 	e1.Recorder = recorder
 	e1.DiskDir, e1.DirectIO = *disks, *directio
 	e1.Depth = *depth
-	if !*pipeline {
-		e1.Pipeline = core.PipelineOff
-	}
 	labels, forest, err := graph.ConnectedComponents(e1, nv, edges)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "emcgm-graph: components: %v\n", err)
@@ -122,9 +118,6 @@ func main() {
 	e2.Recorder = recorder
 	e2.DiskDir, e2.DirectIO = *disks, *directio
 	e2.Depth = *depth
-	if !*pipeline {
-		e2.Pipeline = core.PipelineOff
-	}
 	blocks, err := graph.Biconn(e2, nv, edges)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "emcgm-graph: biconnectivity: %v\n", err)
@@ -147,9 +140,6 @@ func main() {
 	e3.Recorder = recorder
 	e3.DiskDir, e3.DirectIO = *disks, *directio
 	e3.Depth = *depth
-	if !*pipeline {
-		e3.Pipeline = core.PipelineOff
-	}
 	arts, err := graph.ArticulationPoints(e3, nv, edges)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "emcgm-graph: articulation points: %v\n", err)

@@ -37,8 +37,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace to this file (load in Perfetto)")
 	steps := flag.Bool("steps", false, "print the per-superstep I/O table")
 	msgs := flag.Bool("msgs", false, "print BalancedRouting message sizes vs the Theorem 1 bound (needs -balanced)")
-	pipeline := flag.Bool("pipeline", true, "use the split-phase pipelined superstep schedule (PDM counts are identical either way)")
-	depth := flag.Int("depth", 0, "pipeline window depth k (0 = auto from the calibrated time model)")
+	depth := flag.Int("depth", 0, "pipeline window depth k (0 = auto from the calibrated time model, 1 = the synchronous schedule; PDM counts are identical at every depth)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace.json, /steps and /debug/pprof on this address (e.g. :6060)")
 	flag.Parse()
 
@@ -61,9 +60,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := core.Config{V: *v, P: *p, D: *d, B: *b, Balanced: *balanced, PipelineDepth: *depth, DiskDir: *disks, DirectIO: *directio}
-	if !*pipeline {
-		cfg.Pipeline = core.PipelineOff
-	}
 	if err := cfg.ValidateFor(*n); err != nil {
 		fmt.Fprintf(os.Stderr, "emcgm-sort: %v\n", err)
 		os.Exit(2)

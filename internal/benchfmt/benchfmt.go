@@ -60,15 +60,15 @@ type MachineInfo struct {
 
 // Params are the experiment-scale parameters the benchmarks ran at.
 type Params struct {
-	N        int  `json:"n"`
-	V        int  `json:"v"`
-	P        int  `json:"p"`
-	D        int  `json:"d"`
-	B        int  `json:"b"`
-	Pipeline bool `json:"pipeline"`
-	// Depth is the configured pipeline window depth (0 = auto).
-	// Additive and omitempty, so recordings from older schemas compare
-	// cleanly.
+	N int `json:"n"`
+	V int `json:"v"`
+	P int `json:"p"`
+	D int `json:"d"`
+	B int `json:"b"`
+	// Depth is the configured pipeline window depth (0 = auto, 1 = the
+	// synchronous schedule). Additive and omitempty, so recordings from
+	// older schemas compare cleanly; their "pipeline" flag — a switch
+	// the engine no longer has — is ignored on read.
 	Depth int `json:"depth,omitempty"`
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 func baseline() *File {
-	f := New("test", Params{N: 1 << 14, V: 8, P: 4, D: 2, B: 64, Pipeline: true})
+	f := New("test", Params{N: 1 << 14, V: 8, P: 4, D: 2, B: 64})
 	f.Add("pipeline/mem/sync", 3,
 		WallMetric(100*time.Millisecond, 120*time.Millisecond),
 		ExactMetric("parallel_ios", "ops", 5000))

@@ -14,6 +14,15 @@
 //     real processors travel over the real "network" (channels) and are
 //     laid out on the destination's disks.
 //
+// Both machines are one engine (engine.go): the same set-up, input
+// distribution, per-processor round body and accounting, called inline
+// for RunSeq and from p goroutines between barriers for RunPar. They
+// differ only in the message transport — Observation 2's single-copy
+// matrix against channels plus a ping-pong pair of rectangles — which is
+// also why RunSeq is not RunPar at p = 1. The round body runs every
+// virtual processor's I/O split-phase over a ring of Config.PipelineDepth
+// scratch slots; depth 1 is the synchronous schedule.
+//
 // Both machines execute any cgm.Program unchanged and return exact PDM
 // accounting: parallel I/O operations (split into context-swap and
 // messaging I/O), communication volume, and superstep counts — the
@@ -45,10 +54,11 @@ import (
 	"repro/internal/wordcodec"
 )
 
-// superstepScratch is the reusable working storage of one real processor's
-// compound-superstep hot path: the context image, the flat inbox/outbox
-// image, request/buffer staging, and the layout layer's own scratch. It is
-// allocated once before the round loop and reused every round; the typed
+// superstepScratch is one slot of a real processor's ring: the reusable
+// working storage of one compound superstep — the context image, the flat
+// inbox/outbox image, request/buffer staging, and the layout layer's own
+// scratch. It is allocated before the round loop (or when the ring grows
+// between rounds) and reused every round; the typed
 // items the program sees are decoded out of it into the processor's vpMem
 // arena, so a steady-state superstep performs no heap allocation of its
 // own.
@@ -56,7 +66,8 @@ import (
 // Ownership rule: a scratch belongs to exactly one real processor's
 // goroutine; nothing inside it escapes a superstep except through explicit
 // copies (disk writes copy block contents; decode copies items into the
-// arena).
+// arena), and an image loaned to a begun write is not touched again until
+// the slot's pending set has been waited.
 type superstepScratch struct {
 	ctxImg []pdm.Word     // cb·B words: context encode/decode image
 	flat   []pdm.Word     // flat inbox/outbox slot images
@@ -79,28 +90,6 @@ func newSuperstepScratch(cb, flatBlocks, b int) *superstepScratch {
 		bufs:   make([][]pdm.Word, 0, m),
 	}
 }
-
-// PipelineMode selects the superstep I/O schedule. The zero value is
-// PipelineOn, so configurations built by literal get the pipelined
-// schedule by default; PipelineOff is the debugging off-switch that
-// restores the fully synchronous reference schedule.
-type PipelineMode int
-
-const (
-	// PipelineOn software-pipelines the superstep loop with split-phase
-	// I/O over a ring of k superstepScratch slots (k = PipelineDepth,
-	// auto-sized when 0): while virtual processor j computes, the
-	// contexts and inboxes of VPs j+1 … j+⌊k/2⌋ are already being read
-	// and the writes of VPs back to j−⌈k/2⌉ drain as write-behind. The
-	// operation multiset, addresses, and PDM counts are bit-identical to
-	// the synchronous schedule (accounting is charged at begin time);
-	// only wall-clock overlap changes.
-	PipelineOn PipelineMode = iota
-	// PipelineOff runs every parallel I/O to completion before the next
-	// phase — the reference schedule, kept as a debugging off-switch and
-	// as the equivalence baseline for tests.
-	PipelineOff
-)
 
 // Config parameterises an EM-CGM machine.
 type Config struct {
@@ -155,24 +144,20 @@ type Config struct {
 	// sanitizer companion of the lint suite. Validation allocates; use in
 	// tests and debugging runs, not benchmarks. I/O counts are unchanged.
 	CheckedIO bool
-	// Pipeline selects the superstep I/O schedule: PipelineOn (the zero
-	// value) overlaps disk transfers with compute via split-phase I/O and
-	// a ring of scratch slots, PipelineOff is the synchronous reference
-	// schedule. Both produce bit-identical outputs and PDM accounting.
-	Pipeline PipelineMode
-	// PipelineDepth is the sliding-window depth k of the pipelined
+	// PipelineDepth is the sliding-window depth k of the superstep
 	// schedule: the number of superstep scratch slots in each real
-	// processor's ring. Depth 1 degenerates to the synchronous order with
-	// split-phase overhead, depth 2 is the PR 5 ping-pong, deeper windows
-	// prefetch further ahead and expose more conflict-free transfers to
-	// the batch-coalescing disk workers. 0 (the default) picks a depth
-	// from the cost model (see costmodel.AutoDepth) and, when a Recorder
-	// is attached, adapts it upward between rounds while the measured
-	// stall fraction stays high. Any fixed depth keeps the begin order a
-	// deterministic function of the configuration; every depth keeps the
-	// operation multiset and PDM counts bit-identical to PipelineOff.
-	// The memory bound is enforced against M: k in-flight working sets
-	// (context + message scratch) must fit, Lemma 1–2 style.
+	// processor's ring. Depth 1 is the synchronous schedule — every
+	// parallel I/O is waited before the next phase is begun — depth 2 a
+	// ping-pong, and deeper windows prefetch further ahead and expose more
+	// conflict-free transfers to the batch-coalescing disk workers. 0 (the
+	// default) picks a depth from the cost model (see costmodel.AutoDepth)
+	// and, when a Recorder is attached, adapts it upward between rounds
+	// while the measured stall fraction stays high. Any fixed depth keeps
+	// the begin order a deterministic function of the configuration; every
+	// depth produces bit-identical outputs, operation multiset and PDM
+	// counts (accounting is charged at begin time), so only wall-clock
+	// overlap changes. The memory bound is enforced against M: k in-flight
+	// working sets (context + message scratch) must fit, Lemma 1–2 style.
 	PipelineDepth int
 	// CacheContexts keeps virtual-processor contexts resident in the real
 	// processor's memory when P = V (one context per processor, M = Θ(μ)),
@@ -224,14 +209,8 @@ func (c Config) Validate() error {
 	if c.B < 1 {
 		return fmt.Errorf("core: B = %d words per block, want ≥ 1", c.B)
 	}
-	if c.Pipeline != PipelineOn && c.Pipeline != PipelineOff {
-		return fmt.Errorf("core: Pipeline = %d, want PipelineOn or PipelineOff", c.Pipeline)
-	}
 	if c.PipelineDepth < 0 {
 		return fmt.Errorf("core: PipelineDepth = %d, want ≥ 0 (0 = auto)", c.PipelineDepth)
-	}
-	if c.PipelineDepth > 0 && c.Pipeline == PipelineOff {
-		return fmt.Errorf("core: PipelineDepth = %d set with Pipeline: PipelineOff (the synchronous schedule has no window)", c.PipelineDepth)
 	}
 	if c.DirectIO && c.DiskDir == "" && c.NewDisk == nil {
 		return fmt.Errorf("core: DirectIO requires file-backed disks (set DiskDir, or supply NewDisk); in-memory disks have no page cache to bypass")
@@ -271,10 +250,9 @@ func (c Config) ValidateFor(n int) error {
 	// Memory bound on the pipeline window, checkable before the program's
 	// codec is known only when the item bounds are explicit: with one word
 	// per item as the lower bound, k windows of (context run + v message
-	// slots) must fit in M. The drivers re-check with the real item width;
+	// slots) must fit in M. The engine re-checks with the real item width;
 	// this catches a hopeless fixed k before any disk is allocated.
-	if c.M > 0 && c.Pipeline == PipelineOn && c.PipelineDepth > 0 &&
-		c.MaxCtxItems > 0 && c.MaxMsgItems > 0 {
+	if c.M > 0 && c.PipelineDepth > 0 && c.MaxCtxItems > 0 && c.MaxMsgItems > 0 {
 		cb := pdm.BlocksFor(ctxWords(c.MaxCtxItems, 1), c.B)
 		bpm := pdm.BlocksFor(slotWords(c.MaxMsgItems, 1), c.B)
 		if need := c.PipelineDepth * (cb + c.V*bpm) * c.B; need > c.M {
@@ -287,8 +265,8 @@ func (c Config) ValidateFor(n int) error {
 
 // newArray builds the disk array of real processor proc. queueHint sizes
 // the per-disk worker queues for the caller's maximum in-flight window
-// (0 = the pdm default): the pipelined drivers pass their depth-k burst
-// so a deep window never blocks at begin time and silently serializes.
+// (0 = the pdm default): the engine passes its depth-k burst so a deep
+// window never blocks at begin time and silently serializes.
 func (c Config) newArray(proc, queueHint int) (*pdm.DiskArray, error) {
 	var arr *pdm.DiskArray
 	opts := pdm.ArrayOptions{QueueDepth: queueHint}
@@ -306,6 +284,9 @@ func (c Config) newArray(proc, queueHint int) (*pdm.DiskArray, error) {
 		var err error
 		arr, err = pdm.NewDiskArrayOpts(disks, opts)
 		if err != nil {
+			for _, d := range disks {
+				_ = d.Close() // the array never took ownership; err is what is reported
+			}
 			return nil, err
 		}
 	}
@@ -391,17 +372,16 @@ type Result[T any] struct {
 	// the denominator of the batched-I/O win: the same ParallelOps issued
 	// in fewer syscalls.
 	Syscalls int64
-	// Stall is the wall-clock time the superstep drivers spent blocked in
+	// Stall is the wall-clock time the engine spent blocked in
 	// Pending.Wait, summed over real processors — the I/O time the
-	// pipeline failed to hide behind compute. Measured only when a
+	// window failed to hide behind compute. Measured only when a
 	// Recorder is attached (the determinism contract forbids wall-clock
-	// reads otherwise); zero for the synchronous schedule and for
-	// unrecorded runs.
+	// reads otherwise); zero for unrecorded runs.
 	Stall time.Duration
-	// Depth is the pipeline ring depth the run finished with: the
-	// resolved PipelineDepth (after auto-sizing and memory clamping),
-	// grown by the online adaptation if it triggered. 0 for the
-	// synchronous schedule. Not part of the output/accounting
+	// Depth is the ring depth the run finished with: the resolved
+	// PipelineDepth (after auto-sizing and clamping to v and M), grown
+	// by the online adaptation if it triggered; always ≥ 1, and 1 is
+	// the synchronous schedule. Not part of the output/accounting
 	// equivalence contract — it describes the overlap schedule, which is
 	// exactly what the contract allows to vary.
 	Depth int
@@ -497,9 +477,9 @@ func RunSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 		return nil, err
 	}
 	if cfg.Balanced {
-		return runBalanced(prog, codec, cfg, inputs, runSeq[balance.Item[T]])
+		return runBalanced(prog, codec, cfg, inputs, false)
 	}
-	return runSeq(prog, codec, cfg, inputs)
+	return run(prog, codec, cfg, inputs, false)
 }
 
 // RunPar simulates program prog as a p-processor EM-CGM algorithm per
@@ -512,46 +492,14 @@ func RunPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 		return nil, err
 	}
 	if cfg.Balanced {
-		return runBalanced(prog, codec, cfg, inputs, runPar[balance.Item[T]])
+		return runBalanced(prog, codec, cfg, inputs, true)
 	}
-	return runPar(prog, codec, cfg, inputs)
+	return run(prog, codec, cfg, inputs, true)
 }
-
-// ledgerAdd prices a finished run into cfg.Ledger: the superstep rows
-// recorded since base (captured with Recorder.StepCount before the init
-// span) against the Theorem 2/3 prediction for the machine's geometry,
-// plus the Result totals for reconciliation. All four drivers call it
-// once at their success return; a nil Ledger costs one comparison.
-func ledgerAdd[T any](cfg Config, par bool, cb, bpm int, cacheCtx bool, base int, res *Result[T]) {
-	if cfg.Ledger == nil || cfg.Recorder == nil {
-		return
-	}
-	cfg.Ledger.AddRun(
-		costmodel.Machine{
-			Par: par, V: cfg.V, P: cfg.P, D: cfg.D, B: cfg.B,
-			CB: cb, BPM: bpm, Rounds: res.Rounds, CacheCtx: cacheCtx,
-			Depth: res.Depth,
-		},
-		cfg.Recorder.StepsSince(base),
-		costmodel.RunTotals{
-			Rounds:      res.Rounds,
-			ParallelOps: res.IO.ParallelOps,
-			BlocksMoved: res.IO.BlocksMoved,
-			CtxOps:      res.CtxOps,
-			MsgOps:      res.MsgOps,
-			CommItems:   res.CommItems,
-			Syscalls:    res.Syscalls,
-			Stall:       res.Stall,
-		},
-	)
-}
-
-// engine is the signature shared by runSeq and runPar.
-type engine[T any] func(cgm.Program[T], wordcodec.Codec[T], Config, [][]T) (*Result[T], error)
 
 // runBalanced lifts the program, codec and inputs through BalancedRouting,
-// runs the given engine, and unwraps the result.
-func runBalanced[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, inputs [][]T, run engine[balance.Item[T]]) (*Result[T], error) {
+// runs the engine on the lifted program, and unwraps the result.
+func runBalanced[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, inputs [][]T, par bool) (*Result[T], error) {
 	n := 0
 	for _, in := range inputs {
 		n += len(in)
@@ -572,7 +520,7 @@ func runBalanced[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Confi
 		cfg.Recorder.SetMsgBound(wcfg.MaxMsgItems)
 		wrapped = balance.WrapObserved(prog, cfg.Recorder)
 	}
-	wres, err := run(wrapped, balance.Codec[T]{Inner: codec}, wcfg, balance.WrapInputs(inputs))
+	wres, err := run(wrapped, balance.Codec[T]{Inner: codec}, wcfg, balance.WrapInputs(inputs), par)
 	if err != nil {
 		return nil, err
 	}

@@ -7,9 +7,9 @@ import (
 	"repro/internal/pdm"
 )
 
-// This file resolves Config.PipelineDepth into the ring depth the
-// pipelined drivers actually run with, and sizes everything that scales
-// with it (scratch slots, per-disk queue capacity).
+// This file resolves Config.PipelineDepth into the ring depth the engine
+// actually runs with, and sizes everything that scales with it (scratch
+// slots, per-disk queue capacity).
 //
 // Depth policy:
 //
@@ -19,7 +19,7 @@ import (
 //     the caller asked for a specific memory/overlap trade.
 //   - PipelineDepth = 0 (auto): costmodel.AutoDepth picks the initial k
 //     from the calibrated time model (positioning-dominated disks get
-//     deep windows), clamped by v and by M. The drivers may then grow
+//     deep windows), clamped by v and by M. The engine may then grow
 //     the ring up to maxK between rounds while the measured stall
 //     fraction stays high — growth only, so scratch is never freed
 //     mid-run, and only under a Recorder, since the trigger is a
@@ -42,7 +42,7 @@ const (
 	adaptGrowDen = 5
 )
 
-// pipeDepth resolves the configured depth for a driver whose ring cannot
+// pipeDepth resolves the configured depth for a machine whose rings cannot
 // usefully exceed vCap slots and whose per-slot working set is slotWords
 // words (one context run + one full message image). It returns the
 // initial ring depth and the cap the online adaptation may grow it to
@@ -104,16 +104,4 @@ func queueHint(maxK, slotBlocks, d int) int {
 		d = 1
 	}
 	return 2 * maxK * ((slotBlocks+d-1)/d + 1)
-}
-
-// growRing appends fresh scratch slots and in-flight trackers to a
-// driver's ring, taking it from its current depth to k. Callers grow
-// only between rounds, with every slot's reads and writes drained, so
-// the new zero-valued slots are immediately usable.
-func growRing(scr []*superstepScratch, pend []vpInflight, k, cb, flatBlocks, b int) ([]*superstepScratch, []vpInflight) {
-	for len(scr) < k {
-		scr = append(scr, newSuperstepScratch(cb, flatBlocks, b))
-		pend = append(pend, vpInflight{})
-	}
-	return scr, pend
 }

@@ -11,139 +11,77 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pdm"
-	"repro/internal/permute"
 	"repro/internal/sortalg"
-	"repro/internal/transpose"
 	"repro/internal/wordcodec"
 	"repro/internal/workload"
 )
 
 // TestPipelineDepthEquivalence pins the depth-k window's correctness
-// contract: at every fixed depth — including 1 (degenerate synchronous
-// issue order) and depths at or past v (clamped to the VP count) — the
-// outputs and the full PDM accounting are bit-identical to the
-// synchronous schedule, on sorting, permutation and transposition,
-// sequential and parallel drivers alike. Only the begin/wait overlap may
-// change with k, and that is invisible to the model by construction.
-// CheckedIO is on so that the decode arena is zeroed after every
-// superstep: a program or driver still reading it then fails here.
+// contract: at every fixed depth — including depths at or past v (clamped
+// to the VP count) — the outputs and the full PDM accounting are
+// bit-identical to depth 1, the synchronous schedule, on sorting,
+// permutation and transposition, sequential and parallel machines alike
+// (see depthArms for the engine-independent references each arm is also
+// held to). Only the begin/wait overlap may change with k, and that is
+// invisible to the model by construction. CheckedIO is on so that the
+// decode arena is zeroed after every superstep: a program or engine still
+// reading it then fails here.
 func TestPipelineDepthEquivalence(t *testing.T) {
-	const v, n = 8, 1 << 10
-	keys := workload.Int64s(11, n)
-	dests := workload.Permutation(12, n)
-
-	run := func(t *testing.T, tag string, f func(core.Config) (any, error), base core.Config) {
-		t.Helper()
-		offCfg := base
-		offCfg.Pipeline = core.PipelineOff
-		off, err := f(offCfg)
-		if err != nil {
-			t.Fatalf("%s (sync): %v", tag, err)
-		}
-		for _, k := range []int{1, 2, 4, 8, 16} { // 16 > v: clamps to the ring v can use
-			onCfg := base
-			onCfg.Pipeline = core.PipelineOn
-			onCfg.PipelineDepth = k
-			on, err := f(onCfg)
-			if err != nil {
-				t.Fatalf("%s k=%d: %v", tag, k, err)
-			}
-			ktag := fmt.Sprintf("%s/k=%d", tag, k)
-			switch offR := off.(type) {
-			case *core.Result[int64]:
-				equivResults(t, ktag, offR, on.(*core.Result[int64]))
-			case *core.Result[permute.Item]:
-				equivResults(t, ktag, offR, on.(*core.Result[permute.Item]))
-			default:
-				t.Fatalf("%s: unexpected result type %T", ktag, off)
-			}
-		}
-	}
-
-	for _, p := range []int{1, 2, 4} {
-		base := core.Config{V: v, P: p, D: 2, B: 8, CheckedIO: true}
-		tagP := fmt.Sprintf("p=%d", p)
-
-		run(t, "sort/"+tagP, func(cfg core.Config) (any, error) {
-			_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
-			return res, err
-		}, base)
-		run(t, "permute/"+tagP, func(cfg core.Config) (any, error) {
-			_, res, err := permute.EMPermute(keys, dests, cfg)
-			return res, err
-		}, base)
-		run(t, "transpose/"+tagP, func(cfg core.Config) (any, error) {
-			_, res, err := transpose.EMTranspose(keys, 32, 32, cfg)
-			return res, err
-		}, base)
-	}
-
-	// The sequential machine proper (Algorithm 2, not p=1 of Algorithm 3).
-	run(t, "sort/seq", func(cfg core.Config) (any, error) {
-		return core.RunSeq[int64](sortalg.Sorter[int64]{}, wordcodec.I64{}, sortalg.EMSortConfig(cfg, n), cgm.Scatter(keys, v))
-	}, core.Config{V: v, P: 1, D: 2, B: 8, CheckedIO: true})
+	equivWorkloads(t, true, []int{2, 4, 8, 16}) // 16 > v: clamps to the ring v can use
 }
 
 // TestPipelineDepthSingleVP is the v == 1 boundary: one virtual
 // processor leaves nothing to prefetch across (every depth clamps to a
-// one-slot ring) and the run must still complete and match sync.
+// one-slot ring) and the run must still complete, match depth 1 and
+// match the in-memory runtime.
 func TestPipelineDepthSingleVP(t *testing.T) {
 	const n = 256
 	keys := workload.Int64s(3, n)
 	parts := cgm.Scatter(keys, 1)
 
 	base := core.Config{V: 1, P: 1, D: 2, B: 8, MaxMsgItems: n + 16, MaxCtxItems: 2*n + 16}
-	offCfg := base
-	offCfg.Pipeline = core.PipelineOff
-	off, err := core.RunSeq[int64](echo{}, wordcodec.I64{}, offCfg, parts)
-	if err != nil {
-		t.Fatalf("sync: %v", err)
-	}
-	for _, k := range []int{0, 1, 4} {
-		onCfg := base
-		onCfg.Pipeline = core.PipelineOn
-		onCfg.PipelineDepth = k
-		on, err := core.RunSeq[int64](echo{}, wordcodec.I64{}, onCfg, parts)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		equivResults(t, fmt.Sprintf("v=1/k=%d", k), off, on)
-		if on.Depth != 1 {
-			t.Errorf("k=%d: ring depth = %d, want 1 (clamped to v)", k, on.Depth)
-		}
+	want := reference[int64](t, "v=1", echo{}, 1, parts)
+	for _, seq := range []bool{true, false} {
+		depthArms(t, fmt.Sprintf("v=1/seq=%v", seq), want, base, []int{0, 4}, func(cfg core.Config) (*core.Result[int64], error) {
+			res, err := runMachine(seq, echo{}, cfg, parts)
+			if err == nil && res.Depth != 1 {
+				t.Errorf("seq=%v k=%d: ring depth = %d, want 1 (clamped to v)", seq, cfg.PipelineDepth, res.Depth)
+			}
+			return res, err
+		})
 	}
 }
 
 // TestPipelineDepthResolved pins Result.Depth: fixed depths resolve to
-// min(k, v), the synchronous schedule reports 0, and the unrecorded auto
+// min(k, v) — 1 for the synchronous schedule — and the unrecorded auto
 // policy resolves deterministically from the default time model.
 func TestPipelineDepthResolved(t *testing.T) {
 	const v, n = 8, 1 << 10
 	keys := workload.Int64s(11, n)
 
-	depth := func(pl core.PipelineMode, k, p int) int {
+	depth := func(k, p int) int {
 		t.Helper()
-		cfg := core.Config{V: v, P: p, D: 2, B: 8, Pipeline: pl, PipelineDepth: k}
+		cfg := core.Config{V: v, P: p, D: 2, B: 8, PipelineDepth: k}
 		_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
 		if err != nil {
-			t.Fatalf("pl=%v k=%d p=%d: %v", pl, k, p, err)
+			t.Fatalf("k=%d p=%d: %v", k, p, err)
 		}
 		return res.Depth
 	}
 
 	for _, p := range []int{1, 2} {
-		if got := depth(core.PipelineOff, 0, p); got != 0 {
-			t.Errorf("p=%d sync: Depth = %d, want 0", p, got)
+		if got := depth(1, p); got != 1 {
+			t.Errorf("p=%d k=1: Depth = %d, want 1", p, got)
 		}
-		if got := depth(core.PipelineOn, 3, p); got != 3 {
+		if got := depth(3, p); got != 3 {
 			t.Errorf("p=%d k=3: Depth = %d, want 3", p, got)
 		}
-		if got := depth(core.PipelineOn, 2*v, p); got != v {
+		if got := depth(2*v, p); got != v {
 			t.Errorf("p=%d k=%d: Depth = %d, want clamp to v=%d", p, 2*v, got, v)
 		}
 		// DefaultTimeModel is positioning-dominated, so auto starts at the
 		// static maximum (8) — still ≤ v here, so no clamp.
-		if got := depth(core.PipelineOn, 0, p); got != 8 {
+		if got := depth(0, p); got != 8 {
 			t.Errorf("p=%d auto: Depth = %d, want 8", p, got)
 		}
 	}
@@ -162,7 +100,7 @@ func TestPipelineDepthFault(t *testing.T) {
 			rec := obs.NewRecorder()
 			cfg := core.Config{V: v, P: p, D: 2, B: 8,
 				MaxMsgItems: n/v + 4, MaxCtxItems: n/v + 4,
-				Pipeline: core.PipelineOn, PipelineDepth: k, Recorder: rec,
+				PipelineDepth: k, Recorder: rec,
 				NewDisk: func(proc, disk int) pdm.Disk {
 					if proc == p-1 && disk == 0 {
 						return pdm.NewFaultyDisk(pdm.NewMemDisk(8), 5)
@@ -187,10 +125,10 @@ func TestPipelineDepthFault(t *testing.T) {
 }
 
 // TestPipelineDepthValidate pins the configuration contract of
-// PipelineDepth: negative depths and depths on the synchronous schedule
-// are rejected by Validate; ValidateFor rejects a fixed window whose k
-// working sets exceed M; and the driver itself rejects a fixed depth the
-// machine's actual scratch geometry cannot fit.
+// PipelineDepth: negative depths are rejected by Validate; ValidateFor
+// rejects a fixed window whose k working sets exceed M; and the engine
+// itself rejects a fixed depth the machine's actual scratch geometry
+// cannot fit.
 func TestPipelineDepthValidate(t *testing.T) {
 	base := core.Config{V: 4, P: 2, D: 2, B: 8}
 
@@ -200,15 +138,7 @@ func TestPipelineDepthValidate(t *testing.T) {
 		t.Errorf("negative depth: err = %v, want PipelineDepth error", err)
 	}
 
-	off := base
-	off.Pipeline = core.PipelineOff
-	off.PipelineDepth = 2
-	if err := off.Validate(); err == nil || !strings.Contains(err.Error(), "PipelineOff") {
-		t.Errorf("depth with sync schedule: err = %v, want PipelineOff error", err)
-	}
-
 	tight := base
-	tight.Pipeline = core.PipelineOn
 	tight.PipelineDepth = 8
 	tight.MaxCtxItems = 64
 	tight.MaxMsgItems = 64
@@ -221,9 +151,9 @@ func TestPipelineDepthValidate(t *testing.T) {
 		t.Errorf("auto depth over M: err = %v, want clamp, not error", err)
 	}
 
-	// The driver re-checks with the real scratch geometry.
+	// The engine re-checks with the real scratch geometry.
 	keys := workload.Int64s(11, 1<<10)
-	deep := core.Config{V: 8, P: 1, D: 2, B: 8, Pipeline: core.PipelineOn,
+	deep := core.Config{V: 8, P: 1, D: 2, B: 8,
 		PipelineDepth: 8, M: 2000} // fits ~2 of this machine's working sets, not 8
 	_, _, err := sortalg.EMSort(keys, wordcodec.I64{}, deep)
 	if err == nil || !strings.Contains(err.Error(), "PipelineDepth") {

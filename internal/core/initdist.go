@@ -11,7 +11,7 @@ import (
 	"repro/internal/wordcodec"
 )
 
-// stallWait drains a pending set on behalf of a pipelined driver. Under
+// stallWait drains a pending set on the engine's behalf. Under
 // a Recorder the blocked time is added to *stallNS and stored as a span
 // called name in the "wait" category; without one it is a plain Wait,
 // because the determinism contract forbids wall-clock reads in
@@ -40,8 +40,8 @@ type ctxSlot struct {
 	start int
 }
 
-// distributeInputs is the input distribution of both pipelined drivers,
-// run as write-behind over the rings they already own: VP j is
+// distributeInputs is the engine's input distribution, run as
+// write-behind over the rings the processors already own: VP j is
 // initialised, the previous write out of its slot is waited, and its
 // context is encoded into the slot and begun as a striped write into the
 // slot's writes set; one drain closes the phase, because round 0's
@@ -50,12 +50,12 @@ type ctxSlot struct {
 // the owning processor of the parallel one.
 //
 // Begins stay in VP order and accounting is charged at begin, so the
-// operations, their addresses and the counters are those of the
-// synchronous reference in seq.go/par.go. What changes is what the disks
-// see: contexts are stored in consecutive format, so the up to K runs
-// queued per disk are adjacent tracks and the batching workers fuse them
-// into vectored calls, and Init and encode of VP j+1 overlap the write of
-// VP j.
+// operations, their addresses and the counters are the same at every
+// ring depth (at depth 1 each context's write is waited before the next
+// VP is initialised). What changes with depth is what the disks see:
+// contexts are stored in consecutive format, so the up to K runs queued
+// per disk are adjacent tracks and the batching workers fuse them into
+// vectored calls, and Init and encode of VP j+1 overlap the write of VP j.
 //
 // cached, when non-nil, is the parallel machine's resident-context table
 // (CacheContexts, one VP per processor): contexts are kept there and no

@@ -60,11 +60,14 @@ func (d lateDisk) Close() error {
 	return d.inner.Close()
 }
 
-// traceEvent is the part of a Chrome trace event these tests read.
+// traceEvent is the part of a Chrome trace event these tests read. Args
+// is set on spans closed with their I/O accounting (EndIO) and empty on
+// spans an error path closed with a plain End.
 type traceEvent struct {
-	Name string  `json:"name"`
-	Cat  string  `json:"cat"`
-	Dur  float64 `json:"dur"` // µs
+	Name string          `json:"name"`
+	Cat  string          `json:"cat"`
+	Dur  float64         `json:"dur"` // µs
+	Args json.RawMessage `json:"args"`
 }
 
 // traceEvents exports the recorder's Chrome trace and returns its events.
@@ -89,15 +92,39 @@ func traceEvents(t *testing.T, rec *obs.Recorder) []traceEvent {
 func waitGoroutines(t *testing.T, tag string, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
+	for spins := 0; runtime.NumGoroutine() > base; spins++ {
 		if time.Now().After(deadline) {
 			t.Fatalf("%s: %d goroutines left, %d before the run", tag, runtime.NumGoroutine(), base)
 		}
-		time.Sleep(time.Millisecond)
+		if spins < 100 {
+			runtime.Gosched() // the workers only need a turn to see their closed queue
+		} else {
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 
-// TestInitFaultDrains drives a FaultyDisk through the pipelined input
+// watchedRun runs a machine on lateDisk-wrapped disks and, whatever the
+// run returns, requires that nothing outlives it: no transfer finishes
+// after the arrays were closed, and the goroutine count returns to what
+// it was before the run.
+func watchedRun(t *testing.T, tag string, seq bool, cfg core.Config, inner func(proc, disk int) pdm.Disk, parts [][]int64) error {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	var closed atomic.Bool
+	var late atomic.Int64
+	cfg.NewDisk = func(proc, disk int) pdm.Disk {
+		return lateDisk{inner: inner(proc, disk), closed: &closed, late: &late}
+	}
+	_, err := runMachine(seq, echo{}, cfg, parts)
+	waitGoroutines(t, tag, base)
+	if n := late.Load(); n != 0 {
+		t.Fatalf("%s: %d transfers finished after the arrays were closed", tag, n)
+	}
+	return err
+}
+
+// TestInitFaultDrains drives a FaultyDisk through the write-behind input
 // distribution at every operation index of every (processor, disk) pair:
 // whichever of the phase's waits the fault surfaces in — a slot reuse or
 // the closing drain — the run must return the injected error from the
@@ -117,22 +144,6 @@ func TestInitFaultDrains(t *testing.T) {
 		p   int
 	}
 	for _, m := range []machine{{true, 1}, {false, 1}, {false, 4}} {
-		// watched runs the machine on lateDisk-wrapped disks and, whatever
-		// the run returns, requires that nothing outlives it.
-		watched := func(tag string, cfg core.Config, inner func(proc, disk int) pdm.Disk, parts [][]int64) error {
-			base := runtime.NumGoroutine()
-			var closed atomic.Bool
-			var late atomic.Int64
-			cfg.NewDisk = func(proc, disk int) pdm.Disk {
-				return lateDisk{inner: inner(proc, disk), closed: &closed, late: &late}
-			}
-			_, err := runMachine(m.seq, echo{}, cfg, parts)
-			waitGoroutines(t, tag, base)
-			if n := late.Load(); n != 0 {
-				t.Fatalf("%s: %d transfers finished after the arrays were closed", tag, n)
-			}
-			return err
-		}
 		for _, k := range []int{1, 2, 4} {
 			base := core.Config{V: v, P: m.p, D: d, B: b, MaxMsgItems: 16, MaxCtxItems: maxCtx, PipelineDepth: k}
 			initTracks := v / m.p * perDisk // init transfers per disk
@@ -142,7 +153,7 @@ func TestInitFaultDrains(t *testing.T) {
 						tag := fmt.Sprintf("seq=%v p=%d k=%d fault=p%d/d%d@%d", m.seq, m.p, k, fproc, fdisk, okOps)
 						cfg := base
 						cfg.Recorder = obs.NewRecorder()
-						err := watched(tag, cfg, func(proc, disk int) pdm.Disk {
+						err := watchedRun(t, tag, m.seq, cfg, func(proc, disk int) pdm.Disk {
 							if proc == fproc && disk == fdisk {
 								return pdm.NewFaultyDisk(pdm.NewMemDisk(b), okOps)
 							}
@@ -169,7 +180,7 @@ func TestInitFaultDrains(t *testing.T) {
 			tag := fmt.Sprintf("seq=%v p=%d k=%d overflow", m.seq, m.p, k)
 			big := append([][]int64(nil), parts...)
 			big[v-1] = workload.Int64s(9, maxCtx+1)
-			err := watched(tag, base, func(proc, disk int) pdm.Disk { return pdm.NewMemDisk(b) }, big)
+			err := watchedRun(t, tag, m.seq, base, func(proc, disk int) pdm.Disk { return pdm.NewMemDisk(b) }, big)
 			if err == nil || !strings.Contains(err.Error(), "exceeds") {
 				t.Fatalf("%s: err = %v, want the context bound error", tag, err)
 			}
@@ -311,33 +322,24 @@ func TestInitCoalesces(t *testing.T) {
 	}
 }
 
-// TestInitCheckedEquivalence runs the pipelined input distribution under
-// CheckedIO — read-before-write validation on, use-after-begin poison
-// armed on every loaned context image — at each ring depth: outputs and
-// the full accounting must equal the synchronous reference.
+// TestInitCheckedEquivalence runs the write-behind input distribution
+// under CheckedIO — read-before-write validation on, use-after-begin
+// poison armed on every loaned context image — at each ring depth:
+// outputs and the full accounting must equal depth 1's, where every
+// context write is waited before the next VP is initialised (and each
+// arm must match the in-memory runtime and reconcile its ledger; see
+// depthArms).
 func TestInitCheckedEquivalence(t *testing.T) {
 	const v, n = 8, 1 << 9
 	parts := cgm.Scatter(workload.Int64s(3, n), v)
+	want := reference[int64](t, "echo", echo{}, v, parts)
 	for _, m := range []struct {
 		seq bool
 		p   int
 	}{{true, 1}, {false, 1}, {false, 4}} {
 		base := core.Config{V: v, P: m.p, D: 2, B: 8, MaxMsgItems: n/v + 4, MaxCtxItems: n/v + 4, CheckedIO: true}
-		off := base
-		off.Pipeline = core.PipelineOff
-		want, err := runMachine(m.seq, echo{}, off, parts)
-		if err != nil {
-			t.Fatalf("seq=%v p=%d sync: %v", m.seq, m.p, err)
-		}
-		for _, k := range []int{1, 2, 8} {
-			on := base
-			on.PipelineDepth = k
-			got, err := runMachine(m.seq, echo{}, on, parts)
-			if err != nil {
-				t.Fatalf("seq=%v p=%d k=%d: %v", m.seq, m.p, k, err)
-			}
-			equivResults(t, fmt.Sprintf("checked seq=%v p=%d k=%d", m.seq, m.p, k), want, got)
-		}
+		depthArms(t, fmt.Sprintf("checked seq=%v p=%d", m.seq, m.p), want, base, []int{2, 8},
+			func(cfg core.Config) (*core.Result[int64], error) { return runMachine(m.seq, echo{}, cfg, parts) })
 	}
 }
 
@@ -345,7 +347,7 @@ func TestInitCheckedEquivalence(t *testing.T) {
 // under a Recorder the time blocked in its waits is stored as `stall init`
 // spans in the wait category and is part of Result.Stall and the stall
 // counter, while the init row itself (CtxOps, Blocks) is the synchronous
-// schedule's; without a Recorder nothing is timed.
+// schedule's (PipelineDepth 1); without a Recorder nothing is timed.
 func TestInitStallRecorded(t *testing.T) {
 	const v, n, b = 4, 64, 8
 	parts := cgm.Scatter(workload.Int64s(3, n), v)
@@ -356,24 +358,24 @@ func TestInitStallRecorded(t *testing.T) {
 		p       int
 		counter string
 	}{{true, 1, "core_p0_stall_ns"}, {false, 2, "core_stall_ns"}} {
-		initRow := func(pl core.PipelineMode, newDisk func(proc, disk int) pdm.Disk) (obs.SuperstepIO, *core.Result[int64], *obs.Recorder) {
+		initRow := func(depth int, newDisk func(proc, disk int) pdm.Disk) (obs.SuperstepIO, *core.Result[int64], *obs.Recorder) {
 			rec := obs.NewRecorder()
 			cfg := core.Config{V: v, P: m.p, D: 2, B: b, MaxMsgItems: n/v + 4, MaxCtxItems: n/v + 4,
-				Pipeline: pl, Recorder: rec, NewDisk: newDisk}
+				PipelineDepth: depth, Recorder: rec, NewDisk: newDisk}
 			res, err := runMachine(m.seq, echo{}, cfg, parts)
 			if err != nil {
-				t.Fatalf("seq=%v pipeline=%v: %v", m.seq, pl, err)
+				t.Fatalf("seq=%v depth=%d: %v", m.seq, depth, err)
 			}
 			for _, s := range rec.Supersteps() {
 				if s.Label == "init" {
 					return s, res, rec
 				}
 			}
-			t.Fatalf("seq=%v pipeline=%v: no init row", m.seq, pl)
+			t.Fatalf("seq=%v depth=%d: no init row", m.seq, depth)
 			panic("unreachable")
 		}
-		want, _, _ := initRow(core.PipelineOff, nil)
-		got, res, rec := initRow(core.PipelineOn, slow)
+		want, _, _ := initRow(1, nil)
+		got, res, rec := initRow(0, slow)
 		if got.CtxOps != want.CtxOps || got.MsgOps != want.MsgOps || got.Blocks != want.Blocks || got.Proc != want.Proc {
 			t.Errorf("seq=%v: init row %+v, want the synchronous schedule's %+v", m.seq, got, want)
 		}

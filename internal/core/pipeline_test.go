@@ -2,11 +2,13 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
 	"repro/internal/cgm"
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/obs"
 	"repro/internal/pdm"
 	"repro/internal/permute"
@@ -16,11 +18,11 @@ import (
 	"repro/internal/workload"
 )
 
-// equivResults asserts the pipelined schedule changed nothing the model
-// can see: outputs, the full IOStats (total and per processor), the
+// equivResults asserts the window depth changed nothing the model can
+// see: outputs, the full IOStats (total and per processor), the
 // context/message split, and every observed bound are bit-identical to
-// the synchronous schedule. Only Stall — wall-clock overlap accounting —
-// may differ.
+// the synchronous schedule's (off, PipelineDepth 1). Only Stall and Depth
+// — the overlap schedule itself — may differ.
 func equivResults[T comparable](t *testing.T, tag string, off, on *core.Result[T]) {
 	t.Helper()
 	if on.IO != off.IO {
@@ -50,85 +52,124 @@ func equivResults[T comparable](t *testing.T, tag string, off, on *core.Result[T
 		t.Errorf("%s: observed bounds = %d/%d, want %d/%d", tag,
 			on.MaxMsgObserved, on.MaxCtxObserved, off.MaxMsgObserved, off.MaxCtxObserved)
 	}
-	if len(on.Outputs) != len(off.Outputs) {
-		t.Fatalf("%s: %d output partitions, want %d", tag, len(on.Outputs), len(off.Outputs))
+	sameOutputs(t, tag, on.Outputs, off.Outputs)
+}
+
+// reference runs prog on the in-memory CGM runtime — the implementation
+// that shares no code with the engine — and returns its outputs.
+func reference[T any](t *testing.T, tag string, prog cgm.Program[T], v int, parts [][]T) [][]T {
+	t.Helper()
+	ref, err := cgm.Run(prog, v, parts)
+	if err != nil {
+		t.Fatalf("%s: in-memory reference: %v", tag, err)
 	}
-	for j := range off.Outputs {
-		if len(on.Outputs[j]) != len(off.Outputs[j]) {
-			t.Fatalf("%s: vp %d output length %d, want %d", tag, j, len(on.Outputs[j]), len(off.Outputs[j]))
+	return ref.Outputs
+}
+
+// sameOutputs asserts got equals the reference's output partitions.
+func sameOutputs[T comparable](t *testing.T, tag string, got, want [][]T) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d output partitions, reference has %d", tag, len(got), len(want))
+	}
+	for j := range want {
+		if len(got[j]) != len(want[j]) {
+			t.Fatalf("%s: vp %d output length %d, reference has %d", tag, j, len(got[j]), len(want[j]))
 		}
-		for k := range off.Outputs[j] {
-			if on.Outputs[j][k] != off.Outputs[j][k] {
-				t.Fatalf("%s: vp %d item %d differs between schedules", tag, j, k)
+		for k := range want[j] {
+			if got[j][k] != want[j][k] {
+				t.Fatalf("%s: vp %d item %d differs from the reference", tag, j, k)
 			}
 		}
 	}
 }
 
-// TestPipelineEquivalence is the acceptance check of the pipelined
-// schedules: on sorting, permutation and transposition — seq and par —
-// Pipeline=PipelineOn must reproduce the exact outputs and the exact PDM
-// accounting of Pipeline=PipelineOff.
-func TestPipelineEquivalence(t *testing.T) {
+// depthArms runs one workload at PipelineDepth 1 — the synchronous
+// schedule, the baseline arm — and at each of depths, and requires every
+// equivResults field of each arm to equal the baseline's. Every arm is
+// also held to the two references that share no code with the engine:
+// its outputs must equal want, the in-memory cgm.Run's, and it runs
+// under a Recorder with a Ledger whose Theorem 2/3 prediction must
+// reconcile with the recorded superstep rows.
+func depthArms[T comparable](t *testing.T, tag string, want [][]T, base core.Config, depths []int,
+	f func(core.Config) (*core.Result[T], error)) {
+	t.Helper()
+	arm := func(k int) *core.Result[T] {
+		t.Helper()
+		cfg := base
+		cfg.PipelineDepth = k
+		cfg.Recorder = obs.NewRecorder()
+		cfg.Ledger = costmodel.NewLedger(pdm.DefaultTimeModel())
+		ktag := fmt.Sprintf("%s/k=%d", tag, k)
+		res, err := f(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", ktag, err)
+		}
+		sameOutputs(t, ktag, res.Outputs, want)
+		if err := cfg.Ledger.Reconcile(); err != nil {
+			t.Errorf("%s: ledger: %v", ktag, err)
+		}
+		return res
+	}
+	sync := arm(1)
+	for _, k := range depths {
+		equivResults(t, fmt.Sprintf("%s/k=%d", tag, k), sync, arm(k))
+	}
+}
+
+// equivWorkloads runs depthArms over sorting, permutation and
+// transposition on RunPar at p = 1, 2, 4 and on the sequential machine
+// proper (Algorithm 2, not p = 1 of Algorithm 3).
+func equivWorkloads(t *testing.T, checked bool, depths []int) {
 	const v, n = 8, 1 << 10
 	keys := workload.Int64s(11, n)
 	dests := workload.Permutation(12, n)
-
-	run := func(t *testing.T, tag string, f func(core.Config) (any, error), base core.Config) {
-		t.Helper()
-		offCfg, onCfg := base, base
-		offCfg.Pipeline = core.PipelineOff
-		onCfg.Pipeline = core.PipelineOn
-		off, err := f(offCfg)
-		if err != nil {
-			t.Fatalf("%s (sync): %v", tag, err)
-		}
-		on, err := f(onCfg)
-		if err != nil {
-			t.Fatalf("%s (pipelined): %v", tag, err)
-		}
-		switch offR := off.(type) {
-		case *core.Result[int64]:
-			equivResults(t, tag, offR, on.(*core.Result[int64]))
-		case *core.Result[permute.Item]:
-			equivResults(t, tag, offR, on.(*core.Result[permute.Item]))
-		default:
-			t.Fatalf("%s: unexpected result type %T", tag, off)
-		}
-	}
-
-	for _, p := range []int{1, 2, 4} {
-		base := core.Config{V: v, P: p, D: 2, B: 8}
-		tagP := map[int]string{1: "p=1", 2: "p=2", 4: "p=4"}[p]
-
-		run(t, "sort/"+tagP, func(cfg core.Config) (any, error) {
-			_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
-			return res, err
-		}, base)
-		run(t, "permute/"+tagP, func(cfg core.Config) (any, error) {
-			_, res, err := permute.EMPermute(keys, dests, cfg)
-			return res, err
-		}, base)
-		run(t, "transpose/"+tagP, func(cfg core.Config) (any, error) {
-			_, res, err := transpose.EMTranspose(keys, 32, 32, cfg)
-			return res, err
-		}, base)
-	}
-
-	// The sequential machine proper (Algorithm 2, not p=1 of Algorithm 3).
-	items := make([]permute.Item, n)
+	items := make([]permute.Item, n)  // permute: Dest is the target position
+	titems := make([]permute.Item, n) // transpose: Dest holds the source position
 	for i := range items {
 		items[i] = permute.Item{Dest: dests[i], Val: keys[i]}
+		titems[i] = permute.Item{Dest: int64(i), Val: keys[i]}
 	}
-	seqCfg := core.Config{V: v, P: 1, D: 2, B: 8,
+	sorted := reference[int64](t, "sort", sortalg.Sorter[int64]{}, v, cgm.Scatter(keys, v))
+	permuted := reference[permute.Item](t, "permute", permute.New(n), v, cgm.Scatter(items, v))
+	transposed := reference[permute.Item](t, "transpose", transpose.New(32, 32), v, cgm.Scatter(titems, v))
+
+	for _, p := range []int{1, 2, 4} {
+		base := core.Config{V: v, P: p, D: 2, B: 8, CheckedIO: checked}
+		tagP := fmt.Sprintf("p=%d", p)
+		depthArms(t, "sort/"+tagP, sorted, base, depths, func(cfg core.Config) (*core.Result[int64], error) {
+			_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
+			return res, err
+		})
+		depthArms(t, "permute/"+tagP, permuted, base, depths, func(cfg core.Config) (*core.Result[permute.Item], error) {
+			_, res, err := permute.EMPermute(keys, dests, cfg)
+			return res, err
+		})
+		depthArms(t, "transpose/"+tagP, transposed, base, depths, func(cfg core.Config) (*core.Result[permute.Item], error) {
+			_, res, err := transpose.EMTranspose(keys, 32, 32, cfg)
+			return res, err
+		})
+	}
+
+	seqCfg := core.Config{V: v, P: 1, D: 2, B: 8, CheckedIO: checked,
 		MaxMsgItems: 4*((n+v*v-1)/(v*v)) + v + 16,
 		MaxHItems:   2*((n+v-1)/v) + v + 16}
-	run(t, "permute/seq", func(cfg core.Config) (any, error) {
+	depthArms(t, "permute/seq", permuted, seqCfg, depths, func(cfg core.Config) (*core.Result[permute.Item], error) {
 		return core.RunSeq[permute.Item](permute.New(n), permute.Codec{}, cfg, cgm.Scatter(items, v))
-	}, seqCfg)
-	run(t, "sort/seq", func(cfg core.Config) (any, error) {
-		return core.RunSeq[int64](sortalg.Sorter[int64]{}, wordcodec.I64{}, sortalg.EMSortConfig(cfg, n), cgm.Scatter(keys, v))
-	}, core.Config{V: v, P: 1, D: 2, B: 8})
+	})
+	depthArms(t, "sort/seq", sorted, core.Config{V: v, P: 1, D: 2, B: 8, CheckedIO: checked}, depths,
+		func(cfg core.Config) (*core.Result[int64], error) {
+			return core.RunSeq[int64](sortalg.Sorter[int64]{}, wordcodec.I64{}, sortalg.EMSortConfig(cfg, n), cgm.Scatter(keys, v))
+		})
+}
+
+// TestPipelineEquivalence is the acceptance check of the default
+// schedule: on sorting, permutation and transposition — seq and par —
+// the auto-sized window (PipelineDepth 0, free to grow under the
+// Recorder) must reproduce the exact outputs and the exact PDM
+// accounting of the synchronous schedule, PipelineDepth 1.
+func TestPipelineEquivalence(t *testing.T) {
+	equivWorkloads(t, false, []int{0})
 }
 
 // TestPipelineFaultWithRecorder injects a disk fault into the pipelined
@@ -144,7 +185,7 @@ func TestPipelineFaultWithRecorder(t *testing.T) {
 		rec := obs.NewRecorder()
 		cfg := core.Config{V: v, P: p, D: 2, B: 8,
 			MaxMsgItems: n/v + 4, MaxCtxItems: n/v + 4,
-			Pipeline: core.PipelineOn, Recorder: rec,
+			Recorder: rec,
 			NewDisk: func(proc, disk int) pdm.Disk {
 				if proc == p-1 && disk == 0 {
 					return pdm.NewFaultyDisk(pdm.NewMemDisk(8), 5)

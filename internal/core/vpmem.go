@@ -16,7 +16,7 @@ import (
 // the MaxCtxItems/MaxMsgItems bounds the disk slots are sized by.
 //
 // Ownership rule: what decode returns is valid until the next decode on
-// the same arena, i.e. for one compound superstep. The drivers copy out
+// the same arena, i.e. for one compound superstep. The engine copies out
 // (keep) the three things that outlive it when they still point here — an
 // outbox message queued for the route phase, a context kept resident
 // under CacheContexts, and the slice prog.Output returned; everything else
@@ -118,7 +118,7 @@ func within[T any](s, arena []T) bool {
 }
 
 // release ends a superstep. In checked mode it zeroes the arena, so a
-// reference the driver failed to keep reads zeros at once instead of
+// reference the engine failed to keep reads zeros at once instead of
 // another virtual processor's data some supersteps later.
 func (m *vpMem[T]) release() {
 	if !m.checked {

@@ -123,12 +123,9 @@ func TestArenaAliasSafety(t *testing.T) {
 	codec := wordcodec.I64{}
 	for _, checked := range []bool{true, false} {
 		for _, cache := range []bool{false, true} {
-			for _, k := range []int{0, 1, 2, 8} { // 0: the synchronous drivers
+			for _, k := range []int{1, 2, 8, 0} { // 1: the synchronous schedule; 0: auto
 				cfg := Config{V: v, D: 2, B: 8, MaxMsgItems: n, MaxCtxItems: n,
 					CheckedIO: checked, CacheContexts: cache, PipelineDepth: k}
-				if k == 0 {
-					cfg.Pipeline = PipelineOff
-				}
 				tag := fmt.Sprintf("checked=%v cache=%v k=%d", checked, cache, k)
 				res, err := RunSeq[int64](hostile{}, codec, cfg, parts)
 				if err != nil {
@@ -183,15 +180,15 @@ func TestDecodeAllocIndependentOfRounds(t *testing.T) {
 	parts := cgm.Scatter(seq64(v*perVP), v)
 	codec := wordcodec.I64{}
 	for _, tc := range []struct {
-		name string
-		seq  bool
-		mode PipelineMode
+		name  string
+		seq   bool
+		depth int // 1: the synchronous schedule; 0: auto
 	}{
-		{"seq", true, PipelineOff}, {"seqpipe", true, PipelineOn},
-		{"par", false, PipelineOff}, {"parpipe", false, PipelineOn},
+		{"seq/k=1", true, 1}, {"seq/auto", true, 0},
+		{"par/k=1", false, 1}, {"par/auto", false, 0},
 	} {
 		total := func(rounds int) uint64 {
-			cfg := Config{V: v, P: 2, D: 2, B: 64, MaxMsgItems: 8, MaxCtxItems: perVP, Pipeline: tc.mode}
+			cfg := Config{V: v, P: 2, D: 2, B: 64, MaxMsgItems: 8, MaxCtxItems: perVP, PipelineDepth: tc.depth}
 			run := RunPar[int64]
 			if tc.seq {
 				run = RunSeq[int64]

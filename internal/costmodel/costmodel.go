@@ -36,7 +36,7 @@ type Machine struct {
 	BPM      int  `json:"bpm"`
 	Rounds   int  `json:"rounds"`
 	CacheCtx bool `json:"cacheCtx,omitempty"` // parallel machine kept contexts resident
-	// Depth is the pipeline window depth the run finished with (0 =
+	// Depth is the pipeline window depth the run finished with (1 =
 	// synchronous schedule). The Theorem 2/3 op-count predictor ignores
 	// it — the operation multiset is depth-invariant by construction —
 	// but the overlap model (ModelWallPipelined) prices the stall curve

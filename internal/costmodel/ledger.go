@@ -102,33 +102,27 @@ func (r Run) ModelWall(tm pdm.TimeModel) time.Duration {
 	return total
 }
 
-// initWall prices an init row of ops parallel I/Os. The synchronous
-// schedule waits every operation, so each of a processor's ops/p costs
-// one OpTime. The pipelined drivers (Depth > 0) distribute the inputs as
-// write-behind over their ring of Depth slots: contexts are stored in
-// consecutive format, so each disk's share is one ascending contiguous
-// run of ⌈cb/D⌉ tracks per context, of which at most Depth contexts are
-// queued at once. Each turn of that window costs the batching worker one
-// call for the refill's first track — it is idle when the refill starts
-// and takes what is queued — and the rest of the window in calls of at
-// most pdm.MaxBatchTracks tracks, each positioning once.
+// initWall prices an init row of ops parallel I/Os. The engine
+// distributes the inputs as write-behind over its ring of Depth slots
+// (a ledger written before Depth was recorded reads as 0 and prices as
+// depth 1): contexts are stored in consecutive format, so each disk's
+// share is one ascending contiguous run of ⌈cb/D⌉ tracks per context, of
+// which at most Depth contexts are queued at once. Each turn of that
+// window costs the batching worker one call for the refill's first track
+// — it is idle when the refill starts and takes what is queued — and the
+// rest of the window in calls of at most pdm.MaxBatchTracks tracks, each
+// positioning once.
 func (r Run) initWall(tm pdm.TimeModel, ops int64) time.Duration {
 	m := r.Machine
-	if m.Depth == 0 {
-		p := int64(1)
-		if m.Par {
-			p = int64(m.P)
-		}
-		return time.Duration((ops+p-1)/p) * tm.OpTime(m.B)
-	}
+	depth := max(m.Depth, 1)
 	if ops == 0 {
 		return 0 // resident contexts: nothing is written
 	}
 	perCtx := int(stripedOps(m.CB, m.D))
 	var total time.Duration
-	for left := m.LocalV(); left > 0; left -= m.Depth {
+	for left := m.LocalV(); left > 0; left -= depth {
 		total += tm.BatchTime(m.B, 1)
-		for w := min(left, m.Depth)*perCtx - 1; w > 0; w -= pdm.MaxBatchTracks {
+		for w := min(left, depth)*perCtx - 1; w > 0; w -= pdm.MaxBatchTracks {
 			total += tm.BatchTime(m.B, min(w, pdm.MaxBatchTracks))
 		}
 	}

@@ -19,14 +19,15 @@ import (
 
 // depthSweepKs are the fixed window depths the sweep measures, plus 0 —
 // the auto policy, whose row reports the ring depth it resolved (and
-// possibly grew) to.
+// possibly grew) to. Depth 1, the synchronous schedule, leads: it is the
+// reference every other row is held against.
 var depthSweepKs = []int{1, 2, 4, 8, 0}
 
 // DepthSweep measures the stall-fraction-vs-k curve of the depth-k
 // pipelined schedule on the sorting workload: for each window depth it
 // reports the resolved ring depth, the wall clock, the measured stall
 // fraction, the overlap model's predicted stall fraction, and the
-// speedup over the synchronous reference. Two substrates:
+// speedup over the synchronous schedule (k = 1). Two substrates:
 //
 //   - mem+delay: MemDisk behind a latency-calibrated DelayDisk (the
 //     balanced regime, exactly as in Pipeline) — the depth dividend here
@@ -38,7 +39,7 @@ var depthSweepKs = []int{1, 2, 4, 8, 0}
 //
 // Every run carries a recorder (stall is only measured with one
 // attached), the PDM op counts are asserted bit-identical against the
-// synchronous reference at every depth, and the predicted column comes
+// k = 1 row at every depth, and the predicted column comes
 // from costmodel.Run.ModelWallPipelined under a time model matching the
 // substrate (the fixed-delay disk is priced exactly; the file substrate
 // has no calibrated model, so its predicted column is blank).
@@ -54,7 +55,7 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 	if s.Rec != nil {
 		reps = 1 // keep an attached trace to one run per schedule
 	}
-	run := func(mode core.PipelineMode, depth int, newDisk func(proc, disk int) pdm.Disk) (best, worst time.Duration, _ *core.Result[int64], _ error) {
+	run := func(depth int, newDisk func(proc, disk int) pdm.Disk) (best, worst time.Duration, _ *core.Result[int64], _ error) {
 		var bestRes *core.Result[int64]
 		for r := 0; r < reps; r++ {
 			rec := s.Rec
@@ -62,10 +63,7 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 				rec = obs.NewRecorder()
 			}
 			cfg := core.Config{V: s.V, P: s.P, D: 2, B: s.B, Recorder: rec,
-				Pipeline: mode, NewDisk: newDisk}
-			if mode != core.PipelineOff {
-				cfg.PipelineDepth = depth // the sync arm has no window
-			}
+				PipelineDepth: depth, NewDisk: newDisk}
 			if err := cfg.ValidateFor(s.N); err != nil {
 				return 0, 0, nil, err
 			}
@@ -85,50 +83,43 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 		return best, worst, bestRes, nil
 	}
 
-	// sweep runs the synchronous reference then the full depth ladder on
-	// one substrate. tm, when non-nil, prices the predicted column.
+	// sweep runs the depth ladder on one substrate. tm, when non-nil,
+	// prices the predicted column.
 	sweep := func(label string, newDisk func(proc, disk int) pdm.Disk, tm *pdm.TimeModel) error {
-		syncWall, syncWorst, syncRes, err := run(core.PipelineOff, 0, newDisk)
-		if err != nil {
-			return fmt.Errorf("depth %s sync: %w", label, err)
-		}
-		t.AddRow(label, "sync", 0, syncWall.Round(time.Microsecond).String(),
-			trace.FormatFloat(stallFrac(syncRes.Stall, syncWall, s.P)), "-", "1.00")
-		if s.Bench != nil {
-			s.Bench.Add("depth/"+label+"/sync", reps,
-				benchfmt.WallMetric(syncWall, syncWorst),
-				benchfmt.ExactMetric("parallel_ios", "ops", syncRes.IO.ParallelOps),
-				benchfmt.Metric{Name: "stall_frac", Unit: "frac", Better: benchfmt.Lower,
-					Value: stallFrac(syncRes.Stall, syncWall, s.P)})
-		}
-
-		// Calibrate the overlap model's per-superstep compute time from
-		// the synchronous run: whole-run wall per processor minus the
-		// modelled unoverlapped I/O time, spread over the supersteps.
-		crun := costmodel.Run{
-			Machine: costmodel.Machine{Par: true, V: s.V, P: s.P, D: 2, B: s.B,
-				Rounds: syncRes.Rounds},
-			PredOps: syncRes.IO.ParallelOps,
-		}
-		var compute time.Duration
-		if tm != nil {
-			steps := crun.Machine.Rounds * crun.Machine.LocalV()
-			opsPerStep := float64(syncRes.IO.ParallelOps/int64(s.P)) / float64(steps)
-			ioStep := time.Duration(opsPerStep * float64(tm.OpTime(s.B)))
-			if c := syncWall/time.Duration(steps) - ioStep; c > 0 {
-				compute = c
-			}
-		}
-
-		var bestFixed time.Duration
-		var autoWall time.Duration
-		autoRing := 0
+		var (
+			syncWall  time.Duration
+			syncRes   *core.Result[int64]
+			crun      costmodel.Run
+			compute   time.Duration
+			bestFixed time.Duration
+			autoWall  time.Duration
+			autoRing  int
+		)
 		for _, k := range depthSweepKs {
-			best, worst, res, err := run(core.PipelineOn, k, newDisk)
+			best, worst, res, err := run(k, newDisk)
 			if err != nil {
 				return fmt.Errorf("depth %s k=%d: %w", label, k, err)
 			}
-			if res.IO != syncRes.IO {
+			if syncRes == nil {
+				// Calibrate the overlap model's per-superstep compute time
+				// from the synchronous run: whole-run wall per processor
+				// minus the modelled unoverlapped I/O time, spread over the
+				// supersteps.
+				syncWall, syncRes = best, res
+				crun = costmodel.Run{
+					Machine: costmodel.Machine{Par: true, V: s.V, P: s.P, D: 2, B: s.B,
+						Rounds: res.Rounds},
+					PredOps: res.IO.ParallelOps,
+				}
+				if tm != nil {
+					steps := crun.Machine.Rounds * crun.Machine.LocalV()
+					opsPerStep := float64(res.IO.ParallelOps/int64(s.P)) / float64(steps)
+					ioStep := time.Duration(opsPerStep * float64(tm.OpTime(s.B)))
+					if c := syncWall/time.Duration(steps) - ioStep; c > 0 {
+						compute = c
+					}
+				}
+			} else if res.IO != syncRes.IO {
 				return fmt.Errorf("depth %s k=%d: schedules disagree on PDM cost: %+v vs %+v",
 					label, k, res.IO, syncRes.IO)
 			}
@@ -164,8 +155,8 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 	}
 
 	// Calibrate the delay exactly as Pipeline does: per-processor
-	// modelled I/O time ≈ whole-run CPU wall of a synchronous MemDisk run.
-	cpuWall, _, cpuRes, err := run(core.PipelineOff, 0, nil)
+	// modelled I/O time ≈ whole-run CPU wall of a k = 1 MemDisk run.
+	cpuWall, _, cpuRes, err := run(1, nil)
 	if err != nil {
 		return nil, fmt.Errorf("depth calibration: %w", err)
 	}
@@ -206,8 +197,8 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 	}
 
 	t.Notes = append(t.Notes,
-		"ring = the resolved (auto: possibly grown) window depth the run finished with; depth 1 degenerates to the synchronous issue order with split-phase dispatch",
-		"stall frac = driver time blocked on in-flight I/O over p x wall; pred frac = costmodel overlap model at the same ring depth",
-		"wall = best of 3 runs per config; PDM parallel I/Os are asserted bit-identical against sync at every depth")
+		"ring = the resolved (auto: possibly grown) window depth the run finished with; depth 1 is the synchronous schedule, the speedup column's reference",
+		"stall frac = engine time blocked on in-flight I/O over p x wall; pred frac = costmodel overlap model at the same ring depth",
+		"wall = best of 3 runs per config; PDM parallel I/Os are asserted bit-identical against k=1 at every depth")
 	return t, nil
 }

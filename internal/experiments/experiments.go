@@ -33,13 +33,10 @@ type Scale struct {
 	P int // real processors
 	B int // block size (words)
 
-	// Pipeline selects the superstep schedule for every EM-CGM run the
-	// experiments perform (default PipelineOn; the PDM accounting is
-	// identical either way).
-	Pipeline core.PipelineMode
-
-	// Depth is the pipeline window depth k passed to every pipelined run
-	// (core.Config.PipelineDepth); 0 picks the auto policy.
+	// Depth is the window depth k passed to every EM-CGM run the
+	// experiments perform (core.Config.PipelineDepth): 0 picks the auto
+	// policy, 1 is the synchronous schedule; the PDM accounting is
+	// identical at every depth.
 	Depth int
 
 	// DiskDir is where the file-backed experiments (FileDiskFig) place
@@ -69,8 +66,7 @@ type Scale struct {
 func (s Scale) NewBenchFile(tool string) *benchfmt.File {
 	return benchfmt.New(tool, benchfmt.Params{
 		N: s.N, V: s.V, P: s.P, D: 2, B: s.B,
-		Pipeline: s.Pipeline != core.PipelineOff,
-		Depth:    s.Depth,
+		Depth: s.Depth,
 	})
 }
 
@@ -97,7 +93,7 @@ func Fig3(s Scale) (*trace.Table, error) {
 	}
 	for _, n := range []int{s.N / 8, s.N / 4, s.N / 2, s.N, 2 * s.N} {
 		keys := workload.Int64s(int64(n), n)
-		cfg := core.Config{V: s.V, P: s.P, D: 2, B: s.B, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth}
+		cfg := core.Config{V: s.V, P: s.P, D: 2, B: s.B, Recorder: s.Rec, PipelineDepth: s.Depth}
 		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("fig3: %w", err)
 		}
@@ -127,7 +123,7 @@ func Fig4(s Scale) (*trace.Table, error) {
 	for _, n := range []int{s.N / 4, s.N / 2, s.N} {
 		for _, d := range []int{1, 2} {
 			keys := workload.Int64s(int64(n), n)
-			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth}
+			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, PipelineDepth: s.Depth}
 			if err := cfg.Validate(); err != nil {
 				return nil, fmt.Errorf("fig4: %w", err)
 			}
@@ -287,7 +283,7 @@ func Sweep(s Scale) (*trace.Table, error) {
 		if s.V%p != 0 {
 			continue
 		}
-		cfg := core.Config{V: s.V, P: p, D: 2, B: s.B, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth}
+		cfg := core.Config{V: s.V, P: p, D: 2, B: s.B, Recorder: s.Rec, PipelineDepth: s.Depth}
 		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("sweep p=%d: %w", p, err)
 		}
@@ -304,7 +300,7 @@ func Sweep(s Scale) (*trace.Table, error) {
 		t.AddRow(s.N, s.V, p, 2, res.IO.ParallelOps, maxOps, res.CommItems)
 	}
 	for _, d := range []int{1, 2, 4, 8} {
-		cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth}
+		cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, PipelineDepth: s.Depth}
 		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("sweep d=%d: %w", d, err)
 		}

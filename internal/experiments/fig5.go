@@ -78,7 +78,7 @@ func Fig5(s Scale) (*trace.Table, error) {
 	{
 		run := func(n int) (*core.Result[int64], error) {
 			keys := workload.Int64s(int64(n), n)
-			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth, Ledger: s.Ledger}
+			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, PipelineDepth: s.Depth, Ledger: s.Ledger}
 			if err := cfg.Validate(); err != nil {
 				return nil, err
 			}
@@ -127,7 +127,7 @@ func Fig5(s Scale) (*trace.Table, error) {
 		run := func(n int) (*core.Result[permute.Item], error) {
 			vals := workload.Int64s(int64(n), n)
 			dests := workload.Permutation(int64(n)+1, n)
-			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth, Ledger: s.Ledger}
+			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, PipelineDepth: s.Depth, Ledger: s.Ledger}
 			if err := cfg.Validate(); err != nil {
 				return nil, err
 			}
@@ -155,7 +155,7 @@ func Fig5(s Scale) (*trace.Table, error) {
 		run := func(n int) (*core.Result[permute.Item], error) {
 			l := n / k
 			vals := workload.Int64s(int64(n), k*l)
-			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth, Ledger: s.Ledger}
+			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, PipelineDepth: s.Depth, Ledger: s.Ledger}
 			if err := cfg.Validate(); err != nil {
 				return nil, err
 			}

@@ -16,21 +16,19 @@ import (
 	"repro/internal/workload"
 )
 
-// Pipeline measures what the split-phase pipelined schedule buys over the
-// synchronous reference on the sorting workload: wall time with the
-// pipeline off and on, the measured stall fraction (time the driver spent
-// blocked on in-flight I/O), and the end-to-end speedup. Three disk
-// substrates:
+// Pipeline measures what the sliding window buys over the synchronous
+// schedule (PipelineDepth 1: every operation waited before the next phase
+// begins) on the sorting workload: wall time at k = 1 and at the scale's
+// depth, the measured stall fraction (time the engine spent blocked on
+// in-flight I/O), and the end-to-end speedup. Three disk substrates:
 //
-//   - mem: raw MemDisk — I/O is a memcpy, so the pipeline recovers
-//     dispatch overhead: the synchronous schedule parks the driver once
-//     per operation, the split-phase schedule once per superstep. At
-//     small block sizes (many small ops) that handoff cost dominates.
+//   - mem: raw MemDisk — I/O is a memcpy, so the window recovers only
+//     dispatch overhead.
 //   - mem+delay: MemDisk behind a DelayDisk whose per-track latency is
-//     calibrated from a synchronous MemDisk run so that modelled I/O time
-//     ≈ CPU time — the balanced regime pipelining targets, where the
-//     sync schedule pays R+C+W per superstep and the pipelined schedule
-//     pays ≈ max(C, R+W).
+//     calibrated from a k = 1 MemDisk run so that modelled I/O time
+//     ≈ CPU time — the balanced regime pipelining targets, where k = 1
+//     pays R+C+W per superstep and the windowed schedule pays
+//     ≈ max(C, R+W).
 //   - file: FileDisk on a temporary directory — real syscalls and page
 //     cache.
 //
@@ -38,11 +36,11 @@ import (
 // is attached), so the comparison is like for like, and each schedule is
 // run three times with the best wall reported (single-run walls on a
 // shared host are too noisy to compare). The PDM op counts are asserted
-// identical across the pair — the pipelined schedule must not change the
-// model's cost, only the wall clock.
+// identical across the pair — the window must not change the model's
+// cost, only the wall clock.
 func Pipeline(s Scale) (*trace.Table, error) {
 	t := &trace.Table{
-		Title:   "Pipelined supersteps — split-phase I/O vs synchronous schedule (sort, N=" + fmt.Sprint(s.N) + ")",
+		Title:   "Pipelined supersteps — windowed vs synchronous (k=1) schedule (sort, N=" + fmt.Sprint(s.N) + ")",
 		Columns: []string{"disks", "schedule", "wall", "parallel I/Os", "stall", "stall frac", "speedup"},
 	}
 	keys := workload.Int64s(41, s.N)
@@ -51,7 +49,7 @@ func Pipeline(s Scale) (*trace.Table, error) {
 	if s.Rec != nil {
 		reps = 1 // keep an attached trace to one run per schedule
 	}
-	run := func(mode core.PipelineMode, newDisk func(proc, disk int) pdm.Disk) (best, worst time.Duration, _ *core.Result[int64], _ error) {
+	run := func(depth int, newDisk func(proc, disk int) pdm.Disk) (best, worst time.Duration, _ *core.Result[int64], _ error) {
 		var bestRes *core.Result[int64]
 		for r := 0; r < reps; r++ {
 			rec := s.Rec
@@ -59,10 +57,7 @@ func Pipeline(s Scale) (*trace.Table, error) {
 				rec = obs.NewRecorder()
 			}
 			cfg := core.Config{V: s.V, P: s.P, D: 2, B: s.B, Recorder: rec,
-				Pipeline: mode, NewDisk: newDisk}
-			if mode != core.PipelineOff {
-				cfg.PipelineDepth = s.Depth // the sync arm has no window
-			}
+				PipelineDepth: depth, NewDisk: newDisk}
 			if err := cfg.ValidateFor(s.N); err != nil {
 				return 0, 0, nil, err
 			}
@@ -83,11 +78,11 @@ func Pipeline(s Scale) (*trace.Table, error) {
 	}
 
 	pair := func(label string, newDisk func(proc, disk int) pdm.Disk) error {
-		syncWall, syncWorst, syncRes, err := run(core.PipelineOff, newDisk)
+		syncWall, syncWorst, syncRes, err := run(1, newDisk)
 		if err != nil {
-			return fmt.Errorf("pipeline %s sync: %w", label, err)
+			return fmt.Errorf("pipeline %s k=1: %w", label, err)
 		}
-		pipeWall, pipeWorst, pipeRes, err := run(core.PipelineOn, newDisk)
+		pipeWall, pipeWorst, pipeRes, err := run(s.Depth, newDisk)
 		if err != nil {
 			return fmt.Errorf("pipeline %s pipelined: %w", label, err)
 		}
@@ -95,7 +90,7 @@ func Pipeline(s Scale) (*trace.Table, error) {
 			return fmt.Errorf("pipeline %s: schedules disagree on PDM cost: %+v vs %+v",
 				label, pipeRes.IO, syncRes.IO)
 		}
-		t.AddRow(label, "sync", syncWall.Round(time.Microsecond).String(),
+		t.AddRow(label, "k=1", syncWall.Round(time.Microsecond).String(),
 			syncRes.IO.ParallelOps, syncRes.Stall.Round(time.Microsecond).String(),
 			trace.FormatFloat(stallFrac(syncRes.Stall, syncWall, s.P)), "1.00")
 		t.AddRow(label, "pipelined", pipeWall.Round(time.Microsecond).String(),
@@ -112,7 +107,7 @@ func Pipeline(s Scale) (*trace.Table, error) {
 
 	// Calibrate the delay so the modelled disk subsystem matches this
 	// machine's CPU: per-processor I/O time ≈ whole-run CPU wall.
-	cpuWall, _, cpuRes, err := run(core.PipelineOff, nil)
+	cpuWall, _, cpuRes, err := run(1, nil)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline calibration: %w", err)
 	}
@@ -150,7 +145,7 @@ func Pipeline(s Scale) (*trace.Table, error) {
 	}
 
 	t.Notes = append(t.Notes,
-		"stall = driver time blocked on in-flight split-phase I/O, summed over processors; stall frac divides by p x wall",
+		"stall = engine time blocked on in-flight split-phase I/O, summed over processors; stall frac divides by p x wall",
 		"wall = best of 3 runs per schedule",
 		"PDM parallel I/Os are asserted bit-identical between the two schedules")
 	return t, nil
@@ -165,7 +160,7 @@ func stallFrac(stall, wall time.Duration, p int) float64 {
 	return float64(stall) / (float64(p) * float64(wall))
 }
 
-// benchPair emits the sync/pipelined pair of a wall-clock figure into
+// benchPair emits the k=1/pipelined pair of a wall-clock figure into
 // the scale's benchfmt file (a nil file ignores the call): wall with
 // best/worst dispersion, stall and the stall fraction (stall over
 // p × best wall — the overlap quantity emcgm-benchdiff gates), the
@@ -192,6 +187,6 @@ func benchPair[T any](f *benchfmt.File, name string, reps, p int,
 		}
 		f.Add(name+"/"+sched, reps, ms...)
 	}
-	one("sync", syncBest, syncWorst, syncRes)
+	one("k=1", syncBest, syncWorst, syncRes)
 	one("pipelined", pipeBest, pipeWorst, pipeRes)
 }

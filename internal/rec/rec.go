@@ -66,11 +66,9 @@ type Exec struct {
 	B           int  // block size when EM (default 64)
 	MaxMsgItems int  // per-phase message slot override (0 = worst case)
 	Balanced    bool
-	// Pipeline selects the superstep schedule when EM (default
-	// PipelineOn; the PDM accounting is identical either way).
-	Pipeline core.PipelineMode
-	// Depth is the pipeline window depth for every EM phase
-	// (core.Config.PipelineDepth); 0 picks the auto policy.
+	// Depth is the window depth for every EM phase
+	// (core.Config.PipelineDepth): 0 picks the auto policy, 1 is the
+	// synchronous schedule; the PDM accounting is identical at every depth.
 	Depth int
 	// DiskDir, when non-empty and EM, backs every phase's disks with
 	// files under this directory (see core.Config.DiskDir); DirectIO
@@ -135,7 +133,7 @@ func (e *Exec) Run(prog cgm.Program[R], inputs [][]R) ([][]R, error) {
 		}
 		maxMsg = 6*((total+e.V-1)/e.V) + e.V + 16
 	}
-	cfg := core.Config{V: e.V, P: p, D: d, B: b, MaxMsgItems: maxMsg, Balanced: e.Balanced, Pipeline: e.Pipeline, PipelineDepth: e.Depth, DiskDir: e.DiskDir, DirectIO: e.DirectIO, Recorder: e.Recorder, Ledger: e.Ledger}
+	cfg := core.Config{V: e.V, P: p, D: d, B: b, MaxMsgItems: maxMsg, Balanced: e.Balanced, PipelineDepth: e.Depth, DiskDir: e.DiskDir, DirectIO: e.DirectIO, Recorder: e.Recorder, Ledger: e.Ledger}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

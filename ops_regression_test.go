@@ -78,20 +78,20 @@ func TestIOOpsMatchSeed(t *testing.T) {
 	})
 
 	// The file-backed disks must count exactly as MemDisk in every mode:
-	// buffered or O_DIRECT, synchronous or pipelined schedule, the batched
-	// vectored path included. Accounting is charged at operation begin, so
+	// buffered or O_DIRECT, synchronous (depth 1) or windowed (auto depth)
+	// schedule, the batched vectored path included. Accounting is charged at operation begin, so
 	// none of the backend mechanics may show up in the PDM measure.
 	t.Run("filedisk-modes", func(t *testing.T) {
 		seed := want{1368, 792, 576, 4, 297} // the sort-seq case above
 		keys := workload.Int64s(7, 1<<12)
 		modes := []struct {
-			name     string
-			direct   bool
-			schedule core.PipelineMode
+			name   string
+			direct bool
+			depth  int
 		}{
-			{"buffered-sync", false, core.PipelineOff},
-			{"buffered-pipelined", false, core.PipelineOn},
-			{"direct-pipelined", true, core.PipelineOn},
+			{"buffered-sync", false, 1},
+			{"buffered-pipelined", false, 0},
+			{"direct-pipelined", true, 0},
 		}
 		for _, m := range modes {
 			t.Run(m.name, func(t *testing.T) {
@@ -101,7 +101,7 @@ func TestIOOpsMatchSeed(t *testing.T) {
 				}
 				cfg := core.Config{
 					V: 8, P: 1, D: 2, B: 64,
-					DiskDir: dir, DirectIO: m.direct, Pipeline: m.schedule,
+					DiskDir: dir, DirectIO: m.direct, PipelineDepth: m.depth,
 				}
 				_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
 				if err != nil {
@@ -144,8 +144,7 @@ func TestIOOpsMatchSeed(t *testing.T) {
 		keys := workload.Int64s(7, 1<<12)
 		for _, k := range []int{1, 2, 4, 8} {
 			for p, seed := range seeds {
-				cfg := core.Config{V: 8, P: p, D: 2, B: 64,
-					Pipeline: core.PipelineOn, PipelineDepth: k}
+				cfg := core.Config{V: 8, P: p, D: 2, B: 64, PipelineDepth: k}
 				_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
 				if err != nil {
 					t.Fatalf("k=%d p=%d: %v", k, p, err)
