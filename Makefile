@@ -7,7 +7,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify build test race bench bench-smoke bench-filedisk bench-record bench-baseline bench-depth benchmark benchmark-compare benchmark-smoke allocs lint lint-tool lint-selftest lint-timing fuzz
+.PHONY: verify build test race bench bench-smoke bench-filedisk bench-record bench-baseline bench-depth benchmark benchmark-compare benchmark-smoke allocs lint lint-tool lint-selftest contract-selftest lint-timing fuzz
 
 verify: build test race
 
@@ -115,18 +115,15 @@ lint-tool:
 	@$(GO) build -o bin/emcgm-lint ./cmd/emcgm-lint
 	@echo $(CURDIR)/bin/emcgm-lint
 
-# Invariant lint: hotpathalloc (no heap allocation in emcgm:hotpath
-# functions), recorderguard (obs calls behind nil guards), ioerrcheck
-# (no dropped I/O errors), detorder (determinism scope), barrierpair
-# (compensating barrier sends), lockscope (sends/blocking calls under
-# locks, span pairing), paramcheck (validated core.Config), plus the
-# split-phase typestate checks (DESIGN.md §15): pendingwait (every
-# Pending waited exactly once on all paths), bufown (loaned write
-# buffers untouched until Wait), batchasc (static BatchDisk batches
-# strictly ascending, ≤ 64 tracks). Driven through `go vet -vettool`
-# so per-package results land in the build cache; golangci-lint runs
-# too when present — it is not vendored, so the target degrades
-# gracefully without it.
+# Invariant lint, the four contracts only a static check can hold:
+# hotpathalloc (no heap allocation in emcgm:hotpath functions), detorder
+# and iopurity (no nondeterminism source and no I/O but pdm/layout in
+# emcgm:deterministic scope), ioerrcheck (no dropped I/O errors). The
+# split-phase, barrier, span and config contracts are held by the
+# engine's own tests (DESIGN.md §10; `make contract-selftest`). Driven
+# through `go vet -vettool` so per-package results land in the build
+# cache; golangci-lint runs too when present — it is not vendored, so
+# the target degrades gracefully without it.
 lint:
 	$(GO) vet ./...
 	$(GO) vet -vettool=$$($(MAKE) -s lint-tool) ./...
@@ -146,20 +143,29 @@ lint:
 # antest suites under `make test`.
 lint-selftest:
 	@tool=$$($(MAKE) -s lint-tool); \
-	for f in pendingwait:pw bufown:bo batchasc:ba iopurity:iop hotpathalloc:hp detorder:det ioerrcheck:ioe; do \
+	for f in iopurity:iop hotpathalloc:hp detorder:det ioerrcheck:ioe; do \
 		name=$${f%%:*}; pkg=$${f##*:}; \
 		if $$tool -run $$name ./internal/analysis/testdata/src/$$name/$$pkg >/dev/null; then \
 			echo "lint-selftest: $$name reported nothing on its seeded violations"; exit 1; \
 		fi; \
 		echo "lint-selftest: $$name still fires"; \
 	done; \
-	for f in hotpathalloc:hp detorder:det ioerrcheck:ioe iopurity:iop pendingwait:pw; do \
+	for f in hotpathalloc:hp detorder:det ioerrcheck:ioe iopurity:iop; do \
 		name=$${f%%:*}; pkg=$${f##*:}; \
 		if ! $$tool -run $$name ./internal/analysis/testdata/src/$$name/$$pkg 2>/dev/null | grep -q ' (via \| via '; then \
 			echo "lint-selftest: $$name lost its interprocedural witness chains"; exit 1; \
 		fi; \
 		echo "lint-selftest: $$name prints witness chains"; \
 	done
+
+# The same self-test for the contracts the engine's tests hold instead of
+# an analyzer (DESIGN.md §10): scripts/contract_mutations.sh breaks each
+# one in a scratch copy of the tree — touch a loaned buffer, drop a read
+# or a write hand-off, leak the superstep span, drop the barrier's
+# compensating sends — and requires the owning test to fail by name.
+# About a minute; the last mutation wedges a run until its 30 s watchdog.
+contract-selftest:
+	@sh scripts/contract_mutations.sh
 
 # Lint wall-time budget: the suite's cost relative to a plain `go vet`
 # of the same tree, gated against the committed baseline ratio. An

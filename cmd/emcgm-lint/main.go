@@ -29,31 +29,17 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/barrierpair"
-	"repro/internal/analysis/batchasc"
-	"repro/internal/analysis/bufown"
 	"repro/internal/analysis/detorder"
 	"repro/internal/analysis/hotpathalloc"
 	"repro/internal/analysis/ioerrcheck"
 	"repro/internal/analysis/iopurity"
-	"repro/internal/analysis/lockscope"
-	"repro/internal/analysis/paramcheck"
-	"repro/internal/analysis/pendingwait"
-	"repro/internal/analysis/recorderguard"
 )
 
 var analyzers = []*analysis.Analyzer{
 	hotpathalloc.Analyzer,
-	recorderguard.Analyzer,
-	ioerrcheck.Analyzer,
 	detorder.Analyzer,
 	iopurity.Analyzer,
-	barrierpair.Analyzer,
-	lockscope.Analyzer,
-	paramcheck.Analyzer,
-	pendingwait.Analyzer,
-	bufown.Analyzer,
-	batchasc.Analyzer,
+	ioerrcheck.Analyzer,
 }
 
 func main() {

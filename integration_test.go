@@ -11,12 +11,15 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cgm"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/pdm"
+	"repro/internal/permute"
 	"repro/internal/rec"
 	"repro/internal/sortalg"
+	"repro/internal/transpose"
 	"repro/internal/wordcodec"
 	"repro/internal/workload"
 )
@@ -95,6 +98,67 @@ func TestFileBackedSoak(t *testing.T) {
 	}
 	if len(files) < 4 || bytes == 0 {
 		t.Fatalf("expected real disk files, found %d files, %d bytes", len(files), bytes)
+	}
+}
+
+// nopR is the smallest rec program: it keeps its input and stops.
+type nopR struct{}
+
+func (nopR) Init(vp *cgm.VP[rec.R], in []rec.R)                     { vp.State = in }
+func (nopR) Round(*cgm.VP[rec.R], int, [][]rec.R) ([][]rec.R, bool) { return nil, true }
+func (nopR) Output(vp *cgm.VP[rec.R]) []rec.R                       { return vp.State }
+
+// TestWrappersRejectBadConfig hands every entry point that derives
+// limits from the machine shape a zero or malformed one: each must
+// return Validate's descriptive error — not divide by cfg.V first — and
+// must not have constructed a disk by then.
+func TestWrappersRejectBadConfig(t *testing.T) {
+	vals := workload.Int64s(1, 64)
+	dests := workload.Permutation(2, 64)
+	if cfg := sortalg.EMSortConfig(core.Config{}, 64); cfg.MaxMsgItems != 0 || cfg.MaxHItems != 0 {
+		t.Errorf("EMSortConfig derived limits %d, %d from V = 0, want them left unset", cfg.MaxMsgItems, cfg.MaxHItems)
+	}
+	for _, c := range []struct {
+		name       string
+		v, p, d, b int
+		execOK     bool // rec.Exec reads a zero D or B as its default
+	}{
+		{name: "zero"},
+		{name: "V=0", p: 1, d: 2, b: 8},
+		{name: "P=3 does not divide V=8", v: 8, p: 3, d: 2, b: 8},
+		{name: "D=0", v: 8, p: 1, b: 8, execOK: true},
+		{name: "B=0", v: 8, p: 1, d: 2, execOK: true},
+	} {
+		disks := 0
+		cfg := core.Config{V: c.v, P: c.p, D: c.d, B: c.b, NewDisk: func(proc, disk int) pdm.Disk {
+			disks++
+			return pdm.NewMemDisk(max(c.b, 1))
+		}}
+		errs := map[string]error{}
+		_, _, errs["EMSort"] = sortalg.EMSort(vals, wordcodec.I64{}, cfg)
+		_, _, errs["EMPermute"] = permute.EMPermute(vals, dests, cfg)
+		_, _, errs["EMTranspose"] = transpose.EMTranspose(vals, 8, 8, cfg)
+		dir := t.TempDir()
+		e := &rec.Exec{EM: true, V: c.v, P: c.p, D: c.d, B: c.b, DiskDir: dir}
+		_, execErr := e.Run(nopR{}, rec.Scatter(make([]rec.R, 64), max(c.v, 1)))
+		if c.execOK {
+			if execErr != nil {
+				t.Errorf("%s: rec.Exec: %v, want its default to apply", c.name, execErr)
+			}
+		} else {
+			errs["rec.Exec"] = execErr
+			if files, _ := os.ReadDir(dir); len(files) != 0 {
+				t.Errorf("%s: rec.Exec created %d disk files before rejecting the config", c.name, len(files))
+			}
+		}
+		for name, err := range errs {
+			if err == nil || !strings.HasPrefix(err.Error(), "core: ") {
+				t.Errorf("%s: %s: err = %v, want Config.Validate's error", c.name, name, err)
+			}
+		}
+		if disks != 0 {
+			t.Errorf("%s: %d disks constructed before the config was rejected", c.name, disks)
+		}
 	}
 }
 

@@ -6,16 +6,22 @@
 // `go list -export` loader), because the module deliberately has no
 // external dependencies.
 //
-// The suite enforces contracts the compiler cannot see:
+// The suite holds the four contracts that neither the compiler nor a
+// test run can see, all interprocedural through per-function summaries
+// (summary.go, DESIGN.md §16):
 //
 //   - hotpathalloc: functions marked `// emcgm:hotpath` must not allocate
-//     (PR 1's 0-allocs/op guarantee, checked at lint time rather than only
-//     by benchmarks);
-//   - recorderguard: obs.Recorder calls with non-trivial arguments must be
-//     dominated by a nil guard, so disabled observability costs one nil
-//     check (PR 2's contract);
+//     on their steady-state path (the 0-allocs/op guarantee, checked at
+//     lint time rather than only by benchmarks);
+//   - detorder: no wall-clock read, global rand draw, order-escaping map
+//     range or multi-case select in `emcgm:deterministic` scope;
+//   - iopurity: deterministic scope reaches the operating system and the
+//     network only through pdm and layout;
 //   - ioerrcheck: errors from the pdm/layout/core/rec/obs I/O surfaces
 //     must not be silently dropped.
+//
+// The split-phase, barrier, span and config contracts are held by the
+// engine's own tests and runtime checks instead (DESIGN.md §10).
 //
 // Marker comments recognised in function doc comments and bodies:
 //
@@ -24,6 +30,12 @@
 //	// emcgm:coldpath   — the annotated statement is exempt: it is an
 //	//                    amortised or error path (arena refill, scratch
 //	//                    growth) that steady-state operation never takes
+//
+// The deterministic-scope marker (package or function doc) and the two
+// one-statement waivers, `emcgm:orderok` and `emcgm:iopureok`, are
+// described with detorder and iopurity; a waiver that suppresses nothing
+// is itself reported (waiver.go). Quoted in backticks a marker is prose:
+// only a bare word declares anything.
 package analysis
 
 import (

@@ -12,8 +12,8 @@ import (
 const ModulePath = "repro"
 
 // obsPath is the nil-receiver observability surface: its calls
-// contribute no capabilities (recorderguard owns its discipline, and
-// with recording off its methods are nil-receiver no-ops).
+// contribute no capabilities (with recording off its methods are
+// nil-receiver no-ops).
 const obsPath = ModulePath + "/internal/obs"
 
 // InModule reports whether pkgPath belongs to the governed module.

@@ -2,32 +2,19 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
 
-// ExprKey renders a side-effect-free expression (identifier or selector
-// chain, possibly parenthesised) as a stable string key, or "" when the
-// expression is anything else. It is the exported form of the key used by
-// the guard helpers, for analyzers that track variables lexically.
-func ExprKey(e ast.Expr) string { return exprKey(e) }
-
-// Terminates reports whether a statement unconditionally leaves the
-// enclosing function: a return, a panic call, or an if/else chain whose
-// branches all terminate.
-func Terminates(s ast.Stmt) bool { return terminates(s) }
-
 // groupHasMarker reports whether any comment in the group carries the
-// marker as a whole field, with or without a parenthesised argument list
-// (`emcgm:barrier(send=chans)` matches marker "emcgm:barrier").
+// marker as a whole field.
 func groupHasMarker(g *ast.CommentGroup, marker string) bool {
 	if g == nil {
 		return false
 	}
 	for _, c := range g.List {
 		for _, f := range strings.Fields(c.Text) {
-			if f == marker || strings.HasPrefix(f, marker+"(") {
+			if f == marker {
 				return true
 			}
 		}
@@ -49,40 +36,6 @@ func FuncMarked(fd *ast.FuncDecl, marker string) bool {
 	return groupHasMarker(fd.Doc, marker)
 }
 
-// MarkedNodes returns the set of AST nodes whose associated comments (per
-// ast.NewCommentMap) contain the marker — the statement-level waiver
-// mechanism (`emcgm:lockheld`, `emcgm:orderok`, `emcgm:coldpath`).
-func MarkedNodes(fset *token.FileSet, f *ast.File, marker string) map[ast.Node]bool {
-	out := map[ast.Node]bool{}
-	cm := ast.NewCommentMap(fset, f, f.Comments)
-	for node, groups := range cm {
-		for _, g := range groups {
-			if groupHasMarker(g, marker) {
-				out[node] = true
-			}
-		}
-	}
-	return out
-}
-
-// FunctionBodies returns the declaration's body plus the body of every
-// nested function literal, each to be analyzed as its own lexical scope:
-// a closure neither shares its definer's control flow nor its exit
-// paths, so intraprocedural analyses treat the bodies independently.
-func FunctionBodies(fd *ast.FuncDecl) []*ast.BlockStmt {
-	if fd.Body == nil {
-		return nil
-	}
-	bodies := []*ast.BlockStmt{fd.Body}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			bodies = append(bodies, fl.Body)
-		}
-		return true
-	})
-	return bodies
-}
-
 // Callee resolves the statically-called function for plain, selector,
 // parenthesised, and generic-instantiation call expressions; nil for
 // calls through function values.
@@ -102,19 +55,4 @@ func Callee(info *types.Info, fun ast.Expr) *types.Func {
 		return Callee(info, f.X)
 	}
 	return nil
-}
-
-// IsNamedType reports whether t (or the pointee, when t is a pointer) is
-// the named type pkgPath.name.
-func IsNamedType(t types.Type, pkgPath, name string) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj != nil && obj.Name() == name &&
-		obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }

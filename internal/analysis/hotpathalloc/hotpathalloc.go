@@ -22,8 +22,9 @@
 //     that reinterpret memory without allocating);
 //   - calls to module functions that are not themselves marked
 //     `emcgm:hotpath` (so the contract is closed under the call graph;
-//     calls into repro/internal/obs are exempt — its nil-receiver
-//     discipline is recorderguard's concern).
+//     calls into repro/internal/obs are exempt — its methods are
+//     nil-receiver no-ops with recording off; their arguments are still
+//     checked here).
 //
 // Exemptions, because the contract is about the steady state:
 //
@@ -252,7 +253,7 @@ func checkCall(pass *analysis.Pass, stack []ast.Node, call *ast.CallExpr) bool {
 	}
 	switch {
 	case pkg.Path() == "repro/internal/obs":
-		// nil-safe observability surface; recorderguard owns its rules.
+		// nil-safe observability surface: a no-op with recording off.
 	case strings.HasPrefix(pkg.Path(), "repro/"):
 		checkModuleCall(pass, call, fn)
 	default:

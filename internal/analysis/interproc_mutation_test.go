@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/analysis/hotpathalloc"
 	"repro/internal/analysis/ioerrcheck"
 	"repro/internal/analysis/iopurity"
-	"repro/internal/analysis/pendingwait"
 )
 
 // writeTree materialises a multi-package source tree under testdata
@@ -39,11 +39,58 @@ func writeTree(t *testing.T, files map[string]string) string {
 	return "./" + dir
 }
 
+// runMode runs the analyzer with (interproc=true) or without
+// (interproc=false) computed effect summaries. The false mode replays
+// the old intraprocedural behavior — summaries reduced to marker facts,
+// Pass.Interprocedural unset — so a test can prove a finding is one the
+// pre-summary analyzer missed.
+func runMode(t *testing.T, a *analysis.Analyzer, dir string, interproc bool) []analysis.Diagnostic {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := analysis.Load(fset, dir)
+	if err != nil {
+		t.Fatalf("load %s: %v", dir, err)
+	}
+	sums := analysis.Summaries{}
+	analysis.ComputeSummaries(fset, pkgs, []*analysis.Analyzer{a}, sums)
+	if !interproc {
+		stripped := analysis.Summaries{}
+		for k, s := range sums {
+			stripped[k] = &analysis.FuncSummary{Markers: s.Markers}
+		}
+		sums = stripped
+	}
+	var diags []analysis.Diagnostic
+	for _, pkg := range pkgs {
+		if !pkg.Root {
+			continue
+		}
+		for _, terr := range pkg.TypeErrs {
+			t.Fatalf("type error in mutated source: %v", terr)
+		}
+		pass := &analysis.Pass{
+			Analyzer:        a,
+			Fset:            fset,
+			Files:           pkg.Syntax,
+			Pkg:             pkg.Types,
+			TypesInfo:       pkg.TypesInfo,
+			Summaries:       sums,
+			Interprocedural: interproc,
+			UsedWaivers:     map[token.Pos]bool{},
+		}
+		pass.SetReport(func(d analysis.Diagnostic) { diags = append(diags, d) })
+		if err := a.Run(pass); err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
+		}
+	}
+	return diags
+}
+
 // interMutations are cross-function contract violations, one per
-// upgraded analyzer. Each case must be invisible to the intraprocedural
-// run (summaries reduced to marker facts, as before this upgrade) and
-// caught by the summary-based run — proving the interprocedural pass
-// finds what the old one provably missed.
+// analyzer. Each case must be invisible to the intraprocedural run
+// (summaries reduced to marker facts) and caught by the summary-based
+// run — proving the interprocedural pass finds what an intraprocedural
+// one provably misses.
 var interMutations = []struct {
 	name     string
 	analyzer *analysis.Analyzer
@@ -150,31 +197,6 @@ func driver(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word) {
 `,
 		},
 		wantSub: "surfaces an I/O error that is dropped (via m.flush",
-	},
-	{
-		// Handing the handle to any call used to discharge the obligation;
-		// the summary proves probe leaves it un-waited, so the leak stays
-		// with the caller.
-		name:     "pendingwait-leak-through-helper",
-		analyzer: pendingwait.Analyzer,
-		files: map[string]string{
-			"m.go": `package m
-
-import "repro/internal/pdm"
-
-func probe(p *pdm.Pending) bool { return p != nil }
-
-func driver(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word) error {
-	p, err := arr.BeginReadBlocks(reqs, bufs)
-	if err != nil {
-		return err
-	}
-	_ = probe(p)
-	return nil
-}
-`,
-		},
-		wantSub: "leak via m.probe",
 	},
 }
 

@@ -47,17 +47,6 @@ type FuncSummary struct {
 	// witness path per capability.
 	Caps     []string            `json:"caps,omitempty"`
 	CapChain map[string][]string `json:"capChain,omitempty"`
-
-	// PendingParams maps a parameter index (as a decimal string, for
-	// JSON stability) to the fate of a *pdm.Pending passed in that
-	// position: PendingWaits, PendingEscapes, or PendingDrops.
-	// PendingVia records the drop witness chain per index. PendingReturn
-	// is PendingLive when some return path yields a live handle the
-	// caller must wait, PendingNone when every return of Pending type is
-	// nil.
-	PendingParams map[string]string   `json:"pendingParams,omitempty"`
-	PendingVia    map[string][]string `json:"pendingVia,omitempty"`
-	PendingReturn string              `json:"pendingReturn,omitempty"`
 }
 
 // Allocation-effect lattice values, ordered AllocFree < AllocObs < AllocYes.
@@ -82,15 +71,6 @@ const (
 	CapNet      = "net"
 	CapMapOrder = "maporder"
 	CapSelect   = "select"
-)
-
-// Pending-effect values.
-const (
-	PendingWaits   = "waits"
-	PendingEscapes = "escapes"
-	PendingDrops   = "drops"
-	PendingLive    = "live"
-	PendingNone    = "none"
 )
 
 // HasMarker reports whether the summary carries the emcgm: directive.
@@ -184,7 +164,7 @@ func (sums Summaries) Of(fn *types.Func) *FuncSummary {
 // must never replay facts across an analyzer upgrade.
 const (
 	vetxMagic   = "emcgm-vetx"
-	VetxVersion = 2
+	VetxVersion = 3
 )
 
 // vetxFile is the on-disk vetx schema: a magic string and version guard

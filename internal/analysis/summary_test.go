@@ -12,16 +12,13 @@ import (
 // fails loudly if a new field misses its JSON tag.
 func fullSummary() *FuncSummary {
 	return &FuncSummary{
-		Markers:       []string{"emcgm:deterministic", "emcgm:hotpath"},
-		Alloc:         AllocYes,
-		AllocChain:    []string{"pdm.grow", "make at pdm.go:42"},
-		IOErr:         IOErrReturns,
-		IOErrChain:    []string{"pdm.DiskArray.WriteBlocks at disk.go:7"},
-		Caps:          []string{CapOS, CapTime},
-		CapChain:      map[string][]string{CapOS: {"os.Stat at x.go:3"}},
-		PendingParams: map[string]string{"0": PendingWaits, "2": PendingDrops},
-		PendingVia:    map[string][]string{"2": {"pw.helperIgnores"}},
-		PendingReturn: PendingLive,
+		Markers:    []string{"emcgm:deterministic", "emcgm:hotpath"},
+		Alloc:      AllocYes,
+		AllocChain: []string{"pdm.grow", "make at pdm.go:42"},
+		IOErr:      IOErrReturns,
+		IOErrChain: []string{"pdm.DiskArray.WriteBlocks at disk.go:7"},
+		Caps:       []string{CapOS, CapTime},
+		CapChain:   map[string][]string{CapOS: {"os.Stat at x.go:3"}},
 	}
 }
 
@@ -69,9 +66,9 @@ func TestVetxDeterministicBytes(t *testing.T) {
 // no facts and raises no error.
 func TestVetxRejectsForeignSchema(t *testing.T) {
 	cases := map[string]string{
-		"staleVersion":  `{"magic":"emcgm-vetx","version":1,"funcs":{"a.F":{"alloc":"free"}}}`,
+		"staleVersion":  `{"magic":"emcgm-vetx","version":2,"funcs":{"a.F":{"alloc":"free"}}}`,
 		"futureVersion": `{"magic":"emcgm-vetx","version":99,"funcs":{"a.F":{"alloc":"free"}}}`,
-		"wrongMagic":    `{"magic":"other-tool","version":2,"funcs":{"a.F":{"alloc":"free"}}}`,
+		"wrongMagic":    `{"magic":"other-tool","version":3,"funcs":{"a.F":{"alloc":"free"}}}`,
 		"garbage":       `not json at all`,
 		"empty":         ``,
 	}

@@ -11,12 +11,8 @@ import (
 // classification consumed by several rules (steady-state exemption), not
 // a one-diagnostic waiver, so it cannot "rot" the same way.
 var waiverOwner = map[string]string{
-	"emcgm:orderok":    "detorder",
-	"emcgm:lockheld":   "lockscope",
-	"emcgm:pendingok":  "pendingwait",
-	"emcgm:bufhandoff": "bufown",
-	"emcgm:batchok":    "batchasc",
-	"emcgm:iopureok":   "iopurity",
+	"emcgm:orderok":  "detorder",
+	"emcgm:iopureok": "iopurity",
 }
 
 // WaiverNodes maps each AST node whose associated comments (per
@@ -38,23 +34,15 @@ func WaiverNodes(fset *token.FileSet, f *ast.File, marker string) map[ast.Node]t
 	return out
 }
 
-// FuncWaiverPos returns the position of the waiver marker in the
-// function's doc comment, for function-scoped waivers.
-func FuncWaiverPos(fd *ast.FuncDecl, marker string) (token.Pos, bool) {
-	return groupMarkerPos(fd.Doc, marker)
-}
-
 // groupMarkerPos locates the first comment of the group declaring the
-// marker (bare or with a parenthesised argument).
+// marker.
 func groupMarkerPos(g *ast.CommentGroup, marker string) (token.Pos, bool) {
 	if g == nil {
 		return token.NoPos, false
 	}
 	for _, c := range g.List {
-		if f, ok := commentFirstWord(c); ok {
-			if f == marker || strings.HasPrefix(f, marker+"(") {
-				return c.Pos(), true
-			}
+		if f, ok := commentFirstWord(c); ok && f == marker {
+			return c.Pos(), true
 		}
 	}
 	return token.NoPos, false
@@ -90,9 +78,6 @@ func CheckUnusedWaivers(files []*ast.File, ran map[string]bool, used map[token.P
 				base, ok := commentFirstWord(c)
 				if !ok {
 					continue
-				}
-				if i := strings.IndexByte(base, '('); i >= 0 {
-					base = base[:i]
 				}
 				owner, ok := waiverOwner[base]
 				if !ok || !ran[owner] {

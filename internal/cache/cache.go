@@ -47,9 +47,6 @@ func (m Model) TunedSortMisses(keys []int64) (misses int64, stall time.Duration,
 		v *= 2
 	}
 	cfg := sortalg.EMSortConfig(core.Config{V: v, P: 1, D: 1, B: m.LineWords}, n)
-	if err := cfg.Validate(); err != nil {
-		return 0, 0, v, err
-	}
 	res, err := core.RunSeq[int64](sortalg.Sorter[int64]{}, wordcodec.I64{}, cfg, cgm.Scatter(keys, v))
 	if err != nil {
 		return 0, 0, v, err

@@ -140,9 +140,13 @@ type Config struct {
 	DirectIO bool
 	// CheckedIO runs every disk array in checked mode: each parallel I/O
 	// is validated against the layout discipline (bounds, intra-op
-	// overlap, read-before-write) before it touches a disk — the runtime
-	// sanitizer companion of the lint suite. Validation allocates; use in
-	// tests and debugging runs, not benchmarks. I/O counts are unchanged.
+	// overlap, read-before-write) before it touches a disk, and buffers
+	// on loan to a begun transfer hold poison until its Wait: a store into
+	// a loaned write buffer fails that Wait, and a read destination
+	// consumed early decodes as garbage. This is what holds the
+	// split-phase ownership rules (DESIGN.md §10); the equivalence, chaos
+	// and arena tests run with it on. Validation allocates; use in tests
+	// and debugging runs, not benchmarks. I/O counts are unchanged.
 	CheckedIO bool
 	// PipelineDepth is the sliding-window depth k of the superstep
 	// schedule: the number of superstep scratch slots in each real
@@ -186,10 +190,11 @@ type Config struct {
 // with p dividing v (each simulates exactly v/p virtual processors,
 // Algorithm 3), D ≥ 1 disks per processor and a block size B ≥ 1 words
 // (the PDM model). Each violation is reported with the paper
-// precondition it breaks. RunSeq and RunPar call Validate themselves;
-// callers that construct a Config by literal should call it (or
-// ValidateFor) first so misconfiguration surfaces before any disk is
-// allocated — the paramcheck analyzer enforces this at lint time.
+// precondition it breaks. RunSeq and RunPar call Validate on entry,
+// before any disk is allocated, and so do the wrappers that derive
+// limits from V (sortalg.EMSort, permute.EMPermute,
+// transpose.EMTranspose), so a caller need not; CLIs call ValidateFor to
+// add the problem-size bound before they build their inputs.
 func (c Config) Validate() error {
 	if c.V < 1 {
 		return fmt.Errorf("core: V = %d virtual processors, want ≥ 1", c.V)
@@ -469,8 +474,6 @@ func encodeMsgInto[T any](codec wordcodec.Codec[T], msg []T, maxMsg int, img []p
 // RunSeq simulates program prog as a single-processor EM-CGM algorithm
 // per Algorithm 2. If cfg.Balanced is set, the program is first lifted
 // through BalancedRouting.
-//
-// emcgm:needsvalidated
 func RunSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, inputs [][]T) (*Result[T], error) {
 	cfg.P = 1
 	if err := cfg.Validate(); err != nil {
@@ -485,8 +488,6 @@ func RunSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 // RunPar simulates program prog as a p-processor EM-CGM algorithm per
 // Algorithm 3. If cfg.Balanced is set, the program is first lifted
 // through BalancedRouting.
-//
-// emcgm:needsvalidated
 func RunPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, inputs [][]T) (*Result[T], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

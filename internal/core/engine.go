@@ -447,8 +447,7 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 // exactly v batches per round, so a processor that aborts mid-round must
 // still emit the batches its remaining local VPs owe, or its peers block
 // forever; before that it waits out everything it has in flight (drain).
-//
-// emcgm:barrier(send=chans,rounds=v)
+// The p = 4 arms of TestRunFaultDrains wedge if those sends go missing.
 func (e *engine[T]) procRound(pr *proc[T], round int) {
 	chans := e.tr.chans // nil under Algorithm 2: nothing is owed
 	rec, localV := e.rec, e.localV

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/cgm"
 	"repro/internal/layout"
@@ -15,6 +17,26 @@ import (
 type keepOpen struct{ pdm.Disk }
 
 func (keepOpen) Close() error { return nil }
+
+// Watchdog runs fn on a goroutine of its own and fails the test, with tag
+// and every goroutine's stack, if fn has not returned after 30 s: a
+// barrier wedged by a missing compensating send is then a named failure
+// in seconds instead of the package timeout. Exported for the core_test
+// files (watchedRun).
+func Watchdog(t *testing.T, tag string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%s: the run has not returned after 30s\n%s", tag, buf[:runtime.Stack(buf, true)])
+	}
+}
 
 // TestParDiskFaultSurfaces injects a disk fault into one real processor of
 // the parallel machine and checks that (a) the run returns ErrInjected
@@ -46,7 +68,10 @@ func TestParDiskFaultSurfaces(t *testing.T) {
 			return dk
 		},
 	}
-	_, err := RunPar[int64](rotate{k: 3}, wordcodec.I64{}, cfg, parts)
+	var err error
+	Watchdog(t, "par p=2 fault=p1/d0@5", func() {
+		_, err = RunPar[int64](rotate{k: 3}, wordcodec.I64{}, cfg, parts)
+	})
 	if !errors.Is(err, pdm.ErrInjected) {
 		t.Fatalf("err = %v, want injected disk fault", err)
 	}

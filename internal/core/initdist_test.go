@@ -107,7 +107,8 @@ func waitGoroutines(t *testing.T, tag string, base int) {
 // watchedRun runs a machine on lateDisk-wrapped disks and, whatever the
 // run returns, requires that nothing outlives it: no transfer finishes
 // after the arrays were closed, and the goroutine count returns to what
-// it was before the run.
+// it was before the run. The run itself is under core.Watchdog, so one
+// that wedges fails under its tag.
 func watchedRun(t *testing.T, tag string, seq bool, cfg core.Config, inner func(proc, disk int) pdm.Disk, parts [][]int64) error {
 	t.Helper()
 	base := runtime.NumGoroutine()
@@ -116,7 +117,8 @@ func watchedRun(t *testing.T, tag string, seq bool, cfg core.Config, inner func(
 	cfg.NewDisk = func(proc, disk int) pdm.Disk {
 		return lateDisk{inner: inner(proc, disk), closed: &closed, late: &late}
 	}
-	_, err := runMachine(seq, echo{}, cfg, parts)
+	var err error
+	core.Watchdog(t, tag, func() { _, err = runMachine(seq, echo{}, cfg, parts) })
 	waitGoroutines(t, tag, base)
 	if n := late.Load(); n != 0 {
 		t.Fatalf("%s: %d transfers finished after the arrays were closed", tag, n)

@@ -94,9 +94,6 @@ func Fig3(s Scale) (*trace.Table, error) {
 	for _, n := range []int{s.N / 8, s.N / 4, s.N / 2, s.N, 2 * s.N} {
 		keys := workload.Int64s(int64(n), n)
 		cfg := core.Config{V: s.V, P: s.P, D: 2, B: s.B, Recorder: s.Rec, PipelineDepth: s.Depth}
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("fig3: %w", err)
-		}
 		_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("fig3 n=%d: %w", n, err)
@@ -124,9 +121,6 @@ func Fig4(s Scale) (*trace.Table, error) {
 		for _, d := range []int{1, 2} {
 			keys := workload.Int64s(int64(n), n)
 			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, PipelineDepth: s.Depth}
-			if err := cfg.Validate(); err != nil {
-				return nil, fmt.Errorf("fig4: %w", err)
-			}
 			_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("fig4 n=%d d=%d: %w", n, d, err)
@@ -284,9 +278,6 @@ func Sweep(s Scale) (*trace.Table, error) {
 			continue
 		}
 		cfg := core.Config{V: s.V, P: p, D: 2, B: s.B, Recorder: s.Rec, PipelineDepth: s.Depth}
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("sweep p=%d: %w", p, err)
-		}
 		_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("sweep p=%d: %w", p, err)
@@ -301,9 +292,6 @@ func Sweep(s Scale) (*trace.Table, error) {
 	}
 	for _, d := range []int{1, 2, 4, 8} {
 		cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, PipelineDepth: s.Depth}
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("sweep d=%d: %w", d, err)
-		}
 		_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("sweep d=%d: %w", d, err)

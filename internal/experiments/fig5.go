@@ -79,9 +79,6 @@ func Fig5(s Scale) (*trace.Table, error) {
 		run := func(n int) (*core.Result[int64], error) {
 			keys := workload.Int64s(int64(n), n)
 			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, PipelineDepth: s.Depth, Ledger: s.Ledger}
-			if err := cfg.Validate(); err != nil {
-				return nil, err
-			}
 			_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
 			return res, err
 		}
@@ -128,9 +125,6 @@ func Fig5(s Scale) (*trace.Table, error) {
 			vals := workload.Int64s(int64(n), n)
 			dests := workload.Permutation(int64(n)+1, n)
 			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, PipelineDepth: s.Depth, Ledger: s.Ledger}
-			if err := cfg.Validate(); err != nil {
-				return nil, err
-			}
 			_, res, err := permute.EMPermute(vals, dests, cfg)
 			return res, err
 		}
@@ -156,9 +150,6 @@ func Fig5(s Scale) (*trace.Table, error) {
 			l := n / k
 			vals := workload.Int64s(int64(n), k*l)
 			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, PipelineDepth: s.Depth, Ledger: s.Ledger}
-			if err := cfg.Validate(); err != nil {
-				return nil, err
-			}
 			_, res, err := transpose.EMTranspose(vals, k, l, cfg)
 			return res, err
 		}

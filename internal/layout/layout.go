@@ -63,7 +63,6 @@ func badSplit(n, b int) string {
 // of the striped region rooted at baseTrack. Consecutive global indices
 // hit distinct disks, so the transfer proceeds in ⌈len(bufs)/D⌉ fully
 // parallel operations (the last may be partial).
-// emcgm:blocking
 func WriteStriped(arr *pdm.DiskArray, baseTrack, startBlock int, bufs [][]pdm.Word) error {
 	var s Scratch
 	return WriteStripedScratch(arr, baseTrack, startBlock, bufs, &s)
@@ -72,7 +71,6 @@ func WriteStriped(arr *pdm.DiskArray, baseTrack, startBlock int, bufs [][]pdm.Wo
 // ReadStriped reads n blocks starting at global index startBlock of the
 // striped region rooted at baseTrack, returning the concatenated words
 // (n·B of them). It issues ⌈n/D⌉ fully parallel operations.
-// emcgm:blocking
 func ReadStriped(arr *pdm.DiskArray, baseTrack, startBlock, n int) ([]pdm.Word, error) {
 	var s Scratch
 	out := make([]pdm.Word, n*arr.B())
@@ -87,7 +85,6 @@ func ReadStriped(arr *pdm.DiskArray, baseTrack, startBlock, n int) ([]pdm.Word, 
 // front of the queue until one conflicts (same disk) with an earlier block
 // of the cycle, then issues the cycle as a single parallel I/O.
 // It returns the number of parallel operations issued.
-// emcgm:blocking
 func WriteFIFO(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word) (int, error) {
 	var s Scratch
 	return fifo(arr, reqs, bufs, false, &s)
@@ -95,14 +92,12 @@ func WriteFIFO(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word) (int,
 
 // ReadFIFO is the read-side analogue of WriteFIFO: it packs the FIFO
 // request sequence into maximal conflict-free parallel reads.
-// emcgm:blocking
 func ReadFIFO(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word) (int, error) {
 	var s Scratch
 	return fifo(arr, reqs, bufs, true, &s)
 }
 
 // emcgm:hotpath
-// emcgm:blocking
 func fifo(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, read bool, s *Scratch) (int, error) {
 	if len(reqs) != len(bufs) {
 		return 0, fmt.Errorf("layout: %d requests but %d buffers", len(reqs), len(bufs))

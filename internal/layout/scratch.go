@@ -79,7 +79,6 @@ func SplitBlocksInto(dst [][]pdm.Word, ws []pdm.Word, b int) [][]pdm.Word {
 // WriteStripedScratch is WriteStriped with caller-owned scratch: the
 // per-cycle request slices come from s instead of fresh allocations.
 // emcgm:hotpath
-// emcgm:blocking
 func WriteStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, bufs [][]pdm.Word, s *Scratch) error {
 	d := arr.D()
 	for off := 0; off < len(bufs); off += d {
@@ -102,7 +101,6 @@ func WriteStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, bufs [][
 // scratch: it reads len(dst)/B blocks starting at global index startBlock
 // into dst (whose length must be a multiple of the array's block size).
 // emcgm:hotpath
-// emcgm:blocking
 func ReadStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, dst []pdm.Word, s *Scratch) error {
 	d, b := arr.D(), arr.B()
 	if len(dst)%b != 0 {
@@ -129,14 +127,12 @@ func ReadStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, dst []pdm
 // WriteFIFOScratch is WriteFIFO with the per-cycle disk conflict markers
 // taken from s instead of a fresh allocation.
 // emcgm:hotpath
-// emcgm:blocking
 func WriteFIFOScratch(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, s *Scratch) (int, error) {
 	return fifo(arr, reqs, bufs, false, s)
 }
 
 // ReadFIFOScratch is the read-side analogue of WriteFIFOScratch.
 // emcgm:hotpath
-// emcgm:blocking
 func ReadFIFOScratch(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, s *Scratch) (int, error) {
 	return fifo(arr, reqs, bufs, true, s)
 }

@@ -23,7 +23,6 @@ import (
 // the ⌈len(bufs)/D⌉ striped write cycles are begun back to back and their
 // handles added to pend. bufs must stay untouched until pend is waited.
 // emcgm:hotpath
-// emcgm:blocking
 func BeginWriteStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, bufs [][]pdm.Word, s *Scratch, pend *pdm.PendingSet) error {
 	d := arr.D()
 	for off := 0; off < len(bufs); off += d {
@@ -49,7 +48,6 @@ func BeginWriteStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, buf
 // startBlock into dst and adds the handles to pend. dst holds undefined
 // contents until pend is waited.
 // emcgm:hotpath
-// emcgm:blocking
 func BeginReadStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, dst []pdm.Word, s *Scratch, pend *pdm.PendingSet) error {
 	d, b := arr.D(), arr.B()
 	if len(dst)%b != 0 {
@@ -80,7 +78,6 @@ func BeginReadStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, dst 
 // and each cycle begun as one parallel I/O. Returns the number of
 // operations begun.
 // emcgm:hotpath
-// emcgm:blocking
 func BeginWriteFIFOScratch(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, s *Scratch, pend *pdm.PendingSet) (int, error) {
 	return beginFIFO(arr, reqs, bufs, false, s, pend)
 }
@@ -88,7 +85,6 @@ func BeginWriteFIFOScratch(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm
 // BeginReadFIFOScratch is the read-side analogue of
 // BeginWriteFIFOScratch.
 // emcgm:hotpath
-// emcgm:blocking
 func BeginReadFIFOScratch(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, s *Scratch, pend *pdm.PendingSet) (int, error) {
 	return beginFIFO(arr, reqs, bufs, true, s, pend)
 }
@@ -98,7 +94,6 @@ func BeginReadFIFOScratch(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.
 // computed by the same loop, so the operation count and composition are
 // bit-identical to the synchronous scheduler's.
 // emcgm:hotpath
-// emcgm:blocking
 func beginFIFO(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, read bool, s *Scratch, pend *pdm.PendingSet) (int, error) {
 	if len(reqs) != len(bufs) {
 		return 0, fmt.Errorf("layout: %d requests but %d buffers", len(reqs), len(bufs))

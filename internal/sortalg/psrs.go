@@ -216,8 +216,13 @@ func mergeTwo[T cmp.Ordered](out, a, b []T) int {
 // EMSortConfig fills sensible EM-CGM limits for sorting n items: bucket
 // messages are ≈ N/v² for well-spread keys (Theorem 4's parameter range);
 // we allow 4× plus v for skew. Heavily skewed inputs should set Balanced.
+// A cfg with V < 1 is returned as it came, for the run's own Validate to
+// report.
 func EMSortConfig(cfg core.Config, n int) core.Config {
 	v := cfg.V
+	if v < 1 {
+		return cfg
+	}
 	if cfg.MaxMsgItems == 0 {
 		cfg.MaxMsgItems = 5*((n+v*v-1)/(v*v))/2 + v + 16
 	}
@@ -229,9 +234,10 @@ func EMSortConfig(cfg core.Config, n int) core.Config {
 
 // EMSort runs the CGM sorter under the EM-CGM simulation (RunPar) and
 // returns the sorted keys along with the machine's accounting.
-//
-// emcgm:needsvalidated
 func EMSort[T cmp.Ordered](keys []T, codec wordcodec.Codec[T], cfg core.Config) ([]T, *core.Result[T], error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
 	cfg = EMSortConfig(cfg, len(keys))
 	res, err := core.RunPar[T](Sorter[T]{}, codec, cfg, cgm.Scatter(keys, cfg.V))
 	if err != nil {

@@ -82,10 +82,12 @@ func (Program) Output(vp *cgm.VP[permute.Item]) []permute.Item { return vp.State
 func (p Program) MaxContextItems(n, v int) int { return (n+v-1)/v + 1 }
 
 // EMTranspose transposes the K×L row-major matrix vals under the EM-CGM
-// simulation, returning the L×K column-major result.
-//
-// emcgm:needsvalidated
+// simulation, returning the L×K column-major result. cfg is validated
+// before the limits below are derived from cfg.V.
 func EMTranspose(vals []int64, k, l int, cfg core.Config) ([]int64, *core.Result[permute.Item], error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
 	if len(vals) != k*l {
 		return nil, nil, fmt.Errorf("transpose: %d values for a %d×%d matrix", len(vals), k, l)
 	}

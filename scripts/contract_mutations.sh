@@ -1,0 +1,74 @@
+#!/bin/sh
+# Seeded-negative self-test of the contracts the engine's own tests hold
+# (DESIGN.md §10): break each contract in a scratch copy of the tree, run
+# only the test that owns it, and require that test to fail by name. The
+# unmutated copy must pass the same tests first. An anchor line that no
+# longer matches is itself a failure, so a refactor that moves the code
+# must move its mutation with it.
+set -eu
+root=$(cd "$(dirname "$0")/.." && pwd)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+cp -R "$root/go.mod" "$root/internal" "$tmp/"
+cd "$tmp"
+
+run_tests() { go test ./internal/core -count=1 -timeout 300s -run "^($1)\$" 2>&1; }
+
+# mutate FILE ANCHOR COUNT NTH REPLACEMENT: ANCHOR (a fixed string) must
+# be on exactly COUNT lines of FILE; the NTH such line becomes REPLACEMENT
+# (awk escapes: \n, \t).
+mutate() {
+	have=$(grep -cF -- "$2" "$1" || true)
+	if [ "$have" != "$3" ]; then
+		echo "contract-selftest: anchor '$2' is on $have lines of $1, want $3"
+		exit 1
+	fi
+	awk -v anchor="$2" -v nth="$4" -v repl="$5" \
+		'index($0, anchor) && ++seen == nth { print repl; next } { print }' "$1" > "$1.mut"
+	mv "$1.mut" "$1"
+}
+
+# check NAME FILE OWNER: the mutated copy must fail OWNER by name; FILE is
+# then restored.
+check() {
+	if out=$(run_tests "$3"); then
+		echo "contract-selftest: $1 is not caught by $3"
+		exit 1
+	fi
+	if ! printf '%s\n' "$out" | grep -q -- "--- FAIL: $3"; then
+		printf '%s\n' "$out" | tail -n 20
+		echo "contract-selftest: $1 broke the run, but not as a failure of $3"
+		exit 1
+	fi
+	echo "contract-selftest: $1 -> $3 fails: $(printf '%s\n' "$out" | sed -n 's/^ *\([a-z_]*_test\.go:[0-9]*: .*\)/\1/p' | head -n 1 | cut -c1-160)"
+	cp "$root/$2" "$2"
+}
+
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestInitFaultDrains|TestRunFaultDrains'
+if ! out=$(run_tests "$owners"); then
+	printf '%s\n' "$out" | tail -n 20
+	echo "contract-selftest: the unmutated tree fails its own contract tests"
+	exit 1
+fi
+echo "contract-selftest: unmutated copy passes ($owners)"
+
+f=internal/core/initdist.go
+mutate $f 'if err := layout.BeginWriteStripedScratch(c.arr, 0, c.start, c.s.bufs, &c.s.lay, &c.sl.writes); err != nil {' 1 1 \
+	'\t\terr := layout.BeginWriteStripedScratch(c.arr, 0, c.start, c.s.bufs, &c.s.lay, &c.sl.writes)\n\t\tc.s.ctxImg[0] ^= 1\n\t\tif err != nil {'
+check 'touch a loaned buffer' $f TestInitCheckedEquivalence
+
+f=internal/layout/splitphase.go
+mutate $f 'pend.Add(p)' 3 2 '\t\t_ = p'
+check 'drop the read hand-off' $f TestPipelineDepthEquivalence
+
+mutate $f 'pend.Add(p)' 3 1 '\t\t_ = p'
+check 'drop the write hand-off' $f TestInitFaultDrains
+
+f=internal/core/engine.go
+mutate $f 'ss.End()' 1 1 ''
+check 'leak the superstep span' $f TestRunFaultDrains
+
+mutate $f 'chans[k] <- batch[T]{srcVP: pr.i*localV + l, final: true}' 1 1 '\t\t\t\t_ = k'
+check 'drop the compensating sends' $f TestRunFaultDrains
+
+echo "contract-selftest: all five mutations caught"
