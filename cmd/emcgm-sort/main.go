@@ -113,8 +113,13 @@ func main() {
 	fmt.Printf("  rounds (λ):            %d\n", res.Rounds)
 	fmt.Printf("  parallel I/Os:         %d total (%d context, %d message)\n",
 		res.IO.ParallelOps, res.CtxOps, res.MsgOps)
-	fmt.Printf("  per processor:         %d  —  theory O(N/pDB) unit = %d\n",
-		res.IO.ParallelOps/int64(*p), *n/(*p**d**b))
+	perProc, unit := res.IO.ParallelOps/int64(*p), *n/(*p**d**b)
+	fmt.Printf("  per processor:         %d  —  theory O(N/pDB) unit = %d", perProc, unit)
+	if unit > 0 {
+		// The constant the O hides: what the live-prefix transfer is about.
+		fmt.Printf(", constant = %.2f units", float64(perProc)/float64(unit))
+	}
+	fmt.Println()
 	fmt.Printf("  disk fullness:         %.2f\n", res.IO.Fullness(*d))
 	fmt.Printf("  items over network:    %d\n", res.CommItems)
 	if res.Syscalls > 0 {

@@ -28,10 +28,14 @@
 // messaging I/O), communication volume, and superstep counts — the
 // quantities Theorems 2 and 3 bound.
 //
-// The simulation is content-oblivious, as a deterministic simulation must
-// be: every compound superstep reads and writes the full reserved context
-// run of each virtual processor and all v message slots of its inbox and
-// outbox, regardless of how much data the program actually produced.
+// The simulation is content-oblivious in its addresses, as a deterministic
+// simulation must be: every context run and every message slot has a fixed
+// place on the disks, sized for the declared maxima. What a compound
+// superstep transfers is the live block prefix of each image — the blocks
+// that hold the count header and the items actually present — which the
+// writer records in an in-memory length table and the reader takes its
+// request count from (DESIGN.md §18); an empty message moves no block, and
+// the terminal round's contexts, which nobody reads, are not written.
 //
 // The package is part of the determinism contract checked by the
 // detorder analyzer (see DESIGN.md §11): identical inputs and
@@ -71,21 +75,20 @@ import (
 type superstepScratch struct {
 	ctxImg []pdm.Word     // cb·B words: context encode/decode image
 	flat   []pdm.Word     // flat inbox/outbox slot images
+	live   []int          // live blocks per slot of flat, as the writer encodes it
 	reqs   []pdm.BlockReq // request staging for matrix/striped sequences
 	bufs   [][]pdm.Word   // block views over ctxImg or flat
 	lay    layout.Scratch // per-cycle request slices and conflict markers
 }
 
 // newSuperstepScratch sizes the scratch for context runs of cb blocks and
-// flat slot images of flatBlocks blocks of b words.
-func newSuperstepScratch(cb, flatBlocks, b int) *superstepScratch {
-	m := flatBlocks
-	if cb > m {
-		m = cb
-	}
+// flat images of slots message slots of bpm blocks of b words.
+func newSuperstepScratch(cb, slots, bpm, b int) *superstepScratch {
+	m := max(cb, slots*bpm)
 	return &superstepScratch{
 		ctxImg: make([]pdm.Word, cb*b),
-		flat:   make([]pdm.Word, flatBlocks*b),
+		flat:   make([]pdm.Word, slots*bpm*b),
+		live:   make([]int, slots),
 		reqs:   make([]pdm.BlockReq, 0, m),
 		bufs:   make([][]pdm.Word, 0, m),
 	}
@@ -441,33 +444,42 @@ func slotWords(maxMsg, itemWords int) int { return 1 + maxMsg*itemWords }
 // emcgm:hotpath
 func ctxWords(maxCtx, itemWords int) int { return 1 + maxCtx*itemWords }
 
-// encodeCtxInto serialises state into the context image img (header +
-// items + zero padding), overwriting every word. The image is caller-owned
-// scratch: reusing it across supersteps is what keeps the hot path
-// allocation-free.
+// encodeLive serialises items into the head of the fixed-address image
+// img — count header, items, zero fill to the end of the last block they
+// reach — and returns how many b-word blocks of img are now live. The rest
+// of the image is left as it was: it is neither transferred nor decoded.
+// img is caller-owned scratch sized for the declared maximum, which the
+// caller has checked len(items) against; reusing it across supersteps is
+// what keeps the hot path allocation-free.
 // emcgm:hotpath
-func encodeCtxInto[T any](codec wordcodec.Codec[T], state []T, maxCtx int, img []pdm.Word) error {
-	if len(state) > maxCtx {
-		return fmt.Errorf("core: context of %d items exceeds the declared bound μ = %d items; set Config.MaxCtxItems or implement cgm.ContextSizer", len(state), maxCtx)
-	}
-	img[0] = pdm.Word(len(state))
-	end := 1 + len(state)*codec.Words()
-	wordcodec.EncodeInto(codec, img[1:end], state)
-	clear(img[end:])
-	return nil
+func encodeLive[T any](codec wordcodec.Codec[T], items []T, img []pdm.Word, b int) int {
+	img[0] = pdm.Word(len(items))
+	end := 1 + len(items)*codec.Words()
+	wordcodec.EncodeInto(codec, img[1:end], items)
+	nb := pdm.BlocksFor(end, b)
+	clear(img[end : nb*b])
+	return nb
 }
 
-// encodeMsgInto serialises one message into the slot image img,
-// overwriting every word. Like encodeCtxInto, img is caller-owned scratch.
+// encodeMsg is encodeLive for one message slot: an empty message has no
+// live block at all (its reader writes the zero header itself), and a
+// message over the slot bound is an error.
 // emcgm:hotpath
-func encodeMsgInto[T any](codec wordcodec.Codec[T], msg []T, maxMsg int, img []pdm.Word) error {
+func encodeMsg[T any](codec wordcodec.Codec[T], msg []T, maxMsg int, img []pdm.Word, b int) (int, error) {
 	if len(msg) > maxMsg {
-		return fmt.Errorf("core: message of %d items exceeds the slot bound %d items; set Config.MaxMsgItems (or Balanced) accordingly", len(msg), maxMsg)
+		return 0, fmt.Errorf("core: message of %d items exceeds the slot bound %d items; set Config.MaxMsgItems (or Balanced) accordingly", len(msg), maxMsg)
 	}
-	img[0] = pdm.Word(len(msg))
-	end := 1 + len(msg)*codec.Words()
-	wordcodec.EncodeInto(codec, img[1:end], msg)
-	clear(img[end:])
+	if len(msg) == 0 {
+		return 0, nil
+	}
+	return encodeLive(codec, msg, img, b), nil
+}
+
+// checkCtx reports a context over the declared bound μ.
+func checkCtx(items, maxCtx int) error {
+	if items > maxCtx {
+		return fmt.Errorf("core: context of %d items exceeds the declared bound μ = %d items; set Config.MaxCtxItems or implement cgm.ContextSizer", items, maxCtx)
+	}
 	return nil
 }
 

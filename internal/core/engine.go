@@ -67,12 +67,13 @@ type transport[T any] struct {
 	chans  []chan batch[T]
 }
 
-// inboxReqs appends the requests that read local VP l's inbox in round.
-func (t *transport[T]) inboxReqs(reqs []pdm.BlockReq, round, l int) []pdm.BlockReq {
+// inboxReqs appends the requests that read local VP l's inbox in round:
+// the first live[src] blocks of the slot of every source src.
+func (t *transport[T]) inboxReqs(reqs []pdm.BlockReq, round, l int, live []int) []pdm.BlockReq {
 	if t.chans == nil {
-		return t.matrix.AppendInboxReqs(reqs, round, l)
+		return t.matrix.AppendInboxPrefixReqs(reqs, round, l, live)
 	}
-	return t.rects[round%2].AppendRegionReqs(reqs, l)
+	return t.rects[round%2].AppendRegionPrefixReqs(reqs, l, live)
 }
 
 // roundOut is what one real processor reports from one round; the engine
@@ -104,6 +105,17 @@ type proc[T any] struct {
 	pend  []vpInflight     // per-slot context/inbox reads and write-behind
 	route []pdm.PendingSet // per-slot route write-behind (Algorithm 3)
 
+	// The length tables (DESIGN.md §18): how many blocks of each
+	// fixed-address image its last writer left live, which is all its next
+	// reader transfers. ctxLive[l] is local VP l's context run.
+	// msgLive[r%2][l·v+src] is the slot of the message src → local VP l
+	// that round r reads; it is written in round r−1 into the other parity
+	// than the one that round's own inbox reads consult, so — like the
+	// slots themselves under Observation 2 — no entry is overwritten
+	// before it is used.
+	ctxLive []int
+	msgLive [2][]int
+
 	// send[l·p+k] is the message container local VP l reuses for its batch
 	// to real processor k; a batch sent in round r is consumed by its
 	// receiver within round r (every processor drains all v batches before
@@ -116,15 +128,22 @@ type proc[T any] struct {
 	roundOut
 }
 
-// grow appends fresh slots to the ring, taking it to depth k. The engine
+// grow appends fresh slots to pr's ring, taking it to depth k. The engine
 // grows only between rounds, with every slot drained, so the new
 // zero-valued slots are immediately usable.
-func (pr *proc[T]) grow(k, cb, flatBlocks, b int) {
+func (e *engine[T]) grow(pr *proc[T], k int) {
 	for len(pr.ring) < k {
-		pr.ring = append(pr.ring, newSuperstepScratch(cb, flatBlocks, b))
+		pr.ring = append(pr.ring, newSuperstepScratch(e.cb, e.cfg.V, e.bpm, e.cfg.B))
 		pr.pend = append(pr.pend, vpInflight{})
 		pr.route = append(pr.route, pdm.PendingSet{})
 	}
+}
+
+// inboxLive is the length-table row of the inbox local VP l reads in
+// round: one live-block count per source.
+func (e *engine[T]) inboxLive(pr *proc[T], round, l int) []int {
+	v := e.cfg.V
+	return pr.msgLive[round%2][l*v : (l+1)*v]
 }
 
 // bank charges the ops begun since the last snapshot to sl's trace row,
@@ -170,6 +189,7 @@ type engine[T any] struct {
 	tr      transport[T]
 	cached  [][]T // resident contexts under CacheContexts, nil otherwise
 	outputs [][]T
+	sizes   *costmodel.Sizes // item counts for the ledger's predictor, nil without one
 }
 
 // run simulates prog on the machine cfg describes. par selects Algorithm 3
@@ -238,8 +258,9 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 			return nil, err
 		}
 		pr := &proc[T]{i: i, arr: arr, mem: newVPMem[T](v, cfg.CheckedIO),
-			sent: make([]int, localV), recv: make([]int, localV)}
-		pr.grow(k, e.cb, v*e.bpm, cfg.B)
+			sent: make([]int, localV), recv: make([]int, localV), ctxLive: make([]int, localV),
+			msgLive: [2][]int{make([]int, localV*v), make([]int, localV*v)}}
+		e.grow(pr, k)
 		if par {
 			pr.send = make([][][]T, localV*p)
 			for s := range pr.send {
@@ -277,10 +298,10 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 	// before round 0's prologue (see distributeInputs).
 	ledBase := rec.StepCount()
 	initSpan := rec.Begin(mtrack, "input distribution", "init")
-	maxObserved, stallNS, err := distributeInputs(prog, codec, cfg, inputs, e.maxCtx, func(j int) ctxSlot {
-		pr, l := e.procs[j/localV], j%localV
-		return ctxSlot{arr: pr.arr, s: pr.ring[l%k], sl: &pr.pend[l%k], start: l * e.cb}
-	}, e.cached, rec, mtrack)
+	if cfg.Ledger != nil {
+		e.sizes = costmodel.NewSizes(v)
+	}
+	maxObserved, stallNS, err := e.distributeInputs(inputs, mtrack)
 	if err != nil {
 		initSpan.End()
 		return nil, err
@@ -304,6 +325,7 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 			return nil, fmt.Errorf("core: program exceeded %d rounds", maxRounds)
 		}
 		K := len(e.procs[0].ring)
+		e.sizes.AddRound()
 		var roundStart time.Time
 		if rec != nil {
 			roundStart = time.Now()
@@ -371,7 +393,7 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 				if roundStall*adaptGrowDen > int64(p)*roundWall*adaptGrowNum {
 					newK := min(2*K, maxK)
 					for _, pr := range e.procs {
-						pr.grow(newK, e.cb, v*e.bpm, cfg.B)
+						e.grow(pr, newK)
 					}
 					depthGauge.Store(int64(newK))
 					rec.Event(mtrack, fmt.Sprintf("pipeline depth → %d", newK), "adapt")
@@ -400,8 +422,9 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 			costmodel.Machine{
 				Par: par, V: v, P: p, D: cfg.D, B: cfg.B,
 				CB: e.cb, BPM: e.bpm, Rounds: res.Rounds, CacheCtx: e.cached != nil,
-				Depth: res.Depth,
+				Depth: res.Depth, Words: codec.Words(),
 			},
+			e.sizes,
 			rec.StepsSince(ledBase),
 			costmodel.RunTotals{
 				Rounds:      res.Rounds,
@@ -431,8 +454,10 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 // batching workers to coalesce.
 //
 // Every depth issues the same operation multiset at the same addresses
-// with the same cycle packing — only the begin order changes: the reads
-// of VPs l+1 … l+pf are hoisted above the writes of VP l. That hoist is
+// with the same cycle packing (the request sequences are cut to the live
+// prefixes the length tables record, which do not depend on the depth) —
+// only the begin order changes: the reads of VPs l+1 … l+pf are hoisted
+// above the writes of VP l. That hoist is
 // address-disjoint within a round (context runs are per-VP; under
 // Observation 2 VP l's outbox lands in the slots its own inbox freed, and
 // Algorithm 3's route writes target the opposite-parity rect from the
@@ -501,7 +526,7 @@ func (e *engine[T]) procRound(pr *proc[T], round int) {
 		}
 		// (e) Context out.
 		if err == nil {
-			err = e.writeContext(pr, round, l, vp)
+			err = e.writeContext(pr, round, l, vp, done)
 		}
 		if err != nil {
 			ss.End()
@@ -538,23 +563,38 @@ func (e *engine[T]) wait(pr *proc[T], ps *pdm.PendingSet) error {
 	return stallWait(e.rec, pr.track, pr.stallName, ps, &pr.stallNS)
 }
 
-// beginReads prefetches local VP l's context (unless resident) and, after
-// round 0, its inbox into ring slot l mod K, charging the begun ops to
-// that slot's row.
+// beginReads prefetches the live prefix of local VP l's context (unless
+// resident) and, after round 0, of each message of its inbox into ring
+// slot l mod K, charging the begun ops to that slot's row. The request
+// counts come from the length tables, so the whole prefetch is one burst
+// with no dependent header read. An empty message moves no block: its
+// zero header is written into the slot image here.
 func (e *engine[T]) beginReads(pr *proc[T], round, l int) error {
-	K := len(pr.ring)
+	K, B := len(pr.ring), e.cfg.B
 	sl, s := &pr.pend[l%K], pr.ring[l%K]
 	pf := e.rec.Begin(pr.track, "prefetch", "prefetch")
+	if e.cfg.CheckedIO {
+		// What the reads below do not transfer must never decode as the
+		// slot's previous tenant.
+		fillStale(s.ctxImg)
+		fillStale(s.flat)
+	}
 	if e.cached == nil {
-		if err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg, &s.lay, &sl.reads); err != nil {
+		if err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg[:pr.ctxLive[l]*B], &s.lay, &sl.reads); err != nil {
 			pf.End()
 			return fmt.Errorf("core: round %d vp %d: begin context read: %w", round, pr.i*e.localV+l, err)
 		}
 		pr.bank(sl, true)
 	}
 	if round > 0 {
-		s.reqs = e.tr.inboxReqs(s.reqs[:0], round, l)
-		s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.flat, e.cfg.B)
+		live := e.inboxLive(pr, round, l)
+		s.reqs = e.tr.inboxReqs(s.reqs[:0], round, l, live)
+		s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, B, e.bpm, live)
+		for src, n := range live {
+			if n == 0 {
+				s.flat[src*e.bpm*B] = 0
+			}
+		}
 		if _, err := layout.BeginReadFIFOScratch(pr.arr, s.reqs, s.bufs, &s.lay, &sl.reads); err != nil {
 			pf.End()
 			return fmt.Errorf("core: round %d vp %d: begin inbox read: %w", round, pr.i*e.localV+l, err)
@@ -563,6 +603,18 @@ func (e *engine[T]) beginReads(pr *proc[T], round, l int) error {
 	}
 	pf.End()
 	return nil
+}
+
+// staleWord is what CheckedIO pours over a ring slot's images before a
+// prefetch: as a count header it fails headerItems, as an item it is
+// garbage, so a decode that strays past the transferred prefix fails
+// loudly instead of seeing the slot's previous tenant.
+const staleWord pdm.Word = 0xBAD0_57A1_EBAD_57A1
+
+func fillStale(img []pdm.Word) {
+	for i := range img {
+		img[i] = staleWord
+	}
 }
 
 // compute brings local VP l into memory and simulates its round: wait
@@ -586,11 +638,15 @@ func (e *engine[T]) compute(pr *proc[T], round, l int) (vp *cgm.VP[T], outbox []
 	if err := e.wait(pr, &sl.reads); err != nil {
 		return nil, nil, false, fmt.Errorf("core: round %d vp %d: read context/inbox: %w", round, j, err)
 	}
-	ctxImg := s.ctxImg
-	if e.cached != nil {
-		ctxImg = nil
+	var ctxImg []pdm.Word // the transferred prefixes are all decode may see
+	var live []int
+	if e.cached == nil {
+		ctxImg = s.ctxImg[:pr.ctxLive[l]*e.cfg.B]
 	}
-	state, inbox, recv, err := pr.mem.decode(e.codec, ctxImg, s.flat, round)
+	if round > 0 {
+		live = e.inboxLive(pr, round, l)
+	}
+	state, inbox, recv, err := pr.mem.decode(e.codec, ctxImg, s.flat, live, e.cfg.B)
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("core: round %d vp %d: %w", round, j, err)
 	}
@@ -619,6 +675,12 @@ func (e *engine[T]) compute(pr *proc[T], round, l int) (vp *cgm.VP[T], outbox []
 		return nil, nil, false, fmt.Errorf("core: vp %d round %d returned outbox of length %d, want %d or nil",
 			j, round, len(outbox), e.cfg.V)
 	}
+	if e.sizes != nil && !done {
+		row := e.sizes.Msg[round][j*e.cfg.V:]
+		for dst, msg := range outbox {
+			row[dst] = len(msg)
+		}
+	}
 	if l == 0 {
 		pr.done = done
 	} else if done != pr.done {
@@ -631,27 +693,31 @@ func (e *engine[T]) compute(pr *proc[T], round, l int) (vp *cgm.VP[T], outbox []
 }
 
 // writeOutbox is Algorithm 2's delivery: VP j's v messages are encoded
-// into its slot's message image and begun as one staggered write-behind
-// into the matrix slots its own inbox just freed.
+// into its slot's message image and their live prefixes begun as one
+// staggered write-behind into the matrix slots its own inbox just freed;
+// the length table of the next round's parity records each prefix.
 func (e *engine[T]) writeOutbox(pr *proc[T], round, j int, outbox [][]T) error {
-	K := len(pr.ring)
+	K, B, v := len(pr.ring), e.cfg.B, e.cfg.V
 	sl, s := &pr.pend[j%K], pr.ring[j%K]
 	wb := e.rec.Begin(pr.track, "outbox write", "writeback")
-	s.reqs = e.tr.matrix.AppendOutboxReqs(s.reqs[:0], round, j)
-	w := e.bpm * e.cfg.B
-	for dst := 0; dst < e.cfg.V; dst++ {
+	next := pr.msgLive[(round+1)%2]
+	w := e.bpm * B
+	for dst := 0; dst < v; dst++ {
 		var msg []T
 		if outbox != nil {
 			msg = outbox[dst]
 		}
-		if err := encodeMsgInto(e.codec, msg, e.maxMsg, s.flat[dst*w:(dst+1)*w]); err != nil {
+		n, err := encodeMsg(e.codec, msg, e.maxMsg, s.flat[dst*w:(dst+1)*w], B)
+		if err != nil {
 			wb.End()
 			return fmt.Errorf("vp %d round %d → %d: %w", j, round, dst, err)
 		}
+		s.live[dst], next[dst*v+j] = n, n
 		pr.sent[j] += len(msg)
 		pr.maxMsg = max(pr.maxMsg, len(msg))
 	}
-	s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.flat, e.cfg.B)
+	s.reqs = e.tr.matrix.AppendOutboxPrefixReqs(s.reqs[:0], round, j, s.live)
+	s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, B, e.bpm, s.live)
 	if _, err := layout.BeginWriteFIFOScratch(pr.arr, s.reqs, s.bufs, &s.lay, &sl.writes); err != nil {
 		wb.End()
 		return fmt.Errorf("core: round %d vp %d: begin outbox write: %w", round, j, err)
@@ -685,27 +751,31 @@ func (e *engine[T]) batchTo(pr *proc[T], l, k int, outbox [][]T, done bool) batc
 	return b
 }
 
-// writeContext begins local VP l's context write-behind out of its ring
-// slot, or keeps the context resident under CacheContexts.
-func (e *engine[T]) writeContext(pr *proc[T], round, l int, vp *cgm.VP[T]) error {
+// writeContext begins the write-behind of the live prefix of local VP l's
+// context out of its ring slot and records the prefix in the length table,
+// or keeps the context resident under CacheContexts. The terminal round's
+// context is read by nobody, so it is only held to the bound μ.
+func (e *engine[T]) writeContext(pr *proc[T], round, l int, vp *cgm.VP[T], done bool) error {
 	j := pr.i*e.localV + l
 	pr.maxCtx = max(pr.maxCtx, len(vp.State))
+	if err := checkCtx(len(vp.State), e.maxCtx); err != nil {
+		return fmt.Errorf("core: round %d vp %d: write context: %w", round, j, err)
+	}
 	if e.cached != nil {
-		if len(vp.State) > e.maxCtx {
-			return fmt.Errorf("core: round %d vp %d: context of %d items exceeds μ = %d",
-				round, j, len(vp.State), e.maxCtx)
-		}
 		e.cached[pr.i] = pr.mem.keep(vp.State)
 		return nil
 	}
-	K := len(pr.ring)
+	if done {
+		return nil
+	}
+	if e.sizes != nil {
+		e.sizes.Ctx[round+1][j] = len(vp.State)
+	}
+	K, B := len(pr.ring), e.cfg.B
 	sl, s := &pr.pend[l%K], pr.ring[l%K]
 	wb := e.rec.Begin(pr.track, "ctx write", "writeback")
-	if err := encodeCtxInto(e.codec, vp.State, e.maxCtx, s.ctxImg); err != nil {
-		wb.End()
-		return fmt.Errorf("core: round %d vp %d: write context: %w", round, j, err)
-	}
-	s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg, e.cfg.B)
+	pr.ctxLive[l] = encodeLive(e.codec, vp.State, s.ctxImg, B)
+	s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg[:pr.ctxLive[l]*B], B)
 	if err := layout.BeginWriteStripedScratch(pr.arr, 0, l*e.cb, s.bufs, &s.lay, &sl.writes); err != nil {
 		wb.End()
 		return fmt.Errorf("core: round %d vp %d: begin context write: %w", round, j, err)
@@ -718,17 +788,19 @@ func (e *engine[T]) writeContext(pr *proc[T], round, l int, vp *cgm.VP[T]) error
 // route is the receive side of Algorithm 3's delivery: take exactly v
 // batches (one per virtual processor in the machine) off the processor's
 // channel and lay their messages out for the next round, pipelined over
-// the ring — batch n is encoded while up to K−1 earlier batches' blocks
-// are still being written, the same burst the VP loop gives the
-// coalescing workers, now on the write side.
+// the ring (each slot's live prefix only, recorded in the length table of
+// the next round's parity) — batch n is encoded while up to K−1 earlier
+// batches' blocks are still being written, the same burst the VP loop
+// gives the coalescing workers, now on the write side.
 func (e *engine[T]) route(pr *proc[T], round int) error {
 	K := len(pr.ring)
 	rt := e.rec.Begin(pr.track, "route batches", "route")
-	writeM := e.tr.rects[(round+1)%2]
-	w := e.bpm * e.cfg.B
+	writeM, next := e.tr.rects[(round+1)%2], pr.msgLive[(round+1)%2]
+	B, v := e.cfg.B, e.cfg.V
+	w := e.bpm * B
 	var row vpInflight
 	nb := 0
-	for got := 0; got < e.cfg.V; got++ {
+	for got := 0; got < v; got++ {
 		b := <-e.tr.chans[pr.i]
 		if b.final {
 			continue
@@ -739,14 +811,17 @@ func (e *engine[T]) route(pr *proc[T], round int) error {
 			return fmt.Errorf("core: round %d proc %d: write batch: %w", round, pr.i, err)
 		}
 		s.reqs = s.reqs[:0]
-		for dl := 0; dl < e.localV; dl++ {
-			if err := encodeMsgInto(e.codec, b.msgs[dl], e.maxMsg, s.flat[dl*w:(dl+1)*w]); err != nil {
+		live := s.live[:e.localV]
+		for dl := range live {
+			n, err := encodeMsg(e.codec, b.msgs[dl], e.maxMsg, s.flat[dl*w:(dl+1)*w], B)
+			if err != nil {
 				rt.End()
 				return fmt.Errorf("vp %d round %d → %d: %w", b.srcVP, round, pr.i*e.localV+dl, err)
 			}
-			s.reqs = writeM.AppendSlotReqs(s.reqs, dl, b.srcVP)
+			live[dl], next[dl*v+b.srcVP] = n, n
+			s.reqs = writeM.AppendSlotReqs(s.reqs, dl, b.srcVP, n)
 		}
-		s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.flat[:e.localV*w], e.cfg.B)
+		s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, B, e.bpm, live)
 		if _, err := layout.BeginWriteFIFOScratch(pr.arr, s.reqs, s.bufs, &s.lay, &pr.route[nb%K]); err != nil {
 			rt.End()
 			return fmt.Errorf("core: round %d proc %d: write batch from vp %d: %w", round, pr.i, b.srcVP, err)

@@ -47,9 +47,10 @@ func TestRunFaultDrains(t *testing.T) {
 	const (
 		v, d, b = 8, 2, 8
 		maxCtx  = 15 // 16 words = 2 blocks: one track per disk per context
-		maxMsg  = 7  // 8 words = 1 block per slot: 4 tracks per disk per inbox
+		maxMsg  = 15 // echo sends its whole context to one VP; its other messages are empty and move nothing
 	)
-	parts := cgm.Scatter(workload.Int64s(7, v*maxMsg), v)
+	// Full contexts, so both disks are in every context transfer.
+	parts := cgm.Scatter(workload.Int64s(7, v*maxCtx), v)
 	mem := func(proc, disk int) pdm.Disk { return pdm.NewMemDisk(b) }
 
 	for _, m := range []struct {

@@ -139,7 +139,8 @@ func TestInitFaultDrains(t *testing.T) {
 		maxCtx  = 31 // 32 words = 4 blocks: 2 tracks per disk per context
 		perDisk = 2
 	)
-	parts := cgm.Scatter(workload.Int64s(7, 64), v)
+	// Full contexts: only the live prefix of a context run is written.
+	parts := cgm.Scatter(workload.Int64s(7, v*maxCtx), v)
 
 	type machine struct {
 		seq bool
@@ -147,7 +148,7 @@ func TestInitFaultDrains(t *testing.T) {
 	}
 	for _, m := range []machine{{true, 1}, {false, 1}, {false, 4}} {
 		for _, k := range []int{1, 2, 4} {
-			base := core.Config{V: v, P: m.p, D: d, B: b, MaxMsgItems: 16, MaxCtxItems: maxCtx, PipelineDepth: k}
+			base := core.Config{V: v, P: m.p, D: d, B: b, MaxMsgItems: maxCtx, MaxCtxItems: maxCtx, PipelineDepth: k}
 			initTracks := v / m.p * perDisk // init transfers per disk
 			for fproc := 0; fproc < m.p; fproc++ {
 				for fdisk := 0; fdisk < d; fdisk++ {
@@ -275,8 +276,9 @@ func (p countedEcho) Init(vp *cgm.VP[int64], input []int64) {
 }
 
 // TestInitCoalesces is the mechanism test of the write-behind input
-// distribution, on an exact count: V contexts of c_b blocks put
-// T = V·c_b/D adjacent tracks on each disk, and against a device that is
+// distribution, on an exact count: V contexts that fill their runs of c_b
+// blocks (only the live prefix of a run is written, and a shorter one
+// would leave a gap) put T = V·c_b/D adjacent tracks on each disk, and against a device that is
 // never faster than the driver (initGate) the phase must reach each disk
 // in at most
 //
@@ -294,12 +296,12 @@ func TestInitCoalesces(t *testing.T) {
 		c       = 4
 		total   = v * c // T
 	)
-	parts := cgm.Scatter(workload.Int64s(5, 4*v), v)
+	parts := cgm.Scatter(workload.Int64s(5, maxCtx*v), v)
 	for _, k := range []int{1, 2, 8} {
 		inits := &initCount{}
 		inits.cond = sync.NewCond(&inits.mu)
 		gates := make([]*initGate, d)
-		cfg := core.Config{V: v, P: 1, D: d, B: b, MaxMsgItems: 8, MaxCtxItems: maxCtx, PipelineDepth: k,
+		cfg := core.Config{V: v, P: 1, D: d, B: b, MaxMsgItems: maxCtx, MaxCtxItems: maxCtx, PipelineDepth: k,
 			NewDisk: func(proc, disk int) pdm.Disk {
 				gates[disk] = &initGate{inner: pdm.NewMemDisk(b), k: k, v: v, c: c, inits: inits}
 				return gates[disk]

@@ -117,9 +117,13 @@ func depthArms[T comparable](t *testing.T, tag string, want [][]T, base core.Con
 	}
 }
 
-// equivWorkloads runs depthArms over sorting, permutation and
-// transposition on RunPar at p = 1, 2, 4 and on the sequential machine
-// proper (Algorithm 2, not p = 1 of Algorithm 3).
+// equivWorkloads runs depthArms over sorting, permutation, transposition
+// and a skewed rotation on RunPar at p = 1, 2, 4 and on the sequential
+// machine proper (Algorithm 2, not p = 1 of Algorithm 3). The rotation is
+// there for the live-prefix transfer's corners: its partitions run from
+// empty (a header-only context) to a third of the input, every VP's
+// context changes size every round, and all but one message of every
+// outbox is empty and moves no block.
 func equivWorkloads(t *testing.T, checked bool, depths []int) {
 	const v, n = 8, 1 << 10
 	keys := workload.Int64s(11, n)
@@ -133,6 +137,11 @@ func equivWorkloads(t *testing.T, checked bool, depths []int) {
 	sorted := reference[int64](t, "sort", sortalg.Sorter[int64]{}, v, cgm.Scatter(keys, v))
 	permuted := reference[permute.Item](t, "permute", permute.New(n), v, cgm.Scatter(items, v))
 	transposed := reference[permute.Item](t, "transpose", transpose.New(32, 32), v, cgm.Scatter(titems, v))
+	skewed := cgm.Scatter(keys, v)
+	skewed[0], skewed[1], skewed[2] = append(append(skewed[0], skewed[1]...), skewed[2]...), nil, nil
+	skewed[5] = skewed[5][:1]
+	rotated := reference[int64](t, "rotate", echo{}, v, skewed)
+	skewCfg := core.Config{V: v, D: 2, B: 8, CheckedIO: checked, MaxMsgItems: n, MaxCtxItems: n}
 
 	for _, p := range []int{1, 2, 4} {
 		base := core.Config{V: v, P: p, D: 2, B: 8, CheckedIO: checked}
@@ -149,7 +158,14 @@ func equivWorkloads(t *testing.T, checked bool, depths []int) {
 			_, res, err := transpose.EMTranspose(keys, 32, 32, cfg)
 			return res, err
 		})
+		skewCfg.P = p
+		depthArms(t, "rotate/"+tagP, rotated, skewCfg, depths, func(cfg core.Config) (*core.Result[int64], error) {
+			return runMachine(false, echo{}, cfg, skewed)
+		})
 	}
+	depthArms(t, "rotate/seq", rotated, skewCfg, depths, func(cfg core.Config) (*core.Result[int64], error) {
+		return runMachine(true, echo{}, cfg, skewed)
+	})
 
 	seqCfg := core.Config{V: v, P: 1, D: 2, B: 8, CheckedIO: checked,
 		MaxMsgItems: 4*((n+v*v-1)/(v*v)) + v + 16,

@@ -35,7 +35,10 @@ func newVPMem[T any](v int, checked bool) *vpMem[T] {
 }
 
 // headerItems reads the count header of a context or message-slot image
-// of iw-word items and checks it against the image's length.
+// of iw-word items and checks it against the image's length. img is the
+// prefix that was actually transferred this superstep, never the whole
+// μ- or slot-sized image, so a corrupt count cannot make decode read words
+// that did not come from disk.
 // emcgm:hotpath
 func headerItems(img []pdm.Word, iw int) (n int, ok bool) {
 	n = int(img[0])
@@ -43,12 +46,15 @@ func headerItems(img []pdm.Word, iw int) (n int, ok bool) {
 }
 
 // decode deserialises virtual processor state and inbox for one superstep
-// out of the context image ctxImg (nil when the context is resident) and,
-// after round 0, the flat image of the v equal message slots. Every slice
-// is handed out with cap == len, so a program's append reallocates rather
-// than running into its neighbour. recv is the number of items received.
+// out of the transferred prefix ctxImg of the context image (nil when the
+// context is resident) and, when live is non-nil (after round 0), the flat
+// image of the len(live) equal message slots, of which slot src holds
+// live[src] transferred b-word blocks — or, for an empty message, nothing
+// but the zero header the engine wrote. Every slice is handed out with
+// cap == len, so a program's append reallocates rather than running into
+// its neighbour. recv is the number of items received.
 // emcgm:hotpath
-func (m *vpMem[T]) decode(codec wordcodec.Codec[T], ctxImg, flat []pdm.Word, round int) (state []T, inbox [][]T, recv int, err error) {
+func (m *vpMem[T]) decode(codec wordcodec.Codec[T], ctxImg, flat []pdm.Word, live []int, b int) (state []T, inbox [][]T, recv int, err error) {
 	iw := codec.Words()
 	if ctxImg != nil {
 		n, ok := headerItems(ctxImg, iw)
@@ -64,12 +70,12 @@ func (m *vpMem[T]) decode(codec wordcodec.Codec[T], ctxImg, flat []pdm.Word, rou
 		wordcodec.DecodeInto(codec, state, ctxImg[1:1+n*iw])
 	}
 	clear(m.inbox)
-	if round == 0 {
+	if live == nil {
 		return state, m.inbox, 0, nil
 	}
-	sw := len(flat) / len(m.inbox)
-	for src := range m.inbox {
-		img := flat[src*sw : (src+1)*sw]
+	sw := len(flat) / len(live)
+	for src, nb := range live {
+		img := flat[src*sw : src*sw+max(nb*b, 1)]
 		n, ok := headerItems(img, iw)
 		if !ok {
 			return nil, nil, 0, fmt.Errorf("message from %d: core: corrupt message header: %d items in %d words", src, n, len(img))
@@ -81,8 +87,8 @@ func (m *vpMem[T]) decode(codec wordcodec.Codec[T], ctxImg, flat []pdm.Word, rou
 		m.msgs = make([]T, recv)
 	}
 	off := 0
-	for src := range m.inbox {
-		img := flat[src*sw : (src+1)*sw]
+	for src := range live {
+		img := flat[src*sw:]
 		n := int(img[0])
 		if n == 0 {
 			continue

@@ -19,13 +19,19 @@ func (c wideCodec) Words() int                     { return c.w }
 func (c wideCodec) Encode(dst []pdm.Word, v int64) { dst[0] = pdm.Word(v) }
 func (c wideCodec) Decode(src []pdm.Word) int64    { return int64(src[0]) }
 
-// TestDecodeCorruptHeader: a count header no image of that length can
-// hold is reported as corrupt — including the counts whose n·iw wraps
-// around, which used to pass the guard and panic in make.
+// TestDecodeCorruptHeader: a count header the transferred prefix cannot
+// hold is reported as corrupt — one item past the prefix already, although
+// the μ- or slot-sized image behind it could hold it and the words there
+// are whatever the slot's previous tenant left — and so are the counts
+// whose n·iw wraps around, which used to pass the guard and panic in make.
 func TestDecodeCorruptHeader(t *testing.T) {
-	const words = 64
+	const (
+		words = 64 // the fixed-address image
+		b     = 16
+		live  = 2 // blocks transferred: the prefix is 32 words
+	)
 	for _, iw := range []int{1, 2, 7} {
-		fits := (words - 1) / iw
+		fits := (live*b - 1) / iw
 		for _, tc := range []struct {
 			n  uint64
 			ok bool
@@ -34,7 +40,8 @@ func TestDecodeCorruptHeader(t *testing.T) {
 			{math.MaxInt64, false},
 			{1 << 63, false},
 			{uint64(words/iw + 1), false},
-			{uint64(fits + 1), false},
+			{uint64((words - 1) / iw), false}, // fills the image, not the prefix
+			{uint64(fits + 1), false},         // one item past the prefix
 			{uint64(fits), true},
 			{0, true},
 		} {
@@ -43,7 +50,7 @@ func TestDecodeCorruptHeader(t *testing.T) {
 			mem := newVPMem[int64](2, false)
 			img := make([]pdm.Word, words)
 			img[0] = tc.n
-			state, _, _, err := mem.decode(codec, img, nil, 0)
+			state, _, _, err := mem.decode(codec, img[:live*b], nil, nil, b)
 			if tc.ok {
 				if err != nil || uint64(len(state)) != tc.n {
 					t.Errorf("%s: context: %d items, err %v", tag, len(state), err)
@@ -53,8 +60,8 @@ func TestDecodeCorruptHeader(t *testing.T) {
 			}
 
 			flat := make([]pdm.Word, 2*words)
-			flat[words] = tc.n // slot of source 1
-			_, inbox, recv, err := mem.decode(codec, nil, flat, 1)
+			flat[words] = tc.n // slot of source 1; source 0 sent nothing
+			_, inbox, recv, err := mem.decode(codec, nil, flat, []int{0, live}, b)
 			if tc.ok {
 				if err != nil || uint64(recv) != tc.n || uint64(len(inbox[1])) != tc.n || inbox[0] != nil {
 					t.Errorf("%s: message: recv %d, err %v", tag, recv, err)
@@ -63,6 +70,15 @@ func TestDecodeCorruptHeader(t *testing.T) {
 				t.Errorf("%s: message: err = %v, want corrupt message header from 1", tag, err)
 			}
 		}
+	}
+
+	// A slot the length table skipped holds the zero header the engine
+	// wrote and nothing else: any count there is corrupt.
+	flat := make([]pdm.Word, 2*words)
+	flat[0] = 1
+	_, _, _, err := newVPMem[int64](2, false).decode(wideCodec{1}, nil, flat, []int{0, 0}, b)
+	if err == nil || !strings.Contains(err.Error(), "message from 0: core: corrupt message header") {
+		t.Errorf("count in a skipped slot: err = %v, want corrupt message header from 0", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package costmodel reconciles the paper's predicted I/O cost with the
 // simulation's measured behaviour. For every compound superstep it
 // computes the parallel-I/O count the Theorem 2/3 accounting predicts —
-// λ context swaps at ⌈c/(DB)⌉ striped operations each, plus the
+// context swaps at ⌈live blocks/D⌉ striped operations each, plus the
 // message-matrix FIFO schedule replayed symbolically over the staggered
 // layout — and records it side-by-side with the measured obs span
 // (duration, CtxOps/MsgOps/Blocks) in a per-run Ledger. Predicted counts
@@ -9,10 +9,18 @@
 // pdm.TimeModel then converts both into modelled time so measured wall
 // time has a closed-form prediction to drift against.
 //
-// The predictor never touches a disk: layout.Matrix/Rect block addresses
-// depend on BaseTrack only through the Track field, and the FIFO packing
-// rule depends only on the Disk sequence, so the schedule can be replayed
-// at BaseTrack 0 from the geometry parameters alone.
+// The engine transfers the live block prefix of every context and message
+// image (DESIGN.md §18), so the prediction is a function of the geometry
+// and of the run's Sizes — how many items each context and each message
+// held, round by round. Sizes are the predictor's only view of the data:
+// it never sees an operation counter and never touches a disk.
+// layout.Matrix/Rect block addresses depend on BaseTrack only through the
+// Track field, and the FIFO packing rule depends only on the Disk
+// sequence, so the schedule is replayed at BaseTrack 0. With every image
+// at its declared maximum the prediction is the Theorem 2/3 full-image
+// count, which bounds every run from above: a live-prefix request sequence
+// is a subsequence of the full one, and greedy FIFO packing of a
+// subsequence never needs more cycles.
 package costmodel
 
 import (
@@ -22,10 +30,12 @@ import (
 
 // Machine captures the geometry a run was simulated with — everything
 // the Theorem 2/3 predictor needs, all derivable from core.Config plus
-// the program's limits. CB is blocks per context (⌈c/B⌉), BPM blocks per
-// message slot (b′). Rounds is the number of compound rounds the run
-// executed; the terminal round skips outbox writes (sequential) and
-// lands no batches (parallel), so prediction needs it.
+// the program's limits. CB is blocks per context run (⌈c/B⌉), BPM blocks
+// per message slot (b′) — the fixed-address geometry; Words is the item
+// width that turns Sizes into live blocks. Rounds is the number of
+// compound rounds the run executed; the terminal round writes neither
+// contexts nor outboxes (sequential) and lands no batches (parallel), so
+// prediction needs it.
 type Machine struct {
 	Par      bool `json:"par"`
 	V        int  `json:"v"`
@@ -36,6 +46,7 @@ type Machine struct {
 	BPM      int  `json:"bpm"`
 	Rounds   int  `json:"rounds"`
 	CacheCtx bool `json:"cacheCtx,omitempty"` // parallel machine kept contexts resident
+	Words    int  `json:"words,omitempty"`    // words per encoded item
 	// Depth is the pipeline window depth the run finished with (1 =
 	// synchronous schedule). The Theorem 2/3 op-count predictor ignores
 	// it — the operation multiset is depth-invariant by construction —
@@ -52,42 +63,27 @@ func (m Machine) LocalV() int {
 	return m.V
 }
 
-// predictor memoizes the FIFO operation counts of a machine's message
-// schedule. All counts are lazily computed: a 2-round run never prices
-// the odd-parity tables.
+// predictor replays a machine's transfer schedule from a run's sizes.
 type predictor struct {
-	m    Machine
-	used []bool
-
-	// Sequential machine: ops by (round parity, VP).
-	seqInbox  [2][]int64
-	seqOutbox [2][]int64
-
-	// Parallel machine: region (inbox) ops by local VP; route ops by
-	// source VP (the cost of landing one batch: localV slot writes).
-	parRegion []int64
-	parRoute  []int64
-	reqs      []pdm.BlockReq
+	m     Machine
+	sz    *Sizes
+	mat   layout.Matrix
+	rect  layout.Rect
+	used  []bool
+	live  []int // live blocks per slot of the inbox or outbox being priced
+	reqs  []pdm.BlockReq
+	valid bool // the geometry is one layout accepts
 }
 
-const unpriced = -1
-
-func newPredictor(m Machine) *predictor {
-	p := &predictor{m: m, used: make([]bool, m.D)}
-	fill := func(n int) []int64 {
-		s := make([]int64, n)
-		for i := range s {
-			s[i] = unpriced
-		}
-		return s
-	}
+func newPredictor(m Machine, sz *Sizes) *predictor {
+	p := &predictor{m: m, sz: sz, used: make([]bool, m.D), live: make([]int, m.V)}
+	var err error
 	if m.Par {
-		p.parRegion = fill(m.LocalV())
-		p.parRoute = fill(m.V)
+		p.rect, err = layout.NewRect(m.V, m.LocalV(), m.BPM, m.D, 0)
 	} else {
-		p.seqInbox = [2][]int64{fill(m.V), fill(m.V)}
-		p.seqOutbox = [2][]int64{fill(m.V), fill(m.V)}
+		p.mat, err = layout.NewMatrix(m.V, m.BPM, m.D, 0)
 	}
+	p.valid = err == nil && sz != nil
 	return p
 }
 
@@ -114,119 +110,119 @@ func (p *predictor) fifoOps(reqs []pdm.BlockReq) int64 {
 // stripedOps is the cost of a striped transfer of n blocks over d disks.
 func stripedOps(n, d int) int64 { return int64((n + d - 1) / d) }
 
-// ctxOps is the cost of one context transfer (one direction).
-func (p *predictor) ctxOps() int64 { return stripedOps(p.m.CB, p.m.D) }
+// liveBlocks is the live prefix of an image holding n items: the blocks
+// the count header and the items reach.
+func (p *predictor) liveBlocks(n int) int { return pdm.BlocksFor(1+n*p.m.Words, p.m.B) }
 
-// seqInboxOps prices VP j's inbox read in the given round.
-func (p *predictor) seqInboxOps(round, j int) int64 {
-	par := round & 1
-	if p.seqInbox[par][j] == unpriced {
-		m, err := layout.NewMatrix(p.m.V, p.m.BPM, p.m.D, 0)
-		if err != nil {
-			return unpriced
-		}
-		p.reqs = m.AppendInboxReqs(p.reqs[:0], round, j)
-		p.seqInbox[par][j] = p.fifoOps(p.reqs)
+// ctxOps is the cost of moving VP j's context as round r reads it, one
+// direction.
+func (p *predictor) ctxOps(r, j int) int64 {
+	if p.m.Par && p.m.CacheCtx {
+		return 0
 	}
-	return p.seqInbox[par][j]
+	return stripedOps(p.liveBlocks(p.sz.Ctx[r][j]), p.m.D)
 }
 
-// seqOutboxOps prices VP j's outbox write in the given round.
-func (p *predictor) seqOutboxOps(round, j int) int64 {
-	par := round & 1
-	if p.seqOutbox[par][j] == unpriced {
-		m, err := layout.NewMatrix(p.m.V, p.m.BPM, p.m.D, 0)
-		if err != nil {
-			return unpriced
-		}
-		p.reqs = m.AppendOutboxReqs(p.reqs[:0], round, j)
-		p.seqOutbox[par][j] = p.fifoOps(p.reqs)
+// msgBlocks is the live prefix of the message src sent dst in round r; an
+// empty message has none.
+func (p *predictor) msgBlocks(r, src, dst int) int {
+	if items := p.sz.Msg[r][src*p.m.V+dst]; items > 0 {
+		return p.liveBlocks(items)
 	}
-	return p.seqOutbox[par][j]
+	return 0
 }
 
-// parRegionOps prices local VP l's inbox read (whole region of the
-// rectangular matrix). Both ping-pong rects share one Disk sequence —
-// BaseTrack never reaches the Disk field — so parity does not matter.
-func (p *predictor) parRegionOps(l int) int64 {
-	if p.parRegion[l] == unpriced {
-		r, err := layout.NewRect(p.m.V, p.m.LocalV(), p.m.BPM, p.m.D, 0)
-		if err != nil {
-			return unpriced
-		}
-		p.reqs = r.AppendRegionReqs(p.reqs[:0], l)
-		p.parRegion[l] = p.fifoOps(p.reqs)
+// inboxOps prices VP j's inbox read in round ≥ 1: the messages round−1
+// sent it, from the sequential machine's matrix or from local VP j mod
+// v/p's region of the parallel machine's rectangle. Both ping-pong rects
+// share one Disk sequence — BaseTrack never reaches the Disk field — so
+// parity does not matter there.
+func (p *predictor) inboxOps(round, j int) int64 {
+	for src := range p.live {
+		p.live[src] = p.msgBlocks(round-1, src, j)
 	}
-	return p.parRegion[l]
+	if p.m.Par {
+		p.reqs = p.rect.AppendRegionPrefixReqs(p.reqs[:0], j%p.m.LocalV(), p.live)
+	} else {
+		p.reqs = p.mat.AppendInboxPrefixReqs(p.reqs[:0], round, j, p.live)
+	}
+	return p.fifoOps(p.reqs)
 }
 
-// parRouteOps prices landing one batch from source VP a: the receiving
-// processor writes a's slot in every local region with one FIFO call.
-func (p *predictor) parRouteOps(a int) int64 {
-	if p.parRoute[a] == unpriced {
-		r, err := layout.NewRect(p.m.V, p.m.LocalV(), p.m.BPM, p.m.D, 0)
-		if err != nil {
-			return unpriced
-		}
-		p.reqs = p.reqs[:0]
-		for dl := 0; dl < p.m.LocalV(); dl++ {
-			p.reqs = r.AppendSlotReqs(p.reqs, dl, a)
-		}
-		p.parRoute[a] = p.fifoOps(p.reqs)
+// outboxOps prices the sequential machine's outbox write of VP j.
+func (p *predictor) outboxOps(round, j int) int64 {
+	for dst := range p.live {
+		p.live[dst] = p.msgBlocks(round, j, dst)
 	}
-	return p.parRoute[a]
+	p.reqs = p.mat.AppendOutboxPrefixReqs(p.reqs[:0], round, j, p.live)
+	return p.fifoOps(p.reqs)
 }
 
-// routeTotalOps prices one processor's full route phase in a
-// non-terminal round: every processor receives exactly V batches, one
-// per virtual processor in the machine, all non-final.
-func (p *predictor) routeTotalOps() int64 {
+// routeOps prices one processor's route phase in a non-terminal round: it
+// lands exactly V batches, one per virtual processor in the machine, each
+// as one FIFO call over the source's slot in every local region.
+func (p *predictor) routeOps(round, proc int) int64 {
+	lv := p.m.LocalV()
 	total := int64(0)
 	for a := 0; a < p.m.V; a++ {
-		total += p.parRouteOps(a)
+		p.reqs = p.reqs[:0]
+		for dl := 0; dl < lv; dl++ {
+			p.reqs = p.rect.AppendSlotReqs(p.reqs, dl, a, p.msgBlocks(round, a, proc*lv+dl))
+		}
+		total += p.fifoOps(p.reqs)
 	}
 	return total
 }
 
-// initOps prices the input-distribution phase: one striped context write
-// per virtual processor (zero when the parallel machine caches contexts).
-func (p *predictor) initOps() int64 {
-	if p.m.Par && p.m.CacheCtx {
-		return 0
-	}
-	return int64(p.m.V) * p.ctxOps()
-}
-
 // predictRow prices one recorded superstep row, returning its predicted
 // context and message parallel I/Os.
-func (p *predictor) predictRow(label string, round, vp int) (ctx, msg int64) {
+func (p *predictor) predictRow(label string, round, vp, proc int) (ctx, msg int64) {
+	if !p.valid {
+		return 0, 0
+	}
 	terminal := round == p.m.Rounds-1
 	switch label {
 	case "init":
-		return p.initOps(), 0
+		// One striped write per virtual processor, of the prefix round 0
+		// reads back.
+		for j := 0; j < p.m.V; j++ {
+			ctx += p.ctxOps(0, j)
+		}
 	case "superstep":
-		if p.m.Par {
-			if !p.m.CacheCtx {
-				ctx = 2 * p.ctxOps()
-			}
-			if round > 0 {
-				msg = p.parRegionOps(vp % p.m.LocalV())
-			}
-			return ctx, msg
-		}
-		ctx = 2 * p.ctxOps()
-		if round > 0 {
-			msg = p.seqInboxOps(round, vp)
-		}
+		ctx = p.ctxOps(round, vp)
 		if !terminal {
-			msg += p.seqOutboxOps(round, vp)
+			ctx += p.ctxOps(round+1, vp)
 		}
-		return ctx, msg
+		if round > 0 {
+			msg = p.inboxOps(round, vp)
+		}
+		if !terminal && !p.m.Par {
+			msg += p.outboxOps(round, vp)
+		}
 	case "route":
-		if terminal {
-			return 0, 0
+		if !terminal {
+			msg = p.routeOps(round, proc)
 		}
-		return 0, p.routeTotalOps()
 	}
-	return 0, 0
+	return ctx, msg
+}
+
+// Predict prices a whole run of machine m from its sizes alone: the init
+// row, every virtual processor's superstep in each of m.Rounds rounds and,
+// on the parallel machine, every processor's route phase. It is what the
+// ledger's rows sum to, without a recorded run to take the rows from.
+func Predict(m Machine, sz *Sizes) (ctx, msg int64) {
+	p := newPredictor(m, sz)
+	ctx, _ = p.predictRow("init", -1, -1, -1)
+	for r := 0; r < m.Rounds; r++ {
+		for j := 0; j < m.V; j++ {
+			c, g := p.predictRow("superstep", r, j, -1)
+			ctx, msg = ctx+c, msg+g
+		}
+		for i := 0; m.Par && i < m.P; i++ {
+			_, g := p.predictRow("route", r, -1, i)
+			msg += g
+		}
+	}
+	return ctx, msg
 }

@@ -240,7 +240,10 @@ func raceDetector() bool {
 // write-behind, the workers fuse each disk's adjacent context runs, and
 // ModelWall must price the row as those batches — within the ledger's
 // ±30% — where one OpTime per operation, the synchronous price, is
-// several times too high.
+// several times too high. Only the live prefix of a context run is
+// written: contexts that fill their runs are adjacent on disk and fuse
+// into one positioning per call, half-full ones leave gaps and each
+// positions anew, and the price must follow both.
 func TestModelWallPricesPipelinedInit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sleeps real time")
@@ -251,7 +254,15 @@ func TestModelWallPricesPipelinedInit(t *testing.T) {
 		t.Skip("the modelled device does not dominate under the race detector")
 	}
 	const v, d, b = 8, 2, 4096
-	const maxCtx = 16*b - 1 // 16 blocks per context: 8 tracks per disk
+	const maxCtx = 16*b - 1 // 16 blocks per context run: 8 tracks per disk
+	for _, items := range []int{maxCtx, maxCtx / 2} {
+		t.Run(fmt.Sprintf("items=%d", items), func(t *testing.T) { modelWallInit(t, v, d, b, maxCtx, items) })
+	}
+}
+
+// modelWallInit is one arm of TestModelWallPricesPipelinedInit: contexts of
+// items items in runs sized for maxCtx.
+func modelWallInit(t *testing.T, v, d, b, maxCtx, items int) {
 	tm := pdm.TimeModel{Seek: time.Millisecond, TransferBytesPerSec: 100e6}
 	// Host noise (a collection, a neighbour on the machine) only ever adds
 	// to a 25 ms phase, so the measurement is the best of three runs.
@@ -265,7 +276,7 @@ func TestModelWallPricesPipelinedInit(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("validate: %v", err)
 		}
-		if _, err := core.RunSeq[int64](oneRound{}, wordcodec.I64{}, cfg, cgm.Scatter(workload.Int64s(8, 1<<10), v)); err != nil {
+		if _, err := core.RunSeq[int64](oneRound{}, wordcodec.I64{}, cfg, cgm.Scatter(workload.Int64s(8, v*items), v)); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		if err := led.Reconcile(); err != nil {
@@ -290,8 +301,9 @@ func TestModelWallPricesPipelinedInit(t *testing.T) {
 	if ratio < 0.70 || ratio > 1.30 {
 		t.Fatalf("modelled init %v vs measured %v: ratio %.3f outside [0.70, 1.30]", model, meas, ratio)
 	}
-	if perOp < 2*meas {
-		t.Fatalf("per-op price %v is within 2x of the measured %v: the phase did not coalesce", perOp, meas)
+	// (≈ 3x for adjacent runs, ≈ 1.9x when every context positions anew.)
+	if 2*perOp < 3*meas {
+		t.Fatalf("per-op price %v is within 1.5x of the measured %v: the phase did not coalesce", perOp, meas)
 	}
 	if whole, rest := run.ModelWall(tm), time.Duration(run.PredOps-initOps)*tm.OpTime(b); whole != model+rest {
 		t.Fatalf("ModelWall = %v, want init %v + %v for the remaining rows", whole, model, rest)

@@ -106,25 +106,39 @@ func (r Run) ModelWall(tm pdm.TimeModel) time.Duration {
 // distributes the inputs as write-behind over its ring of Depth slots
 // (a ledger written before Depth was recorded reads as 0 and prices as
 // depth 1): contexts are stored in consecutive format, so each disk's
-// share is one ascending contiguous run of ⌈cb/D⌉ tracks per context, of
-// which at most Depth contexts are queued at once. Each turn of that
-// window costs the batching worker one call for the refill's first track
-// — it is idle when the refill starts and takes what is queued — and the
-// rest of the window in calls of at most pdm.MaxBatchTracks tracks, each
-// positioning once.
+// share of a context is one ascending contiguous run of tracks — the live
+// prefix, ops/V of them on average — and at most Depth contexts are
+// queued at once. Each turn of that window costs the batching worker one
+// call for the refill's first track — it is idle when the refill starts
+// and takes what is queued — and the rest of the window in calls of at
+// most pdm.MaxBatchTracks tracks. A call positions once per contiguous
+// run it touches: contexts that fill their fixed-address runs are
+// adjacent on disk and fuse into one run, shorter ones leave a gap and
+// each positions anew.
 func (r Run) initWall(tm pdm.TimeModel, ops int64) time.Duration {
 	m := r.Machine
 	depth := max(m.Depth, 1)
 	if ops == 0 {
 		return 0 // resident contexts: nothing is written
 	}
-	perCtx := int(stripedOps(m.CB, m.D))
+	perCtx := int((ops + int64(m.V) - 1) / int64(m.V))
+	pos := tm.Seek + tm.Rotate/2 // BatchTime's once-per-run term
 	var total time.Duration
 	for left := m.LocalV(); left > 0; left -= depth {
-		total += tm.BatchTime(m.B, 1)
-		for w := min(left, depth)*perCtx - 1; w > 0; w -= pdm.MaxBatchTracks {
-			total += tm.BatchTime(m.B, min(w, pdm.MaxBatchTracks))
+		w := min(left, depth) * perCtx
+		run := perCtx
+		if int64(perCtx) == stripedOps(m.CB, m.D) {
+			run = w
 		}
+		// Track t opens a call (the first track alone, then every
+		// MaxBatchTracks) or a contiguous piece: either way the head moves.
+		positions := 0
+		for t := 0; t < w; t++ {
+			if t == 0 || (t-1)%pdm.MaxBatchTracks == 0 || t%run == 0 {
+				positions++
+			}
+		}
+		total += time.Duration(positions-1)*pos + tm.BatchTime(m.B, w)
 	}
 	return total
 }
@@ -175,19 +189,19 @@ func (l *Ledger) SetRunName(name string) {
 	}
 }
 
-// AddRun prices the recorded superstep rows of one driver run against
-// machine geometry m and appends the resulting Run. The drivers call
-// this once per successful run, passing the rows recorded since the run
-// began and the Result totals.
-func (l *Ledger) AddRun(m Machine, steps []obs.SuperstepIO, totals RunTotals) {
+// AddRun prices the recorded superstep rows of one engine run against
+// machine geometry m and the item counts sz the run held, and appends the
+// resulting Run. The engine calls this once per successful run, passing
+// the rows recorded since the run began and the Result totals.
+func (l *Ledger) AddRun(m Machine, sz *Sizes, steps []obs.SuperstepIO, totals RunTotals) {
 	if l == nil {
 		return
 	}
-	pred := newPredictor(m)
+	pred := newPredictor(m, sz)
 	run := Run{Machine: m, Totals: totals, Rows: make([]Row, 0, len(steps))}
 	var first, last time.Duration
 	for i, s := range steps {
-		pc, pm := pred.predictRow(s.Label, s.Round, s.VP)
+		pc, pm := pred.predictRow(s.Label, s.Round, s.VP, s.Proc)
 		run.Rows = append(run.Rows, Row{
 			Proc: s.Proc, Round: s.Round, VP: s.VP, Label: s.Label,
 			PredCtxOps: pc, PredMsgOps: pm,

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -442,5 +443,88 @@ func TestStripedRoundTripProperty(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The live-prefix request sequences are the full-image ones with the tail
+// of every slot cut off: a nil table gives the whole slots, a table gives
+// a subsequence in the same order — which is why greedy FIFO packing never
+// needs more cycles for it — and SplitPrefixesInto hands out exactly the
+// buffers that pair with it, so what is written through the outbox
+// prefixes of one phase is what the inbox prefixes of the next read back.
+func TestPrefixReqs(t *testing.T) {
+	const v, bpm, d, b = 5, 3, 4, 2
+	m, err := NewMatrix(v, bpm, d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRect(v, 2, bpm, d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subsequence := func(sub, full []pdm.BlockReq) bool {
+		i := 0
+		for _, q := range full {
+			if i < len(sub) && sub[i] == q {
+				i++
+			}
+		}
+		return i == len(sub)
+	}
+	cycles := func(reqs []pdm.BlockReq) int {
+		n, err := WriteFIFO(pdm.NewMemArray(d, b), reqs, SplitBlocks(make([]pdm.Word, len(reqs)*b), b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	live := []int{2, 0, 3, 1, 0} // per slot: whole, empty and partial prefixes
+	total := 2 + 0 + 3 + 1 + 0
+	for phase := 0; phase < 2; phase++ {
+		for vp := 0; vp < v; vp++ {
+			for name, pair := range map[string][2][]pdm.BlockReq{
+				"inbox":  {m.AppendInboxPrefixReqs(nil, phase, vp, live), m.InboxReqs(phase, vp)},
+				"outbox": {m.AppendOutboxPrefixReqs(nil, phase, vp, live), m.OutboxReqs(phase, vp)},
+			} {
+				sub, full := pair[0], pair[1]
+				if len(sub) != total || !subsequence(sub, full) {
+					t.Fatalf("%s phase %d vp %d: %v is not the %d-block subsequence of %v", name, phase, vp, sub, total, full)
+				}
+				if cs, cf := cycles(sub), cycles(full); cs > cf {
+					t.Errorf("%s phase %d vp %d: prefix sequence packs into %d cycles, the full one into %d", name, phase, vp, cs, cf)
+				}
+			}
+		}
+	}
+	if got, want := m.AppendInboxPrefixReqs(nil, 1, 2, nil), m.InboxReqs(1, 2); !slices.Equal(got, want) {
+		t.Errorf("nil table: %v, want the whole inbox %v", got, want)
+	}
+	if sub, full := r.AppendRegionPrefixReqs(nil, 1, live), r.RegionReqs(1); len(sub) != total || !subsequence(sub, full) {
+		t.Errorf("rect region: %v is not the %d-block subsequence of %v", sub, total, full)
+	}
+	if got, want := r.AppendSlotReqs(nil, 1, 3, 2), r.SlotReqs(1, 3)[:2]; !slices.Equal(got, want) {
+		t.Errorf("rect slot prefix: %v, want %v", got, want)
+	}
+
+	// Round trip: VP 1's outbox prefixes of phase 0 are read back, slot by
+	// slot, by the inbox prefixes of phase 1 of each destination.
+	arr := pdm.NewMemArray(d, b)
+	flat := make([]pdm.Word, v*bpm*b)
+	for i := range flat {
+		flat[i] = pdm.Word(1000 + i)
+	}
+	if _, err := WriteFIFO(arr, m.AppendOutboxPrefixReqs(nil, 0, 1, live), SplitPrefixesInto(nil, flat, b, bpm, live)); err != nil {
+		t.Fatal(err)
+	}
+	for dst, n := range live {
+		only := make([]int, v)
+		only[1] = n // the message from VP 1
+		got := make([]pdm.Word, v*bpm*b)
+		if _, err := ReadFIFO(arr, m.AppendInboxPrefixReqs(nil, 1, dst, only), SplitPrefixesInto(nil, got, b, bpm, only)); err != nil {
+			t.Fatal(err)
+		}
+		if want := flat[dst*bpm*b : dst*bpm*b+n*b]; !slices.Equal(got[bpm*b:bpm*b+n*b], want) {
+			t.Errorf("message 1→%d: read back %v, wrote %v", dst, got[bpm*b:bpm*b+n*b], want)
+		}
 	}
 }

@@ -100,11 +100,19 @@ func (m Matrix) InboxReqs(phase, dst int) []pdm.BlockReq {
 // AppendInboxReqs is InboxReqs appending into caller-owned storage.
 // emcgm:hotpath
 func (m Matrix) AppendInboxReqs(reqs []pdm.BlockReq, phase, dst int) []pdm.BlockReq {
+	return m.AppendInboxPrefixReqs(reqs, phase, dst, nil)
+}
+
+// AppendInboxPrefixReqs is AppendInboxReqs restricted to the live prefix
+// of every slot: only the first live[src] blocks of the message from src
+// are requested, in the same slot-major order (a nil live means every
+// slot whole). The result is a subsequence of the full-image sequence, so
+// greedy FIFO packing never needs more cycles for it.
+// emcgm:hotpath
+func (m Matrix) AppendInboxPrefixReqs(reqs []pdm.BlockReq, phase, dst int, live []int) []pdm.BlockReq {
 	for src := 0; src < m.V; src++ {
 		r, a := m.Place(phase, src, dst)
-		for q := 0; q < m.BPM; q++ {
-			reqs = append(reqs, m.SlotBlock(r, a, q))
-		}
+		reqs = m.appendSlot(reqs, r, a, prefixLen(live, src, m.BPM))
 	}
 	return reqs
 }
@@ -121,11 +129,35 @@ func (m Matrix) OutboxReqs(phase, src int) []pdm.BlockReq {
 // AppendOutboxReqs is OutboxReqs appending into caller-owned storage.
 // emcgm:hotpath
 func (m Matrix) AppendOutboxReqs(reqs []pdm.BlockReq, phase, src int) []pdm.BlockReq {
+	return m.AppendOutboxPrefixReqs(reqs, phase, src, nil)
+}
+
+// AppendOutboxPrefixReqs is AppendOutboxReqs restricted to the first
+// live[dst] blocks of the message to every dst (nil: every slot whole).
+// emcgm:hotpath
+func (m Matrix) AppendOutboxPrefixReqs(reqs []pdm.BlockReq, phase, src int, live []int) []pdm.BlockReq {
 	for dst := 0; dst < m.V; dst++ {
 		r, a := m.Place(phase+1, src, dst)
-		for q := 0; q < m.BPM; q++ {
-			reqs = append(reqs, m.SlotBlock(r, a, q))
-		}
+		reqs = m.appendSlot(reqs, r, a, prefixLen(live, dst, m.BPM))
 	}
 	return reqs
+}
+
+// appendSlot appends the first n blocks of slot a of region r.
+// emcgm:hotpath
+func (m Matrix) appendSlot(reqs []pdm.BlockReq, r, a, n int) []pdm.BlockReq {
+	for q := 0; q < n; q++ {
+		reqs = append(reqs, m.SlotBlock(r, a, q))
+	}
+	return reqs
+}
+
+// prefixLen is slot i's entry of a live-block table, or the whole slot
+// when there is no table.
+// emcgm:hotpath
+func prefixLen(live []int, i, bpm int) int {
+	if live == nil {
+		return bpm
+	}
+	return live[i]
 }

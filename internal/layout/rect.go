@@ -53,12 +53,13 @@ func (m Rect) SlotBlock(r, a, q int) pdm.BlockReq {
 // SlotReqs returns the BPM block requests of slot a in region r, in block
 // order.
 func (m Rect) SlotReqs(r, a int) []pdm.BlockReq {
-	return m.AppendSlotReqs(make([]pdm.BlockReq, 0, m.BPM), r, a)
+	return m.AppendSlotReqs(make([]pdm.BlockReq, 0, m.BPM), r, a, m.BPM)
 }
 
-// AppendSlotReqs is SlotReqs appending into caller-owned storage.
-func (m Rect) AppendSlotReqs(reqs []pdm.BlockReq, r, a int) []pdm.BlockReq {
-	for q := 0; q < m.BPM; q++ {
+// AppendSlotReqs appends the requests of the first n blocks of slot a in
+// region r — the slot's live prefix; n = BPM is the whole slot.
+func (m Rect) AppendSlotReqs(reqs []pdm.BlockReq, r, a, n int) []pdm.BlockReq {
+	for q := 0; q < n; q++ {
 		reqs = append(reqs, m.SlotBlock(r, a, q))
 	}
 	return reqs
@@ -67,15 +68,15 @@ func (m Rect) AppendSlotReqs(reqs []pdm.BlockReq, r, a int) []pdm.BlockReq {
 // RegionReqs returns the block requests of the whole region r (Slots·BPM
 // blocks, consecutive on disk), grouped slot by slot.
 func (m Rect) RegionReqs(r int) []pdm.BlockReq {
-	return m.AppendRegionReqs(make([]pdm.BlockReq, 0, m.Slots*m.BPM), r)
+	return m.AppendRegionPrefixReqs(make([]pdm.BlockReq, 0, m.Slots*m.BPM), r, nil)
 }
 
-// AppendRegionReqs is RegionReqs appending into caller-owned storage.
-func (m Rect) AppendRegionReqs(reqs []pdm.BlockReq, r int) []pdm.BlockReq {
+// AppendRegionPrefixReqs appends the requests of the first live[a] blocks
+// of every slot a of region r, slot by slot (a nil live means every slot
+// whole), into caller-owned storage.
+func (m Rect) AppendRegionPrefixReqs(reqs []pdm.BlockReq, r int, live []int) []pdm.BlockReq {
 	for a := 0; a < m.Slots; a++ {
-		for q := 0; q < m.BPM; q++ {
-			reqs = append(reqs, m.SlotBlock(r, a, q))
-		}
+		reqs = m.AppendSlotReqs(reqs, r, a, prefixLen(live, a, m.BPM))
 	}
 	return reqs
 }

@@ -76,6 +76,19 @@ func SplitBlocksInto(dst [][]pdm.Word, ws []pdm.Word, b int) [][]pdm.Word {
 	return dst
 }
 
+// SplitPrefixesInto is SplitBlocksInto over the live prefixes of equal
+// slots: ws holds len(live) slot images of slotBlocks blocks each, back to
+// back, and only the first live[i] blocks of slot i are appended — the
+// buffers that pair with the layouts' …PrefixReqs request sequences.
+// emcgm:hotpath
+func SplitPrefixesInto(dst [][]pdm.Word, ws []pdm.Word, b, slotBlocks int, live []int) [][]pdm.Word {
+	for i, n := range live {
+		off := i * slotBlocks * b
+		dst = SplitBlocksInto(dst, ws[off:off+n*b], b)
+	}
+	return dst
+}
+
 // WriteStripedScratch is WriteStriped with caller-owned scratch: the
 // per-cycle request slices come from s instead of fresh allocations.
 // emcgm:hotpath

@@ -146,8 +146,9 @@ func TestPermuteProperty(t *testing.T) {
 
 // The structured permutation classes of Section 1.2 (bit reversal, cyclic
 // shift, matrix re-blocking) are worst cases for naive external
-// permutation; CGMPermute handles them all in λ = 2 rounds with the same
-// I/O as a random permutation.
+// permutation; CGMPermute handles them all in λ = 2 rounds, with the same
+// context I/O as a random permutation and message I/O that depends only
+// on how the items spread over the v² messages.
 func TestStructuredPermutationClasses(t *testing.T) {
 	const k = 10
 	n := 1 << k
@@ -157,13 +158,14 @@ func TestStructuredPermutationClasses(t *testing.T) {
 		"cyclic-shift": workload.CyclicShiftPermutation(n, n/3),
 		"re-blocking":  workload.MatrixReblockPermutation(32, 32, 8),
 	}
-	var randomOps int64
-	{
-		_, res, err := EMPermute(vals, workload.Permutation(2, n), core.Config{V: 4, P: 2, D: 2, B: 32})
-		if err != nil {
-			t.Fatal(err)
-		}
-		randomOps = res.IO.ParallelOps
+	// What this geometry costs when every context run and message slot is
+	// moved whole — the content-oblivious count, and the upper bound of any
+	// live-prefix run (it was the pinned count of ops_regression_test.go's
+	// permute-par case until PR 22).
+	const fullImageOps = 468
+	_, random, err := EMPermute(vals, workload.Permutation(2, n), core.Config{V: 4, P: 2, D: 2, B: 32})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for name, dests := range classes {
 		got, res, err := EMPermute(vals, dests, core.Config{V: 4, P: 2, D: 2, B: 32})
@@ -176,10 +178,16 @@ func TestStructuredPermutationClasses(t *testing.T) {
 				t.Fatalf("%s: out[%d] = %d, want %d", name, i, got[i], want[i])
 			}
 		}
-		// Content-oblivious schedule: structured classes cost the same as
-		// random (the deterministic simulation's defining property).
-		if res.IO.ParallelOps != randomOps {
-			t.Errorf("%s: %d ops, random permutation took %d", name, res.IO.ParallelOps, randomOps)
+		// Content-oblivious addresses, live-prefix transfers: the contexts
+		// are the same N/v items whatever the permutation, so the context
+		// I/O is the random permutation's; the message I/O follows the
+		// message sizes and stays under the full-image count.
+		if res.Rounds != random.Rounds || res.CtxOps != random.CtxOps {
+			t.Errorf("%s: %d rounds, %d context ops; random permutation took %d and %d",
+				name, res.Rounds, res.CtxOps, random.Rounds, random.CtxOps)
+		}
+		if res.IO.ParallelOps > fullImageOps {
+			t.Errorf("%s: %d ops, above the full-image count %d", name, res.IO.ParallelOps, fullImageOps)
 		}
 	}
 }

@@ -25,10 +25,12 @@ func TestTournamentSorterCorrect(t *testing.T) {
 	}
 }
 
-// The round-count ablation (Theorem 2's λ factor): at equal N the
-// tournament sorter's EM I/O exceeds PSRS's, and the gap widens with v.
+// The round-count ablation (Theorem 2's λ factor): every round swaps the
+// live data once, so at equal N the sorter with more rounds pays more EM
+// I/O — the tournament's ⌈log₂ v⌉ + 1 rounds are one fewer than PSRS's
+// four at v = 4 and one more at v = 16 — and the gap widens with v.
 func TestRoundAblationPSRSvsTournament(t *testing.T) {
-	const n = 1 << 13
+	const n = 1 << 15
 	in := workload.Int64s(9, n)
 	gap := map[int]float64{}
 	for _, v := range []int{4, 16} {
@@ -44,9 +46,9 @@ func TestRoundAblationPSRSvsTournament(t *testing.T) {
 		}
 		checkSorted(t, "psrs", psrs.Output(), in)
 		checkSorted(t, "tournament", tour.Output(), in)
-		if tour.IO.ParallelOps <= psrs.IO.ParallelOps {
-			t.Errorf("v=%d: tournament I/O %d not above PSRS %d",
-				v, tour.IO.ParallelOps, psrs.IO.ParallelOps)
+		if (tour.Rounds > psrs.Rounds) != (tour.IO.ParallelOps > psrs.IO.ParallelOps) {
+			t.Errorf("v=%d: tournament %d rounds, %d I/Os; PSRS %d rounds, %d I/Os: the I/O does not follow λ",
+				v, tour.Rounds, tour.IO.ParallelOps, psrs.Rounds, psrs.IO.ParallelOps)
 		}
 		gap[v] = float64(tour.IO.ParallelOps) / float64(psrs.IO.ParallelOps)
 	}

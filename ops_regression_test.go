@@ -3,22 +3,60 @@ package repro
 // The PDM accounting is the correctness contract of the simulation: the
 // paper's theorems bound ParallelOps, and every performance optimisation
 // of the hot path (persistent disk workers, pooled superstep scratch,
-// bulk codecs) must leave the counted operations bit-identical. The
-// expected values below were captured from the seed implementation
-// (commit 32bc9f4, goroutine-per-op dispatch and per-round allocation)
-// and pin the cost model in place.
+// bulk codecs, the window depth) must leave the counted operations
+// bit-identical. The expected values below are pinned twice: as numbers,
+// and as what an oracle that shares nothing with the engine derives — the
+// program is run on the in-memory cgm runtime, its per-round context and
+// message sizes are read off (costmodel.SizesOf), and the live-prefix
+// transfers those sizes imply are replayed through layout: ⌈blocks/D⌉
+// per striped context transfer, greedy FIFO packing per inbox, outbox
+// and routed batch (costmodel.Predict). Until PR 22 every image moved
+// whole and the numbers were the seed's (commit 32bc9f4: 1368 for the
+// first two rows); MaxTracks is the footprint of the same fixed
+// addresses, one track lower where the last slot's tail is never written.
 
 import (
 	"testing"
 
+	"repro/internal/balance"
 	"repro/internal/cgm"
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/pdm"
 	"repro/internal/permute"
 	"repro/internal/sortalg"
 	"repro/internal/wordcodec"
 	"repro/internal/workload"
 )
+
+// oracle derives the context and message parallel I/Os and the round
+// count of prog on the machine cfg describes (MaxMsgItems resolved; par
+// selects RunPar) without the engine.
+func oracle[T any](t *testing.T, prog cgm.Program[T], words int, cfg core.Config, par bool, parts [][]T) (ctx, msg int64, rounds int) {
+	t.Helper()
+	sz, ref, err := costmodel.SizesOf(prog, cfg.V, parts)
+	if err != nil {
+		t.Fatalf("in-memory reference: %v", err)
+	}
+	m := costmodel.Machine{Par: par, V: cfg.V, P: cfg.P, D: cfg.D, B: cfg.B, Words: words,
+		BPM: pdm.BlocksFor(1+cfg.MaxMsgItems*words, cfg.B), Rounds: ref.Stats.Rounds,
+		CacheCtx: par && cfg.CacheContexts && cfg.P == cfg.V}
+	ctx, msg = costmodel.Predict(m, sz)
+	return ctx, msg, m.Rounds
+}
+
+// sortOracle is oracle for sortalg.EMSort's machine: PSRS under RunPar,
+// lifted through BalancedRouting when cfg says so.
+func sortOracle(t *testing.T, keys []int64, cfg core.Config) (ctx, msg int64, rounds int) {
+	t.Helper()
+	cfg = sortalg.EMSortConfig(cfg, len(keys))
+	parts := cgm.Scatter(keys, cfg.V)
+	if cfg.Balanced {
+		codec := balance.Codec[int64]{Inner: wordcodec.I64{}}
+		return oracle(t, balance.Wrap[int64](sortalg.Sorter[int64]{}), codec.Words(), cfg, true, balance.WrapInputs(parts))
+	}
+	return oracle[int64](t, sortalg.Sorter[int64]{}, 1, cfg, true, parts)
+}
 
 func TestIOOpsMatchSeed(t *testing.T) {
 	type want struct {
@@ -31,11 +69,11 @@ func TestIOOpsMatchSeed(t *testing.T) {
 		balanced      bool
 		want          want
 	}{
-		{"sort-seq", 8, 1, 2, 64, 1 << 12, false, want{1368, 792, 576, 4, 297}},
-		{"sort-par", 8, 4, 2, 64, 1 << 12, false, want{1368, 792, 576, 4, 75}},
-		{"sort-par-balanced", 8, 4, 2, 64, 1 << 12, true, want{7296, 3840, 3456, 7, 213}},
-		{"sort-seq-D3", 4, 1, 3, 32, 1 << 10, false, want{444, 252, 192, 4, 100}},
-		{"sort-par-D1", 4, 2, 1, 32, 1 << 10, false, want{1332, 756, 576, 4, 142}},
+		{"sort-seq", 8, 1, 2, 64, 1 << 12, false, want{385, 256, 129, 4, 296}},
+		{"sort-par", 8, 4, 2, 64, 1 << 12, false, want{386, 256, 130, 4, 74}},
+		{"sort-par-balanced", 8, 4, 2, 64, 1 << 12, true, want{1696, 1072, 624, 7, 210}},
+		{"sort-seq-D3", 4, 1, 3, 32, 1 << 10, false, want{128, 80, 48, 4, 99}},
+		{"sort-par-D1", 4, 2, 1, 32, 1 << 10, false, want{324, 224, 100, 4, 139}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -45,20 +83,24 @@ func TestIOOpsMatchSeed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ctx, msg, rounds := sortOracle(t, keys, cfg)
+			if derived := (want{ctx + msg, ctx, msg, rounds, c.want.maxTracks}); derived != c.want {
+				t.Errorf("the oracle derives %+v, pinned %+v", derived, c.want)
+			}
 			if res.IO.ParallelOps != c.want.parallelOps {
-				t.Errorf("ParallelOps = %d, seed counted %d", res.IO.ParallelOps, c.want.parallelOps)
+				t.Errorf("ParallelOps = %d, pinned %d", res.IO.ParallelOps, c.want.parallelOps)
 			}
 			if res.CtxOps != c.want.ctxOps {
-				t.Errorf("CtxOps = %d, seed counted %d", res.CtxOps, c.want.ctxOps)
+				t.Errorf("CtxOps = %d, pinned %d", res.CtxOps, c.want.ctxOps)
 			}
 			if res.MsgOps != c.want.msgOps {
-				t.Errorf("MsgOps = %d, seed counted %d", res.MsgOps, c.want.msgOps)
+				t.Errorf("MsgOps = %d, pinned %d", res.MsgOps, c.want.msgOps)
 			}
 			if res.Rounds != c.want.rounds {
-				t.Errorf("Rounds = %d, seed counted %d", res.Rounds, c.want.rounds)
+				t.Errorf("Rounds = %d, pinned %d", res.Rounds, c.want.rounds)
 			}
 			if res.MaxTracks != c.want.maxTracks {
-				t.Errorf("MaxTracks = %d, seed counted %d", res.MaxTracks, c.want.maxTracks)
+				t.Errorf("MaxTracks = %d, pinned %d", res.MaxTracks, c.want.maxTracks)
 			}
 		})
 	}
@@ -67,12 +109,22 @@ func TestIOOpsMatchSeed(t *testing.T) {
 		const n = 1 << 10
 		vals := workload.Int64s(3, n)
 		dests := workload.Permutation(4, n)
-		_, res, err := permute.EMPermute(vals, dests, core.Config{V: 4, P: 2, D: 2, B: 32})
+		// MaxMsgItems is EMPermute's own default, spelled out for the oracle.
+		cfg := core.Config{V: 4, P: 2, D: 2, B: 32, MaxMsgItems: 4*(n/16) + 4 + 16}
+		_, res, err := permute.EMPermute(vals, dests, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.IO.ParallelOps != 468 || res.CtxOps != 180 || res.MsgOps != 288 {
-			t.Errorf("ops = (%d, ctx %d, msg %d), seed counted (468, ctx 180, msg 288)",
+		items := make([]permute.Item, n)
+		for i := range items {
+			items[i] = permute.Item{Dest: dests[i], Val: vals[i]}
+		}
+		ctx, msg, _ := oracle[permute.Item](t, permute.New(n), permute.Codec{}.Words(), cfg, true, cgm.Scatter(items, cfg.V))
+		if ctx != 80 || msg != 82 {
+			t.Errorf("the oracle derives (ctx %d, msg %d), pinned (ctx 80, msg 82)", ctx, msg)
+		}
+		if res.IO.ParallelOps != 162 || res.CtxOps != 80 || res.MsgOps != 82 {
+			t.Errorf("ops = (%d, ctx %d, msg %d), pinned (162, ctx 80, msg 82)",
 				res.IO.ParallelOps, res.CtxOps, res.MsgOps)
 		}
 	})
@@ -82,7 +134,7 @@ func TestIOOpsMatchSeed(t *testing.T) {
 	// schedule, the batched vectored path included. Accounting is charged at operation begin, so
 	// none of the backend mechanics may show up in the PDM measure.
 	t.Run("filedisk-modes", func(t *testing.T) {
-		seed := want{1368, 792, 576, 4, 297} // the sort-seq case above
+		seed := cases[0].want // the sort-seq case above
 		keys := workload.Int64s(7, 1<<12)
 		modes := []struct {
 			name   string
@@ -109,7 +161,7 @@ func TestIOOpsMatchSeed(t *testing.T) {
 				}
 				got := want{res.IO.ParallelOps, res.CtxOps, res.MsgOps, res.Rounds, res.MaxTracks}
 				if got != seed {
-					t.Errorf("ops = %+v, seed counted %+v", got, seed)
+					t.Errorf("ops = %+v, pinned %+v", got, seed)
 				}
 				if res.Syscalls < 1 {
 					t.Errorf("Syscalls = %d, want > 0 on file-backed disks", res.Syscalls)
@@ -126,21 +178,23 @@ func TestIOOpsMatchSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.IO.ParallelOps != 684 || res.CtxOps != 396 || res.MsgOps != 288 || res.MaxTracks != 94 {
-			t.Errorf("ops = (%d, ctx %d, msg %d, tracks %d), seed counted (684, ctx 396, msg 288, tracks 94)",
+		// Algorithm 2 proper: the single-copy matrix, no route phase.
+		ctx, msg, _ := oracle[int64](t, sortalg.Sorter[int64]{}, 1, cfg, false, cgm.Scatter(keys, 4))
+		if ctx != 128 || msg != 68 {
+			t.Errorf("the oracle derives (ctx %d, msg %d), pinned (ctx 128, msg 68)", ctx, msg)
+		}
+		if res.IO.ParallelOps != 196 || res.CtxOps != 128 || res.MsgOps != 68 || res.MaxTracks != 93 {
+			t.Errorf("ops = (%d, ctx %d, msg %d, tracks %d), pinned (196, ctx 128, msg 68, tracks 93)",
 				res.IO.ParallelOps, res.CtxOps, res.MsgOps, res.MaxTracks)
 		}
 	})
 
 	// The depth-k sliding window only reorders operation begins — the
-	// operation multiset, and with it every seed count above, is pinned
-	// at every window depth, sequential and parallel drivers alike.
+	// operation multiset, and with it every count above, is pinned at
+	// every window depth, at p = 1 and p = 4 alike.
 	t.Run("depth-invariance", func(t *testing.T) {
-		// The sort-seq and sort-par seed counts above, per driver.
-		seeds := map[int]want{
-			1: {1368, 792, 576, 4, 297},
-			4: {1368, 792, 576, 4, 75},
-		}
+		// The sort-seq and sort-par counts above, per p.
+		seeds := map[int]want{1: cases[0].want, 4: cases[1].want}
 		keys := workload.Int64s(7, 1<<12)
 		for _, k := range []int{1, 2, 4, 8} {
 			for p, seed := range seeds {
@@ -151,7 +205,7 @@ func TestIOOpsMatchSeed(t *testing.T) {
 				}
 				got := want{res.IO.ParallelOps, res.CtxOps, res.MsgOps, res.Rounds, res.MaxTracks}
 				if got != seed {
-					t.Errorf("k=%d p=%d: ops = %+v, seed counted %+v", k, p, got, seed)
+					t.Errorf("k=%d p=%d: ops = %+v, pinned %+v", k, p, got, seed)
 				}
 			}
 		}

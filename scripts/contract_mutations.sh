@@ -53,8 +53,8 @@ fi
 echo "contract-selftest: unmutated copy passes ($owners)"
 
 f=internal/core/initdist.go
-mutate $f 'if err := layout.BeginWriteStripedScratch(c.arr, 0, c.start, c.s.bufs, &c.s.lay, &c.sl.writes); err != nil {' 1 1 \
-	'\t\terr := layout.BeginWriteStripedScratch(c.arr, 0, c.start, c.s.bufs, &c.s.lay, &c.sl.writes)\n\t\tc.s.ctxImg[0] ^= 1\n\t\tif err != nil {'
+mutate $f 'if err := layout.BeginWriteStripedScratch(pr.arr, 0, l*e.cb, s.bufs, &s.lay, &sl.writes); err != nil {' 1 1 \
+	'\t\terr := layout.BeginWriteStripedScratch(pr.arr, 0, l*e.cb, s.bufs, &s.lay, &sl.writes)\n\t\ts.ctxImg[0] ^= 1\n\t\tif err != nil {'
 check 'touch a loaned buffer' $f TestInitCheckedEquivalence
 
 f=internal/layout/splitphase.go
@@ -71,4 +71,12 @@ check 'leak the superstep span' $f TestRunFaultDrains
 mutate $f 'chans[k] <- batch[T]{srcVP: pr.i*localV + l, final: true}' 1 1 '\t\t\t\t_ = k'
 check 'drop the compensating sends' $f TestRunFaultDrains
 
-echo "contract-selftest: all five mutations caught"
+# The length table says how many blocks are live; a reader that transfers
+# fewer must not get away with what the ring slot held before. CheckedIO
+# poisons the slot's images ahead of every prefetch, so the missing block
+# decodes as garbage (or, for a one-block context, as a corrupt header).
+mutate $f 'if err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg[:pr.ctxLive[l]*B], &s.lay, &sl.reads); err != nil {' 1 1 \
+	'\t\tif err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg[:(pr.ctxLive[l]-1)*B], &s.lay, &sl.reads); err != nil {'
+check 'read one block too few' $f TestPipelineDepthEquivalence
+
+echo "contract-selftest: all six mutations caught"
