@@ -445,21 +445,36 @@ func slotWords(maxMsg, itemWords int) int { return 1 + maxMsg*itemWords }
 func ctxWords(maxCtx, itemWords int) int { return 1 + maxCtx*itemWords }
 
 // encodeLive serialises items into the head of the fixed-address image
-// img — count header, items, zero fill to the end of the last block they
-// reach — and returns how many b-word blocks of img are now live. The rest
-// of the image is left as it was: it is neither transferred nor decoded.
-// img is caller-owned scratch sized for the declared maximum, which the
-// caller has checked len(items) against; reusing it across supersteps is
-// what keeps the hot path allocation-free.
+// img — count header, items, zero fill to the end of the last live block —
+// and returns how many b-word blocks of img are now live: the blocks that
+// the header, the items and guard further words reach, capped at the
+// image. The rest of the image is left as it was: it is neither
+// transferred nor decoded. img is caller-owned scratch sized for the
+// declared maximum, which the caller has checked len(items) against;
+// reusing it across supersteps is what keeps the hot path allocation-free.
 // emcgm:hotpath
-func encodeLive[T any](codec wordcodec.Codec[T], items []T, img []pdm.Word, b int) int {
+func encodeLive[T any](codec wordcodec.Codec[T], items []T, img []pdm.Word, b, guard int) int {
 	img[0] = pdm.Word(len(items))
 	end := 1 + len(items)*codec.Words()
 	wordcodec.EncodeInto(codec, img[1:end], items)
-	nb := pdm.BlocksFor(end, b)
+	nb := min(pdm.BlocksFor(end+guard, b), len(img)/b)
 	clear(img[end : nb*b])
 	return nb
 }
+
+// msgGuard is how far past its last word a message's live prefix reaches:
+// a quarter of a block. With N, v and B powers of two the messages of a
+// balanced h-relation average an exact number of blocks, so a prefix cut
+// at the last word would take k blocks for one half of them and k + 1 for
+// the other, whichever way the keys fell, and the I/O count of a run
+// would move with its input's low-order randomness by more than any
+// change worth measuring. Cut a quarter block later, every message within
+// −B/4 … +3B/4 words of k blocks moves k + 1, and the cut itself (at
+// three quarters of a block) is a size no power-of-two geometry averages.
+// The price is one dead block for the messages whose last block is more
+// than three quarters full.
+// emcgm:hotpath
+func msgGuard(b int) int { return b / 4 }
 
 // encodeMsg is encodeLive for one message slot: an empty message has no
 // live block at all (its reader writes the zero header itself), and a
@@ -472,7 +487,7 @@ func encodeMsg[T any](codec wordcodec.Codec[T], msg []T, maxMsg int, img []pdm.W
 	if len(msg) == 0 {
 		return 0, nil
 	}
-	return encodeLive(codec, msg, img, b), nil
+	return encodeLive(codec, msg, img, b, msgGuard(b)), nil
 }
 
 // checkCtx reports a context over the declared bound μ.

@@ -774,7 +774,7 @@ func (e *engine[T]) writeContext(pr *proc[T], round, l int, vp *cgm.VP[T], done 
 	K, B := len(pr.ring), e.cfg.B
 	sl, s := &pr.pend[l%K], pr.ring[l%K]
 	wb := e.rec.Begin(pr.track, "ctx write", "writeback")
-	pr.ctxLive[l] = encodeLive(e.codec, vp.State, s.ctxImg, B)
+	pr.ctxLive[l] = encodeLive(e.codec, vp.State, s.ctxImg, B, 0)
 	s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg[:pr.ctxLive[l]*B], B)
 	if err := layout.BeginWriteStripedScratch(pr.arr, 0, l*e.cb, s.bufs, &s.lay, &sl.writes); err != nil {
 		wb.End()

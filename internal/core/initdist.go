@@ -81,7 +81,7 @@ func (e *engine[T]) distributeInputs(inputs [][]T, track obs.TrackID) (maxObserv
 		if err := stallWait(e.rec, track, "stall init", &sl.writes, &stallNS); err != nil {
 			return fail(fmt.Errorf("core: input distribution: write context: %w", err))
 		}
-		pr.ctxLive[l] = encodeLive(e.codec, vp.State, s.ctxImg, B)
+		pr.ctxLive[l] = encodeLive(e.codec, vp.State, s.ctxImg, B, 0)
 		s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg[:pr.ctxLive[l]*B], B)
 		if err := layout.BeginWriteStripedScratch(pr.arr, 0, l*e.cb, s.bufs, &s.lay, &sl.writes); err != nil {
 			return fail(fmt.Errorf("core: input distribution: vp %d: begin context write: %w", j, err))

@@ -123,11 +123,12 @@ func (p *predictor) ctxOps(r, j int) int64 {
 	return stripedOps(p.liveBlocks(p.sz.Ctx[r][j]), p.m.D)
 }
 
-// msgBlocks is the live prefix of the message src sent dst in round r; an
-// empty message has none.
+// msgBlocks is the live prefix of the message src sent dst in round r: the
+// blocks its header and items reach and a quarter block more (core's
+// msgGuard), within the slot; an empty message has none.
 func (p *predictor) msgBlocks(r, src, dst int) int {
 	if items := p.sz.Msg[r][src*p.m.V+dst]; items > 0 {
-		return p.liveBlocks(items)
+		return min(pdm.BlocksFor(1+items*p.m.Words+p.m.B/4, p.m.B), p.m.BPM)
 	}
 	return 0
 }

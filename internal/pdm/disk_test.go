@@ -2,6 +2,7 @@ package pdm
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -148,6 +149,67 @@ func TestFileDiskErrors(t *testing.T) {
 	}
 	if err := d.WriteTrack(0, make([]Word, 4)); !errors.Is(err, ErrClosed) {
 		t.Errorf("write after close err = %v, want ErrClosed", err)
+	}
+}
+
+// A disk made over an earlier run's file starts empty on a new file — the
+// old one is unlinked, not truncated in place, so that ext4 does not take
+// the rewrite for a replace-by-truncate and flush it at close — and what
+// is not a regular file is left alone.
+func TestFileDiskReplacesFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "d0.disk")
+	old, err := NewFileDisk(path, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.WriteTrack(2, []Word{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A second link shows what became of the old file: truncated in place
+	// it would be empty under both names.
+	kept := filepath.Join(dir, "kept")
+	if err := os.Link(path, kept); err != nil {
+		t.Skipf("no hard links here: %v", err)
+	}
+	before, err := os.Stat(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewFileDisk(path, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(kept); err != nil {
+		t.Fatal(err)
+	} else if before.Size() == 0 || fi.Size() != before.Size() {
+		t.Errorf("the earlier file went from %d to %d bytes: truncated in place; want it unlinked", before.Size(), fi.Size())
+	}
+	if after.Size() != 0 || d.Tracks() != 0 {
+		t.Errorf("new disk has %d bytes, %d tracks; want none", after.Size(), d.Tracks())
+	}
+	if err := d.ReadTrack(2, make([]Word, 4)); !errors.Is(err, ErrTrackOutOfRange) {
+		t.Errorf("read of the earlier disk's track err = %v, want ErrTrackOutOfRange", err)
+	}
+
+	sub := filepath.Join(dir, "sub")
+	if err := os.Mkdir(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if bad, err := NewFileDisk(sub, 4); err == nil {
+		bad.Close()
+		t.Error("NewFileDisk over a directory succeeded")
+	}
+	if fi, err := os.Stat(sub); err != nil || !fi.IsDir() {
+		t.Errorf("the directory at the disk's path is gone (%v)", err)
 	}
 }
 

@@ -74,9 +74,22 @@ func NewFileDisk(path string, b int) (*FileDisk, error) {
 // the platform, filesystem or block geometry cannot honour degrades to
 // buffered I/O rather than failing — CI and tmpfs keep working — and
 // DirectIO() reports what was actually negotiated.
+//
+// A regular file already at path is unlinked and a new one created,
+// rather than truncated in place: ext4 (auto_da_alloc) reads truncate-
+// then-rewrite as the replace-a-file idiom and, when such a file is
+// closed, starts writing all of its dirty pages to the device, so a run
+// over the previous run's disk files would begin by waiting on the device
+// for data nobody will read — a wait that is neither the run's nor
+// repeatable. Unlinking a file whose pages were never written back costs
+// no device I/O at all. O_TRUNC stays for what the unlink leaves (not a
+// regular file, no permission).
 func NewFileDiskOpts(path string, b int, opts FileDiskOptions) (*FileDisk, error) {
 	if b < 1 {
 		return nil, fmt.Errorf("pdm: NewFileDisk with block size %d < 1", b)
+	}
+	if fi, err := os.Lstat(path); err == nil && fi.Mode().IsRegular() {
+		_ = os.Remove(path) // on failure O_TRUNC below does the job
 	}
 	const openFlags = os.O_RDWR | os.O_CREATE | os.O_TRUNC
 	trackBytes := 8 * b

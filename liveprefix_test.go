@@ -12,7 +12,9 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/obs"
 	"repro/internal/pdm"
+	"repro/internal/sortalg"
 	"repro/internal/wordcodec"
+	"repro/internal/workload"
 )
 
 // ragged keeps changing what it holds: every round each VP sends the items
@@ -197,4 +199,41 @@ func fullImageOps(m costmodel.Machine, maxCtx, maxMsg int) int64 {
 		ctx += int64(m.V) * int64((m.CB+m.D-1)/m.D)
 	}
 	return ctx + msg
+}
+
+// TestCountSteadyAcrossSeeds holds what the quarter-block message guard is
+// for (core's msgGuard): with N, v and B powers of two the messages of the
+// sort's all-to-all average an exact number of blocks — here 2048 items, two
+// blocks of 1024 — so a prefix cut at the last word would move two blocks
+// for one half of them and three for the other, a different half for every
+// input. The count must be one number for every seed, on both machines.
+func TestCountSteadyAcrossSeeds(t *testing.T) {
+	const n, v = 1 << 17, 8
+	for _, par := range []bool{false, true} {
+		var first int64
+		for seed := int64(1); seed <= 8; seed++ {
+			keys := workload.Int64s(seed, n)
+			cfg := sortalg.EMSortConfig(core.Config{V: v, P: 1, D: 2, B: 1024}, n)
+			run := core.RunSeq[int64]
+			if par {
+				run = core.RunPar[int64]
+			}
+			res, err := run(sortalg.Sorter[int64]{}, wordcodec.I64{}, cfg, cgm.Scatter(keys, v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sz, _, err := costmodel.SizesOf[int64](sortalg.Sorter[int64]{}, v, cgm.Scatter(keys, v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lo, hi := slices.Min(sz.Msg[2]), slices.Max(sz.Msg[2]); lo >= n/(v*v) || hi < n/(v*v) {
+				t.Fatalf("seed %d: messages of %d..%d items do not straddle the block boundary at %d", seed, lo, hi, n/(v*v))
+			}
+			if seed == 1 {
+				first = res.IO.ParallelOps
+			} else if res.IO.ParallelOps != first {
+				t.Errorf("par=%v seed %d: %d parallel I/Os, seed 1 took %d", par, seed, res.IO.ParallelOps, first)
+			}
+		}
+	}
 }
