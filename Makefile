@@ -84,7 +84,7 @@ bench-depth:
 # the pinned PDM count (736 since the live-prefix transfer of PR 22, at
 # every seed; 2664 when every context run and message slot moved whole)
 # and allocate under
-# 64 MB per iteration (46.0; the figure repeats to 0.001 MB), and one short
+# 64 MB per iteration (48.1; the figure repeats to 0.001 MB), and one short
 # traced run must keep the disk footprint core.max_tracks at or under the
 # full-image layout's 364 tracks — the addresses did not move.
 benchmark:

@@ -52,6 +52,7 @@ func TestRoundAblationPSRSvsTournament(t *testing.T) {
 		}
 		gap[v] = float64(tour.IO.ParallelOps) / float64(psrs.IO.ParallelOps)
 	}
+	t.Logf("tournament / PSRS parallel I/Os: %.2f at v = 4, %.2f at v = 16", gap[4], gap[16]) // EXPERIMENTS.md's λ-ablation row
 	if gap[16] <= gap[4] {
 		t.Errorf("λ = O(log v) penalty not growing with v: %v", gap)
 	}
