@@ -81,10 +81,11 @@ bench-depth:
 # benchmark-compare judges two such recordings against the per-workload
 # bounds (exit 1 on a regression). benchmark-smoke is the CI step: one
 # short untraced run of sort_seq_model must verify its output, repeat
-# the pinned PDM count (736 since the live-prefix transfer of PR 22, at
-# every seed; 2664 when every context run and message slot moved whole)
-# and allocate under
-# 64 MB per iteration (48.1; the figure repeats to 0.001 MB), and one short
+# the pinned PDM count (504 at every seed since PR 23 stopped moving
+# contexts their reader did not need moved; 736 with PR 22's live-prefix
+# transfer alone, 2664 when every context run and message slot moved
+# whole) and allocate under
+# 64 MB per iteration (48.2; the figure repeats to 0.001 MB), and one short
 # traced run must keep the disk footprint core.max_tracks at or under the
 # full-image layout's 364 tracks — the addresses did not move.
 benchmark:
@@ -97,7 +98,7 @@ benchmark-smoke:
 	@out=$$($(GO) run ./benchmark -workload sort_seq_model -seconds 2 -trace 0 | tail -n 1); \
 	echo "$$out"; \
 	echo "$$out" | grep -q '"correct":true' || { echo "benchmark-smoke: output not verified"; exit 1; }; \
-	echo "$$out" | grep -q '"parallel_ios":{"value":736,' || { echo "benchmark-smoke: parallel_ios is not 736"; exit 1; }; \
+	echo "$$out" | grep -q '"parallel_ios":{"value":504,' || { echo "benchmark-smoke: parallel_ios is not 504"; exit 1; }; \
 	mb=$$(echo "$$out" | sed -n 's/.*"alloc_mb":{"value":\([0-9.]*\).*/\1/p'); \
 	awk -v mb="$$mb" 'BEGIN { exit !(mb != "" && mb + 0 < 64) }' || { echo "benchmark-smoke: alloc_mb '$$mb' is not below 64"; exit 1; }; \
 	out=$$($(GO) run ./benchmark -workload sort_seq_model -seconds 2 -trace 1 | tail -n 1); \

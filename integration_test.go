@@ -11,12 +11,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/balance"
 	"repro/internal/cgm"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/pdm"
 	"repro/internal/permute"
+	"repro/internal/prefix"
 	"repro/internal/rec"
 	"repro/internal/sortalg"
 	"repro/internal/transpose"
@@ -104,9 +106,41 @@ func TestFileBackedSoak(t *testing.T) {
 // nopR is the smallest rec program: it keeps its input and stops.
 type nopR struct{}
 
-func (nopR) Init(vp *cgm.VP[rec.R], in []rec.R)                     { vp.State = in }
+func (nopR) Init(vp *cgm.VP[rec.R], in []rec.R)                     { vp.State = append([]rec.R(nil), in...) }
 func (nopR) Round(*cgm.VP[rec.R], int, [][]rec.R) ([][]rec.R, bool) { return nil, true }
 func (nopR) Output(vp *cgm.VP[rec.R]) []rec.R                       { return vp.State }
+
+// TestInitCopiesInput holds the programs this package can name — the
+// exported ones and its own test programs — to the Init clause of the
+// cgm.Program contract: the engine runs round 0 on the State Init left, so
+// it must share no memory with the caller's input. The packages whose
+// programs are unexported (graph, geom, recsort, segtree, experiments)
+// carry the same test over theirs.
+func TestInitCopiesInput(t *testing.T) {
+	keys := []int64{5, 3, 9, 1, 7, 2}
+	items := make([]permute.Item, len(keys))
+	for i, k := range keys {
+		items[i] = permute.Item{Dest: int64(len(keys) - i), Val: k}
+	}
+	add := func(a, b int64) int64 { return a + b }
+	for name, err := range map[string]error{
+		"sortalg.Sorter":           cgm.InitCopies[int64](sortalg.Sorter[int64]{}, 4, keys),
+		"sortalg.TournamentSorter": cgm.InitCopies[int64](sortalg.TournamentSorter[int64]{}, 4, keys),
+		"prefix.Scan":              cgm.InitCopies[int64](prefix.Scan[int64]{Op: add}, 4, keys),
+		"prefix.Broadcast":         cgm.InitCopies[int64](prefix.Broadcast[int64]{}, 4, keys),
+		"prefix.Reduce":            cgm.InitCopies[int64](prefix.Reduce[int64]{Op: add}, 4, keys),
+		"permute.Program":          cgm.InitCopies[permute.Item](permute.New(len(items)), 4, items),
+		"transpose.Program":        cgm.InitCopies[permute.Item](transpose.New(2, 3), 4, items),
+		"balance.Wrap":             cgm.InitCopies(balance.Wrap[int64](sortalg.Sorter[int64]{}), 4, balance.WrapInputs([][]int64{keys})[0]),
+		"ragged":                   cgm.InitCopies[int64](ragged{R: 1}, 4, keys),
+		"touch":                    cgm.InitCopies[int64](touch{kind: 'b'}, 4, keys),
+		"nopR":                     cgm.InitCopies[rec.R](nopR{}, 4, []rec.R{{Tag: 1, A: 2}, {Tag: 3, B: 4}}),
+	} {
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
 
 // TestWrappersRejectBadConfig hands every entry point that derives
 // limits from the machine shape a zero or malformed one: each must

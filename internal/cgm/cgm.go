@@ -13,6 +13,7 @@ package cgm
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 )
@@ -55,10 +56,33 @@ type VP[T any] struct {
 // views; the driver copies out anything that still points there before
 // reusing them. Nothing reachable only through a field of the Program
 // value survives, and the views must not be written after the call.
+//
+// Init must leave vp.State sharing no memory with input: input is the
+// caller's, and round 0 runs on the State Init left — under the EM
+// simulation as on the in-memory runtime — so a State that aliased input
+// would let Round write into the caller's data (InitCopies checks this).
+// Init and Round are called for different VPs from different goroutines.
 type Program[T any] interface {
 	Init(vp *VP[T], input []T)
 	Round(vp *VP[T], round int, inbox [][]T) (outbox [][]T, done bool)
 	Output(vp *VP[T]) []T
+}
+
+// InitCopies holds p to the Init clause of the Program contract on one
+// partition: it runs Init on virtual processor 0 of v, overwrites every
+// item of the State it left — up to its capacity, where an append would
+// land — with T's zero value, and returns an error if input is no longer
+// what it was. input should hold no zero-valued item, or an overwrite
+// cannot show.
+func InitCopies[T any](p Program[T], v int, input []T) error {
+	before := append([]T(nil), input...)
+	vp := &VP[T]{ID: 0, V: v}
+	p.Init(vp, input)
+	clear(vp.State[:cap(vp.State)])
+	if !reflect.DeepEqual(input, before) {
+		return fmt.Errorf("cgm: %T.Init left State sharing memory with its input (or changed the input)", p)
+	}
+	return nil
 }
 
 // ContextSizer is an optional Program extension declaring the maximum

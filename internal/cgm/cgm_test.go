@@ -270,6 +270,35 @@ func TestScatterAliasesInput(t *testing.T) {
 	}
 }
 
+// initWith is a program whose Init is the given function.
+type initWith struct {
+	Program[int]
+	init func(vp *VP[int], input []int)
+}
+
+func (p initWith) Init(vp *VP[int], input []int) { p.init(vp, input) }
+
+// TestInitCopies: the check passes an Init that copies and catches the
+// three ways one can fail to — keeping the input, keeping an empty
+// re-slice of it that an append would fill, and editing it before copying.
+func TestInitCopies(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		init func(vp *VP[int], input []int)
+		ok   bool
+	}{
+		{"copy", func(vp *VP[int], in []int) { vp.State = append([]int(nil), in...) }, true},
+		{"alias", func(vp *VP[int], in []int) { vp.State = in }, false},
+		{"empty re-slice", func(vp *VP[int], in []int) { vp.State = in[:0] }, false},
+		{"edit then copy", func(vp *VP[int], in []int) { in[0]++; vp.State = append([]int(nil), in...) }, false},
+	} {
+		err := InitCopies[int](initWith{init: c.init}, 2, []int{3, 1, 2})
+		if (err == nil) != c.ok {
+			t.Errorf("%s: InitCopies = %v, want ok = %v", c.name, err, c.ok)
+		}
+	}
+}
+
 func TestRunnersAgree(t *testing.T) {
 	in := seq(40)
 	const v = 5

@@ -11,7 +11,7 @@ import (
 // the sanitizer's discipline: a full run under CheckedIO (bounds, intra-op
 // overlap, read-before-write) completes with identical outputs and
 // bit-identical I/O counts. Any layout regression — a context read before
-// input distribution, a message slot read before its write, an
+// its first write, a message slot read before its write, an
 // overlapping pack — turns into a descriptive error here instead of
 // silent corruption.
 func TestCheckedIOCleanRun(t *testing.T) {

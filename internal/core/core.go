@@ -14,9 +14,9 @@
 //     real processors travel over the real "network" (channels) and are
 //     laid out on the destination's disks.
 //
-// Both machines are one engine (engine.go): the same set-up, input
-// distribution, per-processor round body and accounting, called inline
-// for RunSeq and from p goroutines between barriers for RunPar. They
+// Both machines are one engine (engine.go): the same set-up,
+// per-processor round body and accounting, called inline for RunSeq and
+// from p goroutines between barriers for RunPar. They
 // differ only in the message transport — Observation 2's single-copy
 // matrix against channels plus a ping-pong pair of rectangles — which is
 // also why RunSeq is not RunPar at p = 1. The round body runs every
@@ -34,8 +34,12 @@
 // superstep transfers is the live block prefix of each image — the blocks
 // that hold the count header and the items actually present — which the
 // writer records in an in-memory length table and the reader takes its
-// request count from (DESIGN.md §18); an empty message moves no block, and
-// the terminal round's contexts, which nobody reads, are not written.
+// request count from (DESIGN.md §18). And it transfers an image only when
+// its reader needs it moved: round 0 computes on what Init made of the
+// caller's partition, in memory; a context a round left word for word as
+// it read it is not written again; an empty context or message moves no
+// block; and the terminal round's contexts, which nobody reads, are not
+// written.
 //
 // The package is part of the determinism contract checked by the
 // detorder analyzer (see DESIGN.md §11): identical inputs and
@@ -299,11 +303,11 @@ func (c Config) newArray(proc, queueHint int) (*pdm.DiskArray, error) {
 		}
 	}
 	if c.CheckedIO {
-		// Contexts are written during input distribution before any read,
-		// and every message slot is rewritten each round before its inbox
-		// is read, so read-before-write holds for the whole superstep
-		// schedule. Stripe stays off: the staggered matrix and FIFO packs
-		// are not consecutive runs.
+		// A context is read only as far as the length table says it was
+		// written (round 0 reads none), and every message slot is rewritten
+		// each round before its inbox is read, so read-before-write holds
+		// for the whole superstep schedule. Stripe stays off: the staggered
+		// matrix and FIFO packs are not consecutive runs.
 		arr.EnableChecked(pdm.CheckConfig{RequireInit: true})
 	}
 	return arr, nil
@@ -448,12 +452,17 @@ func ctxWords(maxCtx, itemWords int) int { return 1 + maxCtx*itemWords }
 // img — count header, items, zero fill to the end of the last live block —
 // and returns how many b-word blocks of img are now live: the blocks that
 // the header, the items and guard further words reach, capped at the
-// image. The rest of the image is left as it was: it is neither
-// transferred nor decoded. img is caller-owned scratch sized for the
-// declared maximum, which the caller has checked len(items) against;
-// reusing it across supersteps is what keeps the hot path allocation-free.
+// image; none when there are no items, because the reader of an image with
+// no live block writes the zero header itself. The rest of the image is
+// left as it was: it is neither transferred nor decoded. img is
+// caller-owned scratch sized for the declared maximum, which the caller
+// has checked len(items) against; reusing it across supersteps is what
+// keeps the hot path allocation-free.
 // emcgm:hotpath
 func encodeLive[T any](codec wordcodec.Codec[T], items []T, img []pdm.Word, b, guard int) int {
+	if len(items) == 0 {
+		return 0
+	}
 	img[0] = pdm.Word(len(items))
 	end := 1 + len(items)*codec.Words()
 	wordcodec.EncodeInto(codec, img[1:end], items)
@@ -476,18 +485,55 @@ func encodeLive[T any](codec wordcodec.Codec[T], items []T, img []pdm.Word, b, g
 // emcgm:hotpath
 func msgGuard(b int) int { return b / 4 }
 
-// encodeMsg is encodeLive for one message slot: an empty message has no
-// live block at all (its reader writes the zero header itself), and a
-// message over the slot bound is an error.
+// encodeMsg is encodeLive for one message slot, guard and all; a message
+// over the slot bound is an error.
 // emcgm:hotpath
 func encodeMsg[T any](codec wordcodec.Codec[T], msg []T, maxMsg int, img []pdm.Word, b int) (int, error) {
 	if len(msg) > maxMsg {
 		return 0, fmt.Errorf("core: message of %d items exceeds the slot bound %d items; set Config.MaxMsgItems (or Balanced) accordingly", len(msg), maxMsg)
 	}
-	if len(msg) == 0 {
-		return 0, nil
-	}
 	return encodeLive(codec, msg, img, b, msgGuard(b)), nil
+}
+
+// encodeCtx is encodeLive for a context whose image still holds, in its
+// first was blocks, the prefix the slot read this round — which is what is
+// on disk. If the items encode to exactly that prefix, same is true, img
+// is untouched and nothing needs writing. The test is on the encoding,
+// word for word, and on nothing cheaper: a program may change an item in
+// place, so the identity of the slice says nothing, and neither does its
+// length. The items are encoded a chunk of len(cmp) words at a time and
+// held against img; the first chunk that differs ends the comparison and
+// the whole context is encoded over img, so a context that changed pays
+// for one chunk more than it always did.
+// emcgm:hotpath
+func encodeCtx[T any](codec wordcodec.Codec[T], items []T, img, cmp []pdm.Word, b, was int) (nb int, same bool) {
+	iw := codec.Words()
+	if len(items) > 0 {
+		nb = pdm.BlocksFor(1+len(items)*iw, b)
+	}
+	same = nb == was && (nb == 0 || img[0] == pdm.Word(len(items)))
+	per := len(cmp) / iw
+	for off := 0; same && off < len(items); off += per {
+		chunk := items[off:min(off+per, len(items))]
+		words := cmp[:len(chunk)*iw]
+		wordcodec.EncodeInto(codec, words, chunk)
+		same = equalWords(words, img[1+off*iw:1+off*iw+len(words)])
+	}
+	if same {
+		return nb, true
+	}
+	return encodeLive(codec, items, img, b, 0), false
+}
+
+// equalWords reports whether a and b, of one length, hold the same words.
+// emcgm:hotpath
+func equalWords(a, b []pdm.Word) bool {
+	for i, w := range a {
+		if w != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // checkCtx reports a context over the declared bound μ.

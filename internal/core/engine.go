@@ -93,8 +93,8 @@ type roundOut struct {
 // K] while the slots ahead of it prefetch and the slots behind it drain;
 // the route phase cycles landed batches through the same K slots). It is
 // owned by the processor's goroutine for a round's duration and by the
-// engine's between rounds and during input distribution; rounds are
-// sequenced by the barrier, so reuse and ring growth are race-free.
+// engine's between rounds; rounds are sequenced by the barrier, so reuse
+// and ring growth are race-free.
 type proc[T any] struct {
 	i     int
 	arr   *pdm.DiskArray
@@ -115,6 +115,7 @@ type proc[T any] struct {
 	// before it is used.
 	ctxLive []int
 	msgLive [2][]int
+	cmp     []pdm.Word // one stripe: the chunk writeContext compares by (encodeCtx)
 
 	// send[l·p+k] is the message container local VP l reuses for its batch
 	// to real processor k; a batch sent in round r is consumed by its
@@ -172,9 +173,10 @@ func (pr *proc[T]) drain() {
 }
 
 // engine is the one superstep engine behind both machines: shared
-// set-up, input distribution, the per-processor round body, the
-// between-round merge and the result tail. The machines differ only in
-// their transport and in how the round body is called.
+// set-up, the per-processor round body (round 0 of which is the input
+// distribution), the between-round merge and the result tail. The
+// machines differ only in their transport and in how the round body is
+// called.
 type engine[T any] struct {
 	prog  cgm.Program[T]
 	codec wordcodec.Codec[T]
@@ -187,9 +189,10 @@ type engine[T any] struct {
 
 	procs   []*proc[T]
 	tr      transport[T]
+	inputs  [][]T // what round 0 hands prog.Init
 	cached  [][]T // resident contexts under CacheContexts, nil otherwise
 	outputs [][]T
-	sizes   *costmodel.Sizes // item counts for the ledger's predictor, nil without one
+	sizes   *costmodel.Sizes // what the ledger's predictor is told of the data, nil without one
 }
 
 // run simulates prog on the machine cfg describes. par selects Algorithm 3
@@ -207,7 +210,7 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 	localV := v / p
 	res := &Result[T]{Outputs: make([][]T, v)}
 	e := &engine[T]{prog: prog, codec: codec, cfg: cfg, rec: cfg.Recorder,
-		localV: localV, outputs: res.Outputs}
+		localV: localV, inputs: inputs, outputs: res.Outputs}
 	e.maxCtx, e.maxMsg = limits(prog, cfg, n)
 	e.cb = pdm.BlocksFor(ctxWords(e.maxCtx, codec.Words()), cfg.B)
 	e.bpm = pdm.BlocksFor(slotWords(e.maxMsg, codec.Words()), cfg.B)
@@ -259,6 +262,7 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 		}
 		pr := &proc[T]{i: i, arr: arr, mem: newVPMem[T](v, cfg.CheckedIO),
 			sent: make([]int, localV), recv: make([]int, localV), ctxLive: make([]int, localV),
+			cmp:     make([]pdm.Word, max(cfg.D*cfg.B, codec.Words())),
 			msgLive: [2][]int{make([]int, localV*v), make([]int, localV*v)}}
 		e.grow(pr, k)
 		if par {
@@ -275,9 +279,9 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 	rec := e.rec
 	var mtrack obs.TrackID
 	var depthGauge atomic.Int64
-	metric, machineProc := "core_p0_", 0
+	metric := "core_p0_"
 	if par {
-		metric, machineProc = "core_", -1
+		metric = "core_"
 	}
 	if rec != nil {
 		if par {
@@ -293,31 +297,11 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 		depthGauge.Store(int64(k))
 		rec.Gauge(metric+"pipeline_depth", depthGauge.Load)
 	}
-
-	// Input distribution: write-behind over each processor's ring, drained
-	// before round 0's prologue (see distributeInputs).
 	ledBase := rec.StepCount()
-	initSpan := rec.Begin(mtrack, "input distribution", "init")
 	if cfg.Ledger != nil {
 		e.sizes = costmodel.NewSizes(v)
 	}
-	maxObserved, stallNS, err := e.distributeInputs(inputs, mtrack)
-	if err != nil {
-		initSpan.End()
-		return nil, err
-	}
-	res.MaxCtxObserved = maxObserved
-	var initBlocks int64
-	for _, pr := range e.procs {
-		s := pr.arr.Stats()
-		pr.lastOps, pr.lastBlocks = s.ParallelOps, s.BlocksMoved
-		res.CtxOps += s.ParallelOps
-		initBlocks += s.BlocksMoved
-	}
-	if rec != nil {
-		initSpan.EndIO(obs.SuperstepIO{Proc: machineProc, Round: -1, VP: -1, Label: "init",
-			CtxOps: res.CtxOps, Blocks: initBlocks})
-	}
+	var stallNS int64
 
 	const maxRounds = 1 << 20
 	for round := 0; ; round++ {
@@ -557,18 +541,32 @@ func (e *engine[T]) procRound(pr *proc[T], round int) {
 	}
 }
 
-// wait drains a pending set on pr's behalf, charging the blocked time to
-// its stall account when recording.
+// wait drains a pending set on pr's behalf. Under a Recorder the blocked
+// time is charged to pr's stall account and stored as a span in the "wait"
+// category; without one it is a plain Wait, because the determinism
+// contract forbids wall-clock reads in unrecorded runs.
 func (e *engine[T]) wait(pr *proc[T], ps *pdm.PendingSet) error {
-	return stallWait(e.rec, pr.track, pr.stallName, ps, &pr.stallNS)
+	if e.rec == nil {
+		return ps.Wait()
+	}
+	if ps.Len() == 0 {
+		return nil
+	}
+	t0 := time.Now()
+	err := ps.Wait()
+	pr.stallNS += time.Since(t0).Nanoseconds()
+	e.rec.SpanSince(pr.track, pr.stallName, "wait", t0)
+	return err
 }
 
 // beginReads prefetches the live prefix of local VP l's context (unless
 // resident) and, after round 0, of each message of its inbox into ring
 // slot l mod K, charging the begun ops to that slot's row. The request
 // counts come from the length tables, so the whole prefetch is one burst
-// with no dependent header read. An empty message moves no block: its
-// zero header is written into the slot image here.
+// with no dependent header read. An empty image moves no block: its zero
+// header is written into the slot image here. That is every context in
+// round 0 — nothing has been written yet, the tables say 0 — so round 0
+// begins no read at all.
 func (e *engine[T]) beginReads(pr *proc[T], round, l int) error {
 	K, B := len(pr.ring), e.cfg.B
 	sl, s := &pr.pend[l%K], pr.ring[l%K]
@@ -580,6 +578,9 @@ func (e *engine[T]) beginReads(pr *proc[T], round, l int) error {
 		fillStale(s.flat)
 	}
 	if e.cached == nil {
+		if pr.ctxLive[l] == 0 {
+			s.ctxImg[0] = 0
+		}
 		if err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg[:pr.ctxLive[l]*B], &s.lay, &sl.reads); err != nil {
 			pf.End()
 			return fmt.Errorf("core: round %d vp %d: begin context read: %w", round, pr.i*e.localV+l, err)
@@ -619,7 +620,9 @@ func fillStale(img []pdm.Word) {
 
 // compute brings local VP l into memory and simulates its round: wait
 // for the prefetched context and inbox, decode them, slide the window,
-// and run the program with the window's reads in flight underneath.
+// and run the program with the window's reads in flight underneath. In
+// round 0 the context-in is not on disk: it is what prog.Init makes of the
+// caller's partition, here, on the processor that owns the VP.
 func (e *engine[T]) compute(pr *proc[T], round, l int) (vp *cgm.VP[T], outbox [][]T, done bool, err error) {
 	K := len(pr.ring)
 	pf := K / 2
@@ -641,7 +644,7 @@ func (e *engine[T]) compute(pr *proc[T], round, l int) (vp *cgm.VP[T], outbox []
 	var ctxImg []pdm.Word // the transferred prefixes are all decode may see
 	var live []int
 	if e.cached == nil {
-		ctxImg = s.ctxImg[:pr.ctxLive[l]*e.cfg.B]
+		ctxImg = s.ctxImg[:max(pr.ctxLive[l]*e.cfg.B, 1)]
 	}
 	if round > 0 {
 		live = e.inboxLive(pr, round, l)
@@ -669,6 +672,17 @@ func (e *engine[T]) compute(pr *proc[T], round, l int) (vp *cgm.VP[T], outbox []
 
 	cp := e.rec.Begin(pr.track, "compute", "phase")
 	vp = &cgm.VP[T]{ID: j, V: e.cfg.V, State: state}
+	if round == 0 {
+		e.prog.Init(vp, e.inputs[j])
+		if err := checkCtx(len(vp.State), e.maxCtx); err != nil {
+			cp.End()
+			return nil, nil, false, fmt.Errorf("core: round 0 vp %d: init: %w", j, err)
+		}
+		pr.maxCtx = max(pr.maxCtx, len(vp.State))
+		if e.sizes != nil {
+			e.sizes.Ctx[0][j] = len(vp.State)
+		}
+	}
 	outbox, done = e.prog.Round(vp, round, inbox)
 	cp.End()
 	if outbox != nil && len(outbox) != e.cfg.V {
@@ -754,7 +768,10 @@ func (e *engine[T]) batchTo(pr *proc[T], l, k int, outbox [][]T, done bool) batc
 // writeContext begins the write-behind of the live prefix of local VP l's
 // context out of its ring slot and records the prefix in the length table,
 // or keeps the context resident under CacheContexts. The terminal round's
-// context is read by nobody, so it is only held to the bound μ.
+// context is read by nobody, so it is only held to the bound μ. Nor is a
+// context written whose encoding is, word for word, the prefix the slot
+// read this round: its next reader finds on disk what it needs, and the
+// length table stands.
 func (e *engine[T]) writeContext(pr *proc[T], round, l int, vp *cgm.VP[T], done bool) error {
 	j := pr.i*e.localV + l
 	pr.maxCtx = max(pr.maxCtx, len(vp.State))
@@ -774,8 +791,16 @@ func (e *engine[T]) writeContext(pr *proc[T], round, l int, vp *cgm.VP[T], done 
 	K, B := len(pr.ring), e.cfg.B
 	sl, s := &pr.pend[l%K], pr.ring[l%K]
 	wb := e.rec.Begin(pr.track, "ctx write", "writeback")
-	pr.ctxLive[l] = encodeLive(e.codec, vp.State, s.ctxImg, B, 0)
-	s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg[:pr.ctxLive[l]*B], B)
+	nb, same := encodeCtx(e.codec, vp.State, s.ctxImg, pr.cmp, B, pr.ctxLive[l])
+	if e.sizes != nil {
+		e.sizes.Same[round][j] = same
+	}
+	if same {
+		wb.End()
+		return nil
+	}
+	pr.ctxLive[l] = nb
+	s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg[:nb*B], B)
 	if err := layout.BeginWriteStripedScratch(pr.arr, 0, l*e.cb, s.bufs, &s.lay, &sl.writes); err != nil {
 		wb.End()
 		return fmt.Errorf("core: round %d vp %d: begin context write: %w", round, j, err)

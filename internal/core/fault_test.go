@@ -51,8 +51,9 @@ func TestParDiskFaultSurfaces(t *testing.T) {
 	)
 	parts := cgm.Scatter(seq64(32), v)
 
-	// Keep handles on every healthy disk; fault proc 1's disk 0 after a
-	// handful of operations so it fires inside the round-0 VP loop.
+	// Keep handles on every healthy disk; fault proc 1's disk 0 at its second
+	// transfer — the first write of proc 1's second context — so it fires
+	// inside the round-0 VP loop.
 	disks := make([][]pdm.Disk, p)
 	for i := range disks {
 		disks[i] = make([]pdm.Disk, d)
@@ -62,23 +63,24 @@ func TestParDiskFaultSurfaces(t *testing.T) {
 		NewDisk: func(proc, disk int) pdm.Disk {
 			var dk pdm.Disk = keepOpen{pdm.NewMemDisk(b)}
 			if proc == 1 && disk == 0 {
-				dk = pdm.NewFaultyDisk(dk, 5)
+				dk = pdm.NewFaultyDisk(dk, 1)
 			}
 			disks[proc][disk] = dk
 			return dk
 		},
 	}
 	var err error
-	Watchdog(t, "par p=2 fault=p1/d0@5", func() {
+	Watchdog(t, "par p=2 fault=p1/d0@1", func() {
 		_, err = RunPar[int64](rotate{k: 3}, wordcodec.I64{}, cfg, parts)
 	})
 	if !errors.Is(err, pdm.ErrInjected) {
 		t.Fatalf("err = %v, want injected disk fault", err)
 	}
 
-	// Proc 0 never faulted: each of its local contexts must decode
-	// cleanly and hold exactly its original partition (rotate does not
-	// mutate state in round 0, the round the fault interrupts).
+	// Proc 0 never faulted: each of its local contexts was written by
+	// round 0, must decode cleanly and hold exactly its original partition
+	// (rotate does not mutate state in round 0, the round the fault
+	// interrupts).
 	arr, err := pdm.NewDiskArray(disks[0])
 	if err != nil {
 		t.Fatal(err)

@@ -10,17 +10,20 @@
 // time has a closed-form prediction to drift against.
 //
 // The engine transfers the live block prefix of every context and message
-// image (DESIGN.md §18), so the prediction is a function of the geometry
-// and of the run's Sizes — how many items each context and each message
-// held, round by round. Sizes are the predictor's only view of the data:
+// image, and a context only when its reader needs it moved (DESIGN.md
+// §18), so the prediction is a function of the geometry and of the run's
+// Sizes — how many items each context and each message held, round by
+// round, and which contexts a round left as it found them. Sizes are the
+// predictor's only view of the data:
 // it never sees an operation counter and never touches a disk.
 // layout.Matrix/Rect block addresses depend on BaseTrack only through the
 // Track field, and the FIFO packing rule depends only on the Disk
 // sequence, so the schedule is replayed at BaseTrack 0. With every image
-// at its declared maximum the prediction is the Theorem 2/3 full-image
-// count, which bounds every run from above: a live-prefix request sequence
-// is a subsequence of the full one, and greedy FIFO packing of a
-// subsequence never needs more cycles.
+// at its declared maximum and no context left unchanged the prediction is
+// the Theorem 2/3 full-image count less the input distribution's write and
+// round 0's read of it, and bounds every run from above: a live-prefix
+// request sequence is a subsequence of the full one, and greedy FIFO
+// packing of a subsequence never needs more cycles.
 package costmodel
 
 import (
@@ -110,17 +113,15 @@ func (p *predictor) fifoOps(reqs []pdm.BlockReq) int64 {
 // stripedOps is the cost of a striped transfer of n blocks over d disks.
 func stripedOps(n, d int) int64 { return int64((n + d - 1) / d) }
 
-// liveBlocks is the live prefix of an image holding n items: the blocks
-// the count header and the items reach.
-func (p *predictor) liveBlocks(n int) int { return pdm.BlocksFor(1+n*p.m.Words, p.m.B) }
-
 // ctxOps is the cost of moving VP j's context as round r reads it, one
-// direction.
+// direction: a striped transfer of the blocks the count header and the
+// items reach, and nothing for a context that holds nothing.
 func (p *predictor) ctxOps(r, j int) int64 {
-	if p.m.Par && p.m.CacheCtx {
+	n := p.sz.Ctx[r][j]
+	if p.m.Par && p.m.CacheCtx || n == 0 {
 		return 0
 	}
-	return stripedOps(p.liveBlocks(p.sz.Ctx[r][j]), p.m.D)
+	return stripedOps(pdm.BlocksFor(1+n*p.m.Words, p.m.B), p.m.D)
 }
 
 // msgBlocks is the live prefix of the message src sent dst in round r: the
@@ -183,15 +184,14 @@ func (p *predictor) predictRow(label string, round, vp, proc int) (ctx, msg int6
 	}
 	terminal := round == p.m.Rounds-1
 	switch label {
-	case "init":
-		// One striped write per virtual processor, of the prefix round 0
-		// reads back.
-		for j := 0; j < p.m.V; j++ {
-			ctx += p.ctxOps(0, j)
-		}
 	case "superstep":
-		ctx = p.ctxOps(round, vp)
-		if !terminal {
+		// Round 0 computes on what Init left in memory: it reads no context
+		// and, there being no copy on disk yet, writes whatever it leaves.
+		// A later round writes its context unless it left it as it read it.
+		if round > 0 {
+			ctx = p.ctxOps(round, vp)
+		}
+		if !terminal && !(round > 0 && p.sz.Same[round][vp]) {
 			ctx += p.ctxOps(round+1, vp)
 		}
 		if round > 0 {
@@ -208,13 +208,12 @@ func (p *predictor) predictRow(label string, round, vp, proc int) (ctx, msg int6
 	return ctx, msg
 }
 
-// Predict prices a whole run of machine m from its sizes alone: the init
-// row, every virtual processor's superstep in each of m.Rounds rounds and,
-// on the parallel machine, every processor's route phase. It is what the
+// Predict prices a whole run of machine m from its sizes alone: every
+// virtual processor's superstep in each of m.Rounds rounds and, on the
+// parallel machine, every processor's route phase. It is what the
 // ledger's rows sum to, without a recorded run to take the rows from.
 func Predict(m Machine, sz *Sizes) (ctx, msg int64) {
 	p := newPredictor(m, sz)
-	ctx, _ = p.predictRow("init", -1, -1, -1)
 	for r := 0; r < m.Rounds; r++ {
 		for j := 0; j < m.V; j++ {
 			c, g := p.predictRow("superstep", r, j, -1)

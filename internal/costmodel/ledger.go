@@ -67,8 +67,7 @@ type Run struct {
 // path of the predicted schedule. The sequential machine is one serial
 // stream of parallel I/Os; the parallel machine's processors proceed
 // concurrently between round barriers, so each round costs the maximum
-// per-processor predicted time and the init distribution is spread
-// evenly over the processors (see initWall for how it is priced).
+// per-processor predicted time.
 func (r Run) ModelWall(tm pdm.TimeModel) time.Duration {
 	op := tm.OpTime(r.Machine.B)
 	var total time.Duration
@@ -76,19 +75,16 @@ func (r Run) ModelWall(tm pdm.TimeModel) time.Duration {
 	// a time; rows arrive in recording order but procs interleave.
 	perRound := map[int]map[int]int64{}
 	for _, row := range r.Rows {
-		switch {
-		case row.Label == "init":
-			total += r.initWall(tm, row.PredOps())
-		case !r.Machine.Par:
+		if !r.Machine.Par {
 			total += time.Duration(row.PredOps()) * op
-		default:
-			m := perRound[row.Round]
-			if m == nil {
-				m = map[int]int64{}
-				perRound[row.Round] = m
-			}
-			m[row.Proc] += row.PredOps()
+			continue
 		}
+		m := perRound[row.Round]
+		if m == nil {
+			m = map[int]int64{}
+			perRound[row.Round] = m
+		}
+		m[row.Proc] += row.PredOps()
 	}
 	for _, procs := range perRound {
 		var max int64
@@ -98,47 +94,6 @@ func (r Run) ModelWall(tm pdm.TimeModel) time.Duration {
 			}
 		}
 		total += time.Duration(max) * op
-	}
-	return total
-}
-
-// initWall prices an init row of ops parallel I/Os. The engine
-// distributes the inputs as write-behind over its ring of Depth slots
-// (a ledger written before Depth was recorded reads as 0 and prices as
-// depth 1): contexts are stored in consecutive format, so each disk's
-// share of a context is one ascending contiguous run of tracks — the live
-// prefix, ops/V of them on average — and at most Depth contexts are
-// queued at once. Each turn of that window costs the batching worker one
-// call for the refill's first track — it is idle when the refill starts
-// and takes what is queued — and the rest of the window in calls of at
-// most pdm.MaxBatchTracks tracks. A call positions once per contiguous
-// run it touches: contexts that fill their fixed-address runs are
-// adjacent on disk and fuse into one run, shorter ones leave a gap and
-// each positions anew.
-func (r Run) initWall(tm pdm.TimeModel, ops int64) time.Duration {
-	m := r.Machine
-	depth := max(m.Depth, 1)
-	if ops == 0 {
-		return 0 // resident contexts: nothing is written
-	}
-	perCtx := int((ops + int64(m.V) - 1) / int64(m.V))
-	pos := tm.Seek + tm.Rotate/2 // BatchTime's once-per-run term
-	var total time.Duration
-	for left := m.LocalV(); left > 0; left -= depth {
-		w := min(left, depth) * perCtx
-		run := perCtx
-		if int64(perCtx) == stripedOps(m.CB, m.D) {
-			run = w
-		}
-		// Track t opens a call (the first track alone, then every
-		// MaxBatchTracks) or a contiguous piece: either way the head moves.
-		positions := 0
-		for t := 0; t < w; t++ {
-			if t == 0 || (t-1)%pdm.MaxBatchTracks == 0 || t%run == 0 {
-				positions++
-			}
-		}
-		total += time.Duration(positions-1)*pos + tm.BatchTime(m.B, w)
 	}
 	return total
 }

@@ -70,7 +70,7 @@ type traceFile struct {
 // reconcile checks the recorder's accounting against the run's: the
 // trace rows must sum exactly to the machine's I/O counters, and the
 // Chrome export must be well-formed with phases nested in their
-// enclosing superstep/init/route spans.
+// enclosing superstep/route spans.
 func reconcile(t *testing.T, rec *obs.Recorder, res *core.Result[int64]) {
 	t.Helper()
 
@@ -111,7 +111,7 @@ func reconcile(t *testing.T, rec *obs.Recorder, res *core.Result[int64]) {
 		t.Fatal("empty trace")
 	}
 
-	// Every phase span must nest inside a superstep/init/route span on
+	// Every phase span must nest inside a superstep or route span on
 	// the same track. Timestamps are microseconds rounded from
 	// nanoseconds, so allow a rounding epsilon.
 	const eps = 0.002
@@ -120,7 +120,7 @@ func reconcile(t *testing.T, rec *obs.Recorder, res *core.Result[int64]) {
 	for _, e := range tf.TraceEvents {
 		switch {
 		case e.Ph != "X":
-		case e.Cat == "superstep" || e.Cat == "init" || e.Cat == "route":
+		case e.Cat == "superstep" || e.Cat == "route":
 			parents = append(parents, e)
 			argTotal.ctx += e.Args.CtxOps
 			argTotal.msg += e.Args.MsgOps

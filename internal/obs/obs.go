@@ -47,15 +47,15 @@ type event struct {
 // SuperstepIO is the per-superstep accounting attached to a superstep
 // span: which processor simulated which virtual processor in which round,
 // and the parallel I/O it paid, split exactly like Result.CtxOps/MsgOps.
-// Label distinguishes the row kinds: "init" (input distribution),
-// "superstep" (one compound superstep), "route" (the parallel machine's
-// batch-landing phase). Summing CtxOps+MsgOps over all rows of a run
+// Label distinguishes the row kinds: "superstep" (one compound superstep;
+// round 0's are the input distribution) and "route" (the parallel
+// machine's batch-landing phase). Summing CtxOps+MsgOps over all rows of a run
 // reconciles with pdm.IOStats.ParallelOps — the golden-trace tests pin
 // this.
 type SuperstepIO struct {
-	Proc   int // real processor, -1 for machine-global rows
-	Round  int // compound-superstep round, -1 for init
-	VP     int // virtual processor, -1 for aggregate rows
+	Proc   int // real processor
+	Round  int // compound-superstep round
+	VP     int // virtual processor, -1 for a processor's route row
 	Label  string
 	CtxOps int64 // context-swap parallel I/Os
 	MsgOps int64 // message-matrix parallel I/Os

@@ -170,14 +170,14 @@ func TestSuperstepTable(t *testing.T) {
 	tr := r.Track("proc 0")
 	s := r.Begin(tr, "superstep", "superstep")
 	s.EndIO(SuperstepIO{Proc: 0, Round: 1, VP: 0, Label: "superstep", CtxOps: 4, MsgOps: 2, Blocks: 12})
-	s = r.Begin(tr, "input distribution", "init")
-	s.EndIO(SuperstepIO{Proc: 0, Round: -1, VP: -1, Label: "init", CtxOps: 8, Blocks: 16})
+	s = r.Begin(tr, "route batches", "route")
+	s.EndIO(SuperstepIO{Proc: 0, Round: 0, VP: -1, Label: "route", MsgOps: 8, Blocks: 16})
 	tb := r.SuperstepTable(time.Millisecond)
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(tb.Rows))
 	}
-	// init (round -1) must sort before the round-1 superstep.
-	if tb.Rows[0][3] != "init" || tb.Rows[1][3] != "superstep" {
+	// Round 0's route row must sort before the round-1 superstep.
+	if tb.Rows[0][3] != "route" || tb.Rows[1][3] != "superstep" {
 		t.Errorf("row order: %v", tb.Rows)
 	}
 	if tb.Rows[1][8] != "6ms" {
@@ -185,7 +185,7 @@ func TestSuperstepTable(t *testing.T) {
 	}
 	found := false
 	for _, n := range tb.Notes {
-		if strings.Contains(n, "12 context + 2 message") {
+		if strings.Contains(n, "4 context + 10 message") {
 			found = true
 		}
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // SuperstepTable renders the per-superstep accounting as a summary table:
-// one row per recorded superstep (plus the init and route rows), with the
+// one row per recorded superstep (plus the route rows), with the
 // context/message I/O split, wall time, and — when opTime is non-zero —
 // the modelled disk time of the row's parallel I/Os under a
 // pdm.TimeModel's per-operation cost. Rows are ordered by round, then
@@ -40,7 +40,7 @@ func (r *Recorder) SuperstepTable(opTime time.Duration) *trace.Table {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("totals: %d context + %d message parallel I/Os, %d blocks, modelled %s",
 			ctx, msg, blocks, modelled(ctx+msg, opTime)),
-		"round/proc/vp = -1 marks run-global rows (init, route)")
+		"vp = -1 marks a processor's route row")
 	return t
 }
 

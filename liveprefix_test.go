@@ -60,13 +60,40 @@ func (ragged) Output(vp *cgm.VP[int64]) []int64 { return vp.State }
 // runtime; the context and message parallel I/Os an oracle derives from
 // that run's sizes (see oracle); the ledger's own reconciliation; and the
 // Theorem 2/3 full-image count — every context run and message slot moved
-// whole, the terminal round's contexts written — as an upper bound. The
-// schedule must stay invisible: every count is the same at ring depth 1,
-// 2 and auto, and Algorithm 2 moves the blocks and pays the context I/O
+// whole, the inputs distributed through disk, the terminal round's
+// contexts written — as an upper bound. The schedule must stay invisible:
+// every count is the same at ring depth 1, 2, 4 and auto, and Algorithm 2 moves the blocks and pays the context I/O
 // that Algorithm 3 does at p = 1 (their message packing differs, as it
 // always has: one FIFO sequence per outbox against one per routed batch).
 func TestLivePrefixProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
+	forRandomMachines(22, func(rng *rand.Rand, tag string, base core.Config, parts [][]int64) {
+		prog := ragged{R: 1 + rng.Intn(4)}
+		tag = fmt.Sprintf("%s R=%d", tag, prog.R)
+		v, p := base.V, base.P
+		ref, err := cgm.Run[int64](prog, v, parts)
+		if err != nil {
+			t.Fatalf("%s: in-memory reference: %v", tag, err)
+		}
+		seq, _ := livePrefixArms(t, tag+" seq", prog, base, false, parts, ref.Outputs)
+		par1 := base
+		par1.P = 1
+		one, _ := livePrefixArms(t, tag+" par p=1", prog, par1, true, parts, ref.Outputs)
+		if cached := base.CacheContexts && v == 1; !cached &&
+			(seq.CtxOps != one.CtxOps || seq.IO.BlocksMoved != one.IO.BlocksMoved || seq.Rounds != one.Rounds) {
+			t.Errorf("%s: Algorithm 2 pays %d context ops and moves %d blocks in %d rounds, Algorithm 3 at p = 1 %d, %d and %d",
+				tag, seq.CtxOps, seq.IO.BlocksMoved, seq.Rounds, one.CtxOps, one.IO.BlocksMoved, one.Rounds)
+		}
+		if p > 1 {
+			livePrefixArms(t, tag+" par", prog, base, true, parts, ref.Outputs)
+		}
+	})
+}
+
+// forRandomMachines calls f on 60 random legal machines with an input
+// each: v = 1 and p = v included, skewed and empty partitions, balanced
+// routing, checked I/O, resident contexts. f may draw from rng.
+func forRandomMachines(seed int64, f func(rng *rand.Rand, tag string, base core.Config, parts [][]int64)) {
+	rng := rand.New(rand.NewSource(seed))
 	pick := func(xs ...int) int { return xs[rng.Intn(len(xs))] }
 	for trial := 0; trial < 60; trial++ {
 		v := pick(1, 2, 4, 8)
@@ -88,33 +115,17 @@ func TestLivePrefixProperties(t *testing.T) {
 			b := (a + 1) % v
 			parts[b], parts[a] = append(parts[b], parts[a]...), nil
 		}
-		prog := ragged{R: 1 + rng.Intn(4)}
-		tag := fmt.Sprintf("trial %d (v=%d p=%d D=%d B=%d n=%d R=%d balanced=%v checked=%v cache=%v)",
-			trial, v, p, base.D, base.B, n, prog.R, base.Balanced, base.CheckedIO, base.CacheContexts)
-
-		ref, err := cgm.Run[int64](prog, v, parts)
-		if err != nil {
-			t.Fatalf("%s: in-memory reference: %v", tag, err)
-		}
-		seq := livePrefixArms(t, tag+" seq", prog, base, false, parts, ref.Outputs)
-		par1 := base
-		par1.P = 1
-		one := livePrefixArms(t, tag+" par p=1", prog, par1, true, parts, ref.Outputs)
-		if cached := base.CacheContexts && v == 1; !cached &&
-			(seq.CtxOps != one.CtxOps || seq.IO.BlocksMoved != one.IO.BlocksMoved || seq.Rounds != one.Rounds) {
-			t.Errorf("%s: Algorithm 2 pays %d context ops and moves %d blocks in %d rounds, Algorithm 3 at p = 1 %d, %d and %d",
-				tag, seq.CtxOps, seq.IO.BlocksMoved, seq.Rounds, one.CtxOps, one.IO.BlocksMoved, one.Rounds)
-		}
-		if p > 1 {
-			livePrefixArms(t, tag+" par", prog, base, true, parts, ref.Outputs)
-		}
+		tag := fmt.Sprintf("trial %d (v=%d p=%d D=%d B=%d n=%d balanced=%v checked=%v cache=%v)",
+			trial, v, p, base.D, base.B, n, base.Balanced, base.CheckedIO, base.CacheContexts)
+		f(rng, tag, base, parts)
 	}
 }
 
 // livePrefixArms runs one machine of TestLivePrefixProperties at ring
-// depth 1, 2 and auto and returns the depth-1 result.
+// depth 1, 2, 4 and auto and returns the depth-1 result with its recorded
+// rows.
 func livePrefixArms(t *testing.T, tag string, prog cgm.Program[int64], cfg core.Config, par bool,
-	parts, want [][]int64) *core.Result[int64] {
+	parts, want [][]int64) (*core.Result[int64], []obs.SuperstepIO) {
 	t.Helper()
 	if !par {
 		cfg.P = 1
@@ -124,14 +135,16 @@ func livePrefixArms(t *testing.T, tag string, prog cgm.Program[int64], cfg core.
 	var ctx, msg int64
 	var rounds int
 	if cfg.Balanced {
-		words = balance.Codec[int64]{Inner: wordcodec.I64{}}.Words()
-		ctx, msg, rounds = oracle(t, balance.Wrap(prog), words, cfg, par, balance.WrapInputs(parts))
+		codec := balance.Codec[int64]{Inner: wordcodec.I64{}}
+		words = codec.Words()
+		ctx, msg, rounds = oracle(t, balance.Wrap(prog), codec, cfg, par, balance.WrapInputs(parts))
 	} else {
-		ctx, msg, rounds = oracle(t, prog, words, cfg, par, parts)
+		ctx, msg, rounds = oracle[int64](t, prog, wordcodec.I64{}, cfg, par, parts)
 	}
 
 	var first *core.Result[int64]
-	for _, k := range []int{1, 2, 0} {
+	var rows []obs.SuperstepIO
+	for _, k := range []int{1, 2, 4, 0} {
 		ktag := fmt.Sprintf("%s k=%d", tag, k)
 		cfg.PipelineDepth = k
 		cfg.Recorder = obs.NewRecorder()
@@ -157,7 +170,7 @@ func livePrefixArms(t *testing.T, tag string, prog cgm.Program[int64], cfg core.
 				ktag, res.CtxOps, res.MsgOps, res.IO.ParallelOps, res.Rounds, ctx, msg, rounds)
 		}
 		if k == 1 {
-			first = res
+			first, rows = res, cfg.Recorder.Supersteps()
 			m := cfg.Ledger.Runs()[0].Machine
 			if full := fullImageOps(m, cfg.MaxCtxItems, cfg.MaxMsgItems); res.IO.ParallelOps > full {
 				t.Errorf("%s: %d parallel I/Os, above the full-image count %d", ktag, res.IO.ParallelOps, full)
@@ -172,13 +185,15 @@ func livePrefixArms(t *testing.T, tag string, prog cgm.Program[int64], cfg core.
 				res.IO, res.CtxOps, res.MsgOps, res.MaxTracks, first.IO, first.CtxOps, first.MsgOps, first.MaxTracks)
 		}
 	}
-	return first
+	return first, rows
 }
 
 // fullImageOps is the Theorem 2/3 count the engine paid until PR 22, when
 // every transfer moved its whole fixed-address image: machine m with
 // every context at μ = maxCtx items and every message at the slot bound
-// maxMsg, plus the terminal round's context writes, which are now elided.
+// maxMsg, plus the three context passes the engine no longer makes at any
+// size — the input distribution's write, round 0's read of it, and the
+// terminal round's write.
 func fullImageOps(m costmodel.Machine, maxCtx, maxMsg int) int64 {
 	full := costmodel.NewSizes(m.V)
 	for r := 0; r < m.Rounds; r++ {
@@ -196,7 +211,7 @@ func fullImageOps(m costmodel.Machine, maxCtx, maxMsg int) int64 {
 	}
 	ctx, msg := costmodel.Predict(m, full)
 	if !m.CacheCtx {
-		ctx += int64(m.V) * int64((m.CB+m.D-1)/m.D)
+		ctx += 3 * int64(m.V) * int64((m.CB+m.D-1)/m.D)
 	}
 	return ctx + msg
 }
@@ -222,7 +237,7 @@ func TestCountSteadyAcrossSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sz, _, err := costmodel.SizesOf[int64](sortalg.Sorter[int64]{}, v, cgm.Scatter(keys, v))
+			sz, _, err := costmodel.SizesOf[int64](sortalg.Sorter[int64]{}, wordcodec.I64{}, v, cgm.Scatter(keys, v))
 			if err != nil {
 				t.Fatal(err)
 			}

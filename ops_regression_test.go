@@ -10,10 +10,13 @@ package repro
 // message sizes are read off (costmodel.SizesOf), and the live-prefix
 // transfers those sizes imply are replayed through layout: ⌈blocks/D⌉
 // per striped context transfer, greedy FIFO packing per inbox, outbox
-// and routed batch (costmodel.Predict). Until PR 22 every image moved
-// whole and the numbers were the seed's (commit 32bc9f4: 1368 for the
-// first two rows); MaxTracks is the footprint of the same fixed
-// addresses, one track lower where the last slot's tail is never written.
+// and routed batch (costmodel.Predict), for the transfers the engine
+// makes: none for round 0's context-in, for a context a round left as it
+// read it, or for an empty image. Until PR 22 every image moved whole and
+// the numbers were the seed's (commit 32bc9f4: 1368 for the first two
+// rows; 408 while contexts moved whether or not their reader needed
+// them); MaxTracks is the footprint of the same fixed addresses, one
+// track lower where the last slot's tail is never written.
 
 import (
 	"testing"
@@ -32,12 +35,13 @@ import (
 // oracle derives the context and message parallel I/Os and the round
 // count of prog on the machine cfg describes (MaxMsgItems resolved; par
 // selects RunPar) without the engine.
-func oracle[T any](t *testing.T, prog cgm.Program[T], words int, cfg core.Config, par bool, parts [][]T) (ctx, msg int64, rounds int) {
+func oracle[T any](t *testing.T, prog cgm.Program[T], codec wordcodec.Codec[T], cfg core.Config, par bool, parts [][]T) (ctx, msg int64, rounds int) {
 	t.Helper()
-	sz, ref, err := costmodel.SizesOf(prog, cfg.V, parts)
+	sz, ref, err := costmodel.SizesOf(prog, codec, cfg.V, parts)
 	if err != nil {
 		t.Fatalf("in-memory reference: %v", err)
 	}
+	words := codec.Words()
 	m := costmodel.Machine{Par: par, V: cfg.V, P: cfg.P, D: cfg.D, B: cfg.B, Words: words,
 		BPM: pdm.BlocksFor(1+cfg.MaxMsgItems*words, cfg.B), Rounds: ref.Stats.Rounds,
 		CacheCtx: par && cfg.CacheContexts && cfg.P == cfg.V}
@@ -53,9 +57,9 @@ func sortOracle(t *testing.T, keys []int64, cfg core.Config) (ctx, msg int64, ro
 	parts := cgm.Scatter(keys, cfg.V)
 	if cfg.Balanced {
 		codec := balance.Codec[int64]{Inner: wordcodec.I64{}}
-		return oracle(t, balance.Wrap[int64](sortalg.Sorter[int64]{}), codec.Words(), cfg, true, balance.WrapInputs(parts))
+		return oracle(t, balance.Wrap[int64](sortalg.Sorter[int64]{}), codec, cfg, true, balance.WrapInputs(parts))
 	}
-	return oracle[int64](t, sortalg.Sorter[int64]{}, 1, cfg, true, parts)
+	return oracle[int64](t, sortalg.Sorter[int64]{}, wordcodec.I64{}, cfg, true, parts)
 }
 
 func TestIOOpsMatchSeed(t *testing.T) {
@@ -69,11 +73,11 @@ func TestIOOpsMatchSeed(t *testing.T) {
 		balanced      bool
 		want          want
 	}{
-		{"sort-seq", 8, 1, 2, 64, 1 << 12, false, want{408, 256, 152, 4, 296}},
-		{"sort-par", 8, 4, 2, 64, 1 << 12, false, want{408, 256, 152, 4, 74}},
-		{"sort-par-balanced", 8, 4, 2, 64, 1 << 12, true, want{1729, 1072, 657, 7, 210}},
-		{"sort-seq-D3", 4, 1, 3, 32, 1 << 10, false, want{128, 80, 48, 4, 99}},
-		{"sort-par-D1", 4, 2, 1, 32, 1 << 10, false, want{330, 224, 106, 4, 139}},
+		{"sort-seq", 8, 1, 2, 64, 1 << 12, false, want{272, 120, 152, 4, 296}},
+		{"sort-par", 8, 4, 2, 64, 1 << 12, false, want{272, 120, 152, 4, 74}},
+		{"sort-par-balanced", 8, 4, 2, 64, 1 << 12, true, want{1177, 520, 657, 7, 210}},
+		{"sort-seq-D3", 4, 1, 3, 32, 1 << 10, false, want{84, 36, 48, 4, 99}},
+		{"sort-par-D1", 4, 2, 1, 32, 1 << 10, false, want{214, 108, 106, 4, 139}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -119,12 +123,14 @@ func TestIOOpsMatchSeed(t *testing.T) {
 		for i := range items {
 			items[i] = permute.Item{Dest: dests[i], Val: vals[i]}
 		}
-		ctx, msg, _ := oracle[permute.Item](t, permute.New(n), permute.Codec{}.Words(), cfg, true, cgm.Scatter(items, cfg.V))
-		if ctx != 80 || msg != 92 {
-			t.Errorf("the oracle derives (ctx %d, msg %d), pinned (ctx 80, msg 92)", ctx, msg)
+		ctx, msg, _ := oracle[permute.Item](t, permute.New(n), permute.Codec{}, cfg, true, cgm.Scatter(items, cfg.V))
+		// Round 0 sends every item away and the terminal round keeps what
+		// arrives: no context is ever on disk.
+		if ctx != 0 || msg != 92 {
+			t.Errorf("the oracle derives (ctx %d, msg %d), pinned (ctx 0, msg 92)", ctx, msg)
 		}
-		if res.IO.ParallelOps != 172 || res.CtxOps != 80 || res.MsgOps != 92 {
-			t.Errorf("ops = (%d, ctx %d, msg %d), pinned (172, ctx 80, msg 92)",
+		if res.IO.ParallelOps != 92 || res.CtxOps != 0 || res.MsgOps != 92 {
+			t.Errorf("ops = (%d, ctx %d, msg %d), pinned (92, ctx 0, msg 92)",
 				res.IO.ParallelOps, res.CtxOps, res.MsgOps)
 		}
 	})
@@ -179,12 +185,12 @@ func TestIOOpsMatchSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Algorithm 2 proper: the single-copy matrix, no route phase.
-		ctx, msg, _ := oracle[int64](t, sortalg.Sorter[int64]{}, 1, cfg, false, cgm.Scatter(keys, 4))
-		if ctx != 128 || msg != 76 {
-			t.Errorf("the oracle derives (ctx %d, msg %d), pinned (ctx 128, msg 76)", ctx, msg)
+		ctx, msg, _ := oracle[int64](t, sortalg.Sorter[int64]{}, wordcodec.I64{}, cfg, false, cgm.Scatter(keys, 4))
+		if ctx != 60 || msg != 76 {
+			t.Errorf("the oracle derives (ctx %d, msg %d), pinned (ctx 60, msg 76)", ctx, msg)
 		}
-		if res.IO.ParallelOps != 204 || res.CtxOps != 128 || res.MsgOps != 76 || res.MaxTracks != 93 {
-			t.Errorf("ops = (%d, ctx %d, msg %d, tracks %d), pinned (204, ctx 128, msg 76, tracks 93)",
+		if res.IO.ParallelOps != 136 || res.CtxOps != 60 || res.MsgOps != 76 || res.MaxTracks != 93 {
+			t.Errorf("ops = (%d, ctx %d, msg %d, tracks %d), pinned (136, ctx 60, msg 76, tracks 93)",
 				res.IO.ParallelOps, res.CtxOps, res.MsgOps, res.MaxTracks)
 		}
 	})

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Seeded-negative self-test of the contracts the engine's own tests hold
 # (DESIGN.md §10): break each contract in a scratch copy of the tree, run
-# only the test that owns it, and require that test to fail by name. The
+# only the test that owns it — in internal/core, or in the root package
+# for the property tests — and require that test to fail by name. The
 # unmutated copy must pass the same tests first. An anchor line that no
 # longer matches is itself a failure, so a refactor that moves the code
 # must move its mutation with it.
@@ -9,10 +10,12 @@ set -eu
 root=$(cd "$(dirname "$0")/.." && pwd)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-cp -R "$root/go.mod" "$root/internal" "$tmp/"
+cp -R "$root/go.mod" "$root"/*.go "$root/internal" "$tmp/"
 cd "$tmp"
 
-run_tests() { go test ./internal/core -count=1 -timeout 300s -run "^($1)\$" 2>&1; }
+# run_tests PATTERN: the tests of internal/core and of the root package
+# that PATTERN names.
+run_tests() { go test . ./internal/core -count=1 -timeout 300s -run "^($1)\$" 2>&1; }
 
 # mutate FILE ANCHOR COUNT NTH REPLACEMENT: ANCHOR (a fixed string) must
 # be on exactly COUNT lines of FILE; the NTH such line becomes REPLACEMENT
@@ -40,11 +43,11 @@ check() {
 		echo "contract-selftest: $1 broke the run, but not as a failure of $3"
 		exit 1
 	fi
-	echo "contract-selftest: $1 -> $3 fails: $(printf '%s\n' "$out" | sed -n 's/^ *\([a-z_]*_test\.go:[0-9]*: .*\)/\1/p' | head -n 1 | cut -c1-160)"
+	echo "contract-selftest: $1 -> $3 fails: $(printf '%s\n' "$out" | sed -n 's/^ *\([a-z0-9_]*_test\.go:[0-9]*: .*\)/\1/p' | head -n 1 | cut -c1-160)"
 	cp "$root/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestInitFaultDrains|TestRunFaultDrains'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestRunFaultDrains|TestWhatIsNotMoved'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -52,9 +55,9 @@ if ! out=$(run_tests "$owners"); then
 fi
 echo "contract-selftest: unmutated copy passes ($owners)"
 
-f=internal/core/initdist.go
+f=internal/core/engine.go
 mutate $f 'if err := layout.BeginWriteStripedScratch(pr.arr, 0, l*e.cb, s.bufs, &s.lay, &sl.writes); err != nil {' 1 1 \
-	'\t\terr := layout.BeginWriteStripedScratch(pr.arr, 0, l*e.cb, s.bufs, &s.lay, &sl.writes)\n\t\ts.ctxImg[0] ^= 1\n\t\tif err != nil {'
+	'\terr := layout.BeginWriteStripedScratch(pr.arr, 0, l*e.cb, s.bufs, &s.lay, &sl.writes)\n\ts.ctxImg[0] ^= 1\n\tif err != nil {'
 check 'touch a loaned buffer' $f TestInitCheckedEquivalence
 
 f=internal/layout/splitphase.go
@@ -62,7 +65,7 @@ mutate $f 'pend.Add(p)' 3 2 '\t\t_ = p'
 check 'drop the read hand-off' $f TestPipelineDepthEquivalence
 
 mutate $f 'pend.Add(p)' 3 1 '\t\t_ = p'
-check 'drop the write hand-off' $f TestInitFaultDrains
+check 'drop the write hand-off' $f TestRunFaultDrains
 
 f=internal/core/engine.go
 mutate $f 'ss.End()' 1 1 ''
@@ -76,7 +79,20 @@ check 'drop the compensating sends' $f TestRunFaultDrains
 # poisons the slot's images ahead of every prefetch, so the missing block
 # decodes as garbage (or, for a one-block context, as a corrupt header).
 mutate $f 'if err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg[:pr.ctxLive[l]*B], &s.lay, &sl.reads); err != nil {' 1 1 \
-	'\t\tif err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg[:(pr.ctxLive[l]-1)*B], &s.lay, &sl.reads); err != nil {'
+	'\t\tif err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg[:max(pr.ctxLive[l]-1, 0)*B], &s.lay, &sl.reads); err != nil {'
 check 'read one block too few' $f TestPipelineDepthEquivalence
 
-echo "contract-selftest: all six mutations caught"
+# What is not moved (DESIGN.md §18): a context is clean only if its
+# encoding is, word for word, what the slot read. Neither shortcut may
+# pass: a program can change an item in place (same slice, same length),
+# and it can hand back different words at the same length.
+mutate $f 'nb, same := encodeCtx(e.codec, vp.State, s.ctxImg, pr.cmp, B, pr.ctxLive[l])' 1 1 \
+	'\tnb, same := pr.ctxLive[l], round > 0 && within(vp.State, pr.mem.state) && len(vp.State) == int(s.ctxImg[0])\n\tif !same {\n\t\tnb, same = encodeCtx(e.codec, vp.State, s.ctxImg, pr.cmp, B, pr.ctxLive[l])\n\t}'
+check 'same backing array and length => clean' $f TestWhatIsNotMoved
+
+f=internal/core/core.go
+mutate $f 'same = equalWords(words, img[1+off*iw:1+off*iw+len(words)])' 1 1 \
+	'\t\t_ = equalWords(words, img[1+off*iw:1+off*iw+len(words)])'
+check 'lengths equal => clean without comparing words' $f TestWhatIsNotMoved
+
+echo "contract-selftest: all eight mutations caught"
