@@ -22,7 +22,7 @@ func ExampleRunSeq() {
 	fmt.Println("rounds:", res.Rounds, "fullness ≥ 0.5:", res.IO.Fullness(2) >= 0.5)
 	// Output:
 	// [0 1 2 3 4 5 6 7 8 9 10 11]
-	// rounds: 4 fullness ≥ 0.5: true
+	// rounds: 3 fullness ≥ 0.5: true
 }
 
 // ExampleRunPar runs the same program on two real processors.

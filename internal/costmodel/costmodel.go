@@ -2,8 +2,9 @@
 // simulation's measured behaviour. For every compound superstep it
 // computes the parallel-I/O count the Theorem 2/3 accounting predicts —
 // context swaps at ⌈live blocks/D⌉ striped operations each, plus the
-// message-matrix FIFO schedule replayed symbolically over the staggered
-// layout — and records it side-by-side with the measured obs span
+// message-matrix bursts priced symbolically over the staggered layout, each
+// at the request count of its busiest disk — and records it side-by-side
+// with the measured obs span
 // (duration, CtxOps/MsgOps/Blocks) in a per-run Ledger. Predicted counts
 // must match measured counts bit-exactly (Reconcile enforces this); the
 // pdm.TimeModel then converts both into modelled time so measured wall
@@ -17,16 +18,18 @@
 // predictor's only view of the data:
 // it never sees an operation counter and never touches a disk.
 // layout.Matrix/Rect block addresses depend on BaseTrack only through the
-// Track field, and the FIFO packing rule depends only on the Disk
-// sequence, so the schedule is replayed at BaseTrack 0. With every image
+// Track field, and the packing rule depends only on the Disk fields, so
+// the schedule is replayed at BaseTrack 0. With every image
 // at its declared maximum and no context left unchanged the prediction is
 // the Theorem 2/3 full-image count less the input distribution's write and
 // round 0's read of it, and bounds every run from above: a live-prefix
-// request sequence is a subsequence of the full one, and greedy FIFO
-// packing of a subsequence never needs more cycles.
+// burst is a subset of the full one, and a maximum of per-disk request
+// counts cannot grow when requests are taken away.
 package costmodel
 
 import (
+	"slices"
+
 	"repro/internal/layout"
 	"repro/internal/pdm"
 )
@@ -68,18 +71,18 @@ func (m Machine) LocalV() int {
 
 // predictor replays a machine's transfer schedule from a run's sizes.
 type predictor struct {
-	m     Machine
-	sz    *Sizes
-	mat   layout.Matrix
-	rect  layout.Rect
-	used  []bool
-	live  []int // live blocks per slot of the inbox or outbox being priced
-	reqs  []pdm.BlockReq
-	valid bool // the geometry is one layout accepts
+	m       Machine
+	sz      *Sizes
+	mat     layout.Matrix
+	rect    layout.Rect
+	perDisk []int64 // requests per disk of the burst being priced
+	live    []int   // live blocks per slot of the inbox or outbox being priced
+	reqs    []pdm.BlockReq
+	valid   bool // the geometry is one layout accepts
 }
 
 func newPredictor(m Machine, sz *Sizes) *predictor {
-	p := &predictor{m: m, sz: sz, used: make([]bool, m.D), live: make([]int, m.V)}
+	p := &predictor{m: m, sz: sz, perDisk: make([]int64, m.D), live: make([]int, m.V)}
 	var err error
 	if m.Par {
 		p.rect, err = layout.NewRect(m.V, m.LocalV(), m.BPM, m.D, 0)
@@ -90,24 +93,15 @@ func newPredictor(m Machine, sz *Sizes) *predictor {
 	return p
 }
 
-// fifoOps replays layout's greedy FIFO packing rule over the request
-// sequence, counting parallel I/Os without performing them: a cycle
-// admits requests until it would revisit a disk, then one op issues.
+// fifoOps prices a burst under layout's packing rule without performing
+// it: issued in per-disk rounds, a burst costs as many parallel I/Os as
+// its busiest disk has requests.
 func (p *predictor) fifoOps(reqs []pdm.BlockReq) int64 {
-	used := p.used
-	ops := int64(0)
-	i := 0
-	for i < len(reqs) {
-		for j := range used {
-			used[j] = false
-		}
-		for i < len(reqs) && !used[reqs[i].Disk] {
-			used[reqs[i].Disk] = true
-			i++
-		}
-		ops++
+	clear(p.perDisk)
+	for _, r := range reqs {
+		p.perDisk[r.Disk]++
 	}
-	return ops
+	return slices.Max(p.perDisk)
 }
 
 // stripedOps is the cost of a striped transfer of n blocks over d disks.
@@ -162,7 +156,7 @@ func (p *predictor) outboxOps(round, j int) int64 {
 
 // routeOps prices one processor's route phase in a non-terminal round: it
 // lands exactly V batches, one per virtual processor in the machine, each
-// as one FIFO call over the source's slot in every local region.
+// as one burst over the source's slot in every local region.
 func (p *predictor) routeOps(round, proc int) int64 {
 	lv := p.m.LocalV()
 	total := int64(0)

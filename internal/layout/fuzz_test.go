@@ -10,9 +10,10 @@ import (
 // round-trips the consecutive↔staggered alternation of Observation 2:
 // every message written through the outbox placement of phase p must be
 // read back, exactly once and in source order, by the inbox placement of
-// phase p+1, with each matrix block owned by exactly one slot. The
-// consecutive half of the figure is asserted structurally — an even-phase
-// inbox is one front-to-back striped run of the destination's region.
+// phase p+1, with each matrix block owned by exactly one slot of the
+// region whose tracks hold it. The stagger is asserted structurally — the
+// first blocks of consecutive slots, and of one slot in consecutive
+// regions, sit on consecutive disks, whatever b′ and D are.
 func FuzzStaggeredLayout(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint8(3), uint8(0))
 	f.Add(uint8(5), uint8(1), uint8(4), uint8(1))
@@ -38,8 +39,8 @@ func FuzzStaggeredLayout(f *testing.F) {
 					if req.Disk < 0 || req.Disk >= D {
 						t.Fatalf("slot (%d,%d,%d): disk %d out of [0,%d)", r, a, q, req.Disk, D)
 					}
-					if req.Track < m.BaseTrack || req.Track >= m.BaseTrack+m.TotalTracks() {
-						t.Fatalf("slot (%d,%d,%d): track %d outside the matrix", r, a, q, req.Track)
+					if t0 := m.BaseTrack + r*m.RegionTracks(); req.Track < t0 || req.Track >= t0+m.RegionTracks() {
+						t.Fatalf("slot (%d,%d,%d): track %d outside region %d's [%d, %d)", r, a, q, req.Track, r, t0, t0+m.RegionTracks())
 					}
 					if _, dup := owner[req]; dup {
 						t.Fatalf("block %+v owned by two slots", req)
@@ -87,21 +88,32 @@ func FuzzStaggeredLayout(f *testing.F) {
 			t.Fatalf("phase %d: %d written blocks never read back", p, len(disk))
 		}
 
-		// Even phases use the consecutive format: the inbox of dst is
-		// region dst, read as one striped run from its staggered disk
-		// offset — block g lands on disk (d0+g) mod D, track t + g/D.
-		even := p
-		if even%2 != 0 {
-			even++
-		}
-		for dst := 0; dst < V; dst++ {
-			t0 := m.BaseTrack + dst*m.RegionTracks()
-			d0 := (dst * m.BPM) % D
-			for g, req := range m.InboxReqs(even, dst) {
-				want := pdm.BlockReq{Disk: (d0 + g) % D, Track: t0 + (d0+g)/D}
-				if req != want {
-					t.Fatalf("phase %d inbox of %d not consecutive at block %d: got %+v, want %+v", even, dst, g, req, want)
+		// The stagger: one step along a region or across regions is one
+		// disk, so any D neighbouring slots begin on D different disks.
+		for r := 0; r < V; r++ {
+			for a := 0; a < V; a++ {
+				next := (m.SlotBlock(r, a, 0).Disk + 1) % D
+				if a+1 < V && m.SlotBlock(r, a+1, 0).Disk != next {
+					t.Fatalf("slots %d and %d of region %d do not start on consecutive disks", a, a+1, r)
 				}
+				if r+1 < V && m.SlotBlock(r+1, a, 0).Disk != next {
+					t.Fatalf("slot %d of regions %d and %d does not start on consecutive disks", a, r, r+1)
+				}
+			}
+		}
+
+		// Both placements use the whole matrix: each phase maps the V²
+		// messages onto the V² slots one to one.
+		for phase := 0; phase < 2; phase++ {
+			slots := map[[2]int]struct{}{}
+			for src := 0; src < V; src++ {
+				for dst := 0; dst < V; dst++ {
+					r, a := m.Place(phase, src, dst)
+					slots[[2]int{r, a}] = struct{}{}
+				}
+			}
+			if len(slots) != V*V {
+				t.Fatalf("phase %d places %d² messages in %d slots", phase, V, len(slots))
 			}
 		}
 

@@ -1,8 +1,8 @@
 // Package layout implements the deterministic disk layouts of the paper's
 // appendix: the consecutive format used for virtual-processor contexts and
 // inbox reads, the staggered message-matrix format of Figure 2, and the
-// FIFO DiskWrite scheduler that packs conflict-free blocks into parallel
-// I/O operations.
+// DiskWrite scheduler that packs a burst's blocks into parallel I/O
+// operations by disk.
 //
 // Terminology (paper, Section 6.9):
 //
@@ -11,9 +11,12 @@
 //     and d its disk offset. Equivalently, a run is a contiguous range of
 //     "global block indices" striped round-robin across the D disks.
 //   - staggered format: messages to consecutively numbered processors have
-//     their first blocks offset by b' = blocks-per-message on the disks,
-//     so that one parallel I/O can write message blocks for consecutive
-//     destinations.
+//     their first blocks on consecutive disks, so that one parallel I/O can
+//     write message blocks for consecutive destinations. The paper offsets
+//     them by b' = blocks-per-message, which puts them all on one disk when
+//     D divides b'; here the slot pitch is b' rounded up to ≡ 1 (mod D)
+//     (see pitch), so the offset is one disk for every (b', D) and holds
+//     for the live prefixes that are all the engine transfers.
 //
 // The package is part of the determinism contract checked by the
 // detorder analyzer (see DESIGN.md §11): identical inputs must yield
@@ -80,50 +83,63 @@ func ReadStriped(arr *pdm.DiskArray, baseTrack, startBlock, n int) ([]pdm.Word, 
 	return out, nil
 }
 
-// WriteFIFO implements the paper's DiskWrite procedure: blocks are
-// serviced strictly in FIFO order; each write cycle takes blocks from the
-// front of the queue until one conflicts (same disk) with an earlier block
-// of the cycle, then issues the cycle as a single parallel I/O.
-// It returns the number of parallel operations issued.
+// WriteFIFO writes a burst of blocks in the fewest parallel I/Os its
+// addresses allow. The paper's DiskWrite procedure serves the queue
+// strictly front to back and cuts a write cycle at the first block whose
+// disk the cycle already uses; here a burst is issued in per-disk rounds
+// (see packed), which costs the same on the whole-slot transfers the paper
+// makes and no more on anything else. It returns the number of parallel
+// operations issued.
 func WriteFIFO(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word) (int, error) {
 	var s Scratch
-	return fifo(arr, reqs, bufs, false, &s)
+	return packed(arr, reqs, bufs, false, &s, nil)
 }
 
-// ReadFIFO is the read-side analogue of WriteFIFO: it packs the FIFO
-// request sequence into maximal conflict-free parallel reads.
+// ReadFIFO is the read-side analogue of WriteFIFO.
 func ReadFIFO(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word) (int, error) {
 	var s Scratch
-	return fifo(arr, reqs, bufs, true, &s)
+	return packed(arr, reqs, bufs, true, &s, nil)
 }
 
+// packed issues a burst in per-disk rounds: operation k carries the k-th
+// request of every disk that has one, each disk's requests in the order
+// the burst lists them. A disk serves one block per operation, so no
+// schedule takes fewer than the longest per-disk queue, and this one takes
+// exactly that many: max_d(count_d). Transfers to one disk keep the
+// burst's order, which is all a write→read dependency needs (pdm's
+// per-disk queues are FIFO). With a pending set the operations are begun
+// and their handles added to it; with none each is waited before the next.
 // emcgm:hotpath
-func fifo(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, read bool, s *Scratch) (int, error) {
+func packed(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, read bool, s *Scratch, pend *pdm.PendingSet) (int, error) {
 	if len(reqs) != len(bufs) {
 		return 0, fmt.Errorf("layout: %d requests but %d buffers", len(reqs), len(bufs))
 	}
-	used := s.diskSet(arr.D())
-	ops := 0
-	i := 0
-	for i < len(reqs) {
-		for j := range used {
-			used[j] = false
+	d := arr.D()
+	queue, order, ops := s.byDisk(reqs, d)
+	opReqs, opBufs := s.grow(d)
+	for k := 0; k < ops; k++ {
+		n := 0
+		for disk := 0; disk < d; disk++ {
+			if at := queue[disk] + k; at < queue[disk+1] {
+				opReqs[n], opBufs[n] = reqs[order[at]], bufs[order[at]]
+				n++
+			}
 		}
-		start := i
-		for i < len(reqs) && !used[reqs[i].Disk] {
-			used[reqs[i].Disk] = true
-			i++
-		}
+		var p *pdm.Pending
 		var err error
 		if read {
-			err = arr.ReadBlocks(reqs[start:i], bufs[start:i])
+			p, err = arr.BeginReadBlocks(opReqs[:n], opBufs[:n])
 		} else {
-			err = arr.WriteBlocks(reqs[start:i], bufs[start:i])
+			p, err = arr.BeginWriteBlocks(opReqs[:n], opBufs[:n])
 		}
 		if err != nil {
-			return ops, err
+			return k, err
 		}
-		ops++
+		if pend != nil {
+			pend.Add(p)
+		} else if err := p.Wait(); err != nil {
+			return k, err
+		}
 	}
 	return ops, nil
 }

@@ -128,8 +128,9 @@ func TestWriteFIFOPacksConflictFree(t *testing.T) {
 	if ops != 2 {
 		t.Errorf("ops = %d, want 2", ops)
 	}
-	// FIFO order must be respected: a conflicting block later in the queue
-	// must not jump ahead.
+	// Each disk keeps its order: of two blocks for one disk the earlier is
+	// written first, though a later block for an idle disk joins the first
+	// operation.
 	arr2 := pdm.NewMemArray(2, b)
 	reqs2 := []pdm.BlockReq{{Disk: 0}, {Disk: 0, Track: 1}, {Disk: 1}}
 	bufs2 := [][]pdm.Word{{1, 1}, {2, 2}, {3, 3}}
@@ -137,7 +138,7 @@ func TestWriteFIFOPacksConflictFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ops2 != 2 { // cycle1: {0,0}; cycle2: {0,1},{1,0}
+	if ops2 != 2 { // op 1: {0,0},{1,0}; op 2: {0,1}
 		t.Errorf("ops2 = %d, want 2", ops2)
 	}
 	got := make([]pdm.Word, b)
@@ -305,8 +306,8 @@ func TestMatrixAlternationDeliversMessages(t *testing.T) {
 	}
 }
 
-// Inbox reads in phase 0 are consecutive: the FIFO scheduler must achieve
-// near-perfect parallelism (⌈V·BPM/D⌉ ops, +1 slack for the stagger).
+// Inbox reads in phase 0 are one region front to back: the scheduler must
+// achieve near-perfect parallelism (⌈V·BPM/D⌉ ops, +1 slack for the stagger).
 func TestMatrixConsecutiveReadParallelism(t *testing.T) {
 	for _, g := range []struct{ v, bpm, d int }{
 		{8, 2, 4}, {16, 1, 4}, {6, 3, 2}, {9, 2, 3},
@@ -448,8 +449,8 @@ func TestStripedRoundTripProperty(t *testing.T) {
 
 // The live-prefix request sequences are the full-image ones with the tail
 // of every slot cut off: a nil table gives the whole slots, a table gives
-// a subsequence in the same order — which is why greedy FIFO packing never
-// needs more cycles for it — and SplitPrefixesInto hands out exactly the
+// a subsequence in the same order — no disk has more requests in it, which
+// is why it never needs more operations — and SplitPrefixesInto hands out exactly the
 // buffers that pair with it, so what is written through the outbox
 // prefixes of one phase is what the inbox prefixes of the next read back.
 func TestPrefixReqs(t *testing.T) {

@@ -12,11 +12,14 @@ import (
 // writes proceed with fully parallel I/O.
 //
 // The matrix is organised in v regions (track bands). Region r starts at
-// track BaseTrack + r·RegionTracks() with disk offset d_r = (r·BPM) mod D;
-// slot a of region r occupies BPM consecutive striped blocks starting at
-// region-local block index a·BPM. Staggering the regions' disk offsets is
-// what lets one parallel I/O touch the first blocks of slots in
-// consecutive regions (the shaded rectangles of Figure 2).
+// track BaseTrack + r·RegionTracks() with disk offset d_r = r mod D; slot a
+// of region r occupies BPM consecutive striped blocks starting at
+// region-local block index a·pitch(BPM, D). The first block of slot a of
+// region r is therefore on disk (r + a) mod D: consecutive slots of a
+// region, and the same slot of consecutive regions, start on consecutive
+// disks, which is what lets one parallel I/O touch the first blocks of D
+// of them (the shaded rectangles of Figure 2) — whole slots or live
+// prefixes alike.
 //
 // Which (source,destination) message occupies which slot alternates by
 // superstep parity per Observation 2, so a single copy of the matrix
@@ -49,22 +52,38 @@ func NewMatrix(v, bpm, d, baseTrack int) (Matrix, error) {
 	return Matrix{V: v, BPM: bpm, D: d, BaseTrack: baseTrack}, nil
 }
 
-// RegionTracks returns the number of tracks occupied by one region:
-// ⌈V·BPM/D⌉ plus one track of slack for the staggered disk offset.
+// pitch is the distance, in blocks, between the starts of consecutive
+// slots of a region: bpm rounded up to ≡ 1 (mod d), so that each slot
+// starts one disk after the one before it. It pads a slot by less than d
+// blocks, and by none where bpm ≡ 1 (mod d) already (every bpm at d = 1).
 // emcgm:hotpath
-func (m Matrix) RegionTracks() int {
-	return (m.V*m.BPM+m.D-1)/m.D + 1
+func pitch(bpm, d int) int {
+	return bpm + (d-(bpm-1)%d)%d
 }
+
+// regionTracks is the number of tracks a region of the given number of
+// slots occupies: ⌈slots·pitch/D⌉ plus one track of slack for the region's
+// disk offset.
+// emcgm:hotpath
+func regionTracks(slots, bpm, d int) int {
+	return (slots*pitch(bpm, d)+d-1)/d + 1
+}
+
+// slotBlock is the address of block q of slot a of the region with number
+// r and first track t.
+// emcgm:hotpath
+func slotBlock(r, t, a, q, bpm, d int) pdm.BlockReq {
+	g := r%d + a*pitch(bpm, d) + q
+	return pdm.BlockReq{Disk: g % d, Track: t + g/d}
+}
+
+// RegionTracks returns the number of tracks occupied by one region.
+// emcgm:hotpath
+func (m Matrix) RegionTracks() int { return regionTracks(m.V, m.BPM, m.D) }
 
 // TotalTracks returns the number of tracks occupied by the whole matrix.
 // emcgm:hotpath
 func (m Matrix) TotalTracks() int { return m.V * m.RegionTracks() }
-
-// regionStart returns the base track and disk offset of region r.
-// emcgm:hotpath
-func (m Matrix) regionStart(r int) (track, diskOff int) {
-	return m.BaseTrack + r*m.RegionTracks(), (r * m.BPM) % m.D
-}
 
 // SlotBlock returns the disk address of block q (0 ≤ q < BPM) of slot a
 // within region r.
@@ -73,9 +92,7 @@ func (m Matrix) SlotBlock(r, a, q int) pdm.BlockReq {
 	if r < 0 || r >= m.V || a < 0 || a >= m.V || q < 0 || q >= m.BPM {
 		panic(fmt.Sprintf("layout: slot block (r=%d a=%d q=%d) out of range", r, a, q))
 	}
-	t, d0 := m.regionStart(r)
-	g := d0 + a*m.BPM + q
-	return pdm.BlockReq{Disk: g % m.D, Track: t + g/m.D}
+	return slotBlock(r, m.BaseTrack+r*m.RegionTracks(), a, q, m.BPM, m.D)
 }
 
 // Place returns the (region, slot) holding the message src→dst in the
@@ -90,8 +107,8 @@ func (m Matrix) Place(phase, src, dst int) (region, slot int) {
 
 // InboxReqs returns the FIFO block-request sequence that reads VP dst's
 // entire inbox (V messages of BPM blocks each) in the given phase. In
-// phase 0 this is a consecutive read of region dst; in phase 1 it is a
-// staggered read of slot dst from every region. The k-th group of BPM
+// phase 0 this reads the slots of region dst front to back; in phase 1 it
+// is a staggered read of slot dst from every region. The k-th group of BPM
 // requests holds the message from source k.
 func (m Matrix) InboxReqs(phase, dst int) []pdm.BlockReq {
 	return m.AppendInboxReqs(make([]pdm.BlockReq, 0, m.V*m.BPM), phase, dst)
@@ -106,8 +123,9 @@ func (m Matrix) AppendInboxReqs(reqs []pdm.BlockReq, phase, dst int) []pdm.Block
 // AppendInboxPrefixReqs is AppendInboxReqs restricted to the live prefix
 // of every slot: only the first live[src] blocks of the message from src
 // are requested, in the same slot-major order (a nil live means every
-// slot whole). The result is a subsequence of the full-image sequence, so
-// greedy FIFO packing never needs more cycles for it.
+// slot whole). The result is a subset of the full-image sequence, so no
+// disk has more requests in it and packing it by disk (packed) never needs
+// more operations.
 // emcgm:hotpath
 func (m Matrix) AppendInboxPrefixReqs(reqs []pdm.BlockReq, phase, dst int, live []int) []pdm.BlockReq {
 	for src := 0; src < m.V; src++ {

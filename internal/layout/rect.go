@@ -33,8 +33,8 @@ func NewRect(slots, regions, bpm, d, baseTrack int) (Rect, error) {
 	return Rect{Slots: slots, Regions: regions, BPM: bpm, D: d, BaseTrack: baseTrack}, nil
 }
 
-// RegionTracks returns tracks per region: ⌈Slots·BPM/D⌉ + 1 stagger slack.
-func (m Rect) RegionTracks() int { return (m.Slots*m.BPM+m.D-1)/m.D + 1 }
+// RegionTracks returns tracks per region.
+func (m Rect) RegionTracks() int { return regionTracks(m.Slots, m.BPM, m.D) }
 
 // TotalTracks returns the full footprint in tracks.
 func (m Rect) TotalTracks() int { return m.Regions * m.RegionTracks() }
@@ -44,10 +44,7 @@ func (m Rect) SlotBlock(r, a, q int) pdm.BlockReq {
 	if r < 0 || r >= m.Regions || a < 0 || a >= m.Slots || q < 0 || q >= m.BPM {
 		panic(fmt.Sprintf("layout: rect slot block (r=%d a=%d q=%d) out of range", r, a, q))
 	}
-	t := m.BaseTrack + r*m.RegionTracks()
-	d0 := (r * m.BPM) % m.D
-	g := d0 + a*m.BPM + q
-	return pdm.BlockReq{Disk: g % m.D, Track: t + g/m.D}
+	return slotBlock(r, m.BaseTrack+r*m.RegionTracks(), a, q, m.BPM, m.D)
 }
 
 // SlotReqs returns the BPM block requests of slot a in region r, in block
@@ -66,7 +63,7 @@ func (m Rect) AppendSlotReqs(reqs []pdm.BlockReq, r, a, n int) []pdm.BlockReq {
 }
 
 // RegionReqs returns the block requests of the whole region r (Slots·BPM
-// blocks, consecutive on disk), grouped slot by slot.
+// blocks), grouped slot by slot.
 func (m Rect) RegionReqs(r int) []pdm.BlockReq {
 	return m.AppendRegionPrefixReqs(make([]pdm.BlockReq, 0, m.Slots*m.BPM), r, nil)
 }

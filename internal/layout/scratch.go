@@ -5,8 +5,8 @@ import (
 )
 
 // Scratch holds the transient request/buffer storage of the
-// allocation-free layout entry points (WriteStripedScratch,
-// ReadStripedScratch, ReadFIFOScratch, WriteFIFOScratch). A zero Scratch
+// allocation-free layout entry points (the …StripedScratch and
+// Begin…Scratch functions). A zero Scratch
 // is ready to use; its slices grow on first use to the largest operation
 // seen and are reused afterwards, so a scratch kept across supersteps
 // makes the layout layer allocation-free in steady state.
@@ -15,9 +15,10 @@ import (
 // without synchronisation. Each real processor of the simulation keeps
 // its own.
 type Scratch struct {
-	reqs []pdm.BlockReq
-	bufs [][]pdm.Word
-	used []bool
+	reqs  []pdm.BlockReq
+	bufs  [][]pdm.Word
+	queue []int // byDisk: where each disk's queue starts in order
+	order []int // byDisk: the burst's request indices, disk by disk
 }
 
 // grow returns the scratch request and buffer slices with length n,
@@ -35,19 +36,38 @@ func (s *Scratch) grow(n int) ([]pdm.BlockReq, [][]pdm.Word) {
 	return s.reqs[:n], s.bufs[:n]
 }
 
-// diskSet returns the scratch per-disk conflict markers, cleared, for d
-// disks.
+// byDisk sorts the indices of a burst's requests into one queue per disk,
+// each in burst order: disk k's are order[queue[k]:queue[k+1]]. longest is
+// the length of the longest queue.
 // emcgm:hotpath
-func (s *Scratch) diskSet(d int) []bool {
+func (s *Scratch) byDisk(reqs []pdm.BlockReq, d int) (queue, order []int, longest int) {
 	// emcgm:coldpath sized to D on first use, reused afterwards
-	if cap(s.used) < d {
-		s.used = make([]bool, d)
+	if cap(s.queue) < d+1 {
+		s.queue = make([]int, d+1)
 	}
-	used := s.used[:d]
-	for i := range used {
-		used[i] = false
+	// emcgm:coldpath growth to the largest burst seen, amortised
+	if cap(s.order) < len(reqs) {
+		s.order = make([]int, len(reqs))
 	}
-	return used
+	queue, order = s.queue[:d+1], s.order[:len(reqs)]
+	clear(queue)
+	for _, r := range reqs {
+		queue[r.Disk]++
+	}
+	end := 0
+	for k := 0; k < d; k++ {
+		longest = max(longest, queue[k])
+		end += queue[k]
+		queue[k] = end
+	}
+	queue[d] = end
+	// Filled back to front, each queue's end walks down to its start.
+	for i := len(reqs) - 1; i >= 0; i-- {
+		k := reqs[i].Disk
+		queue[k]--
+		order[queue[k]] = i
+	}
+	return queue, order, longest
 }
 
 // AppendStripedReqs appends the requests for blocks [startBlock,
@@ -135,17 +155,4 @@ func ReadStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, dst []pdm
 		}
 	}
 	return nil
-}
-
-// WriteFIFOScratch is WriteFIFO with the per-cycle disk conflict markers
-// taken from s instead of a fresh allocation.
-// emcgm:hotpath
-func WriteFIFOScratch(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, s *Scratch) (int, error) {
-	return fifo(arr, reqs, bufs, false, s)
-}
-
-// ReadFIFOScratch is the read-side analogue of WriteFIFOScratch.
-// emcgm:hotpath
-func ReadFIFOScratch(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, s *Scratch) (int, error) {
-	return fifo(arr, reqs, bufs, true, s)
 }

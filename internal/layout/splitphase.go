@@ -1,8 +1,6 @@
 package layout
 
 import (
-	"fmt"
-
 	"repro/internal/pdm"
 )
 
@@ -73,55 +71,17 @@ func BeginReadStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, dst 
 	return nil
 }
 
-// BeginWriteFIFOScratch is WriteFIFOScratch in split-phase form: the FIFO
-// request sequence is packed into the same maximal conflict-free cycles
-// and each cycle begun as one parallel I/O. Returns the number of
-// operations begun.
+// BeginWriteFIFOScratch is WriteFIFO in split-phase form with caller-owned
+// scratch: the burst is packed into the same per-disk rounds and each
+// round begun as one parallel I/O. Returns the number of operations begun.
 // emcgm:hotpath
 func BeginWriteFIFOScratch(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, s *Scratch, pend *pdm.PendingSet) (int, error) {
-	return beginFIFO(arr, reqs, bufs, false, s, pend)
+	return packed(arr, reqs, bufs, false, s, pend)
 }
 
 // BeginReadFIFOScratch is the read-side analogue of
 // BeginWriteFIFOScratch.
 // emcgm:hotpath
 func BeginReadFIFOScratch(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, s *Scratch, pend *pdm.PendingSet) (int, error) {
-	return beginFIFO(arr, reqs, bufs, true, s, pend)
-}
-
-// beginFIFO is fifo with Begin in place of the synchronous calls: the
-// cycle boundaries (FIFO order, break on first same-disk conflict) are
-// computed by the same loop, so the operation count and composition are
-// bit-identical to the synchronous scheduler's.
-// emcgm:hotpath
-func beginFIFO(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, read bool, s *Scratch, pend *pdm.PendingSet) (int, error) {
-	if len(reqs) != len(bufs) {
-		return 0, fmt.Errorf("layout: %d requests but %d buffers", len(reqs), len(bufs))
-	}
-	used := s.diskSet(arr.D())
-	ops := 0
-	i := 0
-	for i < len(reqs) {
-		for j := range used {
-			used[j] = false
-		}
-		start := i
-		for i < len(reqs) && !used[reqs[i].Disk] {
-			used[reqs[i].Disk] = true
-			i++
-		}
-		var p *pdm.Pending
-		var err error
-		if read {
-			p, err = arr.BeginReadBlocks(reqs[start:i], bufs[start:i])
-		} else {
-			p, err = arr.BeginWriteBlocks(reqs[start:i], bufs[start:i])
-		}
-		if err != nil {
-			return ops, err
-		}
-		pend.Add(p)
-		ops++
-	}
-	return ops, nil
+	return packed(arr, reqs, bufs, true, s, pend)
 }

@@ -41,8 +41,9 @@ func keyLess(a, b key) bool {
 	return a.a < b.a
 }
 
-// program is PSRS over records (3 communication rounds; see
-// sortalg.Sorter for the scalar version and the analysis).
+// program is PSRS over records, the splitters picked at VP 0 and broadcast
+// (3 communication rounds; see sortalg.Sorter for the analysis and for the
+// scalar version, which sends the samples to everyone and saves a round).
 type program struct{}
 
 func (program) Init(vp *cgm.VP[rec.R], input []rec.R) {

@@ -25,13 +25,14 @@ import (
 	"repro/internal/wordcodec"
 )
 
-// Sorter is the CGM sorting-by-regular-sampling program. It uses three
-// communication rounds (samples → splitters → buckets) and O(N/v) local
+// Sorter is the CGM sorting-by-regular-sampling program. It uses two
+// communication rounds (samples to everyone → buckets) and O(N/v) local
 // memory per processor, requiring N ≳ v³ for balanced buckets — exactly
 // the coarse-grained slackness (N > v^κ, κ ≤ 3) the paper's Theorem 4
-// assumes. The output is globally sorted across virtual processors in VP
-// order; output partitions are splitter ranges, so their sizes may differ
-// from the input partitions.
+// assumes, and what keeps the all-gather of samples (h = v² items) within
+// an h-relation of N/v. The output is globally sorted across virtual
+// processors in VP order; output partitions are splitter ranges, so their
+// sizes may differ from the input partitions.
 type Sorter[T cmp.Ordered] struct{}
 
 // Init sorts nothing yet; it just stores the partition.
@@ -39,17 +40,16 @@ func (Sorter[T]) Init(vp *cgm.VP[T], input []T) {
 	vp.State = append([]T(nil), input...)
 }
 
-// Round implements the three PSRS rounds.
+// Round implements the three PSRS supersteps.
 func (Sorter[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
 	v := vp.V
 	switch round {
 	case 0:
-		// Local sort; send v regular samples to VP 0.
+		// Local sort; send v regular samples to every VP.
 		slices.Sort(vp.State)
 		if v == 1 {
 			return nil, true
 		}
-		out := make([][]T, v)
 		m := len(vp.State)
 		var samples []T
 		if m <= v {
@@ -60,54 +60,25 @@ func (Sorter[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
 				samples[k] = vp.State[k*m/v]
 			}
 		}
-		out[0] = samples
+		out := make([][]T, v)
+		for d := range out {
+			out[d] = samples
+		}
 		return out, false
 
 	case 1:
-		// VP 0 picks v−1 splitters from the gathered samples and
-		// broadcasts them.
-		if vp.ID != 0 {
-			return nil, false
-		}
-		var samples []T
-		for _, m := range inbox {
-			samples = append(samples, m...)
-		}
-		slices.Sort(samples)
-		splitters := make([]T, 0, v-1)
-		s := len(samples)
-		for k := 1; k < v; k++ {
-			if s == 0 {
-				var zero T
-				splitters = append(splitters, zero)
-				continue
-			}
-			pos := k * s / v
-			if pos >= s {
-				pos = s - 1
-			}
-			splitters = append(splitters, samples[pos])
-		}
-		out := make([][]T, v)
-		for d := 0; d < v; d++ {
-			out[d] = append([]T(nil), splitters...)
-		}
-		return out, false
-
-	case 2:
-		// Partition the sorted local data by the splitters; bucket k goes
-		// to VP k. Bucket k = (splitter[k-1], splitter[k]].
-		splitters := inbox[0]
+		// Every VP holds the same samples in the same source order, so
+		// every VP picks the same v−1 splitters; it cuts its sorted data by
+		// them and bucket k goes to VP k. Bucket k = (splitter[k-1],
+		// splitter[k]].
+		splitters := pickSplitters(inbox, v)
 		out := make([][]T, v)
 		lo := 0
 		for k := 0; k < v; k++ {
 			hi := len(vp.State)
 			if k < len(splitters) {
 				// First index with State[i] > splitters[k].
-				hi = upperBound(vp.State, splitters[k])
-			}
-			if hi < lo {
-				hi = lo
+				hi = max(lo, upperBound(vp.State, splitters[k]))
 			}
 			out[k] = append([]T(nil), vp.State[lo:hi]...)
 			lo = hi
@@ -130,12 +101,28 @@ func (Sorter[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
 	}
 }
 
+// pickSplitters sorts the samples of all v sources and takes the v−1
+// regular splitters among them (zero values when nobody had a sample). It
+// copies: an inbox is not the receiver's to reorder.
+func pickSplitters[T cmp.Ordered](inbox [][]T, v int) []T {
+	samples := slices.Concat(inbox...)
+	slices.Sort(samples)
+	splitters := make([]T, v-1)
+	if s := len(samples); s > 0 {
+		for k := range splitters {
+			splitters[k] = samples[(k+1)*s/v]
+		}
+	}
+	return splitters
+}
+
 // Output returns the VP's sorted range.
 func (Sorter[T]) Output(vp *cgm.VP[T]) []T { return vp.State }
 
-// MaxContextItems declares μ: the local partition plus, at VP 0, the v²
-// gathered samples, plus the merged range which regular sampling bounds
-// by about 2N/v (we allow 3 for skew slack).
+// MaxContextItems declares μ: the local partition, then the merged range,
+// which regular sampling bounds by about 2N/v (we allow 5/2 for skew
+// slack). The v² samples every VP gathers arrive in its inbox and never
+// enter State; their term stays so that context addresses do not move.
 func (Sorter[T]) MaxContextItems(n, v int) int {
 	return 5*((n+v-1)/v)/2 + v*v + v + 8
 }

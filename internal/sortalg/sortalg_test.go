@@ -3,6 +3,7 @@ package sortalg
 import (
 	"math"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -36,8 +37,12 @@ func TestPSRSInMemory(t *testing.T) {
 				t.Fatalf("v=%d n=%d: %v", v, n, err)
 			}
 			checkSorted(t, "psrs", res.Output(), in)
-			if v > 1 && res.Stats.Rounds != 4 {
-				t.Errorf("v=%d n=%d: rounds = %d, want 4 (λ = O(1))", v, n, res.Stats.Rounds)
+			want := 3 // sort and sample, cut by the splitters, merge
+			if v == 1 {
+				want = 1
+			}
+			if res.Stats.Rounds != want {
+				t.Errorf("v=%d n=%d: rounds = %d, want %d", v, n, res.Stats.Rounds, want)
 			}
 		}
 	}
@@ -97,6 +102,127 @@ func TestPSRSProperty(t *testing.T) {
 		return slices.Equal(got, want)
 	}, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// outboxTap records the outbox every virtual processor returns from one
+// round of the sorter.
+type outboxTap struct {
+	Sorter[int64]
+	round int
+	mu    sync.Mutex // the runtime runs a round's VPs concurrently
+	out   map[int][][]int64
+}
+
+func (p *outboxTap) Round(vp *cgm.VP[int64], round int, inbox [][]int64) ([][]int64, bool) {
+	out, done := p.Sorter.Round(vp, round, inbox)
+	if round == p.round {
+		p.mu.Lock()
+		p.out[vp.ID] = out
+		p.mu.Unlock()
+	}
+	return out, done
+}
+
+// No VP is told the splitters: each derives them from the samples it was
+// sent. They must all derive the same ones, or an item falls between two
+// buckets' ranges and the output is sorted only by luck. Seen from the
+// round-1 outboxes: bucket k of every source lies strictly below bucket
+// k+1 of every source, duplicate-heavy keys included.
+func TestPSRSSameSplittersEverywhere(t *testing.T) {
+	const n = 3000
+	inputs := map[string][]int64{
+		"uniform":     workload.Int64s(21, n),
+		"fewDistinct": workload.FewDistinctInt64s(4, n, 5),
+		"zipf":        workload.ZipfInt64s(5, n, 40),
+		"sorted":      workload.SortedInt64s(n),
+	}
+	for name, in := range inputs {
+		for _, v := range []int{2, 5, 8} {
+			tap := &outboxTap{round: 1, out: map[int][][]int64{}}
+			res, err := cgm.Run[int64](tap, v, cgm.Scatter(in, v))
+			if err != nil {
+				t.Fatalf("%s v=%d: %v", name, v, err)
+			}
+			checkSorted(t, name, res.Output(), in)
+			below := int64(math.MinInt64) // the largest key of buckets 0 … k−1
+			for k := 0; k < v; k++ {
+				top := below
+				for src := 0; src < v; src++ {
+					b := tap.out[src][k]
+					if len(b) == 0 {
+						continue
+					}
+					if k > 0 && b[0] <= below {
+						t.Fatalf("%s v=%d: bucket %d of vp %d starts at %d, an earlier bucket reaches %d", name, v, k, src, b[0], below)
+					}
+					top = max(top, b[len(b)-1])
+				}
+				below = top
+			}
+		}
+	}
+}
+
+// Partitions the regular sampling has little or nothing to sample from:
+// fewer items than processors, none at all, everything in one partition,
+// every other partition empty, all but a few items in one
+// (TestPSRSAdversarialInputs has the all-equal keys).
+func TestPSRSDegeneratePartitions(t *testing.T) {
+	const v = 8
+	keys := workload.Int64s(31, 600)
+	oneHolds := make([][]int64, v)
+	oneHolds[5] = keys
+	everyOther := make([][]int64, v)
+	for i, part := range cgm.Scatter(keys, v/2) {
+		everyOther[2*i+1] = part
+	}
+	skewed := cgm.Scatter(keys[:v], v)
+	skewed[0] = append(skewed[0], keys[v:]...)
+	for name, parts := range map[string][][]int64{
+		"none":       make([][]int64, v),
+		"fewerThanV": cgm.Scatter(keys[:v-3], v),
+		"oneHolds":   oneHolds,
+		"everyOther": everyOther,
+		"skewed":     skewed,
+	} {
+		res, err := cgm.Run[int64](Sorter[int64]{}, v, parts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkSorted(t, name, res.Output(), slices.Concat(parts...))
+		if res.Stats.Rounds != 3 {
+			t.Errorf("%s: rounds = %d, want 3", name, res.Stats.Rounds)
+		}
+	}
+}
+
+// The samples go to everyone, so round 0 is an h-relation of v² items in
+// messages of v: both must fit the limits EMSortConfig derives, down to
+// the N = v³ slackness the sorter states, as the bucket round does at the
+// shapes the figures and the benchmark use.
+func TestSorterFitsEMSortConfig(t *testing.T) {
+	for _, g := range []struct{ v, n int }{
+		{4, 64}, {8, 512}, {16, 4096}, // N = v³
+		{8, 1 << 13}, {8, 1 << 14}, {8, 1 << 16}, {8, 1 << 17}, // Figures 3 and 4
+		{16, 1 << 18}, {8, 1 << 19}, // the benchmark's v = 16 at a sixteenth of its N; sort_seq_model
+	} {
+		cfg := EMSortConfig(core.Config{V: g.v, P: 1, D: 2, B: 64}, g.n)
+		res, err := cgm.Run[int64](Sorter[int64]{}, g.v, cgm.Scatter(workload.Int64s(int64(g.n), g.n), g.v))
+		if err != nil {
+			t.Fatalf("%+v: %v", g, err)
+		}
+		for r, sizes := range res.Stats.SizeMatrixPerRound {
+			if m := slices.Max(sizes); m > cfg.MaxMsgItems {
+				t.Errorf("%+v round %d: a message of %d items, MaxMsgItems = %d", g, r, m, cfg.MaxMsgItems)
+			}
+		}
+		if h := res.Stats.HPerRound[0]; h != g.v*g.v {
+			t.Errorf("%+v: round 0 is an h-relation of %d items, want v² = %d", g, h, g.v*g.v)
+		}
+		if res.Stats.MaxH > cfg.MaxHItems {
+			t.Errorf("%+v: h = %d, MaxHItems = %d", g, res.Stats.MaxH, cfg.MaxHItems)
+		}
 	}
 }
 

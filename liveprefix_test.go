@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -241,7 +242,9 @@ func TestCountSteadyAcrossSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if lo, hi := slices.Min(sz.Msg[2]), slices.Max(sz.Msg[2]); lo >= n/(v*v) || hi < n/(v*v) {
+			// The all-to-all is the round that sends the most, whichever it is.
+			buckets := slices.MaxFunc(sz.Msg, func(a, b []int) int { return cmp.Compare(sum(a), sum(b)) })
+			if lo, hi := slices.Min(buckets), slices.Max(buckets); lo >= n/(v*v) || hi < n/(v*v) {
 				t.Fatalf("seed %d: messages of %d..%d items do not straddle the block boundary at %d", seed, lo, hi, n/(v*v))
 			}
 			if seed == 1 {
@@ -251,4 +254,11 @@ func TestCountSteadyAcrossSeeds(t *testing.T) {
 			}
 		}
 	}
+}
+
+func sum(xs []int) (total int) {
+	for _, x := range xs {
+		total += x
+	}
+	return total
 }

@@ -9,14 +9,17 @@ package repro
 // program is run on the in-memory cgm runtime, its per-round context and
 // message sizes are read off (costmodel.SizesOf), and the live-prefix
 // transfers those sizes imply are replayed through layout: ⌈blocks/D⌉
-// per striped context transfer, greedy FIFO packing per inbox, outbox
-// and routed batch (costmodel.Predict), for the transfers the engine
+// per striped context transfer, the request count of the busiest disk per
+// inbox, outbox and routed batch (costmodel.Predict), for the transfers the engine
 // makes: none for round 0's context-in, for a context a round left as it
 // read it, or for an empty image. Until PR 22 every image moved whole and
 // the numbers were the seed's (commit 32bc9f4: 1368 for the first two
 // rows; 408 while contexts moved whether or not their reader needed
-// them); MaxTracks is the footprint of the same fixed addresses, one
-// track lower where the last slot's tail is never written.
+// them; the same 272 as now, but 120 + 152 in four rounds, while the sort
+// gathered its samples at VP 0 and bursts were cut at the first disk
+// conflict); MaxTracks is the footprint of the fixed addresses — slots a
+// pitch ≡ 1 (mod D) apart, so it moved in PR 24 only where b′ ≢ 1 (mod D)
+// — less the tail of the last slot, which is never written.
 
 import (
 	"testing"
@@ -73,11 +76,11 @@ func TestIOOpsMatchSeed(t *testing.T) {
 		balanced      bool
 		want          want
 	}{
-		{"sort-seq", 8, 1, 2, 64, 1 << 12, false, want{272, 120, 152, 4, 296}},
-		{"sort-par", 8, 4, 2, 64, 1 << 12, false, want{272, 120, 152, 4, 74}},
-		{"sort-par-balanced", 8, 4, 2, 64, 1 << 12, true, want{1177, 520, 657, 7, 210}},
-		{"sort-seq-D3", 4, 1, 3, 32, 1 << 10, false, want{84, 36, 48, 4, 99}},
-		{"sort-par-D1", 4, 2, 1, 32, 1 << 10, false, want{214, 108, 106, 4, 139}},
+		{"sort-seq", 8, 1, 2, 64, 1 << 12, false, want{272, 80, 192, 3, 296}},
+		{"sort-par", 8, 4, 2, 64, 1 << 12, false, want{272, 80, 192, 3, 74}},
+		{"sort-par-balanced", 8, 4, 2, 64, 1 << 12, true, want{945, 312, 633, 5, 210}},
+		{"sort-seq-D3", 4, 1, 3, 32, 1 << 10, false, want{72, 24, 48, 3, 114}},
+		{"sort-par-D1", 4, 2, 1, 32, 1 << 10, false, want{194, 72, 122, 3, 137}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -126,11 +129,11 @@ func TestIOOpsMatchSeed(t *testing.T) {
 		ctx, msg, _ := oracle[permute.Item](t, permute.New(n), permute.Codec{}, cfg, true, cgm.Scatter(items, cfg.V))
 		// Round 0 sends every item away and the terminal round keeps what
 		// arrives: no context is ever on disk.
-		if ctx != 0 || msg != 92 {
-			t.Errorf("the oracle derives (ctx %d, msg %d), pinned (ctx 0, msg 92)", ctx, msg)
+		if ctx != 0 || msg != 80 {
+			t.Errorf("the oracle derives (ctx %d, msg %d), pinned (ctx 0, msg 80)", ctx, msg)
 		}
-		if res.IO.ParallelOps != 92 || res.CtxOps != 0 || res.MsgOps != 92 {
-			t.Errorf("ops = (%d, ctx %d, msg %d), pinned (92, ctx 0, msg 92)",
+		if res.IO.ParallelOps != 80 || res.CtxOps != 0 || res.MsgOps != 80 {
+			t.Errorf("ops = (%d, ctx %d, msg %d), pinned (80, ctx 0, msg 80)",
 				res.IO.ParallelOps, res.CtxOps, res.MsgOps)
 		}
 	})
@@ -186,11 +189,11 @@ func TestIOOpsMatchSeed(t *testing.T) {
 		}
 		// Algorithm 2 proper: the single-copy matrix, no route phase.
 		ctx, msg, _ := oracle[int64](t, sortalg.Sorter[int64]{}, wordcodec.I64{}, cfg, false, cgm.Scatter(keys, 4))
-		if ctx != 60 || msg != 76 {
-			t.Errorf("the oracle derives (ctx %d, msg %d), pinned (ctx 60, msg 76)", ctx, msg)
+		if ctx != 40 || msg != 63 {
+			t.Errorf("the oracle derives (ctx %d, msg %d), pinned (ctx 40, msg 63)", ctx, msg)
 		}
-		if res.IO.ParallelOps != 136 || res.CtxOps != 60 || res.MsgOps != 76 || res.MaxTracks != 93 {
-			t.Errorf("ops = (%d, ctx %d, msg %d, tracks %d), pinned (136, ctx 60, msg 76, tracks 93)",
+		if res.IO.ParallelOps != 103 || res.CtxOps != 40 || res.MsgOps != 63 || res.MaxTracks != 101 {
+			t.Errorf("ops = (%d, ctx %d, msg %d, tracks %d), pinned (103, ctx 40, msg 63, tracks 101)",
 				res.IO.ParallelOps, res.CtxOps, res.MsgOps, res.MaxTracks)
 		}
 	})

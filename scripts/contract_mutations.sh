@@ -47,7 +47,7 @@ check() {
 	cp "$root/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestRunFaultDrains|TestWhatIsNotMoved'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -61,10 +61,10 @@ mutate $f 'if err := layout.BeginWriteStripedScratch(pr.arr, 0, l*e.cb, s.bufs, 
 check 'touch a loaned buffer' $f TestInitCheckedEquivalence
 
 f=internal/layout/splitphase.go
-mutate $f 'pend.Add(p)' 3 2 '\t\t_ = p'
+mutate $f 'pend.Add(p)' 2 2 '\t\t_ = p'
 check 'drop the read hand-off' $f TestPipelineDepthEquivalence
 
-mutate $f 'pend.Add(p)' 3 1 '\t\t_ = p'
+mutate $f 'pend.Add(p)' 2 1 '\t\t_ = p'
 check 'drop the write hand-off' $f TestRunFaultDrains
 
 f=internal/core/engine.go
@@ -95,4 +95,20 @@ mutate $f 'same = equalWords(words, img[1+off*iw:1+off*iw+len(words)])' 1 1 \
 	'\t\t_ = equalWords(words, img[1+off*iw:1+off*iw+len(words)])'
 check 'lengths equal => clean without comparing words' $f TestWhatIsNotMoved
 
-echo "contract-selftest: all eight mutations caught"
+# One packing rule (DESIGN.md §18): a burst costs as many operations as its
+# busiest disk has requests, in the engine and in the predictor alike. A
+# loop that stops when the first disk runs out of requests leaves the
+# longer queues' blocks unwritten, and their readers find them so; a
+# predictor still cutting at the first conflict prices bursts the engine
+# no longer issues.
+f=internal/layout/scratch.go
+mutate $f 'longest = max(longest, queue[k])' 1 1 \
+	'\t\tif k == 0 || queue[k] < longest {\n\t\t\tlongest = queue[k]\n\t\t}'
+check 'stop at the shortest disk queue' $f TestPipelineDepthEquivalence
+
+f=internal/costmodel/costmodel.go
+mutate $f 'return slices.Max(p.perDisk)' 1 1 \
+	'\tops, i := int64(0), 0\n\tfor ; i < len(reqs); ops++ {\n\t\tclear(p.perDisk)\n\t\tfor i < len(reqs) && p.perDisk[reqs[i].Disk] == 0 {\n\t\t\tp.perDisk[reqs[i].Disk]++\n\t\t\ti++\n\t\t}\n\t}\n\treturn ops + 0*slices.Max(p.perDisk)'
+check 'price bursts by greedy FIFO' $f TestLivePrefixProperties
+
+echo "contract-selftest: all ten mutations caught"
