@@ -110,13 +110,15 @@ benchmark-smoke:
 	echo "core.max_tracks $$tr"; \
 	awk -v tr="$$tr" 'BEGIN { exit !(tr != "" && tr + 0 <= 396) }' || { echo "benchmark-smoke: core.max_tracks '$$tr' is above 396"; exit 1; }
 
-# Allocation profile of the hot path: the dispatch benchmark must report
-# 0 allocs/op and the end-to-end sort should stay well under the seed's
-# 38287 allocs/op. The second line also prints B/op of the end-to-end
-# sort and permute — the program-boundary allocation (decode arenas,
-# outboxes, outputs) that benchmark/'s alloc_mb gates at full scale.
+# Allocation profile of the hot path: the dispatch benchmark and the
+# local sort's radix kernel must report 0 allocs/op (BenchmarkLocalSort
+# prints slices.Sort beside it), and the end-to-end sort should stay well
+# under the seed's 38287 allocs/op. The last line also prints B/op of the
+# end-to-end sort and permute — the program-boundary allocation (decode
+# arenas, outboxes, outputs) that benchmark/'s alloc_mb gates at full scale.
 allocs:
 	$(GO) test -run '^$$' -bench 'BenchmarkDiskArrayOp' -benchmem ./internal/pdm/
+	$(GO) test -run '^$$' -bench 'BenchmarkLocalSort' -benchmem ./internal/sortalg/
 	$(GO) test -run '^$$' -bench 'BenchmarkFig5GroupA/(sort-emcgm|permute)$$' -benchmem .
 
 # Build the invariant lint suite as a standalone vet tool and print its
@@ -194,3 +196,4 @@ fuzz:
 	$(GO) test ./internal/balance -run '^$$' -fuzz FuzzBalancedRouting -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/layout -run '^$$' -fuzz FuzzStaggeredLayout -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pdm -run '^$$' -fuzz FuzzBatchCoalesce -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sortalg -run '^$$' -fuzz FuzzSortKeys -fuzztime $(FUZZTIME)

@@ -44,6 +44,9 @@ func keyLess(a, b key) bool {
 // program is PSRS over records, the splitters picked at VP 0 and broadcast
 // (3 communication rounds; see sortalg.Sorter for the analysis and for the
 // scalar version, which sends the samples to everyone and saves a round).
+// Its local sorts stay comparison sorts through Less: the order is over
+// (X, Y, A), two of them floats, which sortalg's integer radix kernel
+// does not cover.
 type program struct{}
 
 func (program) Init(vp *cgm.VP[rec.R], input []rec.R) {

@@ -1,6 +1,7 @@
 package sortalg
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cgm"
@@ -18,6 +19,30 @@ func BenchmarkPSRSInMemory(b *testing.B) {
 		if _, err := cgm.Run[int64](Sorter[int64]{}, v, cgm.Scatter(keys, v)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkLocalSort measures the local sort of Sorter's round 0 at the
+// benchmark's per-VP size (2²² keys over v = 16): the radix kernel
+// against slices.Sort. Each iteration sorts a fresh copy of the same
+// keys; the kernel must report 0 allocs/op.
+func BenchmarkLocalSort(b *testing.B) {
+	keys := workload.Int64s(1, 1<<18)
+	xs := make([]int64, len(keys))
+	for _, bc := range []struct {
+		name string
+		sort func([]int64)
+	}{
+		{"radix", sortKeys[int64]},
+		{"slices.Sort", slices.Sort[[]int64]},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(xs, keys)
+				bc.sort(xs)
+			}
+		})
 	}
 }
 

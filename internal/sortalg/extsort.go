@@ -76,7 +76,8 @@ func MergeSort(arr *pdm.DiskArray, recs []pdm.Word, recWords, mWords int) ([]pdm
 
 	recsPerBlock := b / recWords
 
-	// Run formation: sort memory-sized chunks in place.
+	// Run formation: sort memory-sized chunks in place, records by their
+	// first word with the radix kernel (whole records swap places).
 	var runs []srun
 	for startRec := 0; startRec < nRecs; {
 		startBlock := startRec / recsPerBlock
@@ -89,7 +90,7 @@ func MergeSort(arr *pdm.DiskArray, recs []pdm.Word, recWords, mWords int) ([]pdm
 		if err != nil {
 			return nil, info, err
 		}
-		sortRecords(img[:take*recWords], recWords)
+		radixSort(img[:take*recWords], recWords)
 		if err := layout.WriteStriped(arr, baseA, startBlock, layout.SplitBlocks(img, b)); err != nil {
 			return nil, info, err
 		}
@@ -254,125 +255,4 @@ func (h *runHeap) Pop() any {
 	e := h.entries[len(h.entries)-1]
 	h.entries = h.entries[:len(h.entries)-1]
 	return e
-}
-
-// sortRecords sorts recWords-sized records in place by their first word.
-func sortRecords(ws []pdm.Word, recWords int) {
-	n := len(ws) / recWords
-	if recWords == 1 {
-		// Fast path: plain word sort.
-		sortWords(ws)
-		return
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	// Sort record indices by key, then permute into a scratch buffer.
-	sortIdxByKey(idx, ws, recWords)
-	scratch := make([]pdm.Word, len(ws))
-	for to, from := range idx {
-		copy(scratch[to*recWords:(to+1)*recWords], ws[from*recWords:(from+1)*recWords])
-	}
-	copy(ws, scratch)
-}
-
-func sortWords(ws []pdm.Word) {
-	// slices.Sort on the word values.
-	sortIdxless(ws, 0, len(ws))
-}
-
-func sortIdxless(ws []pdm.Word, lo, hi int) {
-	if hi-lo < 2 {
-		return
-	}
-	// Standard quicksort with median-of-three.
-	for hi-lo > 12 {
-		mid := lo + (hi-lo)/2
-		if ws[mid] < ws[lo] {
-			ws[mid], ws[lo] = ws[lo], ws[mid]
-		}
-		if ws[hi-1] < ws[lo] {
-			ws[hi-1], ws[lo] = ws[lo], ws[hi-1]
-		}
-		if ws[hi-1] < ws[mid] {
-			ws[hi-1], ws[mid] = ws[mid], ws[hi-1]
-		}
-		pivot := ws[mid]
-		i, j := lo, hi-1
-		for i <= j {
-			for ws[i] < pivot {
-				i++
-			}
-			for ws[j] > pivot {
-				j--
-			}
-			if i <= j {
-				ws[i], ws[j] = ws[j], ws[i]
-				i++
-				j--
-			}
-		}
-		if j-lo < hi-i {
-			sortIdxless(ws, lo, j+1)
-			lo = i
-		} else {
-			sortIdxless(ws, i, hi)
-			hi = j + 1
-		}
-	}
-	for i := lo + 1; i < hi; i++ {
-		for j := i; j > lo && ws[j] < ws[j-1]; j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
-		}
-	}
-}
-
-func sortIdxByKey(idx []int, ws []pdm.Word, recWords int) {
-	// Insertion-free: use sort via slices on a key-carrying struct would
-	// allocate; a simple quicksort over idx suffices.
-	var qs func(lo, hi int)
-	key := func(i int) pdm.Word { return ws[idx[i]*recWords] }
-	qs = func(lo, hi int) {
-		for hi-lo > 12 {
-			mid := lo + (hi-lo)/2
-			if key(mid) < key(lo) {
-				idx[mid], idx[lo] = idx[lo], idx[mid]
-			}
-			if key(hi-1) < key(lo) {
-				idx[hi-1], idx[lo] = idx[lo], idx[hi-1]
-			}
-			if key(hi-1) < key(mid) {
-				idx[hi-1], idx[mid] = idx[mid], idx[hi-1]
-			}
-			pivot := key(mid)
-			i, j := lo, hi-1
-			for i <= j {
-				for key(i) < pivot {
-					i++
-				}
-				for key(j) > pivot {
-					j--
-				}
-				if i <= j {
-					idx[i], idx[j] = idx[j], idx[i]
-					i++
-					j--
-				}
-			}
-			if j-lo < hi-i {
-				qs(lo, j+1)
-				lo = i
-			} else {
-				qs(i, hi)
-				hi = j + 1
-			}
-		}
-		for i := lo + 1; i < hi; i++ {
-			for j := i; j > lo && key(j) < key(j-1); j-- {
-				idx[j], idx[j-1] = idx[j-1], idx[j]
-			}
-		}
-	}
-	qs(0, len(idx))
 }

@@ -3,7 +3,6 @@ package sortalg
 import (
 	"cmp"
 	"math/bits"
-	"slices"
 
 	"repro/internal/cgm"
 )
@@ -25,7 +24,7 @@ type TournamentSorter[T cmp.Ordered] struct{}
 // Init sorts the partition locally.
 func (TournamentSorter[T]) Init(vp *cgm.VP[T], input []T) {
 	vp.State = append([]T(nil), input...)
-	slices.Sort(vp.State)
+	sortKeys(vp.State)
 }
 
 func tournamentRounds(v int) int {

@@ -46,7 +46,7 @@ func (Sorter[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
 	switch round {
 	case 0:
 		// Local sort; send v regular samples to every VP.
-		slices.Sort(vp.State)
+		sortKeys(vp.State)
 		if v == 1 {
 			return nil, true
 		}
@@ -106,7 +106,7 @@ func (Sorter[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
 // copies: an inbox is not the receiver's to reorder.
 func pickSplitters[T cmp.Ordered](inbox [][]T, v int) []T {
 	samples := slices.Concat(inbox...)
-	slices.Sort(samples)
+	sortKeys(samples)
 	splitters := make([]T, v-1)
 	if s := len(samples); s > 0 {
 		for k := range splitters {
@@ -202,7 +202,8 @@ func mergeTwo[T cmp.Ordered](out, a, b []T) int {
 
 // EMSortConfig fills sensible EM-CGM limits for sorting n items: bucket
 // messages are ≈ N/v² for well-spread keys (Theorem 4's parameter range);
-// we allow 4× plus v for skew. Heavily skewed inputs should set Balanced.
+// we allow 5/2× plus v + 16 for skew. Heavily skewed inputs should set
+// Balanced.
 // A cfg with V < 1 is returned as it came, for the run's own Validate to
 // report.
 func EMSortConfig(cfg core.Config, n int) core.Config {
