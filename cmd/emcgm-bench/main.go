@@ -41,7 +41,7 @@ func main() {
 	benchOut := flag.String("bench", "", "write a versioned benchfmt recording of the wall-clock figures (pipeline, filedisk) to this file for emcgm-benchdiff")
 	ledgerOut := flag.String("ledger", "", "collect a predicted-vs-measured cost-model ledger over the Figure 5 workloads, print its summary, calibrate its time model from the session's own disk latencies, and write the JSON export to this file; exits 1 if any prediction misses (use with -fig 5 or -fig all)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace.json, /steps and /debug/pprof on this address (e.g. :6060)")
-	depth := flag.Int("depth", 0, "pipeline window depth k for every run (0 = auto from the calibrated time model, adapting online under a recorder; 1 = the synchronous schedule; PDM counts are identical at every depth)")
+	depth := flag.Int("depth", 0, "pipeline window depth k for every run (0 = auto from the default time model, clamped by v; 1 = the synchronous schedule; PDM counts are identical at every depth)")
 	disks := flag.String("disks", "", "directory for the filedisk figure's disk files (empty = temporary directory)")
 	directio := flag.Bool("directio", true, "include O_DIRECT rows in the filedisk figure where the filesystem supports them")
 	flag.Parse()

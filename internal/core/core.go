@@ -65,11 +65,10 @@ import (
 // superstepScratch is one slot of a real processor's ring: the reusable
 // working storage of one compound superstep — the context image, the flat
 // inbox/outbox image, request/buffer staging, and the layout layer's own
-// scratch. It is allocated before the round loop (or when the ring grows
-// between rounds) and reused every round; the typed
-// items the program sees are decoded out of it into the processor's vpMem
-// arena, so a steady-state superstep performs no heap allocation of its
-// own.
+// scratch. It is allocated before the round loop and reused every round;
+// the typed items the program sees are decoded out of it into the
+// processor's vpMem arena, so a steady-state superstep performs no heap
+// allocation of its own.
 //
 // Ownership rule: a scratch belongs to exactly one real processor's
 // goroutine; nothing inside it escapes a superstep except through explicit
@@ -161,14 +160,16 @@ type Config struct {
 	// parallel I/O is waited before the next phase is begun — depth 2 a
 	// ping-pong, and deeper windows prefetch further ahead and expose more
 	// conflict-free transfers to the batch-coalescing disk workers. 0 (the
-	// default) picks a depth from the cost model (see costmodel.AutoDepth)
-	// and, when a Recorder is attached, adapts it upward between rounds
-	// while the measured stall fraction stays high. Any fixed depth keeps
-	// the begin order a deterministic function of the configuration; every
-	// depth produces bit-identical outputs, operation multiset and PDM
-	// counts (accounting is charged at begin time), so only wall-clock
-	// overlap changes. The memory bound is enforced against M: k in-flight
-	// working sets (context + message scratch) must fit, Lemma 1–2 style.
+	// default) is costmodel.AutoDepth under pdm.DefaultTimeModel, clamped
+	// by v and M; a caller with a calibrated device passes
+	// costmodel.AutoDepth(fitted, B) here instead. The depth is resolved
+	// once, from the Config alone, and held for the whole run, so the
+	// begin order is a deterministic function of the configuration —
+	// attaching a Recorder or Ledger does not change it. Every depth
+	// produces bit-identical outputs, operation multiset and PDM counts
+	// (accounting is charged at begin time), so only wall-clock overlap
+	// changes. The memory bound is enforced against M: k in-flight working
+	// sets (context + message scratch) must fit, Lemma 1–2 style.
 	PipelineDepth int
 	// CacheContexts keeps virtual-processor contexts resident in the real
 	// processor's memory when P = V (one context per processor, M = Θ(μ)),
@@ -260,16 +261,16 @@ func (c Config) ValidateFor(n int) error {
 		}
 	}
 	// Memory bound on the pipeline window, checkable before the program's
-	// codec is known only when the item bounds are explicit: with one word
-	// per item as the lower bound, k windows of (context run + v message
-	// slots) must fit in M. The engine re-checks with the real item width;
-	// this catches a hopeless fixed k before any disk is allocated.
-	if c.M > 0 && c.PipelineDepth > 0 && c.MaxCtxItems > 0 && c.MaxMsgItems > 0 {
+	// codec is known only when the item bounds are explicit: the engine's
+	// own depth rule, applied to a working set of one context run + v
+	// message slots at one word per item, its lower bound. The engine
+	// re-checks with the real item width; this catches a hopeless fixed k
+	// before any disk is allocated.
+	if c.M > 0 && c.MaxCtxItems > 0 && c.MaxMsgItems > 0 {
 		cb := pdm.BlocksFor(ctxWords(c.MaxCtxItems, 1), c.B)
 		bpm := pdm.BlocksFor(slotWords(c.MaxMsgItems, 1), c.B)
-		if need := c.PipelineDepth * (cb + c.V*bpm) * c.B; need > c.M {
-			return fmt.Errorf("core: PipelineDepth = %d needs ≥ %d words of internal memory (k windows of one context run + %d message slots at ≥ 1 word/item), but M = %d; lower the depth or raise M",
-				c.PipelineDepth, need, c.V, c.M)
+		if _, err := pipeDepth(c, c.V, (cb+c.V*bpm)*c.B); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -390,10 +391,10 @@ type Result[T any] struct {
 	// Recorder is attached (the determinism contract forbids wall-clock
 	// reads otherwise); zero for unrecorded runs.
 	Stall time.Duration
-	// Depth is the ring depth the run finished with: the resolved
-	// PipelineDepth (after auto-sizing and clamping to v and M), grown
-	// by the online adaptation if it triggered; always ≥ 1, and 1 is
-	// the synchronous schedule. Not part of the output/accounting
+	// Depth is the ring depth the run used: the resolved PipelineDepth
+	// (after auto-sizing and clamping to v and M), the same with or
+	// without a Recorder; always ≥ 1, and 1 is the synchronous
+	// schedule. Not part of the output/accounting
 	// equivalence contract — it describes the overlap schedule, which is
 	// exactly what the contract allows to vary.
 	Depth int
@@ -587,13 +588,11 @@ func runBalanced[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Confi
 	if wcfg.MaxMsgItems == 0 {
 		wcfg.MaxMsgItems = balancedMsgBound(maxH, cfg.V)
 	}
-	wrapped := balance.Wrap(prog)
-	if cfg.Recorder != nil {
-		// Observe the routed message sizes against the slot bound the
-		// machine actually provisioned (Theorem 1's h/v + (v−1)/2 + 1).
-		cfg.Recorder.SetMsgBound(wcfg.MaxMsgItems)
-		wrapped = balance.WrapObserved(prog, cfg.Recorder)
-	}
+	// Observe the routed message sizes against the slot bound the machine
+	// actually provisioned (Theorem 1's h/v + (v−1)/2 + 1); without a
+	// Recorder both calls are exactly Wrap.
+	cfg.Recorder.SetMsgBound(wcfg.MaxMsgItems)
+	wrapped := balance.WrapObserved(prog, cfg.Recorder)
 	wres, err := run(wrapped, balance.Codec[T]{Inner: codec}, wcfg, balance.WrapInputs(inputs), par)
 	if err != nil {
 		return nil, err

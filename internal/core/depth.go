@@ -8,8 +8,11 @@ import (
 )
 
 // This file resolves Config.PipelineDepth into the ring depth the engine
-// actually runs with, and sizes everything that scales with it (scratch
-// slots, per-disk queue capacity).
+// runs with, and sizes everything that scales with it (scratch slots,
+// per-disk queue capacity). The depth is a function of the Config alone:
+// it is resolved once, before the first array is built, and the ring
+// keeps it for the whole run — so the begin order is the same whether or
+// not a Recorder or Ledger watches.
 //
 // Depth policy:
 //
@@ -17,91 +20,41 @@ import (
 //     deeper than the VPs it can cover buys nothing); a fixed depth whose
 //     k working sets exceed M is an error, not a silent clamp, because
 //     the caller asked for a specific memory/overlap trade.
-//   - PipelineDepth = 0 (auto): costmodel.AutoDepth picks the initial k
-//     from the calibrated time model (positioning-dominated disks get
-//     deep windows), clamped by v and by M. The engine may then grow
-//     the ring up to maxK between rounds while the measured stall
-//     fraction stays high — growth only, so scratch is never freed
-//     mid-run, and only under a Recorder, since the trigger is a
-//     wall-clock measurement the determinism contract scopes to
-//     recorded runs.
-
-// maxPipelineDepth caps the ring depth the online adaptation may grow an
-// auto-sized window to. Past this point a deeper window no longer adds
-// overlap (compute per superstep is already fully hidden or never will
-// be) and only inflates memory.
-const maxPipelineDepth = 16
-
-// adaptGrowNum/adaptGrowDen: the adaptation doubles the ring when a
-// round's measured stall exceeds 1/5 of its wall time per processor —
-// high enough that ramp-up noise at small rounds does not trigger it,
-// low enough that the acceptance target (stall fraction ≤ 0.25) is
-// inside its reach.
-const (
-	adaptGrowNum = 1
-	adaptGrowDen = 5
-)
+//   - PipelineDepth = 0 (auto): costmodel.AutoDepth under the default
+//     time model, clamped by v and by M. A caller with a calibrated device
+//     passes PipelineDepth: costmodel.AutoDepth(fitted, B) instead.
 
 // pipeDepth resolves the configured depth for a machine whose rings cannot
 // usefully exceed vCap slots and whose per-slot working set is slotWords
-// words (one context run + one full message image). It returns the
-// initial ring depth and the cap the online adaptation may grow it to
-// (maxK == k for fixed depths).
-func pipeDepth(cfg Config, vCap, slotWords int) (k, maxK int, err error) {
-	fixed := cfg.PipelineDepth > 0
-	if fixed {
-		k = cfg.PipelineDepth
-	} else {
-		tm := pdm.DefaultTimeModel()
-		if cfg.Ledger != nil {
-			tm = cfg.Ledger.TimeModel()
-		}
-		k = costmodel.AutoDepth(tm, cfg.B)
+// words (one context run + one full message image).
+func pipeDepth(cfg Config, vCap, slotWords int) (int, error) {
+	k := cfg.PipelineDepth
+	if k == 0 {
+		k = costmodel.AutoDepth(pdm.DefaultTimeModel(), cfg.B)
 	}
-	if k > vCap {
-		k = vCap
+	k = max(min(k, vCap), 1)
+	if cfg.M <= 0 || slotWords <= 0 {
+		return k, nil
 	}
-	if k < 1 {
-		k = 1
+	fit := cfg.M / slotWords
+	if fit < 1 {
+		return 0, fmt.Errorf("core: one pipelined working set of %d words exceeds M = %d; shrink the context/message bounds or raise M", slotWords, cfg.M)
 	}
-	fit := maxPipelineDepth
-	if cfg.M > 0 && slotWords > 0 {
-		fit = cfg.M / slotWords
-		if fit < 1 {
-			return 0, 0, fmt.Errorf("core: one pipelined working set of %d words exceeds M = %d; shrink the context/message bounds or raise M", slotWords, cfg.M)
-		}
-		if fixed && k > fit {
-			return 0, 0, fmt.Errorf("core: PipelineDepth = %d needs %d words (k working sets of %d), but M = %d fits only %d; lower the depth, raise M, or use PipelineDepth: 0 (auto clamps)",
-				k, k*slotWords, slotWords, cfg.M, fit)
-		}
-		if k > fit {
-			k = fit
-		}
+	if cfg.PipelineDepth > 0 && k > fit {
+		return 0, fmt.Errorf("core: PipelineDepth = %d needs %d words of internal memory (k working sets of %d), but M = %d fits only %d; lower the depth, raise M, or use PipelineDepth: 0 (auto clamps)",
+			k, k*slotWords, slotWords, cfg.M, fit)
 	}
-	maxK = k
-	if !fixed {
-		maxK = maxPipelineDepth
-		if maxK > vCap {
-			maxK = vCap
-		}
-		if maxK > fit {
-			maxK = fit
-		}
-		if maxK < k {
-			maxK = k
-		}
-	}
-	return k, maxK, nil
+	return min(k, fit), nil
 }
 
-// queueHint sizes the per-disk work queues for a window of up to maxK
-// slots of slotBlocks blocks striped/packed over d disks: reads and
-// writes of the whole window may be queued at once, so twice the
-// window's per-disk share, plus slack for uneven packing. The array
-// still applies its own default floor.
-func queueHint(maxK, slotBlocks, d int) int {
+// queueHint sizes the per-disk work queues for a window of k slots of
+// slotBlocks blocks striped/packed over d disks: reads and writes of the
+// whole window may be queued at once, so twice the window's per-disk
+// share, plus slack for uneven packing. The array still applies its own
+// default floor.
+func queueHint(k, slotBlocks, d int) int {
 	if d < 1 {
 		d = 1
 	}
-	return 2 * maxK * ((slotBlocks+d-1)/d + 1)
+	return 2 * k * ((slotBlocks+d-1)/d + 1)
 }

@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cgm"
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/obs"
 	"repro/internal/pdm"
 	"repro/internal/sortalg"
@@ -53,8 +56,12 @@ func TestPipelineDepthSingleVP(t *testing.T) {
 }
 
 // TestPipelineDepthResolved pins Result.Depth: fixed depths resolve to
-// min(k, v) — 1 for the synchronous schedule — and the unrecorded auto
-// policy resolves deterministically from the default time model.
+// min(k, v) — 1 for the synchronous schedule — and the auto policy
+// resolves from the default time model. The depth, and with it the whole
+// schedule, is a function of the Config alone: a Recorder, and a Ledger
+// whose time model would pick another auto depth, leave the ring depth,
+// every count, the outputs and the sequence each disk serves exactly as
+// the unobserved run's.
 func TestPipelineDepthResolved(t *testing.T) {
 	const v, n = 8, 1 << 10
 	keys := workload.Int64s(11, n)
@@ -85,6 +92,145 @@ func TestPipelineDepthResolved(t *testing.T) {
 			t.Errorf("p=%d auto: Depth = %d, want 8", p, got)
 		}
 	}
+
+	// The observed arms, on the sequential machine and on RunPar at p = 2.
+	// At v = 16 the auto ring (8) has room to be resized; a pure-transfer
+	// time model would resolve it to 2. The sort leaves its contexts clean
+	// after round 0, so under RunPar no write lands between two reads and
+	// its served sequences are the same at every depth; the relay rewrites
+	// every context every round, so there they are not.
+	const ov, on = 16, 1 << 12
+	parts := cgm.Scatter(workload.Int64s(13, on), ov)
+	pure := pdm.TimeModel{TransferBytesPerSec: 100e6}
+	for _, w := range []struct {
+		name string
+		prog cgm.Program[int64]
+		cfg  core.Config
+	}{
+		{"sort", sortalg.Sorter[int64]{}, sortalg.EMSortConfig(core.Config{V: ov, D: 2, B: 8}, on)},
+		{"relay", relay{}, core.Config{V: ov, D: 2, B: 8}},
+	} {
+		for _, p := range []int{1, 2} {
+			for _, k := range []int{0, 1, 4} {
+				tag := fmt.Sprintf("observed/%s/p=%d/k=%d", w.name, p, k)
+				base := w.cfg
+				base.P, base.PipelineDepth = p, k
+				bare, bareServed := servedRun(t, tag+"/bare", w.prog, base, parts)
+				for _, ledger := range []bool{false, true} {
+					cfg := base
+					cfg.Recorder = obs.NewRecorder()
+					atag := tag + "/recorder"
+					if ledger {
+						cfg.Ledger = costmodel.NewLedger(pure)
+						atag += "+ledger"
+					}
+					res, served := servedRun(t, atag, w.prog, cfg, parts)
+					if res.Depth != bare.Depth {
+						t.Errorf("%s: Depth = %d, unobserved run %d", atag, res.Depth, bare.Depth)
+					}
+					equivResults(t, atag, bare, res)
+					for i := range bareServed {
+						if !slices.Equal(served[i], bareServed[i]) {
+							t.Errorf("%s: disk %d of proc %d served another sequence than the unobserved run's", atag, i%base.D, i/base.D)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// relay hands every VP's partition on to the next VP each round, for four
+// rounds, so every context is rewritten in every round.
+type relay struct{}
+
+func (relay) Init(vp *cgm.VP[int64], input []int64) { vp.State = append([]int64(nil), input...) }
+func (relay) Round(vp *cgm.VP[int64], round int, inbox [][]int64) ([][]int64, bool) {
+	if round > 0 {
+		vp.State = append([]int64(nil), inbox[(vp.ID+vp.V-1)%vp.V]...)
+	}
+	if round == 4 {
+		return nil, true
+	}
+	out := make([][]int64, vp.V)
+	out[(vp.ID+1)%vp.V] = vp.State
+	return out, false
+}
+func (relay) Output(vp *cgm.VP[int64]) []int64 { return vp.State }
+
+// access is one track transfer as a disk served it.
+type access struct {
+	write bool
+	track int
+}
+
+// seqDisk logs the transfers it serves, in order. Embedding the interface
+// hides the inner disk's batch methods, so its worker serves one track at
+// a time in the order the engine began them.
+type seqDisk struct {
+	pdm.Disk
+	mu  sync.Mutex
+	log []access
+}
+
+func (d *seqDisk) note(write bool, t int) {
+	d.mu.Lock()
+	d.log = append(d.log, access{write, t})
+	d.mu.Unlock()
+}
+
+func (d *seqDisk) ReadTrack(t int, dst []pdm.Word) error {
+	d.note(false, t)
+	return d.Disk.ReadTrack(t, dst)
+}
+
+func (d *seqDisk) WriteTrack(t int, src []pdm.Word) error {
+	d.note(true, t)
+	return d.Disk.WriteTrack(t, src)
+}
+
+// served returns the transfers in the order the disk served them. With
+// unordered set, each maximal run of writes comes back sorted by track:
+// RunPar's route phase lays batches out in the order its channel delivers
+// them, which the scheduler picks; where a run of writes starts and ends,
+// and every read, is still the begin order.
+func (d *seqDisk) served(unordered bool) []access {
+	d.mu.Lock()
+	out := slices.Clone(d.log)
+	d.mu.Unlock()
+	for i := 0; unordered && i < len(out); {
+		j := i
+		for j < len(out) && out[j].write == out[i].write {
+			j++
+		}
+		if out[i].write {
+			slices.SortFunc(out[i:j], func(a, b access) int { return a.track - b.track })
+		}
+		i = j
+	}
+	return out
+}
+
+// servedRun runs prog on parts on cfg's machine — Algorithm 2 at P = 1,
+// else Algorithm 3 — over disks that log what they serve, and returns the
+// result with each disk's served sequence, indexed proc·D + disk.
+func servedRun(t *testing.T, tag string, prog cgm.Program[int64], cfg core.Config, parts [][]int64) (*core.Result[int64], [][]access) {
+	t.Helper()
+	disks := make([]*seqDisk, cfg.P*cfg.D)
+	cfg.NewDisk = func(proc, disk int) pdm.Disk {
+		d := &seqDisk{Disk: pdm.NewMemDisk(cfg.B)}
+		disks[proc*cfg.D+disk] = d
+		return d
+	}
+	res, err := runMachine(cfg.P == 1, prog, cfg, parts)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	served := make([][]access, len(disks))
+	for i, d := range disks {
+		served[i] = d.served(cfg.P > 1)
+	}
+	return res, served
 }
 
 // TestPipelineDepthFault injects a disk fault mid-window at depth 4: the
@@ -126,9 +272,10 @@ func TestPipelineDepthFault(t *testing.T) {
 
 // TestPipelineDepthValidate pins the configuration contract of
 // PipelineDepth: negative depths are rejected by Validate; ValidateFor
-// rejects a fixed window whose k working sets exceed M; and the engine
-// itself rejects a fixed depth the machine's actual scratch geometry
-// cannot fit.
+// applies the engine's depth rule — clamp to v, then reject a fixed window
+// whose k working sets exceed M, or any machine where one does not fit —
+// at one word per item; and the engine itself rejects a fixed depth the
+// machine's actual scratch geometry cannot fit.
 func TestPipelineDepthValidate(t *testing.T) {
 	base := core.Config{V: 4, P: 2, D: 2, B: 8}
 
@@ -138,17 +285,38 @@ func TestPipelineDepthValidate(t *testing.T) {
 		t.Errorf("negative depth: err = %v, want PipelineDepth error", err)
 	}
 
+	// One working set here is a 9-block context run and 4 message slots of
+	// 9 blocks: 360 words.
 	tight := base
 	tight.PipelineDepth = 8
 	tight.MaxCtxItems = 64
 	tight.MaxMsgItems = 64
-	tight.M = 128 // far below 8 windows of context + 4 message slots
+	tight.M = 720 // two working sets, not 8
 	if err := tight.ValidateFor(1 << 10); err == nil || !strings.Contains(err.Error(), "internal memory") {
 		t.Errorf("depth over M: err = %v, want memory bound error", err)
 	}
 	tight.PipelineDepth = 0 // auto must clamp instead of erroring
 	if err := tight.ValidateFor(1 << 10); err != nil {
 		t.Errorf("auto depth over M: err = %v, want clamp, not error", err)
+	}
+	tight.M = 128 // not one working set: no depth can run
+	if err := tight.ValidateFor(1 << 10); err == nil || !strings.Contains(err.Error(), "working set") {
+		t.Errorf("auto depth, one working set over M: err = %v, want memory bound error", err)
+	}
+
+	// A fixed depth past v is clamped to v before it is held to M, by
+	// ValidateFor as by the engine: 16 windows would need 5760 words, the
+	// 4 the engine runs fit exactly.
+	wide := tight
+	wide.PipelineDepth = 16
+	wide.M = 4 * 360
+	if err := wide.ValidateFor(64); err != nil {
+		t.Errorf("depth clamped to v within M: ValidateFor err = %v, want nil", err)
+	}
+	if _, res, err := sortalg.EMSort(workload.Int64s(11, 64), wordcodec.I64{}, wide); err != nil {
+		t.Errorf("depth clamped to v within M: EMSort err = %v", err)
+	} else if res.Depth != 4 {
+		t.Errorf("depth clamped to v within M: Depth = %d, want 4", res.Depth)
 	}
 
 	// The engine re-checks with the real scratch geometry.

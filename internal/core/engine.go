@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cgm"
@@ -91,10 +90,11 @@ type roundOut struct {
 // proc is one real processor: its disk array, its decode arena and its
 // ring of K superstep working sets (local VP l computes out of ring[l mod
 // K] while the slots ahead of it prefetch and the slots behind it drain;
-// the route phase cycles landed batches through the same K slots). It is
-// owned by the processor's goroutine for a round's duration and by the
-// engine's between rounds; rounds are sequenced by the barrier, so reuse
-// and ring growth are race-free.
+// the route phase cycles landed batches through the same K slots). The
+// ring is allocated at set-up and keeps its depth for the whole run. A
+// proc is owned by the processor's goroutine for a round's duration and
+// by the engine's between rounds; rounds are sequenced by the barrier, so
+// reuse is race-free.
 type proc[T any] struct {
 	i     int
 	arr   *pdm.DiskArray
@@ -123,21 +123,9 @@ type proc[T any] struct {
 	// the barrier), so reuse never clobbers an unread batch.
 	send [][][]T
 
-	lastOps, lastBlocks int64  // array counters at the last bank
-	sent, recv          []int  // this round's h-relation, per local VP
-	stallName           string // "stall k=<ring depth>" under a Recorder
+	lastOps, lastBlocks int64 // array counters at the last bank
+	sent, recv          []int // this round's h-relation, per local VP
 	roundOut
-}
-
-// grow appends fresh slots to pr's ring, taking it to depth k. The engine
-// grows only between rounds, with every slot drained, so the new
-// zero-valued slots are immediately usable.
-func (e *engine[T]) grow(pr *proc[T], k int) {
-	for len(pr.ring) < k {
-		pr.ring = append(pr.ring, newSuperstepScratch(e.cb, e.cfg.V, e.bpm, e.cfg.B))
-		pr.pend = append(pr.pend, vpInflight{})
-		pr.route = append(pr.route, pdm.PendingSet{})
-	}
 }
 
 // inboxLive is the length-table row of the inbox local VP l reads in
@@ -183,6 +171,10 @@ type engine[T any] struct {
 	cfg   Config
 	rec   *obs.Recorder
 
+	// stallName names every stall span ("stall k=<ring depth>"), so a
+	// trace says which depth each residual stall was measured under.
+	stallName string
+
 	localV         int // v/p virtual processors per real processor
 	maxCtx, maxMsg int // item bounds of a context and of a message slot
 	cb, bpm        int // blocks per context run and per message slot (b′)
@@ -221,7 +213,7 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 	// The cap is v, not v/p: the route phase cycles up to v batches
 	// through the ring even when a processor has few local VPs.
 	slotBlocks := e.cb + v*e.bpm
-	k, maxK, err := pipeDepth(cfg, v, slotBlocks*cfg.B)
+	k, err := pipeDepth(cfg, v, slotBlocks*cfg.B)
 	if err != nil {
 		return nil, err
 	}
@@ -256,15 +248,18 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 		}
 	}()
 	for i := 0; i < p; i++ {
-		arr, err := cfg.newArray(i, queueHint(maxK, slotBlocks, cfg.D))
+		arr, err := cfg.newArray(i, queueHint(k, slotBlocks, cfg.D))
 		if err != nil {
 			return nil, err
 		}
 		pr := &proc[T]{i: i, arr: arr, mem: newVPMem[T](v, cfg.CheckedIO),
+			ring: make([]*superstepScratch, k), pend: make([]vpInflight, k), route: make([]pdm.PendingSet, k),
 			sent: make([]int, localV), recv: make([]int, localV), ctxLive: make([]int, localV),
 			cmp:     make([]pdm.Word, max(cfg.D*cfg.B, codec.Words())),
 			msgLive: [2][]int{make([]int, localV*v), make([]int, localV*v)}}
-		e.grow(pr, k)
+		for s := range pr.ring {
+			pr.ring[s] = newSuperstepScratch(e.cb, v, e.bpm, cfg.B)
+		}
 		if par {
 			pr.send = make([][][]T, localV*p)
 			for s := range pr.send {
@@ -274,11 +269,10 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 		e.procs = append(e.procs, pr)
 	}
 
-	// RunSeq's one processor is its own machine track and metric scope
-	// ("core_p0_*"); RunPar has a machine track above the processors'.
+	// RunSeq's one processor is its own metric scope ("core_p0_*"); RunPar
+	// has a machine track and scope above the processors'.
 	rec := e.rec
 	var mtrack obs.TrackID
-	var depthGauge atomic.Int64
 	metric := "core_p0_"
 	if par {
 		metric = "core_"
@@ -291,11 +285,8 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 			pr.track = rec.Track(fmt.Sprintf("proc %d", pr.i))
 			pr.arr.SetRecorder(rec, pr.i)
 		}
-		if !par {
-			mtrack = e.procs[0].track
-		}
-		depthGauge.Store(int64(k))
-		rec.Gauge(metric+"pipeline_depth", depthGauge.Load)
+		e.stallName = fmt.Sprintf("stall k=%d", k)
+		rec.Gauge(metric+"pipeline_depth", func() int64 { return int64(k) })
 	}
 	ledBase := rec.StepCount()
 	if cfg.Ledger != nil {
@@ -308,12 +299,7 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 		if round >= maxRounds {
 			return nil, fmt.Errorf("core: program exceeded %d rounds", maxRounds)
 		}
-		K := len(e.procs[0].ring)
 		e.sizes.AddRound()
-		var roundStart time.Time
-		if rec != nil {
-			roundStart = time.Now()
-		}
 		if !par {
 			e.procRound(e.procs[0], round)
 		} else {
@@ -345,7 +331,6 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 			}
 		}
 		done := e.procs[0].done
-		var roundStall int64
 		for _, pr := range e.procs {
 			if pr.done != done {
 				return nil, fmt.Errorf("core: real processor %d disagreed on termination at round %d", pr.i, round)
@@ -353,36 +338,16 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 			res.CtxOps += pr.ctxOps
 			res.MsgOps += pr.msgOps
 			res.CommItems += pr.comm
-			roundStall += pr.stallNS
+			stallNS += pr.stallNS
 			res.MaxMsgObserved = max(res.MaxMsgObserved, pr.maxMsg)
 			res.MaxCtxObserved = max(res.MaxCtxObserved, pr.maxCtx)
 			for l := range pr.sent {
 				res.MaxH = max(res.MaxH, pr.sent[l], pr.recv[l])
 			}
 		}
-		stallNS += roundStall
 		res.Rounds = round + 1
 		if done {
 			break
-		}
-
-		// Online adaptation (auto depth, recorded runs only): while the
-		// round's measured stall stays above the threshold and a deeper
-		// window is allowed, double every ring. Growth happens between
-		// rounds with everything drained, changes only how far ahead the
-		// window prefetches, and never the operation multiset.
-		if rec != nil {
-			if cfg.PipelineDepth == 0 && K < maxK {
-				roundWall := time.Since(roundStart).Nanoseconds()
-				if roundStall*adaptGrowDen > int64(p)*roundWall*adaptGrowNum {
-					newK := min(2*K, maxK)
-					for _, pr := range e.procs {
-						e.grow(pr, newK)
-					}
-					depthGauge.Store(int64(newK))
-					rec.Event(mtrack, fmt.Sprintf("pipeline depth → %d", newK), "adapt")
-				}
-			}
 		}
 	}
 
@@ -390,7 +355,7 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 		rec.Counter(metric + "stall_ns").Add(stallNS)
 	}
 	res.Stall = time.Duration(stallNS)
-	res.Depth = len(e.procs[0].ring)
+	res.Depth = k
 	res.IOPerProc = make([]pdm.IOStats, p)
 	for i, pr := range e.procs {
 		res.IOPerProc[i] = pr.arr.Stats()
@@ -476,11 +441,6 @@ func (e *engine[T]) procRound(pr *proc[T], round int) {
 		}
 	}()
 	K := len(pr.ring)
-	if rec != nil {
-		// The span name carries the ring depth, so a trace shows which
-		// depth each residual stall was measured under.
-		pr.stallName = fmt.Sprintf("stall k=%d", K)
-	}
 
 	// Round prologue: burst the window's first pf prefetches in
 	// synchronous order, so the per-disk workers see the whole read-ahead
@@ -555,7 +515,7 @@ func (e *engine[T]) wait(pr *proc[T], ps *pdm.PendingSet) error {
 	t0 := time.Now()
 	err := ps.Wait()
 	pr.stallNS += time.Since(t0).Nanoseconds()
-	e.rec.SpanSince(pr.track, pr.stallName, "wait", t0)
+	e.rec.SpanSince(pr.track, e.stallName, "wait", t0)
 	return err
 }
 

@@ -181,9 +181,9 @@ func equivWorkloads(t *testing.T, checked bool, depths []int) {
 
 // TestPipelineEquivalence is the acceptance check of the default
 // schedule: on sorting, permutation and transposition — seq and par —
-// the auto-sized window (PipelineDepth 0, free to grow under the
-// Recorder) must reproduce the exact outputs and the exact PDM
-// accounting of the synchronous schedule, PipelineDepth 1.
+// the auto-sized window (PipelineDepth 0) must reproduce the exact
+// outputs and the exact PDM accounting of the synchronous schedule,
+// PipelineDepth 1.
 func TestPipelineEquivalence(t *testing.T) {
 	equivWorkloads(t, false, []int{0})
 }

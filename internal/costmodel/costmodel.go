@@ -53,8 +53,8 @@ type Machine struct {
 	Rounds   int  `json:"rounds"`
 	CacheCtx bool `json:"cacheCtx,omitempty"` // parallel machine kept contexts resident
 	Words    int  `json:"words,omitempty"`    // words per encoded item
-	// Depth is the pipeline window depth the run finished with (1 =
-	// synchronous schedule). The Theorem 2/3 op-count predictor ignores
+	// Depth is the pipeline window depth the run used (1 = synchronous
+	// schedule). The Theorem 2/3 op-count predictor ignores
 	// it — the operation multiset is depth-invariant by construction —
 	// but the overlap model (ModelWallPipelined) prices the stall curve
 	// from it. Additive and omitempty, so LedgerVersion is unchanged.

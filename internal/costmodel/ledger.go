@@ -121,16 +121,6 @@ func (l *Ledger) SetTimeModel(tm pdm.TimeModel) {
 	l.tm = tm
 }
 
-// TimeModel returns the ledger's current time model.
-func (l *Ledger) TimeModel() pdm.TimeModel {
-	if l == nil {
-		return pdm.TimeModel{}
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.tm
-}
-
 // SetRunName names the most recently added run (the drivers don't know
 // what workload they execute; the caller does).
 func (l *Ledger) SetRunName(name string) {

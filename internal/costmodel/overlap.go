@@ -26,16 +26,17 @@ import (
 //     BlockTime(b) toward BatchTime(b, k)/k as positioning amortises.
 
 // autoDepthMin/autoDepthMax clamp AutoDepth's model-driven choice. The
-// floor keeps the window at least the PR 5 ping-pong; the ceiling keeps
-// the initial guess modest — the online adaptation, not the static
-// model, is responsible for going deeper when measurement justifies it.
+// floor keeps the window at least a ping-pong (K = 2); the ceiling keeps
+// the ring's memory modest — past eight slots the depth sweep measured
+// no further overlap (EXPERIMENTS.md), and a caller who wants a deeper
+// window asks for it with a fixed depth.
 const (
 	autoDepthMin = 2
 	autoDepthMax = 8
 )
 
-// AutoDepth picks the initial pipeline window depth for block size b
-// under time model tm: the smallest k whose coalesced k-track batch
+// AutoDepth picks the pipeline window depth for block size b under time
+// model tm: the smallest k whose coalesced k-track batch
 // amortises the fixed positioning cost (seek + half a rotation) below
 // one block's transfer time, clamped to [2, 8]. Positioning-dominated
 // disks (real seeks, O_DIRECT files) get deep windows; transfer-

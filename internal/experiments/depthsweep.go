@@ -18,9 +18,9 @@ import (
 )
 
 // depthSweepKs are the fixed window depths the sweep measures, plus 0 —
-// the auto policy, whose row reports the ring depth it resolved (and
-// possibly grew) to. Depth 1, the synchronous schedule, leads: it is the
-// reference every other row is held against.
+// the auto policy, whose row reports the ring depth it resolved to.
+// Depth 1, the synchronous schedule, leads: it is the reference every
+// other row is held against.
 var depthSweepKs = []int{1, 2, 4, 8, 0}
 
 // DepthSweep measures the stall-fraction-vs-k curve of the depth-k
@@ -197,7 +197,7 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 	}
 
 	t.Notes = append(t.Notes,
-		"ring = the resolved (auto: possibly grown) window depth the run finished with; depth 1 is the synchronous schedule, the speedup column's reference",
+		"ring = the resolved window depth the run used; depth 1 is the synchronous schedule, the speedup column's reference",
 		"stall frac = engine time blocked on in-flight I/O over p x wall; pred frac = costmodel overlap model at the same ring depth",
 		"wall = best of 3 runs per config; PDM parallel I/Os are asserted bit-identical against k=1 at every depth")
 	return t, nil

@@ -47,7 +47,7 @@ check() {
 	cp "$root/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -111,4 +111,11 @@ mutate $f 'return slices.Max(p.perDisk)' 1 1 \
 	'\tops, i := int64(0), 0\n\tfor ; i < len(reqs); ops++ {\n\t\tclear(p.perDisk)\n\t\tfor i < len(reqs) && p.perDisk[reqs[i].Disk] == 0 {\n\t\t\tp.perDisk[reqs[i].Disk]++\n\t\t\ti++\n\t\t}\n\t}\n\treturn ops + 0*slices.Max(p.perDisk)'
 check 'price bursts by greedy FIFO' $f TestLivePrefixProperties
 
-echo "contract-selftest: all ten mutations caught"
+# The schedule is a function of the Config alone (DESIGN.md §17): whoever
+# watches a run, its ring depth and begin order are the unwatched run's.
+f=internal/core/depth.go
+mutate $f 'k = max(min(k, vCap), 1)' 1 1 \
+	'\tk = max(min(k, vCap), 1)\n\tif cfg.Recorder != nil {\n\t\tk = vCap\n\t}'
+check 'size the ring from an observer' $f TestPipelineDepthResolved
+
+echo "contract-selftest: all eleven mutations caught"
