@@ -85,7 +85,7 @@ bench-depth:
 # three supersteps and packed bursts by disk; 504 since PR 23 stopped
 # moving contexts their reader did not need moved, 736 with PR 22's
 # live-prefix transfer alone, 2664 when every context run and message slot
-# moved whole) and allocate under 64 MB per iteration (46.1; the figure
+# moved whole) and allocate under 64 MB per iteration (41.5; the figure
 # repeats to 0.001 MB), and one short traced run must keep the disk
 # footprint core.max_tracks at or under the full-image layout's 396 tracks
 # (395 today). That is 32 above PR 23's: the slots of this machine sit 7
@@ -112,13 +112,15 @@ benchmark-smoke:
 
 # Allocation profile of the hot path: the dispatch benchmark and the
 # local sort's radix kernel must report 0 allocs/op (BenchmarkLocalSort
-# prints slices.Sort beside it), and the end-to-end sort should stay well
+# prints slices.Sort beside it); BenchmarkPSRSRounds splits the sorter's
+# compute by round (init+r0, r1, r2), one VP at the benchmark's per-VP
+# size a line. The end-to-end sort should stay well
 # under the seed's 38287 allocs/op. The last line also prints B/op of the
 # end-to-end sort and permute — the program-boundary allocation (decode
 # arenas, outboxes, outputs) that benchmark/'s alloc_mb gates at full scale.
 allocs:
 	$(GO) test -run '^$$' -bench 'BenchmarkDiskArrayOp' -benchmem ./internal/pdm/
-	$(GO) test -run '^$$' -bench 'BenchmarkLocalSort' -benchmem ./internal/sortalg/
+	$(GO) test -run '^$$' -bench 'BenchmarkLocalSort|BenchmarkPSRSRounds' -benchmem ./internal/sortalg/
 	$(GO) test -run '^$$' -bench 'BenchmarkFig5GroupA/(sort-emcgm|permute)$$' -benchmem .
 
 # Build the invariant lint suite as a standalone vet tool and print its
@@ -197,3 +199,4 @@ fuzz:
 	$(GO) test ./internal/layout -run '^$$' -fuzz FuzzStaggeredLayout -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pdm -run '^$$' -fuzz FuzzBatchCoalesce -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sortalg -run '^$$' -fuzz FuzzSortKeys -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sortalg -run '^$$' -fuzz FuzzMergeTwo -fuzztime $(FUZZTIME)

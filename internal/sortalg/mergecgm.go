@@ -23,8 +23,7 @@ type TournamentSorter[T cmp.Ordered] struct{}
 
 // Init sorts the partition locally.
 func (TournamentSorter[T]) Init(vp *cgm.VP[T], input []T) {
-	vp.State = append([]T(nil), input...)
-	sortKeys(vp.State)
+	vp.State = sortedCopy(input)
 }
 
 func tournamentRounds(v int) int {

@@ -32,12 +32,14 @@ import (
 // assumes, and what keeps the all-gather of samples (h = v² items) within
 // an h-relation of N/v. The output is globally sorted across virtual
 // processors in VP order; output partitions are splitter ranges, so their
-// sizes may differ from the input partitions.
+// sizes may differ from the input partitions. Keys compare by cmp.Less
+// throughout, so floats come out in slices.Sort's order, NaNs first.
 type Sorter[T cmp.Ordered] struct{}
 
-// Init sorts nothing yet; it just stores the partition.
+// Init stores a sorted copy of the partition: the copy Init owes the
+// caller and the local sort are one pass (sortedCopy).
 func (Sorter[T]) Init(vp *cgm.VP[T], input []T) {
-	vp.State = append([]T(nil), input...)
+	vp.State = sortedCopy(input)
 }
 
 // Round implements the three PSRS supersteps.
@@ -45,8 +47,8 @@ func (Sorter[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
 	v := vp.V
 	switch round {
 	case 0:
-		// Local sort; send v regular samples to every VP.
-		sortKeys(vp.State)
+		// Init left the partition sorted; send v regular samples to
+		// every VP.
 		if v == 1 {
 			return nil, true
 		}
@@ -70,7 +72,9 @@ func (Sorter[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
 		// Every VP holds the same samples in the same source order, so
 		// every VP picks the same v−1 splitters; it cuts its sorted data by
 		// them and bucket k goes to VP k. Bucket k = (splitter[k-1],
-		// splitter[k]].
+		// splitter[k]]. A bucket is a view of State, capped so that no
+		// append can reach the next one: the engine copies out of its
+		// decode arena whatever outlives the superstep.
 		splitters := pickSplitters(inbox, v)
 		out := make([][]T, v)
 		lo := 0
@@ -80,7 +84,7 @@ func (Sorter[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
 				// First index with State[i] > splitters[k].
 				hi = max(lo, upperBound(vp.State, splitters[k]))
 			}
-			out[k] = append([]T(nil), vp.State[lo:hi]...)
+			out[k] = vp.State[lo:hi:hi]
 			lo = hi
 		}
 		vp.State = vp.State[:0]
@@ -127,12 +131,13 @@ func (Sorter[T]) MaxContextItems(n, v int) int {
 	return 5*((n+v-1)/v)/2 + v*v + v + 8
 }
 
-// upperBound returns the first index i with xs[i] > key (xs sorted).
+// upperBound returns the first index i with xs[i] > key (xs sorted), in
+// the order of cmp.Less that sorted xs: NaNs first and equal to each other.
 func upperBound[T cmp.Ordered](xs []T, key T) int {
 	lo, hi := 0, len(xs)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if xs[mid] <= key {
+		if !cmp.Less(key, xs[mid]) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -142,11 +147,11 @@ func upperBound[T cmp.Ordered](xs []T, key T) int {
 }
 
 // mergeRuns k-way merges sorted runs of total items in all by repeated
-// pairwise merging of neighbours, stably (on ties the earlier run wins).
-// Every level merges out of one total-sized buffer into the other, so the
-// merge allocates two buffers however many levels it has, one for two
-// runs, none for a single run (which is returned as it is). runs is
-// overwritten.
+// pairwise merging of neighbours with mergeTwo, stably (on ties the
+// earlier run wins). Every level merges out of one total-sized buffer into
+// the other, so the merge allocates two buffers however many levels it
+// has, one for two runs, none for a single run (which is returned as it
+// is). runs is overwritten.
 func mergeRuns[T cmp.Ordered](runs [][]T, total int) []T {
 	switch len(runs) {
 	case 0:
@@ -182,22 +187,46 @@ func mergeRuns[T cmp.Ordered](runs [][]T, total int) []T {
 }
 
 // mergeTwo merges sorted a and b into out, which must hold them both, and
-// returns the number of items written.
+// returns the number of items written. It merges from both ends at once:
+// each step writes the smaller head at the front of out and the larger
+// tail at the back, two chains that do not wait for each other, and which
+// run gives an item is a 0/1 index, not a branch on the data. On a tie the
+// front takes a's item and the back b's, so the merge is stable. Items
+// compare by cmp.Less, a strict weak order on every cmp.Ordered type
+// (NaNs first, and equal to each other), which is what keeps the two ends
+// from taking the same item. Once one run is used up, the rest of the
+// other is copied.
+// emcgm:hotpath
 func mergeTwo[T cmp.Ordered](out, a, b []T) int {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if b[j] < a[i] {
-			out[k] = b[j]
-			j++
-		} else {
-			out[k] = a[i]
-			i++
-		}
-		k++
+	n := len(a) + len(b)
+	i, j := 0, 0                 // the heads of a and b
+	ia, jb := len(a)-1, len(b)-1 // their tails
+	lo, hi := 0, n-1
+	for i <= ia && j <= jb {
+		x, y := a[i], b[j]
+		f := b2i(cmp.Less(y, x)) // 1: b's head is the smaller
+		out[lo] = [2]T{x, y}[f]
+		i += 1 - f
+		j += f
+		lo++
+		x, y = a[ia], b[jb]
+		t := b2i(cmp.Less(y, x)) // 1: a's tail is the larger
+		out[hi] = [2]T{y, x}[t]
+		ia -= t
+		jb -= 1 - t
+		hi--
 	}
-	k += copy(out[k:], a[i:])
-	k += copy(out[k:], b[j:])
-	return k
+	lo += copy(out[lo:], a[i:ia+1])
+	copy(out[lo:], b[j:jb+1])
+	return n
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(c bool) int {
+	if c {
+		return 1
+	}
+	return 0
 }
 
 // EMSortConfig fills sensible EM-CGM limits for sorting n items: bucket

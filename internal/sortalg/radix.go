@@ -8,7 +8,8 @@ import (
 // sortKeys sorts xs ascending in place: int64, uint64 (pdm.Word) and int
 // slices through the radix kernel, any other type through slices.Sort
 // (floats keep it because a NaN has no place in a radix order). It is the
-// one local sort of the package's key paths.
+// one in-place local sort of the package's key paths; sortedCopy is the
+// one that copies.
 func sortKeys[T cmp.Ordered](xs []T) {
 	switch s := any(xs).(type) {
 	case []int64:
@@ -19,6 +20,60 @@ func sortKeys[T cmp.Ordered](xs []T) {
 		radixSort(s, 1)
 	default:
 		slices.Sort(xs)
+	}
+}
+
+// sortedCopy returns a sorted copy of src and leaves src as it is. For
+// int64, uint64 (pdm.Word) and int keys the copy is the kernel's first
+// level: one counting pass over src and one scatter by the top byte into
+// the new slice, after which each bucket (about n/256 keys, in cache) is
+// sorted in place by the lower digits. Any other type is copied and
+// sorted by slices.Sort. It allocates the result and nothing else.
+func sortedCopy[T cmp.Ordered](src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	dst := make([]T, len(src))
+	switch d := any(dst).(type) {
+	case []int64:
+		radixCopy(d, any(src).([]int64))
+	case []uint64:
+		radixCopy(d, any(src).([]uint64))
+	case []int:
+		radixCopy(d, any(src).([]int))
+	default:
+		copy(dst, src)
+		slices.Sort(dst)
+	}
+	return dst
+}
+
+// radixCopy sorts src into dst (of the same length): the top-byte digit
+// scattered out of src, every lower one in place by radixLevel.
+// emcgm:hotpath
+func radixCopy[K integer](dst, src []K) {
+	flip := signFlip[K]()
+	var head [256]int
+	for _, x := range src {
+		head[byte((uint64(x)^flip)>>56)]++
+	}
+	off := 0
+	for b, c := range head {
+		head[b] = off
+		off += c
+	}
+	for _, x := range src {
+		b := byte((uint64(x) ^ flip) >> 56)
+		dst[head[b]] = x
+		head[b]++
+	}
+	// head[b] is now where bucket b ends.
+	lo := 0
+	for _, hi := range head {
+		if hi-lo > 1 {
+			radixLevel(dst[lo:hi], 1, 48, flip)
+		}
+		lo = hi
 	}
 }
 
@@ -40,12 +95,17 @@ const insertionMax = 64
 // a level live in its stack frame.
 // emcgm:hotpath
 func radixSort[K integer](xs []K, w int) {
+	radixLevel(xs, w, 56, signFlip[K]())
+}
+
+// signFlip is what a key's 64-bit pattern is XORed with to make its digit
+// order the numeric order: the sign bit for a signed type, 0 otherwise.
+func signFlip[K integer]() uint64 {
 	var zero K
-	var flip uint64
 	if ^zero < 0 {
-		flip = 1 << 63
+		return 1 << 63
 	}
-	radixLevel(xs, w, 56, flip)
+	return 0
 }
 
 // radixLevel sorts xs (records of w items) on the digit at shift and

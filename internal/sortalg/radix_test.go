@@ -1,6 +1,7 @@
 package sortalg
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -94,6 +95,45 @@ func TestSortKeysFallsBack(t *testing.T) {
 	if !slices.IsSorted(ss) {
 		t.Fatalf("strings: %v", ss)
 	}
+}
+
+// checkSortedCopy runs sortedCopy over every pattern at every size, keys
+// made from the patterns by conv: src must be left as it was, the result
+// must equal slices.Sorted, and the result must be the one allocation.
+func checkSortedCopy[T cmp.Ordered](conv func(uint64) T) func(*testing.T) {
+	return func(t *testing.T) {
+		for name, gen := range keyPatterns {
+			for _, n := range radixSizes {
+				src := make([]T, n)
+				for i, u := range gen(rand.New(rand.NewSource(int64(n))), n) {
+					src[i] = conv(u)
+				}
+				orig := slices.Clone(src)
+				got := sortedCopy(src)
+				if !slices.EqualFunc(src, orig, func(a, b T) bool { return cmp.Compare(a, b) == 0 }) {
+					t.Fatalf("%s n=%d: src changed", name, n)
+				}
+				want := slices.Clone(orig)
+				slices.Sort(want)
+				if !slices.EqualFunc(got, want, func(a, b T) bool { return cmp.Compare(a, b) == 0 }) {
+					t.Fatalf("%s n=%d: differs from slices.Sorted", name, n)
+				}
+				if n == 0 {
+					continue
+				}
+				if a := testing.AllocsPerRun(10, func() { sortedCopy(src) }); a != 1 {
+					t.Fatalf("%s n=%d: %v allocations, want 1", name, n, a)
+				}
+			}
+		}
+	}
+}
+
+func TestSortedCopy(t *testing.T) {
+	t.Run("int64", checkSortedCopy(func(u uint64) int64 { return int64(u) }))
+	t.Run("uint64", checkSortedCopy(func(u uint64) uint64 { return u }))
+	t.Run("int", checkSortedCopy(func(u uint64) int { return int(u) }))
+	t.Run("float64", checkSortedCopy(math.Float64frombits))
 }
 
 // checkRecords holds the record path: keys (first words) come out in

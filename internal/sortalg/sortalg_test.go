@@ -1,7 +1,9 @@
 package sortalg
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -222,6 +224,137 @@ func TestSorterFitsEMSortConfig(t *testing.T) {
 		}
 		if res.Stats.MaxH > cfg.MaxHItems {
 			t.Errorf("%+v: h = %d, MaxHItems = %d", g, res.Stats.MaxH, cfg.MaxHItems)
+		}
+	}
+}
+
+// Round 1's buckets are views of the sender's State, not copies. Each
+// machine must still deliver them intact: under CheckedIO (the decode
+// arena is zeroed after every superstep, so a view the engine failed to
+// copy out reads zeros), with contexts cached (State never enters the
+// arena), through BalancedRouting, and in memory.
+func TestPSRSBucketViews(t *testing.T) {
+	const n, v = 1 << 13, 8
+	in := workload.Int64s(41, n)
+	want := slices.Clone(in)
+	slices.Sort(want)
+	res, err := cgm.Run[int64](Sorter[int64]{}, v, cgm.Scatter(in, v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Output(), want) {
+		t.Fatal("cgm.Run: output differs from slices.Sorted")
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"checked", core.Config{P: 2, CheckedIO: true}},
+		{"cached", core.Config{P: v, CacheContexts: true, CheckedIO: true}},
+		{"balanced", core.Config{P: 2, Balanced: true, CheckedIO: true}},
+	} {
+		cfg := tc.cfg
+		cfg.V, cfg.D, cfg.B = v, 2, 32
+		for _, seq := range []bool{false, true} {
+			var got []int64
+			if seq {
+				r, err := core.RunSeq[int64](Sorter[int64]{}, wordcodec.I64{}, EMSortConfig(cfg, n), cgm.Scatter(in, v))
+				if err != nil {
+					t.Fatalf("%s seq: %v", tc.name, err)
+				}
+				got = r.Output()
+			} else if got, _, err = EMSort(in, wordcodec.I64{}, cfg); err != nil {
+				t.Fatalf("%s par: %v", tc.name, err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s seq=%v: output differs from slices.Sorted", tc.name, seq)
+			}
+		}
+	}
+}
+
+// floatInput is n floats from seed with every 97th a NaN (payloads
+// differ) and ±Inf and ±0 among the rest.
+func floatInput(seed int64, n int) []float64 {
+	r := rand.New(rand.NewSource(seed))
+	xs := make([]float64, n)
+	for i := range xs {
+		switch {
+		case i%97 == 0:
+			xs[i] = math.Float64frombits(0x7ff8_0000_0000_0000 | uint64(i))
+		case i%89 == 0:
+			xs[i] = math.Inf(1 - 2*(i%2))
+		case i%31 == 0:
+			xs[i] = math.Copysign(0, float64(1-2*(i%2)))
+		default:
+			xs[i] = r.NormFloat64() * 1e6
+		}
+	}
+	return xs
+}
+
+// sameAsSlicesSort reports whether got is in as slices.Sort orders it,
+// item by item under cmp.Compare (NaNs equal to each other, and so are −0
+// and +0), with every bit pattern of in kept. Neither sort is stable, so
+// which of two equal items comes first is not compared.
+func sameAsSlicesSort(got, in []float64) bool {
+	want := slices.Clone(in)
+	slices.Sort(want)
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if cmp.Compare(got[i], want[i]) != 0 {
+			return false
+		}
+	}
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		slices.Sort(out)
+		return out
+	}
+	return slices.Equal(bits(got), bits(want))
+}
+
+// PSRS orders floats as slices.Sort does, NaNs first: the local sort, the
+// splitters, the bucket cuts and the merge all compare by cmp.Less. Under
+// `<` a NaN is unordered and the output came out unsorted. In "nanFirst"
+// the NaNs crowd the first partitions, so the sources cut their buckets
+// from differently shaped data and must still agree on where a NaN goes;
+// its skewed buckets need a larger message limit than EMSortConfig's.
+func TestSorterNaNMatchesSlicesSort(t *testing.T) {
+	const n = 1 << 14
+	nanFirst := floatInput(8, n)
+	for i := 0; i < n/16; i++ {
+		nanFirst[i] = math.NaN()
+	}
+	for name, in := range map[string][]float64{"sprinkled": floatInput(7, n), "nanFirst": nanFirst} {
+		for _, v := range []int{2, 4, 8} {
+			res, err := cgm.Run[float64](Sorter[float64]{}, v, cgm.Scatter(in, v))
+			if err != nil {
+				t.Fatalf("%s v=%d: %v", name, v, err)
+			}
+			if !sameAsSlicesSort(res.Output(), in) {
+				t.Errorf("%s cgm.Run v=%d: differs from slices.Sort", name, v)
+			}
+			cfg := core.Config{V: v, P: 2, D: 2, B: 64, MaxMsgItems: n / v}
+			got, _, err := EMSort(in, wordcodec.F64{}, cfg)
+			if err != nil {
+				t.Fatalf("%s RunPar v=%d: %v", name, v, err)
+			}
+			if !sameAsSlicesSort(got, in) {
+				t.Errorf("%s RunPar v=%d: differs from slices.Sort", name, v)
+			}
+			seq, err := core.RunSeq[float64](Sorter[float64]{}, wordcodec.F64{}, EMSortConfig(cfg, n), cgm.Scatter(in, v))
+			if err != nil {
+				t.Fatalf("%s RunSeq v=%d: %v", name, v, err)
+			}
+			if !sameAsSlicesSort(seq.Output(), in) {
+				t.Errorf("%s RunSeq v=%d: differs from slices.Sort", name, v)
+			}
 		}
 	}
 }
@@ -489,4 +622,57 @@ func TestMergeRunsTwoBuffers(t *testing.T) {
 			t.Errorf("k=%d: %v allocations, want %d", tc.k, allocs, tc.allocs)
 		}
 	}
+}
+
+// mergeFuzzFloats maps a byte to a float: NaNs with the byte as payload,
+// ±Inf, ±0 and a few finite values, so equal items (which only their bits
+// tell apart) are common.
+var mergeFuzzFloats = []float64{math.NaN(), math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0, -1.5, 1.5, -math.MaxFloat64, math.SmallestNonzeroFloat64, 3}
+
+// checkMerge merges the sorted runs a and b with mergeTwo and compares the
+// result, bit for bit, with a stable sort of a then b.
+func checkMerge[T cmp.Ordered](t *testing.T, a, b []T, bits func(T) uint64) {
+	t.Helper()
+	slices.SortStableFunc(a, cmp.Compare[T])
+	slices.SortStableFunc(b, cmp.Compare[T])
+	want := slices.Concat(a, b)
+	slices.SortStableFunc(want, cmp.Compare[T])
+	got := make([]T, len(want))
+	if n := mergeTwo(got, a, b); n != len(want) {
+		t.Fatalf("merged %d items, want %d", n, len(want))
+	}
+	for i := range want {
+		if bits(got[i]) != bits(want[i]) {
+			t.Fatalf("item %d of %d: %v, want %v (runs %v and %v)", i, len(want), got[i], want[i], a, b)
+		}
+	}
+}
+
+// FuzzMergeTwo: the bytes before cut make run a, the rest run b, read as
+// int64 keys and as floats; the two-ended merge must be a stable merge.
+func FuzzMergeTwo(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{3, 4, 3, 4, 0, 0, 9}, uint8(3))
+	f.Add([]byte{0x80, 0x7f, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(7))
+	f.Fuzz(func(t *testing.T, data []byte, cut uint8) {
+		c := int(cut) % (len(data) + 1)
+		ints := make([]int64, len(data))
+		floats := make([]float64, len(data))
+		for i, d := range data {
+			switch d {
+			case 0x80:
+				ints[i] = math.MinInt64
+			case 0x7f:
+				ints[i] = math.MaxInt64
+			default:
+				ints[i] = int64(int8(d))
+			}
+			floats[i] = mergeFuzzFloats[int(d)%len(mergeFuzzFloats)]
+			if math.IsNaN(floats[i]) {
+				floats[i] = math.Float64frombits(0x7ff8_0000_0000_0000 | uint64(d))
+			}
+		}
+		checkMerge(t, ints[:c], ints[c:], func(x int64) uint64 { return uint64(x) })
+		checkMerge(t, floats[:c], floats[c:], math.Float64bits)
+	})
 }
