@@ -81,16 +81,19 @@ bench-depth:
 # benchmark-compare judges two such recordings against the per-workload
 # bounds (exit 1 on a regression). benchmark-smoke is the CI step: one
 # short untraced run of sort_seq_model must verify its output, repeat
-# the pinned PDM count (400 at every seed since PR 24 took the sort to
-# three supersteps and packed bursts by disk; 504 since PR 23 stopped
-# moving contexts their reader did not need moved, 736 with PR 22's
-# live-prefix transfer alone, 2664 when every context run and message slot
-# moved whole) and allocate under 64 MB per iteration (41.5; the figure
-# repeats to 0.001 MB), and one short traced run must keep the disk
-# footprint core.max_tracks at or under the full-image layout's 396 tracks
-# (395 today). That is 32 above PR 23's: the slots of this machine sit 7
-# blocks apart, not b′ = 6, which is what starts consecutive one-block
-# messages on consecutive disks when D = 2 divides b′.
+# the pinned PDM count (384 at every seed since images stopped carrying a
+# count header, which took each 16-block context to 17; 400 with the
+# header, the sort in three supersteps and bursts packed by disk; 504
+# with four rounds, once contexts moved only when their reader needed
+# them moved; 736 with the live-prefix transfer alone; 2664 when every
+# context run and message slot moved whole) and allocate under 64 MB per
+# iteration (41.5; the figure repeats to 0.001 MB), and one short traced
+# run must keep the disk footprint core.max_tracks at or under the
+# full-image layout's 396 tracks (395 today). The header's word did not
+# move it: c_b = 41 and b′ = 6 blocks either way. It is 32 above what
+# four rounds took because the slots of this machine sit 7 blocks apart,
+# not b′ = 6, which is what starts consecutive one-block messages on
+# consecutive disks when D = 2 divides b′.
 benchmark:
 	bash benchmark/run.sh $(ARGS)
 
@@ -101,7 +104,7 @@ benchmark-smoke:
 	@out=$$($(GO) run ./benchmark -workload sort_seq_model -seconds 2 -trace 0 | tail -n 1); \
 	echo "$$out"; \
 	echo "$$out" | grep -q '"correct":true' || { echo "benchmark-smoke: output not verified"; exit 1; }; \
-	echo "$$out" | grep -q '"parallel_ios":{"value":400,' || { echo "benchmark-smoke: parallel_ios is not 400"; exit 1; }; \
+	echo "$$out" | grep -q '"parallel_ios":{"value":384,' || { echo "benchmark-smoke: parallel_ios is not 384"; exit 1; }; \
 	mb=$$(echo "$$out" | sed -n 's/.*"alloc_mb":{"value":\([0-9.]*\).*/\1/p'); \
 	awk -v mb="$$mb" 'BEGIN { exit !(mb != "" && mb + 0 < 64) }' || { echo "benchmark-smoke: alloc_mb '$$mb' is not below 64"; exit 1; }; \
 	out=$$($(GO) run ./benchmark -workload sort_seq_model -seconds 2 -trace 1 | tail -n 1); \

@@ -30,11 +30,12 @@
 //
 // The simulation is content-oblivious in its addresses, as a deterministic
 // simulation must be: every context run and every message slot has a fixed
-// place on the disks, sized for the declared maxima. What a compound
-// superstep transfers is the live block prefix of each image — the blocks
-// that hold the count header and the items actually present — which the
-// writer records in an in-memory length table and the reader takes its
-// request count from (DESIGN.md §18). And it transfers an image only when
+// place on the disks, sized for the declared maxima. An image holds items
+// and nothing else; how many it holds is recorded once, by its writer, in
+// an in-memory length table. What a compound superstep transfers is the
+// live block prefix of each image — the blocks the items actually present
+// reach — and writer, reader and decoder all derive it from that one count
+// (liveBlocks; DESIGN.md §18). And it transfers an image only when
 // its reader needs it moved: round 0 computes on what Init made of the
 // caller's partition, in memory; a context a round left word for word as
 // it read it is not written again; an empty context or message moves no
@@ -78,7 +79,7 @@ import (
 type superstepScratch struct {
 	ctxImg []pdm.Word     // cb·B words: context encode/decode image
 	flat   []pdm.Word     // flat inbox/outbox slot images
-	live   []int          // live blocks per slot of flat, as the writer encodes it
+	live   []int          // live blocks per slot of flat being written or read
 	reqs   []pdm.BlockReq // request staging for matrix/striped sequences
 	bufs   [][]pdm.Word   // block views over ctxImg or flat
 	lay    layout.Scratch // per-cycle request slices and conflict markers
@@ -267,8 +268,8 @@ func (c Config) ValidateFor(n int) error {
 	// re-checks with the real item width; this catches a hopeless fixed k
 	// before any disk is allocated.
 	if c.M > 0 && c.MaxCtxItems > 0 && c.MaxMsgItems > 0 {
-		cb := pdm.BlocksFor(ctxWords(c.MaxCtxItems, 1), c.B)
-		bpm := pdm.BlocksFor(slotWords(c.MaxMsgItems, 1), c.B)
+		cb := pdm.BlocksFor(c.MaxCtxItems, c.B)
+		bpm := pdm.BlocksFor(c.MaxMsgItems, c.B)
 		if _, err := pipeDepth(c, c.V, (cb+c.V*bpm)*c.B); err != nil {
 			return err
 		}
@@ -439,37 +440,33 @@ func balancedMsgBound(maxH, v int) int {
 	return (maxH+v-1)/v + (v-1)/2 + 1
 }
 
-// slotWords returns the words per message slot: a count header plus
-// maxMsg encoded items.
+// liveBlocks is the one rule that turns an image's item count — its
+// length-table entry, the only record of its size — into its live prefix:
+// the b-word blocks that n items of w words, and guard words past them,
+// reach within an image of size blocks; none for no items. The writer
+// fills and transfers that prefix, the reader transfers it, and decode
+// reads the n·w words at its head, so nothing is decoded that was not
+// transferred.
 // emcgm:hotpath
-func slotWords(maxMsg, itemWords int) int { return 1 + maxMsg*itemWords }
-
-// ctxWords returns the words per context run: a count header plus maxCtx
-// encoded items.
-// emcgm:hotpath
-func ctxWords(maxCtx, itemWords int) int { return 1 + maxCtx*itemWords }
-
-// encodeLive serialises items into the head of the fixed-address image
-// img — count header, items, zero fill to the end of the last live block —
-// and returns how many b-word blocks of img are now live: the blocks that
-// the header, the items and guard further words reach, capped at the
-// image; none when there are no items, because the reader of an image with
-// no live block writes the zero header itself. The rest of the image is
-// left as it was: it is neither transferred nor decoded. img is
-// caller-owned scratch sized for the declared maximum, which the caller
-// has checked len(items) against; reusing it across supersteps is what
-// keeps the hot path allocation-free.
-// emcgm:hotpath
-func encodeLive[T any](codec wordcodec.Codec[T], items []T, img []pdm.Word, b, guard int) int {
-	if len(items) == 0 {
+func liveBlocks(n, w, guard, b, size int) int {
+	if n == 0 {
 		return 0
 	}
-	img[0] = pdm.Word(len(items))
-	end := 1 + len(items)*codec.Words()
-	wordcodec.EncodeInto(codec, img[1:end], items)
-	nb := min(pdm.BlocksFor(end+guard, b), len(img)/b)
+	return min(pdm.BlocksFor(n*w+guard, b), size)
+}
+
+// encodeLive serialises items into the head of the fixed-address image img
+// and zero-fills the rest of its first nb blocks of b words, the live
+// prefix liveBlocks gives for them. The rest of the image is left as it
+// was: it is neither transferred nor decoded. img is caller-owned scratch
+// sized for the declared maximum, which the caller has checked len(items)
+// against; reusing it across supersteps is what keeps the hot path
+// allocation-free.
+// emcgm:hotpath
+func encodeLive[T any](codec wordcodec.Codec[T], items []T, img []pdm.Word, nb, b int) {
+	end := len(items) * codec.Words()
+	wordcodec.EncodeInto(codec, img[:end], items)
 	clear(img[end : nb*b])
-	return nb
 }
 
 // msgGuard is how far past its last word a message's live prefix reaches:
@@ -486,44 +483,31 @@ func encodeLive[T any](codec wordcodec.Codec[T], items []T, img []pdm.Word, b, g
 // emcgm:hotpath
 func msgGuard(b int) int { return b / 4 }
 
-// encodeMsg is encodeLive for one message slot, guard and all; a message
-// over the slot bound is an error.
+// encodeCtx is encodeLive for a context whose image still holds, at its
+// head, the was items the slot read this round — which is what is on disk.
+// If there are was items and they encode to exactly those words, same is
+// true, img is untouched and nothing needs writing. The test is on the
+// encoding, word for word, and on nothing cheaper: a program may change an
+// item in place, so the identity of the slice says nothing, and neither
+// does its length. The items are encoded a chunk of len(cmp) words at a
+// time and held against img; the first chunk that differs ends the
+// comparison and the whole context is encoded over img's nb live blocks,
+// so a context that changed pays for one chunk more than it always did.
 // emcgm:hotpath
-func encodeMsg[T any](codec wordcodec.Codec[T], msg []T, maxMsg int, img []pdm.Word, b int) (int, error) {
-	if len(msg) > maxMsg {
-		return 0, fmt.Errorf("core: message of %d items exceeds the slot bound %d items; set Config.MaxMsgItems (or Balanced) accordingly", len(msg), maxMsg)
-	}
-	return encodeLive(codec, msg, img, b, msgGuard(b)), nil
-}
-
-// encodeCtx is encodeLive for a context whose image still holds, in its
-// first was blocks, the prefix the slot read this round — which is what is
-// on disk. If the items encode to exactly that prefix, same is true, img
-// is untouched and nothing needs writing. The test is on the encoding,
-// word for word, and on nothing cheaper: a program may change an item in
-// place, so the identity of the slice says nothing, and neither does its
-// length. The items are encoded a chunk of len(cmp) words at a time and
-// held against img; the first chunk that differs ends the comparison and
-// the whole context is encoded over img, so a context that changed pays
-// for one chunk more than it always did.
-// emcgm:hotpath
-func encodeCtx[T any](codec wordcodec.Codec[T], items []T, img, cmp []pdm.Word, b, was int) (nb int, same bool) {
+func encodeCtx[T any](codec wordcodec.Codec[T], items []T, img, cmp []pdm.Word, was, nb, b int) (same bool) {
 	iw := codec.Words()
-	if len(items) > 0 {
-		nb = pdm.BlocksFor(1+len(items)*iw, b)
-	}
-	same = nb == was && (nb == 0 || img[0] == pdm.Word(len(items)))
+	same = len(items) == was
 	per := len(cmp) / iw
 	for off := 0; same && off < len(items); off += per {
 		chunk := items[off:min(off+per, len(items))]
 		words := cmp[:len(chunk)*iw]
 		wordcodec.EncodeInto(codec, words, chunk)
-		same = equalWords(words, img[1+off*iw:1+off*iw+len(words)])
+		same = equalWords(words, img[off*iw:off*iw+len(words)])
 	}
-	if same {
-		return nb, true
+	if !same {
+		encodeLive(codec, items, img, nb, b)
 	}
-	return encodeLive(codec, items, img, b, 0), false
+	return same
 }
 
 // equalWords reports whether a and b, of one length, hold the same words.

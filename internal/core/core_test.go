@@ -168,6 +168,34 @@ func TestSeqIOAccounting(t *testing.T) {
 	}
 }
 
+// TestWholeBlockContext prices by hand what a context of exactly c·B
+// one-word items costs: it occupies c blocks, no more, so each move is
+// ⌈c/D⌉ parallel I/Os. rotate{k: 2} moves every context four times —
+// round 0 writes it, round 1 reads it and writes the neighbour's items over
+// it, the terminal round reads it — on both machines alike.
+func TestWholeBlockContext(t *testing.T) {
+	const v, c, b, d = 4, 4, 4, 2
+	parts := cgm.Scatter(seq64(v*c*b), v)
+	want := int64(v * 4 * ((c + d - 1) / d))
+	seq, err := RunSeq[int64](rotate{k: 2}, wordcodec.I64{}, Config{V: v, D: d, B: b}, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := RunPar[int64](rotate{k: 2}, wordcodec.I64{}, Config{V: v, P: 2, D: d, B: b}, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name string
+		res  *Result[int64]
+	}{{"RunSeq", seq}, {"RunPar p=2", par}} {
+		if arm.res.CtxOps != want {
+			t.Errorf("%s: CtxOps = %d, want %d: %d contexts of %d whole blocks on %d disks, moved 4 times each",
+				arm.name, arm.res.CtxOps, want, v, c, d)
+		}
+	}
+}
+
 // Parallel I/O must actually engage all D disks: fullness should be high
 // and total parallel ops should shrink roughly by D when D doubles.
 func TestSeqMultiDiskSpeedup(t *testing.T) {

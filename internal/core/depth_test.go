@@ -285,13 +285,14 @@ func TestPipelineDepthValidate(t *testing.T) {
 		t.Errorf("negative depth: err = %v, want PipelineDepth error", err)
 	}
 
-	// One working set here is a 9-block context run and 4 message slots of
-	// 9 blocks: 360 words.
+	// One working set here is an 8-block context run and 4 message slots of
+	// 8 blocks — 64 one-word items fill 8 blocks of 8 exactly — so 320
+	// words.
 	tight := base
 	tight.PipelineDepth = 8
 	tight.MaxCtxItems = 64
 	tight.MaxMsgItems = 64
-	tight.M = 720 // two working sets, not 8
+	tight.M = 2 * 320 // two working sets, not 8
 	if err := tight.ValidateFor(1 << 10); err == nil || !strings.Contains(err.Error(), "internal memory") {
 		t.Errorf("depth over M: err = %v, want memory bound error", err)
 	}
@@ -299,17 +300,17 @@ func TestPipelineDepthValidate(t *testing.T) {
 	if err := tight.ValidateFor(1 << 10); err != nil {
 		t.Errorf("auto depth over M: err = %v, want clamp, not error", err)
 	}
-	tight.M = 128 // not one working set: no depth can run
+	tight.M = 320 - 1 // not one working set: no depth can run
 	if err := tight.ValidateFor(1 << 10); err == nil || !strings.Contains(err.Error(), "working set") {
 		t.Errorf("auto depth, one working set over M: err = %v, want memory bound error", err)
 	}
 
 	// A fixed depth past v is clamped to v before it is held to M, by
-	// ValidateFor as by the engine: 16 windows would need 5760 words, the
+	// ValidateFor as by the engine: 16 windows would need 5120 words, the
 	// 4 the engine runs fit exactly.
 	wide := tight
 	wide.PipelineDepth = 16
-	wide.M = 4 * 360
+	wide.M = 4 * 320
 	if err := wide.ValidateFor(64); err != nil {
 		t.Errorf("depth clamped to v within M: ValidateFor err = %v, want nil", err)
 	}

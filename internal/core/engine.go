@@ -105,9 +105,10 @@ type proc[T any] struct {
 	pend  []vpInflight     // per-slot context/inbox reads and write-behind
 	route []pdm.PendingSet // per-slot route write-behind (Algorithm 3)
 
-	// The length tables (DESIGN.md §18): how many blocks of each
-	// fixed-address image its last writer left live, which is all its next
-	// reader transfers. ctxLive[l] is local VP l's context run.
+	// The length tables (DESIGN.md §18): how many items each fixed-address
+	// image holds, as its last writer left it — the only record of an
+	// image's size, from which its next reader derives the live prefix it
+	// transfers and decodes. ctxLive[l] is local VP l's context run.
 	// msgLive[r%2][l·v+src] is the slot of the message src → local VP l
 	// that round r reads; it is written in round r−1 into the other parity
 	// than the one that round's own inbox reads consult, so — like the
@@ -129,10 +130,20 @@ type proc[T any] struct {
 }
 
 // inboxLive is the length-table row of the inbox local VP l reads in
-// round: one live-block count per source.
+// round: one item count per source.
 func (e *engine[T]) inboxLive(pr *proc[T], round, l int) []int {
 	v := e.cfg.V
 	return pr.msgLive[round%2][l*v : (l+1)*v]
+}
+
+// ctxBlocks is liveBlocks for a context run of n items.
+// emcgm:hotpath
+func (e *engine[T]) ctxBlocks(n int) int { return liveBlocks(n, e.codec.Words(), 0, e.cfg.B, e.cb) }
+
+// msgBlocks is liveBlocks for a message slot of n items, guard and all.
+// emcgm:hotpath
+func (e *engine[T]) msgBlocks(n int) int {
+	return liveBlocks(n, e.codec.Words(), msgGuard(e.cfg.B), e.cfg.B, e.bpm)
 }
 
 // bank charges the ops begun since the last snapshot to sl's trace row,
@@ -204,8 +215,8 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 	e := &engine[T]{prog: prog, codec: codec, cfg: cfg, rec: cfg.Recorder,
 		localV: localV, inputs: inputs, outputs: res.Outputs}
 	e.maxCtx, e.maxMsg = limits(prog, cfg, n)
-	e.cb = pdm.BlocksFor(ctxWords(e.maxCtx, codec.Words()), cfg.B)
-	e.bpm = pdm.BlocksFor(slotWords(e.maxMsg, codec.Words()), cfg.B)
+	e.cb = pdm.BlocksFor(e.maxCtx*codec.Words(), cfg.B)
+	e.bpm = pdm.BlocksFor(e.maxMsg*codec.Words(), cfg.B)
 	ctxTracks := (localV*e.cb+cfg.D-1)/cfg.D + 1
 
 	// A ring slot is one superstep working set (a context run plus a full
@@ -521,12 +532,11 @@ func (e *engine[T]) wait(pr *proc[T], ps *pdm.PendingSet) error {
 
 // beginReads prefetches the live prefix of local VP l's context (unless
 // resident) and, after round 0, of each message of its inbox into ring
-// slot l mod K, charging the begun ops to that slot's row. The request
-// counts come from the length tables, so the whole prefetch is one burst
-// with no dependent header read. An empty image moves no block: its zero
-// header is written into the slot image here. That is every context in
-// round 0 — nothing has been written yet, the tables say 0 — so round 0
-// begins no read at all.
+// slot l mod K, charging the begun ops to that slot's row. The prefixes
+// come from the item counts in the length tables, so the whole prefetch is
+// one burst with nothing read first to size it. An empty image moves no
+// block. That is every context in round 0 — nothing has been written yet,
+// the tables say 0 — so round 0 begins no read at all.
 func (e *engine[T]) beginReads(pr *proc[T], round, l int) error {
 	K, B := len(pr.ring), e.cfg.B
 	sl, s := &pr.pend[l%K], pr.ring[l%K]
@@ -538,24 +548,18 @@ func (e *engine[T]) beginReads(pr *proc[T], round, l int) error {
 		fillStale(s.flat)
 	}
 	if e.cached == nil {
-		if pr.ctxLive[l] == 0 {
-			s.ctxImg[0] = 0
-		}
-		if err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg[:pr.ctxLive[l]*B], &s.lay, &sl.reads); err != nil {
+		if err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg[:e.ctxBlocks(pr.ctxLive[l])*B], &s.lay, &sl.reads); err != nil {
 			pf.End()
 			return fmt.Errorf("core: round %d vp %d: begin context read: %w", round, pr.i*e.localV+l, err)
 		}
 		pr.bank(sl, true)
 	}
 	if round > 0 {
-		live := e.inboxLive(pr, round, l)
-		s.reqs = e.tr.inboxReqs(s.reqs[:0], round, l, live)
-		s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, B, e.bpm, live)
-		for src, n := range live {
-			if n == 0 {
-				s.flat[src*e.bpm*B] = 0
-			}
+		for src, n := range e.inboxLive(pr, round, l) {
+			s.live[src] = e.msgBlocks(n)
 		}
+		s.reqs = e.tr.inboxReqs(s.reqs[:0], round, l, s.live)
+		s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, B, e.bpm, s.live)
 		if _, err := layout.BeginReadFIFOScratch(pr.arr, s.reqs, s.bufs, &s.lay, &sl.reads); err != nil {
 			pf.End()
 			return fmt.Errorf("core: round %d vp %d: begin inbox read: %w", round, pr.i*e.localV+l, err)
@@ -567,9 +571,10 @@ func (e *engine[T]) beginReads(pr *proc[T], round, l int) error {
 }
 
 // staleWord is what CheckedIO pours over a ring slot's images before a
-// prefetch: as a count header it fails headerItems, as an item it is
-// garbage, so a decode that strays past the transferred prefix fails
-// loudly instead of seeing the slot's previous tenant.
+// prefetch. Decoded as an item it is garbage, so a read that transfers
+// less than its length-table entry says, or is consumed before its Wait,
+// turns the program's output wrong instead of quietly handing it the
+// slot's previous tenant.
 const staleWord pdm.Word = 0xBAD0_57A1_EBAD_57A1
 
 func fillStale(img []pdm.Word) {
@@ -601,18 +606,17 @@ func (e *engine[T]) compute(pr *proc[T], round, l int) (vp *cgm.VP[T], outbox []
 	if err := e.wait(pr, &sl.reads); err != nil {
 		return nil, nil, false, fmt.Errorf("core: round %d vp %d: read context/inbox: %w", round, j, err)
 	}
-	var ctxImg []pdm.Word // the transferred prefixes are all decode may see
-	var live []int
+	// The items the length tables count are the heads of the prefixes
+	// beginReads transferred for them.
+	var ctxImg []pdm.Word
+	var counts []int
 	if e.cached == nil {
-		ctxImg = s.ctxImg[:max(pr.ctxLive[l]*e.cfg.B, 1)]
+		ctxImg = s.ctxImg[:pr.ctxLive[l]*e.codec.Words()]
 	}
 	if round > 0 {
-		live = e.inboxLive(pr, round, l)
+		counts = e.inboxLive(pr, round, l)
 	}
-	state, inbox, recv, err := pr.mem.decode(e.codec, ctxImg, s.flat, live, e.cfg.B)
-	if err != nil {
-		return nil, nil, false, fmt.Errorf("core: round %d vp %d: %w", round, j, err)
-	}
+	state, inbox, recv := pr.mem.decode(e.codec, ctxImg, s.flat, counts)
 	if e.cached != nil {
 		state = e.cached[pr.i]
 	}
@@ -666,10 +670,23 @@ func (e *engine[T]) compute(pr *proc[T], round, l int) (vp *cgm.VP[T], outbox []
 	return vp, outbox, done, nil
 }
 
+// encodeMsg encodes msg into the message slot image img and returns its
+// live blocks. A message over the slot bound is an error: it is the range
+// check on what the length table is told, which nothing else records.
+// emcgm:hotpath
+func (e *engine[T]) encodeMsg(msg []T, img []pdm.Word) (int, error) {
+	if len(msg) > e.maxMsg {
+		return 0, fmt.Errorf("core: message of %d items exceeds the slot bound %d items; set Config.MaxMsgItems (or Balanced) accordingly", len(msg), e.maxMsg)
+	}
+	nb := e.msgBlocks(len(msg))
+	encodeLive(e.codec, msg, img, nb, e.cfg.B)
+	return nb, nil
+}
+
 // writeOutbox is Algorithm 2's delivery: VP j's v messages are encoded
 // into its slot's message image and their live prefixes begun as one
 // staggered write-behind into the matrix slots its own inbox just freed;
-// the length table of the next round's parity records each prefix.
+// the length table of the next round's parity records each item count.
 func (e *engine[T]) writeOutbox(pr *proc[T], round, j int, outbox [][]T) error {
 	K, B, v := len(pr.ring), e.cfg.B, e.cfg.V
 	sl, s := &pr.pend[j%K], pr.ring[j%K]
@@ -681,12 +698,12 @@ func (e *engine[T]) writeOutbox(pr *proc[T], round, j int, outbox [][]T) error {
 		if outbox != nil {
 			msg = outbox[dst]
 		}
-		n, err := encodeMsg(e.codec, msg, e.maxMsg, s.flat[dst*w:(dst+1)*w], B)
+		nb, err := e.encodeMsg(msg, s.flat[dst*w:(dst+1)*w])
 		if err != nil {
 			wb.End()
 			return fmt.Errorf("vp %d round %d → %d: %w", j, round, dst, err)
 		}
-		s.live[dst], next[dst*v+j] = n, n
+		s.live[dst], next[dst*v+j] = nb, len(msg)
 		pr.sent[j] += len(msg)
 		pr.maxMsg = max(pr.maxMsg, len(msg))
 	}
@@ -726,12 +743,12 @@ func (e *engine[T]) batchTo(pr *proc[T], l, k int, outbox [][]T, done bool) batc
 }
 
 // writeContext begins the write-behind of the live prefix of local VP l's
-// context out of its ring slot and records the prefix in the length table,
-// or keeps the context resident under CacheContexts. The terminal round's
-// context is read by nobody, so it is only held to the bound μ. Nor is a
-// context written whose encoding is, word for word, the prefix the slot
-// read this round: its next reader finds on disk what it needs, and the
-// length table stands.
+// context out of its ring slot and records its item count in the length
+// table, or keeps the context resident under CacheContexts. The terminal
+// round's context is read by nobody, so it is only held to the bound μ.
+// Nor is a context written whose encoding is, word for word, the one the
+// slot read this round: its next reader finds on disk what it needs, and
+// the length table stands.
 func (e *engine[T]) writeContext(pr *proc[T], round, l int, vp *cgm.VP[T], done bool) error {
 	j := pr.i*e.localV + l
 	pr.maxCtx = max(pr.maxCtx, len(vp.State))
@@ -751,7 +768,8 @@ func (e *engine[T]) writeContext(pr *proc[T], round, l int, vp *cgm.VP[T], done 
 	K, B := len(pr.ring), e.cfg.B
 	sl, s := &pr.pend[l%K], pr.ring[l%K]
 	wb := e.rec.Begin(pr.track, "ctx write", "writeback")
-	nb, same := encodeCtx(e.codec, vp.State, s.ctxImg, pr.cmp, B, pr.ctxLive[l])
+	nb := e.ctxBlocks(len(vp.State))
+	same := encodeCtx(e.codec, vp.State, s.ctxImg, pr.cmp, pr.ctxLive[l], nb, B)
 	if e.sizes != nil {
 		e.sizes.Same[round][j] = same
 	}
@@ -759,7 +777,7 @@ func (e *engine[T]) writeContext(pr *proc[T], round, l int, vp *cgm.VP[T], done 
 		wb.End()
 		return nil
 	}
-	pr.ctxLive[l] = nb
+	pr.ctxLive[l] = len(vp.State)
 	s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg[:nb*B], B)
 	if err := layout.BeginWriteStripedScratch(pr.arr, 0, l*e.cb, s.bufs, &s.lay, &sl.writes); err != nil {
 		wb.End()
@@ -773,10 +791,10 @@ func (e *engine[T]) writeContext(pr *proc[T], round, l int, vp *cgm.VP[T], done 
 // route is the receive side of Algorithm 3's delivery: take exactly v
 // batches (one per virtual processor in the machine) off the processor's
 // channel and lay their messages out for the next round, pipelined over
-// the ring (each slot's live prefix only, recorded in the length table of
-// the next round's parity) — batch n is encoded while up to K−1 earlier
-// batches' blocks are still being written, the same burst the VP loop
-// gives the coalescing workers, now on the write side.
+// the ring (each slot's live prefix only, its item count recorded in the
+// length table of the next round's parity) — batch n is encoded while up
+// to K−1 earlier batches' blocks are still being written, the same burst
+// the VP loop gives the coalescing workers, now on the write side.
 func (e *engine[T]) route(pr *proc[T], round int) error {
 	K := len(pr.ring)
 	rt := e.rec.Begin(pr.track, "route batches", "route")
@@ -797,14 +815,14 @@ func (e *engine[T]) route(pr *proc[T], round int) error {
 		}
 		s.reqs = s.reqs[:0]
 		live := s.live[:e.localV]
-		for dl := range live {
-			n, err := encodeMsg(e.codec, b.msgs[dl], e.maxMsg, s.flat[dl*w:(dl+1)*w], B)
+		for dl, msg := range b.msgs {
+			blocks, err := e.encodeMsg(msg, s.flat[dl*w:(dl+1)*w])
 			if err != nil {
 				rt.End()
 				return fmt.Errorf("vp %d round %d → %d: %w", b.srcVP, round, pr.i*e.localV+dl, err)
 			}
-			live[dl], next[dl*v+b.srcVP] = n, n
-			s.reqs = writeM.AppendSlotReqs(s.reqs, dl, b.srcVP, n)
+			live[dl], next[dl*v+b.srcVP] = blocks, len(msg)
+			s.reqs = writeM.AppendSlotReqs(s.reqs, dl, b.srcVP, blocks)
 		}
 		s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, B, e.bpm, live)
 		if _, err := layout.BeginWriteFIFOScratch(pr.arr, s.reqs, s.bufs, &s.lay, &pr.route[nb%K]); err != nil {

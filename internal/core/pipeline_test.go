@@ -121,7 +121,7 @@ func depthArms[T comparable](t *testing.T, tag string, want [][]T, base core.Con
 // and a skewed rotation on RunPar at p = 1, 2, 4 and on the sequential
 // machine proper (Algorithm 2, not p = 1 of Algorithm 3). The rotation is
 // there for the live-prefix transfer's corners: its partitions run from
-// empty (a header-only context) to a third of the input, every VP's
+// empty (a context of no block) to a third of the input, every VP's
 // context changes size every round, and all but one message of every
 // outbox is empty and moves no block.
 func equivWorkloads(t *testing.T, checked bool, depths []int) {
@@ -143,6 +143,19 @@ func equivWorkloads(t *testing.T, checked bool, depths []int) {
 	rotated := reference[int64](t, "rotate", echo{}, v, skewed)
 	skewCfg := core.Config{V: v, D: 2, B: 8, CheckedIO: checked, MaxMsgItems: n, MaxCtxItems: n}
 
+	// The rotation runs first. It never looks at its items, so a transfer
+	// that hands it the wrong words — CheckedIO's poison, say — fails here
+	// by name, as an output that differs from the reference, before a
+	// program that indexes by its keys (the sort's merge) meets them.
+	for _, p := range []int{1, 2, 4} {
+		skewCfg.P = p
+		depthArms(t, fmt.Sprintf("rotate/p=%d", p), rotated, skewCfg, depths, func(cfg core.Config) (*core.Result[int64], error) {
+			return runMachine(false, echo{}, cfg, skewed)
+		})
+	}
+	depthArms(t, "rotate/seq", rotated, skewCfg, depths, func(cfg core.Config) (*core.Result[int64], error) {
+		return runMachine(true, echo{}, cfg, skewed)
+	})
 	for _, p := range []int{1, 2, 4} {
 		base := core.Config{V: v, P: p, D: 2, B: 8, CheckedIO: checked}
 		tagP := fmt.Sprintf("p=%d", p)
@@ -158,14 +171,7 @@ func equivWorkloads(t *testing.T, checked bool, depths []int) {
 			_, res, err := transpose.EMTranspose(keys, 32, 32, cfg)
 			return res, err
 		})
-		skewCfg.P = p
-		depthArms(t, "rotate/"+tagP, rotated, skewCfg, depths, func(cfg core.Config) (*core.Result[int64], error) {
-			return runMachine(false, echo{}, cfg, skewed)
-		})
 	}
-	depthArms(t, "rotate/seq", rotated, skewCfg, depths, func(cfg core.Config) (*core.Result[int64], error) {
-		return runMachine(true, echo{}, cfg, skewed)
-	})
 
 	seqCfg := core.Config{V: v, P: 1, D: 2, B: 8, CheckedIO: checked,
 		MaxMsgItems: 4*((n+v*v-1)/(v*v)) + v + 16,

@@ -75,9 +75,9 @@ func TestInitStallRecorded(t *testing.T) {
 		want, _, _ := round0(1, nil)
 		got, res, rec := round0(0, slow)
 		for j := range want {
-			// 17 words of context: 3 blocks over 2 disks, written once.
-			if want[j].CtxOps != 2 || want[j].Blocks < 3 {
-				t.Errorf("seq=%v vp %d: round-0 row %+v, want the 2 operations of one context write", m.seq, j, want[j])
+			// 16 words of context: 2 blocks over 2 disks, written once.
+			if want[j].CtxOps != 1 || want[j].Blocks < 2 {
+				t.Errorf("seq=%v vp %d: round-0 row %+v, want the 1 operation of one context write", m.seq, j, want[j])
 			}
 			if got[j].CtxOps != want[j].CtxOps || got[j].MsgOps != want[j].MsgOps || got[j].Blocks != want[j].Blocks || got[j].Proc != want[j].Proc {
 				t.Errorf("seq=%v vp %d: round-0 row %+v, want the synchronous schedule's %+v", m.seq, j, got[j], want[j])

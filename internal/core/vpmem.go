@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"unsafe"
 
 	"repro/internal/pdm"
@@ -12,7 +11,7 @@ import (
 // the one context and the one inbox Algorithms 2 and 3 keep resident, and
 // that every virtual processor the real processor simulates is decoded
 // into in turn. It only ever grows — to the largest context and the
-// largest inbox total actually seen, read from the image headers, never to
+// largest inbox total actually seen, read from the length tables, never to
 // the MaxCtxItems/MaxMsgItems bounds the disk slots are sized by.
 //
 // Ownership rule: what decode returns is valid until the next decode on
@@ -34,70 +33,49 @@ func newVPMem[T any](v int, checked bool) *vpMem[T] {
 	return &vpMem[T]{state: []T{}, inbox: make([][]T, v), checked: checked}
 }
 
-// headerItems reads the count header of a context or message-slot image
-// of iw-word items and checks it against the image's length. img is the
-// prefix that was actually transferred this superstep, never the whole
-// μ- or slot-sized image, so a corrupt count cannot make decode read words
-// that did not come from disk.
+// decode deserialises virtual processor state and inbox for one superstep:
+// the state out of ctxImg, the words of the context's items (nil when the
+// context is resident), and, when counts is non-nil (after round 0), the
+// inbox out of the flat image of len(counts) equal message slots, of which
+// slot src holds counts[src] items at its head. The counts are the length
+// table's, the numbers the reads were sized by, so every word decoded was
+// transferred. Every slice is handed out with cap == len, so a program's
+// append reallocates rather than running into its neighbour. recv is the
+// number of items received.
 // emcgm:hotpath
-func headerItems(img []pdm.Word, iw int) (n int, ok bool) {
-	n = int(img[0])
-	return n, n >= 0 && n <= (len(img)-1)/iw
-}
-
-// decode deserialises virtual processor state and inbox for one superstep
-// out of the transferred prefix ctxImg of the context image (nil when the
-// context is resident) and, when live is non-nil (after round 0), the flat
-// image of the len(live) equal message slots, of which slot src holds
-// live[src] transferred b-word blocks — or, for an empty message, nothing
-// but the zero header the engine wrote. Every slice is handed out with
-// cap == len, so a program's append reallocates rather than running into
-// its neighbour. recv is the number of items received.
-// emcgm:hotpath
-func (m *vpMem[T]) decode(codec wordcodec.Codec[T], ctxImg, flat []pdm.Word, live []int, b int) (state []T, inbox [][]T, recv int, err error) {
+func (m *vpMem[T]) decode(codec wordcodec.Codec[T], ctxImg, flat []pdm.Word, counts []int) (state []T, inbox [][]T, recv int) {
 	iw := codec.Words()
 	if ctxImg != nil {
-		n, ok := headerItems(ctxImg, iw)
-		if !ok {
-			return nil, nil, 0, fmt.Errorf("core: corrupt context header: %d items in %d words", n, len(ctxImg))
-		}
+		n := len(ctxImg) / iw
 		if n > cap(m.state) {
 			// emcgm:coldpath growth to the largest context seen; steady
 			// state decodes in place
 			m.state = make([]T, n)
 		}
 		state = m.state[:n:n]
-		wordcodec.DecodeInto(codec, state, ctxImg[1:1+n*iw])
+		wordcodec.DecodeInto(codec, state, ctxImg)
 	}
 	clear(m.inbox)
-	if live == nil {
-		return state, m.inbox, 0, nil
+	if counts == nil {
+		return state, m.inbox, 0
 	}
-	sw := len(flat) / len(live)
-	for src, nb := range live {
-		img := flat[src*sw : src*sw+max(nb*b, 1)]
-		n, ok := headerItems(img, iw)
-		if !ok {
-			return nil, nil, 0, fmt.Errorf("message from %d: core: corrupt message header: %d items in %d words", src, n, len(img))
-		}
+	for _, n := range counts {
 		recv += n
 	}
 	if recv > cap(m.msgs) {
 		// emcgm:coldpath growth to the largest inbox seen
 		m.msgs = make([]T, recv)
 	}
-	off := 0
-	for src := range live {
-		img := flat[src*sw:]
-		n := int(img[0])
+	sw, off := len(flat)/len(counts), 0
+	for src, n := range counts {
 		if n == 0 {
 			continue
 		}
 		m.inbox[src] = m.msgs[off : off+n : off+n]
-		wordcodec.DecodeInto(codec, m.inbox[src], img[1:1+n*iw])
+		wordcodec.DecodeInto(codec, m.inbox[src], flat[src*sw:src*sw+n*iw])
 		off += n
 	}
-	return state, m.inbox, recv, nil
+	return state, m.inbox, recv
 }
 
 // keep returns s, or a copy of it when s points into the arena and would

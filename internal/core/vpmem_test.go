@@ -2,85 +2,12 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/cgm"
-	"repro/internal/pdm"
 	"repro/internal/wordcodec"
 )
-
-// wideCodec stores an int64 in the first of w words.
-type wideCodec struct{ w int }
-
-func (c wideCodec) Words() int                     { return c.w }
-func (c wideCodec) Encode(dst []pdm.Word, v int64) { dst[0] = pdm.Word(v) }
-func (c wideCodec) Decode(src []pdm.Word) int64    { return int64(src[0]) }
-
-// TestDecodeCorruptHeader: a count header the transferred prefix cannot
-// hold is reported as corrupt — one item past the prefix already, although
-// the μ- or slot-sized image behind it could hold it and the words there
-// are whatever the slot's previous tenant left — and so are the counts
-// whose n·iw wraps around, which used to pass the guard and panic in make.
-func TestDecodeCorruptHeader(t *testing.T) {
-	const (
-		words = 64 // the fixed-address image
-		b     = 16
-		live  = 2 // blocks transferred: the prefix is 32 words
-	)
-	for _, iw := range []int{1, 2, 7} {
-		fits := (live*b - 1) / iw
-		for _, tc := range []struct {
-			n  uint64
-			ok bool
-		}{
-			{1 << 62, false},
-			{math.MaxInt64, false},
-			{1 << 63, false},
-			{uint64(words/iw + 1), false},
-			{uint64((words - 1) / iw), false}, // fills the image, not the prefix
-			{uint64(fits + 1), false},         // one item past the prefix
-			{uint64(fits), true},
-			{0, true},
-		} {
-			tag := fmt.Sprintf("iw=%d n=%d", iw, tc.n)
-			codec := wideCodec{iw}
-			mem := newVPMem[int64](2, false)
-			img := make([]pdm.Word, words)
-			img[0] = tc.n
-			state, _, _, err := mem.decode(codec, img[:live*b], nil, nil, b)
-			if tc.ok {
-				if err != nil || uint64(len(state)) != tc.n {
-					t.Errorf("%s: context: %d items, err %v", tag, len(state), err)
-				}
-			} else if err == nil || !strings.Contains(err.Error(), "corrupt context header") {
-				t.Errorf("%s: context: err = %v, want corrupt context header", tag, err)
-			}
-
-			flat := make([]pdm.Word, 2*words)
-			flat[words] = tc.n // slot of source 1; source 0 sent nothing
-			_, inbox, recv, err := mem.decode(codec, nil, flat, []int{0, live}, b)
-			if tc.ok {
-				if err != nil || uint64(recv) != tc.n || uint64(len(inbox[1])) != tc.n || inbox[0] != nil {
-					t.Errorf("%s: message: recv %d, err %v", tag, recv, err)
-				}
-			} else if err == nil || !strings.Contains(err.Error(), "message from 1: core: corrupt message header") {
-				t.Errorf("%s: message: err = %v, want corrupt message header from 1", tag, err)
-			}
-		}
-	}
-
-	// A slot the length table skipped holds the zero header the engine
-	// wrote and nothing else: any count there is corrupt.
-	flat := make([]pdm.Word, 2*words)
-	flat[0] = 1
-	_, _, _, err := newVPMem[int64](2, false).decode(wideCodec{1}, nil, flat, []int{0, 0}, b)
-	if err == nil || !strings.Contains(err.Error(), "message from 0: core: corrupt message header") {
-		t.Errorf("count in a skipped slot: err = %v, want corrupt message header from 0", err)
-	}
-}
 
 // hostile keeps nothing of its own: every outbox message, the state it
 // leaves behind and the output it returns are re-slices of the memory the

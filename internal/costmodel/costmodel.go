@@ -108,22 +108,21 @@ func (p *predictor) fifoOps(reqs []pdm.BlockReq) int64 {
 func stripedOps(n, d int) int64 { return int64((n + d - 1) / d) }
 
 // ctxOps is the cost of moving VP j's context as round r reads it, one
-// direction: a striped transfer of the blocks the count header and the
-// items reach, and nothing for a context that holds nothing.
+// direction: a striped transfer of the blocks its items reach, and nothing
+// for a context that holds nothing.
 func (p *predictor) ctxOps(r, j int) int64 {
-	n := p.sz.Ctx[r][j]
-	if p.m.Par && p.m.CacheCtx || n == 0 {
+	if p.m.Par && p.m.CacheCtx {
 		return 0
 	}
-	return stripedOps(pdm.BlocksFor(1+n*p.m.Words, p.m.B), p.m.D)
+	return stripedOps(pdm.BlocksFor(p.sz.Ctx[r][j]*p.m.Words, p.m.B), p.m.D)
 }
 
 // msgBlocks is the live prefix of the message src sent dst in round r: the
-// blocks its header and items reach and a quarter block more (core's
-// msgGuard), within the slot; an empty message has none.
+// blocks its items reach and a quarter block more (core's msgGuard),
+// within the slot; an empty message has none.
 func (p *predictor) msgBlocks(r, src, dst int) int {
 	if items := p.sz.Msg[r][src*p.m.V+dst]; items > 0 {
-		return min(pdm.BlocksFor(1+items*p.m.Words+p.m.B/4, p.m.B), p.m.BPM)
+		return min(pdm.BlocksFor(items*p.m.Words+p.m.B/4, p.m.B), p.m.BPM)
 	}
 	return 0
 }

@@ -214,7 +214,8 @@ type perTrack struct{ pdm.Disk }
 // two virtual processors on one disk with blocks of 4 words, three rounds,
 // no messages. VP 0 keeps 7 items throughout (8 words, 2 blocks) and its
 // middle round leaves them as it found them; VP 1 starts empty, holds 3
-// items (1 block) after round 0 and is empty again after round 1.
+// items (1 block) after round 0 and is empty again after round 1. A last
+// case prices a context that fills whole blocks.
 func TestPredictWhatIsNotMoved(t *testing.T) {
 	sz := costmodel.NewSizes(2)
 	for r := 0; r < 3; r++ {
@@ -233,6 +234,22 @@ func TestPredictWhatIsNotMoved(t *testing.T) {
 		// terminal round reads none.
 		if want := int64(2 + 2 + 2 + 1 + 1); ctx != want || msg != 0 {
 			t.Errorf("par=%v: predicted %d context and %d message ops, want %d and 0", par, ctx, msg, want)
+		}
+	}
+
+	// A context of exactly c·B one-word items occupies c blocks, no more:
+	// here c = 4 blocks of 4 words on two disks, ⌈4/2⌉ = 2 operations a
+	// move. It changes in every round, so it moves four times: round 0
+	// writes it, round 1 reads and rewrites it, the terminal round reads it.
+	full := costmodel.NewSizes(1)
+	for r := 0; r < 3; r++ {
+		full.AddRound()
+	}
+	full.Ctx[0][0], full.Ctx[1][0], full.Ctx[2][0] = 16, 16, 16
+	for _, par := range []bool{false, true} {
+		m := costmodel.Machine{Par: par, V: 1, P: 1, D: 2, B: 4, CB: 4, BPM: 1, Rounds: 3, Words: 1}
+		if ctx, _ := costmodel.Predict(m, full); ctx != 4*2 {
+			t.Errorf("par=%v: a context of 4 whole blocks on 2 disks: predicted %d context ops, want %d", par, ctx, 4*2)
 		}
 	}
 }

@@ -155,7 +155,7 @@ func touchRows(t *testing.T, tag string, prog touch, cfg core.Config, par bool, 
 		if items == 0 || par && cfg.CacheContexts && cfg.P == cfg.V {
 			return 0
 		}
-		return int64((pdm.BlocksFor(1+items, cfg.B) + cfg.D - 1) / cfg.D)
+		return int64((pdm.BlocksFor(items, cfg.B) + cfg.D - 1) / cfg.D)
 	}
 	seen := 0
 	for _, row := range rows {

@@ -15,11 +15,13 @@ package repro
 // read it, or for an empty image. Until PR 22 every image moved whole and
 // the numbers were the seed's (commit 32bc9f4: 1368 for the first two
 // rows; 408 while contexts moved whether or not their reader needed
-// them; the same 272 as now, but 120 + 152 in four rounds, while the sort
-// gathered its samples at VP 0 and bursts were cut at the first disk
-// conflict); MaxTracks is the footprint of the fixed addresses — slots a
-// pitch ≡ 1 (mod D) apart, so it moved in PR 24 only where b′ ≢ 1 (mod D)
-// — less the tail of the last slot, which is never written.
+// them; 272, as 120 + 152 in four rounds, while the sort gathered its
+// samples at VP 0 and bursts were cut at the first disk conflict, and as
+// 80 + 192 while every image began with a count header, which took each
+// 512-item context of the first two rows from 8 blocks to 9); MaxTracks
+// is the footprint of the fixed addresses — slots a pitch ≡ 1 (mod D)
+// apart, so it moved with the pitch only where b′ ≢ 1 (mod D) — less the
+// tail of the last slot, which is never written.
 
 import (
 	"testing"
@@ -46,7 +48,7 @@ func oracle[T any](t *testing.T, prog cgm.Program[T], codec wordcodec.Codec[T], 
 	}
 	words := codec.Words()
 	m := costmodel.Machine{Par: par, V: cfg.V, P: cfg.P, D: cfg.D, B: cfg.B, Words: words,
-		BPM: pdm.BlocksFor(1+cfg.MaxMsgItems*words, cfg.B), Rounds: ref.Stats.Rounds,
+		BPM: pdm.BlocksFor(cfg.MaxMsgItems*words, cfg.B), Rounds: ref.Stats.Rounds,
 		CacheCtx: par && cfg.CacheContexts && cfg.P == cfg.V}
 	ctx, msg = costmodel.Predict(m, sz)
 	return ctx, msg, m.Rounds
@@ -76,11 +78,11 @@ func TestIOOpsMatchSeed(t *testing.T) {
 		balanced      bool
 		want          want
 	}{
-		{"sort-seq", 8, 1, 2, 64, 1 << 12, false, want{272, 80, 192, 3, 296}},
-		{"sort-par", 8, 4, 2, 64, 1 << 12, false, want{272, 80, 192, 3, 74}},
-		{"sort-par-balanced", 8, 4, 2, 64, 1 << 12, true, want{945, 312, 633, 5, 210}},
+		{"sort-seq", 8, 1, 2, 64, 1 << 12, false, want{256, 64, 192, 3, 296}},
+		{"sort-par", 8, 4, 2, 64, 1 << 12, false, want{256, 64, 192, 3, 74}},
+		{"sort-par-balanced", 8, 4, 2, 64, 1 << 12, true, want{921, 288, 633, 5, 210}},
 		{"sort-seq-D3", 4, 1, 3, 32, 1 << 10, false, want{72, 24, 48, 3, 114}},
-		{"sort-par-D1", 4, 2, 1, 32, 1 << 10, false, want{194, 72, 122, 3, 137}},
+		{"sort-par-D1", 4, 2, 1, 32, 1 << 10, false, want{186, 64, 122, 3, 137}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -129,11 +131,11 @@ func TestIOOpsMatchSeed(t *testing.T) {
 		ctx, msg, _ := oracle[permute.Item](t, permute.New(n), permute.Codec{}, cfg, true, cgm.Scatter(items, cfg.V))
 		// Round 0 sends every item away and the terminal round keeps what
 		// arrives: no context is ever on disk.
-		if ctx != 0 || msg != 80 {
-			t.Errorf("the oracle derives (ctx %d, msg %d), pinned (ctx 0, msg 80)", ctx, msg)
+		if ctx != 0 || msg != 79 {
+			t.Errorf("the oracle derives (ctx %d, msg %d), pinned (ctx 0, msg 79)", ctx, msg)
 		}
-		if res.IO.ParallelOps != 80 || res.CtxOps != 0 || res.MsgOps != 80 {
-			t.Errorf("ops = (%d, ctx %d, msg %d), pinned (80, ctx 0, msg 80)",
+		if res.IO.ParallelOps != 79 || res.CtxOps != 0 || res.MsgOps != 79 {
+			t.Errorf("ops = (%d, ctx %d, msg %d), pinned (79, ctx 0, msg 79)",
 				res.IO.ParallelOps, res.CtxOps, res.MsgOps)
 		}
 	})
@@ -189,11 +191,11 @@ func TestIOOpsMatchSeed(t *testing.T) {
 		}
 		// Algorithm 2 proper: the single-copy matrix, no route phase.
 		ctx, msg, _ := oracle[int64](t, sortalg.Sorter[int64]{}, wordcodec.I64{}, cfg, false, cgm.Scatter(keys, 4))
-		if ctx != 40 || msg != 63 {
-			t.Errorf("the oracle derives (ctx %d, msg %d), pinned (ctx 40, msg 63)", ctx, msg)
+		if ctx != 32 || msg != 63 {
+			t.Errorf("the oracle derives (ctx %d, msg %d), pinned (ctx 32, msg 63)", ctx, msg)
 		}
-		if res.IO.ParallelOps != 103 || res.CtxOps != 40 || res.MsgOps != 63 || res.MaxTracks != 101 {
-			t.Errorf("ops = (%d, ctx %d, msg %d, tracks %d), pinned (103, ctx 40, msg 63, tracks 101)",
+		if res.IO.ParallelOps != 95 || res.CtxOps != 32 || res.MsgOps != 63 || res.MaxTracks != 101 {
+			t.Errorf("ops = (%d, ctx %d, msg %d, tracks %d), pinned (95, ctx 32, msg 63, tracks 101)",
 				res.IO.ParallelOps, res.CtxOps, res.MsgOps, res.MaxTracks)
 		}
 	})

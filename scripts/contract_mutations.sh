@@ -74,25 +74,26 @@ check 'leak the superstep span' $f TestRunFaultDrains
 mutate $f 'chans[k] <- batch[T]{srcVP: pr.i*localV + l, final: true}' 1 1 '\t\t\t\t_ = k'
 check 'drop the compensating sends' $f TestRunFaultDrains
 
-# The length table says how many blocks are live; a reader that transfers
-# fewer must not get away with what the ring slot held before. CheckedIO
-# poisons the slot's images ahead of every prefetch, so the missing block
-# decodes as garbage (or, for a one-block context, as a corrupt header).
-mutate $f 'if err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg[:pr.ctxLive[l]*B], &s.lay, &sl.reads); err != nil {' 1 1 \
-	'\t\tif err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg[:max(pr.ctxLive[l]-1, 0)*B], &s.lay, &sl.reads); err != nil {'
+# The length table says how many items are live, and so how many blocks;
+# a reader that transfers fewer must not get away with what the ring slot
+# held before. CheckedIO poisons the slot's images ahead of every prefetch,
+# so the missing block decodes as items that are garbage, and the output
+# is wrong.
+mutate $f 'if err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg[:e.ctxBlocks(pr.ctxLive[l])*B], &s.lay, &sl.reads); err != nil {' 1 1 \
+	'\t\tif err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg[:max(e.ctxBlocks(pr.ctxLive[l])-1, 0)*B], &s.lay, &sl.reads); err != nil {'
 check 'read one block too few' $f TestPipelineDepthEquivalence
 
 # What is not moved (DESIGN.md §18): a context is clean only if its
 # encoding is, word for word, what the slot read. Neither shortcut may
 # pass: a program can change an item in place (same slice, same length),
 # and it can hand back different words at the same length.
-mutate $f 'nb, same := encodeCtx(e.codec, vp.State, s.ctxImg, pr.cmp, B, pr.ctxLive[l])' 1 1 \
-	'\tnb, same := pr.ctxLive[l], round > 0 && within(vp.State, pr.mem.state) && len(vp.State) == int(s.ctxImg[0])\n\tif !same {\n\t\tnb, same = encodeCtx(e.codec, vp.State, s.ctxImg, pr.cmp, B, pr.ctxLive[l])\n\t}'
+mutate $f 'same := encodeCtx(e.codec, vp.State, s.ctxImg, pr.cmp, pr.ctxLive[l], nb, B)' 1 1 \
+	'\tsame := round > 0 && within(vp.State, pr.mem.state) && len(vp.State) == pr.ctxLive[l]\n\tif !same {\n\t\tsame = encodeCtx(e.codec, vp.State, s.ctxImg, pr.cmp, pr.ctxLive[l], nb, B)\n\t}'
 check 'same backing array and length => clean' $f TestWhatIsNotMoved
 
 f=internal/core/core.go
-mutate $f 'same = equalWords(words, img[1+off*iw:1+off*iw+len(words)])' 1 1 \
-	'\t\t_ = equalWords(words, img[1+off*iw:1+off*iw+len(words)])'
+mutate $f 'same = equalWords(words, img[off*iw:off*iw+len(words)])' 1 1 \
+	'\t\t_ = equalWords(words, img[off*iw:off*iw+len(words)])'
 check 'lengths equal => clean without comparing words' $f TestWhatIsNotMoved
 
 # One packing rule (DESIGN.md §18): a burst costs as many operations as its
