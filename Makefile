@@ -7,7 +7,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify build test race bench bench-smoke bench-filedisk bench-record bench-baseline bench-depth benchmark benchmark-compare benchmark-smoke allocs lint lint-tool lint-selftest contract-selftest lint-timing fuzz
+.PHONY: verify build test race bench bench-smoke benchmark benchmark-compare benchmark-smoke allocs lint lint-tool lint-selftest contract-selftest lint-timing fuzz
 
 verify: build test race
 
@@ -31,46 +31,6 @@ bench:
 bench-smoke:
 	$(GO) test -race -run '^$$' -bench 'BenchmarkSplitPhaseOp|BenchmarkDiskArrayOp' -benchtime 50x ./internal/pdm/
 	$(GO) test -race -run '^$$' -bench 'BenchmarkFig5GroupA/sort-emcgm' -benchtime 2x .
-
-# File-backed PDM smoke: one small end-to-end run of the FileDisk
-# figure (buffered + direct I/O rows, k=1 vs windowed schedule). The
-# committed BENCH_filedisk.json (benchfmt schema) uses the full size:
-#
-#	go run ./cmd/emcgm-bench -fig filedisk -n 131072 -v 16 -b 128 -bench BENCH_filedisk.json
-bench-filedisk:
-	$(GO) run ./cmd/emcgm-bench -fig filedisk -n 16384 -v 8 -b 64
-
-# Benchmark recording and the regression gate. bench-record runs the
-# pipeline figure (k=1 vs windowed over mem / mem+delay / file
-# backends) at smoke scale, writes the versioned benchfmt recording to
-# bench-out.json, and diffs it against the committed BENCH_smoke.json
-# baseline. The gate uses -exact-only: wall times are machine-specific
-# noise across runners, so only the model-determined metrics (PDM
-# parallel I/Os, rounds) gate; compare like-for-like machines with the
-# default -tol 0.10 to also judge wall movement. bench-baseline
-# refreshes the committed baseline after an intentional model change.
-BENCH_SCALE = -n 16384 -v 8 -b 64
-bench-record:
-	$(GO) run ./cmd/emcgm-bench -fig pipeline $(BENCH_SCALE) -bench bench-out.json > /dev/null
-	$(GO) run ./cmd/emcgm-benchdiff -exact-only BENCH_smoke.json bench-out.json
-
-bench-baseline:
-	$(GO) run ./cmd/emcgm-bench -fig pipeline $(BENCH_SCALE) -bench BENCH_smoke.json > /dev/null
-
-# Three-point depth-sweep smoke: run the pipeline figure at k=1 (the
-# synchronous issue order), at a fixed k=2 window and under the auto
-# policy, then diff 1 vs 2 and 2 vs auto. The exact metrics (PDM parallel
-# I/Os, rounds) must be bit-identical across depths — the window only
-# reorders begins — so the synchronous schedule stays pinned against the
-# windowed ones in CI; the wide -tol keeps the noisy wall/stall_frac
-# comparison from flaking on shared runners while still printing the
-# stall_frac movement for inspection.
-bench-depth:
-	$(GO) run ./cmd/emcgm-bench -fig pipeline $(BENCH_SCALE) -depth 1 -bench bench-depth1.json > /dev/null
-	$(GO) run ./cmd/emcgm-bench -fig pipeline $(BENCH_SCALE) -depth 2 -bench bench-depth2.json > /dev/null
-	$(GO) run ./cmd/emcgm-bench -fig pipeline $(BENCH_SCALE) -depth 0 -bench bench-depthauto.json > /dev/null
-	$(GO) run ./cmd/emcgm-benchdiff -tol 1.0 bench-depth1.json bench-depth2.json
-	$(GO) run ./cmd/emcgm-benchdiff -tol 1.0 bench-depth2.json bench-depthauto.json
 
 # The repository's benchmark (BENCHMARK.json, benchmark/README.md): every
 # workload, the untraced end-to-end run and the traced per-layer run, as

@@ -6,13 +6,16 @@
 //	emcgm-bench -csv            # machine-readable output (CSV)
 //	emcgm-bench -json           # machine-readable output (JSON)
 //	emcgm-bench -trace out.json # Chrome trace of every EM run (Perfetto)
-//	emcgm-bench -bench out.json # benchfmt recording for emcgm-benchdiff
 //	emcgm-bench -ledger led.json    # predicted-vs-measured cost-model ledger
 //	emcgm-bench -debug-addr :6060   # live /metrics, /trace.json, pprof
+//	emcgm-bench -fig depth -disks /data -directio   # wall clock on real disks
 //
 // Figures: 3 (VM vs EM-CGM sort), 4 (1 vs 2 disks), 5 (measured problem
 // table, Groups A/B/C), 6/7 (parameter-space surface), 8 (block-size
-// throughput), and "balance" (Theorem 1 demonstration).
+// throughput), "balance" (Theorem 1 demonstration), "cache" (cache
+// control), "sweep" (p and D scalability) and "depth" (wall clock,
+// syscalls and stall over window depths k = 1, 2, 4, 8, auto on mem,
+// mem+delay, file and file+direct disks).
 package main
 
 import (
@@ -30,7 +33,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 3, 4, 5, 6, 7, 8, balance, cache, sweep, pipeline, filedisk, depth, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 3, 4, 5, 6, 7, 8, balance, cache, sweep, depth, all")
 	n := flag.Int("n", 0, "base problem size in items (0 = default 65536)")
 	v := flag.Int("v", 0, "virtual processors (0 = default 8)")
 	p := flag.Int("p", 0, "real processors (0 = default 4)")
@@ -38,12 +41,11 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := flag.Bool("json", false, "emit one JSON array of tables instead of aligned tables")
 	traceOut := flag.String("trace", "", "write a Chrome trace of every EM-CGM run to this file (load in Perfetto)")
-	benchOut := flag.String("bench", "", "write a versioned benchfmt recording of the wall-clock figures (pipeline, filedisk) to this file for emcgm-benchdiff")
 	ledgerOut := flag.String("ledger", "", "collect a predicted-vs-measured cost-model ledger over the Figure 5 workloads, print its summary, calibrate its time model from the session's own disk latencies, and write the JSON export to this file; exits 1 if any prediction misses (use with -fig 5 or -fig all)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace.json, /steps and /debug/pprof on this address (e.g. :6060)")
-	depth := flag.Int("depth", 0, "pipeline window depth k for every run (0 = auto from the default time model, clamped by v; 1 = the synchronous schedule; PDM counts are identical at every depth)")
-	disks := flag.String("disks", "", "directory for the filedisk figure's disk files (empty = temporary directory)")
-	directio := flag.Bool("directio", true, "include O_DIRECT rows in the filedisk figure where the filesystem supports them")
+	depth := flag.Int("depth", 0, "pipeline window depth k for every run (0 = auto from the default time model, clamped by v; 1 = the synchronous schedule; PDM counts are identical at every depth; the depth figure runs its own ladder)")
+	disks := flag.String("disks", "", "directory for the depth figure's file-disk files (empty = temporary directory)")
+	directio := flag.Bool("directio", true, "include file+direct (O_DIRECT) rows in the depth figure where the filesystem supports them")
 	flag.Parse()
 
 	for _, f := range []struct {
@@ -95,9 +97,6 @@ func main() {
 	if *ledgerOut != "" {
 		s.Ledger = costmodel.NewLedger(pdm.DefaultTimeModel())
 	}
-	if *benchOut != "" {
-		s.Bench = s.NewBenchFile("emcgm-bench")
-	}
 	opTime := pdm.DefaultTimeModel().OpTime(s.B)
 	if *debugAddr != "" {
 		go func() {
@@ -124,21 +123,19 @@ func main() {
 	}
 
 	run := map[string]func(){
-		"3":        func() { emit(experiments.Fig3(s)) },
-		"4":        func() { emit(experiments.Fig4(s)) },
-		"5":        func() { emit(experiments.Fig5(s)) },
-		"6":        func() { emit(experiments.Fig6(), nil) },
-		"7":        func() { emit(experiments.Fig7(), nil) },
-		"8":        func() { emit(experiments.Fig8(), nil) },
-		"balance":  func() { emit(experiments.Balance(), nil) },
-		"cache":    func() { emit(experiments.Cache()) },
-		"sweep":    func() { emit(experiments.Sweep(s)) },
-		"pipeline": func() { emit(experiments.Pipeline(s)) },
-		"filedisk": func() { emit(experiments.FileDiskFig(s)) },
-		"depth":    func() { emit(experiments.DepthSweep(s)) },
+		"3":       func() { emit(experiments.Fig3(s)) },
+		"4":       func() { emit(experiments.Fig4(s)) },
+		"5":       func() { emit(experiments.Fig5(s)) },
+		"6":       func() { emit(experiments.Fig6(), nil) },
+		"7":       func() { emit(experiments.Fig7(), nil) },
+		"8":       func() { emit(experiments.Fig8(), nil) },
+		"balance": func() { emit(experiments.Balance(), nil) },
+		"cache":   func() { emit(experiments.Cache()) },
+		"sweep":   func() { emit(experiments.Sweep(s)) },
+		"depth":   func() { emit(experiments.DepthSweep(s)) },
 	}
 	if *fig == "all" {
-		for _, k := range []string{"3", "4", "5", "6", "7", "8", "balance", "cache", "sweep", "pipeline", "filedisk", "depth"} {
+		for _, k := range []string{"3", "4", "5", "6", "7", "8", "balance", "cache", "sweep", "depth"} {
 			run[k]()
 		}
 	} else {
@@ -154,12 +151,6 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(tables); err != nil {
-			fmt.Fprintf(os.Stderr, "emcgm-bench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *benchOut != "" {
-		if err := s.Bench.WriteFile(*benchOut); err != nil {
 			fmt.Fprintf(os.Stderr, "emcgm-bench: %v\n", err)
 			os.Exit(1)
 		}

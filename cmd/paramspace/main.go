@@ -5,7 +5,6 @@
 //
 //	paramspace                         # print the Figure 6/7 tables
 //	paramspace -check -n 1e8 -v 64     # check one configuration
-//	paramspace -json                   # the surface as a benchfmt file
 package main
 
 import (
@@ -13,7 +12,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/benchfmt"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/theory"
@@ -25,16 +23,8 @@ func main() {
 	v := flag.Int("v", 64, "virtual processors")
 	d := flag.Int("d", 2, "disks per processor")
 	b := flag.Int("b", 1000, "block size (items)")
-	jsonOut := flag.Bool("json", false, "emit the Figure 6/7 surface as a versioned benchfmt file (every value exact — comparable with emcgm-benchdiff)")
 	flag.Parse()
 
-	if *jsonOut {
-		if err := surfaceBench().Write(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "paramspace: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if !*check {
 		experiments.Fig6().Render(os.Stdout)
 		experiments.Fig7().Render(os.Stdout)
@@ -68,26 +58,4 @@ func main() {
 			fmt.Println("  -", s)
 		}
 	}
-}
-
-// surfaceBench encodes the Figure 6/7 parameter-space surface as exact
-// benchfmt metrics: the surface is closed-form, so any movement at all
-// between two builds is a regression in the theory package, and CI can
-// gate on it with emcgm-benchdiff -exact-only.
-func surfaceBench() *benchfmt.File {
-	f := benchfmt.New("paramspace", benchfmt.Params{B: 1000})
-	for _, v := range []int{2, 10, 100, 1000, 10000} {
-		var ms []benchfmt.Metric
-		for c := 2; c <= 4; c++ {
-			minN := theory.MinNForConstant(float64(c), float64(v), 1000)
-			ms = append(ms, benchfmt.Metric{
-				Name:   fmt.Sprintf("min_n_c%d", c),
-				Unit:   "items",
-				Better: benchfmt.Exact,
-				Value:  minN,
-			})
-		}
-		f.Add(fmt.Sprintf("surface/v=%d", v), 1, ms...)
-	}
-	return f
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cgm"
 	"repro/internal/pdm"
 	"repro/internal/wordcodec"
+	"repro/internal/workload"
 )
 
 // randomHRelation builds, for each of v processors, v messages of random
@@ -191,6 +192,61 @@ func TestBalancingSmoothsAllToOne(t *testing.T) {
 				t.Fatalf("processor %d received stray items", d)
 			}
 		}
+	}
+}
+
+// fragmented ships each processor's partition one item at a time,
+// round-robin over all v destinations: a conforming BSP algorithm whose
+// h-relation arrives in many small messages.
+type fragmented struct{}
+
+func (fragmented) Init(vp *cgm.VP[int64], input []int64) {
+	vp.State = append([]int64(nil), input...)
+}
+func (fragmented) Round(vp *cgm.VP[int64], round int, inbox [][]int64) ([][]int64, bool) {
+	if round == 0 {
+		out := make([][]int64, vp.V)
+		for i, x := range vp.State {
+			out[i%vp.V] = append(out[i%vp.V], x)
+		}
+		return out, false
+	}
+	vp.State = vp.State[:0]
+	for _, m := range inbox {
+		vp.State = append(vp.State, m...)
+	}
+	return nil, true
+}
+func (fragmented) Output(vp *cgm.VP[int64]) []int64 { return vp.State }
+
+// Section 5, item (1): balancing a conforming BSP algorithm turns it into
+// a BSP* algorithm. Theorem 1 guarantees every balanced message at least
+// b = h/v − ⌈(v−1)/2⌉ items, so at that BSP* block size padding short
+// messages up to b costs (almost) nothing: the balanced run moves each
+// item twice, and its padded volume stays within 2.2·N.
+func TestConversionReducesPaddedVolume(t *testing.T) {
+	const v = 8
+	n := v * v * 40 // h = n/v = 320 items per processor
+	in := cgm.Scatter(workload.Int64s(1, n), v)
+	res, err := cgm.Run[Item[int64]](Wrap[int64](fragmented{}), v, WrapInputs(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := n / v
+	b := h/v - v/2 // v/2 = ⌈(v−1)/2⌉: 320/8 − 4 = 36
+	if res.Stats.MinMsg < b {
+		t.Errorf("balanced min message %d below guarantee %d", res.Stats.MinMsg, b)
+	}
+	var padded int64
+	for _, m := range res.Stats.SizeMatrixPerRound {
+		for _, sz := range m {
+			if sz > 0 {
+				padded += int64(max(sz, b))
+			}
+		}
+	}
+	if float64(padded) > 2.2*float64(n) {
+		t.Errorf("balanced padded volume %d exceeds 2.2·N = %d", padded, int(2.2*float64(n)))
 	}
 }
 

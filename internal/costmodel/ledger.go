@@ -277,20 +277,6 @@ type ExportedRun struct {
 // LedgerVersion is the JSON export schema version.
 const LedgerVersion = 1
 
-// ReadLedgerJSON decodes a WriteJSON export, rejecting unknown schema
-// versions. Used by emcgm-benchdiff's -ledger mode to check a recorded
-// ledger's predictions against its own measurements offline.
-func ReadLedgerJSON(r io.Reader) ([]ExportedRun, error) {
-	var in ledgerJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("costmodel: decode ledger: %w", err)
-	}
-	if in.Version != LedgerVersion {
-		return nil, fmt.Errorf("costmodel: ledger schema version %d, this build reads %d", in.Version, LedgerVersion)
-	}
-	return in.Runs, nil
-}
-
 // WriteJSON exports the ledger — time model, runs, rows, and the
 // modelled wall time of each run under the current model.
 func (l *Ledger) WriteJSON(w io.Writer) error {

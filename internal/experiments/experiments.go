@@ -2,9 +2,11 @@
 // evaluation: Figures 3 and 4 (sorting running times), Figure 5 (the
 // problem/I/O-complexity table, measured), Figures 6 and 7 (the
 // parameter-space surface), Figure 8 (block-size/throughput), plus the
-// BalancedRouting bound demonstration of Theorem 1. Each experiment
-// returns a trace.Table; cmd/emcgm-bench prints them and EXPERIMENTS.md
-// records paper-vs-measured.
+// BalancedRouting bound demonstration of Theorem 1, the cache-control
+// extension, the p/D scalability sweep and the wall-clock depth sweep
+// over disk substrates. Each experiment returns a trace.Table;
+// cmd/emcgm-bench prints them and EXPERIMENTS.md records
+// paper-vs-measured.
 package experiments
 
 import (
@@ -12,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/balance"
-	"repro/internal/benchfmt"
 	"repro/internal/cache"
 	"repro/internal/cgm"
 	"repro/internal/core"
@@ -26,7 +27,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Scale multiplies the default problem sizes (1 = quick CI scale).
+// Scale is the machine and problem size every experiment derives its runs
+// from, plus what the runs are observed with.
 type Scale struct {
 	N int // base item count for the sort experiments
 	V int // virtual processors
@@ -39,10 +41,10 @@ type Scale struct {
 	// identical at every depth.
 	Depth int
 
-	// DiskDir is where the file-backed experiments (FileDiskFig) place
-	// their disk files; empty means a fresh temporary directory per
-	// figure. DirectIO includes the O_DIRECT rows where the directory's
-	// filesystem supports them.
+	// DiskDir is where DepthSweep's file substrates place their disk
+	// files; empty means a fresh temporary directory, removed when the
+	// figure returns. DirectIO adds the file+direct substrate where the
+	// directory's filesystem supports O_DIRECT.
 	DiskDir  string
 	DirectIO bool
 
@@ -53,21 +55,6 @@ type Scale struct {
 	// measured costmodel entry for every EM-CGM run an experiment
 	// performs, reconcilable with costmodel.Ledger.Reconcile.
 	Ledger *costmodel.Ledger
-
-	// Bench, when non-nil, receives one versioned benchfmt entry per
-	// measured configuration from the wall-clock experiments (Pipeline,
-	// FileDiskFig): best/worst wall over the repetitions plus the exact
-	// PDM counts, ready for emcgm-benchdiff.
-	Bench *benchfmt.File
-}
-
-// NewBenchFile returns a benchfmt File stamped with this scale's
-// parameters; assign it to Bench before running the experiments.
-func (s Scale) NewBenchFile(tool string) *benchfmt.File {
-	return benchfmt.New(tool, benchfmt.Params{
-		N: s.N, V: s.V, P: s.P, D: 2, B: s.B,
-		Depth: s.Depth,
-	})
 }
 
 // DefaultScale is used by the CLI and the benchmarks.
