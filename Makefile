@@ -17,8 +17,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The second pass sets GOMAXPROCS to 1 and then 4 (-cpu), so the engine's
+# concurrent compute (c > 1 VPs of a processor at once) is raced on any
+# runner, whatever its core count.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,4 . ./internal/core
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -47,9 +47,11 @@ type VP[T any] struct {
 // simulation those buffers are recycled disk blocks.
 //
 // Ownership: under the EM simulation vp.State (as handed to Round) and
-// every inbox[s] are views of the simulator's memory — the one context
-// and one inbox a real processor holds — valid for the duration of the
-// call and reused for the next virtual processor. Each has cap == len, so
+// every inbox[s] are views of the simulator's memory — the context and
+// inbox one of a real processor's c compute workers holds, in a decode
+// arena of its own (c virtual processors of a real processor compute at
+// once) — valid for the duration of the call and reused for the next
+// virtual processor that worker computes. Each has cap == len, so
 // append allocates memory of the program's own. Whatever the program hands
 // back — outbox messages, the State it leaves in vp, the slice Output
 // returns — may be its own memory or may still be (a re-slice of) those

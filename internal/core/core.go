@@ -21,7 +21,10 @@
 // matrix against channels plus a ping-pong pair of rectangles — which is
 // also why RunSeq is not RunPar at p = 1. The round body runs every
 // virtual processor's I/O split-phase over a ring of Config.PipelineDepth
-// scratch slots; depth 1 is the synchronous schedule.
+// scratch slots; depth 1 is the synchronous schedule. It computes up to c
+// of a real processor's virtual processors at once, one per core
+// (Result.Workers), and commits them in VP order, so the begin order does
+// not depend on c.
 //
 // Both machines execute any cgm.Program unchanged and return exact PDM
 // accounting: parallel I/O operations (split into context-swap and
@@ -67,12 +70,14 @@ import (
 // working storage of one compound superstep — the context image, the flat
 // inbox/outbox image, request/buffer staging, and the layout layer's own
 // scratch. It is allocated before the round loop and reused every round;
-// the typed items the program sees are decoded out of it into the
-// processor's vpMem arena, so a steady-state superstep performs no heap
-// allocation of its own.
+// the typed items the program sees are decoded out of it into the vpMem
+// arena of the worker computing the slot's VP, so a steady-state
+// superstep performs no heap allocation of its own.
 //
-// Ownership rule: a scratch belongs to exactly one real processor's
-// goroutine; nothing inside it escapes a superstep except through explicit
+// Ownership rule: a scratch belongs to exactly one real processor — to its
+// goroutine, except that between handing the slot's VP to a compute worker
+// and collecting it, the worker alone decodes from and encodes into the
+// images. Nothing inside it escapes a superstep except through explicit
 // copies (disk writes copy block contents; decode copies items into the
 // arena), and an image loaned to a begun write is not touched again until
 // the slot's pending set has been waited.
@@ -110,7 +115,14 @@ type Config struct {
 	B int
 	// M, when positive, is the internal memory limit per real processor in
 	// words; the machine fails fast if a superstep's working set (context
-	// plus one inbox) cannot fit.
+	// plus one inbox) cannot fit. It is charged one working set (a context
+	// run plus v message slots) per ring slot — PipelineDepth of them — and
+	// one more for each decode arena beyond the first: a real processor
+	// computes c = min(GOMAXPROCS ÷ P, ⌊k/2⌋ + 1) of its virtual processors
+	// at once, each decoded into an arena of its own, and M lowers c until
+	// the k slots and c − 1 extra arenas fit. c = 1 always fits where the
+	// ring does, so that clamp is never an error, and a Config validates
+	// the same on every host.
 	M int
 	// MaxCtxItems bounds any virtual processor's context (μ, in items).
 	// 0 means: use the program's ContextSizer if implemented, else a
@@ -370,9 +382,9 @@ type Result[T any] struct {
 	// MaxCtxObserved is the largest context actually held (measured μ).
 	MaxCtxObserved int
 	// Supersteps is the number of real-machine supersteps: Rounds · V/P
-	// compound supersteps per Lemma 4 (equal to Rounds for RunSeq's single
-	// processor, which the paper treats as one compound superstep per
-	// virtual processor batch).
+	// compound supersteps per Lemma 4, one per virtual processor a real
+	// processor simulates in each round — Rounds · V for RunSeq's single
+	// processor.
 	Supersteps int
 	// MaxTracks is the largest track index allocated on any disk — the
 	// simulation's disk-space footprint. RunSeq's single-copy message
@@ -388,7 +400,9 @@ type Result[T any] struct {
 	Syscalls int64
 	// Stall is the wall-clock time the engine spent blocked in
 	// Pending.Wait, summed over real processors — the I/O time the
-	// window failed to hide behind compute. Measured only when a
+	// window failed to hide behind compute. A wait while one of the
+	// processor's virtual processors computes on a worker is hidden behind
+	// that compute and is not counted. Measured only when a
 	// Recorder is attached (the determinism contract forbids wall-clock
 	// reads otherwise); zero for unrecorded runs.
 	Stall time.Duration
@@ -399,6 +413,11 @@ type Result[T any] struct {
 	// equivalence contract — it describes the overlap schedule, which is
 	// exactly what the contract allows to vary.
 	Depth int
+	// Workers is c, how many virtual processors each real processor
+	// computed at once: min(GOMAXPROCS ÷ P, ⌊Depth/2⌋ + 1, V/P), clamped
+	// further under M. Like Depth it describes the overlap schedule and
+	// nothing the contract pins; unlike Depth it depends on the host.
+	Workers int
 }
 
 // Output concatenates the per-VP outputs in VP order.
@@ -597,5 +616,6 @@ func runBalanced[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Confi
 		Syscalls:       wres.Syscalls,
 		Stall:          wres.Stall,
 		Depth:          wres.Depth,
+		Workers:        wres.Workers,
 	}, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/costmodel"
 	"repro/internal/pdm"
@@ -45,6 +46,24 @@ func pipeDepth(cfg Config, vCap, slotWords int) (int, error) {
 			k, k*slotWords, slotWords, cfg.M, fit)
 	}
 	return min(k, fit), nil
+}
+
+// computeWorkers is c, how many of its virtual processors a real processor
+// computes at once on a ring of k slots of slotWords words each
+// (DESIGN.md §17): one per core its share of GOMAXPROCS gives it, but no
+// more than ⌊k/2⌋ + 1 — the VP c−1 places ahead of the one being committed
+// must have had its reads begun by the same slide, c − 1 ≤ pf — and no more
+// than it has VPs. Under M the c − 1 arenas beyond the first are charged
+// one working set each, next to the k slots pipeDepth already fitted, and
+// c shrinks until they fit; c = 1 always does, so this is never an error.
+// Unlike the depth, c depends on the host; the begin order does not
+// depend on c.
+func computeWorkers(cfg Config, k, localV, slotWords int) int {
+	c := min(runtime.GOMAXPROCS(0)/cfg.P, k/2+1, localV)
+	if cfg.M > 0 && slotWords > 0 {
+		c = min(c, cfg.M/slotWords-k+1)
+	}
+	return max(c, 1)
 }
 
 // queueHint sizes the per-disk work queues for a window of k slots of

@@ -28,9 +28,15 @@ import (
 // held to). Only the begin/wait overlap may change with k, and that is
 // invisible to the model by construction. CheckedIO is on so that the
 // decode arena is zeroed after every superstep: a program or engine still
-// reading it then fails here.
+// reading it then fails here. It runs at GOMAXPROCS 1, 2 and 4, so the
+// deeper arms compute up to c = 2 … 5 VPs of a processor at once and are
+// still held to the synchronous arm.
 func TestPipelineDepthEquivalence(t *testing.T) {
-	equivWorkloads(t, true, []int{2, 4, 8, 16}) // 16 > v: clamps to the ring v can use
+	for _, g := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", g), func(t *testing.T) {
+			core.AtProcs(g, func() { equivWorkloads(t, true, []int{2, 4, 8, 16}) }) // 16 > v: clamps to the ring v can use
+		})
+	}
 }
 
 // TestPipelineDepthSingleVP is the v == 1 boundary: one virtual
@@ -216,13 +222,20 @@ func (d *seqDisk) served(unordered bool) []access {
 // result with each disk's served sequence, indexed proc·D + disk.
 func servedRun(t *testing.T, tag string, prog cgm.Program[int64], cfg core.Config, parts [][]int64) (*core.Result[int64], [][]access) {
 	t.Helper()
+	return servedRunOn(t, tag, cfg.P == 1, prog, cfg, parts)
+}
+
+// servedRunOn is servedRun on the machine seq names: RunSeq, or RunPar at
+// any P.
+func servedRunOn(t *testing.T, tag string, seq bool, prog cgm.Program[int64], cfg core.Config, parts [][]int64) (*core.Result[int64], [][]access) {
+	t.Helper()
 	disks := make([]*seqDisk, cfg.P*cfg.D)
 	cfg.NewDisk = func(proc, disk int) pdm.Disk {
 		d := &seqDisk{Disk: pdm.NewMemDisk(cfg.B)}
 		disks[proc*cfg.D+disk] = d
 		return d
 	}
-	res, err := runMachine(cfg.P == 1, prog, cfg, parts)
+	res, err := runMachine(seq, prog, cfg, parts)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}

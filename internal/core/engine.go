@@ -87,19 +87,22 @@ type roundOut struct {
 	finish         time.Time // when the route phase ended (RunPar, recording only)
 }
 
-// proc is one real processor: its disk array, its decode arena and its
-// ring of K superstep working sets (local VP l computes out of ring[l mod
-// K] while the slots ahead of it prefetch and the slots behind it drain;
-// the route phase cycles landed batches through the same K slots). The
-// ring is allocated at set-up and keeps its depth for the whole run. A
-// proc is owned by the processor's goroutine for a round's duration and
-// by the engine's between rounds; rounds are sequenced by the barrier, so
-// reuse is race-free.
+// proc is one real processor: its disk array, its c compute workers and
+// its ring of K superstep working sets (local VP l computes out of ring[l
+// mod K] while the slots ahead of it prefetch and the slots behind it
+// drain; the route phase cycles landed batches through the same K slots).
+// The ring and the workers are allocated at set-up and keep their number
+// for the whole run. A proc is owned by the processor's goroutine for a
+// round's duration and by the engine's between rounds; rounds are
+// sequenced by the barrier, so reuse is race-free. Within a round a worker
+// touches only its own arena and stripe, the ring slot of the VP it was
+// handed, and that VP's entries of the tables below; the processor's
+// goroutine leaves all three alone until it has collected the VP.
 type proc[T any] struct {
-	i     int
-	arr   *pdm.DiskArray
-	mem   *vpMem[T]
-	track obs.TrackID
+	i       int
+	arr     *pdm.DiskArray
+	workers []*worker[T] // local VP l computes on workers[l mod c]
+	track   obs.TrackID
 
 	ring  []*superstepScratch
 	pend  []vpInflight     // per-slot context/inbox reads and write-behind
@@ -116,7 +119,6 @@ type proc[T any] struct {
 	// before it is used.
 	ctxLive []int
 	msgLive [2][]int
-	cmp     []pdm.Word // one stripe: the chunk writeContext compares by (encodeCtx)
 
 	// send[l·p+k] is the message container local VP l reuses for its batch
 	// to real processor k; a batch sent in round r is consumed by its
@@ -127,6 +129,54 @@ type proc[T any] struct {
 	lastOps, lastBlocks int64 // array counters at the last bank
 	sent, recv          []int // this round's h-relation, per local VP
 	roundOut
+}
+
+// worker is one of a real processor's c compute workers. It owns a decode
+// arena and a compare stripe, and computes one local VP at a time out of
+// that VP's ring slot: decode its context and inbox, run Init/Round, and
+// encode what the VP leaves — its outbox into the slot (Algorithm 2) or
+// its messages into the batches it owes (Algorithm 3), and its context
+// into the slot's context image. Everything else — every Begin and Wait,
+// length-table write, send, trace row and error check — stays on the
+// processor's own goroutine, in VP order (procRound). At c = 1 the one
+// worker runs inline on that goroutine; at c > 1 each runs on a goroutine
+// resident for the run, handed VPs over start and reporting over fin.
+type worker[T any] struct {
+	mem   *vpMem[T]
+	cmp   []pdm.Word  // one stripe: the chunk encodeCtx compares by
+	track obs.TrackID // where its VPs' superstep spans go: the processor's at c = 1
+	ss    obs.Span    // the open superstep span of the VP it holds
+
+	start, fin chan struct{} // nil at c = 1
+	busy       bool          // handed a VP not yet collected
+
+	// The VP it holds: round and l are set before the hand-off, the rest by
+	// work, read by the processor's goroutine once the VP is collected.
+	round, l int
+	vp       *cgm.VP[T]
+	outbox   [][]T
+	done     bool
+	voted    bool // Round returned a well-formed outbox: done is the VP's vote
+	initLen  int  // the context items Init left (round 0)
+	recv     int  // items received
+	same     bool // the context encodes to what the slot read: nothing to write
+	err      error
+}
+
+// hand starts worker w on the VP it was given, whose reads have landed.
+// emcgm:hotpath
+func (w *worker[T]) hand() {
+	w.busy = true
+	w.start <- struct{}{}
+}
+
+// collect waits until worker w has computed the VP it was handed, if any.
+// emcgm:hotpath
+func (w *worker[T]) collect() {
+	if w.busy {
+		<-w.fin
+		w.busy = false
+	}
 }
 
 // inboxLive is the length-table row of the inbox local VP l reads in
@@ -228,6 +278,7 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 	if err != nil {
 		return nil, err
 	}
+	c := computeWorkers(cfg, k, localV, slotBlocks*cfg.B)
 
 	if par {
 		m0, err := layout.NewRect(v, localV, e.bpm, cfg.D, ctxTracks)
@@ -258,15 +309,27 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 			_ = pr.arr.Close() // cleanup path; I/O errors already surfaced per op
 		}
 	}()
+	// The resident workers (c > 1) leave with the run, however it ends; by
+	// then procRound has collected every VP it handed out.
+	var workers sync.WaitGroup
+	defer func() {
+		for _, pr := range e.procs {
+			for _, w := range pr.workers {
+				if w.start != nil {
+					close(w.start)
+				}
+			}
+		}
+		workers.Wait()
+	}()
 	for i := 0; i < p; i++ {
 		arr, err := cfg.newArray(i, queueHint(k, slotBlocks, cfg.D))
 		if err != nil {
 			return nil, err
 		}
-		pr := &proc[T]{i: i, arr: arr, mem: newVPMem[T](v, cfg.CheckedIO),
+		pr := &proc[T]{i: i, arr: arr, workers: make([]*worker[T], c),
 			ring: make([]*superstepScratch, k), pend: make([]vpInflight, k), route: make([]pdm.PendingSet, k),
 			sent: make([]int, localV), recv: make([]int, localV), ctxLive: make([]int, localV),
-			cmp:     make([]pdm.Word, max(cfg.D*cfg.B, codec.Words())),
 			msgLive: [2][]int{make([]int, localV*v), make([]int, localV*v)}}
 		for s := range pr.ring {
 			pr.ring[s] = newSuperstepScratch(e.cb, v, e.bpm, cfg.B)
@@ -278,6 +341,21 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 			}
 		}
 		e.procs = append(e.procs, pr)
+		for n := range pr.workers {
+			w := &worker[T]{mem: newVPMem[T](v, cfg.CheckedIO), cmp: make([]pdm.Word, max(cfg.D*cfg.B, codec.Words()))}
+			pr.workers[n] = w
+			if c > 1 {
+				w.start, w.fin = make(chan struct{}), make(chan struct{})
+				workers.Add(1)
+				go func() { // one VP per hand-off until the run closes start
+					defer workers.Done()
+					for range w.start {
+						e.work(pr, w)
+						w.fin <- struct{}{}
+					}
+				}()
+			}
+		}
 	}
 
 	// RunSeq's one processor is its own metric scope ("core_p0_*"); RunPar
@@ -295,6 +373,12 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 		for _, pr := range e.procs {
 			pr.track = rec.Track(fmt.Sprintf("proc %d", pr.i))
 			pr.arr.SetRecorder(rec, pr.i)
+			for n, w := range pr.workers {
+				w.track = pr.track
+				if c > 1 {
+					w.track = rec.Track(fmt.Sprintf("proc %d worker %d", pr.i, n))
+				}
+			}
 		}
 		e.stallName = fmt.Sprintf("stall k=%d", k)
 		rec.Gauge(metric+"pipeline_depth", func() int64 { return int64(k) })
@@ -366,7 +450,7 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 		rec.Counter(metric + "stall_ns").Add(stallNS)
 	}
 	res.Stall = time.Duration(stallNS)
-	res.Depth = k
+	res.Depth, res.Workers = k, c
 	res.IOPerProc = make([]pdm.IOStats, p)
 	for i, pr := range e.procs {
 		res.IOPerProc[i] = pr.arr.Stats()
@@ -431,8 +515,21 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 // Channel sends stay synchronous. Every processor's route phase expects
 // exactly v batches per round, so a processor that aborts mid-round must
 // still emit the batches its remaining local VPs owe, or its peers block
-// forever; before that it waits out everything it has in flight (drain).
-// The p = 4 arms of TestRunFaultDrains wedge if those sends go missing.
+// forever; before that it waits out its workers and everything it has in
+// flight (drain). The p = 4 arms of TestRunFaultDrains wedge if those
+// sends go missing.
+//
+// Up to c VPs compute at once (DESIGN.md §17), local VP l on worker l mod
+// c. VP l+c−1 is handed to its worker as soon as its prefetched reads have
+// landed — the slide at l or an earlier one began them, because c−1 ≤ pf
+// — while this goroutine commits the VPs one at a time, in VP order: it
+// collects VP l, checks what it left, writes its length-table entries and
+// begins its writes (or sends its batches); only then does the slide for
+// VP l+1 begin VP l+1+pf's prefetch, after VP l's writes, as at c = 1. The
+// begin sequence, and with it every address, count and per-disk served
+// order, is therefore the same at every c; only when the compute runs
+// moves. A VP's errors are reported at its commit, so a run fails with the
+// lowest failing VP's error whatever c is.
 func (e *engine[T]) procRound(pr *proc[T], round int) {
 	chans := e.tr.chans // nil under Algorithm 2: nothing is owed
 	rec, localV := e.rec, e.localV
@@ -444,6 +541,9 @@ func (e *engine[T]) procRound(pr *proc[T], round int) {
 		if pr.err == nil {
 			return
 		}
+		for _, w := range pr.workers {
+			w.collect()
+		}
 		pr.drain()
 		for l := sentVPs; l < localV; l++ {
 			for k := range chans {
@@ -451,7 +551,7 @@ func (e *engine[T]) procRound(pr *proc[T], round int) {
 			}
 		}
 	}()
-	K := len(pr.ring)
+	K, c := len(pr.ring), len(pr.workers)
 
 	// Round prologue: burst the window's first pf prefetches in
 	// synchronous order, so the per-disk workers see the whole read-ahead
@@ -463,36 +563,45 @@ func (e *engine[T]) procRound(pr *proc[T], round int) {
 		}
 	}
 
+	next := 0 // the next local VP to hand to its worker
 	for l := 0; l < localV; l++ {
-		sl := &pr.pend[l%K]
-		ss := rec.Begin(pr.track, "superstep", "superstep")
-		// (a)–(c) Context and inbox in, window slid, local computation.
-		vp, outbox, done, err := e.compute(pr, round, l)
+		// A VP's superstep span opens as the VP enters the window of c —
+		// at c = 1 before any of its I/O — and closes at its commit.
+		for m := next; m < min(l+c, localV); m++ {
+			w := pr.workers[m%c]
+			w.ss = rec.Begin(w.track, "superstep", "superstep")
+		}
+		w, sl := pr.workers[l%c], &pr.pend[l%K]
+		// (a)–(c) Window slid, context and inbox in, local computation.
+		err := e.advance(pr, round, l, &next)
+		if err == nil {
+			err = e.commit(pr, w, round, l)
+		}
 		// (d) Deliver the generated messages.
 		if err == nil && chans != nil {
-			sp := rec.Begin(pr.track, "send", "phase")
+			sp := rec.Begin(w.track, "send", "phase")
 			for k := range chans {
-				chans[k] <- e.batchTo(pr, l, k, outbox, done)
+				chans[k] <- e.batchTo(pr, l, k, w.done)
 			}
 			sp.End()
 			sentVPs++
-		} else if err == nil && !done {
-			err = e.writeOutbox(pr, round, l, outbox)
+		} else if err == nil && !w.done {
+			err = e.writeOutbox(pr, round, l, w.outbox)
 		}
 		// (e) Context out.
 		if err == nil {
-			err = e.writeContext(pr, round, l, vp, done)
+			err = e.writeContext(pr, w, round, l)
 		}
 		if err != nil {
-			ss.End()
+			w.ss.End()
 			pr.err = err
 			return
 		}
-		pr.mem.release()
+		w.mem.release()
 		pr.ctxOps += sl.ctxOps
 		pr.msgOps += sl.msgOps
 		if rec != nil {
-			ss.EndIO(obs.SuperstepIO{Proc: pr.i, Round: round, VP: pr.i*localV + l, Label: "superstep",
+			w.ss.EndIO(obs.SuperstepIO{Proc: pr.i, Round: round, VP: pr.i*localV + l, Label: "superstep",
 				CtxOps: sl.ctxOps, MsgOps: sl.msgOps, Blocks: sl.blocks})
 		}
 		sl.reset()
@@ -514,8 +623,10 @@ func (e *engine[T]) procRound(pr *proc[T], round int) {
 
 // wait drains a pending set on pr's behalf. Under a Recorder the blocked
 // time is charged to pr's stall account and stored as a span in the "wait"
-// category; without one it is a plain Wait, because the determinism
-// contract forbids wall-clock reads in unrecorded runs.
+// category — unless one of pr's VPs was handed to a worker and is not yet
+// collected: then the window hid the wait behind that VP's compute, and it
+// is no stall. Without a Recorder it is a plain Wait, because the
+// determinism contract forbids wall-clock reads in unrecorded runs.
 func (e *engine[T]) wait(pr *proc[T], ps *pdm.PendingSet) error {
 	if e.rec == nil {
 		return ps.Wait()
@@ -525,9 +636,21 @@ func (e *engine[T]) wait(pr *proc[T], ps *pdm.PendingSet) error {
 	}
 	t0 := time.Now()
 	err := ps.Wait()
-	pr.stallNS += time.Since(t0).Nanoseconds()
-	e.rec.SpanSince(pr.track, e.stallName, "wait", t0)
+	if !pr.computing() {
+		pr.stallNS += time.Since(t0).Nanoseconds()
+		e.rec.SpanSince(pr.track, e.stallName, "wait", t0)
+	}
 	return err
+}
+
+// computing reports whether a worker of pr holds a VP not yet collected.
+func (pr *proc[T]) computing() bool {
+	for _, w := range pr.workers {
+		if w.busy {
+			return true
+		}
+	}
+	return false
 }
 
 // beginReads prefetches the live prefix of local VP l's context (unless
@@ -583,29 +706,59 @@ func fillStale(img []pdm.Word) {
 	}
 }
 
-// compute brings local VP l into memory and simulates its round: wait
-// for the prefetched context and inbox, decode them, slide the window,
-// and run the program with the window's reads in flight underneath. In
-// round 0 the context-in is not on disk: it is what prog.Init makes of the
-// caller's partition, here, on the processor that owns the VP.
-func (e *engine[T]) compute(pr *proc[T], round, l int) (vp *cgm.VP[T], outbox [][]T, done bool, err error) {
+// advance moves the window to local VP l and hands every VP up to l+c−1
+// whose reads have landed to its worker: at c = 1 that is VP l alone, run
+// inline. A VP whose reads failed is not handed; the failure is its error,
+// reported at its commit.
+func (e *engine[T]) advance(pr *proc[T], round, l int, next *int) error {
+	K, c := len(pr.ring), len(pr.workers)
+	if err := e.slide(pr, round, l+K/2); err != nil {
+		return err
+	}
+	for ; *next < min(l+c, e.localV); *next++ {
+		n := *next
+		w := pr.workers[n%c]
+		w.round, w.l, w.voted, w.err = round, n, false, nil
+		if err := e.wait(pr, &pr.pend[n%K].reads); err != nil {
+			w.err = fmt.Errorf("core: round %d vp %d: read context/inbox: %w", round, pr.i*e.localV+n, err)
+			continue
+		}
+		if c == 1 {
+			e.work(pr, w)
+		} else {
+			w.hand()
+		}
+	}
+	return nil
+}
+
+// slide begins local VP m's prefetch, pf = ⌊K/2⌋ VPs ahead of the VP being
+// committed (at K = 1, the VP itself: no read-ahead). Slot m mod K still
+// backs VP m−K's write-behind, which must land before the image is reused.
+func (e *engine[T]) slide(pr *proc[T], round, m int) error {
+	if m >= e.localV {
+		return nil
+	}
 	K := len(pr.ring)
-	pf := K / 2
+	if err := e.wait(pr, &pr.pend[m%K].writes); err != nil {
+		return fmt.Errorf("core: round %d vp %d: write back: %w", round, pr.i*e.localV+m-K, err)
+	}
+	return e.beginReads(pr, round, m)
+}
+
+// work simulates the round of the VP worker w holds, out of its ring slot,
+// whose reads have landed: decode the context and inbox into w's arena,
+// run the program with the window's reads in flight underneath, and
+// encode what the VP leaves back into the slot (or, under Algorithm 3,
+// into its batches) for procRound to write. In round 0 the context-in is
+// not on disk: it is what prog.Init makes of the caller's partition, here,
+// on the processor that owns the VP. What can fail here is left in w.err
+// for procRound to report in VP order; a context over μ is left for
+// writeContext to reject.
+func (e *engine[T]) work(pr *proc[T], w *worker[T]) {
+	round, l, v := w.round, w.l, e.cfg.V
 	j := pr.i*e.localV + l
-	sl, s := &pr.pend[l%K], pr.ring[l%K]
-	if pf == 0 {
-		// K = 1: no read-ahead — the slot's own write-behind must land
-		// before its image is reloaded.
-		if err := e.wait(pr, &sl.writes); err != nil {
-			return nil, nil, false, fmt.Errorf("core: round %d vp %d: write back: %w", round, j, err)
-		}
-		if err := e.beginReads(pr, round, l); err != nil {
-			return nil, nil, false, err
-		}
-	}
-	if err := e.wait(pr, &sl.reads); err != nil {
-		return nil, nil, false, fmt.Errorf("core: round %d vp %d: read context/inbox: %w", round, j, err)
-	}
+	s := pr.ring[l%len(pr.ring)]
 	// The items the length tables count are the heads of the prefixes
 	// beginReads transferred for them.
 	var ctxImg []pdm.Word
@@ -616,58 +769,81 @@ func (e *engine[T]) compute(pr *proc[T], round, l int) (vp *cgm.VP[T], outbox []
 	if round > 0 {
 		counts = e.inboxLive(pr, round, l)
 	}
-	state, inbox, recv := pr.mem.decode(e.codec, ctxImg, s.flat, counts)
+	state, inbox, recv := w.mem.decode(e.codec, ctxImg, s.flat, counts)
 	if e.cached != nil {
 		state = e.cached[pr.i]
 	}
-	pr.recv[l] = recv
+	w.recv = recv
 
-	// Slide the window: the slot VP l+pf is about to prefetch into still
-	// backs VP l+pf−K's write-behind; it must land before the image is
-	// reused.
-	if m := l + pf; pf > 0 && m < e.localV {
-		if err := e.wait(pr, &pr.pend[m%K].writes); err != nil {
-			return nil, nil, false, fmt.Errorf("core: round %d vp %d: write back: %w", round, j+pf-K, err)
-		}
-		if err := e.beginReads(pr, round, m); err != nil {
-			return nil, nil, false, err
-		}
-	}
-
-	cp := e.rec.Begin(pr.track, "compute", "phase")
-	vp = &cgm.VP[T]{ID: j, V: e.cfg.V, State: state}
+	cp := e.rec.Begin(w.track, "compute", "phase")
+	vp := &cgm.VP[T]{ID: j, V: v, State: state}
 	if round == 0 {
 		e.prog.Init(vp, e.inputs[j])
+		w.initLen = len(vp.State)
 		if err := checkCtx(len(vp.State), e.maxCtx); err != nil {
 			cp.End()
-			return nil, nil, false, fmt.Errorf("core: round 0 vp %d: init: %w", j, err)
-		}
-		pr.maxCtx = max(pr.maxCtx, len(vp.State))
-		if e.sizes != nil {
-			e.sizes.Ctx[0][j] = len(vp.State)
+			w.err = fmt.Errorf("core: round 0 vp %d: init: %w", j, err)
+			return
 		}
 	}
-	outbox, done = e.prog.Round(vp, round, inbox)
+	outbox, done := e.prog.Round(vp, round, inbox)
 	cp.End()
-	if outbox != nil && len(outbox) != e.cfg.V {
-		return nil, nil, false, fmt.Errorf("core: vp %d round %d returned outbox of length %d, want %d or nil",
-			j, round, len(outbox), e.cfg.V)
+	if outbox != nil && len(outbox) != v {
+		w.err = fmt.Errorf("core: vp %d round %d returned outbox of length %d, want %d or nil", j, round, len(outbox), v)
+		return
 	}
-	if e.sizes != nil && !done {
+	w.vp, w.outbox, w.done, w.voted = vp, outbox, done, true
+	switch {
+	case done:
+		e.outputs[j] = w.mem.keep(e.prog.Output(vp))
+	case e.tr.chans != nil:
+		e.keepBatches(pr, w)
+	default:
+		w.err = e.encodeOutbox(s, round, j, outbox)
+	}
+	if w.err != nil || len(vp.State) > e.maxCtx {
+		return
+	}
+	if e.cached != nil {
+		e.cached[pr.i] = w.mem.keep(vp.State)
+	} else if !done {
+		w.same = encodeCtx(e.codec, vp.State, s.ctxImg, w.cmp, pr.ctxLive[l], e.ctxBlocks(len(vp.State)), e.cfg.B)
+	}
+}
+
+// commit collects local VP l from its worker and makes the checks that
+// need it, in the order the synchronous schedule meets them: a failed
+// read, an Init over μ or a malformed outbox; then the VP's vote on
+// termination against VP 0's; then a message over its slot. It records
+// what the ledger's predictor is told of the VP's sizes.
+func (e *engine[T]) commit(pr *proc[T], w *worker[T], round, l int) error {
+	w.collect()
+	j := pr.i*e.localV + l
+	if !w.voted {
+		return w.err
+	}
+	if l == 0 {
+		pr.done = w.done
+	} else if w.done != pr.done {
+		return fmt.Errorf("core: vp %d disagreed on termination at round %d", j, round)
+	}
+	if w.err != nil {
+		return w.err
+	}
+	pr.recv[l] = w.recv
+	if round == 0 {
+		pr.maxCtx = max(pr.maxCtx, w.initLen)
+		if e.sizes != nil {
+			e.sizes.Ctx[0][j] = w.initLen
+		}
+	}
+	if e.sizes != nil && !w.done {
 		row := e.sizes.Msg[round][j*e.cfg.V:]
-		for dst, msg := range outbox {
+		for dst, msg := range w.outbox {
 			row[dst] = len(msg)
 		}
 	}
-	if l == 0 {
-		pr.done = done
-	} else if done != pr.done {
-		return nil, nil, false, fmt.Errorf("core: vp %d disagreed on termination at round %d", j, round)
-	}
-	if done {
-		e.outputs[j] = pr.mem.keep(e.prog.Output(vp))
-	}
-	return vp, outbox, done, nil
+	return nil
 }
 
 // encodeMsg encodes msg into the message slot image img and returns its
@@ -683,29 +859,42 @@ func (e *engine[T]) encodeMsg(msg []T, img []pdm.Word) (int, error) {
 	return nb, nil
 }
 
-// writeOutbox is Algorithm 2's delivery: VP j's v messages are encoded
-// into its slot's message image and their live prefixes begun as one
-// staggered write-behind into the matrix slots its own inbox just freed;
-// the length table of the next round's parity records each item count.
-func (e *engine[T]) writeOutbox(pr *proc[T], round, j int, outbox [][]T) error {
-	K, B, v := len(pr.ring), e.cfg.B, e.cfg.V
-	sl, s := &pr.pend[j%K], pr.ring[j%K]
-	wb := e.rec.Begin(pr.track, "outbox write", "writeback")
-	next := pr.msgLive[(round+1)%2]
-	w := e.bpm * B
-	for dst := 0; dst < v; dst++ {
+// encodeOutbox is the worker's half of Algorithm 2's delivery: VP j's v
+// messages encoded into its ring slot's message image, the live blocks of
+// each in s.live.
+func (e *engine[T]) encodeOutbox(s *superstepScratch, round, j int, outbox [][]T) error {
+	w := e.bpm * e.cfg.B
+	for dst := 0; dst < e.cfg.V; dst++ {
 		var msg []T
 		if outbox != nil {
 			msg = outbox[dst]
 		}
 		nb, err := e.encodeMsg(msg, s.flat[dst*w:(dst+1)*w])
 		if err != nil {
-			wb.End()
 			return fmt.Errorf("vp %d round %d → %d: %w", j, round, dst, err)
 		}
-		s.live[dst], next[dst*v+j] = nb, len(msg)
-		pr.sent[j] += len(msg)
-		pr.maxMsg = max(pr.maxMsg, len(msg))
+		s.live[dst] = nb
+	}
+	return nil
+}
+
+// writeOutbox is the rest of Algorithm 2's delivery: the live prefixes of
+// VP j's encoded messages begun as one staggered write-behind into the
+// matrix slots its own inbox just freed; the length table of the next
+// round's parity records each item count.
+func (e *engine[T]) writeOutbox(pr *proc[T], round, j int, outbox [][]T) error {
+	K, B, v := len(pr.ring), e.cfg.B, e.cfg.V
+	sl, s := &pr.pend[j%K], pr.ring[j%K]
+	wb := e.rec.Begin(pr.track, "outbox write", "writeback")
+	next := pr.msgLive[(round+1)%2]
+	for dst := 0; dst < v; dst++ {
+		n := 0
+		if outbox != nil {
+			n = len(outbox[dst])
+		}
+		next[dst*v+j] = n
+		pr.sent[j] += n
+		pr.maxMsg = max(pr.maxMsg, n)
 	}
 	s.reqs = e.tr.matrix.AppendOutboxPrefixReqs(s.reqs[:0], round, j, s.live)
 	s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, B, e.bpm, s.live)
@@ -718,67 +907,71 @@ func (e *engine[T]) writeOutbox(pr *proc[T], round, j int, outbox [][]T) error {
 	return nil
 }
 
-// batchTo is the send side of Algorithm 3's delivery: what local VP l
-// owes real processor k this round — its messages for k's local VPs, kept
-// out of the decode arena, or a final marker once the program is done.
-func (e *engine[T]) batchTo(pr *proc[T], l, k int, outbox [][]T, done bool) batch[T] {
+// keepBatches is the worker's half of Algorithm 3's delivery: it fills the
+// containers local VP w.l sends to each real processor with its messages
+// for that processor's VPs, copied out of w's arena where they still point
+// into it, because a batch outlives the superstep.
+func (e *engine[T]) keepBatches(pr *proc[T], w *worker[T]) {
+	for k := 0; k < e.cfg.P; k++ {
+		msgs := pr.send[w.l*e.cfg.P+k]
+		for dl := range msgs {
+			msgs[dl] = nil
+			if w.outbox != nil {
+				msgs[dl] = w.mem.keep(w.outbox[k*e.localV+dl])
+			}
+		}
+	}
+}
+
+// batchTo is the send side of Algorithm 3's delivery: what local VP l owes
+// real processor k this round — the messages for k's local VPs its worker
+// kept, or a final marker once the program is done.
+func (e *engine[T]) batchTo(pr *proc[T], l, k int, done bool) batch[T] {
 	b := batch[T]{srcVP: pr.i*e.localV + l, final: done}
 	if done {
 		return b
 	}
 	b.msgs = pr.send[l*e.cfg.P+k]
-	for dl := range b.msgs {
-		b.msgs[dl] = nil
-		if outbox != nil {
-			msg := outbox[k*e.localV+dl]
-			b.msgs[dl] = pr.mem.keep(msg)
-			pr.maxMsg = max(pr.maxMsg, len(msg))
-			pr.sent[l] += len(msg)
-			if k != pr.i {
-				pr.comm += int64(len(msg))
-			}
+	for _, msg := range b.msgs {
+		pr.maxMsg = max(pr.maxMsg, len(msg))
+		pr.sent[l] += len(msg)
+		if k != pr.i {
+			pr.comm += int64(len(msg))
 		}
 	}
 	return b
 }
 
 // writeContext begins the write-behind of the live prefix of local VP l's
-// context out of its ring slot and records its item count in the length
-// table, or keeps the context resident under CacheContexts. The terminal
-// round's context is read by nobody, so it is only held to the bound μ.
+// context, which its worker encoded into the ring slot, and records its
+// item count in the length table. A context kept resident under
+// CacheContexts (its worker kept it) is not written, and neither is the
+// terminal round's, which nobody reads; both are only held to the bound μ.
 // Nor is a context written whose encoding is, word for word, the one the
 // slot read this round: its next reader finds on disk what it needs, and
 // the length table stands.
-func (e *engine[T]) writeContext(pr *proc[T], round, l int, vp *cgm.VP[T], done bool) error {
+func (e *engine[T]) writeContext(pr *proc[T], w *worker[T], round, l int) error {
 	j := pr.i*e.localV + l
-	pr.maxCtx = max(pr.maxCtx, len(vp.State))
-	if err := checkCtx(len(vp.State), e.maxCtx); err != nil {
+	n := len(w.vp.State)
+	pr.maxCtx = max(pr.maxCtx, n)
+	if err := checkCtx(n, e.maxCtx); err != nil {
 		return fmt.Errorf("core: round %d vp %d: write context: %w", round, j, err)
 	}
-	if e.cached != nil {
-		e.cached[pr.i] = pr.mem.keep(vp.State)
-		return nil
-	}
-	if done {
+	if e.cached != nil || w.done {
 		return nil
 	}
 	if e.sizes != nil {
-		e.sizes.Ctx[round+1][j] = len(vp.State)
+		e.sizes.Ctx[round+1][j] = n
+		e.sizes.Same[round][j] = w.same
+	}
+	if w.same {
+		return nil
 	}
 	K, B := len(pr.ring), e.cfg.B
 	sl, s := &pr.pend[l%K], pr.ring[l%K]
 	wb := e.rec.Begin(pr.track, "ctx write", "writeback")
-	nb := e.ctxBlocks(len(vp.State))
-	same := encodeCtx(e.codec, vp.State, s.ctxImg, pr.cmp, pr.ctxLive[l], nb, B)
-	if e.sizes != nil {
-		e.sizes.Same[round][j] = same
-	}
-	if same {
-		wb.End()
-		return nil
-	}
-	pr.ctxLive[l] = len(vp.State)
-	s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg[:nb*B], B)
+	pr.ctxLive[l] = n
+	s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg[:e.ctxBlocks(n)*B], B)
 	if err := layout.BeginWriteStripedScratch(pr.arr, 0, l*e.cb, s.bufs, &s.lay, &sl.writes); err != nil {
 		wb.End()
 		return fmt.Errorf("core: round %d vp %d: begin context write: %w", round, j, err)

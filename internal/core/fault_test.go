@@ -38,6 +38,14 @@ func Watchdog(t *testing.T, tag string, fn func()) {
 	}
 }
 
+// AtProcs runs fn with GOMAXPROCS set to n, then restores it. GOMAXPROCS is
+// what sets c, the virtual processors a real processor computes at once
+// (Result.Workers). Exported for the core_test files.
+func AtProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
 // TestParDiskFaultSurfaces injects a disk fault into one real processor of
 // the parallel machine and checks that (a) the run returns ErrInjected
 // rather than deadlocking at the round barrier — the erroring processor

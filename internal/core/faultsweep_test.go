@@ -110,6 +110,12 @@ func waitGoroutines(t *testing.T, tag string, base int) {
 // that wedges fails under its tag.
 func watchedRun(t *testing.T, tag string, seq bool, cfg core.Config, inner func(proc, disk int) pdm.Disk, parts [][]int64) error {
 	t.Helper()
+	return watchedProg(t, tag, seq, echo{}, cfg, inner, parts)
+}
+
+// watchedProg is watchedRun for any program.
+func watchedProg(t *testing.T, tag string, seq bool, prog cgm.Program[int64], cfg core.Config, inner func(proc, disk int) pdm.Disk, parts [][]int64) error {
+	t.Helper()
 	base := runtime.NumGoroutine()
 	var closed atomic.Bool
 	var late atomic.Int64
@@ -117,7 +123,7 @@ func watchedRun(t *testing.T, tag string, seq bool, cfg core.Config, inner func(
 		return lateDisk{inner: inner(proc, disk), closed: &closed, late: &late}
 	}
 	var err error
-	core.Watchdog(t, tag, func() { _, err = runMachine(seq, echo{}, cfg, parts) })
+	core.Watchdog(t, tag, func() { _, err = runMachine(seq, prog, cfg, parts) })
 	waitGoroutines(t, tag, base)
 	if n := late.Load(); n != 0 {
 		t.Fatalf("%s: %d transfers finished after the arrays were closed", tag, n)
@@ -153,8 +159,17 @@ func (d countDisk) WriteTrack(t int, src []pdm.Word) error {
 // exactly one superstep or route span closed without its I/O row when the
 // fault interrupted one. Runs alternate between recorded and unrecorded,
 // so both wait paths are swept. A context that Init leaves over μ with
-// writes in flight takes the same exit.
+// writes in flight takes the same exit. The sweep runs at GOMAXPROCS 1, 2
+// and 8, so every machine is swept with one VP computing at a time (c = 1)
+// and with several (c ≥ 2 at every K ≥ 2), when a fault can land while
+// later VPs are still computing.
 func TestRunFaultDrains(t *testing.T) {
+	for _, g := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", g), func(t *testing.T) { core.AtProcs(g, func() { faultDrains(t) }) })
+	}
+}
+
+func faultDrains(t *testing.T) {
 	const (
 		v, d, b = 8, 2, 8
 		maxCtx  = 15 // 16 words = 2 blocks: one track per disk per context

@@ -7,12 +7,17 @@ import (
 	"repro/internal/wordcodec"
 )
 
-// vpMem is one real processor's decode arena: the typed memory that holds
-// the one context and the one inbox Algorithms 2 and 3 keep resident, and
-// that every virtual processor the real processor simulates is decoded
-// into in turn. It only ever grows — to the largest context and the
-// largest inbox total actually seen, read from the length tables, never to
-// the MaxCtxItems/MaxMsgItems bounds the disk slots are sized by.
+// vpMem is one compute worker's decode arena: the typed memory that holds
+// the context and the inbox of the virtual processor the worker computes,
+// and that every VP handed to the worker is decoded into in turn. A real
+// processor has c of them, one per worker (Config.M charges the c − 1
+// beyond the first one working set each). It only ever grows — to the
+// largest context and the largest inbox total actually seen, read from the
+// length tables, never to the MaxCtxItems/MaxMsgItems bounds the disk
+// slots are sized by. An inbox that outgrows it grows it by an eighth more
+// than it needs (still within the slots' bound), so the arenas, which each
+// see only every c-th VP, do not each re-grow through a run of slightly
+// larger inboxes.
 //
 // Ownership rule: what decode returns is valid until the next decode on
 // the same arena, i.e. for one compound superstep. The engine copies out
@@ -63,8 +68,9 @@ func (m *vpMem[T]) decode(codec wordcodec.Codec[T], ctxImg, flat []pdm.Word, cou
 		recv += n
 	}
 	if recv > cap(m.msgs) {
-		// emcgm:coldpath growth to the largest inbox seen
-		m.msgs = make([]T, recv)
+		// emcgm:coldpath growth to the largest inbox seen, and an eighth
+		// more within the slot images' bound
+		m.msgs = make([]T, min(recv+recv/8, len(flat)/iw))
 	}
 	sw, off := len(flat)/len(counts), 0
 	for src, n := range counts {

@@ -52,7 +52,14 @@ func (hostile) Output(vp *cgm.VP[int64]) []int64 { return vp.State }
 // into the decode arena must reach its consumer intact. Checked mode
 // zeroes the arena at the end of every superstep, so a reference the
 // driver failed to copy out shows up here as zeros (the inputs have none).
+// At GOMAXPROCS 2 and 4 the VPs of a processor compute on c ≥ 2 arenas.
 func TestArenaAliasSafety(t *testing.T) {
+	for _, g := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", g), func(t *testing.T) { AtProcs(g, func() { arenaAliasSafety(t) }) })
+	}
+}
+
+func arenaAliasSafety(t *testing.T) {
 	const v, n = 4, 103
 	in := make([]int64, n)
 	for i := range in {
@@ -113,7 +120,9 @@ func (holdEcho) Output(vp *cgm.VP[int64]) []int64 { return vp.State[:1] }
 // TestDecodeAllocIndependentOfRounds: the context is decoded into the
 // arena, so what a further round allocates is headers, closures and the
 // echoed 4-item messages — a constant that does not grow with the N
-// items of state every superstep swaps in and out.
+// items of state every superstep swaps in and out. With c = 2 workers
+// per processor the hand-off to them adds nothing per superstep either:
+// the workers and their channels are made once, at set-up.
 func TestDecodeAllocIndependentOfRounds(t *testing.T) {
 	const (
 		v        = 4
@@ -123,12 +132,14 @@ func TestDecodeAllocIndependentOfRounds(t *testing.T) {
 	parts := cgm.Scatter(seq64(v*perVP), v)
 	codec := wordcodec.I64{}
 	for _, tc := range []struct {
-		name  string
-		seq   bool
-		depth int // 1: the synchronous schedule; 0: auto
+		name    string
+		seq     bool
+		depth   int // 1: the synchronous schedule; 0: auto
+		procs   int // GOMAXPROCS, which sets the workers per processor
+		workers int
 	}{
-		{"seq/k=1", true, 1}, {"seq/auto", true, 0},
-		{"par/k=1", false, 1}, {"par/auto", false, 0},
+		{"seq/k=1", true, 1, 1, 1}, {"seq/auto", true, 0, 1, 1}, {"seq/auto/c=2", true, 0, 2, 2},
+		{"par/k=1", false, 1, 1, 1}, {"par/auto", false, 0, 1, 1}, {"par/auto/c=2", false, 0, 4, 2},
 	} {
 		total := func(rounds int) uint64 {
 			cfg := Config{V: v, P: 2, D: 2, B: 64, MaxMsgItems: 8, MaxCtxItems: perVP, PipelineDepth: tc.depth}
@@ -137,11 +148,19 @@ func TestDecodeAllocIndependentOfRounds(t *testing.T) {
 				run = RunSeq[int64]
 			}
 			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			if _, err := run(holdEcho{R: rounds}, codec, cfg, parts); err != nil {
+			var res *Result[int64]
+			var err error
+			AtProcs(tc.procs, func() {
+				runtime.ReadMemStats(&before)
+				res, err = run(holdEcho{R: rounds}, codec, cfg, parts)
+				runtime.ReadMemStats(&after)
+			})
+			if err != nil {
 				t.Fatalf("%s R=%d: %v", tc.name, rounds, err)
 			}
-			runtime.ReadMemStats(&after)
+			if res.Workers != tc.workers {
+				t.Fatalf("%s R=%d: Workers = %d, want %d", tc.name, rounds, res.Workers, tc.workers)
+			}
 			return after.TotalAlloc - before.TotalAlloc
 		}
 		short, long := total(4), total(16)

@@ -47,7 +47,7 @@ check() {
 	cp "$root/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -87,8 +87,8 @@ check 'read one block too few' $f TestPipelineDepthEquivalence
 # encoding is, word for word, what the slot read. Neither shortcut may
 # pass: a program can change an item in place (same slice, same length),
 # and it can hand back different words at the same length.
-mutate $f 'same := encodeCtx(e.codec, vp.State, s.ctxImg, pr.cmp, pr.ctxLive[l], nb, B)' 1 1 \
-	'\tsame := round > 0 && within(vp.State, pr.mem.state) && len(vp.State) == pr.ctxLive[l]\n\tif !same {\n\t\tsame = encodeCtx(e.codec, vp.State, s.ctxImg, pr.cmp, pr.ctxLive[l], nb, B)\n\t}'
+mutate $f 'w.same = encodeCtx(e.codec, vp.State, s.ctxImg, w.cmp, pr.ctxLive[l], e.ctxBlocks(len(vp.State)), e.cfg.B)' 1 1 \
+	'\t\tw.same = round > 0 && within(vp.State, w.mem.state) && len(vp.State) == pr.ctxLive[l]\n\t\tif !w.same {\n\t\t\tw.same = encodeCtx(e.codec, vp.State, s.ctxImg, w.cmp, pr.ctxLive[l], e.ctxBlocks(len(vp.State)), e.cfg.B)\n\t\t}'
 check 'same backing array and length => clean' $f TestWhatIsNotMoved
 
 f=internal/core/core.go
@@ -119,4 +119,16 @@ mutate $f 'k = max(min(k, vCap), 1)' 1 1 \
 	'\tk = max(min(k, vCap), 1)\n\tif cfg.Recorder != nil {\n\t\tk = vCap\n\t}'
 check 'size the ring from an observer' $f TestPipelineDepthResolved
 
-echo "contract-selftest: all eleven mutations caught"
+# Concurrent compute moves only when a VP computes, never the begin order
+# (DESIGN.md §17): VP l+pf's prefetch is begun by the slide that follows VP
+# l−1's commit. Begun when each VP is handed to its worker instead, the
+# reads of VPs up to c−1 places ahead overtake writes that the c = 1
+# schedule begins first; c = 1 itself does not change.
+f=internal/core/engine.go
+mutate $f 'if err := e.slide(pr, round, l+K/2); err != nil {' 1 1 \
+	'\tif err := error(nil); err != nil {'
+mutate $f 'n := *next' 1 1 \
+	'\t\tn := *next\n\t\tif err := e.slide(pr, round, n+K/2); err != nil {\n\t\t\treturn err\n\t\t}'
+check 'begin the prefetch at dispatch, not after the previous commit' $f TestComputeWorkersInvariant
+
+echo "contract-selftest: all twelve mutations caught"
