@@ -1,13 +1,14 @@
 # Repo verification. `make verify` is the tier-1 gate every PR must pass:
 # build + full test suite, plus a race-detector pass over every package,
 # so data races in the hot path are caught on every change. `make lint`
-# runs the project's own invariant analyzers (cmd/emcgm-lint) and, when
-# installed, golangci-lint; `make fuzz` smoke-runs the native fuzz targets.
+# runs go vet and, when installed, golangci-lint; `make contract-selftest`
+# breaks each contract the tests hold and requires its owning test to
+# fail; `make fuzz` smoke-runs the native fuzz targets.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify build test race bench bench-smoke benchmark benchmark-compare benchmark-smoke allocs lint lint-tool lint-selftest contract-selftest lint-timing fuzz
+.PHONY: verify build test race bench bench-smoke benchmark benchmark-compare benchmark-smoke allocs lint contract-selftest fuzz
 
 verify: build test race
 
@@ -90,73 +91,28 @@ allocs:
 	$(GO) test -run '^$$' -bench 'BenchmarkLocalSort|BenchmarkPSRSRounds' -benchmem ./internal/sortalg/
 	$(GO) test -run '^$$' -bench 'BenchmarkFig5GroupA/(sort-emcgm|permute)$$' -benchmem .
 
-# Build the invariant lint suite as a standalone vet tool and print its
-# absolute path, so shell substitution composes:
-#
-#	go vet -vettool=$$(make -s lint-tool) ./...
-lint-tool:
-	@$(GO) build -o bin/emcgm-lint ./cmd/emcgm-lint
-	@echo $(CURDIR)/bin/emcgm-lint
-
-# Invariant lint, the four contracts only a static check can hold:
-# hotpathalloc (no heap allocation in emcgm:hotpath functions), detorder
-# and iopurity (no nondeterminism source and no I/O but pdm/layout in
-# emcgm:deterministic scope), ioerrcheck (no dropped I/O errors). The
-# split-phase, barrier, span and config contracts are held by the
-# engine's own tests (DESIGN.md §10; `make contract-selftest`). Driven
-# through `go vet -vettool` so per-package results land in the build
-# cache; golangci-lint runs too when present — it is not vendored, so
-# the target degrades gracefully without it.
+# go vet, and golangci-lint when present (pinned config in .golangci.yml:
+# govet, staticcheck, errcheck — errcheck owns the no-dropped-I/O-error
+# contract). golangci-lint is not vendored, so the target degrades
+# gracefully without it; CI runs it.
 lint:
 	$(GO) vet ./...
-	$(GO) vet -vettool=$$($(MAKE) -s lint-tool) ./...
 	@if command -v golangci-lint >/dev/null 2>&1; then \
 		golangci-lint run ./...; \
 	else \
 		echo "golangci-lint not installed; skipped (CI runs it)"; \
 	fi
 
-# Seeded-negative self-test: run each analyzer alone over its own
-# violation fixtures and require findings (exit 1). A refactor that
-# silences an analyzer fails here, not in code review. The second loop
-# requires a "via" witness chain in the output of every interprocedural
-# analyzer, so the summary propagation cannot silently degrade to the
-# old intraprocedural behavior. The waived fixtures in the same packages
-# double as false-positive coverage: any unexpected diagnostic fails the
-# antest suites under `make test`.
-lint-selftest:
-	@tool=$$($(MAKE) -s lint-tool); \
-	for f in iopurity:iop hotpathalloc:hp detorder:det ioerrcheck:ioe; do \
-		name=$${f%%:*}; pkg=$${f##*:}; \
-		if $$tool -run $$name ./internal/analysis/testdata/src/$$name/$$pkg >/dev/null; then \
-			echo "lint-selftest: $$name reported nothing on its seeded violations"; exit 1; \
-		fi; \
-		echo "lint-selftest: $$name still fires"; \
-	done; \
-	for f in hotpathalloc:hp detorder:det ioerrcheck:ioe iopurity:iop; do \
-		name=$${f%%:*}; pkg=$${f##*:}; \
-		if ! $$tool -run $$name ./internal/analysis/testdata/src/$$name/$$pkg 2>/dev/null | grep -q ' (via \| via '; then \
-			echo "lint-selftest: $$name lost its interprocedural witness chains"; exit 1; \
-		fi; \
-		echo "lint-selftest: $$name prints witness chains"; \
-	done
-
-# The same self-test for the contracts the engine's tests hold instead of
-# an analyzer (DESIGN.md §10): scripts/contract_mutations.sh breaks each
-# one in a scratch copy of the tree — touch a loaned buffer, drop a read
-# or a write hand-off, leak the superstep span, drop the barrier's
-# compensating sends — and requires the owning test to fail by name.
-# A minute and a half; one mutation wedges a run until its 30 s watchdog.
+# Seeded-negative self-test of the contracts the tests hold (DESIGN.md
+# §10): scripts/contract_mutations.sh breaks each one in a scratch copy of
+# the tree — touch a loaned buffer, drop a read or a write hand-off, leak
+# the superstep span, drop the barrier's compensating sends, allocate per
+# transfer, serve a burst in map order, read the environment in sortalg,
+# drop a write-behind error — and requires the owning test to fail by
+# name. About two minutes; one mutation wedges a run until its 30 s
+# watchdog.
 contract-selftest:
 	@sh scripts/contract_mutations.sh
-
-# Lint wall-time budget: the suite's cost relative to a plain `go vet`
-# of the same tree, gated against the committed baseline ratio. An
-# analyzer change that more than doubles relative lint cost fails here
-# and must either be optimised or deliberately recorded by refreshing
-# scripts/lint_timing.baseline.
-lint-timing:
-	@sh scripts/lint_timing.sh
 
 # Native fuzz smoke: go test -fuzz accepts one target per invocation, so
 # each property gets its own run. FUZZTIME=2m make fuzz for a longer soak.

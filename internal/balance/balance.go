@@ -15,11 +15,8 @@
 // original message in order. Wrap lifts any cgm.Program to its balanced
 // version, doubling the round count exactly as Lemma 2 states.
 //
-// The package is part of the determinism contract checked by the
-// detorder analyzer (see DESIGN.md §11): identical inputs must yield
-// bit-identical I/O schedules and op counts.
-//
-// emcgm:deterministic
+// The package is part of the determinism contract (DESIGN.md §11):
+// identical inputs must yield bit-identical I/O schedules and op counts.
 package balance
 
 import (

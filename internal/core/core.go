@@ -45,16 +45,15 @@
 // block; and the terminal round's contexts, which nobody reads, are not
 // written.
 //
-// The package is part of the determinism contract checked by the
-// detorder analyzer (see DESIGN.md §11): identical inputs and
-// configuration must yield bit-identical I/O schedules and op counts.
-//
-// emcgm:deterministic
+// The package is part of the determinism contract (DESIGN.md §11):
+// identical inputs and configuration must yield bit-identical I/O
+// schedules and op counts.
 package core
 
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/balance"
@@ -466,7 +465,6 @@ func balancedMsgBound(maxH, v int) int {
 // fills and transfers that prefix, the reader transfers it, and decode
 // reads the n·w words at its head, so nothing is decoded that was not
 // transferred.
-// emcgm:hotpath
 func liveBlocks(n, w, guard, b, size int) int {
 	if n == 0 {
 		return 0
@@ -481,7 +479,6 @@ func liveBlocks(n, w, guard, b, size int) int {
 // sized for the declared maximum, which the caller has checked len(items)
 // against; reusing it across supersteps is what keeps the hot path
 // allocation-free.
-// emcgm:hotpath
 func encodeLive[T any](codec wordcodec.Codec[T], items []T, img []pdm.Word, nb, b int) {
 	end := len(items) * codec.Words()
 	wordcodec.EncodeInto(codec, img[:end], items)
@@ -499,7 +496,6 @@ func encodeLive[T any](codec wordcodec.Codec[T], items []T, img []pdm.Word, nb, 
 // three quarters of a block) is a size no power-of-two geometry averages.
 // The price is one dead block for the messages whose last block is more
 // than three quarters full.
-// emcgm:hotpath
 func msgGuard(b int) int { return b / 4 }
 
 // encodeCtx is encodeLive for a context whose image still holds, at its
@@ -512,7 +508,6 @@ func msgGuard(b int) int { return b / 4 }
 // time and held against img; the first chunk that differs ends the
 // comparison and the whole context is encoded over img's nb live blocks,
 // so a context that changed pays for one chunk more than it always did.
-// emcgm:hotpath
 func encodeCtx[T any](codec wordcodec.Codec[T], items []T, img, cmp []pdm.Word, was, nb, b int) (same bool) {
 	iw := codec.Words()
 	same = len(items) == was
@@ -521,23 +516,12 @@ func encodeCtx[T any](codec wordcodec.Codec[T], items []T, img, cmp []pdm.Word, 
 		chunk := items[off:min(off+per, len(items))]
 		words := cmp[:len(chunk)*iw]
 		wordcodec.EncodeInto(codec, words, chunk)
-		same = equalWords(words, img[off*iw:off*iw+len(words)])
+		same = slices.Equal(words, img[off*iw:off*iw+len(words)])
 	}
 	if !same {
 		encodeLive(codec, items, img, nb, b)
 	}
 	return same
-}
-
-// equalWords reports whether a and b, of one length, hold the same words.
-// emcgm:hotpath
-func equalWords(a, b []pdm.Word) bool {
-	for i, w := range a {
-		if w != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // checkCtx reports a context over the declared bound μ.

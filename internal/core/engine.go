@@ -164,14 +164,12 @@ type worker[T any] struct {
 }
 
 // hand starts worker w on the VP it was given, whose reads have landed.
-// emcgm:hotpath
 func (w *worker[T]) hand() {
 	w.busy = true
 	w.start <- struct{}{}
 }
 
 // collect waits until worker w has computed the VP it was handed, if any.
-// emcgm:hotpath
 func (w *worker[T]) collect() {
 	if w.busy {
 		<-w.fin
@@ -187,11 +185,9 @@ func (e *engine[T]) inboxLive(pr *proc[T], round, l int) []int {
 }
 
 // ctxBlocks is liveBlocks for a context run of n items.
-// emcgm:hotpath
 func (e *engine[T]) ctxBlocks(n int) int { return liveBlocks(n, e.codec.Words(), 0, e.cfg.B, e.cb) }
 
 // msgBlocks is liveBlocks for a message slot of n items, guard and all.
-// emcgm:hotpath
 func (e *engine[T]) msgBlocks(n int) int {
 	return liveBlocks(n, e.codec.Words(), msgGuard(e.cfg.B), e.cfg.B, e.bpm)
 }
@@ -849,7 +845,6 @@ func (e *engine[T]) commit(pr *proc[T], w *worker[T], round, l int) error {
 // encodeMsg encodes msg into the message slot image img and returns its
 // live blocks. A message over the slot bound is an error: it is the range
 // check on what the length table is told, which nothing else records.
-// emcgm:hotpath
 func (e *engine[T]) encodeMsg(msg []T, img []pdm.Word) (int, error) {
 	if len(msg) > e.maxMsg {
 		return 0, fmt.Errorf("core: message of %d items exceeds the slot bound %d items; set Config.MaxMsgItems (or Balanced) accordingly", len(msg), e.maxMsg)

@@ -148,6 +148,34 @@ func (d countDisk) WriteTrack(t int, src []pdm.Word) error {
 	return d.Disk.WriteTrack(t, src)
 }
 
+// blipDisk fails the one transfer that follows ok successful ones and
+// serves every other: no later transfer repeats the fault, so only the
+// wait that owns the failed transfer can report it.
+type blipDisk struct {
+	pdm.Disk
+	ok   int64
+	seen *atomic.Int64
+}
+
+func (d blipDisk) take() error {
+	if d.seen.Add(1)-1 == d.ok {
+		return pdm.ErrInjected
+	}
+	return nil
+}
+func (d blipDisk) ReadTrack(t int, dst []pdm.Word) error {
+	if err := d.take(); err != nil {
+		return err
+	}
+	return d.Disk.ReadTrack(t, dst)
+}
+func (d blipDisk) WriteTrack(t int, src []pdm.Word) error {
+	if err := d.take(); err != nil {
+		return err
+	}
+	return d.Disk.WriteTrack(t, src)
+}
+
 // TestRunFaultDrains drives a FaultyDisk through every per-disk transfer
 // index of a small four-round run — the first write of every context
 // (round 0 is the input distribution), prologue bursts, window slides,
@@ -158,8 +186,13 @@ func (d countDisk) WriteTrack(t int, src []pdm.Word) error {
 // baseline (watchedRun), and every span that was begun is closed —
 // exactly one superstep or route span closed without its I/O row when the
 // fault interrupted one. Runs alternate between recorded and unrecorded,
-// so both wait paths are swept. A context that Init leaves over μ with
-// writes in flight takes the same exit. The sweep runs at GOMAXPROCS 1, 2
+// so both wait paths are swept, and, two indices at a time, between a
+// FaultyDisk, which fails every transfer from the index on, and a
+// blipDisk, which fails that one transfer alone. Under a blipDisk no later
+// transfer reports the fault, so a wait that dropped its error lets the
+// run go on past the failed transfer, to success or to another error. A
+// context that Init leaves over μ with writes in flight takes the same
+// exit. The sweep runs at GOMAXPROCS 1, 2
 // and 8, so every machine is swept with one VP computing at a time (c = 1)
 // and with several (c ≥ 2 at every K ≥ 2), when a fault can land while
 // later VPs are still computing.
@@ -206,11 +239,19 @@ func faultDrains(t *testing.T) {
 						if okOps%2 == 0 {
 							cfg.Recorder = obs.NewRecorder()
 						}
+						blip := okOps%4 >= 2
+						if blip {
+							tag += " blip"
+						}
+						var seen atomic.Int64
 						err := watchedRun(t, tag, m.seq, cfg, func(proc, disk int) pdm.Disk {
-							if proc == fproc && disk == fdisk {
-								return pdm.NewFaultyDisk(mem(proc, disk), okOps)
+							switch {
+							case proc != fproc || disk != fdisk:
+								return mem(proc, disk)
+							case blip:
+								return blipDisk{mem(proc, disk), int64(okOps), &seen}
 							}
-							return mem(proc, disk)
+							return pdm.NewFaultyDisk(mem(proc, disk), okOps)
 						}, parts)
 						if !errors.Is(err, pdm.ErrInjected) {
 							t.Fatalf("%s: err = %v, want the injected fault", tag, err)

@@ -47,14 +47,11 @@ func newVPMem[T any](v int, checked bool) *vpMem[T] {
 // transferred. Every slice is handed out with cap == len, so a program's
 // append reallocates rather than running into its neighbour. recv is the
 // number of items received.
-// emcgm:hotpath
 func (m *vpMem[T]) decode(codec wordcodec.Codec[T], ctxImg, flat []pdm.Word, counts []int) (state []T, inbox [][]T, recv int) {
 	iw := codec.Words()
 	if ctxImg != nil {
 		n := len(ctxImg) / iw
 		if n > cap(m.state) {
-			// emcgm:coldpath growth to the largest context seen; steady
-			// state decodes in place
 			m.state = make([]T, n)
 		}
 		state = m.state[:n:n]
@@ -68,8 +65,6 @@ func (m *vpMem[T]) decode(codec wordcodec.Codec[T], ctxImg, flat []pdm.Word, cou
 		recv += n
 	}
 	if recv > cap(m.msgs) {
-		// emcgm:coldpath growth to the largest inbox seen, and an eighth
-		// more within the slot images' bound
 		m.msgs = make([]T, min(recv+recv/8, len(flat)/iw))
 	}
 	sw, off := len(flat)/len(counts), 0

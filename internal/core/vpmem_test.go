@@ -123,11 +123,21 @@ func (holdEcho) Output(vp *cgm.VP[int64]) []int64 { return vp.State[:1] }
 // items of state every superstep swaps in and out. With c = 2 workers
 // per processor the hand-off to them adds nothing per superstep either:
 // the workers and their channels are made once, at set-up.
+//
+// The count of allocations is bounded as well as their bytes: a round
+// here costs about 5 mallocs under RunSeq and about 24 under RunPar (its
+// batches and route phase), while the hundreds of block transfers a round
+// begins allocate nothing. One allocation per transfer anywhere under the
+// engine — pdm's dispatch, layout's scratch, the split-phase hand-offs —
+// puts a round above 500.
 func TestDecodeAllocIndependentOfRounds(t *testing.T) {
 	const (
 		v        = 4
 		perVP    = 1 << 14 // 128 KiB of state per VP, 512 KiB swapped per round
 		perRound = 32 << 10
+		// mallocsPerRound sits between the engine's fixed cost per round
+		// and one allocation per transfer.
+		mallocsPerRound = 64
 	)
 	parts := cgm.Scatter(seq64(v*perVP), v)
 	codec := wordcodec.I64{}
@@ -141,7 +151,7 @@ func TestDecodeAllocIndependentOfRounds(t *testing.T) {
 		{"seq/k=1", true, 1, 1, 1}, {"seq/auto", true, 0, 1, 1}, {"seq/auto/c=2", true, 0, 2, 2},
 		{"par/k=1", false, 1, 1, 1}, {"par/auto", false, 0, 1, 1}, {"par/auto/c=2", false, 0, 4, 2},
 	} {
-		total := func(rounds int) uint64 {
+		total := func(rounds int) (uint64, uint64) {
 			cfg := Config{V: v, P: 2, D: 2, B: 64, MaxMsgItems: 8, MaxCtxItems: perVP, PipelineDepth: tc.depth}
 			run := RunPar[int64]
 			if tc.seq {
@@ -161,12 +171,17 @@ func TestDecodeAllocIndependentOfRounds(t *testing.T) {
 			if res.Workers != tc.workers {
 				t.Fatalf("%s R=%d: Workers = %d, want %d", tc.name, rounds, res.Workers, tc.workers)
 			}
-			return after.TotalAlloc - before.TotalAlloc
+			return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 		}
-		short, long := total(4), total(16)
+		short, shortN := total(4)
+		long, longN := total(16)
 		if long > short+12*perRound {
 			t.Errorf("%s: 12 more rounds allocated %d bytes (%d per round), want < %d per round",
 				tc.name, long-short, (long-short)/12, perRound)
+		}
+		if longN > shortN+12*mallocsPerRound {
+			t.Errorf("%s: 12 more rounds made %d allocations (%d per round), want < %d per round",
+				tc.name, longN-shortN, (longN-shortN)/12, mallocsPerRound)
 		}
 	}
 }

@@ -18,11 +18,8 @@
 //     (see pitch), so the offset is one disk for every (b', D) and holds
 //     for the live prefixes that are all the engine transfers.
 //
-// The package is part of the determinism contract checked by the
-// detorder analyzer (see DESIGN.md §11): identical inputs must yield
-// bit-identical I/O schedules and op counts.
-//
-// emcgm:deterministic
+// The package is part of the determinism contract (DESIGN.md §11):
+// identical inputs must yield bit-identical I/O schedules and op counts.
 package layout
 
 import (
@@ -35,7 +32,6 @@ import (
 // round-robin striping with the given base track: disk g mod D, track
 // base + g/D. This is the paper's consecutive format with the run's disk
 // offset folded into g.
-// emcgm:hotpath
 func Striped(g, d, base int) pdm.BlockReq {
 	if g < 0 {
 		panic("layout: negative block index")
@@ -109,7 +105,6 @@ func ReadFIFO(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word) (int, 
 // burst's order, which is all a write→read dependency needs (pdm's
 // per-disk queues are FIFO). With a pending set the operations are begun
 // and their handles added to it; with none each is waited before the next.
-// emcgm:hotpath
 func packed(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, read bool, s *Scratch, pend *pdm.PendingSet) (int, error) {
 	if len(reqs) != len(bufs) {
 		return 0, fmt.Errorf("layout: %d requests but %d buffers", len(reqs), len(bufs))

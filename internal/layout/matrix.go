@@ -56,7 +56,6 @@ func NewMatrix(v, bpm, d, baseTrack int) (Matrix, error) {
 // slots of a region: bpm rounded up to ≡ 1 (mod d), so that each slot
 // starts one disk after the one before it. It pads a slot by less than d
 // blocks, and by none where bpm ≡ 1 (mod d) already (every bpm at d = 1).
-// emcgm:hotpath
 func pitch(bpm, d int) int {
 	return bpm + (d-(bpm-1)%d)%d
 }
@@ -64,30 +63,25 @@ func pitch(bpm, d int) int {
 // regionTracks is the number of tracks a region of the given number of
 // slots occupies: ⌈slots·pitch/D⌉ plus one track of slack for the region's
 // disk offset.
-// emcgm:hotpath
 func regionTracks(slots, bpm, d int) int {
 	return (slots*pitch(bpm, d)+d-1)/d + 1
 }
 
 // slotBlock is the address of block q of slot a of the region with number
 // r and first track t.
-// emcgm:hotpath
 func slotBlock(r, t, a, q, bpm, d int) pdm.BlockReq {
 	g := r%d + a*pitch(bpm, d) + q
 	return pdm.BlockReq{Disk: g % d, Track: t + g/d}
 }
 
 // RegionTracks returns the number of tracks occupied by one region.
-// emcgm:hotpath
 func (m Matrix) RegionTracks() int { return regionTracks(m.V, m.BPM, m.D) }
 
 // TotalTracks returns the number of tracks occupied by the whole matrix.
-// emcgm:hotpath
 func (m Matrix) TotalTracks() int { return m.V * m.RegionTracks() }
 
 // SlotBlock returns the disk address of block q (0 ≤ q < BPM) of slot a
 // within region r.
-// emcgm:hotpath
 func (m Matrix) SlotBlock(r, a, q int) pdm.BlockReq {
 	if r < 0 || r >= m.V || a < 0 || a >= m.V || q < 0 || q >= m.BPM {
 		panic(fmt.Sprintf("layout: slot block (r=%d a=%d q=%d) out of range", r, a, q))
@@ -97,7 +91,6 @@ func (m Matrix) SlotBlock(r, a, q int) pdm.BlockReq {
 
 // Place returns the (region, slot) holding the message src→dst in the
 // given phase (superstep parity), per Observation 2's alternation.
-// emcgm:hotpath
 func (m Matrix) Place(phase, src, dst int) (region, slot int) {
 	if phase%2 == 0 {
 		return dst, src
@@ -115,7 +108,6 @@ func (m Matrix) InboxReqs(phase, dst int) []pdm.BlockReq {
 }
 
 // AppendInboxReqs is InboxReqs appending into caller-owned storage.
-// emcgm:hotpath
 func (m Matrix) AppendInboxReqs(reqs []pdm.BlockReq, phase, dst int) []pdm.BlockReq {
 	return m.AppendInboxPrefixReqs(reqs, phase, dst, nil)
 }
@@ -126,7 +118,6 @@ func (m Matrix) AppendInboxReqs(reqs []pdm.BlockReq, phase, dst int) []pdm.Block
 // slot whole). The result is a subset of the full-image sequence, so no
 // disk has more requests in it and packing it by disk (packed) never needs
 // more operations.
-// emcgm:hotpath
 func (m Matrix) AppendInboxPrefixReqs(reqs []pdm.BlockReq, phase, dst int, live []int) []pdm.BlockReq {
 	for src := 0; src < m.V; src++ {
 		r, a := m.Place(phase, src, dst)
@@ -145,14 +136,12 @@ func (m Matrix) OutboxReqs(phase, src int) []pdm.BlockReq {
 }
 
 // AppendOutboxReqs is OutboxReqs appending into caller-owned storage.
-// emcgm:hotpath
 func (m Matrix) AppendOutboxReqs(reqs []pdm.BlockReq, phase, src int) []pdm.BlockReq {
 	return m.AppendOutboxPrefixReqs(reqs, phase, src, nil)
 }
 
 // AppendOutboxPrefixReqs is AppendOutboxReqs restricted to the first
 // live[dst] blocks of the message to every dst (nil: every slot whole).
-// emcgm:hotpath
 func (m Matrix) AppendOutboxPrefixReqs(reqs []pdm.BlockReq, phase, src int, live []int) []pdm.BlockReq {
 	for dst := 0; dst < m.V; dst++ {
 		r, a := m.Place(phase+1, src, dst)
@@ -162,7 +151,6 @@ func (m Matrix) AppendOutboxPrefixReqs(reqs []pdm.BlockReq, phase, src int, live
 }
 
 // appendSlot appends the first n blocks of slot a of region r.
-// emcgm:hotpath
 func (m Matrix) appendSlot(reqs []pdm.BlockReq, r, a, n int) []pdm.BlockReq {
 	for q := 0; q < n; q++ {
 		reqs = append(reqs, m.SlotBlock(r, a, q))
@@ -172,7 +160,6 @@ func (m Matrix) appendSlot(reqs []pdm.BlockReq, r, a, n int) []pdm.BlockReq {
 
 // prefixLen is slot i's entry of a live-block table, or the whole slot
 // when there is no table.
-// emcgm:hotpath
 func prefixLen(live []int, i, bpm int) int {
 	if live == nil {
 		return bpm

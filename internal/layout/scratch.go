@@ -23,13 +23,10 @@ type Scratch struct {
 
 // grow returns the scratch request and buffer slices with length n,
 // reusing capacity when possible.
-// emcgm:hotpath
 func (s *Scratch) grow(n int) ([]pdm.BlockReq, [][]pdm.Word) {
-	// emcgm:coldpath growth to the largest operation seen, amortised
 	if cap(s.reqs) < n {
 		s.reqs = make([]pdm.BlockReq, n)
 	}
-	// emcgm:coldpath growth to the largest operation seen, amortised
 	if cap(s.bufs) < n {
 		s.bufs = make([][]pdm.Word, n)
 	}
@@ -39,13 +36,10 @@ func (s *Scratch) grow(n int) ([]pdm.BlockReq, [][]pdm.Word) {
 // byDisk sorts the indices of a burst's requests into one queue per disk,
 // each in burst order: disk k's are order[queue[k]:queue[k+1]]. longest is
 // the length of the longest queue.
-// emcgm:hotpath
 func (s *Scratch) byDisk(reqs []pdm.BlockReq, d int) (queue, order []int, longest int) {
-	// emcgm:coldpath sized to D on first use, reused afterwards
 	if cap(s.queue) < d+1 {
 		s.queue = make([]int, d+1)
 	}
-	// emcgm:coldpath growth to the largest burst seen, amortised
 	if cap(s.order) < len(reqs) {
 		s.order = make([]int, len(reqs))
 	}
@@ -74,7 +68,6 @@ func (s *Scratch) byDisk(reqs []pdm.BlockReq, d int) (queue, order []int, longes
 // startBlock+n) of the striped region rooted at baseTrack to dst and
 // returns it. It is the allocation-free form of building the request
 // sequence Striped produces one at a time.
-// emcgm:hotpath
 func AppendStripedReqs(dst []pdm.BlockReq, d, baseTrack, startBlock, n int) []pdm.BlockReq {
 	for i := 0; i < n; i++ {
 		dst = append(dst, Striped(startBlock+i, d, baseTrack))
@@ -85,7 +78,6 @@ func AppendStripedReqs(dst []pdm.BlockReq, d, baseTrack, startBlock, n int) []pd
 // SplitBlocksInto appends b-word block views of ws (whose length must be
 // a multiple of b) to dst and returns it; the views share ws's storage.
 // It is the allocation-free form of SplitBlocks.
-// emcgm:hotpath
 func SplitBlocksInto(dst [][]pdm.Word, ws []pdm.Word, b int) [][]pdm.Word {
 	if len(ws)%b != 0 {
 		panic(badSplit(len(ws), b))
@@ -100,7 +92,6 @@ func SplitBlocksInto(dst [][]pdm.Word, ws []pdm.Word, b int) [][]pdm.Word {
 // slots: ws holds len(live) slot images of slotBlocks blocks each, back to
 // back, and only the first live[i] blocks of slot i are appended — the
 // buffers that pair with the layouts' …PrefixReqs request sequences.
-// emcgm:hotpath
 func SplitPrefixesInto(dst [][]pdm.Word, ws []pdm.Word, b, slotBlocks int, live []int) [][]pdm.Word {
 	for i, n := range live {
 		off := i * slotBlocks * b
@@ -111,7 +102,6 @@ func SplitPrefixesInto(dst [][]pdm.Word, ws []pdm.Word, b, slotBlocks int, live 
 
 // WriteStripedScratch is WriteStriped with caller-owned scratch: the
 // per-cycle request slices come from s instead of fresh allocations.
-// emcgm:hotpath
 func WriteStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, bufs [][]pdm.Word, s *Scratch) error {
 	d := arr.D()
 	for off := 0; off < len(bufs); off += d {
@@ -133,7 +123,6 @@ func WriteStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, bufs [][
 // ReadStripedScratch is ReadStriped with a caller-owned destination and
 // scratch: it reads len(dst)/B blocks starting at global index startBlock
 // into dst (whose length must be a multiple of the array's block size).
-// emcgm:hotpath
 func ReadStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, dst []pdm.Word, s *Scratch) error {
 	d, b := arr.D(), arr.B()
 	if len(dst)%b != 0 {

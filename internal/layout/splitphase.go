@@ -20,7 +20,6 @@ import (
 // BeginWriteStripedScratch is WriteStripedScratch in split-phase form:
 // the ⌈len(bufs)/D⌉ striped write cycles are begun back to back and their
 // handles added to pend. bufs must stay untouched until pend is waited.
-// emcgm:hotpath
 func BeginWriteStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, bufs [][]pdm.Word, s *Scratch, pend *pdm.PendingSet) error {
 	d := arr.D()
 	for off := 0; off < len(bufs); off += d {
@@ -45,7 +44,6 @@ func BeginWriteStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, buf
 // begins the reads of len(dst)/B blocks starting at global index
 // startBlock into dst and adds the handles to pend. dst holds undefined
 // contents until pend is waited.
-// emcgm:hotpath
 func BeginReadStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, dst []pdm.Word, s *Scratch, pend *pdm.PendingSet) error {
 	d, b := arr.D(), arr.B()
 	if len(dst)%b != 0 {
@@ -74,14 +72,12 @@ func BeginReadStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, dst 
 // BeginWriteFIFOScratch is WriteFIFO in split-phase form with caller-owned
 // scratch: the burst is packed into the same per-disk rounds and each
 // round begun as one parallel I/O. Returns the number of operations begun.
-// emcgm:hotpath
 func BeginWriteFIFOScratch(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, s *Scratch, pend *pdm.PendingSet) (int, error) {
 	return packed(arr, reqs, bufs, false, s, pend)
 }
 
 // BeginReadFIFOScratch is the read-side analogue of
 // BeginWriteFIFOScratch.
-// emcgm:hotpath
 func BeginReadFIFOScratch(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, s *Scratch, pend *pdm.PendingSet) (int, error) {
 	return packed(arr, reqs, bufs, true, s, pend)
 }

@@ -62,8 +62,6 @@ type workerBatch struct {
 // the split-phase pipelined drivers; synchronous callers wait out each
 // operation, so their batches stay at one track and behave exactly as
 // before.
-//
-// emcgm:hotpath
 func diskWorker(d Disk, ch <-chan diskOp, ob *diskObs, bat *workerBatch) {
 	bd, _ := d.(BatchDisk)
 	if bat == nil || bd == nil {
@@ -109,8 +107,6 @@ func diskWorker(d Disk, ch <-chan diskOp, ob *diskObs, bat *workerBatch) {
 }
 
 // serveOp services one single-track transfer and signals its Pending.
-//
-// emcgm:hotpath
 func serveOp(d Disk, op diskOp, ob *diskObs) {
 	var err error
 	if ob.rec == nil {
@@ -141,8 +137,6 @@ func serveOp(d Disk, op diskOp, ob *diskObs) {
 // batchHasTrack reports whether the collected ops already address track t.
 // Batches are bounded by MaxBatchTracks, so a linear scan beats any
 // set structure that would have to be cleared per batch.
-//
-// emcgm:hotpath
 func batchHasTrack(ops []diskOp, t int) bool {
 	for i := range ops {
 		if ops[i].track == t {
@@ -159,8 +153,6 @@ func batchHasTrack(ops []diskOp, t int) bool {
 // Pendings signalled individually. If the batched call fails, the batch
 // is re-issued track by track so each Pending sees its own transfer's
 // error, exactly as without coalescing.
-//
-// emcgm:hotpath
 func serveBatch(bd BatchDisk, ops []diskOp, ob *diskObs, bat *workerBatch) {
 	if ob.rec != nil {
 		ob.batch.Observe(int64(len(ops)))
@@ -213,9 +205,9 @@ func serveBatch(bd BatchDisk, ops []diskOp, ob *diskObs, bat *workerBatch) {
 		ob.inflight.Add(-int64(len(ops)))
 	}
 	if err != nil {
-		// emcgm:coldpath a batch may fail part-way (or for a reason only
-		// one track triggers); re-issue per track so every Pending gets
-		// its own transfer's exact error, as if never coalesced
+		// A batch may fail part-way (or for a reason only one track
+		// triggers); re-issue per track so every Pending gets its own
+		// transfer's exact error, as if never coalesced.
 		for i := range ops {
 			op := ops[i]
 			var e error
@@ -399,13 +391,9 @@ func NewMemArrayOpts(d, b int, opts ArrayOptions) *DiskArray {
 }
 
 // D returns the number of disks.
-//
-// emcgm:hotpath
 func (a *DiskArray) D() int { return len(a.disks) }
 
 // B returns the block size in words.
-//
-// emcgm:hotpath
 func (a *DiskArray) B() int { return a.b }
 
 // Disk returns the i-th underlying disk (used by tests and layouts).
@@ -477,8 +465,6 @@ func (a *DiskArray) ResetStats() {
 
 // checkReqs validates the one-track-per-disk PDM rule. Called with opMu
 // held; the seen bitset is cleared and reused across operations.
-//
-// emcgm:hotpath
 func (a *DiskArray) checkReqs(reqs []BlockReq) error {
 	if len(reqs) > len(a.disks) {
 		return fmt.Errorf("pdm: %d blocks in one parallel I/O, array has D=%d: %w",
@@ -504,16 +490,12 @@ func (a *DiskArray) checkReqs(reqs []BlockReq) error {
 // ReadBlocks performs one parallel I/O reading reqs[i] into bufs[i]
 // (each of length B). Transfers run concurrently on the per-disk workers.
 // An empty request list performs no I/O and costs nothing.
-//
-// emcgm:hotpath
 func (a *DiskArray) ReadBlocks(reqs []BlockReq, bufs [][]Word) error {
 	return a.doBlocks(reqs, bufs, true)
 }
 
 // WriteBlocks performs one parallel I/O writing bufs[i] (length B) to
 // reqs[i]. Transfers run concurrently on the per-disk workers.
-//
-// emcgm:hotpath
 func (a *DiskArray) WriteBlocks(reqs []BlockReq, bufs [][]Word) error {
 	return a.doBlocks(reqs, bufs, false)
 }
@@ -532,9 +514,7 @@ const diskQueueDepth = 128
 // followed by its wait. Routing both paths through begin keeps the
 // accounting and validation literally the same code, so the synchronous
 // and pipelined schedules cannot drift apart. Zero heap allocations in
-// steady state (hotpathalloc-enforced, BenchmarkDiskArrayOp-measured).
-//
-// emcgm:hotpath
+// steady state (TestDiskArrayOpZeroAlloc, BenchmarkDiskArrayOp).
 func (a *DiskArray) doBlocks(reqs []BlockReq, bufs [][]Word, read bool) error {
 	p, err := a.begin(reqs, bufs, read)
 	if err != nil {
@@ -544,8 +524,6 @@ func (a *DiskArray) doBlocks(reqs []BlockReq, bufs [][]Word, read bool) error {
 }
 
 // account updates the atomic PDM counters for one completed operation.
-//
-// emcgm:hotpath
 func (a *DiskArray) account(blocks int, read bool) {
 	a.stats.parallelOps.Add(1)
 	a.stats.blocksMoved.Add(int64(blocks))

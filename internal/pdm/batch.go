@@ -66,8 +66,6 @@ func SyscallsOf(a *DiskArray) int64 {
 // validateBatch checks the BatchDisk call contract: matching lengths,
 // per-buffer block size b, strictly ascending tracks, batch non-negative
 // track numbers, and the MaxBatchTracks bound.
-//
-// emcgm:hotpath
 func validateBatch(b int, tracks []int, bufs [][]Word) error {
 	if len(tracks) != len(bufs) {
 		return fmt.Errorf("pdm: batch of %d tracks with %d buffers", len(tracks), len(bufs))
@@ -90,15 +88,12 @@ func validateBatch(b int, tracks []int, bufs [][]Word) error {
 // scatterWords decodes the little-endian bytes of src into dst. On
 // zero-copy targets this is a single memmove; elsewhere an explicit
 // conversion.
-//
-// emcgm:hotpath
 func scatterWords(dst []Word, src []byte) {
 	if zeroCopyWords {
 		copy(wordsAsBytes(dst), src)
 		return
 	}
-	// emcgm:coldpath big-endian conversion fallback; dead code on the
-	// little-endian targets the allocation contract is benchmarked on
+	// Big-endian targets convert word by word.
 	for i := range dst {
 		dst[i] = binary.LittleEndian.Uint64(src[8*i:])
 	}
@@ -106,15 +101,11 @@ func scatterWords(dst []Word, src []byte) {
 
 // gatherWords encodes src into dst as little-endian bytes — the inverse
 // of scatterWords.
-//
-// emcgm:hotpath
 func gatherWords(dst []byte, src []Word) {
 	if zeroCopyWords {
 		copy(dst, wordsAsBytes(src))
 		return
 	}
-	// emcgm:coldpath big-endian conversion fallback; dead code on the
-	// little-endian targets the allocation contract is benchmarked on
 	for i, w := range src {
 		binary.LittleEndian.PutUint64(dst[8*i:], w)
 	}

@@ -5,11 +5,9 @@ import (
 	"fmt"
 )
 
-// Checked mode is the runtime sanitizer companion to the static lint
-// suite: where hotpathalloc and friends enforce what the code *is*,
-// checked mode validates what each parallel I/O operation *does* against
-// the layout discipline of Algorithm 2 — analogous to MSan for the
-// parallel disk model. It is a debugging tool: validation allocates and
+// Checked mode is a runtime sanitizer: it validates what each parallel
+// I/O operation *does* against the layout discipline of Algorithm 2 —
+// analogous to MSan for the parallel disk model. It is a debugging tool: validation allocates and
 // is deliberately kept off the production hot path (the disabled state
 // costs one nil check per operation, mirroring the observability
 // contract).
@@ -217,7 +215,6 @@ func (pp *pendingPoison) verifyAndRestore() error {
 		if first == nil {
 			for j, w := range b {
 				if w != poisonWord {
-					// emcgm:coldpath sanitizer violation path
 					first = fmt.Errorf("%w: buffer %d word %d overwritten in flight (got %#x)",
 						ErrCheckUseAfterBegin, i, j, w)
 					break

@@ -59,8 +59,6 @@ func (d *MemDisk) Tracks() int {
 }
 
 // readLocked copies track t into dst; caller holds mu (either mode).
-//
-// emcgm:hotpath
 func (d *MemDisk) readLocked(t int, dst []Word) error {
 	if d.closed {
 		return ErrClosed
@@ -73,8 +71,6 @@ func (d *MemDisk) readLocked(t int, dst []Word) error {
 }
 
 // writeLocked stores src as track t; caller holds mu exclusively.
-//
-// emcgm:hotpath
 func (d *MemDisk) writeLocked(t int, src []Word) error {
 	if d.closed {
 		return ErrClosed
@@ -83,8 +79,6 @@ func (d *MemDisk) writeLocked(t int, src []Word) error {
 		d.tracks = append(d.tracks, nil)
 	}
 	if d.tracks[t] == nil {
-		// emcgm:coldpath first write of a track slices it from the arena;
-		// the refill make is amortised over memDiskArenaTracks tracks
 		if len(d.arena) < d.b {
 			d.arena = make([]Word, memDiskArenaTracks*d.b)
 		}
@@ -96,8 +90,6 @@ func (d *MemDisk) writeLocked(t int, src []Word) error {
 }
 
 // ReadTrack copies track t into dst.
-//
-// emcgm:hotpath
 func (d *MemDisk) ReadTrack(t int, dst []Word) error {
 	if len(dst) != d.b {
 		return ErrBadBlockSize
@@ -108,8 +100,6 @@ func (d *MemDisk) ReadTrack(t int, dst []Word) error {
 }
 
 // WriteTrack stores src as track t.
-//
-// emcgm:hotpath
 func (d *MemDisk) WriteTrack(t int, src []Word) error {
 	if len(src) != d.b {
 		return ErrBadBlockSize
@@ -124,8 +114,6 @@ func (d *MemDisk) WriteTrack(t int, src []Word) error {
 
 // ReadTracks implements BatchDisk: the whole batch copies under one lock
 // acquisition instead of one per track.
-//
-// emcgm:hotpath
 func (d *MemDisk) ReadTracks(tracks []int, bufs [][]Word) error {
 	if err := validateBatch(d.b, tracks, bufs); err != nil {
 		return err
@@ -142,8 +130,6 @@ func (d *MemDisk) ReadTracks(tracks []int, bufs [][]Word) error {
 
 // WriteTracks implements BatchDisk: the whole batch stores under one lock
 // acquisition.
-//
-// emcgm:hotpath
 func (d *MemDisk) WriteTracks(tracks []int, bufs [][]Word) error {
 	if err := validateBatch(d.b, tracks, bufs); err != nil {
 		return err

@@ -98,8 +98,8 @@ func NewFileDiskOpts(path string, b int, opts FileDiskOptions) (*FileDisk, error
 	direct := false
 	if opts.DirectIO && haveDirectIO && trackBytes%directIOAlign == 0 {
 		if f, err = os.OpenFile(path, openFlags|directIOFlag, 0o644); err == nil {
-			// emcgm:coldpath some filesystems accept the flag but fail at
-			// transfer time; probe with one aligned track and trim it away
+			// Some filesystems accept the flag but fail at transfer time;
+			// probe with one aligned track and trim it away.
 			if probeDirect(f, trackBytes) {
 				direct = true
 			} else {
@@ -241,8 +241,8 @@ func (d *FileDisk) reserve(t int) error {
 	if t < d.alloc {
 		return nil
 	}
-	// emcgm:coldpath growth at least doubles, so the Truncate (held under
-	// mu to stay monotonic) is amortised over fileDiskAllocChunk tracks
+	// Growth at least doubles, so the Truncate (held under mu to stay
+	// monotonic) is amortised over fileDiskAllocChunk tracks.
 	grow := d.alloc * 2
 	if t >= grow {
 		grow = t + 1

@@ -21,11 +21,8 @@
 // fixed number of words per item (package wordcodec) so that PDM block
 // arithmetic — B items per track — stays exact.
 //
-// The package is part of the determinism contract checked by the
-// detorder analyzer (see DESIGN.md §11): identical inputs must yield
-// bit-identical I/O schedules and op counts.
-//
-// emcgm:deterministic
+// The package is part of the determinism contract (DESIGN.md §11):
+// identical inputs must yield bit-identical I/O schedules and op counts.
 package pdm
 
 import (

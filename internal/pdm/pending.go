@@ -34,16 +34,12 @@ var donePending Pending
 // returns the first error in request order (nil on success) and recycles
 // the handle. After Wait returns, the buffers passed at begin time are
 // the caller's again. Wait on a nil or already-waited handle returns nil.
-//
-// emcgm:hotpath
 func (p *Pending) Wait() error {
 	if p == nil || p.a == nil {
 		return nil
 	}
 	p.wg.Wait()
 	var first error
-	// emcgm:coldpath checked-mode loan audit: verify the poison sentinel
-	// survived the flight, then hand the original contents back
 	if p.poison != nil {
 		first = p.poison.verifyAndRestore()
 		p.poison = nil
@@ -73,8 +69,6 @@ func (p *Pending) Wait() error {
 // per-disk FIFO order of transfers equals the begin order of operations —
 // the property the pipelined superstep drivers rely on for write→read
 // dependencies on the same track. bufs must stay untouched until Wait.
-//
-// emcgm:hotpath
 func (a *DiskArray) BeginReadBlocks(reqs []BlockReq, bufs [][]Word) (*Pending, error) {
 	return a.begin(reqs, bufs, true)
 }
@@ -82,8 +76,6 @@ func (a *DiskArray) BeginReadBlocks(reqs []BlockReq, bufs [][]Word) (*Pending, e
 // BeginWriteBlocks starts one parallel I/O writing bufs[i] (length B) to
 // reqs[i] and returns without waiting; see BeginReadBlocks for the
 // ordering and buffer-ownership contract.
-//
-// emcgm:hotpath
 func (a *DiskArray) BeginWriteBlocks(reqs []BlockReq, bufs [][]Word) (*Pending, error) {
 	return a.begin(reqs, bufs, false)
 }
@@ -98,8 +90,6 @@ func (a *DiskArray) BeginWriteBlocks(reqs []BlockReq, bufs [][]Word) (*Pending, 
 //
 // Like doBlocks before it, begin performs zero heap allocations in steady
 // state: the Pending handles cycle through a freelist under opMu.
-//
-// emcgm:hotpath
 func (a *DiskArray) begin(reqs []BlockReq, bufs [][]Word, read bool) (*Pending, error) {
 	if len(reqs) != len(bufs) {
 		return nil, fmt.Errorf("pdm: %d requests but %d buffers", len(reqs), len(bufs))
@@ -112,8 +102,8 @@ func (a *DiskArray) begin(reqs []BlockReq, bufs [][]Word, read bool) (*Pending, 
 	if a.closed {
 		return nil, ErrClosed
 	}
-	// emcgm:coldpath checked mode is a debugging sanitizer; validation
-	// runs before checkReqs so each violation keeps its own sentinel
+	// Checked mode validates before checkReqs, so each violation keeps
+	// its own sentinel.
 	if a.check != nil {
 		if err := a.check.validate(reqs, read); err != nil {
 			return nil, err
@@ -133,7 +123,6 @@ func (a *DiskArray) begin(reqs []BlockReq, bufs [][]Word, read bool) (*Pending, 
 	}
 	p := a.free
 	if p == nil {
-		// emcgm:coldpath freelist warm-up; steady state recycles handles
 		p = &Pending{errs: make([]error, len(a.disks))}
 	} else {
 		a.free = p.next
@@ -141,10 +130,10 @@ func (a *DiskArray) begin(reqs []BlockReq, bufs [][]Word, read bool) (*Pending, 
 	}
 	p.a = a
 	p.n = len(reqs)
-	// emcgm:coldpath checked-mode buffer loan: writes dispatch a private
-	// snapshot while the caller's buffers carry the poison sentinel until
-	// Wait; read destinations are poisoned so a premature read sees
-	// deterministic garbage rather than stale superstep data
+	// Checked mode: writes dispatch a private snapshot while the caller's
+	// buffers carry the poison sentinel until Wait; read destinations are
+	// poisoned so a premature read sees deterministic garbage rather than
+	// stale superstep data.
 	if a.check != nil {
 		if read {
 			a.check.poisonRead(bufs)
@@ -165,10 +154,9 @@ func (a *DiskArray) begin(reqs []BlockReq, bufs [][]Word, read bool) (*Pending, 
 		a.work[r.Disk] <- diskOp{track: r.Track, buf: buf, read: read, err: &p.errs[i], wg: &p.wg}
 	}
 	a.account(len(reqs), read)
-	// emcgm:coldpath checked-mode bookkeeping of initialised blocks;
-	// committing at begin keeps the discipline exact under pipelining
-	// (a read begun after a write to the same track sees it initialised,
-	// and the per-disk FIFO guarantees the data is there before the read)
+	// Checked mode commits the initialised blocks at begin, which keeps it
+	// exact under pipelining: a read begun after a write to the same track
+	// sees it initialised, and the per-disk FIFO puts the data there first.
 	if a.check != nil {
 		a.check.commit(reqs, read)
 	}
@@ -186,15 +174,11 @@ type PendingSet struct {
 }
 
 // Add appends one pending operation to the set.
-//
-// emcgm:hotpath
 func (s *PendingSet) Add(p *Pending) {
 	s.ps = append(s.ps, p)
 }
 
 // Len returns the number of pending operations in the set.
-//
-// emcgm:hotpath
 func (s *PendingSet) Len() int { return len(s.ps) }
 
 // Wait drains every pending operation in the set, in begin order, and
@@ -202,8 +186,6 @@ func (s *PendingSet) Len() int { return len(s.ps) }
 // after an error, so no handle leaks and no worker result is abandoned).
 // The set is empty afterwards and ready for reuse; waiting an empty set
 // returns nil, so error paths can drain unconditionally.
-//
-// emcgm:hotpath
 func (s *PendingSet) Wait() error {
 	var first error
 	for i, p := range s.ps {

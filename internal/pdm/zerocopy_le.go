@@ -35,8 +35,6 @@ const zeroCopyWords = true
 //     byte i of the view equals byte i of binary.LittleEndian.PutUint64 —
 //     the on-disk format — so files written here are readable by the
 //     conversion fallback and vice versa.
-//
-// emcgm:hotpath
 func wordsAsBytes(ws []Word) []byte {
 	if len(ws) == 0 {
 		return nil

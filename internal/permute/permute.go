@@ -5,11 +5,8 @@
 // the PDM bound Θ(min(N/D, sort(N))) in the coarse-grained range
 // (Figure 5, Group A, row 2).
 //
-// The package is part of the determinism contract checked by the
-// detorder analyzer (see DESIGN.md §11): identical inputs must yield
-// bit-identical I/O schedules and op counts.
-//
-// emcgm:deterministic
+// The package is part of the determinism contract (DESIGN.md §11):
+// identical inputs must yield bit-identical I/O schedules and op counts.
 package permute
 
 import (

@@ -1,13 +1,12 @@
-// Package prefix implements CGM prefix sums (parallel scan) — a one-round
-// substrate used by several of the geometry and graph algorithms: each
-// processor folds its partition locally, exchanges the v partial totals in
-// a single h-relation (h = v ≤ N/v), and offsets its local scan.
+// Package prefix implements CGM prefix sums (parallel scan), broadcast
+// and reduction. Scan needs one h-relation: each processor folds its
+// partition locally, exchanges the v partial totals (h = v ≤ N/v), and
+// offsets its local scan. No algorithm of the tree builds on the package;
+// the root package's integration test and the experiments' conformance
+// test run it.
 //
-// The package is part of the determinism contract checked by the
-// detorder analyzer (see DESIGN.md §11): identical inputs must yield
-// bit-identical I/O schedules and op counts.
-//
-// emcgm:deterministic
+// The package is part of the determinism contract (DESIGN.md §11):
+// identical inputs must yield bit-identical I/O schedules and op counts.
 package prefix
 
 import (

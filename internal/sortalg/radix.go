@@ -50,7 +50,6 @@ func sortedCopy[T cmp.Ordered](src []T) []T {
 
 // radixCopy sorts src into dst (of the same length): the top-byte digit
 // scattered out of src, every lower one in place by radixLevel.
-// emcgm:hotpath
 func radixCopy[K integer](dst, src []K) {
 	flip := signFlip[K]()
 	var head [256]int
@@ -93,7 +92,6 @@ const insertionMax = 64
 // is O(n) and there are at most eight, so no input is quadratic; equal
 // keys are not kept in order. Nothing is allocated: the bucket tables of
 // a level live in its stack frame.
-// emcgm:hotpath
 func radixSort[K integer](xs []K, w int) {
 	radixLevel(xs, w, 56, signFlip[K]())
 }
@@ -110,7 +108,6 @@ func signFlip[K integer]() uint64 {
 
 // radixLevel sorts xs (records of w items) on the digit at shift and
 // every lower one.
-// emcgm:hotpath
 func radixLevel[K integer](xs []K, w int, shift uint, flip uint64) {
 	n := len(xs) / w
 	if n <= insertionMax {
@@ -180,7 +177,6 @@ func radixLevel[K integer](xs []K, w int, shift uint, flip uint64) {
 }
 
 // insertionSort sorts the records of w items in xs by their first item.
-// emcgm:hotpath
 func insertionSort[K integer](xs []K, w int) {
 	if w == 1 {
 		for i := 1; i < len(xs); i++ {

@@ -5,11 +5,8 @@
 // communication round; the simulation yields O(N/(pDB)) I/Os versus the
 // PDM's Θ((N/DB)·log_{M/B} min(M,k,ℓ,N/B)).
 //
-// The package is part of the determinism contract checked by the
-// detorder analyzer (see DESIGN.md §11): identical inputs must yield
-// bit-identical I/O schedules and op counts.
-//
-// emcgm:deterministic
+// The package is part of the determinism contract (DESIGN.md §11):
+// identical inputs must yield bit-identical I/O schedules and op counts.
 package transpose
 
 import (

@@ -27,7 +27,6 @@ type BulkCodec[T any] interface {
 
 // EncodeInto encodes items into dst (exactly len(items)·Words() words),
 // using the codec's bulk fast path when it has one. It never allocates.
-// emcgm:hotpath
 func EncodeInto[T any](c Codec[T], dst []pdm.Word, items []T) {
 	if bc, ok := c.(BulkCodec[T]); ok {
 		bc.EncodeSliceInto(dst, items)
@@ -43,7 +42,6 @@ func EncodeInto[T any](c Codec[T], dst []pdm.Word, items []T) {
 // bulk fast path when it has one. It allocates only what the codec's own
 // Decode allocates (nothing, for the shipped fixed-width codecs except
 // Words, whose items are themselves slices).
-// emcgm:hotpath
 func DecodeInto[T any](c Codec[T], dst []T, src []pdm.Word) {
 	if bc, ok := c.(BulkCodec[T]); ok {
 		bc.DecodeSliceInto(dst, src)
@@ -57,15 +55,12 @@ func DecodeInto[T any](c Codec[T], dst []T, src []pdm.Word) {
 
 // EncodeSliceInto encodes items as one word-level copy: pdm.Word is an
 // alias of uint64, so the item slice is the encoding.
-// emcgm:hotpath
 func (U64) EncodeSliceInto(dst []pdm.Word, items []uint64) { copy(dst, items) }
 
 // DecodeSliceInto decodes by copying words straight into the item slice.
-// emcgm:hotpath
 func (U64) DecodeSliceInto(dst []uint64, src []pdm.Word) { copy(dst, src) }
 
 // EncodeSliceInto bit-casts each item in a single non-dispatching loop.
-// emcgm:hotpath
 func (I64) EncodeSliceInto(dst []pdm.Word, items []int64) {
 	for i, v := range items {
 		dst[i] = pdm.Word(v)
@@ -73,7 +68,6 @@ func (I64) EncodeSliceInto(dst []pdm.Word, items []int64) {
 }
 
 // DecodeSliceInto bit-casts each word back.
-// emcgm:hotpath
 func (I64) DecodeSliceInto(dst []int64, src []pdm.Word) {
 	for i := range dst {
 		dst[i] = int64(src[i])
@@ -81,7 +75,6 @@ func (I64) DecodeSliceInto(dst []int64, src []pdm.Word) {
 }
 
 // EncodeSliceInto bit-casts each item in a single non-dispatching loop.
-// emcgm:hotpath
 func (F64) EncodeSliceInto(dst []pdm.Word, items []float64) {
 	for i, v := range items {
 		dst[i] = math.Float64bits(v)
@@ -89,7 +82,6 @@ func (F64) EncodeSliceInto(dst []pdm.Word, items []float64) {
 }
 
 // DecodeSliceInto bit-casts each word back.
-// emcgm:hotpath
 func (F64) DecodeSliceInto(dst []float64, src []pdm.Word) {
 	for i := range dst {
 		dst[i] = math.Float64frombits(src[i])
@@ -99,7 +91,6 @@ func (F64) DecodeSliceInto(dst []float64, src []pdm.Word) {
 // EncodeSliceInto encodes the pairs with the field widths hoisted out of
 // the loop, one bounds-checked window per field instead of a dispatched
 // Encode per item.
-// emcgm:hotpath
 func (c PairCodec[A, B]) EncodeSliceInto(dst []pdm.Word, items []Pair[A, B]) {
 	wa, w := c.CA.Words(), c.Words()
 	for i := range items {
@@ -110,7 +101,6 @@ func (c PairCodec[A, B]) EncodeSliceInto(dst []pdm.Word, items []Pair[A, B]) {
 }
 
 // DecodeSliceInto is the decoding analogue of EncodeSliceInto.
-// emcgm:hotpath
 func (c PairCodec[A, B]) DecodeSliceInto(dst []Pair[A, B], src []pdm.Word) {
 	wa, w := c.CA.Words(), c.Words()
 	for i := range dst {
@@ -120,7 +110,6 @@ func (c PairCodec[A, B]) DecodeSliceInto(dst []Pair[A, B], src []pdm.Word) {
 }
 
 // EncodeSliceInto copies each fixed-width vector into place.
-// emcgm:hotpath
 func (c Words) EncodeSliceInto(dst []pdm.Word, items [][]pdm.Word) {
 	for i, v := range items {
 		copy(dst[i*c.N:(i+1)*c.N], v)

@@ -127,3 +127,48 @@ func TestBulkFallback(t *testing.T) {
 		}
 	}
 }
+
+// allocsOf reports what one EncodeInto and one DecodeInto of n items
+// through c allocate.
+func allocsOf[T any](c Codec[T], n int) (enc, dec float64) {
+	items := make([]T, n)
+	img := make([]pdm.Word, n*c.Words())
+	enc = testing.AllocsPerRun(100, func() { EncodeInto(c, img, items) })
+	dec = testing.AllocsPerRun(100, func() { DecodeInto(c, items, img) })
+	return enc, dec
+}
+
+// TestCodecsAllocateNothing: the engine encodes and decodes every context
+// and message through EncodeInto/DecodeInto, so a codec that allocates
+// allocates per item of every transfer. Every shipped codec encodes
+// without allocating, bulk path and per-item fallback alike, and decodes
+// without allocating except Words, whose items are slices: one each.
+func TestCodecsAllocateNothing(t *testing.T) {
+	const n = 64
+	for _, tc := range []struct {
+		name      string
+		allocs    func() (enc, dec float64)
+		decAllocs float64
+	}{
+		{"U64", func() (float64, float64) { return allocsOf[uint64](U64{}, n) }, 0},
+		{"I64", func() (float64, float64) { return allocsOf[int64](I64{}, n) }, 0},
+		{"F64", func() (float64, float64) { return allocsOf[float64](F64{}, n) }, 0},
+		{"PairCodec[U64,I64]", func() (float64, float64) {
+			return allocsOf[Pair[uint64, int64]](PairCodec[uint64, int64]{CA: U64{}, CB: I64{}}, n)
+		}, 0},
+		{"PairCodec nested", func() (float64, float64) {
+			return allocsOf[Pair[float64, Pair[uint64, int64]]](PairCodec[float64, Pair[uint64, int64]]{
+				CA: F64{}, CB: PairCodec[uint64, int64]{CA: U64{}, CB: I64{}}}, n)
+		}, 0},
+		{"fallback", func() (float64, float64) { return allocsOf[uint64](nonBulk{inner: U64{}}, n) }, 0},
+		{"Words{3}", func() (float64, float64) { return allocsOf[[]pdm.Word](Words{N: 3}, n) }, n},
+	} {
+		enc, dec := tc.allocs()
+		if enc != 0 {
+			t.Errorf("%s: EncodeInto of %d items made %v allocations, want 0", tc.name, n, enc)
+		}
+		if dec != tc.decAllocs {
+			t.Errorf("%s: DecodeInto of %d items made %v allocations, want %v", tc.name, n, dec, tc.decAllocs)
+		}
+	}
+}

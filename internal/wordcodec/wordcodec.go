@@ -64,45 +64,36 @@ func DecodeSlice[T any](c Codec[T], dst []T, src []pdm.Word, n int) []T {
 type U64 struct{}
 
 // Words returns 1.
-// emcgm:hotpath
 func (U64) Words() int { return 1 }
 
 // Encode stores v.
-// emcgm:hotpath
 func (U64) Encode(dst []pdm.Word, v uint64) { dst[0] = v }
 
 // Decode loads v.
-// emcgm:hotpath
 func (U64) Decode(src []pdm.Word) uint64 { return src[0] }
 
 // I64 encodes int64 items, one word each (two's-complement bit cast).
 type I64 struct{}
 
 // Words returns 1.
-// emcgm:hotpath
 func (I64) Words() int { return 1 }
 
 // Encode stores v.
-// emcgm:hotpath
 func (I64) Encode(dst []pdm.Word, v int64) { dst[0] = pdm.Word(v) }
 
 // Decode loads v.
-// emcgm:hotpath
 func (I64) Decode(src []pdm.Word) int64 { return int64(src[0]) }
 
 // F64 encodes float64 items, one word each (IEEE-754 bit cast).
 type F64 struct{}
 
 // Words returns 1.
-// emcgm:hotpath
 func (F64) Words() int { return 1 }
 
 // Encode stores v.
-// emcgm:hotpath
 func (F64) Encode(dst []pdm.Word, v float64) { dst[0] = math.Float64bits(v) }
 
 // Decode loads v.
-// emcgm:hotpath
 func (F64) Decode(src []pdm.Word) float64 { return math.Float64frombits(src[0]) }
 
 // Pair is a generic two-field record; PairCodec encodes it in the two
@@ -119,11 +110,9 @@ type PairCodec[A, B any] struct {
 }
 
 // Words returns the sum of the field widths.
-// emcgm:hotpath
 func (c PairCodec[A, B]) Words() int { return c.CA.Words() + c.CB.Words() }
 
 // Encode stores both fields.
-// emcgm:hotpath
 func (c PairCodec[A, B]) Encode(dst []pdm.Word, v Pair[A, B]) {
 	wa := c.CA.Words()
 	c.CA.Encode(dst[:wa], v.A)
@@ -131,7 +120,6 @@ func (c PairCodec[A, B]) Encode(dst []pdm.Word, v Pair[A, B]) {
 }
 
 // Decode loads both fields.
-// emcgm:hotpath
 func (c PairCodec[A, B]) Decode(src []pdm.Word) Pair[A, B] {
 	wa := c.CA.Words()
 	return Pair[A, B]{A: c.CA.Decode(src[:wa]), B: c.CB.Decode(src[wa:])}
@@ -143,11 +131,9 @@ func (c PairCodec[A, B]) Decode(src []pdm.Word) Pair[A, B] {
 type Words struct{ N int }
 
 // Words returns the configured width.
-// emcgm:hotpath
 func (c Words) Words() int { return c.N }
 
 // Encode copies the vector.
-// emcgm:hotpath
 func (c Words) Encode(dst []pdm.Word, v []pdm.Word) { copy(dst, v) }
 
 // Decode copies the vector out.

@@ -47,7 +47,7 @@ check() {
 	cp "$root/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -92,8 +92,8 @@ mutate $f 'w.same = encodeCtx(e.codec, vp.State, s.ctxImg, w.cmp, pr.ctxLive[l],
 check 'same backing array and length => clean' $f TestWhatIsNotMoved
 
 f=internal/core/core.go
-mutate $f 'same = equalWords(words, img[off*iw:off*iw+len(words)])' 1 1 \
-	'\t\t_ = equalWords(words, img[off*iw:off*iw+len(words)])'
+mutate $f 'same = slices.Equal(words, img[off*iw:off*iw+len(words)])' 1 1 \
+	'\t\t_ = slices.Equal(words, img[off*iw:off*iw+len(words)])'
 check 'lengths equal => clean without comparing words' $f TestWhatIsNotMoved
 
 # One packing rule (DESIGN.md §18): a burst costs as many operations as its
@@ -131,4 +131,35 @@ mutate $f 'n := *next' 1 1 \
 	'\t\tn := *next\n\t\tif err := e.slide(pr, round, n+K/2); err != nil {\n\t\t\treturn err\n\t\t}'
 check 'begin the prefetch at dispatch, not after the previous commit' $f TestComputeWorkersInvariant
 
-echo "contract-selftest: all twelve mutations caught"
+# The engine allocates per round, never per transfer: a round's hundreds
+# of block transfers reuse the processors' scratch. A layout scratch that
+# regrows on every burst puts an allocation under every one of them.
+f=internal/layout/scratch.go
+mutate $f 'if cap(s.reqs) < n {' 1 1 '\tif true {'
+check 'allocate per transfer' $f TestDecodeAllocIndependentOfRounds
+
+# The schedule is a function of the program, its input and the Config
+# (DESIGN.md §11): nothing the runtime randomises may decide it. Each disk
+# serves a burst's requests in burst order; taken from a map's iteration
+# instead, the order differs from one run to the next.
+mutate $f 'for i := len(reqs) - 1; i >= 0; i-- {' 1 1 \
+	'\tburst := make(map[int]bool, len(reqs))\n\tfor i := range reqs {\n\t\tburst[i] = true\n\t}\n\tfor i := range burst {'
+check 'serve a burst in map order' $f TestPipelineDepthResolved
+
+# The deterministic packages reach the outside world only through pdm: a
+# limit read from the environment is a decision no Config records.
+f=internal/sortalg/psrs.go
+mutate $f '"cmp"' 1 1 '\t"cmp"\n\t"os"'
+mutate $f 'if cfg.MaxMsgItems == 0 {' 1 1 '\tif cfg.MaxMsgItems == 0 && os.Getenv("EMSORT_MSG_ITEMS") == "" {'
+check 'read the environment in sortalg' $f TestDeterministicImports
+
+# No I/O error is dropped: the round epilogue's wait on the write-behind
+# is the only report of a write that failed, since nothing reads the
+# block before the next round does. The sweep's one-shot faults fail that
+# write alone.
+f=internal/core/engine.go
+mutate $f 'if err := e.wait(pr, &pr.pend[s].writes); err != nil {' 1 1 \
+	'\t\t_ = e.wait(pr, &pr.pend[s].writes)\n\t\tif err := error(nil); err != nil {'
+check 'drop a write-behind error' $f TestRunFaultDrains
+
+echo "contract-selftest: all sixteen mutations caught"
