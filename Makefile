@@ -51,8 +51,10 @@ bench-smoke:
 # header, the sort in three supersteps and bursts packed by disk; 504
 # with four rounds, once contexts moved only when their reader needed
 # them moved; 736 with the live-prefix transfer alone; 2664 when every
-# context run and message slot moved whole) and allocate under 64 MB per
-# iteration (41.5; the figure repeats to 0.001 MB), and one short traced
+# context run and message slot moved whole) and allocate under 40 MB per
+# iteration (37.2 since the ring slots hold only their live prefix, 40.7
+# while each was sized for the worst case; the figure repeats to 0.001
+# MB), and one short traced
 # run must keep the disk footprint core.max_tracks at or under the
 # full-image layout's 396 tracks (395 today). The header's word did not
 # move it: c_b = 41 and b′ = 6 blocks either way. It is 32 above what
@@ -71,7 +73,7 @@ benchmark-smoke:
 	echo "$$out" | grep -q '"correct":true' || { echo "benchmark-smoke: output not verified"; exit 1; }; \
 	echo "$$out" | grep -q '"parallel_ios":{"value":384,' || { echo "benchmark-smoke: parallel_ios is not 384"; exit 1; }; \
 	mb=$$(echo "$$out" | sed -n 's/.*"alloc_mb":{"value":\([0-9.]*\).*/\1/p'); \
-	awk -v mb="$$mb" 'BEGIN { exit !(mb != "" && mb + 0 < 64) }' || { echo "benchmark-smoke: alloc_mb '$$mb' is not below 64"; exit 1; }; \
+	awk -v mb="$$mb" 'BEGIN { exit !(mb != "" && mb + 0 < 40) }' || { echo "benchmark-smoke: alloc_mb '$$mb' is not below 40"; exit 1; }; \
 	out=$$($(GO) run ./benchmark -workload sort_seq_model -seconds 2 -trace 1 | tail -n 1); \
 	echo "$$out" | grep -q '"correct":true' || { echo "benchmark-smoke: traced output not verified"; exit 1; }; \
 	tr=$$(echo "$$out" | sed -n 's/.*"core.max_tracks":{"value":\([0-9.]*\).*/\1/p'); \
@@ -91,11 +93,13 @@ allocs:
 	$(GO) test -run '^$$' -bench 'BenchmarkLocalSort|BenchmarkPSRSRounds' -benchmem ./internal/sortalg/
 	$(GO) test -run '^$$' -bench 'BenchmarkFig5GroupA/(sort-emcgm|permute)$$' -benchmem .
 
+# gofmt over the tracked Go files (not .bench_build/'s module sources),
 # go vet, and golangci-lint when present (pinned config in .golangci.yml:
 # govet, staticcheck, errcheck — errcheck owns the no-dropped-I/O-error
 # contract). golangci-lint is not vendored, so the target degrades
 # gracefully without it; CI runs it.
 lint:
+	@test -z "$$(gofmt -l $$(git ls-files '*.go'))" || { gofmt -l $$(git ls-files '*.go'); echo "lint: gofmt would reformat the files above"; exit 1; }
 	$(GO) vet ./...
 	@if command -v golangci-lint >/dev/null 2>&1; then \
 		golangci-lint run ./...; \
@@ -106,10 +110,10 @@ lint:
 # Seeded-negative self-test of the contracts the tests hold (DESIGN.md
 # §10): scripts/contract_mutations.sh breaks each one in a scratch copy of
 # the tree — touch a loaned buffer, drop a read or a write hand-off, leak
-# the superstep span, drop the barrier's compensating sends, allocate per
-# transfer, serve a burst in map order, read the environment in sortalg,
-# drop a write-behind error — and requires the owning test to fail by
-# name. About two minutes; one mutation wedges a run until its 30 s
+# the superstep span, drop the barrier's compensating sends, decode an
+# inbox at b′ instead of its image's stride, allocate per transfer, serve
+# a burst in map order, read the environment in sortalg, drop a
+# write-behind error — and requires the owning test to fail by name. About two minutes; one mutation wedges a run until its 30 s
 # watchdog.
 contract-selftest:
 	@sh scripts/contract_mutations.sh

@@ -12,7 +12,9 @@
 //     (goroutines), each with its own D-disk array, simulate v/p virtual
 //     processors each; messages between virtual processors on different
 //     real processors travel over the real "network" (channels) and are
-//     laid out on the destination's disks.
+//     laid out on the destination's disks by its route phase, while a
+//     message to a virtual processor on the sender's own real processor
+//     is written by the sender's commit, as Algorithm 2 writes an outbox.
 //
 // Both machines are one engine (engine.go): the same set-up,
 // per-processor round body and accounting, called inline for RunSeq and
@@ -68,9 +70,10 @@ import (
 // superstepScratch is one slot of a real processor's ring: the reusable
 // working storage of one compound superstep — the context image, the flat
 // inbox/outbox image, request/buffer staging, and the layout layer's own
-// scratch. It is allocated before the round loop and reused every round;
-// the typed items the program sees are decoded out of it into the vpMem
-// arena of the worker computing the slot's VP, so a steady-state
+// scratch. It is allocated at set-up with empty images, which grow (grow)
+// to the largest live prefix the slot has held and are reused every
+// round; the typed items the program sees are decoded out of it into the
+// vpMem arena of the worker computing the slot's VP, so a steady-state
 // superstep performs no heap allocation of its own.
 //
 // Ownership rule: a scratch belongs to exactly one real processor — to its
@@ -81,25 +84,34 @@ import (
 // arena), and an image loaned to a begun write is not touched again until
 // the slot's pending set has been waited.
 type superstepScratch struct {
-	ctxImg []pdm.Word     // cb·B words: context encode/decode image
-	flat   []pdm.Word     // flat inbox/outbox slot images
+	ctxImg []pdm.Word     // context encode/decode image, at most cb·B words
+	flat   []pdm.Word     // message slot images at one stride (msgStride), at most v·b′·B words
 	live   []int          // live blocks per slot of flat being written or read
 	reqs   []pdm.BlockReq // request staging for matrix/striped sequences
 	bufs   [][]pdm.Word   // block views over ctxImg or flat
 	lay    layout.Scratch // per-cycle request slices and conflict markers
 }
 
-// newSuperstepScratch sizes the scratch for context runs of cb blocks and
-// flat images of slots message slots of bpm blocks of b words.
-func newSuperstepScratch(cb, slots, bpm, b int) *superstepScratch {
-	m := max(cb, slots*bpm)
-	return &superstepScratch{
-		ctxImg: make([]pdm.Word, cb*b),
-		flat:   make([]pdm.Word, slots*bpm*b),
-		live:   make([]int, slots),
-		reqs:   make([]pdm.BlockReq, 0, m),
-		bufs:   make([][]pdm.Word, 0, m),
+// newSuperstepScratch makes a slot for flat images of up to slots message
+// slots.
+func newSuperstepScratch(slots int) *superstepScratch {
+	// ctxImg starts empty but non-nil: an empty context decodes to an
+	// empty state, and nil means a resident one.
+	return &superstepScratch{ctxImg: []pdm.Word{}, live: make([]int, slots)}
+}
+
+// grow returns img with at least n words: img itself when it holds them,
+// else a new image of an eighth more than n, never more than limit words
+// (the worst case the slot is charged at), that starts with img's words.
+// Those are kept because a context image still holds, at its head, what
+// the slot read, which encodeCtx compares against.
+func grow(img []pdm.Word, n, limit int) []pdm.Word {
+	if n <= len(img) {
+		return img
 	}
+	g := make([]pdm.Word, min(n+n/8, limit))
+	copy(g, img)
+	return g
 }
 
 // Config parameterises an EM-CGM machine.
@@ -114,14 +126,16 @@ type Config struct {
 	B int
 	// M, when positive, is the internal memory limit per real processor in
 	// words; the machine fails fast if a superstep's working set (context
-	// plus one inbox) cannot fit. It is charged one working set (a context
-	// run plus v message slots) per ring slot — PipelineDepth of them — and
-	// one more for each decode arena beyond the first: a real processor
-	// computes c = min(GOMAXPROCS ÷ P, ⌊k/2⌋ + 1) of its virtual processors
-	// at once, each decoded into an arena of its own, and M lowers c until
-	// the k slots and c − 1 extra arenas fit. c = 1 always fits where the
-	// ring does, so that clamp is never an error, and a Config validates
-	// the same on every host.
+	// plus one inbox) cannot fit. It is charged one worst-case working set
+	// (a context run of MaxCtxItems plus v message slots of MaxMsgItems)
+	// per ring slot — PipelineDepth of them — and one more for each decode
+	// arena beyond the first: a real processor computes c = min(GOMAXPROCS
+	// ÷ P, ⌊k/2⌋ + 1, V/P) of its virtual processors at once, each decoded
+	// into an arena of its own, and M lowers c until the k slots and c − 1
+	// extra arenas fit. c = 1 always fits where the ring does, so that
+	// clamp is never an error, and a Config validates the same on every
+	// host. The charge is the worst case; what a slot or an arena holds is
+	// only the live prefix of the largest working set it has met.
 	M int
 	// MaxCtxItems bounds any virtual processor's context (μ, in items).
 	// 0 means: use the program's ContextSizer if implemented, else a
@@ -476,9 +490,9 @@ func liveBlocks(n, w, guard, b, size int) int {
 // and zero-fills the rest of its first nb blocks of b words, the live
 // prefix liveBlocks gives for them. The rest of the image is left as it
 // was: it is neither transferred nor decoded. img is caller-owned scratch
-// sized for the declared maximum, which the caller has checked len(items)
-// against; reusing it across supersteps is what keeps the hot path
-// allocation-free.
+// of at least nb blocks, and the caller has checked len(items) against the
+// declared maximum; reusing it across supersteps is what keeps the hot
+// path allocation-free.
 func encodeLive[T any](codec wordcodec.Codec[T], items []T, img []pdm.Word, nb, b int) {
 	end := len(items) * codec.Words()
 	wordcodec.EncodeInto(codec, img[:end], items)

@@ -27,7 +27,8 @@ import (
 
 // pipeDepth resolves the configured depth for a machine whose rings cannot
 // usefully exceed vCap slots and whose per-slot working set is slotWords
-// words (one context run + one full message image).
+// words (one context run + one full message image: the worst case, which
+// a slot is charged whatever it holds).
 func pipeDepth(cfg Config, vCap, slotWords int) (int, error) {
 	k := cfg.PipelineDepth
 	if k == 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,9 +14,10 @@ import (
 	"repro/internal/wordcodec"
 )
 
-// batch is what one virtual processor sends to one real processor in one
-// superstep: its messages for every virtual processor local to that real
-// processor. A final batch carries no messages (the algorithm finished).
+// batch is what one virtual processor sends to another real processor in
+// one superstep: its messages for every virtual processor local to that
+// real processor. A final batch carries no messages (the algorithm
+// finished).
 type batch[T any] struct {
 	srcVP int
 	msgs  [][]T // indexed by local VP of the destination processor; nil entries = empty
@@ -47,15 +49,18 @@ func (sl *vpInflight) reset() {
 //     with Observation 2's alternating placement. VP j's outbox is begun as
 //     write-behind straight into the slots its own inbox just freed, out
 //     of j's ring slot; there is no route phase.
-//   - Algorithm 3 (RunPar): batches travel over chans — the real
-//     "network", one buffered channel per processor — and the receiving
-//     processor lays them out in a route phase after its own VP loop.
-//     Incoming batches may arrive before the local inboxes of the same
-//     superstep are consumed, so the single-copy alternation does not
+//   - Algorithm 3 (RunPar): VP j's messages to the VPs of its own real
+//     processor are begun at j's commit, out of j's ring slot, as
+//     Algorithm 2's outbox is; only its messages to other real processors
+//     travel, as batches over chans — the real "network", one buffered
+//     channel per processor — and the receiving processor lays them out in
+//     a route phase after its own VP loop (at p = 1 nothing travels).
+//     Incoming batches and local writes may land before the inboxes of the
+//     same superstep are consumed, so the single-copy alternation does not
 //     apply: rects is a ping-pong pair, read by round parity and written
 //     at the opposite one. That holds at p = 1 too, which is why RunSeq is
 //     not RunPar at p = 1: Observation 2 halves the disk footprint
-//     (Result.MaxTracks) and saves the route writes.
+//     (Result.MaxTracks).
 //
 // The disk map of every processor is its v/p context runs first (VP l's
 // occupies striped blocks [l·cb, (l+1)·cb) from track 0), then the matrix
@@ -73,6 +78,21 @@ func (t *transport[T]) inboxReqs(reqs []pdm.BlockReq, round, l int, live []int) 
 		return t.matrix.AppendInboxPrefixReqs(reqs, round, l, live)
 	}
 	return t.rects[round%2].AppendRegionPrefixReqs(reqs, l, live)
+}
+
+// outboxReqs appends the requests that write, in round, the first live[dl]
+// blocks of the message VP j sends to each local VP dl of the processor
+// whose disks take it: its slot of the matrix (Algorithm 2, where every VP
+// is local), or its slot of every region of the rect the next round reads.
+func (t *transport[T]) outboxReqs(reqs []pdm.BlockReq, round, j int, live []int) []pdm.BlockReq {
+	if t.chans == nil {
+		return t.matrix.AppendOutboxPrefixReqs(reqs, round, j, live)
+	}
+	m := t.rects[(round+1)%2]
+	for dl, n := range live {
+		reqs = m.AppendSlotReqs(reqs, dl, j, n)
+	}
+	return reqs
 }
 
 // roundOut is what one real processor reports from one round; the engine
@@ -121,9 +141,9 @@ type proc[T any] struct {
 	msgLive [2][]int
 
 	// send[l·p+k] is the message container local VP l reuses for its batch
-	// to real processor k; a batch sent in round r is consumed by its
-	// receiver within round r (every processor drains all v batches before
-	// the barrier), so reuse never clobbers an unread batch.
+	// to real processor k ≠ i; a batch sent in round r is consumed by its
+	// receiver within round r (every processor drains all its batches
+	// before the barrier), so reuse never clobbers an unread batch.
 	send [][][]T
 
 	lastOps, lastBlocks int64 // array counters at the last bank
@@ -134,13 +154,14 @@ type proc[T any] struct {
 // worker is one of a real processor's c compute workers. It owns a decode
 // arena and a compare stripe, and computes one local VP at a time out of
 // that VP's ring slot: decode its context and inbox, run Init/Round, and
-// encode what the VP leaves — its outbox into the slot (Algorithm 2) or
-// its messages into the batches it owes (Algorithm 3), and its context
-// into the slot's context image. Everything else — every Begin and Wait,
-// length-table write, send, trace row and error check — stays on the
-// processor's own goroutine, in VP order (procRound). At c = 1 the one
-// worker runs inline on that goroutine; at c > 1 each runs on a goroutine
-// resident for the run, handed VPs over start and reporting over fin.
+// encode what the VP leaves — its messages to the processor's own VPs into
+// the slot (all of them under Algorithm 2), those to other processors into
+// the batches it owes (Algorithm 3), and its context into the slot's
+// context image. Everything else — every Begin and Wait, length-table
+// write, send, trace row and error check — stays on the processor's own
+// goroutine, in VP order (procRound). At c = 1 the one worker runs inline
+// on that goroutine; at c > 1 each runs on a goroutine resident for the
+// run, handed VPs over start and reporting over fin.
 type worker[T any] struct {
 	mem   *vpMem[T]
 	cmp   []pdm.Word  // one stripe: the chunk encodeCtx compares by
@@ -192,6 +213,24 @@ func (e *engine[T]) msgBlocks(n int) int {
 	return liveBlocks(n, e.codec.Words(), msgGuard(e.cfg.B), e.cfg.B, e.bpm)
 }
 
+// msgStride is the one rule that places the message slots of a ring slot's
+// flat image: live[i] blocks are live in slot i, and every slot sits the
+// largest of them apart — at most b′, the bound the disk slots are sized
+// by, and only what the image's largest message needs. The writer derives
+// live from the messages it encodes, the reader from the length table's
+// counts of them, so both place every slot at the same words.
+func msgStride(live []int) int { return slices.Max(live) }
+
+// growCtx makes s's context image hold nb blocks.
+func (e *engine[T]) growCtx(s *superstepScratch, nb int) {
+	s.ctxImg = grow(s.ctxImg, nb*e.cfg.B, e.cb*e.cfg.B)
+}
+
+// growFlat makes s's flat image hold n message slots sb blocks apart.
+func (e *engine[T]) growFlat(s *superstepScratch, n, sb int) {
+	s.flat = grow(s.flat, n*sb*e.cfg.B, e.cfg.V*e.bpm*e.cfg.B)
+}
+
 // bank charges the ops begun since the last snapshot to sl's trace row,
 // split into context vs message operations.
 func (pr *proc[T]) bank(sl *vpInflight, isCtx bool) {
@@ -239,6 +278,7 @@ type engine[T any] struct {
 	procs   []*proc[T]
 	tr      transport[T]
 	inputs  [][]T // what round 0 hands prog.Init
+	noMsgs  [][]T // v/p empty messages: what an outbox of nil sends each local VP
 	cached  [][]T // resident contexts under CacheContexts, nil otherwise
 	outputs [][]T
 	sizes   *costmodel.Sizes // what the ledger's predictor is told of the data, nil without one
@@ -259,16 +299,18 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 	localV := v / p
 	res := &Result[T]{Outputs: make([][]T, v)}
 	e := &engine[T]{prog: prog, codec: codec, cfg: cfg, rec: cfg.Recorder,
-		localV: localV, inputs: inputs, outputs: res.Outputs}
+		localV: localV, inputs: inputs, noMsgs: make([][]T, localV), outputs: res.Outputs}
 	e.maxCtx, e.maxMsg = limits(prog, cfg, n)
 	e.cb = pdm.BlocksFor(e.maxCtx*codec.Words(), cfg.B)
 	e.bpm = pdm.BlocksFor(e.maxMsg*codec.Words(), cfg.B)
 	ctxTracks := (localV*e.cb+cfg.D-1)/cfg.D + 1
 
 	// A ring slot is one superstep working set (a context run plus a full
-	// message image); resolve the ring depth against M and the cost model.
-	// The cap is v, not v/p: the route phase cycles up to v batches
-	// through the ring even when a processor has few local VPs.
+	// message image), charged against M at its worst case though it holds
+	// only the live prefix of what it meets; resolve the ring depth against
+	// M and the cost model. The cap is v, not v/p: the route phase cycles
+	// up to v − v/p batches through the ring even when a processor has few
+	// local VPs.
 	slotBlocks := e.cb + v*e.bpm
 	k, err := pipeDepth(cfg, v, slotBlocks*cfg.B)
 	if err != nil {
@@ -288,7 +330,7 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 		e.tr.rects = [2]layout.Rect{m0, m1}
 		e.tr.chans = make([]chan batch[T], p)
 		for i := range e.tr.chans {
-			e.tr.chans[i] = make(chan batch[T], v) // each proc receives exactly v batches per round
+			e.tr.chans[i] = make(chan batch[T], v) // each proc receives v − v/p batches per round
 		}
 	} else if e.tr.matrix, err = layout.NewMatrix(v, e.bpm, cfg.D, ctxTracks); err != nil {
 		return nil, err
@@ -328,7 +370,7 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 			sent: make([]int, localV), recv: make([]int, localV), ctxLive: make([]int, localV),
 			msgLive: [2][]int{make([]int, localV*v), make([]int, localV*v)}}
 		for s := range pr.ring {
-			pr.ring[s] = newSuperstepScratch(e.cb, v, e.bpm, cfg.B)
+			pr.ring[s] = newSuperstepScratch(v)
 		}
 		if par {
 			pr.send = make([][][]T, localV*p)
@@ -338,7 +380,7 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 		}
 		e.procs = append(e.procs, pr)
 		for n := range pr.workers {
-			w := &worker[T]{mem: newVPMem[T](v, cfg.CheckedIO), cmp: make([]pdm.Word, max(cfg.D*cfg.B, codec.Words()))}
+			w := &worker[T]{mem: newVPMem[T](v, e.maxMsg, cfg.CheckedIO), cmp: make([]pdm.Word, max(cfg.D*cfg.B, codec.Words()))}
 			pr.workers[n] = w
 			if c > 1 {
 				w.start, w.fin = make(chan struct{}), make(chan struct{})
@@ -509,11 +551,11 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 // ops_regression_test.go and TestPipelineDepthEquivalence pin.
 //
 // Channel sends stay synchronous. Every processor's route phase expects
-// exactly v batches per round, so a processor that aborts mid-round must
-// still emit the batches its remaining local VPs owe, or its peers block
-// forever; before that it waits out its workers and everything it has in
-// flight (drain). The p = 4 arms of TestRunFaultDrains wedge if those
-// sends go missing.
+// exactly v − v/p batches per round, one from every VP of the other
+// processors, so a processor that aborts mid-round must still emit the
+// batches its remaining local VPs owe, or its peers block forever; before
+// that it waits out its workers and everything it has in flight (drain).
+// The p = 4 arms of TestRunFaultDrains wedge if those sends go missing.
 //
 // Up to c VPs compute at once (DESIGN.md §17), local VP l on worker l mod
 // c. VP l+c−1 is handed to its worker as soon as its prefetched reads have
@@ -543,7 +585,9 @@ func (e *engine[T]) procRound(pr *proc[T], round int) {
 		pr.drain()
 		for l := sentVPs; l < localV; l++ {
 			for k := range chans {
-				chans[k] <- batch[T]{srcVP: pr.i*localV + l, final: true}
+				if k != pr.i {
+					chans[k] <- batch[T]{srcVP: pr.i*localV + l, final: true}
+				}
 			}
 		}
 	}()
@@ -573,16 +617,20 @@ func (e *engine[T]) procRound(pr *proc[T], round int) {
 		if err == nil {
 			err = e.commit(pr, w, round, l)
 		}
-		// (d) Deliver the generated messages.
+		// (d) Deliver the generated messages: write those to this
+		// processor's VPs, send the rest.
+		if err == nil && !w.done {
+			err = e.writeOutbox(pr, round, l, w.outbox)
+		}
 		if err == nil && chans != nil {
 			sp := rec.Begin(w.track, "send", "phase")
 			for k := range chans {
-				chans[k] <- e.batchTo(pr, l, k, w.done)
+				if k != pr.i {
+					chans[k] <- e.batchTo(pr, l, k, w.done)
+				}
 			}
 			sp.End()
 			sentVPs++
-		} else if err == nil && !w.done {
-			err = e.writeOutbox(pr, round, l, w.outbox)
 		}
 		// (e) Context out.
 		if err == nil {
@@ -653,13 +701,21 @@ func (pr *proc[T]) computing() bool {
 // resident) and, after round 0, of each message of its inbox into ring
 // slot l mod K, charging the begun ops to that slot's row. The prefixes
 // come from the item counts in the length tables, so the whole prefetch is
-// one burst with nothing read first to size it. An empty image moves no
-// block. That is every context in round 0 — nothing has been written yet,
-// the tables say 0 — so round 0 begins no read at all.
+// one burst with nothing read first to size it, and the slot's images grow
+// to hold it. An empty image moves no block. That is every context in
+// round 0 — nothing has been written yet, the tables say 0 — so round 0
+// begins no read at all.
 func (e *engine[T]) beginReads(pr *proc[T], round, l int) error {
 	K, B := len(pr.ring), e.cfg.B
 	sl, s := &pr.pend[l%K], pr.ring[l%K]
 	pf := e.rec.Begin(pr.track, "prefetch", "prefetch")
+	e.growCtx(s, e.ctxBlocks(pr.ctxLive[l]))
+	if round > 0 {
+		for src, n := range e.inboxLive(pr, round, l) {
+			s.live[src] = e.msgBlocks(n)
+		}
+		e.growFlat(s, e.cfg.V, msgStride(s.live))
+	}
 	if e.cfg.CheckedIO {
 		// What the reads below do not transfer must never decode as the
 		// slot's previous tenant.
@@ -674,11 +730,8 @@ func (e *engine[T]) beginReads(pr *proc[T], round, l int) error {
 		pr.bank(sl, true)
 	}
 	if round > 0 {
-		for src, n := range e.inboxLive(pr, round, l) {
-			s.live[src] = e.msgBlocks(n)
-		}
 		s.reqs = e.tr.inboxReqs(s.reqs[:0], round, l, s.live)
-		s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, B, e.bpm, s.live)
+		s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, B, msgStride(s.live), s.live)
 		if _, err := layout.BeginReadFIFOScratch(pr.arr, s.reqs, s.bufs, &s.lay, &sl.reads); err != nil {
 			pf.End()
 			return fmt.Errorf("core: round %d vp %d: begin inbox read: %w", round, pr.i*e.localV+l, err)
@@ -745,18 +798,19 @@ func (e *engine[T]) slide(pr *proc[T], round, m int) error {
 // work simulates the round of the VP worker w holds, out of its ring slot,
 // whose reads have landed: decode the context and inbox into w's arena,
 // run the program with the window's reads in flight underneath, and
-// encode what the VP leaves back into the slot (or, under Algorithm 3,
-// into its batches) for procRound to write. In round 0 the context-in is
-// not on disk: it is what prog.Init makes of the caller's partition, here,
-// on the processor that owns the VP. What can fail here is left in w.err
-// for procRound to report in VP order; a context over μ is left for
-// writeContext to reject.
+// encode what the VP leaves back into the slot (and, under Algorithm 3,
+// its messages to other processors into its batches) for procRound to
+// write. In round 0 the context-in is not on disk: it is what prog.Init
+// makes of the caller's partition, here, on the processor that owns the
+// VP. What can fail here is left in w.err for procRound to report in VP
+// order; a context over μ is left for writeContext to reject.
 func (e *engine[T]) work(pr *proc[T], w *worker[T]) {
 	round, l, v := w.round, w.l, e.cfg.V
 	j := pr.i*e.localV + l
 	s := pr.ring[l%len(pr.ring)]
 	// The items the length tables count are the heads of the prefixes
-	// beginReads transferred for them.
+	// beginReads transferred for them, the inbox's at the stride it derived
+	// from the same counts (s.live still holds their live blocks).
 	var ctxImg []pdm.Word
 	var counts []int
 	if e.cached == nil {
@@ -765,7 +819,7 @@ func (e *engine[T]) work(pr *proc[T], w *worker[T]) {
 	if round > 0 {
 		counts = e.inboxLive(pr, round, l)
 	}
-	state, inbox, recv := w.mem.decode(e.codec, ctxImg, s.flat, counts)
+	state, inbox, recv := w.mem.decode(e.codec, ctxImg, s.flat, msgStride(s.live)*e.cfg.B, counts)
 	if e.cached != nil {
 		state = e.cached[pr.i]
 	}
@@ -789,13 +843,13 @@ func (e *engine[T]) work(pr *proc[T], w *worker[T]) {
 		return
 	}
 	w.vp, w.outbox, w.done, w.voted = vp, outbox, done, true
-	switch {
-	case done:
+	if done {
 		e.outputs[j] = w.mem.keep(e.prog.Output(vp))
-	case e.tr.chans != nil:
-		e.keepBatches(pr, w)
-	default:
-		w.err = e.encodeOutbox(s, round, j, outbox)
+	} else {
+		if e.tr.chans != nil {
+			e.keepBatches(pr, w)
+		}
+		w.err = e.encodeMsgs(pr, s, round, j, e.localMsgs(pr, outbox))
 	}
 	if w.err != nil || len(vp.State) > e.maxCtx {
 		return
@@ -803,6 +857,7 @@ func (e *engine[T]) work(pr *proc[T], w *worker[T]) {
 	if e.cached != nil {
 		e.cached[pr.i] = w.mem.keep(vp.State)
 	} else if !done {
+		e.growCtx(s, e.ctxBlocks(len(vp.State)))
 		w.same = encodeCtx(e.codec, vp.State, s.ctxImg, w.cmp, pr.ctxLive[l], e.ctxBlocks(len(vp.State)), e.cfg.B)
 	}
 }
@@ -842,58 +897,72 @@ func (e *engine[T]) commit(pr *proc[T], w *worker[T], round, l int) error {
 	return nil
 }
 
-// encodeMsg encodes msg into the message slot image img and returns its
-// live blocks. A message over the slot bound is an error: it is the range
-// check on what the length table is told, which nothing else records.
-func (e *engine[T]) encodeMsg(msg []T, img []pdm.Word) (int, error) {
-	if len(msg) > e.maxMsg {
-		return 0, fmt.Errorf("core: message of %d items exceeds the slot bound %d items; set Config.MaxMsgItems (or Balanced) accordingly", len(msg), e.maxMsg)
+// localMsgs is the part of an outbox whose writes a VP's commit begins on
+// its own processor's disks: its messages to that processor's v/p VPs,
+// indexed by local VP (the whole outbox under Algorithm 2); v/p empty
+// ones for an outbox that sends nothing.
+func (e *engine[T]) localMsgs(pr *proc[T], outbox [][]T) [][]T {
+	if outbox == nil {
+		return e.noMsgs
 	}
-	nb := e.msgBlocks(len(msg))
-	encodeLive(e.codec, msg, img, nb, e.cfg.B)
-	return nb, nil
+	lo := pr.i * e.localV
+	return outbox[lo : lo+e.localV]
 }
 
-// encodeOutbox is the worker's half of Algorithm 2's delivery: VP j's v
-// messages encoded into its ring slot's message image, the live blocks of
-// each in s.live.
-func (e *engine[T]) encodeOutbox(s *superstepScratch, round, j int, outbox [][]T) error {
-	w := e.bpm * e.cfg.B
-	for dst := 0; dst < e.cfg.V; dst++ {
-		var msg []T
-		if outbox != nil {
-			msg = outbox[dst]
+// encodeMsgs encodes the messages VP src sends in round to this
+// processor's VPs — msgs[dl] to local VP dl — into
+// s's flat image, each slot at the stride msgStride gives for them, and
+// leaves each one's live blocks in s.live. It is a worker's half of its
+// VP's delivery, and the route phase's for a batch from another processor.
+// A message over the slot bound is an error: it is the range check on what
+// the length table is told, which nothing else records.
+func (e *engine[T]) encodeMsgs(pr *proc[T], s *superstepScratch, round, src int, msgs [][]T) error {
+	B, live := e.cfg.B, s.live[:len(msgs)]
+	for dl, msg := range msgs {
+		live[dl] = e.msgBlocks(len(msg))
+	}
+	sb := msgStride(live)
+	e.growFlat(s, len(live), sb)
+	for dl, msg := range msgs {
+		if len(msg) > e.maxMsg {
+			return fmt.Errorf("vp %d round %d → %d: core: message of %d items exceeds the slot bound %d items; set Config.MaxMsgItems (or Balanced) accordingly",
+				src, round, pr.i*e.localV+dl, len(msg), e.maxMsg)
 		}
-		nb, err := e.encodeMsg(msg, s.flat[dst*w:(dst+1)*w])
-		if err != nil {
-			return fmt.Errorf("vp %d round %d → %d: %w", j, round, dst, err)
-		}
-		s.live[dst] = nb
+		encodeLive(e.codec, msg, s.flat[dl*sb*B:(dl+1)*sb*B], live[dl], B)
 	}
 	return nil
 }
 
-// writeOutbox is the rest of Algorithm 2's delivery: the live prefixes of
-// VP j's encoded messages begun as one staggered write-behind into the
-// matrix slots its own inbox just freed; the length table of the next
-// round's parity records each item count.
-func (e *engine[T]) writeOutbox(pr *proc[T], round, j int, outbox [][]T) error {
-	K, B, v := len(pr.ring), e.cfg.B, e.cfg.V
-	sl, s := &pr.pend[j%K], pr.ring[j%K]
-	wb := e.rec.Begin(pr.track, "outbox write", "writeback")
-	next := pr.msgLive[(round+1)%2]
-	for dst := 0; dst < v; dst++ {
-		n := 0
-		if outbox != nil {
-			n = len(outbox[dst])
-		}
-		next[dst*v+j] = n
-		pr.sent[j] += n
-		pr.maxMsg = max(pr.maxMsg, n)
+// beginMsgs begins, as one burst into ps, the writes of the messages VP src
+// sends in round that encodeMsgs left in s — the live prefix of each, into
+// its slot of the next round's inboxes — and records their item counts in
+// the length table of the next round's parity.
+func (e *engine[T]) beginMsgs(pr *proc[T], s *superstepScratch, round, src int, msgs [][]T, ps *pdm.PendingSet) error {
+	v, next, live := e.cfg.V, pr.msgLive[(round+1)%2], s.live[:len(msgs)]
+	for dl, msg := range msgs {
+		next[dl*v+src] = len(msg)
 	}
-	s.reqs = e.tr.matrix.AppendOutboxPrefixReqs(s.reqs[:0], round, j, s.live)
-	s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, B, e.bpm, s.live)
-	if _, err := layout.BeginWriteFIFOScratch(pr.arr, s.reqs, s.bufs, &s.lay, &sl.writes); err != nil {
+	s.reqs = e.tr.outboxReqs(s.reqs[:0], round, src, live)
+	s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, e.cfg.B, msgStride(live), live)
+	_, err := layout.BeginWriteFIFOScratch(pr.arr, s.reqs, s.bufs, &s.lay, ps)
+	return err
+}
+
+// writeOutbox is the commit's half of local VP l's delivery: the messages
+// its worker encoded into its ring slot — its whole outbox under
+// Algorithm 2, its messages to this processor's VPs under Algorithm 3 —
+// begun as one write-behind burst into the slots the next round reads
+// (under Algorithm 2 the matrix slots its own inbox just freed).
+func (e *engine[T]) writeOutbox(pr *proc[T], round, l int, outbox [][]T) error {
+	K, j := len(pr.ring), pr.i*e.localV+l
+	sl, s := &pr.pend[l%K], pr.ring[l%K]
+	wb := e.rec.Begin(pr.track, "outbox write", "writeback")
+	msgs := e.localMsgs(pr, outbox)
+	for _, msg := range msgs {
+		pr.sent[l] += len(msg)
+		pr.maxMsg = max(pr.maxMsg, len(msg))
+	}
+	if err := e.beginMsgs(pr, s, round, j, msgs, &sl.writes); err != nil {
 		wb.End()
 		return fmt.Errorf("core: round %d vp %d: begin outbox write: %w", round, j, err)
 	}
@@ -902,12 +971,16 @@ func (e *engine[T]) writeOutbox(pr *proc[T], round, j int, outbox [][]T) error {
 	return nil
 }
 
-// keepBatches is the worker's half of Algorithm 3's delivery: it fills the
-// containers local VP w.l sends to each real processor with its messages
-// for that processor's VPs, copied out of w's arena where they still point
-// into it, because a batch outlives the superstep.
+// keepBatches is the worker's half of Algorithm 3's delivery to other
+// processors: it fills the containers local VP w.l sends to each real
+// processor k ≠ i with its messages for that processor's VPs, copied out
+// of w's arena where they still point into it, because a batch outlives
+// the superstep.
 func (e *engine[T]) keepBatches(pr *proc[T], w *worker[T]) {
 	for k := 0; k < e.cfg.P; k++ {
+		if k == pr.i {
+			continue
+		}
 		msgs := pr.send[w.l*e.cfg.P+k]
 		for dl := range msgs {
 			msgs[dl] = nil
@@ -919,8 +992,8 @@ func (e *engine[T]) keepBatches(pr *proc[T], w *worker[T]) {
 }
 
 // batchTo is the send side of Algorithm 3's delivery: what local VP l owes
-// real processor k this round — the messages for k's local VPs its worker
-// kept, or a final marker once the program is done.
+// real processor k ≠ i this round — the messages for k's local VPs its
+// worker kept, or a final marker once the program is done.
 func (e *engine[T]) batchTo(pr *proc[T], l, k int, done bool) batch[T] {
 	b := batch[T]{srcVP: pr.i*e.localV + l, final: done}
 	if done {
@@ -930,9 +1003,7 @@ func (e *engine[T]) batchTo(pr *proc[T], l, k int, done bool) batch[T] {
 	for _, msg := range b.msgs {
 		pr.maxMsg = max(pr.maxMsg, len(msg))
 		pr.sent[l] += len(msg)
-		if k != pr.i {
-			pr.comm += int64(len(msg))
-		}
+		pr.comm += int64(len(msg))
 	}
 	return b
 }
@@ -976,22 +1047,21 @@ func (e *engine[T]) writeContext(pr *proc[T], w *worker[T], round, l int) error 
 	return nil
 }
 
-// route is the receive side of Algorithm 3's delivery: take exactly v
-// batches (one per virtual processor in the machine) off the processor's
-// channel and lay their messages out for the next round, pipelined over
-// the ring (each slot's live prefix only, its item count recorded in the
-// length table of the next round's parity) — batch n is encoded while up
-// to K−1 earlier batches' blocks are still being written, the same burst
-// the VP loop gives the coalescing workers, now on the write side.
+// route is the receive side of Algorithm 3's delivery to other
+// processors: take exactly v − v/p batches (one per virtual processor on
+// another real processor) off the processor's channel and lay their
+// messages out for the next round, pipelined over the ring (each slot's
+// live prefix only, its item count recorded in the length table of the
+// next round's parity) — batch n is encoded while up to K−1 earlier
+// batches' blocks are still being written, the same burst the VP loop
+// gives the coalescing workers, now on the write side. At p = 1 there is
+// nothing to take.
 func (e *engine[T]) route(pr *proc[T], round int) error {
 	K := len(pr.ring)
 	rt := e.rec.Begin(pr.track, "route batches", "route")
-	writeM, next := e.tr.rects[(round+1)%2], pr.msgLive[(round+1)%2]
-	B, v := e.cfg.B, e.cfg.V
-	w := e.bpm * B
 	var row vpInflight
 	nb := 0
-	for got := 0; got < v; got++ {
+	for got := 0; got < e.cfg.V-e.localV; got++ {
 		b := <-e.tr.chans[pr.i]
 		if b.final {
 			continue
@@ -1001,19 +1071,11 @@ func (e *engine[T]) route(pr *proc[T], round int) error {
 			rt.End()
 			return fmt.Errorf("core: round %d proc %d: write batch: %w", round, pr.i, err)
 		}
-		s.reqs = s.reqs[:0]
-		live := s.live[:e.localV]
-		for dl, msg := range b.msgs {
-			blocks, err := e.encodeMsg(msg, s.flat[dl*w:(dl+1)*w])
-			if err != nil {
-				rt.End()
-				return fmt.Errorf("vp %d round %d → %d: %w", b.srcVP, round, pr.i*e.localV+dl, err)
-			}
-			live[dl], next[dl*v+b.srcVP] = blocks, len(msg)
-			s.reqs = writeM.AppendSlotReqs(s.reqs, dl, b.srcVP, blocks)
+		if err := e.encodeMsgs(pr, s, round, b.srcVP, b.msgs); err != nil {
+			rt.End()
+			return err
 		}
-		s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, B, e.bpm, live)
-		if _, err := layout.BeginWriteFIFOScratch(pr.arr, s.reqs, s.bufs, &s.lay, &pr.route[nb%K]); err != nil {
+		if err := e.beginMsgs(pr, s, round, b.srcVP, b.msgs, &pr.route[nb%K]); err != nil {
 			rt.End()
 			return fmt.Errorf("core: round %d proc %d: write batch from vp %d: %w", round, pr.i, b.srcVP, err)
 		}

@@ -96,7 +96,7 @@ func TestParDiskFaultSurfaces(t *testing.T) {
 	cb := pdm.BlocksFor(maxCtx, b)
 	img := make([]pdm.Word, cb*b)
 	var scr layout.Scratch
-	mem := newVPMem[int64](v, false)
+	mem := newVPMem[int64](v, 0, false)
 	for l := 0; l < localV; l++ {
 		j := 0*localV + l
 		want := parts[j]
@@ -104,7 +104,7 @@ func TestParDiskFaultSurfaces(t *testing.T) {
 		if err := layout.ReadStripedScratch(arr, 0, l*cb, img[:pdm.BlocksFor(len(want), b)*b], &scr); err != nil {
 			t.Fatalf("vp %d: read context: %v", j, err)
 		}
-		state, _, _ := mem.decode(wordcodec.I64{}, img[:len(want)], nil, nil)
+		state, _, _ := mem.decode(wordcodec.I64{}, img[:len(want)], nil, 0, nil)
 		for k := range want {
 			if state[k] != want[k] {
 				t.Fatalf("vp %d item %d = %d, want %d", j, k, state[k], want[k])

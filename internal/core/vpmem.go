@@ -15,9 +15,10 @@ import (
 // largest context and the largest inbox total actually seen, read from the
 // length tables, never to the MaxCtxItems/MaxMsgItems bounds the disk
 // slots are sized by. An inbox that outgrows it grows it by an eighth more
-// than it needs (still within the slots' bound), so the arenas, which each
-// see only every c-th VP, do not each re-grow through a run of slightly
-// larger inboxes.
+// than it needs (still within the declared bound of v messages of
+// MaxMsgItems), so the arenas, which each see only every c-th VP, do not
+// each re-grow through a run of slightly larger inboxes. The ring slots'
+// images follow the same rule (grow).
 //
 // Ownership rule: what decode returns is valid until the next decode on
 // the same arena, i.e. for one compound superstep. The engine copies out
@@ -29,25 +30,26 @@ type vpMem[T any] struct {
 	state   []T   // context items
 	msgs    []T   // the v messages of one inbox, back to back
 	inbox   [][]T // inbox header handed to Round
+	maxRecv int   // the declared bound of an inbox: v messages of MaxMsgItems
 	checked bool  // CheckedIO: release zeroes the arena
 }
 
-func newVPMem[T any](v int, checked bool) *vpMem[T] {
+func newVPMem[T any](v, maxMsg int, checked bool) *vpMem[T] {
 	// state starts empty but non-nil: an empty context decodes to an empty
 	// slice, as it did when every decode allocated.
-	return &vpMem[T]{state: []T{}, inbox: make([][]T, v), checked: checked}
+	return &vpMem[T]{state: []T{}, inbox: make([][]T, v), maxRecv: v * maxMsg, checked: checked}
 }
 
 // decode deserialises virtual processor state and inbox for one superstep:
 // the state out of ctxImg, the words of the context's items (nil when the
 // context is resident), and, when counts is non-nil (after round 0), the
-// inbox out of the flat image of len(counts) equal message slots, of which
-// slot src holds counts[src] items at its head. The counts are the length
-// table's, the numbers the reads were sized by, so every word decoded was
-// transferred. Every slice is handed out with cap == len, so a program's
-// append reallocates rather than running into its neighbour. recv is the
-// number of items received.
-func (m *vpMem[T]) decode(codec wordcodec.Codec[T], ctxImg, flat []pdm.Word, counts []int) (state []T, inbox [][]T, recv int) {
+// inbox out of the flat image of len(counts) message slots sw words apart,
+// of which slot src holds counts[src] items at its head. The counts are the
+// length table's, the numbers the reads and the stride were sized by, so
+// every word decoded was transferred. Every slice is handed out with
+// cap == len, so a program's append reallocates rather than running into
+// its neighbour. recv is the number of items received.
+func (m *vpMem[T]) decode(codec wordcodec.Codec[T], ctxImg, flat []pdm.Word, sw int, counts []int) (state []T, inbox [][]T, recv int) {
 	iw := codec.Words()
 	if ctxImg != nil {
 		n := len(ctxImg) / iw
@@ -65,9 +67,9 @@ func (m *vpMem[T]) decode(codec wordcodec.Codec[T], ctxImg, flat []pdm.Word, cou
 		recv += n
 	}
 	if recv > cap(m.msgs) {
-		m.msgs = make([]T, min(recv+recv/8, len(flat)/iw))
+		m.msgs = make([]T, min(recv+recv/8, m.maxRecv))
 	}
-	sw, off := len(flat)/len(counts), 0
+	off := 0
 	for src, n := range counts {
 		if n == 0 {
 			continue

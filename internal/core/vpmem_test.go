@@ -125,8 +125,8 @@ func (holdEcho) Output(vp *cgm.VP[int64]) []int64 { return vp.State[:1] }
 // the workers and their channels are made once, at set-up.
 //
 // The count of allocations is bounded as well as their bytes: a round
-// here costs about 5 mallocs under RunSeq and about 24 under RunPar (its
-// batches and route phase), while the hundreds of block transfers a round
+// here costs about 4 mallocs under RunSeq and about 16 under RunPar (its
+// batches to the other processor and route phase), while the hundreds of block transfers a round
 // begins allocate nothing. One allocation per transfer anywhere under the
 // engine — pdm's dispatch, layout's scratch, the split-phase hand-offs —
 // puts a round above 500.

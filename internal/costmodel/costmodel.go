@@ -153,18 +153,29 @@ func (p *predictor) outboxOps(round, j int) int64 {
 	return p.fifoOps(p.reqs)
 }
 
+// batchOps prices the parallel machine's write of what VP src sends in a
+// non-terminal round to the VPs of processor proc: one burst over src's
+// slot in each of proc's local regions.
+func (p *predictor) batchOps(round, src, proc int) int64 {
+	lv := p.m.LocalV()
+	p.reqs = p.reqs[:0]
+	for dl := 0; dl < lv; dl++ {
+		p.reqs = p.rect.AppendSlotReqs(p.reqs, dl, src, p.msgBlocks(round, src, proc*lv+dl))
+	}
+	return p.fifoOps(p.reqs)
+}
+
 // routeOps prices one processor's route phase in a non-terminal round: it
-// lands exactly V batches, one per virtual processor in the machine, each
-// as one burst over the source's slot in every local region.
+// lands only what crosses real processors — one batch from every virtual
+// processor of the other processors, each as one burst (batchOps). Its own
+// VPs' messages to each other are written at their commits.
 func (p *predictor) routeOps(round, proc int) int64 {
 	lv := p.m.LocalV()
 	total := int64(0)
 	for a := 0; a < p.m.V; a++ {
-		p.reqs = p.reqs[:0]
-		for dl := 0; dl < lv; dl++ {
-			p.reqs = p.rect.AppendSlotReqs(p.reqs, dl, a, p.msgBlocks(round, a, proc*lv+dl))
+		if a/lv != proc {
+			total += p.batchOps(round, a, proc)
 		}
-		total += p.fifoOps(p.reqs)
 	}
 	return total
 }
@@ -190,7 +201,11 @@ func (p *predictor) predictRow(label string, round, vp, proc int) (ctx, msg int6
 		if round > 0 {
 			msg = p.inboxOps(round, vp)
 		}
-		if !terminal && !p.m.Par {
+		switch {
+		case terminal:
+		case p.m.Par: // the messages to the VPs of its own processor
+			msg += p.batchOps(round, vp, vp/p.m.LocalV())
+		default:
 			msg += p.outboxOps(round, vp)
 		}
 	case "route":

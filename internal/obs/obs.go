@@ -49,7 +49,8 @@ type event struct {
 // and the parallel I/O it paid, split exactly like Result.CtxOps/MsgOps.
 // Label distinguishes the row kinds: "superstep" (one compound superstep;
 // round 0's are the input distribution) and "route" (the parallel
-// machine's batch-landing phase). Summing CtxOps+MsgOps over all rows of a run
+// machine's landing of the batches from other processors). Summing
+// CtxOps+MsgOps over all rows of a run
 // reconciles with pdm.IOStats.ParallelOps — the golden-trace tests pin
 // this.
 type SuperstepIO struct {

@@ -33,9 +33,9 @@ func FuzzBatchCoalesce(f *testing.F) {
 		cap65[i] = byte(i)
 	}
 	f.Add(byte(8), cap65)
-	f.Add(byte(4), []byte{3, 3, 3, 3, 3, 3})             // duplicate-track cuts
-	f.Add(byte(6), []byte{1, 0x81, 2, 0x82, 3, 0x83})    // direction change every op
-	f.Add(byte(1), []byte{5, 5, 0x85, 7, 0x87, 7})       // window 1: no coalescing at all
+	f.Add(byte(4), []byte{3, 3, 3, 3, 3, 3})              // duplicate-track cuts
+	f.Add(byte(6), []byte{1, 0x81, 2, 0x82, 3, 0x83})     // direction change every op
+	f.Add(byte(1), []byte{5, 5, 0x85, 7, 0x87, 7})        // window 1: no coalescing at all
 	f.Add(byte(16), []byte{9, 0x89, 9, 0x89, 1, 2, 0x81}) // write→read→write same track
 
 	f.Fuzz(func(t *testing.T, window byte, prog []byte) {

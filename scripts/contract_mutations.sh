@@ -43,11 +43,11 @@ check() {
 		echo "contract-selftest: $1 broke the run, but not as a failure of $3"
 		exit 1
 	fi
-	echo "contract-selftest: $1 -> $3 fails: $(printf '%s\n' "$out" | sed -n 's/^ *\([a-z0-9_]*_test\.go:[0-9]*: .*\)/\1/p' | head -n 1 | cut -c1-160)"
+	echo "contract-selftest: $1 -> $3 fails: $(printf '%s\n' "$out" | sed -n 's/^ *\([a-z0-9_]*_test\.go:[0-9]*: .*\)/\1/p; s/^\(panic: .*\)/\1/p' | head -n 1 | cut -c1-160)"
 	cp "$root/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -82,6 +82,18 @@ check 'drop the compensating sends' $f TestRunFaultDrains
 mutate $f 'if err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg[:e.ctxBlocks(pr.ctxLive[l])*B], &s.lay, &sl.reads); err != nil {' 1 1 \
 	'\t\tif err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg[:max(e.ctxBlocks(pr.ctxLive[l])-1, 0)*B], &s.lay, &sl.reads); err != nil {'
 check 'read one block too few' $f TestPipelineDepthEquivalence
+
+# A ring slot's message slots sit at the stride of the image's largest live
+# prefix, not at b′ (DESIGN.md §18): writer, reader and decoder derive it
+# from the same counts. A decoder still at b′ reads past every slot but the
+# first. The arena test catches it first: its sequential machine runs at
+# c = 1, so the decode runs on the test's own goroutine, where an index
+# past the image fails the test by name; the parallel arms of the
+# equivalence tests decode on the run's goroutines, where it kills the
+# test binary instead.
+mutate $f 'w.mem.decode(e.codec, ctxImg, s.flat, msgStride(s.live)*e.cfg.B, counts)' 1 1 \
+	'\tstate, inbox, recv := w.mem.decode(e.codec, ctxImg, s.flat, e.bpm*e.cfg.B, counts)'
+check 'decode at the declared stride b′ instead of the image'"'"'s stride' $f TestArenaAliasSafety
 
 # What is not moved (DESIGN.md §18): a context is clean only if its
 # encoding is, word for word, what the slot read. Neither shortcut may
@@ -162,4 +174,4 @@ mutate $f 'if err := e.wait(pr, &pr.pend[s].writes); err != nil {' 1 1 \
 	'\t\t_ = e.wait(pr, &pr.pend[s].writes)\n\t\tif err := error(nil); err != nil {'
 check 'drop a write-behind error' $f TestRunFaultDrains
 
-echo "contract-selftest: all sixteen mutations caught"
+echo "contract-selftest: all seventeen mutations caught"
