@@ -113,7 +113,8 @@ lint:
 # the superstep span, drop the barrier's compensating sends, decode an
 # inbox at b′ instead of its image's stride, allocate per transfer, serve
 # a burst in map order, read the environment in sortalg, drop a
-# write-behind error — and requires the owning test to fail by name. About two minutes; one mutation wedges a run until its 30 s
+# write-behind error, finish the local sort's LSD buckets without their
+# tie pass — and requires the owning test to fail by name. About two minutes; one mutation wedges a run until its 30 s
 # watchdog.
 contract-selftest:
 	@sh scripts/contract_mutations.sh

@@ -126,6 +126,35 @@ func TestSeparableMatchesOracle(t *testing.T) {
 	}
 }
 
+// The inputs quick.Check once found where the oracle was wrong: at nr
+// 0xf, nb 0xe1, v8 0x90 this seed draws one red and one blue point (two
+// distinct points, so separable), which the oracle's perpendicular-only
+// directions missed.
+func TestSeparableCases(t *testing.T) {
+	for _, tc := range []struct {
+		seed      int64
+		nr, nb, v int
+		want      bool
+	}{
+		{seed: -2447796123716760802, nr: 1, nb: 1, v: 1, want: true},
+	} {
+		red := workload.Points(tc.seed, tc.nr)
+		blue := workload.Points(tc.seed+1, tc.nb)
+		off := float64(tc.seed%3) * 0.8
+		for i := range blue {
+			blue[i].X += off
+			blue[i].Y += off
+		}
+		if got := SeparableSeq(red, blue); got != tc.want {
+			t.Errorf("seed %d: SeparableSeq = %v, want %v", tc.seed, got, tc.want)
+		}
+		got, err := Separable(rec.NewMem(tc.v), red, blue)
+		if err != nil || got != tc.want {
+			t.Errorf("seed %d: Separable = %v, %v; want %v", tc.seed, got, err, tc.want)
+		}
+	}
+}
+
 func TestSeparableInDirection(t *testing.T) {
 	red := []workload.Point{{X: 0, Y: 0}, {X: 1, Y: 0}}
 	blue := []workload.Point{{X: 0, Y: 5}, {X: 1, Y: 6}}

@@ -200,7 +200,9 @@ func HullSeq(pts []workload.Point) []int {
 
 // SeparableSeq reports whether a line strictly separates red from blue
 // (multidirectional separability oracle): brute force over candidate
-// directions induced by point pairs.
+// directions induced by point pairs. If the hulls are disjoint, their
+// closest points are two vertices or a vertex and an edge, so some
+// separating direction is a pair difference or perpendicular to one.
 func SeparableSeq(red, blue []workload.Point) bool {
 	var dirs []workload.Point
 	all := append(append([]workload.Point(nil), red...), blue...)
@@ -210,7 +212,7 @@ func SeparableSeq(red, blue []workload.Point) bool {
 				continue
 			}
 			dx, dy := all[j].X-all[i].X, all[j].Y-all[i].Y
-			dirs = append(dirs, workload.Point{X: -dy, Y: dx}, workload.Point{X: dy, Y: -dx})
+			dirs = append(dirs, workload.Point{X: dx, Y: dy}, workload.Point{X: -dy, Y: dx}, workload.Point{X: dy, Y: -dx})
 		}
 	}
 	dirs = append(dirs, workload.Point{X: 1, Y: 0}, workload.Point{X: 0, Y: 1})

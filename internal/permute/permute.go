@@ -42,6 +42,24 @@ func (Codec) Decode(src []pdm.Word) Item {
 	return Item{Dest: int64(src[0]), Val: int64(src[1])}
 }
 
+// EncodeSliceInto is the bulk fast path (wordcodec.BulkCodec): one loop
+// over the word pairs, no per-item dispatch.
+func (Codec) EncodeSliceInto(dst []pdm.Word, items []Item) {
+	dst = dst[:2*len(items)]
+	for i, it := range items {
+		dst[2*i] = pdm.Word(it.Dest)
+		dst[2*i+1] = pdm.Word(it.Val)
+	}
+}
+
+// DecodeSliceInto is the decoding analogue of EncodeSliceInto.
+func (Codec) DecodeSliceInto(dst []Item, src []pdm.Word) {
+	src = src[:2*len(dst)]
+	for i := range dst {
+		dst[i] = Item{Dest: int64(src[2*i]), Val: int64(src[2*i+1])}
+	}
+}
+
 // Program is CGMPermute. The program must know the global size N to route
 // destinations to owners; construct with New.
 type Program struct {
@@ -162,4 +180,4 @@ func Baseline(arr *pdm.DiskArray, vals, dests []int64, mWords int) ([]int64, sor
 }
 
 var _ cgm.Program[Item] = Program{}
-var _ wordcodec.Codec[Item] = Codec{}
+var _ wordcodec.BulkCodec[Item] = Codec{}

@@ -191,3 +191,37 @@ func TestStructuredPermutationClasses(t *testing.T) {
 		}
 	}
 }
+
+// The bulk path encodes word for word what the per-item Encode does,
+// decodes back the items, and allocates nothing in either direction.
+func TestCodecBulkMatchesPerItem(t *testing.T) {
+	var c Codec
+	items := make([]Item, 257)
+	for i := range items {
+		items[i] = Item{Dest: int64(i*7919) - 1<<40, Val: -int64(i) * 0x9e37_79b9}
+	}
+	want := make([]pdm.Word, 2*len(items))
+	for i, it := range items {
+		c.Encode(want[2*i:2*i+2], it)
+	}
+	got := make([]pdm.Word, len(want))
+	c.EncodeSliceInto(got, items)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("word %d: bulk %#x, per item %#x", i, got[i], want[i])
+		}
+	}
+	back := make([]Item, len(items))
+	c.DecodeSliceInto(back, got)
+	for i := range items {
+		if back[i] != items[i] || c.Decode(got[2*i:2*i+2]) != items[i] {
+			t.Fatalf("item %d: decoded %+v, want %+v", i, back[i], items[i])
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { c.EncodeSliceInto(got, items) }); a != 0 {
+		t.Errorf("EncodeSliceInto: %v allocations, want 0", a)
+	}
+	if a := testing.AllocsPerRun(10, func() { c.DecodeSliceInto(back, got) }); a != 0 {
+		t.Errorf("DecodeSliceInto: %v allocations, want 0", a)
+	}
+}

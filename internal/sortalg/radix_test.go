@@ -5,14 +5,17 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"testing"
 
 	"repro/internal/pdm"
 )
 
-// radixSizes straddle the insertion cut-off (64) and reach several levels.
-var radixSizes = []int{0, 1, 2, 63, 64, 65, 1000, 1 << 16}
+// radixSizes straddle the insertion cut-off (64) and lsdFinish's (2048),
+// and reach several levels: 1<<18 is a VP's share of the benchmark sort,
+// whose top-byte buckets lsdFinish takes whole.
+var radixSizes = []int{0, 1, 2, 63, 64, 65, 1000, 2048, 2049, 1 << 16, 1 << 18}
 
 // keyPatterns generates n keys as 64-bit patterns; for a signed type the
 // high byte is the sign byte.
@@ -37,6 +40,18 @@ var keyPatterns = map[string]func(r *rand.Rand, n int) []uint64{
 	},
 	"highByteOnly": func(r *rand.Rand, n int) []uint64 {
 		return fill(n, func(int) uint64 { return 0x00be_efca_fe00_1234 | uint64(r.Intn(256))<<56 })
+	},
+	// Every bucket of the top byte ties on bits 40–55, lsdFinish's two
+	// digits below it, so its tie pass recurses at shift 32.
+	"midTie": func(r *rand.Rand, n int) []uint64 {
+		return fill(n, func(int) uint64 { return r.Uint64()&0xff00_00ff_ffff_ffff | 0x005a_5a00_0000_0000 })
+	},
+	// Narrow keys: lsdFinish runs at the low shifts, down to 8.
+	"narrow24": func(r *rand.Rand, n int) []uint64 {
+		return fill(n, func(int) uint64 { return 0x0bad_cafe_0000_0000 | r.Uint64()&0xff_ffff })
+	},
+	"narrow12": func(r *rand.Rand, n int) []uint64 {
+		return fill(n, func(int) uint64 { return 0x0bad_cafe_0000_0000 | r.Uint64()&0xfff })
 	},
 	"extremes": func(r *rand.Rand, n int) []uint64 {
 		ext := []uint64{1 << 63, 1<<63 - 1, 0, math.MaxUint64} // MinInt64, MaxInt64, 0, −1
@@ -121,12 +136,21 @@ func checkSortedCopy[T cmp.Ordered](conv func(uint64) T) func(*testing.T) {
 				if n == 0 {
 					continue
 				}
-				if a := testing.AllocsPerRun(10, func() { sortedCopy(src) }); a != 1 {
+				if a := allocsPerRun(3, func() { sortedCopy(src) }); a != 1 {
 					t.Fatalf("%s n=%d: %v allocations, want 1", name, n, a)
 				}
 			}
 		}
 	}
+}
+
+// allocsPerRun is testing.AllocsPerRun with the collector off: a cycle
+// that a large result starts lets the runtime's own goroutines allocate
+// inside the window, and those would count against f. With no cycle the
+// count is exact, so a few runs suffice.
+func allocsPerRun(runs int, f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(runs, f)
 }
 
 func TestSortedCopy(t *testing.T) {
@@ -215,7 +239,8 @@ func TestRadixAllocatesNothing(t *testing.T) {
 
 // FuzzSortKeys: arbitrary bytes read as 64-bit keys, repeated reps+1
 // times (so short inputs reach the radix levels with duplicates), sorted
-// as int64 and uint64 keys and as records of 1–3 words.
+// as int64 and uint64 keys, copied sorted by sortedCopy, and sorted as
+// records of 1–3 words.
 func FuzzSortKeys(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(1))
 	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 1<<63), math.MaxUint64), uint8(40), uint8(2))
@@ -243,6 +268,18 @@ func FuzzSortKeys(f *testing.F) {
 		sortKeys(u64)
 		if !slices.Equal(u64, wantU) {
 			t.Fatalf("uint64 keys differ from slices.Sort")
+		}
+		src := make([]int64, len(words))
+		for i, u := range words {
+			src[i] = int64(u)
+		}
+		orig := slices.Clone(src)
+		copied := sortedCopy(src)
+		if !slices.Equal(src, orig) {
+			t.Fatalf("sortedCopy changed its source")
+		}
+		if len(copied) != len(want) || !slices.Equal(copied, want) {
+			t.Fatalf("sortedCopy differs from slices.Sort")
 		}
 		w := int(w8)%3 + 1
 		recs := words[:len(words)/w*w]

@@ -13,9 +13,9 @@ trap 'rm -rf "$tmp"' EXIT
 cp -R "$root/go.mod" "$root"/*.go "$root/internal" "$tmp/"
 cd "$tmp"
 
-# run_tests PATTERN: the tests of internal/core and of the root package
-# that PATTERN names.
-run_tests() { go test . ./internal/core -count=1 -timeout 300s -run "^($1)\$" 2>&1; }
+# run_tests PATTERN: the tests of internal/core, internal/sortalg and the
+# root package that PATTERN names.
+run_tests() { go test . ./internal/core ./internal/sortalg -count=1 -timeout 300s -run "^($1)\$" 2>&1; }
 
 # mutate FILE ANCHOR COUNT NTH REPLACEMENT: ANCHOR (a fixed string) must
 # be on exactly COUNT lines of FILE; the NTH such line becomes REPLACEMENT
@@ -47,7 +47,7 @@ check() {
 	cp "$root/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -174,4 +174,14 @@ mutate $f 'if err := e.wait(pr, &pr.pend[s].writes); err != nil {' 1 1 \
 	'\t\t_ = e.wait(pr, &pr.pend[s].writes)\n\t\tif err := error(nil); err != nil {'
 check 'drop a write-behind error' $f TestRunFaultDrains
 
-echo "contract-selftest: all seventeen mutations caught"
+# A local sort's output is slices.Sort's (DESIGN.md §7): lsdFinish sorts
+# two digits per call, and keys that tie on both still need the digits
+# below. Without the tie pass, keys that share those sixteen bits stay in
+# the order they came in: every top-byte bucket of the midTie pattern,
+# and at every size above insertionMax the narrow patterns, whose high
+# digits are all constant.
+f=internal/sortalg/radix.go
+mutate $f 'if shift == 8 {' 1 1 '\tif true {'
+check 'finish LSD buckets without the tie pass' $f TestSortedCopy
+
+echo "contract-selftest: all eighteen mutations caught"
