@@ -84,13 +84,15 @@ benchmark-smoke:
 # local sort's radix kernel must report 0 allocs/op (BenchmarkLocalSort
 # prints slices.Sort beside it); BenchmarkPSRSRounds splits the sorter's
 # compute by round (init+r0, r1, r2), one VP at the benchmark's per-VP
-# size a line. The end-to-end sort should stay well
+# size a line, and BenchmarkPermuteRounds does the same for the
+# permutation (init+r0, r1). The end-to-end sort should stay well
 # under the seed's 38287 allocs/op. The last line also prints B/op of the
 # end-to-end sort and permute — the program-boundary allocation (decode
 # arenas, outboxes, outputs) that benchmark/'s alloc_mb gates at full scale.
 allocs:
 	$(GO) test -run '^$$' -bench 'BenchmarkDiskArrayOp' -benchmem ./internal/pdm/
 	$(GO) test -run '^$$' -bench 'BenchmarkLocalSort|BenchmarkPSRSRounds' -benchmem ./internal/sortalg/
+	$(GO) test -run '^$$' -bench 'BenchmarkPermuteRounds' -benchmem ./internal/permute/
 	$(GO) test -run '^$$' -bench 'BenchmarkFig5GroupA/(sort-emcgm|permute)$$' -benchmem .
 
 # gofmt over the tracked Go files (not .bench_build/'s module sources),
@@ -114,8 +116,9 @@ lint:
 # inbox at b′ instead of its image's stride, allocate per transfer, serve
 # a burst in map order, read the environment in sortalg, drop a
 # write-behind error, finish the local sort's LSD buckets without their
-# tie pass — and requires the owning test to fail by name. About two minutes; one mutation wedges a run until its 30 s
-# watchdog.
+# tie pass, look a permutation's owner up off by one at a partition start
+# — nineteen in all — and requires the owning test to fail by name.
+# About two minutes; one mutation wedges a run until its 30 s watchdog.
 contract-selftest:
 	@sh scripts/contract_mutations.sh
 

@@ -120,7 +120,7 @@ func TestInitCopiesInput(t *testing.T) {
 	keys := []int64{5, 3, 9, 1, 7, 2}
 	items := make([]permute.Item, len(keys))
 	for i, k := range keys {
-		items[i] = permute.Item{Dest: int64(len(keys) - i), Val: k}
+		items[i] = permute.Item{Dest: int64(len(keys) - 1 - i), Val: k}
 	}
 	add := func(a, b int64) int64 { return a + b }
 	for name, err := range map[string]error{

@@ -158,7 +158,7 @@ func Run[T any](p Program[T], v int, inputs [][]T) (*Result[T], error) {
 	for i := range vps {
 		vps[i] = &VP[T]{ID: i, V: v}
 	}
-	if err := forEachVP(v, func(i int) error {
+	if err := ForEachVP(v, func(i int) error {
 		p.Init(vps[i], inputs[i])
 		return nil
 	}); err != nil {
@@ -180,7 +180,7 @@ func Run[T any](p Program[T], v int, inputs [][]T) (*Result[T], error) {
 		if round >= maxRounds {
 			return nil, fmt.Errorf("cgm: program exceeded %d rounds without finishing", maxRounds)
 		}
-		if err := forEachVP(v, func(i int) error {
+		if err := ForEachVP(v, func(i int) error {
 			out, done := p.Round(vps[i], round, inboxes[i])
 			if out != nil && len(out) != v {
 				return fmt.Errorf("cgm: vp %d round %d returned outbox of length %d, want %d or nil",
@@ -221,7 +221,7 @@ func Run[T any](p Program[T], v int, inputs [][]T) (*Result[T], error) {
 	}
 
 	res := &Result[T]{Outputs: make([][]T, v), Stats: stats}
-	if err := forEachVP(v, func(i int) error {
+	if err := ForEachVP(v, func(i int) error {
 		res.Outputs[i] = p.Output(vps[i])
 		return nil
 	}); err != nil {
@@ -230,9 +230,10 @@ func Run[T any](p Program[T], v int, inputs [][]T) (*Result[T], error) {
 	return res, nil
 }
 
-// forEachVP runs f(i) for i in [0,v) concurrently with bounded parallelism,
-// converting panics into errors.
-func forEachVP(v int, f func(i int) error) error {
+// ForEachVP runs f(i) for i in [0,v) concurrently, on up to GOMAXPROCS
+// goroutines, converting panics into errors. It is the per-VP runner of
+// Run and of the wrappers that build and project per-VP partitions.
+func ForEachVP(v int, f func(i int) error) error {
 	par := runtime.GOMAXPROCS(0)
 	if maxParallelism > 0 {
 		par = maxParallelism
@@ -332,5 +333,5 @@ func RunSequential[T any](p Program[T], v int, inputs [][]T) (*Result[T], error)
 	return Run(p, v, inputs)
 }
 
-// maxParallelism caps forEachVP's worker count; 0 means GOMAXPROCS.
+// maxParallelism caps ForEachVP's worker count; 0 means GOMAXPROCS.
 var maxParallelism int

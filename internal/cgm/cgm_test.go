@@ -258,6 +258,41 @@ func TestOwnerInvertsPartRange(t *testing.T) {
 	}
 }
 
+// TestOwnersMatchOwner holds the division-free table to the one-off
+// Owner at every index: exhaustively on small machines (n = 0 and n < v
+// among them) and at sizes whose cells are powers of two, odd and prime;
+// a lookup outside [0, n) must panic.
+func TestOwnersMatchOwner(t *testing.T) {
+	check := func(n, v int) {
+		o := NewOwners(n, v)
+		for g := 0; g < n; g++ {
+			if got, want := o.Owner(g), Owner(n, v, g); got != want {
+				t.Fatalf("n=%d v=%d: Owners.Owner(%d) = %d, want %d", n, v, g, got, want)
+			}
+		}
+		for _, g := range []int{-1, n} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("n=%d v=%d: Owners.Owner(%d) did not panic", n, v, g)
+					}
+				}()
+				o.Owner(g)
+			}()
+		}
+	}
+	for n := 0; n < 300; n++ {
+		for v := 1; v < 40; v++ {
+			check(n, v)
+		}
+	}
+	for _, n := range []int{1 << 20, 1<<20 + 13, 999_983} {
+		for _, v := range []int{3, 16, 64, 1000} {
+			check(n, v)
+		}
+	}
+}
+
 func TestScatterAliasesInput(t *testing.T) {
 	in := seq(10)
 	parts := Scatter(in, 3)
@@ -338,46 +373,5 @@ func TestSizeMatrixPerRound(t *testing.T) {
 		if m0[i*v+d] != 4 {
 			t.Errorf("round 0 msg %d→%d = %d, want 4", i, d, m0[i*v+d])
 		}
-	}
-}
-
-// TestOutboxOneBacking: the messages hold exactly their counts, appending
-// up to the count never reallocates, and the whole outbox costs one
-// data-sized allocation plus its header.
-func TestOutboxOneBacking(t *testing.T) {
-	counts := []int{3, 0, 5, 1}
-	out := Outbox[int64](counts)
-	if len(out) != len(counts) {
-		t.Fatalf("len = %d, want %d", len(out), len(counts))
-	}
-	next := int64(0)
-	for d, c := range counts {
-		if c == 0 {
-			if out[d] != nil {
-				t.Errorf("message %d: want nil for no items", d)
-			}
-			continue
-		}
-		if len(out[d]) != 0 || cap(out[d]) != c {
-			t.Fatalf("message %d: len %d cap %d, want 0 and %d", d, len(out[d]), cap(out[d]), c)
-		}
-		for i := 0; i < c; i++ {
-			out[d] = append(out[d], next)
-			next++
-		}
-	}
-	// Filled to capacity, no message ran into its neighbour.
-	next = 0
-	for d := range out {
-		for _, x := range out[d] {
-			if x != next {
-				t.Fatalf("message %d holds %d, want %d", d, x, next)
-			}
-			next++
-		}
-	}
-	big := []int{1 << 10, 1 << 12, 0, 1 << 11}
-	if allocs := testing.AllocsPerRun(20, func() { Outbox[int64](big) }); allocs != 2 {
-		t.Errorf("Outbox made %v allocations, want 2 (backing array and header)", allocs)
 	}
 }

@@ -23,7 +23,7 @@ func PartRange(n, v, i int) (lo, hi int) {
 // distribution of n items over v processors (inverse of PartRange).
 func Owner(n, v, g int) int {
 	if g < 0 || g >= n {
-		panic(fmt.Sprintf("cgm: Owner(n=%d, v=%d, g=%d)", n, v, g))
+		panic(ownerRange{n, v, g})
 	}
 	q, r := n/v, n%v
 	head := r * (q + 1)
@@ -37,6 +37,64 @@ func Owner(n, v, g int) int {
 	return r + (g-head)/q
 }
 
+// Owners is Owner precomputed for one (n, v): a lookup divides by
+// nothing. The index space is cut into cells of 2^shift ≤ ⌊n/v⌋ indices,
+// so a cell meets at most two partitions (every partition is at least as
+// long as a cell); first[c] is the owner of cell c's first index and
+// lo[k] is PartRange's lo of VP k, with lo[v] = n. When n < v the cells
+// are single indices.
+type Owners struct {
+	n, v  int
+	shift uint
+	first []int
+	lo    []int
+}
+
+// NewOwners returns the owner table of n items over v processors.
+func NewOwners(n, v int) Owners {
+	if v < 1 || n < 0 {
+		panic(fmt.Sprintf("cgm: NewOwners(n=%d, v=%d)", n, v))
+	}
+	o := Owners{n: n, v: v, lo: make([]int, v+1)}
+	for k := range v {
+		o.lo[k], _ = PartRange(n, v, k)
+	}
+	o.lo[v] = n
+	for 2<<o.shift <= n/v {
+		o.shift++
+	}
+	o.first = make([]int, (n+1<<o.shift-1)>>o.shift)
+	k := 0
+	for c := range o.first {
+		for c<<o.shift >= o.lo[k+1] {
+			k++
+		}
+		o.first[c] = k
+	}
+	return o
+}
+
+// Owner returns the VP owning global index g; it panics for g outside
+// [0, n), as the one-off Owner does.
+func (o Owners) Owner(g int) int {
+	if uint(g) >= uint(o.n) {
+		panic(ownerRange{o.n, o.v, g})
+	}
+	k := o.first[g>>o.shift]
+	if g >= o.lo[k+1] {
+		k++
+	}
+	return k
+}
+
+// ownerRange is the panic of an owner lookup outside [0, n): a value, not
+// a formatted string, so that Owners.Owner stays cheap enough to inline.
+type ownerRange struct{ n, v, g int }
+
+func (e ownerRange) Error() string {
+	return fmt.Sprintf("cgm: Owner(n=%d, v=%d, g=%d)", e.n, e.v, e.g)
+}
+
 // Scatter splits items into v partitions under the balanced block
 // distribution. The partitions alias the input slice.
 func Scatter[T any](items []T, v int) [][]T {
@@ -46,26 +104,4 @@ func Scatter[T any](items []T, v int) [][]T {
 		parts[i] = items[lo:hi]
 	}
 	return parts
-}
-
-// Outbox returns an outbox whose message to VP d is empty with capacity
-// counts[d], all of them cut from one backing array — so a Round that
-// counts its items per destination first and appends them second makes
-// one allocation the size of its data instead of growing len(counts)
-// slices by doubling. Messages with no items stay nil.
-func Outbox[T any](counts []int) [][]T {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	backing := make([]T, total)
-	out := make([][]T, len(counts))
-	off := 0
-	for d, c := range counts {
-		if c > 0 {
-			out[d] = backing[off : off : off+c]
-			off += c
-		}
-	}
-	return out
 }

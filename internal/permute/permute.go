@@ -11,6 +11,7 @@ package permute
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/cgm"
 	"repro/internal/core"
@@ -69,23 +70,43 @@ type Program struct {
 // New returns a CGMPermute program for vectors of n items.
 func New(n int) Program { return Program{N: n} }
 
-// Init stores the partition.
-func (Program) Init(vp *cgm.VP[Item], input []Item) {
-	vp.State = append([]Item(nil), input...)
+// Init routes as it copies: one counting pass over input finds where the
+// group of each destination owner starts, and one stable scatter copies
+// input into the new State grouped by owner, in owner order. The owner
+// lookups go through a cgm.Owners table, so no item costs a division.
+func (p Program) Init(vp *cgm.VP[Item], input []Item) {
+	own := cgm.NewOwners(p.N, vp.V)
+	next := make([]int, vp.V+1)
+	for _, it := range input {
+		next[own.Owner(int(it.Dest))+1]++
+	}
+	for d := 1; d < len(next); d++ {
+		next[d] += next[d-1]
+	}
+	st := make([]Item, len(input))
+	for _, it := range input {
+		d := own.Owner(int(it.Dest))
+		st[next[d]] = it
+		next[d]++
+	}
+	vp.State = st
 }
 
-// Round 0 routes items to their destination owners; round 1 places them.
+// Round 0 sends each owner its group of the State Init left: message d is
+// the run whose Dest lies in VP d's partition — the State is grouped in
+// owner order, so a binary search finds where it ends — and is a capped
+// view of the State (cap == len), not a copy. Round 1 places the items it
+// receives.
 func (p Program) Round(vp *cgm.VP[Item], round int, inbox [][]Item) ([][]Item, bool) {
 	switch round {
 	case 0:
-		counts := make([]int, vp.V)
-		for _, it := range vp.State {
-			counts[cgm.Owner(p.N, vp.V, int(it.Dest))]++
-		}
-		out := cgm.Outbox[Item](counts)
-		for _, it := range vp.State {
-			d := cgm.Owner(p.N, vp.V, int(it.Dest))
-			out[d] = append(out[d], it)
+		out := make([][]Item, vp.V)
+		st := vp.State
+		for d := range out {
+			_, hi := cgm.PartRange(p.N, vp.V, d)
+			end := sort.Search(len(st), func(i int) bool { return st[i].Dest >= int64(hi) })
+			out[d] = st[:end:end]
+			st = st[end:]
 		}
 		vp.State = vp.State[:0]
 		return out, false
@@ -117,19 +138,26 @@ func EMPermute(vals, dests []int64, cfg core.Config) ([]int64, *core.Result[Item
 	if len(vals) != len(dests) {
 		return nil, nil, fmt.Errorf("permute: %d values but %d destinations", len(vals), len(dests))
 	}
-	n := len(vals)
-	items := make([]Item, n)
-	for i := range items {
-		items[i] = Item{Dest: dests[i], Val: vals[i]}
+	n, v := len(vals), cfg.V
+	parts := make([][]Item, v)
+	if err := cgm.ForEachVP(v, func(i int) error {
+		lo, hi := cgm.PartRange(n, v, i)
+		part := make([]Item, hi-lo)
+		for k := range part {
+			part[k] = Item{Dest: dests[lo+k], Val: vals[lo+k]}
+		}
+		parts[i] = part
+		return nil
+	}); err != nil {
+		return nil, nil, err
 	}
-	v := cfg.V
 	if cfg.MaxMsgItems == 0 {
 		cfg.MaxMsgItems = 4*((n+v*v-1)/(v*v)) + v + 16
 	}
 	if cfg.MaxHItems == 0 {
 		cfg.MaxHItems = 2*((n+v-1)/v) + v + 16
 	}
-	res, err := core.RunPar[Item](New(n), Codec{}, cfg, cgm.Scatter(items, v))
+	res, err := core.RunPar[Item](New(n), Codec{}, cfg, parts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -137,15 +165,22 @@ func EMPermute(vals, dests []int64, cfg core.Config) ([]int64, *core.Result[Item
 }
 
 // Values projects the n values out of per-VP output partitions, in VP
-// order, without concatenating the partitions first.
+// order, without concatenating the partitions first: each partition is
+// projected on its own, at its prefix offset, through cgm.ForEachVP.
 func Values(parts [][]Item, n int) []int64 {
 	out := make([]int64, n)
-	i := 0
-	for _, part := range parts {
-		for _, it := range part {
-			out[i] = it.Val
-			i++
+	offs := make([]int, len(parts)+1)
+	for i, part := range parts {
+		offs[i+1] = offs[i] + len(part)
+	}
+	if err := cgm.ForEachVP(len(parts), func(i int) error {
+		dst := out[offs[i]:offs[i+1]]
+		for k, it := range parts[i] {
+			dst[k] = it.Val
 		}
+		return nil
+	}); err != nil {
+		panic(err)
 	}
 	return out
 }

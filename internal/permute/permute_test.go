@@ -1,6 +1,7 @@
 package permute
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -44,6 +45,66 @@ func TestCGMPermuteMatchesSequential(t *testing.T) {
 			}
 			if res.Stats.Rounds != 2 {
 				t.Errorf("v=%d n=%d: rounds = %d, want 2 (λ = O(1))", v, n, res.Stats.Rounds)
+			}
+		}
+	}
+}
+
+// appendRoute is the count-and-append route round 0 made before Init
+// grouped the State: each item, in input order, appended to the message
+// of its destination's owner.
+func appendRoute(input []Item, n, v int) [][]Item {
+	out := make([][]Item, v)
+	for _, it := range input {
+		d := cgm.Owner(n, v, int(it.Dest))
+		out[d] = append(out[d], it)
+	}
+	return out
+}
+
+// TestRoundZeroMessagesUnchanged: Init followed by round 0 sends, message
+// by message and item by item, what the count-and-append route sent — so
+// the encoded images, the op counts and the goldens cannot move — and
+// round 0 allocates nothing the size of the data.
+func TestRoundZeroMessagesUnchanged(t *testing.T) {
+	for _, n := range []int{0, 1, 777, 1 << 16} {
+		id := make([]int64, n)
+		rev := make([]int64, n)
+		for i := range id {
+			id[i] = int64(i)
+			rev[i] = int64(n - 1 - i)
+		}
+		for _, v := range []int{1, 4, 16} {
+			for name, dests := range map[string][]int64{"random": workload.Permutation(int64(n+v), n), "identity": id, "reverse": rev} {
+				tag := fmt.Sprintf("%s n=%d v=%d", name, n, v)
+				vals := workload.Int64s(int64(v), n)
+				items := make([]Item, n)
+				for i := range items {
+					items[i] = Item{Dest: dests[i], Val: vals[i]}
+				}
+				for j, part := range cgm.Scatter(items, v) {
+					want := appendRoute(part, n, v)
+					vp := &cgm.VP[Item]{ID: j, V: v}
+					New(n).Init(vp, part)
+					st := vp.State
+					got, done := New(n).Round(vp, 0, nil)
+					if done || len(got) != v || len(vp.State) != 0 {
+						t.Fatalf("%s vp %d: round 0 returned %d messages, done %v, State of %d", tag, j, len(got), done, len(vp.State))
+					}
+					for d := range want {
+						if len(got[d]) != len(want[d]) || cap(got[d]) != len(got[d]) {
+							t.Fatalf("%s vp %d: message %d has len %d cap %d, want len = cap = %d", tag, j, d, len(got[d]), cap(got[d]), len(want[d]))
+						}
+						for k := range want[d] {
+							if got[d][k] != want[d][k] {
+								t.Fatalf("%s vp %d: message %d item %d = %+v, want %+v", tag, j, d, k, got[d][k], want[d][k])
+							}
+						}
+					}
+					if a := testing.AllocsPerRun(5, func() { vp.State = st; New(n).Round(vp, 0, nil) }); a > 2 {
+						t.Errorf("%s vp %d: round 0 made %v allocations, want at most 2", tag, j, a)
+					}
+				}
 			}
 		}
 	}
@@ -224,4 +285,43 @@ func TestCodecBulkMatchesPerItem(t *testing.T) {
 	if a := testing.AllocsPerRun(10, func() { c.DecodeSliceInto(back, got) }); a != 0 {
 		t.Errorf("DecodeSliceInto: %v allocations, want 0", a)
 	}
+}
+
+// BenchmarkPermuteRounds splits the permutation's local work by superstep
+// at the benchmark's per-VP size: 2²² items over v = 16, so 2¹⁸ a VP. Each
+// op is one VP's compute in one round (times 16 is the round's share of
+// permute_mem on one core): init+r0 is Init and round 0 on VP 0's
+// partition, r1 is round 1 on the messages a real round 0 of all sixteen
+// sent VP 0.
+func BenchmarkPermuteRounds(b *testing.B) {
+	const n, v = 1 << 22, 16
+	vals := workload.Int64s(1, n)
+	dests := workload.Permutation(2, n)
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = Item{Dest: dests[i], Val: vals[i]}
+	}
+	parts := cgm.Scatter(items, v)
+	p := New(n)
+	inbox := make([][]Item, v)
+	for j := range parts {
+		vp := &cgm.VP[Item]{ID: j, V: v}
+		p.Init(vp, parts[j])
+		out, _ := p.Round(vp, 0, nil)
+		inbox[j] = out[0]
+	}
+	b.Run("init+r0", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			vp := &cgm.VP[Item]{V: v}
+			p.Init(vp, parts[0])
+			p.Round(vp, 0, nil)
+		}
+	})
+	b.Run("r1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p.Round(&cgm.VP[Item]{V: v}, 1, inbox)
+		}
+	})
 }

@@ -29,39 +29,21 @@ type Program struct {
 // New returns a transpose program for a k-row, l-column matrix.
 func New(k, l int) Program { return Program{K: k, L: l} }
 
-// Init stores the partition.
-func (Program) Init(vp *cgm.VP[permute.Item], input []permute.Item) {
-	vp.State = append([]permute.Item(nil), input...)
+// Init computes each element's column-major destination once, stores it
+// in Dest and routes as permute.Program.Init does: the State is grouped by
+// the owner of the destination.
+func (p Program) Init(vp *cgm.VP[permute.Item], input []permute.Item) {
+	tagged := make([]permute.Item, len(input))
+	for i, it := range input {
+		tagged[i] = permute.Item{Dest: int64(p.dest(it)), Val: it.Val}
+	}
+	permute.New(p.K*p.L).Init(vp, tagged)
 }
 
-// Round 0 computes each element's column-major destination and routes it;
-// round 1 places received elements.
+// Round is permute.Program's on the State Init left: round 0 sends each
+// owner its group, round 1 places received elements.
 func (p Program) Round(vp *cgm.VP[permute.Item], round int, inbox [][]permute.Item) ([][]permute.Item, bool) {
-	n := p.K * p.L
-	switch round {
-	case 0:
-		counts := make([]int, vp.V)
-		for _, it := range vp.State {
-			counts[cgm.Owner(n, vp.V, p.dest(it))]++
-		}
-		out := cgm.Outbox[permute.Item](counts)
-		for _, it := range vp.State {
-			dest := p.dest(it)
-			d := cgm.Owner(n, vp.V, dest)
-			out[d] = append(out[d], permute.Item{Dest: int64(dest), Val: it.Val})
-		}
-		vp.State = vp.State[:0]
-		return out, false
-	default:
-		lo, hi := cgm.PartRange(n, vp.V, vp.ID)
-		vp.State = make([]permute.Item, hi-lo)
-		for _, msg := range inbox {
-			for _, it := range msg {
-				vp.State[int(it.Dest)-lo] = it
-			}
-		}
-		return nil, true
-	}
+	return permute.New(p.K*p.L).Round(vp, round, inbox)
 }
 
 // dest is the column-major position of an element still tagged with its
@@ -88,19 +70,26 @@ func EMTranspose(vals []int64, k, l int, cfg core.Config) ([]int64, *core.Result
 	if len(vals) != k*l {
 		return nil, nil, fmt.Errorf("transpose: %d values for a %d×%d matrix", len(vals), k, l)
 	}
-	n := len(vals)
-	items := make([]permute.Item, n)
-	for i := range items {
-		items[i] = permute.Item{Dest: int64(i), Val: vals[i]} // Dest holds the source position pre-routing
+	n, v := len(vals), cfg.V
+	parts := make([][]permute.Item, v)
+	if err := cgm.ForEachVP(v, func(i int) error {
+		lo, hi := cgm.PartRange(n, v, i)
+		part := make([]permute.Item, hi-lo)
+		for k := range part {
+			part[k] = permute.Item{Dest: int64(lo + k), Val: vals[lo+k]} // Dest holds the source position pre-routing
+		}
+		parts[i] = part
+		return nil
+	}); err != nil {
+		return nil, nil, err
 	}
-	v := cfg.V
 	if cfg.MaxMsgItems == 0 {
 		cfg.MaxMsgItems = 4*((n+v*v-1)/(v*v)) + v + 16
 	}
 	if cfg.MaxHItems == 0 {
 		cfg.MaxHItems = 2*((n+v-1)/v) + v + 16
 	}
-	res, err := core.RunPar[permute.Item](New(k, l), permute.Codec{}, cfg, cgm.Scatter(items, v))
+	res, err := core.RunPar[permute.Item](New(k, l), permute.Codec{}, cfg, parts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Seeded-negative self-test of the contracts the engine's own tests hold
 # (DESIGN.md §10): break each contract in a scratch copy of the tree, run
-# only the test that owns it — in internal/core, or in the root package
-# for the property tests — and require that test to fail by name. The
+# only the test that owns it — in internal/core, internal/sortalg,
+# internal/cgm, or in the root package for the property tests — and
+# require that test to fail by name. The
 # unmutated copy must pass the same tests first. An anchor line that no
 # longer matches is itself a failure, so a refactor that moves the code
 # must move its mutation with it.
@@ -13,9 +14,9 @@ trap 'rm -rf "$tmp"' EXIT
 cp -R "$root/go.mod" "$root"/*.go "$root/internal" "$tmp/"
 cd "$tmp"
 
-# run_tests PATTERN: the tests of internal/core, internal/sortalg and the
-# root package that PATTERN names.
-run_tests() { go test . ./internal/core ./internal/sortalg -count=1 -timeout 300s -run "^($1)\$" 2>&1; }
+# run_tests PATTERN: the tests of internal/core, internal/sortalg,
+# internal/cgm and the root package that PATTERN names.
+run_tests() { go test . ./internal/core ./internal/sortalg ./internal/cgm -count=1 -timeout 300s -run "^($1)\$" 2>&1; }
 
 # mutate FILE ANCHOR COUNT NTH REPLACEMENT: ANCHOR (a fixed string) must
 # be on exactly COUNT lines of FILE; the NTH such line becomes REPLACEMENT
@@ -47,7 +48,7 @@ check() {
 	cp "$root/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -184,4 +185,12 @@ f=internal/sortalg/radix.go
 mutate $f 'if shift == 8 {' 1 1 '\tif true {'
 check 'finish LSD buckets without the tie pass' $f TestSortedCopy
 
-echo "contract-selftest: all eighteen mutations caught"
+# A permutation's routing is the one-off Owner's (DESIGN.md §7): the
+# division-free table corrects a cell's first owner by one where the next
+# partition starts inside the cell. Off by one at that start, the first
+# index of every partition that begins mid-cell goes to the VP before it.
+f=internal/cgm/partition.go
+mutate $f 'if g >= o.lo[k+1] {' 1 1 '\tif g > o.lo[k+1] {'
+check 'owner lookup off by one at a partition start' $f TestOwnersMatchOwner
+
+echo "contract-selftest: all nineteen mutations caught"
