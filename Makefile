@@ -116,8 +116,9 @@ lint:
 # inbox at b′ instead of its image's stride, allocate per transfer, serve
 # a burst in map order, read the environment in sortalg, drop a
 # write-behind error, finish the local sort's LSD buckets without their
-# tie pass, look a permutation's owner up off by one at a partition start
-# — nineteen in all — and requires the owning test to fail by name.
+# tie pass, look a permutation's owner up off by one at a partition start,
+# drop MergeSort's wait error — twenty in all — and requires the owning
+# test to fail by name.
 # About two minutes; one mutation wedges a run until its 30 s watchdog.
 contract-selftest:
 	@sh scripts/contract_mutations.sh

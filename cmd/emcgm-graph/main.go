@@ -74,6 +74,7 @@ func main() {
 	if *traceOut != "" || *debugAddr != "" {
 		recorder = obs.NewRecorder()
 	}
+	mcfg.Recorder = recorder
 	if *debugAddr != "" {
 		go func() {
 			if err := obs.Serve(*debugAddr, recorder, pdm.DefaultTimeModel().OpTime(*b)); err != nil {
@@ -96,10 +97,7 @@ func main() {
 		edges = workload.Graph(*seed, nv, *m)
 	}
 
-	e1 := rec.NewEM(*v, *p, *d, *b)
-	e1.Recorder = recorder
-	e1.DiskDir, e1.DirectIO = *disks, *directio
-	e1.Depth = *depth
+	e1 := &rec.Exec{Config: mcfg, EM: true}
 	labels, forest, err := graph.ConnectedComponents(e1, nv, edges)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "emcgm-graph: components: %v\n", err)
@@ -114,10 +112,7 @@ func main() {
 	fmt.Printf("  λ = %d rounds, %d parallel I/Os, %d items over the network\n",
 		e1.Rounds, e1.IO.ParallelOps, e1.CommItems)
 
-	e2 := rec.NewEM(*v, *p, *d, *b)
-	e2.Recorder = recorder
-	e2.DiskDir, e2.DirectIO = *disks, *directio
-	e2.Depth = *depth
+	e2 := &rec.Exec{Config: mcfg, EM: true}
 	blocks, err := graph.Biconn(e2, nv, edges)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "emcgm-graph: biconnectivity: %v\n", err)
@@ -136,10 +131,7 @@ func main() {
 	fmt.Printf("biconnected components: %d (%d bridges)\n", len(blockSet), bridges)
 	fmt.Printf("  λ = %d rounds, %d parallel I/Os\n", e2.Rounds, e2.IO.ParallelOps)
 
-	e3 := rec.NewEM(*v, *p, *d, *b)
-	e3.Recorder = recorder
-	e3.DiskDir, e3.DirectIO = *disks, *directio
-	e3.Depth = *depth
+	e3 := &rec.Exec{Config: mcfg, EM: true}
 	arts, err := graph.ArticulationPoints(e3, nv, edges)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "emcgm-graph: articulation points: %v\n", err)

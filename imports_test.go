@@ -26,7 +26,6 @@ func TestDeterministicImports(t *testing.T) {
 		"permute":   {"cgm", "core", "pdm", "sortalg", "wordcodec"},
 		"sortalg":   {"cgm", "core", "layout", "pdm", "wordcodec"},
 		"transpose": {"cgm", "core", "pdm", "permute", "sortalg"},
-		"prefix":    {"cgm"},
 	}
 	for pkg, allowed := range module {
 		files, _ := filepath.Glob(filepath.Join("internal", pkg, "*.go"))

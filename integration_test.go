@@ -18,7 +18,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/pdm"
 	"repro/internal/permute"
-	"repro/internal/prefix"
 	"repro/internal/rec"
 	"repro/internal/sortalg"
 	"repro/internal/transpose"
@@ -122,13 +121,9 @@ func TestInitCopiesInput(t *testing.T) {
 	for i, k := range keys {
 		items[i] = permute.Item{Dest: int64(len(keys) - 1 - i), Val: k}
 	}
-	add := func(a, b int64) int64 { return a + b }
 	for name, err := range map[string]error{
 		"sortalg.Sorter":           cgm.InitCopies[int64](sortalg.Sorter[int64]{}, 4, keys),
 		"sortalg.TournamentSorter": cgm.InitCopies[int64](sortalg.TournamentSorter[int64]{}, 4, keys),
-		"prefix.Scan":              cgm.InitCopies[int64](prefix.Scan[int64]{Op: add}, 4, keys),
-		"prefix.Broadcast":         cgm.InitCopies[int64](prefix.Broadcast[int64]{}, 4, keys),
-		"prefix.Reduce":            cgm.InitCopies[int64](prefix.Reduce[int64]{Op: add}, 4, keys),
 		"permute.Program":          cgm.InitCopies[permute.Item](permute.New(len(items)), 4, items),
 		"transpose.Program":        cgm.InitCopies[permute.Item](transpose.New(2, 3), 4, items),
 		"balance.Wrap":             cgm.InitCopies(balance.Wrap[int64](sortalg.Sorter[int64]{}), 4, balance.WrapInputs([][]int64{keys})[0]),
@@ -173,7 +168,7 @@ func TestWrappersRejectBadConfig(t *testing.T) {
 		_, _, errs["EMPermute"] = permute.EMPermute(vals, dests, cfg)
 		_, _, errs["EMTranspose"] = transpose.EMTranspose(vals, 8, 8, cfg)
 		dir := t.TempDir()
-		e := &rec.Exec{EM: true, V: c.v, P: c.p, D: c.d, B: c.b, DiskDir: dir}
+		e := &rec.Exec{Config: core.Config{V: c.v, P: c.p, D: c.d, B: c.b, DiskDir: dir}, EM: true}
 		_, execErr := e.Run(nopR{}, rec.Scatter(make([]rec.R, 64), max(c.v, 1)))
 		if c.execOK {
 			if execErr != nil {

@@ -96,12 +96,16 @@ func TestParDiskFaultSurfaces(t *testing.T) {
 	cb := pdm.BlocksFor(maxCtx, b)
 	img := make([]pdm.Word, cb*b)
 	var scr layout.Scratch
+	var pend pdm.PendingSet
 	mem := newVPMem[int64](v, 0, false)
 	for l := 0; l < localV; l++ {
 		j := 0*localV + l
 		want := parts[j]
 		// Only the live prefix of the context run was ever written.
-		if err := layout.ReadStripedScratch(arr, 0, l*cb, img[:pdm.BlocksFor(len(want), b)*b], &scr); err != nil {
+		if err := layout.BeginReadStripedScratch(arr, 0, l*cb, img[:pdm.BlocksFor(len(want), b)*b], &scr, &pend); err != nil {
+			t.Fatalf("vp %d: read context: %v", j, err)
+		}
+		if err := pend.Wait(); err != nil {
 			t.Fatalf("vp %d: read context: %v", j, err)
 		}
 		state, _, _ := mem.decode(wordcodec.I64{}, img[:len(want)], nil, 0, nil)

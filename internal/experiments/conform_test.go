@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cgm"
 	"repro/internal/permute"
-	"repro/internal/prefix"
 	"repro/internal/rec"
 	"repro/internal/recsort"
 	"repro/internal/sortalg"
@@ -46,12 +45,6 @@ func TestAlgorithmsAreConformingCGM(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("permutation", pres.Stats, 1.5, 1.5)
-
-	sres, err := cgm.Run[int64](prefix.Scan[int64]{Op: func(a, b int64) int64 { return a + b }}, v, cgm.Scatter(keys, v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("prefix sums", sres.Stats, 1.2, 1.2)
 
 	recs := make([]rec.R, n)
 	for i := range recs {

@@ -17,7 +17,7 @@ func BenchmarkWriteFIFO(b *testing.B) {
 		b.Fatal(err)
 	}
 	arr := pdm.NewMemArray(d, blk)
-	reqs := m.OutboxReqs(0, 3)
+	reqs := m.AppendOutboxReqs(nil, 0, 3)
 	bufs := make([][]pdm.Word, len(reqs))
 	for i := range bufs {
 		bufs[i] = make([]pdm.Word, blk)

@@ -57,7 +57,7 @@ func FuzzStaggeredLayout(f *testing.F) {
 		disk := map[pdm.BlockReq]int{}
 		id := func(src, dst, q int) int { return (src*V+dst)*BPM + q }
 		for src := 0; src < V; src++ {
-			reqs := m.OutboxReqs(p, src)
+			reqs := m.AppendOutboxReqs(nil, p, src)
 			if len(reqs) != V*BPM {
 				t.Fatalf("outbox of %d: %d requests, want %d", src, len(reqs), V*BPM)
 			}
@@ -69,7 +69,7 @@ func FuzzStaggeredLayout(f *testing.F) {
 			}
 		}
 		for dst := 0; dst < V; dst++ {
-			reqs := m.InboxReqs(p+1, dst)
+			reqs := m.AppendInboxReqs(nil, p+1, dst)
 			if len(reqs) != V*BPM {
 				t.Fatalf("inbox of %d: %d requests, want %d", dst, len(reqs), V*BPM)
 			}

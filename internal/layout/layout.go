@@ -39,62 +39,8 @@ func Striped(g, d, base int) pdm.BlockReq {
 	return pdm.BlockReq{Disk: g % d, Track: base + g/d}
 }
 
-// Pad returns ws extended with zero words to a multiple of b.
-func Pad(ws []pdm.Word, b int) []pdm.Word {
-	r := len(ws) % b
-	if r == 0 {
-		return ws
-	}
-	return append(ws, make([]pdm.Word, b-r)...)
-}
-
-// SplitBlocks cuts ws (whose length must be a multiple of b) into b-word
-// block views sharing ws's storage.
-func SplitBlocks(ws []pdm.Word, b int) [][]pdm.Word {
-	return SplitBlocksInto(make([][]pdm.Word, 0, len(ws)/b), ws, b)
-}
-
 func badSplit(n, b int) string {
 	return fmt.Sprintf("layout: %d words is not a multiple of block size %d", n, b)
-}
-
-// WriteStriped writes bufs as blocks [startBlock, startBlock+len(bufs))
-// of the striped region rooted at baseTrack. Consecutive global indices
-// hit distinct disks, so the transfer proceeds in ⌈len(bufs)/D⌉ fully
-// parallel operations (the last may be partial).
-func WriteStriped(arr *pdm.DiskArray, baseTrack, startBlock int, bufs [][]pdm.Word) error {
-	var s Scratch
-	return WriteStripedScratch(arr, baseTrack, startBlock, bufs, &s)
-}
-
-// ReadStriped reads n blocks starting at global index startBlock of the
-// striped region rooted at baseTrack, returning the concatenated words
-// (n·B of them). It issues ⌈n/D⌉ fully parallel operations.
-func ReadStriped(arr *pdm.DiskArray, baseTrack, startBlock, n int) ([]pdm.Word, error) {
-	var s Scratch
-	out := make([]pdm.Word, n*arr.B())
-	if err := ReadStripedScratch(arr, baseTrack, startBlock, out, &s); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// WriteFIFO writes a burst of blocks in the fewest parallel I/Os its
-// addresses allow. The paper's DiskWrite procedure serves the queue
-// strictly front to back and cuts a write cycle at the first block whose
-// disk the cycle already uses; here a burst is issued in per-disk rounds
-// (see packed), which costs the same on the whole-slot transfers the paper
-// makes and no more on anything else. It returns the number of parallel
-// operations issued.
-func WriteFIFO(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word) (int, error) {
-	var s Scratch
-	return packed(arr, reqs, bufs, false, &s, nil)
-}
-
-// ReadFIFO is the read-side analogue of WriteFIFO.
-func ReadFIFO(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word) (int, error) {
-	var s Scratch
-	return packed(arr, reqs, bufs, true, &s, nil)
 }
 
 // packed issues a burst in per-disk rounds: operation k carries the k-th
@@ -103,8 +49,8 @@ func ReadFIFO(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word) (int, 
 // schedule takes fewer than the longest per-disk queue, and this one takes
 // exactly that many: max_d(count_d). Transfers to one disk keep the
 // burst's order, which is all a write→read dependency needs (pdm's
-// per-disk queues are FIFO). With a pending set the operations are begun
-// and their handles added to it; with none each is waited before the next.
+// per-disk queues are FIFO). The operations are begun and their handles
+// added to pend.
 func packed(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, read bool, s *Scratch, pend *pdm.PendingSet) (int, error) {
 	if len(reqs) != len(bufs) {
 		return 0, fmt.Errorf("layout: %d requests but %d buffers", len(reqs), len(bufs))
@@ -130,11 +76,7 @@ func packed(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, read boo
 		if err != nil {
 			return k, err
 		}
-		if pend != nil {
-			pend.Add(p)
-		} else if err := p.Wait(); err != nil {
-			return k, err
-		}
+		pend.Add(p)
 	}
 	return ops, nil
 }

@@ -26,38 +26,65 @@ func TestStriped(t *testing.T) {
 	}
 }
 
-func TestPad(t *testing.T) {
-	ws := []pdm.Word{1, 2, 3}
-	p := Pad(ws, 4)
-	if len(p) != 4 || p[3] != 0 {
-		t.Fatalf("Pad(3,4) = %v", p)
-	}
-	p4 := Pad([]pdm.Word{1, 2, 3, 4}, 4)
-	if len(p4) != 4 {
-		t.Fatalf("Pad(4,4) len = %d", len(p4))
-	}
-	if got := Pad(nil, 4); len(got) != 0 {
-		t.Fatalf("Pad(nil) = %v", got)
-	}
-}
-
 func TestSplitBlocks(t *testing.T) {
 	ws := []pdm.Word{1, 2, 3, 4, 5, 6}
-	blocks := SplitBlocks(ws, 3)
-	if len(blocks) != 2 || blocks[0][0] != 1 || blocks[1][2] != 6 {
-		t.Fatalf("SplitBlocks = %v", blocks)
+	head := []pdm.Word{7}
+	blocks := SplitBlocksInto([][]pdm.Word{head}, ws, 3)
+	if len(blocks) != 3 || &blocks[0][0] != &head[0] || blocks[1][0] != 1 || blocks[2][2] != 6 {
+		t.Fatalf("SplitBlocksInto = %v", blocks)
 	}
 	// views alias the input
-	blocks[0][0] = 99
+	blocks[1][0] = 99
 	if ws[0] != 99 {
-		t.Error("SplitBlocks did not alias input")
+		t.Error("SplitBlocksInto did not alias input")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("SplitBlocks accepted a non-multiple length")
+			t.Error("SplitBlocksInto accepted a non-multiple length")
 		}
 	}()
-	SplitBlocks(ws[:5], 3)
+	SplitBlocksInto(nil, ws[:5], 3)
+}
+
+// writeStriped writes ws, a whole number of blocks, through
+// BeginWriteStripedScratch and waits the transfer.
+func writeStriped(arr *pdm.DiskArray, baseTrack, startBlock int, ws []pdm.Word) error {
+	var s Scratch
+	var pend pdm.PendingSet
+	err := BeginWriteStripedScratch(arr, baseTrack, startBlock, SplitBlocksInto(nil, ws, arr.B()), &s, &pend)
+	if werr := pend.Wait(); err == nil {
+		err = werr
+	}
+	return err
+}
+
+// readStriped reads n blocks through BeginReadStripedScratch and waits the
+// transfer.
+func readStriped(arr *pdm.DiskArray, baseTrack, startBlock, n int) ([]pdm.Word, error) {
+	var s Scratch
+	var pend pdm.PendingSet
+	out := make([]pdm.Word, n*arr.B())
+	err := BeginReadStripedScratch(arr, baseTrack, startBlock, out, &s, &pend)
+	if werr := pend.Wait(); err == nil {
+		err = werr
+	}
+	return out, err
+}
+
+// fifo issues a burst through BeginReadFIFOScratch or
+// BeginWriteFIFOScratch and waits it.
+func fifo(arr *pdm.DiskArray, read bool, reqs []pdm.BlockReq, bufs [][]pdm.Word) (int, error) {
+	var s Scratch
+	var pend pdm.PendingSet
+	begin := BeginWriteFIFOScratch
+	if read {
+		begin = BeginReadFIFOScratch
+	}
+	ops, err := begin(arr, reqs, bufs, &s, &pend)
+	if werr := pend.Wait(); err == nil {
+		err = werr
+	}
+	return ops, err
 }
 
 func TestStripedRoundTrip(t *testing.T) {
@@ -68,12 +95,12 @@ func TestStripedRoundTrip(t *testing.T) {
 	for i := range data {
 		data[i] = pdm.Word(i + 1)
 	}
-	if err := WriteStriped(arr, 5, 2, SplitBlocks(data, b)); err != nil {
-		t.Fatalf("WriteStriped: %v", err)
+	if err := writeStriped(arr, 5, 2, data); err != nil {
+		t.Fatalf("write: %v", err)
 	}
-	got, err := ReadStriped(arr, 5, 2, 7)
+	got, err := readStriped(arr, 5, 2, 7)
 	if err != nil {
-		t.Fatalf("ReadStriped: %v", err)
+		t.Fatalf("read: %v", err)
 	}
 	for i := range data {
 		if got[i] != data[i] {
@@ -93,17 +120,17 @@ func TestStripedRunsDoNotOverlap(t *testing.T) {
 	arr := pdm.NewMemArray(d, b)
 	run1 := []pdm.Word{1, 1, 1, 1}
 	run2 := []pdm.Word{2, 2, 2, 2}
-	if err := WriteStriped(arr, 0, 0, SplitBlocks(run1, b)); err != nil {
+	if err := writeStriped(arr, 0, 0, run1); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteStriped(arr, 0, 2, SplitBlocks(run2, b)); err != nil {
+	if err := writeStriped(arr, 0, 2, run2); err != nil {
 		t.Fatal(err)
 	}
-	got1, err := ReadStriped(arr, 0, 0, 2)
+	got1, err := readStriped(arr, 0, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := ReadStriped(arr, 0, 2, 2)
+	got2, err := readStriped(arr, 0, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +148,9 @@ func TestWriteFIFOPacksConflictFree(t *testing.T) {
 	for i := range bufs {
 		bufs[i] = []pdm.Word{pdm.Word(i), pdm.Word(i)}
 	}
-	ops, err := WriteFIFO(arr, reqs, bufs)
+	ops, err := fifo(arr, false, reqs, bufs)
 	if err != nil {
-		t.Fatalf("WriteFIFO: %v", err)
+		t.Fatalf("write: %v", err)
 	}
 	if ops != 2 {
 		t.Errorf("ops = %d, want 2", ops)
@@ -134,7 +161,7 @@ func TestWriteFIFOPacksConflictFree(t *testing.T) {
 	arr2 := pdm.NewMemArray(2, b)
 	reqs2 := []pdm.BlockReq{{Disk: 0}, {Disk: 0, Track: 1}, {Disk: 1}}
 	bufs2 := [][]pdm.Word{{1, 1}, {2, 2}, {3, 3}}
-	ops2, err := WriteFIFO(arr2, reqs2, bufs2)
+	ops2, err := fifo(arr2, false, reqs2, bufs2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,14 +185,14 @@ func TestReadFIFORoundTrip(t *testing.T) {
 	for i := range bufs {
 		bufs[i] = []pdm.Word{pdm.Word(10 + i), 0}
 	}
-	if _, err := WriteFIFO(arr, reqs, bufs); err != nil {
+	if _, err := fifo(arr, false, reqs, bufs); err != nil {
 		t.Fatal(err)
 	}
 	got := make([][]pdm.Word, len(reqs))
 	for i := range got {
 		got[i] = make([]pdm.Word, b)
 	}
-	ops, err := ReadFIFO(arr, reqs, got)
+	ops, err := fifo(arr, true, reqs, got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +208,7 @@ func TestReadFIFORoundTrip(t *testing.T) {
 
 func TestFIFOMismatch(t *testing.T) {
 	arr := pdm.NewMemArray(2, 2)
-	if _, err := WriteFIFO(arr, []pdm.BlockReq{{Disk: 0}}, nil); err == nil {
+	if _, err := fifo(arr, false, []pdm.BlockReq{{Disk: 0}}, nil); err == nil {
 		t.Error("mismatched lengths accepted")
 	}
 }
@@ -251,27 +278,27 @@ func TestMatrixAlternationDeliversMessages(t *testing.T) {
 			return pdm.Word(step*1000000 + src*10000 + dst*100 + w%97)
 		}
 		writeOutbox := func(phase, src, step int) {
-			reqs := m.OutboxReqs(phase, src)
+			reqs := m.AppendOutboxReqs(nil, phase, src)
 			bufs := make([][]pdm.Word, 0, len(reqs))
 			for dst := 0; dst < g.v; dst++ {
 				msg := make([]pdm.Word, blockWords)
 				for w := range msg {
 					msg[w] = payload(step, src, dst, w)
 				}
-				bufs = append(bufs, SplitBlocks(msg, g.b)...)
+				bufs = SplitBlocksInto(bufs, msg, g.b)
 			}
-			if _, err := WriteFIFO(arr, reqs, bufs); err != nil {
+			if _, err := fifo(arr, false, reqs, bufs); err != nil {
 				t.Fatalf("%+v: outbox write: %v", g, err)
 			}
 		}
 		readInbox := func(phase, dst, step int) {
-			reqs := m.InboxReqs(phase, dst)
+			reqs := m.AppendInboxReqs(nil, phase, dst)
 			flat := make([]pdm.Word, len(reqs)*g.b)
 			bufs := make([][]pdm.Word, len(reqs))
 			for i := range bufs {
 				bufs[i] = flat[i*g.b : (i+1)*g.b]
 			}
-			if _, err := ReadFIFO(arr, reqs, bufs); err != nil {
+			if _, err := fifo(arr, true, reqs, bufs); err != nil {
 				t.Fatalf("%+v: inbox read: %v", g, err)
 			}
 			for src := 0; src < g.v; src++ {
@@ -318,24 +345,24 @@ func TestMatrixConsecutiveReadParallelism(t *testing.T) {
 		}
 		arr := pdm.NewMemArray(g.d, 2)
 		for src := 0; src < g.v; src++ {
-			reqs := m.OutboxReqs(1, src) // place for phase-0 reads... (phase+1 = 0 mod 2)
+			reqs := m.AppendOutboxReqs(nil, 1, src) // place for phase-0 reads... (phase+1 = 0 mod 2)
 			bufs := make([][]pdm.Word, len(reqs))
 			for i := range bufs {
 				bufs[i] = []pdm.Word{1, 1}
 			}
-			if _, err := WriteFIFO(arr, reqs, bufs); err != nil {
+			if _, err := fifo(arr, false, reqs, bufs); err != nil {
 				t.Fatal(err)
 			}
 		}
 		total := g.v * g.bpm
 		minOps := (total + g.d - 1) / g.d
 		for dst := 0; dst < g.v; dst++ {
-			reqs := m.InboxReqs(0, dst)
+			reqs := m.AppendInboxReqs(nil, 0, dst)
 			bufs := make([][]pdm.Word, len(reqs))
 			for i := range bufs {
 				bufs[i] = make([]pdm.Word, 2)
 			}
-			ops, err := ReadFIFO(arr, reqs, bufs)
+			ops, err := fifo(arr, true, reqs, bufs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -417,7 +444,7 @@ func TestRectInjectiveProperty(t *testing.T) {
 	}
 }
 
-// Property: WriteStriped/ReadStriped round-trip at random offsets.
+// Property: striped writes and reads round-trip at random offsets.
 func TestStripedRoundTripProperty(t *testing.T) {
 	if err := quick.Check(func(d8, b8, n8, s8 uint8) bool {
 		d := int(d8)%6 + 1
@@ -429,10 +456,10 @@ func TestStripedRoundTripProperty(t *testing.T) {
 		for i := range data {
 			data[i] = pdm.Word(i * 31)
 		}
-		if err := WriteStriped(arr, 2, start, SplitBlocks(data, b)); err != nil {
+		if err := writeStriped(arr, 2, start, data); err != nil {
 			return false
 		}
-		got, err := ReadStriped(arr, 2, start, n)
+		got, err := readStriped(arr, 2, start, n)
 		if err != nil {
 			return false
 		}
@@ -473,7 +500,7 @@ func TestPrefixReqs(t *testing.T) {
 		return i == len(sub)
 	}
 	cycles := func(reqs []pdm.BlockReq) int {
-		n, err := WriteFIFO(pdm.NewMemArray(d, b), reqs, SplitBlocks(make([]pdm.Word, len(reqs)*b), b))
+		n, err := fifo(pdm.NewMemArray(d, b), false, reqs, SplitBlocksInto(nil, make([]pdm.Word, len(reqs)*b), b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,8 +511,8 @@ func TestPrefixReqs(t *testing.T) {
 	for phase := 0; phase < 2; phase++ {
 		for vp := 0; vp < v; vp++ {
 			for name, pair := range map[string][2][]pdm.BlockReq{
-				"inbox":  {m.AppendInboxPrefixReqs(nil, phase, vp, live), m.InboxReqs(phase, vp)},
-				"outbox": {m.AppendOutboxPrefixReqs(nil, phase, vp, live), m.OutboxReqs(phase, vp)},
+				"inbox":  {m.AppendInboxPrefixReqs(nil, phase, vp, live), m.AppendInboxReqs(nil, phase, vp)},
+				"outbox": {m.AppendOutboxPrefixReqs(nil, phase, vp, live), m.AppendOutboxReqs(nil, phase, vp)},
 			} {
 				sub, full := pair[0], pair[1]
 				if len(sub) != total || !subsequence(sub, full) {
@@ -497,13 +524,13 @@ func TestPrefixReqs(t *testing.T) {
 			}
 		}
 	}
-	if got, want := m.AppendInboxPrefixReqs(nil, 1, 2, nil), m.InboxReqs(1, 2); !slices.Equal(got, want) {
+	if got, want := m.AppendInboxPrefixReqs(nil, 1, 2, nil), m.AppendInboxReqs(nil, 1, 2); !slices.Equal(got, want) {
 		t.Errorf("nil table: %v, want the whole inbox %v", got, want)
 	}
-	if sub, full := r.AppendRegionPrefixReqs(nil, 1, live), r.RegionReqs(1); len(sub) != total || !subsequence(sub, full) {
+	if sub, full := r.AppendRegionPrefixReqs(nil, 1, live), r.AppendRegionPrefixReqs(nil, 1, nil); len(sub) != total || !subsequence(sub, full) {
 		t.Errorf("rect region: %v is not the %d-block subsequence of %v", sub, total, full)
 	}
-	if got, want := r.AppendSlotReqs(nil, 1, 3, 2), r.SlotReqs(1, 3)[:2]; !slices.Equal(got, want) {
+	if got, want := r.AppendSlotReqs(nil, 1, 3, 2), r.AppendSlotReqs(nil, 1, 3, bpm)[:2]; !slices.Equal(got, want) {
 		t.Errorf("rect slot prefix: %v, want %v", got, want)
 	}
 
@@ -514,14 +541,14 @@ func TestPrefixReqs(t *testing.T) {
 	for i := range flat {
 		flat[i] = pdm.Word(1000 + i)
 	}
-	if _, err := WriteFIFO(arr, m.AppendOutboxPrefixReqs(nil, 0, 1, live), SplitPrefixesInto(nil, flat, b, bpm, live)); err != nil {
+	if _, err := fifo(arr, false, m.AppendOutboxPrefixReqs(nil, 0, 1, live), SplitPrefixesInto(nil, flat, b, bpm, live)); err != nil {
 		t.Fatal(err)
 	}
 	for dst, n := range live {
 		only := make([]int, v)
 		only[1] = n // the message from VP 1
 		got := make([]pdm.Word, v*bpm*b)
-		if _, err := ReadFIFO(arr, m.AppendInboxPrefixReqs(nil, 1, dst, only), SplitPrefixesInto(nil, got, b, bpm, only)); err != nil {
+		if _, err := fifo(arr, true, m.AppendInboxPrefixReqs(nil, 1, dst, only), SplitPrefixesInto(nil, got, b, bpm, only)); err != nil {
 			t.Fatal(err)
 		}
 		if want := flat[dst*bpm*b : dst*bpm*b+n*b]; !slices.Equal(got[bpm*b:bpm*b+n*b], want) {

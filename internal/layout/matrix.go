@@ -98,16 +98,11 @@ func (m Matrix) Place(phase, src, dst int) (region, slot int) {
 	return src, dst
 }
 
-// InboxReqs returns the FIFO block-request sequence that reads VP dst's
-// entire inbox (V messages of BPM blocks each) in the given phase. In
-// phase 0 this reads the slots of region dst front to back; in phase 1 it
-// is a staggered read of slot dst from every region. The k-th group of BPM
-// requests holds the message from source k.
-func (m Matrix) InboxReqs(phase, dst int) []pdm.BlockReq {
-	return m.AppendInboxReqs(make([]pdm.BlockReq, 0, m.V*m.BPM), phase, dst)
-}
-
-// AppendInboxReqs is InboxReqs appending into caller-owned storage.
+// AppendInboxReqs appends to reqs the FIFO block-request sequence that
+// reads VP dst's entire inbox (V messages of BPM blocks each) in the given
+// phase. In phase 0 this reads the slots of region dst front to back; in
+// phase 1 it is a staggered read of slot dst from every region. The k-th
+// group of BPM requests holds the message from source k.
 func (m Matrix) AppendInboxReqs(reqs []pdm.BlockReq, phase, dst int) []pdm.BlockReq {
 	return m.AppendInboxPrefixReqs(reqs, phase, dst, nil)
 }
@@ -126,16 +121,11 @@ func (m Matrix) AppendInboxPrefixReqs(reqs []pdm.BlockReq, phase, dst int, live 
 	return reqs
 }
 
-// OutboxReqs returns the FIFO block-request sequence that writes VP src's
-// entire outbox (V messages of BPM blocks each) in the given phase. The
-// k-th group of BPM requests is the message to destination k. Outgoing
-// messages of phase p are read as inboxes in phase p+1, so they are placed
-// with Place(phase+1, ...).
-func (m Matrix) OutboxReqs(phase, src int) []pdm.BlockReq {
-	return m.AppendOutboxReqs(make([]pdm.BlockReq, 0, m.V*m.BPM), phase, src)
-}
-
-// AppendOutboxReqs is OutboxReqs appending into caller-owned storage.
+// AppendOutboxReqs appends to reqs the FIFO block-request sequence that
+// writes VP src's entire outbox (V messages of BPM blocks each) in the
+// given phase. The k-th group of BPM requests is the message to
+// destination k. Outgoing messages of phase p are read as inboxes in phase
+// p+1, so they are placed with Place(phase+1, ...).
 func (m Matrix) AppendOutboxReqs(reqs []pdm.BlockReq, phase, src int) []pdm.BlockReq {
 	return m.AppendOutboxPrefixReqs(reqs, phase, src, nil)
 }

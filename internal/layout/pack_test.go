@@ -223,7 +223,7 @@ func TestStaggerFillsEveryDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 		for phase := 0; phase < 2; phase++ {
-			for name, reqs := range map[string][]pdm.BlockReq{"inbox": m.InboxReqs(phase, v/2), "outbox": m.OutboxReqs(phase, v/2)} {
+			for name, reqs := range map[string][]pdm.BlockReq{"inbox": m.AppendInboxReqs(nil, phase, v/2), "outbox": m.AppendOutboxReqs(nil, phase, v/2)} {
 				tag := fmt.Sprintf("v=%d b′=%d D=%d %s phase %d", v, bpm, d, name, phase)
 				got, paper := busiest(reqs, d), ceil(v*bpm, d)
 				if slack := min(v%d, bpm%d); got < paper || got > paper+slack {

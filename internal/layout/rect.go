@@ -47,12 +47,6 @@ func (m Rect) SlotBlock(r, a, q int) pdm.BlockReq {
 	return slotBlock(r, m.BaseTrack+r*m.RegionTracks(), a, q, m.BPM, m.D)
 }
 
-// SlotReqs returns the BPM block requests of slot a in region r, in block
-// order.
-func (m Rect) SlotReqs(r, a int) []pdm.BlockReq {
-	return m.AppendSlotReqs(make([]pdm.BlockReq, 0, m.BPM), r, a, m.BPM)
-}
-
 // AppendSlotReqs appends the requests of the first n blocks of slot a in
 // region r — the slot's live prefix; n = BPM is the whole slot.
 func (m Rect) AppendSlotReqs(reqs []pdm.BlockReq, r, a, n int) []pdm.BlockReq {
@@ -60,12 +54,6 @@ func (m Rect) AppendSlotReqs(reqs []pdm.BlockReq, r, a, n int) []pdm.BlockReq {
 		reqs = append(reqs, m.SlotBlock(r, a, q))
 	}
 	return reqs
-}
-
-// RegionReqs returns the block requests of the whole region r (Slots·BPM
-// blocks), grouped slot by slot.
-func (m Rect) RegionReqs(r int) []pdm.BlockReq {
-	return m.AppendRegionPrefixReqs(make([]pdm.BlockReq, 0, m.Slots*m.BPM), r, nil)
 }
 
 // AppendRegionPrefixReqs appends the requests of the first live[a] blocks

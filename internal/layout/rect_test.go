@@ -58,19 +58,19 @@ func TestRectRoundTrip(t *testing.T) {
 			for q := range bufs {
 				bufs[q] = []pdm.Word{pdm.Word(r*1000 + a*10 + q), 0}
 			}
-			if _, err := WriteFIFO(arr, m.SlotReqs(r, a), bufs); err != nil {
+			if _, err := fifo(arr, false, m.AppendSlotReqs(nil, r, a, bpm), bufs); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	// Read regions back as consecutive runs.
 	for r := 0; r < regions; r++ {
-		reqs := m.RegionReqs(r)
+		reqs := m.AppendRegionPrefixReqs(nil, r, nil)
 		bufs := make([][]pdm.Word, len(reqs))
 		for i := range bufs {
 			bufs[i] = make([]pdm.Word, b)
 		}
-		ops, err := ReadFIFO(arr, reqs, bufs)
+		ops, err := fifo(arr, true, reqs, bufs)
 		if err != nil {
 			t.Fatal(err)
 		}

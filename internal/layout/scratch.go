@@ -4,12 +4,11 @@ import (
 	"repro/internal/pdm"
 )
 
-// Scratch holds the transient request/buffer storage of the
-// allocation-free layout entry points (the …StripedScratch and
-// Begin…Scratch functions). A zero Scratch
-// is ready to use; its slices grow on first use to the largest operation
-// seen and are reused afterwards, so a scratch kept across supersteps
-// makes the layout layer allocation-free in steady state.
+// Scratch holds the transient request/buffer storage of the layout
+// entry points (the Begin…Scratch functions). A zero Scratch is ready to
+// use; its slices grow on first use to the largest operation seen and are
+// reused afterwards, so a scratch kept across supersteps makes the layout
+// layer allocation-free in steady state.
 //
 // A Scratch is owned by a single goroutine: the layout functions use it
 // without synchronisation. Each real processor of the simulation keeps
@@ -64,20 +63,9 @@ func (s *Scratch) byDisk(reqs []pdm.BlockReq, d int) (queue, order []int, longes
 	return queue, order, longest
 }
 
-// AppendStripedReqs appends the requests for blocks [startBlock,
-// startBlock+n) of the striped region rooted at baseTrack to dst and
-// returns it. It is the allocation-free form of building the request
-// sequence Striped produces one at a time.
-func AppendStripedReqs(dst []pdm.BlockReq, d, baseTrack, startBlock, n int) []pdm.BlockReq {
-	for i := 0; i < n; i++ {
-		dst = append(dst, Striped(startBlock+i, d, baseTrack))
-	}
-	return dst
-}
-
 // SplitBlocksInto appends b-word block views of ws (whose length must be
-// a multiple of b) to dst and returns it; the views share ws's storage.
-// It is the allocation-free form of SplitBlocks.
+// a multiple of b) to dst and returns it; the views share ws's storage,
+// and a dst kept across calls makes the split allocation-free.
 func SplitBlocksInto(dst [][]pdm.Word, ws []pdm.Word, b int) [][]pdm.Word {
 	if len(ws)%b != 0 {
 		panic(badSplit(len(ws), b))
@@ -98,50 +86,4 @@ func SplitPrefixesInto(dst [][]pdm.Word, ws []pdm.Word, b, slotBlocks int, live 
 		dst = SplitBlocksInto(dst, ws[off:off+n*b], b)
 	}
 	return dst
-}
-
-// WriteStripedScratch is WriteStriped with caller-owned scratch: the
-// per-cycle request slices come from s instead of fresh allocations.
-func WriteStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, bufs [][]pdm.Word, s *Scratch) error {
-	d := arr.D()
-	for off := 0; off < len(bufs); off += d {
-		end := off + d
-		if end > len(bufs) {
-			end = len(bufs)
-		}
-		reqs, _ := s.grow(end - off)
-		for i := range reqs {
-			reqs[i] = Striped(startBlock+off+i, d, baseTrack)
-		}
-		if err := arr.WriteBlocks(reqs, bufs[off:end]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadStripedScratch is ReadStriped with a caller-owned destination and
-// scratch: it reads len(dst)/B blocks starting at global index startBlock
-// into dst (whose length must be a multiple of the array's block size).
-func ReadStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, dst []pdm.Word, s *Scratch) error {
-	d, b := arr.D(), arr.B()
-	if len(dst)%b != 0 {
-		panic(badSplit(len(dst), b))
-	}
-	n := len(dst) / b
-	for off := 0; off < n; off += d {
-		end := off + d
-		if end > n {
-			end = n
-		}
-		reqs, bufs := s.grow(end - off)
-		for i := range reqs {
-			reqs[i] = Striped(startBlock+off+i, d, baseTrack)
-			bufs[i] = dst[(off+i)*b : (off+i+1)*b]
-		}
-		if err := arr.ReadBlocks(reqs, bufs); err != nil {
-			return err
-		}
-	}
-	return nil
 }

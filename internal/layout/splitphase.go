@@ -4,22 +4,24 @@ import (
 	"repro/internal/pdm"
 )
 
-// Split-phase layout entry points: each mirrors its synchronous
-// counterpart cycle for cycle — the same packing into parallel I/O
-// operations, issued in the same order — but begins the operations with
-// BeginReadBlocks/BeginWriteBlocks and collects the Pending handles into
-// a caller-owned pdm.PendingSet instead of waiting each one. Because the
-// cycle structure is identical and pdm charges accounting at begin time,
-// a transfer begun here costs exactly the operations the synchronous form
-// costs; only completion is deferred to PendingSet.Wait.
+// The layout's transfers, split-phase: each begins the parallel I/O
+// operations of one transfer with BeginReadBlocks/BeginWriteBlocks and adds
+// their Pending handles to a caller-owned pdm.PendingSet, which the caller
+// waits when it needs the data or the buffers back. pdm charges an
+// operation when it is begun, so a transfer costs the same operations
+// whenever its set is waited; a caller that waits after every transfer has
+// the synchronous schedule.
 //
 // Buffer ownership: the request slices come from the Scratch and are
 // consumed before Begin returns, so the scratch is immediately reusable —
 // but the data buffers are referenced until the set is waited.
 
-// BeginWriteStripedScratch is WriteStripedScratch in split-phase form:
-// the ⌈len(bufs)/D⌉ striped write cycles are begun back to back and their
-// handles added to pend. bufs must stay untouched until pend is waited.
+// BeginWriteStripedScratch writes bufs as blocks [startBlock,
+// startBlock+len(bufs)) of the striped region rooted at baseTrack.
+// Consecutive global indices hit distinct disks, so the transfer is
+// ⌈len(bufs)/D⌉ fully parallel write cycles (the last may be partial),
+// begun back to back with their handles added to pend. bufs must stay
+// untouched until pend is waited.
 func BeginWriteStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, bufs [][]pdm.Word, s *Scratch, pend *pdm.PendingSet) error {
 	d := arr.D()
 	for off := 0; off < len(bufs); off += d {
@@ -40,10 +42,11 @@ func BeginWriteStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, buf
 	return nil
 }
 
-// BeginReadStripedScratch is ReadStripedScratch in split-phase form: it
-// begins the reads of len(dst)/B blocks starting at global index
-// startBlock into dst and adds the handles to pend. dst holds undefined
-// contents until pend is waited.
+// BeginReadStripedScratch reads the n = len(dst)/B blocks from global
+// index startBlock of the striped region rooted at baseTrack into dst: it
+// begins ⌈n/D⌉ fully parallel read cycles and adds their handles to pend.
+// len(dst) must be a multiple of the array's block size, and dst holds
+// undefined contents until pend is waited.
 func BeginReadStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, dst []pdm.Word, s *Scratch, pend *pdm.PendingSet) error {
 	d, b := arr.D(), arr.B()
 	if len(dst)%b != 0 {
@@ -69,9 +72,14 @@ func BeginReadStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, dst 
 	return nil
 }
 
-// BeginWriteFIFOScratch is WriteFIFO in split-phase form with caller-owned
-// scratch: the burst is packed into the same per-disk rounds and each
-// round begun as one parallel I/O. Returns the number of operations begun.
+// BeginWriteFIFOScratch writes a burst of blocks in the fewest parallel
+// I/Os its addresses allow. The paper's DiskWrite procedure serves the
+// queue strictly front to back and cuts a write cycle at the first block
+// whose disk the cycle already uses; here a burst is issued in per-disk
+// rounds (see packed), which costs the same on the whole-slot transfers
+// the paper makes and no more on anything else. Each round is begun as
+// one parallel I/O and its handle added to pend; it returns the number of
+// operations begun.
 func BeginWriteFIFOScratch(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, s *Scratch, pend *pdm.PendingSet) (int, error) {
 	return packed(arr, reqs, bufs, false, s, pend)
 }

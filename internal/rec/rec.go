@@ -13,8 +13,6 @@ import (
 
 	"repro/internal/cgm"
 	"repro/internal/core"
-	"repro/internal/costmodel"
-	"repro/internal/obs"
 	"repro/internal/pdm"
 )
 
@@ -59,31 +57,15 @@ func (Codec) Decode(src []pdm.Word) R {
 // ranking → scan, spanning tree → low/high → auxiliary components, …)
 // execute each phase as one machine run; total I/O is the sum.
 type Exec struct {
-	V           int
-	EM          bool // run phases under the EM-CGM simulation
-	P           int  // real processors when EM (default 1)
-	D           int  // disks per processor when EM (default 1)
-	B           int  // block size when EM (default 64)
-	MaxMsgItems int  // per-phase message slot override (0 = worst case)
-	Balanced    bool
-	// Depth is the window depth for every EM phase
-	// (core.Config.PipelineDepth): 0 picks the auto policy, 1 is the
-	// synchronous schedule; the PDM accounting is identical at every depth.
-	Depth int
-	// DiskDir, when non-empty and EM, backs every phase's disks with
-	// files under this directory (see core.Config.DiskDir); DirectIO
-	// additionally requests O_DIRECT. Sequential phases reuse the same
-	// disk files — each phase truncates them on creation.
-	DiskDir  string
-	DirectIO bool
-
-	// Recorder, when non-nil, traces every EM phase run through this
-	// executor; phases share one recorder, so a composite algorithm's
-	// trace shows its phase boundaries as consecutive spans.
-	Recorder *obs.Recorder
-	// Ledger, when non-nil (requires Recorder), receives one
-	// predicted-vs-measured costmodel entry per EM phase run.
-	Ledger *costmodel.Ledger
+	// Config is the machine every EM phase runs on; in memory only V is
+	// read. A zero P or D means 1, a zero B 64, and a zero MaxMsgItems a
+	// bound derived from each phase's input (see Run). Phases share the
+	// Recorder, so a composite algorithm's trace shows its phase
+	// boundaries as consecutive spans, and the Ledger gets one entry per
+	// phase; with DiskDir set, sequential phases reuse the same disk
+	// files.
+	core.Config
+	EM bool // run phases under the EM-CGM simulation
 
 	// Accumulated accounting.
 	Rounds     int
@@ -96,10 +78,12 @@ type Exec struct {
 }
 
 // NewMem returns an in-memory executor with v virtual processors.
-func NewMem(v int) *Exec { return &Exec{V: v} }
+func NewMem(v int) *Exec { return &Exec{Config: core.Config{V: v}} }
 
 // NewEM returns an EM-CGM executor.
-func NewEM(v, p, d, b int) *Exec { return &Exec{V: v, EM: true, P: p, D: d, B: b} }
+func NewEM(v, p, d, b int) *Exec {
+	return &Exec{Config: core.Config{V: v, P: p, D: d, B: b}, EM: true}
+}
 
 // Run executes one phase and folds its costs into the executor.
 func (e *Exec) Run(prog cgm.Program[R], inputs [][]R) ([][]R, error) {
@@ -111,18 +95,17 @@ func (e *Exec) Run(prog cgm.Program[R], inputs [][]R) ([][]R, error) {
 		e.Rounds += res.Stats.Rounds
 		return res.Outputs, nil
 	}
-	p, d, b := e.P, e.D, e.B
-	if p == 0 {
-		p = 1
+	cfg := e.Config
+	if cfg.P == 0 {
+		cfg.P = 1
 	}
-	if d == 0 {
-		d = 1
+	if cfg.D == 0 {
+		cfg.D = 1
 	}
-	if b == 0 {
-		b = 64
+	if cfg.B == 0 {
+		cfg.B = 64
 	}
-	maxMsg := e.MaxMsgItems
-	if maxMsg == 0 && e.V >= 1 { // RunPar's Validate reports V < 1
+	if cfg.MaxMsgItems == 0 && cfg.V >= 1 { // RunPar's Validate reports V < 1
 		// Composite phases route a small constant number of derived
 		// records per input item; a uniform 6× slot bound covers every
 		// phase in this repository. It inflates the message matrix by a
@@ -131,9 +114,8 @@ func (e *Exec) Run(prog cgm.Program[R], inputs [][]R) ([][]R, error) {
 		for _, in := range inputs {
 			total += len(in)
 		}
-		maxMsg = 6*((total+e.V-1)/e.V) + e.V + 16
+		cfg.MaxMsgItems = 6*((total+cfg.V-1)/cfg.V) + cfg.V + 16
 	}
-	cfg := core.Config{V: e.V, P: p, D: d, B: b, MaxMsgItems: maxMsg, Balanced: e.Balanced, PipelineDepth: e.Depth, DiskDir: e.DiskDir, DirectIO: e.DirectIO, Recorder: e.Recorder, Ledger: e.Ledger}
 	res, err := core.RunPar[R](prog, Codec{}, cfg, inputs)
 	if err != nil {
 		return nil, err

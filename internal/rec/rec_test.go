@@ -87,6 +87,32 @@ func TestExecAccumulatesAcrossPhases(t *testing.T) {
 	}
 }
 
+// Every field of the executor's Config reaches the machine: a phase runs
+// on the disks NewDisk supplies, and an M too small for one working set
+// fails the phase.
+func TestExecPassesConfigThrough(t *testing.T) {
+	in := make([]R, 32)
+	for i := range in {
+		in[i] = R{A: int64(i)}
+	}
+	e := NewEM(4, 2, 2, 8)
+	disks := 0
+	e.NewDisk = func(proc, disk int) pdm.Disk {
+		disks++
+		return pdm.NewMemDisk(8)
+	}
+	if _, err := e.Run(echoR{}, Scatter(in, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if disks != 4 {
+		t.Errorf("NewDisk supplied %d disks, want P·D = 4", disks)
+	}
+	e.M = 1
+	if _, err := e.Run(echoR{}, Scatter(in, 4)); err == nil {
+		t.Error("a phase ran with M = 1 word")
+	}
+}
+
 func TestExecBalancedMode(t *testing.T) {
 	in := make([]R, 64)
 	for i := range in {

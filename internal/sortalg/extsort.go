@@ -65,10 +65,12 @@ func MergeSort(arr *pdm.DiskArray, recs []pdm.Word, recWords, mWords int) ([]pdm
 	totalBlocks := pdm.BlocksFor(len(recs), b)
 	regionTracks := (totalBlocks+d-1)/d + 1
 	baseA, baseB := 0, regionTracks
+	sio := &stripedIO{arr: arr}
 
 	// Load the input into region A.
-	padded := layout.Pad(append([]pdm.Word(nil), recs...), b)
-	if err := layout.WriteStriped(arr, baseA, 0, layout.SplitBlocks(padded, b)); err != nil {
+	padded := make([]pdm.Word, totalBlocks*b)
+	copy(padded, recs)
+	if err := sio.write(baseA, 0, padded); err != nil {
 		return nil, info, err
 	}
 	info.LoadOps = arr.Stats().ParallelOps
@@ -79,19 +81,19 @@ func MergeSort(arr *pdm.DiskArray, recs []pdm.Word, recWords, mWords int) ([]pdm
 	// Run formation: sort memory-sized chunks in place, records by their
 	// first word with the radix kernel (whole records swap places).
 	var runs []srun
+	chunk := make([]pdm.Word, chunkBlocks*b)
 	for startRec := 0; startRec < nRecs; {
 		startBlock := startRec / recsPerBlock
 		take := chunkBlocks * recsPerBlock
 		if startRec+take > nRecs {
 			take = nRecs - startRec
 		}
-		nb := pdm.BlocksFor(take*recWords, b)
-		img, err := layout.ReadStriped(arr, baseA, startBlock, nb)
-		if err != nil {
+		img := chunk[:pdm.BlocksFor(take*recWords, b)*b]
+		if err := sio.read(baseA, startBlock, img); err != nil {
 			return nil, info, err
 		}
 		radixSort(img[:take*recWords], recWords)
-		if err := layout.WriteStriped(arr, baseA, startBlock, layout.SplitBlocks(img, b)); err != nil {
+		if err := sio.write(baseA, startBlock, img); err != nil {
 			return nil, info, err
 		}
 		runs = append(runs, srun{startBlock: startBlock, nRecs: take})
@@ -112,7 +114,7 @@ func MergeSort(arr *pdm.DiskArray, recs []pdm.Word, recWords, mWords int) ([]pdm
 				hi = len(runs)
 			}
 			group := runs[lo:hi]
-			merged, err := mergeGroup(arr, srcBase, dstBase, outBlock, group, recWords, d, b)
+			merged, err := mergeGroup(sio, srcBase, dstBase, outBlock, group, recWords, d, b)
 			if err != nil {
 				return nil, info, err
 			}
@@ -126,20 +128,68 @@ func MergeSort(arr *pdm.DiskArray, recs []pdm.Word, recWords, mWords int) ([]pdm
 	markRead := arr.Stats().ParallelOps
 
 	// Read the final run back.
-	out, err := layout.ReadStriped(arr, srcBase, runs[0].startBlock, pdm.BlocksFor(nRecs*recWords, b))
-	if err != nil {
+	out := make([]pdm.Word, pdm.BlocksFor(nRecs*recWords, b)*b)
+	if err := sio.read(srcBase, runs[0].startBlock, out); err != nil {
 		return nil, info, err
 	}
 	info.ReadOps = arr.Stats().ParallelOps - markRead
 	return out[:nRecs*recWords], info, nil
 }
 
+// stripedIO issues MergeSort's transfers through layout's split-phase
+// entry points one D-block cycle at a time, waiting each cycle before it
+// begins the next: the schedule of pdm's ReadBlocks/WriteBlocks, one
+// parallel I/O in flight, so a buffer is free for reuse as soon as its
+// transfer returns.
+type stripedIO struct {
+	arr  *pdm.DiskArray
+	lay  layout.Scratch
+	pend pdm.PendingSet
+	bufs [][]pdm.Word
+}
+
+// write writes ws, a whole number of blocks, as the blocks from start on
+// of the striped region rooted at track base.
+func (s *stripedIO) write(base, start int, ws []pdm.Word) error {
+	s.bufs = layout.SplitBlocksInto(s.bufs[:0], ws, s.arr.B())
+	d := s.arr.D()
+	for off := 0; off < len(s.bufs); off += d {
+		cycle := s.bufs[off:min(off+d, len(s.bufs))]
+		if err := s.wait(layout.BeginWriteStripedScratch(s.arr, base, start+off, cycle, &s.lay, &s.pend)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// read fills dst, a whole number of blocks, from the blocks from start on
+// of the striped region rooted at track base.
+func (s *stripedIO) read(base, start int, dst []pdm.Word) error {
+	d, b := s.arr.D(), s.arr.B()
+	for off := 0; off < len(dst); off += d * b {
+		cycle := dst[off:min(off+d*b, len(dst))]
+		if err := s.wait(layout.BeginReadStripedScratch(s.arr, base, start+off/b, cycle, &s.lay, &s.pend)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// wait completes the cycle a begin left in the set. A cycle is one
+// parallel I/O, so a begin that fails has added nothing to wait for.
+func (s *stripedIO) wait(begin error) error {
+	if begin != nil {
+		return begin
+	}
+	return s.pend.Wait()
+}
+
 // mergeGroup merges a group of sorted runs from the source region into the
 // destination region starting at dstBlock, using one DB-word input buffer
 // per run and one DB-word output buffer. Returns the merged record count.
-func mergeGroup(arr *pdm.DiskArray, srcBase, dstBase, dstBlock int, group []srun, recWords, d, b int) (int, error) {
+func mergeGroup(sio *stripedIO, srcBase, dstBase, dstBlock int, group []srun, recWords, d, b int) (int, error) {
 	type cursor struct {
-		buf       []pdm.Word // current buffered records
+		buf       []pdm.Word // DB-word input buffer
 		pos       int        // word offset of next record in buf
 		nextBlock int        // next block to read within the run
 		remRecs   int        // records not yet consumed (incl. buffered)
@@ -149,7 +199,7 @@ func mergeGroup(arr *pdm.DiskArray, srcBase, dstBase, dstBlock int, group []srun
 	curs := make([]*cursor, len(group))
 	total := 0
 	for i, r := range group {
-		curs[i] = &cursor{nextBlock: r.startBlock, remRecs: r.nRecs}
+		curs[i] = &cursor{buf: make([]pdm.Word, bufBlocks*b), nextBlock: r.startBlock, remRecs: r.nRecs}
 		total += r.nRecs
 	}
 	recsPerBlock := b / recWords
@@ -163,12 +213,10 @@ func mergeGroup(arr *pdm.DiskArray, srcBase, dstBase, dstBlock int, group []srun
 		if nb > needBlocks {
 			nb = needBlocks
 		}
-		img, err := layout.ReadStriped(arr, srcBase, c.nextBlock, nb)
-		if err != nil {
+		if err := sio.read(srcBase, c.nextBlock, c.buf[:nb*b]); err != nil {
 			return err
 		}
 		c.nextBlock += nb
-		c.buf = img
 		c.pos = 0
 		c.bufRecs = nb * recsPerBlock
 		if c.bufRecs > c.remRecs {
@@ -198,8 +246,9 @@ func mergeGroup(arr *pdm.DiskArray, srcBase, dstBase, dstBlock int, group []srun
 		if !final && len(outBuf) < d*b {
 			return nil
 		}
-		img := layout.Pad(outBuf, b)
-		if err := layout.WriteStriped(arr, dstBase, outBlock, layout.SplitBlocks(img, b)); err != nil {
+		img := outBuf[:pdm.BlocksFor(len(outBuf), b)*b]
+		clear(img[len(outBuf):])
+		if err := sio.write(dstBase, outBlock, img); err != nil {
 			return err
 		}
 		outBlock += len(img) / b

@@ -48,7 +48,7 @@ check() {
 	cp "$root/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -193,4 +193,13 @@ f=internal/cgm/partition.go
 mutate $f 'if g >= o.lo[k+1] {' 1 1 '\tif g > o.lo[k+1] {'
 check 'owner lookup off by one at a partition start' $f TestOwnersMatchOwner
 
-echo "contract-selftest: all nineteen mutations caught"
+# No I/O error is dropped, in the baseline either: MergeSort waits every
+# parallel I/O before it begins the next, and that wait is the only report
+# of a transfer that failed (a disk fault never fails a begin). With the
+# wait's error dropped the sort finishes with a wrong output and no error,
+# under the sticky fault and the one-shot one alike.
+f=internal/sortalg/extsort.go
+mutate $f 'return s.pend.Wait()' 1 1 '\t_ = s.pend.Wait()\n\treturn nil'
+check 'drop MergeSort'"'"'s wait error' $f TestMergeSortSurfacesDiskFaults
+
+echo "contract-selftest: all twenty mutations caught"
