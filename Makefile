@@ -117,8 +117,8 @@ lint:
 # a burst in map order, read the environment in sortalg, drop a
 # write-behind error, finish the local sort's LSD buckets without their
 # tie pass, look a permutation's owner up off by one at a partition start,
-# drop MergeSort's wait error — twenty in all — and requires the owning
-# test to fail by name.
+# drop MergeSort's wait error, fail every transfer of a failed disk batch
+# — twenty-one in all — and requires the owning test to fail by name.
 # About two minutes; one mutation wedges a run until its 30 s watchdog.
 contract-selftest:
 	@sh scripts/contract_mutations.sh

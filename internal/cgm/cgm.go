@@ -117,8 +117,8 @@ type Stats struct {
 	// messages were sent at all).
 	MinMsg int
 	// SizeMatrixPerRound[r][src*V+dst] is the size (items) of the message
-	// src→dst in round r — the raw data behind BSP/BSP* cost evaluation
-	// (package bsp).
+	// src→dst in round r — the message sizes costmodel.SizesOf hands the
+	// I/O predictor.
 	SizeMatrixPerRound [][]int
 }
 
@@ -234,13 +234,7 @@ func Run[T any](p Program[T], v int, inputs [][]T) (*Result[T], error) {
 // goroutines, converting panics into errors. It is the per-VP runner of
 // Run and of the wrappers that build and project per-VP partitions.
 func ForEachVP(v int, f func(i int) error) error {
-	par := runtime.GOMAXPROCS(0)
-	if maxParallelism > 0 {
-		par = maxParallelism
-	}
-	if par > v {
-		par = v
-	}
+	par := min(runtime.GOMAXPROCS(0), v)
 	errs := make([]error, v)
 	var wg sync.WaitGroup
 	work := make(chan int)
@@ -321,17 +315,3 @@ func observeRound[T any](s *Stats, outboxes [][][]T) {
 		s.MaxH = h
 	}
 }
-
-// RunSequential executes the program exactly like Run but with all
-// virtual processors stepped one after another on the calling goroutine —
-// the debugging runner. Deterministic programs produce identical results
-// under both runners; TestRunnersAgree in this package asserts it.
-func RunSequential[T any](p Program[T], v int, inputs [][]T) (*Result[T], error) {
-	old := maxParallelism
-	maxParallelism = 1
-	defer func() { maxParallelism = old }()
-	return Run(p, v, inputs)
-}
-
-// maxParallelism caps ForEachVP's worker count; 0 means GOMAXPROCS.
-var maxParallelism int

@@ -1,6 +1,7 @@
 package cgm
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -341,7 +342,10 @@ func TestRunnersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqr, err := RunSequential[int64](rotateProgram{k: v}, v, Scatter(in, v))
+	// The sequential arm: every VP stepped on one goroutine at a time.
+	old := runtime.GOMAXPROCS(1)
+	seqr, err := Run[int64](rotateProgram{k: v}, v, Scatter(in, v))
+	runtime.GOMAXPROCS(old)
 	if err != nil {
 		t.Fatal(err)
 	}

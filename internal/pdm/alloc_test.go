@@ -8,17 +8,40 @@ import (
 // worker-pool dispatch: once tracks exist, a parallel I/O operation —
 // validation, dispatch to the per-disk workers, wait, and atomic
 // accounting — performs zero heap allocations, for both the ≤64-disk
-// bitset word and the wide-bitset path.
+// bitset word and the wide-bitset path, and on buffered file disks, whose
+// one-track services go through the same batch call as coalesced ones.
 func TestDiskArrayOpZeroAlloc(t *testing.T) {
-	for _, d := range []int{1, 8, 96} {
-		arr := NewMemArray(d, 64)
-		reqs := make([]BlockReq, d)
-		bufs := make([][]Word, d)
+	for _, c := range []struct {
+		name string
+		d, b int
+		file bool
+	}{
+		{"mem", 1, 64, false},
+		{"mem", 8, 64, false},
+		{"mem", 96, 64, false},
+		{"file", 1, 512, true},
+		{"file", 4, 512, true},
+	} {
+		disks := make([]Disk, c.d)
+		for i := range disks {
+			if c.file {
+				disks[i] = newTestFileDisk(t, c.b, false)
+			} else {
+				disks[i] = NewMemDisk(c.b)
+			}
+		}
+		arr, err := NewDiskArray(disks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs := make([]BlockReq, c.d)
+		bufs := make([][]Word, c.d)
 		for i := range reqs {
 			reqs[i] = BlockReq{Disk: i, Track: 0}
-			bufs[i] = make([]Word, 64)
+			bufs[i] = make([]Word, c.b)
 		}
-		// Warm up: first writes allocate tracks from the arena.
+		// Warm up: first writes allocate tracks from the arena (or the
+		// file's preallocation) and fill the scratch pools.
 		if err := arr.WriteBlocks(reqs, bufs); err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +54,7 @@ func TestDiskArrayOpZeroAlloc(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("D=%d: %v allocs per write+read parallel I/O, want 0", d, allocs)
+			t.Errorf("%s D=%d: %v allocs per write+read parallel I/O, want 0", c.name, c.d, allocs)
 		}
 		if err := arr.Close(); err != nil {
 			t.Fatal(err)

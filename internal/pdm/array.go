@@ -47,21 +47,20 @@ type workerBatch struct {
 // It references only its disk, channel and observability slot — never the
 // DiskArray — so an abandoned array stays collectable and its cleanup can
 // stop the workers. With a recorder attached, each service is timed into
-// the disk's latency histogram and emitted as a span on the disk's track;
-// the disabled path is the original straight-line transfer.
+// the disk's latency histogram and emitted as a span on the disk's track.
 //
-// When the disk implements BatchDisk (bat non-nil), the worker coalesces:
-// after taking one op it opportunistically drains whatever else is
-// already queued — without blocking, so a sparse queue degrades to the
-// per-track path — and serves the run as one batched call. Collection
-// cuts at MaxBatchTracks, on a direction change, or on a duplicate
-// track: the per-disk FIFO is the ordering guarantee for write→read
-// dependencies, and a batch only reorders same-direction transfers on
-// distinct tracks, which commute. The cut-off op is carried into the
-// next batch, never reordered past it. Deep queues only build up under
-// the split-phase pipelined drivers; synchronous callers wait out each
-// operation, so their batches stay at one track and behave exactly as
-// before.
+// When the disk implements BatchDisk (bat non-nil), every service is one
+// batch call: after taking one op the worker drains whatever else is
+// already queued — without blocking, so a sparse queue makes a batch of
+// one track — and serves what it collected in one ReadTracks/WriteTracks.
+// Collection cuts at MaxBatchTracks, on a direction change, or on a
+// duplicate track: the per-disk FIFO is the ordering guarantee for
+// write→read dependencies, and a batch only reorders same-direction
+// transfers on distinct tracks, which commute. The cut-off op is carried
+// into the next batch, never reordered past it. Deep queues only build up
+// under the split-phase pipelined drivers; synchronous callers wait out
+// each operation, so their batches stay at one track. A disk without
+// BatchDisk is served one transfer at a time (serveOp).
 func diskWorker(d Disk, ch <-chan diskOp, ob *diskObs, bat *workerBatch) {
 	bd, _ := d.(BatchDisk)
 	if bat == nil || bd == nil {
@@ -106,30 +105,56 @@ func diskWorker(d Disk, ch <-chan diskOp, ob *diskObs, bat *workerBatch) {
 	}
 }
 
-// serveOp services one single-track transfer and signals its Pending.
-func serveOp(d Disk, op diskOp, ob *diskObs) {
-	var err error
+// start returns the time a service begins, or the zero time when no
+// recorder is attached: the unrecorded path reads no clock.
+func (ob *diskObs) start() time.Time {
 	if ob.rec == nil {
-		if op.read {
-			err = d.ReadTrack(op.track, op.buf)
-		} else {
-			err = d.WriteTrack(op.track, op.buf)
-		}
-	} else {
-		t0 := time.Now()
-		name := "write"
-		if op.read {
-			err = d.ReadTrack(op.track, op.buf)
-			name = "read"
-		} else {
-			err = d.WriteTrack(op.track, op.buf)
-		}
-		lat := int64(time.Since(t0))
-		ob.lat.Observe(lat)
-		ob.fit.Observe(1, 1, lat)
-		ob.rec.SpanSince(ob.track, name, "disk", t0)
-		ob.inflight.Add(-1)
+		return time.Time{}
 	}
+	return time.Now()
+}
+
+// served records a service of the given ascending tracks that began at
+// t0: its latency, the (runs, tracks, latency) sample the TimeModel
+// calibration fit regresses on, a span — read/write for one track,
+// readv/writev for a coalesced batch — and the tracks leaving flight.
+// Without a recorder it does nothing.
+func (ob *diskObs) served(t0 time.Time, read bool, tracks []int) {
+	if ob.rec == nil {
+		return
+	}
+	lat := int64(time.Since(t0))
+	runs := 1
+	for i := 1; i < len(tracks); i++ {
+		if tracks[i] != tracks[i-1]+1 {
+			runs++
+		}
+	}
+	name := "write"
+	switch {
+	case read && len(tracks) > 1:
+		name = "readv"
+	case read:
+		name = "read"
+	case len(tracks) > 1:
+		name = "writev"
+	}
+	ob.lat.Observe(lat)
+	ob.fit.Observe(runs, len(tracks), lat)
+	ob.rec.SpanSince(ob.track, name, "disk", t0)
+	ob.inflight.Add(-int64(len(tracks)))
+}
+
+// serveOp services one transfer on a disk without BatchDisk and signals
+// its Pending.
+func serveOp(d Disk, op diskOp, ob *diskObs) {
+	transfer := d.WriteTrack
+	if op.read {
+		transfer = d.ReadTrack
+	}
+	t0 := ob.start()
+	err := transfer(op.track, op.buf)
+	ob.served(t0, op.read, []int{op.track})
 	*op.err = err
 	op.wg.Done()
 }
@@ -146,22 +171,14 @@ func batchHasTrack(ops []diskOp, t int) bool {
 	return false
 }
 
-// serveBatch services a coalesced run of same-direction transfers as one
-// BatchDisk call: the ops are insertion-sorted by track (the batch
-// contract wants strictly ascending tracks; same-direction distinct-track
-// transfers commute, so sorting is safe), served in one call, and their
-// Pendings signalled individually. If the batched call fails, the batch
-// is re-issued track by track so each Pending sees its own transfer's
-// error, exactly as without coalescing.
+// serveBatch services a run of same-direction transfers — one track or
+// many — as one BatchDisk call: the ops are insertion-sorted by track
+// (the batch contract wants strictly ascending tracks; same-direction
+// distinct-track transfers commute, so sorting is safe), served in one
+// call, and their Pendings signalled individually. If a batch of several
+// tracks fails, each transfer is re-issued as a one-track batch so every
+// Pending sees its own transfer's error, exactly as without coalescing.
 func serveBatch(bd BatchDisk, ops []diskOp, ob *diskObs, bat *workerBatch) {
-	if ob.rec != nil {
-		ob.batch.Observe(int64(len(ops)))
-	}
-	if len(ops) == 1 {
-		serveOp(bd, ops[0], ob)
-		ops[0] = diskOp{}
-		return
-	}
 	for i := 1; i < len(ops); i++ {
 		for j := i; j > 0 && ops[j].track < ops[j-1].track; j-- {
 			ops[j], ops[j-1] = ops[j-1], ops[j]
@@ -174,60 +191,27 @@ func serveBatch(bd BatchDisk, ops []diskOp, ob *diskObs, bat *workerBatch) {
 		bufs[i] = ops[i].buf
 	}
 	read := ops[0].read
-	var err error
-	if ob.rec == nil {
-		if read {
-			err = bd.ReadTracks(tracks, bufs)
-		} else {
-			err = bd.WriteTracks(tracks, bufs)
-		}
-	} else {
-		t0 := time.Now()
-		name := "writev"
-		if read {
-			err = bd.ReadTracks(tracks, bufs)
-			name = "readv"
-		} else {
-			err = bd.WriteTracks(tracks, bufs)
-		}
-		lat := int64(time.Since(t0))
-		// Contiguous-run count over the (sorted ascending) tracks — the
-		// positioning events the TimeModel calibration fit regresses on.
-		runs := 1
-		for i := 1; i < len(tracks); i++ {
-			if tracks[i] != tracks[i-1]+1 {
-				runs++
-			}
-		}
-		ob.lat.Observe(lat)
-		ob.fit.Observe(runs, len(tracks), lat)
-		ob.rec.SpanSince(ob.track, name, "disk", t0)
-		ob.inflight.Add(-int64(len(ops)))
+	transfer := bd.WriteTracks
+	if read {
+		transfer = bd.ReadTracks
 	}
-	if err != nil {
-		// A batch may fail part-way (or for a reason only one track
-		// triggers); re-issue per track so every Pending gets its own
-		// transfer's exact error, as if never coalesced.
-		for i := range ops {
-			op := ops[i]
-			var e error
-			if op.read {
-				e = bd.ReadTrack(op.track, op.buf)
-			} else {
-				e = bd.WriteTrack(op.track, op.buf)
-			}
-			*op.err = e
-			op.wg.Done()
-		}
-	} else {
-		for i := range ops {
-			*ops[i].err = nil
-			ops[i].wg.Done()
-		}
+	if ob.rec != nil {
+		ob.batch.Observe(int64(len(ops)))
 	}
-	// Drop buffer references from the long-lived scratch so served blocks
-	// stay collectable between batches.
+	t0 := ob.start()
+	err := transfer(tracks, bufs)
+	ob.served(t0, read, tracks)
 	for i := range ops {
+		if err != nil && len(ops) > 1 {
+			// A batch may fail part-way, or for a reason only one track
+			// triggers: the re-issue gives each Pending its own error.
+			*ops[i].err = transfer(tracks[i:i+1], bufs[i:i+1])
+		} else {
+			*ops[i].err = err
+		}
+		ops[i].wg.Done()
+		// Drop buffer references from the long-lived scratch so served
+		// blocks stay collectable between batches.
 		bufs[i] = nil
 		ops[i] = diskOp{}
 	}

@@ -13,13 +13,18 @@ import (
 const MaxBatchTracks = 64
 
 // BatchDisk is the optional capability of a Disk that can move several
-// tracks in one operation — the contract the DiskArray workers use to
-// coalesce a queue of conflict-free single-track transfers into one
-// vectored syscall (FileDisk) or one lock acquisition (MemDisk).
+// tracks in one operation. The DiskArray workers serve every transfer of
+// such a disk through it: a queue of conflict-free single-track transfers
+// coalesces into one call — one vectored syscall per contiguous run
+// (FileDisk), one lock acquisition (MemDisk) — and a lone transfer is a
+// batch of one track. MemDisk, FileDisk and DelayDisk implement ReadTrack
+// and WriteTrack as exactly that one-track batch.
 //
 // Contract, shared by both methods:
 //
-//   - len(tracks) == len(bufs), every buffer exactly B words;
+//   - len(tracks) == len(bufs) ≤ MaxBatchTracks, every buffer exactly B
+//     words (ErrBadBlockSize), every track non-negative
+//     (ErrTrackOutOfRange);
 //   - tracks strictly ascending (sorted, no duplicates) — callers sort,
 //     implementations may then coalesce contiguous runs into single
 //     transfers;
@@ -29,10 +34,11 @@ const MaxBatchTracks = 64
 //     WriteTrack does.
 //
 // On error the batch may be partially applied; the disk-array workers
-// re-issue the batch track by track to attribute per-transfer errors, so
-// implementations only need all-or-nothing error reporting. Transfers are
-// not atomic across tracks — the caller guarantees no concurrent access
-// to the addressed tracks, exactly as for Disk.
+// re-issue a failed batch of several tracks one track at a time to
+// attribute per-transfer errors, so implementations only need
+// all-or-nothing error reporting. Transfers are not atomic across tracks
+// — the caller guarantees no concurrent access to the addressed tracks,
+// exactly as for Disk.
 type BatchDisk interface {
 	Disk
 	// ReadTracks reads tracks[i] into bufs[i] for all i.
@@ -64,8 +70,10 @@ func SyscallsOf(a *DiskArray) int64 {
 }
 
 // validateBatch checks the BatchDisk call contract: matching lengths,
-// per-buffer block size b, strictly ascending tracks, batch non-negative
-// track numbers, and the MaxBatchTracks bound.
+// per-buffer block size b (ErrBadBlockSize), non-negative track numbers
+// (ErrTrackOutOfRange), strictly ascending tracks, and the MaxBatchTracks
+// bound. The sentinels are the per-track calls' errors, since those are
+// one-track batches.
 func validateBatch(b int, tracks []int, bufs [][]Word) error {
 	if len(tracks) != len(bufs) {
 		return fmt.Errorf("pdm: batch of %d tracks with %d buffers", len(tracks), len(bufs))
@@ -77,9 +85,12 @@ func validateBatch(b int, tracks []int, bufs [][]Word) error {
 		if len(buf) != b {
 			return ErrBadBlockSize
 		}
-		if tracks[i] < 0 || (i > 0 && tracks[i] <= tracks[i-1]) {
+		if tracks[i] < 0 {
+			return ErrTrackOutOfRange
+		}
+		if i > 0 && tracks[i] <= tracks[i-1] {
 			return fmt.Errorf("pdm: batch tracks not strictly ascending at index %d (%d after %d)",
-				i, tracks[i], tracks[max(i-1, 0)])
+				i, tracks[i], tracks[i-1])
 		}
 	}
 	return nil

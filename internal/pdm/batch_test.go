@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -31,14 +32,16 @@ func newTestFileDisk(t *testing.T, b int, direct bool) *FileDisk {
 
 // batchDisks enumerates the BatchDisk implementations under test: the
 // in-memory reference, the buffered file disk, the direct-I/O file disk
-// when the filesystem grants it, and a model-delayed wrapper (zero delay,
-// so only the forwarding logic is exercised).
+// when the filesystem grants it, a fixed-delay wrapper (zero delay, so
+// only the forwarding logic is exercised) and a model disk whose
+// microsecond positioning makes every transfer sleep.
 func batchDisks(t *testing.T, b int) map[string]BatchDisk {
 	t.Helper()
 	ds := map[string]BatchDisk{
 		"mem":           NewMemDisk(b),
 		"file":          newTestFileDisk(t, b, false),
 		"delay-wrapped": NewDelayDisk(NewMemDisk(b), 0),
+		"model":         NewModelDisk(NewMemDisk(b), TimeModel{Seek: time.Microsecond, TransferBytesPerSec: 1e9}),
 	}
 	if fd := newTestFileDisk(t, b, true); fd.DirectIO() {
 		ds["file-direct"] = fd
@@ -167,6 +170,181 @@ func TestBatchContractViolations(t *testing.T) {
 			if err := d.ReadTracks([]int{0, 5}, buf2); !errors.Is(err, ErrTrackOutOfRange) {
 				t.Errorf("read past high-water mark: err = %v, want ErrTrackOutOfRange", err)
 			}
+		})
+	}
+}
+
+// TestPerTrackErrorContract pins the sentinel errors of the per-track
+// calls on every BatchDisk: a buffer of the wrong size is ErrBadBlockSize,
+// a negative track or a read past the written tracks ErrTrackOutOfRange,
+// and any transfer after Close ErrClosed.
+func TestPerTrackErrorContract(t *testing.T) {
+	const b = 64
+	for name, d := range batchDisks(t, b) {
+		t.Run(name, func(t *testing.T) {
+			for tk := 0; tk < 3; tk++ {
+				if err := d.WriteTrack(tk, make([]Word, b)); err != nil {
+					t.Fatalf("write track %d: %v", tk, err)
+				}
+			}
+			check := func(what string, err, want error) {
+				t.Helper()
+				if !errors.Is(err, want) {
+					t.Errorf("%s: err = %v, want %v", what, err, want)
+				}
+			}
+			check("short write", d.WriteTrack(0, make([]Word, b-1)), ErrBadBlockSize)
+			check("long write", d.WriteTrack(0, make([]Word, b+1)), ErrBadBlockSize)
+			check("short read", d.ReadTrack(0, make([]Word, b-1)), ErrBadBlockSize)
+			check("long read", d.ReadTrack(0, make([]Word, b+1)), ErrBadBlockSize)
+			check("negative write", d.WriteTrack(-1, make([]Word, b)), ErrTrackOutOfRange)
+			check("negative read", d.ReadTrack(-1, make([]Word, b)), ErrTrackOutOfRange)
+			check("read past the high-water mark", d.ReadTrack(3, make([]Word, b)), ErrTrackOutOfRange)
+			if err := d.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			check("read after Close", d.ReadTrack(0, make([]Word, b)), ErrClosed)
+			check("write after Close", d.WriteTrack(0, make([]Word, b)), ErrClosed)
+			check("new track after Close", d.WriteTrack(5, make([]Word, b)), ErrClosed)
+		})
+	}
+}
+
+// poisonDisk is a BatchDisk over a MemDisk with one poisoned track: a
+// batch that holds it fails as a whole, a per-track call fails only on
+// it. Every transfer first waits for gate, so the test can queue a run of
+// requests behind the first one for the worker to coalesce. Multi-track
+// batches that held the poisoned track are logged in hits.
+type poisonDisk struct {
+	inner  *MemDisk
+	poison int
+	gate   chan struct{}
+	mu     sync.Mutex
+	hits   [][]int
+}
+
+func (d *poisonDisk) check(tracks []int) error {
+	<-d.gate
+	for _, tk := range tracks {
+		if tk == d.poison {
+			if len(tracks) > 1 {
+				d.mu.Lock()
+				d.hits = append(d.hits, append([]int(nil), tracks...))
+				d.mu.Unlock()
+			}
+			return ErrInjected
+		}
+	}
+	return nil
+}
+
+func (d *poisonDisk) ReadTrack(t int, dst []Word) error {
+	if err := d.check([]int{t}); err != nil {
+		return err
+	}
+	return d.inner.ReadTrack(t, dst)
+}
+
+func (d *poisonDisk) WriteTrack(t int, src []Word) error {
+	if err := d.check([]int{t}); err != nil {
+		return err
+	}
+	return d.inner.WriteTrack(t, src)
+}
+
+func (d *poisonDisk) ReadTracks(tracks []int, bufs [][]Word) error {
+	if err := d.check(tracks); err != nil {
+		return err
+	}
+	return d.inner.ReadTracks(tracks, bufs)
+}
+
+func (d *poisonDisk) WriteTracks(tracks []int, bufs [][]Word) error {
+	if err := d.check(tracks); err != nil {
+		return err
+	}
+	return d.inner.WriteTracks(tracks, bufs)
+}
+
+func (d *poisonDisk) BlockSize() int { return d.inner.BlockSize() }
+func (d *poisonDisk) Tracks() int    { return d.inner.Tracks() }
+func (d *poisonDisk) Close() error   { return d.inner.Close() }
+
+// TestBatchFailureAttributedPerTransfer holds the workers' rule for a
+// coalesced batch that fails: each transfer in it is re-issued on its
+// own, so only the one that fails alone reports the error, and every
+// other request completes as if it had never been coalesced.
+func TestBatchFailureAttributedPerTransfer(t *testing.T) {
+	const (
+		b      = 4
+		n      = 9 // the held first request and eight queued behind it
+		poison = 5
+	)
+	for _, read := range []bool{true, false} {
+		name, seed := "write", 2 // a write stamps seed 2 over seed 1
+		if read {
+			name, seed = "read", 1
+		}
+		t.Run(name, func(t *testing.T) {
+			inner := NewMemDisk(b)
+			for tk := 0; tk < n; tk++ {
+				src := make([]Word, b)
+				fillWords(src, 1, tk)
+				if err := inner.WriteTrack(tk, src); err != nil {
+					t.Fatal(err)
+				}
+			}
+			disk := &poisonDisk{inner: inner, poison: poison, gate: make(chan struct{})}
+			arr, err := NewDiskArray([]Disk{disk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer arr.Close()
+			bufs := make([][]Word, n)
+			pend := make([]*Pending, n)
+			for tk := range pend {
+				bufs[tk] = make([]Word, b)
+				reqs, one := []BlockReq{{Disk: 0, Track: tk}}, [][]Word{bufs[tk]}
+				if read {
+					pend[tk], err = arr.BeginReadBlocks(reqs, one)
+				} else {
+					fillWords(bufs[tk], seed, tk)
+					pend[tk], err = arr.BeginWriteBlocks(reqs, one)
+				}
+				if err != nil {
+					t.Fatalf("begin track %d: %v", tk, err)
+				}
+			}
+			close(disk.gate)
+			for tk, p := range pend {
+				err := p.Wait()
+				if tk == poison {
+					if !errors.Is(err, ErrInjected) {
+						t.Errorf("track %d (poisoned): err = %v, want ErrInjected", tk, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("track %d: err = %v, want nil", tk, err)
+					continue
+				}
+				got := bufs[tk]
+				if !read {
+					got = make([]Word, b)
+					if err := inner.ReadTrack(tk, got); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want := make([]Word, b)
+				fillWords(want, seed, tk)
+				if !slices.Equal(got, want) {
+					t.Errorf("track %d holds %v, want %v", tk, got, want)
+				}
+			}
+			if len(disk.hits) == 0 {
+				t.Fatal("no batch of two or more tracks held the poisoned track: nothing was coalesced")
+			}
+			t.Logf("batches that held track %d: %v", poison, disk.hits)
 		})
 	}
 }
@@ -371,7 +549,7 @@ func TestDelayDiskBatchDelay(t *testing.T) {
 	const b = 1000 // 8000 bytes → 1ms transfer at 8 MB/s
 	md := NewModelDisk(NewMemDisk(b), m)
 	pos := m.Seek + m.Rotate/2 // 12ms
-	xfer := md.delay - pos
+	xfer := m.BlockTime(b) - pos
 	cases := []struct {
 		name   string
 		tracks []int
@@ -393,7 +571,7 @@ func TestDelayDiskBatchDelay(t *testing.T) {
 		t.Errorf("fixed batchDelay = %v, want 15ms", got)
 	}
 	// A contiguous batched run must be cheaper than its single-track loop.
-	if batched, loop := md.batchDelay([]int{0, 1, 2, 3}), 4*md.delay; batched >= loop {
+	if batched, loop := md.batchDelay([]int{0, 1, 2, 3}), 4*m.BlockTime(b); batched >= loop {
 		t.Errorf("batched contiguous run %v not cheaper than loop %v", batched, loop)
 	}
 }

@@ -2,8 +2,8 @@ package pdm
 
 import "time"
 
-// DelayDisk wraps a Disk and charges a service delay per transfer before
-// forwarding to the wrapped disk. It turns a MemDisk into a
+// DelayDisk wraps a BatchDisk and charges a service delay per transfer
+// before forwarding to the wrapped disk. It turns a MemDisk into a
 // latency-modelled disk: contents and accounting are exactly those of
 // the inner disk, but wall-clock time behaves like real storage, which is
 // what the pipelining benchmarks need to measure I/O–compute overlap
@@ -11,115 +11,70 @@ import "time"
 // DelayDisks overlap their delays, just as the PDM's independent disks
 // overlap their service times.
 //
-// DelayDisk implements BatchDisk. A model-built disk (NewModelDisk)
-// charges a coalesced batch of k contiguous tracks one positioning cost
-// plus k transfers — Seek + Rotate/2 + k·8B/rate — matching how a real
-// disk amortises positioning over a long sequential run; non-contiguous
-// tracks in the batch each pay their own positioning. A fixed-delay disk
-// (NewDelayDisk) has no positioning/transfer split and charges k·delay,
-// identical to the per-track loop.
+// DelayDisk implements BatchDisk, and ReadTrack/WriteTrack are one-track
+// batches. A batch of k tracks costs one positioning per contiguous run
+// plus k transfers: Seek + Rotate/2 + k·8B/rate for one run on a model
+// disk (NewModelDisk), which is how a real disk amortises positioning over
+// a long sequential run. A fixed-delay disk (NewDelayDisk) is the model
+// with zero positioning, so it charges k·delay whatever the runs.
 type DelayDisk struct {
-	inner Disk
-	delay time.Duration
-
-	// Model decomposition, set by NewModelDisk: position is the
-	// once-per-contiguous-run cost, xfer the per-track cost; together
-	// position + xfer == delay.
-	model    bool
-	position time.Duration
-	xfer     time.Duration
+	inner    BatchDisk
+	position time.Duration // once per contiguous run
+	xfer     time.Duration // once per track
 }
 
 // NewDelayDisk wraps inner with a fixed per-transfer delay. A
 // non-positive delay forwards without sleeping.
-func NewDelayDisk(inner Disk, delay time.Duration) *DelayDisk {
-	return &DelayDisk{inner: inner, delay: delay}
+func NewDelayDisk(inner BatchDisk, delay time.Duration) *DelayDisk {
+	return &DelayDisk{inner: inner, xfer: delay}
 }
 
 // NewModelDisk wraps inner with the per-block service time of the given
 // TimeModel — Seek + Rotate/2 + transfer for the inner disk's block size.
 // Batched transfers amortise the positioning term over each contiguous
 // run (see TimeModel.BatchTime).
-func NewModelDisk(inner Disk, m TimeModel) *DelayDisk {
-	b := inner.BlockSize()
-	d := NewDelayDisk(inner, m.BlockTime(b))
-	d.model = true
-	d.position = m.Seek + m.Rotate/2
-	d.xfer = d.delay - d.position
-	return d
+func NewModelDisk(inner BatchDisk, m TimeModel) *DelayDisk {
+	position := m.Seek + m.Rotate/2
+	return &DelayDisk{inner: inner, position: position, xfer: m.BlockTime(inner.BlockSize()) - position}
 }
 
 // batchDelay returns the modelled service time of a batch over the given
 // strictly-ascending tracks: one positioning cost per contiguous run plus
-// one transfer per track under the model, k·delay otherwise.
+// one transfer per track.
 func (d *DelayDisk) batchDelay(tracks []int) time.Duration {
-	k := len(tracks)
-	if !d.model {
-		return time.Duration(k) * d.delay
-	}
 	runs := time.Duration(0)
 	for i, t := range tracks {
 		if i == 0 || t != tracks[i-1]+1 {
 			runs++
 		}
 	}
-	return runs*d.position + time.Duration(k)*d.xfer
+	return runs*d.position + time.Duration(len(tracks))*d.xfer
 }
 
-// ReadTrack sleeps the service delay, then reads from the inner disk.
+// ReadTrack reads track t into dst: a one-track ReadTracks.
 func (d *DelayDisk) ReadTrack(t int, dst []Word) error {
-	if d.delay > 0 {
-		time.Sleep(d.delay)
-	}
-	return d.inner.ReadTrack(t, dst)
+	tracks, bufs := [1]int{t}, [1][]Word{dst}
+	return d.ReadTracks(tracks[:], bufs[:])
 }
 
-// WriteTrack sleeps the service delay, then writes to the inner disk.
+// WriteTrack stores src as track t: a one-track WriteTracks.
 func (d *DelayDisk) WriteTrack(t int, src []Word) error {
-	if d.delay > 0 {
-		time.Sleep(d.delay)
-	}
-	return d.inner.WriteTrack(t, src)
+	tracks, bufs := [1]int{t}, [1][]Word{src}
+	return d.WriteTracks(tracks[:], bufs[:])
 }
 
 // ReadTracks implements BatchDisk: one modelled batch delay, then the
-// batch forwards to the inner disk (its own BatchDisk if it has one).
+// inner disk's ReadTracks, which checks the batch.
 func (d *DelayDisk) ReadTracks(tracks []int, bufs [][]Word) error {
-	if err := validateBatch(d.BlockSize(), tracks, bufs); err != nil {
-		return err
-	}
-	if dl := d.batchDelay(tracks); dl > 0 {
-		time.Sleep(dl)
-	}
-	if bd, ok := d.inner.(BatchDisk); ok {
-		return bd.ReadTracks(tracks, bufs)
-	}
-	for i, t := range tracks {
-		if err := d.inner.ReadTrack(t, bufs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	time.Sleep(d.batchDelay(tracks))
+	return d.inner.ReadTracks(tracks, bufs)
 }
 
 // WriteTracks implements BatchDisk: one modelled batch delay, then the
-// batch forwards to the inner disk.
+// inner disk's WriteTracks.
 func (d *DelayDisk) WriteTracks(tracks []int, bufs [][]Word) error {
-	if err := validateBatch(d.BlockSize(), tracks, bufs); err != nil {
-		return err
-	}
-	if dl := d.batchDelay(tracks); dl > 0 {
-		time.Sleep(dl)
-	}
-	if bd, ok := d.inner.(BatchDisk); ok {
-		return bd.WriteTracks(tracks, bufs)
-	}
-	for i, t := range tracks {
-		if err := d.inner.WriteTrack(t, bufs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	time.Sleep(d.batchDelay(tracks))
+	return d.inner.WriteTracks(tracks, bufs)
 }
 
 // Syscalls forwards the inner disk's syscall count, if it keeps one.

@@ -58,88 +58,61 @@ func (d *MemDisk) Tracks() int {
 	return len(d.tracks)
 }
 
-// readLocked copies track t into dst; caller holds mu (either mode).
-func (d *MemDisk) readLocked(t int, dst []Word) error {
-	if d.closed {
-		return ErrClosed
-	}
-	if t < 0 || t >= len(d.tracks) || d.tracks[t] == nil {
-		return ErrTrackOutOfRange
-	}
-	copy(dst, d.tracks[t])
-	return nil
-}
-
-// writeLocked stores src as track t; caller holds mu exclusively.
-func (d *MemDisk) writeLocked(t int, src []Word) error {
-	if d.closed {
-		return ErrClosed
-	}
-	for t >= len(d.tracks) {
-		d.tracks = append(d.tracks, nil)
-	}
-	if d.tracks[t] == nil {
-		if len(d.arena) < d.b {
-			d.arena = make([]Word, memDiskArenaTracks*d.b)
-		}
-		d.tracks[t] = d.arena[:d.b:d.b]
-		d.arena = d.arena[d.b:]
-	}
-	copy(d.tracks[t], src)
-	return nil
-}
-
-// ReadTrack copies track t into dst.
+// ReadTrack copies track t into dst: a one-track ReadTracks.
 func (d *MemDisk) ReadTrack(t int, dst []Word) error {
-	if len(dst) != d.b {
-		return ErrBadBlockSize
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.readLocked(t, dst)
+	tracks, bufs := [1]int{t}, [1][]Word{dst}
+	return d.ReadTracks(tracks[:], bufs[:])
 }
 
-// WriteTrack stores src as track t.
+// WriteTrack stores src as track t: a one-track WriteTracks.
 func (d *MemDisk) WriteTrack(t int, src []Word) error {
-	if len(src) != d.b {
-		return ErrBadBlockSize
-	}
-	if t < 0 {
-		return ErrTrackOutOfRange
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.writeLocked(t, src)
+	tracks, bufs := [1]int{t}, [1][]Word{src}
+	return d.WriteTracks(tracks[:], bufs[:])
 }
 
 // ReadTracks implements BatchDisk: the whole batch copies under one lock
-// acquisition instead of one per track.
+// acquisition.
 func (d *MemDisk) ReadTracks(tracks []int, bufs [][]Word) error {
 	if err := validateBatch(d.b, tracks, bufs); err != nil {
 		return err
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	if d.closed {
+		return ErrClosed
+	}
 	for i, t := range tracks {
-		if err := d.readLocked(t, bufs[i]); err != nil {
-			return err
+		if t >= len(d.tracks) || d.tracks[t] == nil {
+			return ErrTrackOutOfRange
 		}
+		copy(bufs[i], d.tracks[t])
 	}
 	return nil
 }
 
 // WriteTracks implements BatchDisk: the whole batch stores under one lock
-// acquisition.
+// acquisition, and a first write slices its track out of the arena.
 func (d *MemDisk) WriteTracks(tracks []int, bufs [][]Word) error {
 	if err := validateBatch(d.b, tracks, bufs); err != nil {
 		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.closed {
+		return ErrClosed
+	}
 	for i, t := range tracks {
-		if err := d.writeLocked(t, bufs[i]); err != nil {
-			return err
+		for t >= len(d.tracks) {
+			d.tracks = append(d.tracks, nil)
 		}
+		if d.tracks[t] == nil {
+			if len(d.arena) < d.b {
+				d.arena = make([]Word, memDiskArenaTracks*d.b)
+			}
+			d.tracks[t] = d.arena[:d.b:d.b]
+			d.arena = d.arena[d.b:]
+		}
+		copy(d.tracks[t], bufs[i])
 	}
 	return nil
 }

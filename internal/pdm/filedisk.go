@@ -43,10 +43,12 @@ type FileDiskOptions struct {
 // writers. Concurrent transfers on distinct tracks are safe, per the
 // Disk contract.
 //
-// FileDisk implements BatchDisk: a sorted batch is split into maximal
-// contiguous track runs, and each run moves in one syscall — a vectored
-// preadv/pwritev straight into the block buffers on Linux little-endian
-// targets, a single pread/pwrite through pooled scratch otherwise.
+// FileDisk implements BatchDisk, and ReadTrack/WriteTrack are one-track
+// batches: a sorted batch is split into maximal contiguous track runs,
+// and each run moves in one syscall (transferRun) — a pread/pwrite for a
+// run of one track, a vectored preadv/pwritev straight into the block
+// buffers on Linux little-endian targets, a single pread/pwrite through
+// pooled scratch otherwise.
 type FileDisk struct {
 	f          *os.File
 	b          int // words per track
@@ -173,16 +175,16 @@ func (d *FileDisk) Tracks() int {
 	return d.tracks
 }
 
-// checkRead bounds-checks a read of tracks [lo, hi] against the written
+// checkRead bounds-checks a read up to track hi against the written
 // high-water mark and the closed flag.
-func (d *FileDisk) checkRead(lo, hi int) error {
+func (d *FileDisk) checkRead(hi int) error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
 	d.mu.Lock()
 	tracks := d.tracks
 	d.mu.Unlock()
-	if lo < 0 || hi >= tracks {
+	if hi >= tracks {
 		return ErrTrackOutOfRange
 	}
 	return nil
@@ -194,45 +196,10 @@ func (d *FileDisk) getBuf() *[]byte { return d.pool.Get().(*[]byte) }
 
 func (d *FileDisk) putBuf(buf *[]byte) { d.pool.Put(buf) }
 
-// ReadTrack copies track t into dst.
-func (d *FileDisk) ReadTrack(t int, dst []Word) error {
-	if len(dst) != d.b {
-		return ErrBadBlockSize
-	}
-	if err := d.checkRead(t, t); err != nil {
-		return err
-	}
-	off := int64(t) * int64(d.trackBytes)
-	if zeroCopyWords && !d.direct {
-		// Zero-copy fast path: the destination words' own bytes receive
-		// the transfer; no conversion, no scratch, no lock.
-		d.syscalls.Add(1)
-		if _, err := d.f.ReadAt(wordsAsBytes(dst), off); err != nil {
-			return fmt.Errorf("pdm: file disk read track %d: %w", t, err)
-		}
-		return nil
-	}
-	bp := d.getBuf()
-	buf := (*bp)[:d.trackBytes]
-	d.syscalls.Add(1)
-	_, err := d.f.ReadAt(buf, off)
-	if err == nil {
-		scatterWords(dst, buf)
-	}
-	d.putBuf(bp)
-	if err != nil {
-		return fmt.Errorf("pdm: file disk read track %d: %w", t, err)
-	}
-	return nil
-}
-
 // reserve extends the preallocation to cover track t. Growth is
 // monotonic and performed under mu, so concurrent writers can never
 // shrink the file under each other.
 func (d *FileDisk) reserve(t int) error {
-	if t < 0 {
-		return ErrTrackOutOfRange
-	}
 	if d.closed.Load() {
 		return ErrClosed
 	}
@@ -264,75 +231,49 @@ func (d *FileDisk) commit(t int) {
 	d.mu.Unlock()
 }
 
-// WriteTrack stores src as track t, preallocating the backing file in
-// chunks so appends do not pay a per-track file extension.
+// ReadTrack copies track t into dst: a one-track ReadTracks.
+func (d *FileDisk) ReadTrack(t int, dst []Word) error {
+	tracks, bufs := [1]int{t}, [1][]Word{dst}
+	return d.ReadTracks(tracks[:], bufs[:])
+}
+
+// WriteTrack stores src as track t: a one-track WriteTracks.
 func (d *FileDisk) WriteTrack(t int, src []Word) error {
-	if len(src) != d.b {
-		return ErrBadBlockSize
-	}
-	if err := d.reserve(t); err != nil {
-		return err
-	}
-	off := int64(t) * int64(d.trackBytes)
-	if zeroCopyWords && !d.direct {
-		// Zero-copy fast path: the codec output bytes are the bytes
-		// written.
-		d.syscalls.Add(1)
-		if _, err := d.f.WriteAt(wordsAsBytes(src), off); err != nil {
-			return fmt.Errorf("pdm: file disk write track %d: %w", t, err)
-		}
-		d.commit(t)
-		return nil
-	}
-	bp := d.getBuf()
-	buf := (*bp)[:d.trackBytes]
-	gatherWords(buf, src)
-	d.syscalls.Add(1)
-	_, err := d.f.WriteAt(buf, off)
-	d.putBuf(bp)
-	if err != nil {
-		return fmt.Errorf("pdm: file disk write track %d: %w", t, err)
-	}
-	d.commit(t)
-	return nil
+	tracks, bufs := [1]int{t}, [1][]Word{src}
+	return d.WriteTracks(tracks[:], bufs[:])
 }
 
 // ReadTracks implements BatchDisk: the sorted batch is split into
 // maximal contiguous track runs and each run transfers in one syscall.
 func (d *FileDisk) ReadTracks(tracks []int, bufs [][]Word) error {
-	if err := validateBatch(d.b, tracks, bufs); err != nil {
-		return err
-	}
-	if len(tracks) == 0 {
-		return nil
-	}
-	if err := d.checkRead(tracks[0], tracks[len(tracks)-1]); err != nil {
-		return err
-	}
-	for s := 0; s < len(tracks); {
-		e := s + 1
-		for e < len(tracks) && tracks[e] == tracks[e-1]+1 {
-			e++
-		}
-		if err := d.transferRun(tracks[s], bufs[s:e], false); err != nil {
-			return err
-		}
-		s = e
-	}
-	return nil
+	return d.transferBatch(tracks, bufs, false)
 }
 
 // WriteTracks implements BatchDisk: preallocation covers the whole batch
-// up front (tracks are ascending, so the last one bounds it), then each
-// contiguous run gathers into one syscall.
+// up front, then each contiguous run gathers into one syscall.
 func (d *FileDisk) WriteTracks(tracks []int, bufs [][]Word) error {
+	return d.transferBatch(tracks, bufs, true)
+}
+
+// transferBatch checks a batch and hands each maximal contiguous run of
+// it to transferRun. Tracks are ascending, so the last one bounds the
+// batch: a read must not pass the written high-water mark, a write
+// preallocates up to it first and raises the mark once every run landed.
+func (d *FileDisk) transferBatch(tracks []int, bufs [][]Word, write bool) error {
 	if err := validateBatch(d.b, tracks, bufs); err != nil {
 		return err
 	}
 	if len(tracks) == 0 {
 		return nil
 	}
-	if err := d.reserve(tracks[len(tracks)-1]); err != nil {
+	last := tracks[len(tracks)-1]
+	var err error
+	if write {
+		err = d.reserve(last)
+	} else {
+		err = d.checkRead(last)
+	}
+	if err != nil {
 		return err
 	}
 	for s := 0; s < len(tracks); {
@@ -340,12 +281,14 @@ func (d *FileDisk) WriteTracks(tracks []int, bufs [][]Word) error {
 		for e < len(tracks) && tracks[e] == tracks[e-1]+1 {
 			e++
 		}
-		if err := d.transferRun(tracks[s], bufs[s:e], true); err != nil {
+		if err := d.transferRun(tracks[s], bufs[s:e], write); err != nil {
 			return err
 		}
 		s = e
 	}
-	d.commit(tracks[len(tracks)-1])
+	if write {
+		d.commit(last)
+	}
 	return nil
 }
 

@@ -2,7 +2,8 @@
 # Seeded-negative self-test of the contracts the engine's own tests hold
 # (DESIGN.md §10): break each contract in a scratch copy of the tree, run
 # only the test that owns it — in internal/core, internal/sortalg,
-# internal/cgm, or in the root package for the property tests — and
+# internal/cgm, internal/pdm, or in the root package for the property
+# tests — and
 # require that test to fail by name. The
 # unmutated copy must pass the same tests first. An anchor line that no
 # longer matches is itself a failure, so a refactor that moves the code
@@ -15,8 +16,8 @@ cp -R "$root/go.mod" "$root"/*.go "$root/internal" "$tmp/"
 cd "$tmp"
 
 # run_tests PATTERN: the tests of internal/core, internal/sortalg,
-# internal/cgm and the root package that PATTERN names.
-run_tests() { go test . ./internal/core ./internal/sortalg ./internal/cgm -count=1 -timeout 300s -run "^($1)\$" 2>&1; }
+# internal/cgm, internal/pdm and the root package that PATTERN names.
+run_tests() { go test . ./internal/core ./internal/sortalg ./internal/cgm ./internal/pdm -count=1 -timeout 300s -run "^($1)\$" 2>&1; }
 
 # mutate FILE ANCHOR COUNT NTH REPLACEMENT: ANCHOR (a fixed string) must
 # be on exactly COUNT lines of FILE; the NTH such line becomes REPLACEMENT
@@ -48,7 +49,7 @@ check() {
 	cp "$root/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -202,4 +203,13 @@ f=internal/sortalg/extsort.go
 mutate $f 'return s.pend.Wait()' 1 1 '\t_ = s.pend.Wait()\n\treturn nil'
 check 'drop MergeSort'"'"'s wait error' $f TestMergeSortSurfacesDiskFaults
 
-echo "contract-selftest: all twenty mutations caught"
+# A disk error belongs to the transfer that met it: the workers coalesce
+# queued single-track transfers into one batch call, and a batch that
+# fails is re-issued one track at a time so each Pending gets its own
+# transfer's error. Without the re-issue, one poisoned track fails every
+# request that happened to share its batch.
+f=internal/pdm/array.go
+mutate $f 'if err != nil && len(ops) > 1 {' 1 1 '\t\tif false {'
+check 'a failed batch fails every transfer in it' $f TestBatchFailureAttributedPerTransfer
+
+echo "contract-selftest: all twenty-one mutations caught"
