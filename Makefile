@@ -56,11 +56,12 @@ bench-smoke:
 # while each was sized for the worst case; the figure repeats to 0.001
 # MB), and one short traced
 # run must keep the disk footprint core.max_tracks at or under the
-# full-image layout's 396 tracks (395 today). The header's word did not
-# move it: c_b = 41 and b′ = 6 blocks either way. It is 32 above what
-# four rounds took because the slots of this machine sit 7 blocks apart,
-# not b′ = 6, which is what starts consecutive one-block messages on
-# consecutive disks when D = 2 divides b′.
+# full-image layout's 396 tracks (391 today: each slot takes exactly its
+# own tracks on a disk, and the last one written ends sooner; 395 while
+# slots were padded to 7 blocks apart). The header's word did not move
+# it: c_b = 41 and b′ = 6 blocks either way. The regions keep the
+# footprint of that padding, which is what put the bound 32 above what
+# four rounds took.
 benchmark:
 	bash benchmark/run.sh $(ARGS)
 
@@ -117,8 +118,9 @@ lint:
 # a burst in map order, read the environment in sortalg, drop a
 # write-behind error, finish the local sort's LSD buckets without their
 # tie pass, look a permutation's owner up off by one at a partition start,
-# drop MergeSort's wait error, fail every transfer of a failed disk batch
-# — twenty-one in all — and requires the owning test to fail by name.
+# drop MergeSort's wait error, fail every transfer of a failed disk batch,
+# store the first slot of each facing pair front to back
+# — twenty-two in all — and requires the owning test to fail by name.
 # About two minutes; one mutation wedges a run until its 30 s watchdog.
 contract-selftest:
 	@sh scripts/contract_mutations.sh

@@ -13,7 +13,10 @@ import (
 // phase p+1, with each matrix block owned by exactly one slot of the
 // region whose tracks hold it. The stagger is asserted structurally — the
 // first blocks of consecutive slots, and of one slot in consecutive
-// regions, sit on consecutive disks, whatever b′ and D are.
+// regions, sit on consecutive disks, whatever b′ and D are — and so is the
+// disk of every block, (r + a + q) mod D, which is all the packing rule
+// and the cost model read: the track rule may place blocks within their
+// disk as it likes, never move one to another disk.
 func FuzzStaggeredLayout(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint8(3), uint8(0))
 	f.Add(uint8(5), uint8(1), uint8(4), uint8(1))
@@ -36,8 +39,8 @@ func FuzzStaggeredLayout(f *testing.F) {
 			for a := 0; a < V; a++ {
 				for q := 0; q < BPM; q++ {
 					req := m.SlotBlock(r, a, q)
-					if req.Disk < 0 || req.Disk >= D {
-						t.Fatalf("slot (%d,%d,%d): disk %d out of [0,%d)", r, a, q, req.Disk, D)
+					if req.Disk != (r+a+q)%D {
+						t.Fatalf("slot (%d,%d,%d): disk %d, want (r+a+q) mod %d = %d", r, a, q, req.Disk, D, (r+a+q)%D)
 					}
 					if t0 := m.BaseTrack + r*m.RegionTracks(); req.Track < t0 || req.Track >= t0+m.RegionTracks() {
 						t.Fatalf("slot (%d,%d,%d): track %d outside region %d's [%d, %d)", r, a, q, req.Track, r, t0, t0+m.RegionTracks())

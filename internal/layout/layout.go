@@ -14,9 +14,12 @@
 //     their first blocks on consecutive disks, so that one parallel I/O can
 //     write message blocks for consecutive destinations. The paper offsets
 //     them by b' = blocks-per-message, which puts them all on one disk when
-//     D divides b'; here the slot pitch is b' rounded up to ≡ 1 (mod D)
-//     (see pitch), so the offset is one disk for every (b', D) and holds
-//     for the live prefixes that are all the engine transfers.
+//     D divides b'; here the offset is one disk for every (b', D) — block q
+//     of slot a in region r is on disk (r + a + q) mod D — and holds for
+//     the live prefixes that are all the engine transfers. The disk alone
+//     fixes what a burst costs in parallel I/Os; the track within the disk
+//     is placed so that paired slots' live prefixes meet (see slotBlock),
+//     which is what a positioning disk pays for.
 //
 // The package is part of the determinism contract (DESIGN.md §11):
 // identical inputs must yield bit-identical I/O schedules and op counts.

@@ -12,14 +12,15 @@ import (
 // writes proceed with fully parallel I/O.
 //
 // The matrix is organised in v regions (track bands). Region r starts at
-// track BaseTrack + r·RegionTracks() with disk offset d_r = r mod D; slot a
-// of region r occupies BPM consecutive striped blocks starting at
-// region-local block index a·pitch(BPM, D). The first block of slot a of
-// region r is therefore on disk (r + a) mod D: consecutive slots of a
-// region, and the same slot of consecutive regions, start on consecutive
-// disks, which is what lets one parallel I/O touch the first blocks of D
-// of them (the shaded rectangles of Figure 2) — whole slots or live
-// prefixes alike.
+// track BaseTrack + r·RegionTracks(); block q of slot a of region r is on
+// disk (r + a + q) mod D. Consecutive slots of a region, and the same slot
+// of consecutive regions, therefore start on consecutive disks, which is
+// what lets one parallel I/O touch the first blocks of D of them (the
+// shaded rectangles of Figure 2) — whole slots or live prefixes alike.
+// Within its disk a block's track is chosen so that live prefixes meet:
+// slots (a, a + D) face each other across a shared midpoint on every disk,
+// so a region read with prefixes of D blocks or more costs each disk one
+// run of tracks per pair of slots, not one per slot (see slotBlock).
 //
 // Which (source,destination) message occupies which slot alternates by
 // superstep parity per Observation 2, so a single copy of the matrix
@@ -52,26 +53,62 @@ func NewMatrix(v, bpm, d, baseTrack int) (Matrix, error) {
 	return Matrix{V: v, BPM: bpm, D: d, BaseTrack: baseTrack}, nil
 }
 
-// pitch is the distance, in blocks, between the starts of consecutive
-// slots of a region: bpm rounded up to ≡ 1 (mod d), so that each slot
-// starts one disk after the one before it. It pads a slot by less than d
-// blocks, and by none where bpm ≡ 1 (mod d) already (every bpm at d = 1).
-func pitch(bpm, d int) int {
-	return bpm + (d-(bpm-1)%d)%d
-}
-
 // regionTracks is the number of tracks a region of the given number of
-// slots occupies: ⌈slots·pitch/D⌉ plus one track of slack for the region's
-// disk offset.
+// slots occupies on each disk: slots·⌈(bpm−1)/d⌉ + ⌈slots/d⌉ + 1, the
+// footprint of slots padded to a pitch ≡ 1 (mod d) blocks, kept so that
+// no region's base track moves. It covers slotBlock's busiest disk, which
+// holds slots·⌊bpm/d⌋ tracks plus one for each slot with a block on it
+// past the last full stripe.
 func regionTracks(slots, bpm, d int) int {
-	return (slots*pitch(bpm, d)+d-1)/d + 1
+	return slots*((bpm+d-2)/d) + (slots+d-1)/d + 1
 }
 
-// slotBlock is the address of block q of slot a of the region with number
-// r and first track t.
-func slotBlock(r, t, a, q, bpm, d int) pdm.BlockReq {
-	g := r%d + a*pitch(bpm, d) + q
-	return pdm.BlockReq{Disk: g % d, Track: t + g/d}
+// slotBlock is the address of block q of slot a of a region of the given
+// number of slots, with number r and first track t.
+//
+// The block's disk is (r + a + q) mod d: consecutive slots, and one slot
+// of consecutive regions, begin on consecutive disks, and the blocks of a
+// slot are striped round-robin from there. That is all the packing rule
+// reads (see packed).
+//
+// Its track is chosen per disk so that live prefixes meet. With bpm =
+// s·d + rem, a slot holds s + [q₀ < rem] tracks on a disk where its first
+// block is q₀, and the j-th of them holds block q₀ + j·d; no track is
+// left between slots. Slots go in pairs (a, a + d), whose first blocks
+// share a disk, within groups of 2d slots, which fill 2·bpm tracks of
+// every disk. The first slot of a pair is stored back to front and the
+// second front to back, so on every disk both prefixes grow outward from
+// the pair's midpoint and a pair's live blocks are one run of tracks. The
+// slots after the last full group are stored front to back in slot order.
+// Either way the blocks of one slot on one disk are a single run.
+func slotBlock(r, t, a, q, slots, bpm, d int) pdm.BlockReq {
+	s, rem := bpm/d, bpm%d
+	q0, j := q%d, q/d
+	// before(n) is the number of tracks on this disk held by the n slots
+	// below a slot — by the first slots of the n pairs below a pair: the
+	// k-th of them has its first block here at (q0 + k) mod d, and a slot
+	// whose first block is x holds s + [x < rem].
+	before := func(n int) int { return n*s + below(q0+1+n, rem, d) - below(q0+1, rem, d) }
+	size := s
+	if q0 < rem {
+		size++
+	}
+	group, i := a/(2*d), a%(2*d)
+	t += group * 2 * bpm
+	switch {
+	case (group+1)*2*d > slots: // the tail after the last full group
+		t += before(i) + j
+	case i < d: // first of its pair: back to front
+		t += 2*before(i) + size - 1 - j
+	default: // second of its pair, after the first
+		t += 2*before(i-d) + size + j
+	}
+	return pdm.BlockReq{Disk: (r + a + q) % d, Track: t}
+}
+
+// below is the number of x in [0, n) with x mod d < rem.
+func below(n, rem, d int) int {
+	return n/d*rem + min(n%d, rem)
 }
 
 // RegionTracks returns the number of tracks occupied by one region.
@@ -86,7 +123,7 @@ func (m Matrix) SlotBlock(r, a, q int) pdm.BlockReq {
 	if r < 0 || r >= m.V || a < 0 || a >= m.V || q < 0 || q >= m.BPM {
 		panic(fmt.Sprintf("layout: slot block (r=%d a=%d q=%d) out of range", r, a, q))
 	}
-	return slotBlock(r, m.BaseTrack+r*m.RegionTracks(), a, q, m.BPM, m.D)
+	return slotBlock(r, m.BaseTrack+r*m.RegionTracks(), a, q, m.V, m.BPM, m.D)
 }
 
 // Place returns the (region, slot) holding the message src→dst in the

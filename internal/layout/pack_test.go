@@ -211,8 +211,8 @@ func TestStaggerFillsEveryDisk(t *testing.T) {
 
 	// Any v: whole slots stay within the overlap of the last v mod D slots
 	// of the ⌈v·b′/D⌉ greedy FIFO paid for them, and cost exactly that much
-	// where the pitch needs no padding — the layout is the paper's there,
-	// and the two rules agree on it.
+	// where b′ ≡ 1 (mod D) — the slots' disks are the paper's there, and
+	// the two rules agree on them.
 	for trial := 0; trial < 80; trial++ {
 		v, bpm, d := 1+rng.Intn(10), 1+rng.Intn(9), 1+rng.Intn(8)
 		if trial%2 == 0 {
@@ -229,23 +229,10 @@ func TestStaggerFillsEveryDisk(t *testing.T) {
 				if slack := min(v%d, bpm%d); got < paper || got > paper+slack {
 					t.Errorf("%s: whole slots cost %d operations, want %d to %d", tag, got, paper, paper+slack)
 				}
-				if pitch(bpm, d) == bpm && (got != paper || greedyFIFO(reqs, d) != paper) {
+				if bpm%d == 1%d && (got != paper || greedyFIFO(reqs, d) != paper) {
 					t.Errorf("%s: whole slots cost %d operations packed by disk and %d under greedy FIFO, want %d from both",
 						tag, got, greedyFIFO(reqs, d), paper)
 				}
-			}
-		}
-	}
-}
-
-// The pitch is the smallest slot distance that is at least b′ and ≡ 1
-// (mod D).
-func TestPitch(t *testing.T) {
-	for d := 1; d <= 9; d++ {
-		for bpm := 1; bpm <= 30; bpm++ {
-			p := pitch(bpm, d)
-			if p < bpm || p >= bpm+d || (p-1)%d != 0 {
-				t.Errorf("pitch(%d, %d) = %d, want the first number ≥ %d that is ≡ 1 (mod %d)", bpm, d, p, bpm, d)
 			}
 		}
 	}

@@ -10,7 +10,8 @@ import (
 // (Algorithm 3): on a real processor owning Regions virtual processors,
 // region r is the inbox band of local VP r and holds Slots message slots,
 // one per source VP in the whole machine. Regions are staggered across
-// disks exactly like Matrix regions so inbox reads are fully parallel.
+// disks, and their slots paired on each disk, exactly like Matrix regions,
+// so inbox reads are fully parallel and a region's live prefixes meet.
 //
 // Unlike Matrix, Rect does not alternate placements: the parallel machine
 // double-buffers (two Rects used in ping-pong by round parity), because
@@ -44,7 +45,7 @@ func (m Rect) SlotBlock(r, a, q int) pdm.BlockReq {
 	if r < 0 || r >= m.Regions || a < 0 || a >= m.Slots || q < 0 || q >= m.BPM {
 		panic(fmt.Sprintf("layout: rect slot block (r=%d a=%d q=%d) out of range", r, a, q))
 	}
-	return slotBlock(r, m.BaseTrack+r*m.RegionTracks(), a, q, m.BPM, m.D)
+	return slotBlock(r, m.BaseTrack+r*m.RegionTracks(), a, q, m.Slots, m.BPM, m.D)
 }
 
 // AppendSlotReqs appends the requests of the first n blocks of slot a in

@@ -2,8 +2,8 @@
 # Seeded-negative self-test of the contracts the engine's own tests hold
 # (DESIGN.md §10): break each contract in a scratch copy of the tree, run
 # only the test that owns it — in internal/core, internal/sortalg,
-# internal/cgm, internal/pdm, or in the root package for the property
-# tests — and
+# internal/cgm, internal/pdm, internal/layout, or in the root package for
+# the property tests — and
 # require that test to fail by name. The
 # unmutated copy must pass the same tests first. An anchor line that no
 # longer matches is itself a failure, so a refactor that moves the code
@@ -16,8 +16,9 @@ cp -R "$root/go.mod" "$root"/*.go "$root/internal" "$tmp/"
 cd "$tmp"
 
 # run_tests PATTERN: the tests of internal/core, internal/sortalg,
-# internal/cgm, internal/pdm and the root package that PATTERN names.
-run_tests() { go test . ./internal/core ./internal/sortalg ./internal/cgm ./internal/pdm -count=1 -timeout 300s -run "^($1)\$" 2>&1; }
+# internal/cgm, internal/pdm, internal/layout and the root package that
+# PATTERN names.
+run_tests() { go test . ./internal/core ./internal/sortalg ./internal/cgm ./internal/pdm ./internal/layout -count=1 -timeout 300s -run "^($1)\$" 2>&1; }
 
 # mutate FILE ANCHOR COUNT NTH REPLACEMENT: ANCHOR (a fixed string) must
 # be on exactly COUNT lines of FILE; the NTH such line becomes REPLACEMENT
@@ -49,7 +50,7 @@ check() {
 	cp "$root/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -212,4 +213,13 @@ f=internal/pdm/array.go
 mutate $f 'if err != nil && len(ops) > 1 {' 1 1 '\t\tif false {'
 check 'a failed batch fails every transfer in it' $f TestBatchFailureAttributedPerTransfer
 
-echo "contract-selftest: all twenty-one mutations caught"
+# Live prefixes meet on disk (DESIGN.md §18): the first slot of each pair
+# (a, a + D) is stored back to front, so on every disk its prefix grows
+# towards the second slot's and the pair reads or writes as one run of
+# tracks. Stored front to back, both prefixes start at their slot's own
+# first track and every message of a consecutive burst is a run again.
+f=internal/layout/matrix.go
+mutate $f 't += 2*before(i) + size - 1 - j' 1 1 '\t\tt += 2*before(i) + j'
+check 'store the first slot of each pair front to back' $f TestLivePrefixesMeet
+
+echo "contract-selftest: all twenty-two mutations caught"
