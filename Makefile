@@ -82,14 +82,17 @@ benchmark-smoke:
 	awk -v tr="$$tr" 'BEGIN { exit !(tr != "" && tr + 0 <= 396) }' || { echo "benchmark-smoke: core.max_tracks '$$tr' is above 396"; exit 1; }
 
 # Allocation profile of the hot path: the dispatch benchmark and the
-# local sort's radix kernel must report 0 allocs/op (BenchmarkLocalSort
-# prints slices.Sort beside it); BenchmarkPSRSRounds splits the sorter's
-# compute by round (init+r0, r1, r2), one VP at the benchmark's per-VP
-# size a line, and BenchmarkPermuteRounds does the same for the
-# permutation (init+r0, r1). The end-to-end sort should stay well
-# under the seed's 38287 allocs/op. The last line also prints B/op of the
+# local sort's two entry points, the radix kernel in place and
+# sortedInto into a lent buffer, must report 0 allocs/op
+# (BenchmarkLocalSort prints slices.Sort beside them); BenchmarkPSRSRounds
+# splits the sorter's compute by round (init+r0, r1, r2), one VP at the
+# benchmark's per-VP size a line, and BenchmarkPermuteRounds does the
+# same for the permutation (init+r0, r1) — on the in-memory VP, whose
+# Scratch allocates. The end-to-end sort should stay well under the
+# seed's 38287 allocs/op. The last line also prints B/op of the
 # end-to-end sort and permute — the program-boundary allocation (decode
-# arenas, outboxes, outputs) that benchmark/'s alloc_mb gates at full scale.
+# arenas and the scratch they lend, outboxes, outputs) that benchmark/'s
+# alloc_mb gates at full scale.
 allocs:
 	$(GO) test -run '^$$' -bench 'BenchmarkDiskArrayOp' -benchmem ./internal/pdm/
 	$(GO) test -run '^$$' -bench 'BenchmarkLocalSort|BenchmarkPSRSRounds' -benchmem ./internal/sortalg/
@@ -119,8 +122,9 @@ lint:
 # write-behind error, finish the local sort's LSD buckets without their
 # tie pass, look a permutation's owner up off by one at a partition start,
 # drop MergeSort's wait error, fail every transfer of a failed disk batch,
-# store the first slot of each facing pair front to back
-# — twenty-two in all — and requires the owning test to fail by name.
+# store the first slot of each facing pair front to back, keep lent
+# scratch but not the chunks lent beyond the region
+# — twenty-three in all — and requires the owning test to fail by name.
 # About two minutes; one mutation wedges a run until its 30 s watchdog.
 contract-selftest:
 	@sh scripts/contract_mutations.sh

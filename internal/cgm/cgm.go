@@ -30,6 +30,28 @@ type VP[T any] struct {
 	V int
 	// State is the persistent context (μ = max items held here).
 	State []T
+
+	lend func(n int) []T // Scratch's lender; nil: make
+}
+
+// NewVP returns the view of virtual processor id of v holding state, whose
+// Scratch borrows from lend (nil: allocates). A simulator that owns memory
+// with a superstep's lifetime lends it through here.
+func NewVP[T any](id, v int, state []T, lend func(n int) []T) *VP[T] {
+	return &VP[T]{ID: id, V: v, State: state, lend: lend}
+}
+
+// Scratch returns n zeroed items for the program to use during the current
+// Init, Round or Output call: working buffers, and the State, messages or
+// output it hands back. Several borrows in one call never overlap. Like
+// the views in the Program ownership rule, they may be reused once the
+// call returns, and the runtime copies out whatever the program hands back
+// that still points into them. The in-memory runtime allocates them.
+func (vp *VP[T]) Scratch(n int) []T {
+	if vp.lend == nil {
+		return make([]T, n)
+	}
+	return vp.lend(n)
 }
 
 // Program is a CGM algorithm over items of type T.
@@ -55,9 +77,11 @@ type VP[T any] struct {
 // append allocates memory of the program's own. Whatever the program hands
 // back — outbox messages, the State it leaves in vp, the slice Output
 // returns — may be its own memory or may still be (a re-slice of) those
-// views; the driver copies out anything that still points there before
-// reusing them. Nothing reachable only through a field of the Program
-// value survives, and the views must not be written after the call.
+// views or of what vp.Scratch lent in the same call, which the same
+// worker's memory lends; the driver copies out anything that still points
+// there before reusing it. Nothing reachable only through a field of the
+// Program value survives, and the views must not be written after the
+// call.
 //
 // Init must leave vp.State sharing no memory with input: input is the
 // caller's, and round 0 runs on the State Init left — under the EM

@@ -797,13 +797,14 @@ func (e *engine[T]) slide(pr *proc[T], round, m int) error {
 
 // work simulates the round of the VP worker w holds, out of its ring slot,
 // whose reads have landed: decode the context and inbox into w's arena,
-// run the program with the window's reads in flight underneath, and
-// encode what the VP leaves back into the slot (and, under Algorithm 3,
-// its messages to other processors into its batches) for procRound to
-// write. In round 0 the context-in is not on disk: it is what prog.Init
-// makes of the caller's partition, here, on the processor that owns the
-// VP. What can fail here is left in w.err for procRound to report in VP
-// order; a context over μ is left for writeContext to reject.
+// run the program with the window's reads in flight underneath (the same
+// arena lends it scratch), and encode what the VP leaves back into the
+// slot (and, under Algorithm 3, its messages to other processors into its
+// batches) for procRound to write. In round 0 the context-in is not on
+// disk: it is what prog.Init makes of the caller's partition, here, on
+// the processor that owns the VP. What can fail here is left in w.err for
+// procRound to report in VP order; a context over μ is left for
+// writeContext to reject.
 func (e *engine[T]) work(pr *proc[T], w *worker[T]) {
 	round, l, v := w.round, w.l, e.cfg.V
 	j := pr.i*e.localV + l
@@ -826,7 +827,7 @@ func (e *engine[T]) work(pr *proc[T], w *worker[T]) {
 	w.recv = recv
 
 	cp := e.rec.Begin(w.track, "compute", "phase")
-	vp := &cgm.VP[T]{ID: j, V: v, State: state}
+	vp := cgm.NewVP(j, v, state, w.mem.lend)
 	if round == 0 {
 		e.prog.Init(vp, e.inputs[j])
 		w.initLen = len(vp.State)

@@ -20,8 +20,19 @@ import (
 // each re-grow through a run of slightly larger inboxes. The ring slots'
 // images follow the same rule (grow).
 //
-// Ownership rule: what decode returns is valid until the next decode on
-// the same arena, i.e. for one compound superstep. The engine copies out
+// The arena also lends the program its scratch (cgm.VP.Scratch): a
+// grow-only region handed out front to back, so the borrows of one call
+// are disjoint. A borrow the region cannot hold comes from a chunk of its
+// own, and the slices already lent stay where they are (a first borrow
+// too large for the region instead replaces it by one an eighth larger
+// than the borrow); release then replaces region and chunks by one region
+// an eighth larger than the superstep's total, the inbox's rule again, so
+// a worker settles at the largest scratch one superstep of its VPs asks
+// for and then allocates none. Config.M does not charge it: scratch is the
+// program's own working memory, which allocated as much before.
+//
+// Ownership rule: what decode returns and what the arena lends is valid
+// until release, i.e. for one compound superstep. The engine copies out
 // (keep) the three things that outlive it when they still point here — an
 // outbox message queued for the route phase, a context kept resident
 // under CacheContexts, and the slice prog.Output returned; everything else
@@ -32,12 +43,38 @@ type vpMem[T any] struct {
 	inbox   [][]T // inbox header handed to Round
 	maxRecv int   // the declared bound of an inbox: v messages of MaxMsgItems
 	checked bool  // CheckedIO: release zeroes the arena
+
+	lent   []T   // the scratch region, lent from its head
+	off    int   // items of lent handed out this superstep
+	chunks [][]T // borrows lent could not hold
+	total  int   // items lent this superstep, chunks included
+	lend   func(n int) []T
 }
 
 func newVPMem[T any](v, maxMsg int, checked bool) *vpMem[T] {
 	// state starts empty but non-nil: an empty context decodes to an empty
 	// slice, as it did when every decode allocated.
-	return &vpMem[T]{state: []T{}, inbox: make([][]T, v), maxRecv: v * maxMsg, checked: checked}
+	m := &vpMem[T]{state: []T{}, inbox: make([][]T, v), maxRecv: v * maxMsg, checked: checked}
+	m.lend = m.scratch // bound once: the VP of every superstep carries it
+	return m
+}
+
+// scratch lends n zeroed items, cap == len, disjoint from everything else
+// lent this superstep.
+func (m *vpMem[T]) scratch(n int) []T {
+	m.total += n
+	if m.off+n > len(m.lent) {
+		if m.off > 0 {
+			c := make([]T, n)
+			m.chunks = append(m.chunks, c)
+			return c
+		}
+		m.lent = make([]T, n+n/8) // nothing is lent from it yet: replace it
+	}
+	s := m.lent[m.off : m.off+n : m.off+n]
+	m.off += n
+	clear(s)
+	return s
 }
 
 // decode deserialises virtual processor state and inbox for one superstep:
@@ -82,14 +119,29 @@ func (m *vpMem[T]) decode(codec wordcodec.Codec[T], ctxImg, flat []pdm.Word, sw 
 }
 
 // keep returns s, or a copy of it when s points into the arena and would
-// be overwritten by the next decode.
+// be overwritten by the next decode or borrow.
 func (m *vpMem[T]) keep(s []T) []T {
-	if !within(s, m.state) && !within(s, m.msgs) {
+	if !m.owns(s) {
 		return s
 	}
 	c := make([]T, len(s))
 	copy(c, s)
 	return c
+}
+
+// owns reports whether s points into memory the arena hands out again
+// after release: the decoded state and inbox, the lent region, or a chunk
+// lent this superstep.
+func (m *vpMem[T]) owns(s []T) bool {
+	if within(s, m.state) || within(s, m.msgs) || within(s, m.lent) {
+		return true
+	}
+	for _, c := range m.chunks {
+		if within(s, c) {
+			return true
+		}
+	}
+	return false
 }
 
 // within reports whether s's backing array starts inside arena's. The
@@ -104,14 +156,25 @@ func within[T any](s, arena []T) bool {
 	return p >= lo && p-lo < uintptr(cap(arena))*unsafe.Sizeof(item)
 }
 
-// release ends a superstep. In checked mode it zeroes the arena, so a
-// reference the engine failed to keep reads zeros at once instead of
-// another virtual processor's data some supersteps later.
+// release ends a superstep: the scratch is lent from the head again, out
+// of one region that holds all of this superstep's. In checked mode it
+// zeroes the arena, chunks included, so a reference the engine failed to
+// keep reads zeros at once instead of another virtual processor's data
+// some supersteps later.
 func (m *vpMem[T]) release() {
-	if !m.checked {
-		return
+	if m.checked {
+		clear(m.state[:cap(m.state)])
+		clear(m.msgs[:cap(m.msgs)])
+		clear(m.inbox)
+		clear(m.lent)
+		for _, c := range m.chunks {
+			clear(c)
+		}
 	}
-	clear(m.state[:cap(m.state)])
-	clear(m.msgs[:cap(m.msgs)])
-	clear(m.inbox)
+	if len(m.chunks) > 0 {
+		m.lent = make([]T, m.total+m.total/8)
+		clear(m.chunks)
+		m.chunks = m.chunks[:0]
+	}
+	m.off, m.total = 0, 0
 }

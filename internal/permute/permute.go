@@ -74,6 +74,8 @@ func New(n int) Program { return Program{N: n} }
 // group of each destination owner starts, and one stable scatter copies
 // input into the new State grouped by owner, in owner order. The owner
 // lookups go through a cgm.Owners table, so no item costs a division.
+// The State is scratch the runtime lends, since round 0 only sends views
+// of it.
 func (p Program) Init(vp *cgm.VP[Item], input []Item) {
 	own := cgm.NewOwners(p.N, vp.V)
 	next := make([]int, vp.V+1)
@@ -83,7 +85,7 @@ func (p Program) Init(vp *cgm.VP[Item], input []Item) {
 	for d := 1; d < len(next); d++ {
 		next[d] += next[d-1]
 	}
-	st := make([]Item, len(input))
+	st := vp.Scratch(len(input))
 	for _, it := range input {
 		d := own.Owner(int(it.Dest))
 		st[next[d]] = it

@@ -21,9 +21,10 @@ import (
 // ablation's point.
 type TournamentSorter[T cmp.Ordered] struct{}
 
-// Init sorts the partition locally.
+// Init sorts the partition locally, as Sorter's does.
 func (TournamentSorter[T]) Init(vp *cgm.VP[T], input []T) {
-	vp.State = sortedCopy(input)
+	vp.State = vp.Scratch(len(input))
+	sortedInto(vp.State, input)
 }
 
 func tournamentRounds(v int) int {

@@ -15,6 +15,7 @@ package sortalg
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"repro/internal/cgm"
@@ -34,9 +35,11 @@ import (
 type Sorter[T cmp.Ordered] struct{}
 
 // Init stores a sorted copy of the partition: the copy Init owes the
-// caller and the local sort are one pass (sortedCopy).
+// caller and the local sort are one pass (sortedInto), into scratch the
+// runtime lends, since the State only lives until round 0 has sampled it.
 func (Sorter[T]) Init(vp *cgm.VP[T], input []T) {
-	vp.State = sortedCopy(input)
+	vp.State = vp.Scratch(len(input))
+	sortedInto(vp.State, input)
 }
 
 // Round implements the three PSRS supersteps.
@@ -97,7 +100,7 @@ func (Sorter[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
 				total += len(m)
 			}
 		}
-		vp.State = mergeRuns(runs, total)
+		vp.State = mergeRuns(runs, total, vp.Scratch)
 		return nil, true
 	}
 }
@@ -146,20 +149,25 @@ func upperBound[T cmp.Ordered](xs []T, key T) int {
 // mergeRuns k-way merges sorted runs of total items in all by repeated
 // pairwise merging of neighbours with mergeTwo, stably (on ties the
 // earlier run wins). Every level merges out of one total-sized buffer into
-// the other, so the merge allocates two buffers however many levels it
-// has, one for two runs, none for a single run (which is returned as it
-// is). runs is overwritten.
-func mergeRuns[T cmp.Ordered](runs [][]T, total int) []T {
+// the other: the one the last level writes is the result and is allocated,
+// the other, needed from three runs up, is borrowed. A single run is
+// returned as it is. runs is overwritten.
+func mergeRuns[T cmp.Ordered](runs [][]T, total int, borrow func(n int) []T) []T {
 	switch len(runs) {
 	case 0:
 		return nil
 	case 1:
 		return runs[0]
 	}
+	// Level 1 writes dst, level 2 src, and so on: dst is the result when
+	// the level count, ⌈log₂ len(runs)⌉, is odd.
 	dst := make([]T, total)
 	var src []T
 	if len(runs) > 2 {
-		src = make([]T, total)
+		src = borrow(total)
+		if bits.Len(uint(len(runs)-1))%2 == 0 {
+			dst, src = src, dst
+		}
 	}
 	for len(runs) > 1 {
 		n, off := 0, 0

@@ -8,7 +8,7 @@ import (
 // sortKeys sorts xs ascending in place: int64, uint64 (pdm.Word) and int
 // slices through the radix kernel, any other type through slices.Sort
 // (floats keep it because a NaN has no place in a radix order). It is the
-// one in-place local sort of the package's key paths; sortedCopy is the
+// one in-place local sort of the package's key paths; sortedInto is the
 // one that copies.
 func sortKeys[T cmp.Ordered](xs []T) {
 	switch s := any(xs).(type) {
@@ -23,18 +23,15 @@ func sortKeys[T cmp.Ordered](xs []T) {
 	}
 }
 
-// sortedCopy returns a sorted copy of src and leaves src as it is. For
-// int64, uint64 (pdm.Word) and int keys the copy is the kernel's first
-// level: one counting pass over src and one scatter by the top byte into
-// the new slice, after which each bucket (about n/256 keys, in cache) is
-// sorted in place by the lower digits — by lsdFinish once it holds at
-// most lsdMax keys. Any other type is copied and sorted by slices.Sort.
-// It allocates the result and nothing else.
-func sortedCopy[T cmp.Ordered](src []T) []T {
-	if len(src) == 0 {
-		return nil
-	}
-	dst := make([]T, len(src))
+// sortedInto writes src, sorted, into dst, which must be as long, and
+// leaves src as it is; what dst held before does not matter. For int64,
+// uint64 (pdm.Word) and int keys the copy is the kernel's first level:
+// one counting pass over src and one scatter by the top byte into dst,
+// after which each bucket (about n/256 keys, in cache) is sorted in place
+// by the lower digits — by lsdFinish once it holds at most lsdMax keys.
+// Any other type is copied and sorted by slices.Sort. It allocates
+// nothing.
+func sortedInto[T cmp.Ordered](dst, src []T) {
 	switch d := any(dst).(type) {
 	case []int64:
 		radixCopy(d, any(src).([]int64))
@@ -46,7 +43,6 @@ func sortedCopy[T cmp.Ordered](src []T) []T {
 		copy(dst, src)
 		slices.Sort(dst)
 	}
-	return dst
 }
 
 // radixCopy sorts src into dst (of the same length): the top-byte digit

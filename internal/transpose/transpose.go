@@ -31,9 +31,10 @@ func New(k, l int) Program { return Program{K: k, L: l} }
 
 // Init computes each element's column-major destination once, stores it
 // in Dest and routes as permute.Program.Init does: the State is grouped by
-// the owner of the destination.
+// the owner of the destination. The tagged copy is scratch: it lives only
+// until permute's Init has grouped it into the State (its own borrow).
 func (p Program) Init(vp *cgm.VP[permute.Item], input []permute.Item) {
-	tagged := make([]permute.Item, len(input))
+	tagged := vp.Scratch(len(input))
 	for i, it := range input {
 		tagged[i] = permute.Item{Dest: int64(p.dest(it)), Val: it.Val}
 	}

@@ -50,7 +50,7 @@ check() {
 	cp "$root/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -222,4 +222,13 @@ f=internal/layout/matrix.go
 mutate $f 't += 2*before(i) + size - 1 - j' 1 1 '\t\tt += 2*before(i) + j'
 check 'store the first slot of each pair front to back' $f TestLivePrefixesMeet
 
-echo "contract-selftest: all twenty-two mutations caught"
+# What a program builds out of lent scratch outlives its superstep only as
+# a copy (DESIGN.md §17): keep and the batches copy out of the arena's
+# chunks as out of its region. Ignoring the chunks, an output, a batched
+# message or a resident context borrowed beyond the region is handed on
+# as it is, and CheckedIO zeroes it at release.
+f=internal/core/vpmem.go
+mutate $f 'for _, c := range m.chunks {' 2 1 '\tfor _, c := range m.chunks[:0] {'
+check 'keep ignores the lent chunks' $f TestScratchAliasSafety
+
+echo "contract-selftest: all twenty-three mutations caught"
