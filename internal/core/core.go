@@ -25,8 +25,10 @@
 // virtual processor's I/O split-phase over a ring of Config.PipelineDepth
 // scratch slots; depth 1 is the synchronous schedule. It computes up to c
 // of a real processor's virtual processors at once, one per core
-// (Result.Workers), and commits them in VP order, so the begin order does
-// not depend on c.
+// (Result.Workers), and commits them in an order fixed at set-up — the
+// two virtual processors whose message slots face each other on disk one
+// after the other, their writes begun back to back — so the begin order
+// does not depend on c.
 //
 // Both machines execute any cgm.Program unchanged and return exact PDM
 // accounting: parallel I/O operations (split into context-swap and

@@ -108,9 +108,10 @@ type roundOut struct {
 }
 
 // proc is one real processor: its disk array, its c compute workers and
-// its ring of K superstep working sets (local VP l computes out of ring[l
-// mod K] while the slots ahead of it prefetch and the slots behind it
-// drain; the route phase cycles landed batches through the same K slots).
+// its ring of K superstep working sets (the VP at commit position pos
+// computes out of ring[pos mod K] while the slots ahead of it prefetch and
+// the slots behind it drain; the route phase cycles landed batches through
+// the same K slots).
 // The ring and the workers are allocated at set-up and keep their number
 // for the whole run. A proc is owned by the processor's goroutine for a
 // round's duration and by the engine's between rounds; rounds are
@@ -121,8 +122,14 @@ type roundOut struct {
 type proc[T any] struct {
 	i       int
 	arr     *pdm.DiskArray
-	workers []*worker[T] // local VP l computes on workers[l mod c]
+	workers []*worker[T] // the VP at position pos computes on workers[pos mod c]
 	track   obs.TrackID
+
+	// order[pos] is the local VP committed at position pos of every round;
+	// lead[pos] says positions pos and pos+1 hold a facing pair of message
+	// slots (commitOrder). Both are fixed at set-up.
+	order []int
+	lead  []bool
 
 	ring  []*superstepScratch
 	pend  []vpInflight     // per-slot context/inbox reads and write-behind
@@ -153,15 +160,15 @@ type proc[T any] struct {
 
 // worker is one of a real processor's c compute workers. It owns a decode
 // arena and a compare stripe, and computes one local VP at a time out of
-// that VP's ring slot: decode its context and inbox, run Init/Round, and
-// encode what the VP leaves — its messages to the processor's own VPs into
-// the slot (all of them under Algorithm 2), those to other processors into
-// the batches it owes (Algorithm 3), and its context into the slot's
-// context image. Everything else — every Begin and Wait, length-table
-// write, send, trace row and error check — stays on the processor's own
-// goroutine, in VP order (procRound). At c = 1 the one worker runs inline
-// on that goroutine; at c > 1 each runs on a goroutine resident for the
-// run, handed VPs over start and reporting over fin.
+// the ring slot of its position: decode its context and inbox, run
+// Init/Round, and encode what the VP leaves — its messages to the
+// processor's own VPs into the slot (all of them under Algorithm 2), those
+// to other processors into the batches it owes (Algorithm 3), and its
+// context into the slot's context image. Everything else — every Begin and
+// Wait, length-table write, send, trace row and error check — stays on the
+// processor's own goroutine, in commit order (procRound). At c = 1 the one
+// worker runs inline on that goroutine; at c > 1 each runs on a goroutine
+// resident for the run, handed VPs over start and reporting over fin.
 type worker[T any] struct {
 	mem   *vpMem[T]
 	cmp   []pdm.Word  // one stripe: the chunk encodeCtx compares by
@@ -171,17 +178,19 @@ type worker[T any] struct {
 	start, fin chan struct{} // nil at c = 1
 	busy       bool          // handed a VP not yet collected
 
-	// The VP it holds: round and l are set before the hand-off, the rest by
-	// work, read by the processor's goroutine once the VP is collected.
-	round, l int
-	vp       *cgm.VP[T]
-	outbox   [][]T
-	done     bool
-	voted    bool // Round returned a well-formed outbox: done is the VP's vote
-	initLen  int  // the context items Init left (round 0)
-	recv     int  // items received
-	same     bool // the context encodes to what the slot read: nothing to write
-	err      error
+	// The VP it holds: round, its position pos and the local VP l there are
+	// set before the hand-off, the rest by work, read by the processor's
+	// goroutine once the VP is collected.
+	round   int
+	pos, l  int
+	vp      *cgm.VP[T]
+	outbox  [][]T
+	done    bool
+	voted   bool // Round returned a well-formed outbox: done is the VP's vote
+	initLen int  // the context items Init left (round 0)
+	recv    int  // items received
+	same    bool // the context encodes to what the slot read: nothing to write
+	err     error
 }
 
 // hand starts worker w on the VP it was given, whose reads have landed.
@@ -369,6 +378,7 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 			ring: make([]*superstepScratch, k), pend: make([]vpInflight, k), route: make([]pdm.PendingSet, k),
 			sent: make([]int, localV), recv: make([]int, localV), ctxLive: make([]int, localV),
 			msgLive: [2][]int{make([]int, localV*v), make([]int, localV*v)}}
+		pr.order, pr.lead = commitOrder(v, p, cfg.D, i)
 		for s := range pr.ring {
 			pr.ring[s] = newSuperstepScratch(v)
 		}
@@ -523,25 +533,74 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 	return res, nil
 }
 
+// commitOrder is the order in which real processor i of a machine of v
+// VPs on p processors and d disks commits its v/p local VPs in every round:
+// order[pos] is the local VP at position pos. The message layouts store
+// slots in groups of 2d, slot a facing slot a + d on every disk, because
+// those two share the disk of every block (layout.slotBlock); both Matrix
+// and Rect slots are global source VPs. A group of global VPs wholly local
+// to the processor is committed a, a + d, a + 1, a + 1 + d, …, so each pair
+// of facing slots is written by VPs committed one after the other, and
+// lead marks the first position of each such pair. A group that straddles
+// two processors, and the tail after the last full group, keep VP order.
+// The table depends on (v, p, d) alone, like the ring depth, so the begin
+// order stays a function of the Config.
+func commitOrder(v, p, d, i int) (order []int, lead []bool) {
+	localV := v / p
+	lo := i * localV
+	order, lead = make([]int, 0, localV), make([]bool, localV)
+	for a := lo; a < lo+localV; {
+		if a%(2*d) != 0 || a+2*d > lo+localV {
+			order = append(order, a-lo)
+			a++
+			continue
+		}
+		for k := range d {
+			lead[len(order)] = true
+			order = append(order, a+k-lo, a+k+d-lo)
+		}
+		a += 2 * d
+	}
+	return order, lead
+}
+
 // procRound is one real processor's share of one round: the compound
 // superstep of Algorithms 2 and 3, software-pipelined over the
-// processor's ring of K slots (local VP l owns slot l mod K). The window
-// slides with a prefetch distance of pf = ⌊K/2⌋: while VP l computes out
-// of its slot, the contexts and inboxes of VPs l+1 … l+pf are already
-// being read, and the writes of VPs back to l−(K−pf) drain as
-// write-behind that is only waited for when their slot is about to be
-// reused. K = 1 is the synchronous issue order (every operation waited
-// before the next phase), K = 2 a ping-pong; deeper rings hide more
-// latency and keep ≥ K conflict-free transfers queued per disk for the
-// batching workers to coalesce.
+// processor's ring of K slots. It walks commit positions, not VP numbers:
+// the VP at position pos is pr.order[pos] (commitOrder), owns ring slot
+// pos mod K and computes on worker pos mod c, while its context, its
+// length-table entries, its batches, its errors and its trace row stay
+// keyed by the VP. The window slides with a prefetch distance of pf =
+// ⌊K/2⌋: while the VP at pos computes out of its slot, the contexts and
+// inboxes of positions pos+1 … pos+pf are already being read, and the
+// writes of positions back to pos−(K−pf) drain as write-behind that is
+// only waited for when their slot is about to be reused. K = 1 is the
+// synchronous issue order (every operation waited before the next phase),
+// K = 2 a ping-pong; deeper rings hide more latency and keep ≥ K
+// conflict-free transfers queued per disk for the batching workers to
+// coalesce.
+//
+// Partners write back to back. At K ≥ 3 the commit of the first VP of a
+// facing pair (lead) makes every check, sends its batches and records its
+// lengths, but begins no write; the commit of its partner, at the next
+// position, first begins the held VP's outbox and context writes, then its
+// own. Each stays its own burst, so only the begin order moves, and the
+// two VPs' message prefixes, which meet on every disk (DESIGN.md §18),
+// reach each disk's queue in one stretch of writes: one positioning
+// serves both. The held VP's superstep span and trace row close once its
+// writes are begun. At K ≤ 2 nothing is held, because the slide for
+// position pos+1 prefetches into slot pos; at K ≥ 3 it prefetches into
+// slot pos+1+pf ≢ pos (mod K), and slot pos is next refilled by the slide
+// for position pos+K−pf ≥ pos+2, after the partner's commit.
 //
 // Every depth issues the same operation multiset at the same addresses
 // with the same cycle packing (the request sequences are cut to the live
 // prefixes the length tables record, which do not depend on the depth) —
-// only the begin order changes: the reads of VPs l+1 … l+pf are hoisted
-// above the writes of VP l. That hoist is
+// only the begin order changes: the reads of positions pos+1 … pos+pf are
+// hoisted above the writes of position pos, and a held VP's writes W(pos)
+// come after the reads R(pos+2) … R(pos+1+pf). Both hoists are
 // address-disjoint within a round (context runs are per-VP; under
-// Observation 2 VP l's outbox lands in the slots its own inbox freed, and
+// Observation 2 a VP's outbox lands in the slots its own inbox freed, and
 // Algorithm 3's route writes target the opposite-parity rect from the
 // round's reads), no prefetch crosses a round boundary because every
 // processor drains its write-behind before it leaves the round, and the
@@ -557,24 +616,26 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 // that it waits out its workers and everything it has in flight (drain).
 // The p = 4 arms of TestRunFaultDrains wedge if those sends go missing.
 //
-// Up to c VPs compute at once (DESIGN.md §17), local VP l on worker l mod
-// c. VP l+c−1 is handed to its worker as soon as its prefetched reads have
-// landed — the slide at l or an earlier one began them, because c−1 ≤ pf
-// — while this goroutine commits the VPs one at a time, in VP order: it
-// collects VP l, checks what it left, writes its length-table entries and
-// begins its writes (or sends its batches); only then does the slide for
-// VP l+1 begin VP l+1+pf's prefetch, after VP l's writes, as at c = 1. The
-// begin sequence, and with it every address, count and per-disk served
-// order, is therefore the same at every c; only when the compute runs
-// moves. A VP's errors are reported at its commit, so a run fails with the
-// lowest failing VP's error whatever c is.
+// Up to c VPs compute at once (DESIGN.md §17), position pos on worker pos
+// mod c. Position pos+c−1 is handed to its worker as soon as its
+// prefetched reads have landed — the slide at pos or an earlier one began
+// them, because c−1 ≤ pf — while this goroutine commits the VPs one at a
+// time, in commit order: it collects the VP, checks what it left, writes
+// its length-table entries, sends its batches and begins its writes (or
+// holds them for its partner); only then does the slide for position
+// pos+1 begin position pos+1+pf's prefetch, as at c = 1. The begin
+// sequence, and with it every address, count and per-disk served order, is
+// therefore the same at every c; only when the compute runs moves. A VP's
+// errors are reported at its commit, and a failed write at the wait that
+// reuses its slot, naming the VP that began it, so a run fails with the
+// first failing VP's error in commit order whatever c is.
 func (e *engine[T]) procRound(pr *proc[T], round int) {
 	chans := e.tr.chans // nil under Algorithm 2: nothing is owed
 	rec, localV := e.rec, e.localV
 	pr.roundOut = roundOut{}
 	clear(pr.sent)
 	clear(pr.recv)
-	sentVPs := 0
+	sentVPs := 0 // positions whose batches are sent
 	defer func() {
 		if pr.err == nil {
 			return
@@ -583,7 +644,10 @@ func (e *engine[T]) procRound(pr *proc[T], round int) {
 			w.collect()
 		}
 		pr.drain()
-		for l := sentVPs; l < localV; l++ {
+		for l := 0; l < localV; l++ {
+			if slices.Contains(pr.order[:sentVPs], l) {
+				continue // committed: its batches are sent
+			}
 			for k := range chans {
 				if k != pr.i {
 					chans[k] <- batch[T]{srcVP: pr.i*localV + l, final: true}
@@ -603,24 +667,30 @@ func (e *engine[T]) procRound(pr *proc[T], round int) {
 		}
 	}
 
-	next := 0 // the next local VP to hand to its worker
-	for l := 0; l < localV; l++ {
+	next := 0                 // the next position to hand to its worker
+	held := vpWrites{pos: -1} // a lead VP's writes, begun at its partner's commit
+	for pos := 0; pos < localV; pos++ {
 		// A VP's superstep span opens as the VP enters the window of c —
-		// at c = 1 before any of its I/O — and closes at its commit.
-		for m := next; m < min(l+c, localV); m++ {
+		// at c = 1 before any of its I/O — and closes once its writes are
+		// begun.
+		for m := next; m < min(pos+c, localV); m++ {
 			w := pr.workers[m%c]
 			w.ss = rec.Begin(w.track, "superstep", "superstep")
 		}
-		w, sl := pr.workers[l%c], &pr.pend[l%K]
+		w, l := pr.workers[pos%c], pr.order[pos]
 		// (a)–(c) Window slid, context and inbox in, local computation.
-		err := e.advance(pr, round, l, &next)
-		if err == nil {
-			err = e.commit(pr, w, round, l)
+		err := e.advance(pr, round, pos, &next)
+		if err == nil && held.pos >= 0 {
+			err = e.release(pr, round, held)
+			held.pos = -1
 		}
-		// (d) Deliver the generated messages: write those to this
+		if err == nil {
+			err = e.commit(pr, w, round, pos)
+		}
+		// (d) Deliver the generated messages: record those to this
 		// processor's VPs, send the rest.
 		if err == nil && !w.done {
-			err = e.writeOutbox(pr, round, l, w.outbox)
+			e.noteOutbox(pr, round, l, w.outbox)
 		}
 		if err == nil && chans != nil {
 			sp := rec.Begin(w.track, "send", "phase")
@@ -632,9 +702,19 @@ func (e *engine[T]) procRound(pr *proc[T], round int) {
 			sp.End()
 			sentVPs++
 		}
-		// (e) Context out.
+		// (e) Context out; then the writes are begun, or held for the
+		// partner's commit.
+		var ctx bool
 		if err == nil {
-			err = e.writeContext(pr, w, round, l)
+			ctx, err = e.noteContext(pr, w, round, l)
+		}
+		if err == nil {
+			vw := vpWrites{pos: pos, msgs: !w.done, ctx: ctx, ss: w.ss}
+			if K >= 3 && pr.lead[pos] {
+				held = vw
+			} else {
+				err = e.release(pr, round, vw)
+			}
 		}
 		if err != nil {
 			w.ss.End()
@@ -642,13 +722,6 @@ func (e *engine[T]) procRound(pr *proc[T], round int) {
 			return
 		}
 		w.mem.release()
-		pr.ctxOps += sl.ctxOps
-		pr.msgOps += sl.msgOps
-		if rec != nil {
-			w.ss.EndIO(obs.SuperstepIO{Proc: pr.i, Round: round, VP: pr.i*localV + l, Label: "superstep",
-				CtxOps: sl.ctxOps, MsgOps: sl.msgOps, Blocks: sl.blocks})
-		}
-		sl.reset()
 	}
 
 	// Round epilogue: every slot's write-behind must land before the
@@ -663,6 +736,40 @@ func (e *engine[T]) procRound(pr *proc[T], round int) {
 	if chans != nil {
 		pr.err = e.route(pr, round)
 	}
+}
+
+// vpWrites is what a VP's commit leaves to begin out of the ring slot of
+// its position: its outbox (msgs) and its context (ctx), and the superstep
+// span that closes once they are begun.
+type vpWrites struct {
+	pos       int
+	msgs, ctx bool
+	ss        obs.Span
+}
+
+// release begins the writes vw's VP left in its ring slot — its outbox,
+// then its context — and closes its superstep span with every op its slot
+// banked for it.
+func (e *engine[T]) release(pr *proc[T], round int, vw vpWrites) error {
+	if vw.msgs {
+		if err := e.writeOutbox(pr, round, vw.pos); err != nil {
+			return err
+		}
+	}
+	if vw.ctx {
+		if err := e.writeContext(pr, round, vw.pos); err != nil {
+			return err
+		}
+	}
+	sl := &pr.pend[vw.pos%len(pr.ring)]
+	pr.ctxOps += sl.ctxOps
+	pr.msgOps += sl.msgOps
+	if e.rec != nil {
+		vw.ss.EndIO(obs.SuperstepIO{Proc: pr.i, Round: round, VP: pr.i*e.localV + pr.order[vw.pos], Label: "superstep",
+			CtxOps: sl.ctxOps, MsgOps: sl.msgOps, Blocks: sl.blocks})
+	}
+	sl.reset()
+	return nil
 }
 
 // wait drains a pending set on pr's behalf. Under a Recorder the blocked
@@ -697,17 +804,17 @@ func (pr *proc[T]) computing() bool {
 	return false
 }
 
-// beginReads prefetches the live prefix of local VP l's context (unless
-// resident) and, after round 0, of each message of its inbox into ring
-// slot l mod K, charging the begun ops to that slot's row. The prefixes
-// come from the item counts in the length tables, so the whole prefetch is
-// one burst with nothing read first to size it, and the slot's images grow
-// to hold it. An empty image moves no block. That is every context in
-// round 0 — nothing has been written yet, the tables say 0 — so round 0
-// begins no read at all.
-func (e *engine[T]) beginReads(pr *proc[T], round, l int) error {
-	K, B := len(pr.ring), e.cfg.B
-	sl, s := &pr.pend[l%K], pr.ring[l%K]
+// beginReads prefetches the live prefix of the context of the VP at
+// position pos (unless resident) and, after round 0, of each message of
+// its inbox into ring slot pos mod K, charging the begun ops to that
+// slot's row. The prefixes come from the item counts in the length
+// tables, so the whole prefetch is one burst with nothing read first to
+// size it, and the slot's images grow to hold it. An empty image moves no
+// block. That is every context in round 0 — nothing has been written yet,
+// the tables say 0 — so round 0 begins no read at all.
+func (e *engine[T]) beginReads(pr *proc[T], round, pos int) error {
+	K, B, l := len(pr.ring), e.cfg.B, pr.order[pos]
+	sl, s := &pr.pend[pos%K], pr.ring[pos%K]
 	pf := e.rec.Begin(pr.track, "prefetch", "prefetch")
 	e.growCtx(s, e.ctxBlocks(pr.ctxLive[l]))
 	if round > 0 {
@@ -755,10 +862,10 @@ func fillStale(img []pdm.Word) {
 	}
 }
 
-// advance moves the window to local VP l and hands every VP up to l+c−1
-// whose reads have landed to its worker: at c = 1 that is VP l alone, run
-// inline. A VP whose reads failed is not handed; the failure is its error,
-// reported at its commit.
+// advance moves the window to position l and hands the VP of every
+// position up to l+c−1 whose reads have landed to its worker: at c = 1
+// that is the VP at l alone, run inline. A VP whose reads failed is not
+// handed; the failure is its error, reported at its commit.
 func (e *engine[T]) advance(pr *proc[T], round, l int, next *int) error {
 	K, c := len(pr.ring), len(pr.workers)
 	if err := e.slide(pr, round, l+K/2); err != nil {
@@ -767,9 +874,9 @@ func (e *engine[T]) advance(pr *proc[T], round, l int, next *int) error {
 	for ; *next < min(l+c, e.localV); *next++ {
 		n := *next
 		w := pr.workers[n%c]
-		w.round, w.l, w.voted, w.err = round, n, false, nil
+		w.round, w.pos, w.l, w.voted, w.err = round, n, pr.order[n], false, nil
 		if err := e.wait(pr, &pr.pend[n%K].reads); err != nil {
-			w.err = fmt.Errorf("core: round %d vp %d: read context/inbox: %w", round, pr.i*e.localV+n, err)
+			w.err = fmt.Errorf("core: round %d vp %d: read context/inbox: %w", round, pr.i*e.localV+w.l, err)
 			continue
 		}
 		if c == 1 {
@@ -781,16 +888,17 @@ func (e *engine[T]) advance(pr *proc[T], round, l int, next *int) error {
 	return nil
 }
 
-// slide begins local VP m's prefetch, pf = ⌊K/2⌋ VPs ahead of the VP being
-// committed (at K = 1, the VP itself: no read-ahead). Slot m mod K still
-// backs VP m−K's write-behind, which must land before the image is reused.
+// slide begins the prefetch of position m, pf = ⌊K/2⌋ positions ahead of
+// the VP being committed (at K = 1, the VP itself: no read-ahead). Slot m
+// mod K still backs the write-behind of position m−K, which must land
+// before the image is reused; a failed write names the VP there.
 func (e *engine[T]) slide(pr *proc[T], round, m int) error {
 	if m >= e.localV {
 		return nil
 	}
 	K := len(pr.ring)
 	if err := e.wait(pr, &pr.pend[m%K].writes); err != nil {
-		return fmt.Errorf("core: round %d vp %d: write back: %w", round, pr.i*e.localV+m-K, err)
+		return fmt.Errorf("core: round %d vp %d: write back: %w", round, pr.i*e.localV+pr.order[m-K], err)
 	}
 	return e.beginReads(pr, round, m)
 }
@@ -803,12 +911,12 @@ func (e *engine[T]) slide(pr *proc[T], round, m int) error {
 // batches) for procRound to write. In round 0 the context-in is not on
 // disk: it is what prog.Init makes of the caller's partition, here, on
 // the processor that owns the VP. What can fail here is left in w.err for
-// procRound to report in VP order; a context over μ is left for
-// writeContext to reject.
+// procRound to report in commit order; a context over μ is left for
+// noteContext to reject.
 func (e *engine[T]) work(pr *proc[T], w *worker[T]) {
 	round, l, v := w.round, w.l, e.cfg.V
 	j := pr.i*e.localV + l
-	s := pr.ring[l%len(pr.ring)]
+	s := pr.ring[w.pos%len(pr.ring)]
 	// The items the length tables count are the heads of the prefixes
 	// beginReads transferred for them, the inbox's at the stride it derived
 	// from the same counts (s.live still holds their live blocks).
@@ -863,18 +971,19 @@ func (e *engine[T]) work(pr *proc[T], w *worker[T]) {
 	}
 }
 
-// commit collects local VP l from its worker and makes the checks that
-// need it, in the order the synchronous schedule meets them: a failed
-// read, an Init over μ or a malformed outbox; then the VP's vote on
-// termination against VP 0's; then a message over its slot. It records
-// what the ledger's predictor is told of the VP's sizes.
-func (e *engine[T]) commit(pr *proc[T], w *worker[T], round, l int) error {
+// commit collects the VP at position pos from its worker and makes the
+// checks that need it, in the order the synchronous schedule meets them: a
+// failed read, an Init over μ or a malformed outbox; then the VP's vote on
+// termination against the first position's; then a message over its
+// slot. It records what the ledger's predictor is told of the VP's sizes.
+func (e *engine[T]) commit(pr *proc[T], w *worker[T], round, pos int) error {
 	w.collect()
+	l := w.l
 	j := pr.i*e.localV + l
 	if !w.voted {
 		return w.err
 	}
-	if l == 0 {
+	if pos == 0 {
 		pr.done = w.done
 	} else if w.done != pr.done {
 		return fmt.Errorf("core: vp %d disagreed on termination at round %d", j, round)
@@ -934,36 +1043,48 @@ func (e *engine[T]) encodeMsgs(pr *proc[T], s *superstepScratch, round, src int,
 	return nil
 }
 
-// beginMsgs begins, as one burst into ps, the writes of the messages VP src
-// sends in round that encodeMsgs left in s — the live prefix of each, into
-// its slot of the next round's inboxes — and records their item counts in
-// the length table of the next round's parity.
-func (e *engine[T]) beginMsgs(pr *proc[T], s *superstepScratch, round, src int, msgs [][]T, ps *pdm.PendingSet) error {
-	v, next, live := e.cfg.V, pr.msgLive[(round+1)%2], s.live[:len(msgs)]
+// noteMsgs records the item counts of the messages VP src sends in round
+// to this processor's VPs — msgs[dl] to local VP dl — in the length table
+// of the next round's parity.
+func (e *engine[T]) noteMsgs(pr *proc[T], round, src int, msgs [][]T) {
+	v, next := e.cfg.V, pr.msgLive[(round+1)%2]
 	for dl, msg := range msgs {
 		next[dl*v+src] = len(msg)
 	}
+}
+
+// beginMsgs begins, as one burst into ps, the writes of the messages to
+// this processor's VPs that VP src sends in round and encodeMsgs left in
+// s: the live prefix of each, into its slot of the next round's inboxes.
+func (e *engine[T]) beginMsgs(pr *proc[T], s *superstepScratch, round, src int, ps *pdm.PendingSet) error {
+	live := s.live[:e.localV]
 	s.reqs = e.tr.outboxReqs(s.reqs[:0], round, src, live)
 	s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, e.cfg.B, msgStride(live), live)
 	_, err := layout.BeginWriteFIFOScratch(pr.arr, s.reqs, s.bufs, &s.lay, ps)
 	return err
 }
 
-// writeOutbox is the commit's half of local VP l's delivery: the messages
-// its worker encoded into its ring slot — its whole outbox under
-// Algorithm 2, its messages to this processor's VPs under Algorithm 3 —
-// begun as one write-behind burst into the slots the next round reads
-// (under Algorithm 2 the matrix slots its own inbox just freed).
-func (e *engine[T]) writeOutbox(pr *proc[T], round, l int, outbox [][]T) error {
-	K, j := len(pr.ring), pr.i*e.localV+l
-	sl, s := &pr.pend[l%K], pr.ring[l%K]
-	wb := e.rec.Begin(pr.track, "outbox write", "writeback")
+// noteOutbox is the commit's bookkeeping for local VP l's delivery to this
+// processor's VPs — its whole outbox under Algorithm 2: their item counts
+// go into the length table, their sizes into the round's h-relation.
+func (e *engine[T]) noteOutbox(pr *proc[T], round, l int, outbox [][]T) {
 	msgs := e.localMsgs(pr, outbox)
+	e.noteMsgs(pr, round, pr.i*e.localV+l, msgs)
 	for _, msg := range msgs {
 		pr.sent[l] += len(msg)
 		pr.maxMsg = max(pr.maxMsg, len(msg))
 	}
-	if err := e.beginMsgs(pr, s, round, j, msgs, &sl.writes); err != nil {
+}
+
+// writeOutbox begins the delivery of the VP at position pos to this
+// processor's VPs: the messages its worker encoded into the position's
+// ring slot, as one write-behind burst into the slots the next round reads
+// (under Algorithm 2 the matrix slots its own inbox just freed).
+func (e *engine[T]) writeOutbox(pr *proc[T], round, pos int) error {
+	K, j := len(pr.ring), pr.i*e.localV+pr.order[pos]
+	sl, s := &pr.pend[pos%K], pr.ring[pos%K]
+	wb := e.rec.Begin(pr.track, "outbox write", "writeback")
+	if err := e.beginMsgs(pr, s, round, j, &sl.writes); err != nil {
 		wb.End()
 		return fmt.Errorf("core: round %d vp %d: begin outbox write: %w", round, j, err)
 	}
@@ -1009,39 +1130,46 @@ func (e *engine[T]) batchTo(pr *proc[T], l, k int, done bool) batch[T] {
 	return b
 }
 
-// writeContext begins the write-behind of the live prefix of local VP l's
-// context, which its worker encoded into the ring slot, and records its
-// item count in the length table. A context kept resident under
-// CacheContexts (its worker kept it) is not written, and neither is the
-// terminal round's, which nobody reads; both are only held to the bound μ.
-// Nor is a context written whose encoding is, word for word, the one the
-// slot read this round: its next reader finds on disk what it needs, and
-// the length table stands.
-func (e *engine[T]) writeContext(pr *proc[T], w *worker[T], round, l int) error {
+// noteContext is the commit's half of local VP l's context out: it holds
+// the context to the bound μ, records its size for the ledger's predictor
+// and its item count in the length table, and reports whether it must be
+// written. A context kept resident under CacheContexts (its worker kept
+// it) is not written, and neither is the terminal round's, which nobody
+// reads. Nor is a context written whose encoding is, word for word, the
+// one the slot read this round: its next reader finds on disk what it
+// needs, and the length table stands.
+func (e *engine[T]) noteContext(pr *proc[T], w *worker[T], round, l int) (bool, error) {
 	j := pr.i*e.localV + l
 	n := len(w.vp.State)
 	pr.maxCtx = max(pr.maxCtx, n)
 	if err := checkCtx(n, e.maxCtx); err != nil {
-		return fmt.Errorf("core: round %d vp %d: write context: %w", round, j, err)
+		return false, fmt.Errorf("core: round %d vp %d: write context: %w", round, j, err)
 	}
 	if e.cached != nil || w.done {
-		return nil
+		return false, nil
 	}
 	if e.sizes != nil {
 		e.sizes.Ctx[round+1][j] = n
 		e.sizes.Same[round][j] = w.same
 	}
 	if w.same {
-		return nil
+		return false, nil
 	}
-	K, B := len(pr.ring), e.cfg.B
-	sl, s := &pr.pend[l%K], pr.ring[l%K]
-	wb := e.rec.Begin(pr.track, "ctx write", "writeback")
 	pr.ctxLive[l] = n
-	s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg[:e.ctxBlocks(n)*B], B)
+	return true, nil
+}
+
+// writeContext begins the write-behind of the live prefix of the context
+// of the VP at position pos, which its worker encoded into the position's
+// ring slot and whose item count noteContext recorded.
+func (e *engine[T]) writeContext(pr *proc[T], round, pos int) error {
+	K, B, l := len(pr.ring), e.cfg.B, pr.order[pos]
+	sl, s := &pr.pend[pos%K], pr.ring[pos%K]
+	wb := e.rec.Begin(pr.track, "ctx write", "writeback")
+	s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg[:e.ctxBlocks(pr.ctxLive[l])*B], B)
 	if err := layout.BeginWriteStripedScratch(pr.arr, 0, l*e.cb, s.bufs, &s.lay, &sl.writes); err != nil {
 		wb.End()
-		return fmt.Errorf("core: round %d vp %d: begin context write: %w", round, j, err)
+		return fmt.Errorf("core: round %d vp %d: begin context write: %w", round, pr.i*e.localV+l, err)
 	}
 	wb.End()
 	pr.bank(sl, true)
@@ -1076,7 +1204,8 @@ func (e *engine[T]) route(pr *proc[T], round int) error {
 			rt.End()
 			return err
 		}
-		if err := e.beginMsgs(pr, s, round, b.srcVP, b.msgs, &pr.route[nb%K]); err != nil {
+		e.noteMsgs(pr, round, b.srcVP, b.msgs)
+		if err := e.beginMsgs(pr, s, round, b.srcVP, &pr.route[nb%K]); err != nil {
 			rt.End()
 			return fmt.Errorf("core: round %d proc %d: write batch from vp %d: %w", round, pr.i, b.srcVP, err)
 		}

@@ -5,14 +5,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"regexp"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cgm"
 	"repro/internal/core"
+	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/pdm"
 	"repro/internal/wordcodec"
@@ -28,9 +33,10 @@ func runMachine(seq bool, prog cgm.Program[int64], cfg core.Config, parts [][]in
 }
 
 // lateDisk counts transfers that are still running when the array has
-// already closed the disk: DiskArray.Close does not wait for the
-// workers, so a Pending the driver returned without waiting shows up as
-// a transfer finishing after Close. Not embedded, so the coalescing path
+// already closed the disk. DiskArray.Close waits for its workers to serve
+// what is queued before it closes a disk, so the count holds that
+// contract for every exit of the run: a transfer finishing after Close
+// is a worker that outlived it. Not embedded, so the coalescing path
 // cannot bypass the count.
 type lateDisk struct {
 	inner  pdm.Disk
@@ -86,8 +92,9 @@ func traceEvents(t *testing.T, rec *obs.Recorder) []traceEvent {
 }
 
 // waitGoroutines fails the test if the goroutine count does not return
-// to base: disk workers exit asynchronously once Close has closed their
-// queues, so the count is polled.
+// to base. Close has waited for the disk workers and the run for its
+// compute workers, but a goroutine that has signalled its exit may still
+// be returning, so the count is polled.
 func waitGoroutines(t *testing.T, tag string, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -105,9 +112,9 @@ func waitGoroutines(t *testing.T, tag string, base int) {
 
 // watchedRun runs a machine on lateDisk-wrapped disks and, whatever the
 // run returns, requires that nothing outlives it: no transfer finishes
-// after the arrays were closed, and the goroutine count returns to what
-// it was before the run. The run itself is under core.Watchdog, so one
-// that wedges fails under its tag.
+// after the arrays closed their disks, and the goroutine count returns to
+// what it was before the run. The run itself is under core.Watchdog, so
+// one that wedges fails under its tag.
 func watchedRun(t *testing.T, tag string, seq bool, cfg core.Config, inner func(proc, disk int) pdm.Disk, parts [][]int64) error {
 	t.Helper()
 	return watchedProg(t, tag, seq, echo{}, cfg, inner, parts)
@@ -176,6 +183,125 @@ func (d blipDisk) WriteTrack(t int, src []pdm.Word) error {
 	return d.Disk.WriteTrack(t, src)
 }
 
+// failLog records the tracks of the transfers a faulted disk failed.
+type failLog struct {
+	mu     sync.Mutex
+	tracks []int
+}
+
+// wrap returns d logging its failed transfers into l. Embedding the
+// interface hides any batch methods, as the faulty disks have none.
+func (l *failLog) wrap(d pdm.Disk) pdm.Disk { return failDisk{d, l} }
+
+func (l *failLog) failed() []int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.tracks)
+}
+
+type failDisk struct {
+	pdm.Disk
+	log *failLog
+}
+
+func (d failDisk) note(t int, err error) error {
+	if err != nil {
+		d.log.mu.Lock()
+		d.log.tracks = append(d.log.tracks, t)
+		d.log.mu.Unlock()
+	}
+	return err
+}
+func (d failDisk) ReadTrack(t int, dst []pdm.Word) error {
+	return d.note(t, d.Disk.ReadTrack(t, dst))
+}
+func (d failDisk) WriteTrack(t int, src []pdm.Word) error {
+	return d.note(t, d.Disk.WriteTrack(t, src))
+}
+
+// diskMap says which VP's transfer in a round uses a track of one disk of
+// real processor proc, by the engine's disk map (DESIGN.md §12): the v/p
+// context runs of cb striped blocks from track 0, then RunSeq's matrix or
+// RunPar's two rects, each with slots of bpm blocks.
+type diskMap struct {
+	localV, proc, d, cb int
+	ctxTracks           int
+	// owners[parity][(disk, track)] is the global VP whose transfer uses a
+	// message block in a round of that parity, or −1 for a route write.
+	owners [2]map[[2]int]int
+}
+
+// newDiskMap maps processor proc's message blocks to their owners. Under
+// Observation 2 VP j reads region j and writes the slots it freed in even
+// rounds, and slot j of every region in odd ones. Under Algorithm 3 VP j
+// reads its region of the rect of the round's parity, and writes slot j of
+// every region of the other one; a slot of another processor's VP is a
+// route write.
+func newDiskMap(seq bool, v, p, proc, d, cb, bpm int) diskMap {
+	localV := v / p
+	m := diskMap{localV: localV, proc: proc, d: d, cb: cb, ctxTracks: (localV*cb+d-1)/d + 1,
+		owners: [2]map[[2]int]int{{}, {}}}
+	slots := func(regions int, at func(r, a, q int) pdm.BlockReq, owners func(r, a int) (even, odd int)) {
+		for r := range regions {
+			for a := range v {
+				for q := range bpm {
+					b := at(r, a, q)
+					key := [2]int{b.Disk, b.Track}
+					m.owners[0][key], m.owners[1][key] = owners(r, a)
+				}
+			}
+		}
+	}
+	if seq {
+		mx := layout.Matrix{V: v, BPM: bpm, D: d, BaseTrack: m.ctxTracks}
+		slots(v, mx.SlotBlock, func(r, a int) (int, int) { return r, a })
+		return m
+	}
+	writer := func(a int) int {
+		if a/localV == proc {
+			return a
+		}
+		return -1
+	}
+	r0 := layout.Rect{Slots: v, Regions: localV, BPM: bpm, D: d, BaseTrack: m.ctxTracks}
+	r1 := r0
+	r1.BaseTrack += r0.TotalTracks()
+	slots(localV, r0.SlotBlock, func(r, a int) (int, int) { return proc*localV + r, writer(a) })
+	slots(localV, r1.SlotBlock, func(r, a int) (int, int) { return writer(a), proc*localV + r })
+	return m
+}
+
+// owner is the global VP whose reads or writes in round use track t of
+// disk dk, or −1 for a route write. A context run is its VP's.
+func (m diskMap) owner(round, dk, t int) int {
+	if t < m.ctxTracks {
+		return m.proc*m.localV + (t*m.d+dk)/m.cb
+	}
+	return m.owners[round%2][[2]int{dk, t}]
+}
+
+var namedVP = regexp.MustCompile(`round (\d+) vp (\d+):`)
+
+// checkNamedVP requires the VP an error names, if it names one, to own a
+// transfer of the round it names that the faulted disk failed.
+func checkNamedVP(t *testing.T, tag string, err error, m diskMap, dk int, failed []int) {
+	t.Helper()
+	sub := namedVP.FindStringSubmatch(err.Error())
+	if sub == nil {
+		return // the round epilogue or the route phase: no VP is named
+	}
+	round, _ := strconv.Atoi(sub[1])
+	vp, _ := strconv.Atoi(sub[2])
+	var owners []int
+	for _, tr := range failed {
+		owners = append(owners, m.owner(round, dk, tr))
+	}
+	if !slices.Contains(owners, vp) {
+		t.Fatalf("%s: err = %v names vp %d, but the failed transfers (tracks %v of disk %d) are those of vps %v",
+			tag, err, vp, failed, dk, owners)
+	}
+}
+
 // TestRunFaultDrains drives a FaultyDisk through every per-disk transfer
 // index of a small four-round run — the first write of every context
 // (round 0 is the input distribution), prologue bursts, window slides,
@@ -192,7 +318,10 @@ func (d blipDisk) WriteTrack(t int, src []pdm.Word) error {
 // transfer reports the fault, so a wait that dropped its error lets the
 // run go on past the failed transfer, to success or to another error. A
 // context that Init leaves over μ with writes in flight takes the same
-// exit. The sweep runs at GOMAXPROCS 1, 2
+// exit. The VP an error names must own a transfer the disk failed: the
+// VP whose reads it waited for, or whose writes its slot held (a lead VP
+// included, whose writes its partner's commit began). The sweep runs at
+// GOMAXPROCS 1, 2
 // and 8, so every machine is swept with one VP computing at a time (c = 1)
 // and with several (c ≥ 2 at every K ≥ 2), when a fault can land while
 // later VPs are still computing.
@@ -205,8 +334,9 @@ func TestRunFaultDrains(t *testing.T) {
 func faultDrains(t *testing.T) {
 	const (
 		v, d, b = 8, 2, 8
-		maxCtx  = 15 // 16 words = 2 blocks: one track per disk per context
-		maxMsg  = 15 // echo sends its whole context to one VP; its other messages are empty and move nothing
+		maxCtx  = 15   // 16 words = 2 blocks: one track per disk per context
+		maxMsg  = 15   // echo sends its whole context to one VP; its other messages are empty and move nothing
+		cb, bpm = 2, 2 // blocks of a context run and of a message slot
 	)
 	// Full contexts, so both disks are in every context transfer.
 	parts := cgm.Scatter(workload.Int64s(7, v*maxCtx), v)
@@ -244,18 +374,20 @@ func faultDrains(t *testing.T) {
 							tag += " blip"
 						}
 						var seen atomic.Int64
+						var fails failLog
 						err := watchedRun(t, tag, m.seq, cfg, func(proc, disk int) pdm.Disk {
 							switch {
 							case proc != fproc || disk != fdisk:
 								return mem(proc, disk)
 							case blip:
-								return blipDisk{mem(proc, disk), int64(okOps), &seen}
+								return fails.wrap(blipDisk{mem(proc, disk), int64(okOps), &seen})
 							}
-							return pdm.NewFaultyDisk(mem(proc, disk), okOps)
+							return fails.wrap(pdm.NewFaultyDisk(mem(proc, disk), okOps))
 						}, parts)
 						if !errors.Is(err, pdm.ErrInjected) {
 							t.Fatalf("%s: err = %v, want the injected fault", tag, err)
 						}
+						checkNamedVP(t, tag, err, newDiskMap(m.seq, v, m.p, fproc, d, cb, bpm), fdisk, fails.failed())
 						if cfg.Recorder != nil {
 							checkSpansClosed(t, tag, cfg.Recorder, err)
 						}

@@ -43,10 +43,10 @@ type workerBatch struct {
 	bufs   [][]Word
 }
 
-// diskWorker services one disk's transfers for the lifetime of the array.
-// It references only its disk, channel and observability slot — never the
-// DiskArray — so an abandoned array stays collectable and its cleanup can
-// stop the workers. With a recorder attached, each service is timed into
+// diskWorker services one disk's transfers for the lifetime of the array
+// and marks done when it leaves. It references only its disk, channel,
+// observability slot and done — never the DiskArray — so an abandoned
+// array stays collectable and its cleanup can stop the workers. With a recorder attached, each service is timed into
 // the disk's latency histogram and emitted as a span on the disk's track.
 //
 // When the disk implements BatchDisk (bat non-nil), every service is one
@@ -61,7 +61,8 @@ type workerBatch struct {
 // under the split-phase pipelined drivers; synchronous callers wait out
 // each operation, so their batches stay at one track. A disk without
 // BatchDisk is served one transfer at a time (serveOp).
-func diskWorker(d Disk, ch <-chan diskOp, ob *diskObs, bat *workerBatch) {
+func diskWorker(d Disk, ch <-chan diskOp, ob *diskObs, bat *workerBatch, done *sync.WaitGroup) {
+	defer done.Done()
 	bd, _ := d.(BatchDisk)
 	if bat == nil || bd == nil {
 		for op := range ch {
@@ -266,6 +267,10 @@ type DiskArray struct {
 	stop   *sync.Once
 	closed bool
 
+	// workers counts the disk workers still running; Close waits for it
+	// before it closes the disks.
+	workers *sync.WaitGroup
+
 	// check, when non-nil, validates every operation against the layout
 	// discipline before dispatch (see EnableChecked). nil in production:
 	// the hot path pays one nil check, like the recorder.
@@ -331,6 +336,7 @@ func NewDiskArrayOpts(disks []Disk, opts ArrayOptions) (*DiskArray, error) {
 		work:    make([]chan diskOp, len(disks)),
 		seen:    make([]uint64, (len(disks)+63)/64),
 		stop:    new(sync.Once),
+		workers: new(sync.WaitGroup),
 		diskObs: make([]*diskObs, len(disks)),
 	}
 	for i, d := range disks {
@@ -347,7 +353,8 @@ func NewDiskArrayOpts(disks []Disk, opts ArrayOptions) (*DiskArray, error) {
 				bufs:   make([][]Word, MaxBatchTracks),
 			}
 		}
-		go diskWorker(d, ch, a.diskObs[i], bat)
+		a.workers.Add(1)
+		go diskWorker(d, ch, a.diskObs[i], bat, a.workers)
 	}
 	// Backstop for arrays dropped without Close: closing the request
 	// channels lets the workers exit once the array is unreachable.
@@ -522,13 +529,17 @@ func (a *DiskArray) account(blocks int, read bool) {
 	}
 }
 
-// Close stops the worker goroutines and closes every disk, returning the
-// first error encountered. Subsequent I/O fails with ErrClosed.
+// Close stops the worker goroutines, waits until they have served every
+// transfer already queued and left, and only then closes every disk,
+// returning the first error encountered: no transfer runs against a closed
+// disk, no worker outlives Close, and a Pending begun before Close returns
+// its transfer's own result. Subsequent I/O fails with ErrClosed.
 func (a *DiskArray) Close() error {
 	a.opMu.Lock()
 	defer a.opMu.Unlock()
 	a.closed = true
 	workerStop{work: a.work, stop: a.stop}.shutdown()
+	a.workers.Wait()
 	var first error
 	for _, d := range a.disks {
 		if err := d.Close(); err != nil && first == nil {

@@ -3,8 +3,11 @@ package pdm
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestSplitPhaseReadAfterWrite checks the ordering contract the pipelined
@@ -351,6 +354,90 @@ func TestBeginAfterClose(t *testing.T) {
 	}
 	if _, err := arr.BeginWriteBlocks(reqs, bufs); err != ErrClosed {
 		t.Errorf("BeginWriteBlocks after Close = %v, want ErrClosed", err)
+	}
+}
+
+// closeLog is a DelayDisk that counts the transfers it serves, and those
+// of them still running once it has been closed.
+type closeLog struct {
+	*DelayDisk
+	closed       atomic.Bool
+	served, late atomic.Int64
+}
+
+func (d *closeLog) transfer(tracks []int, fn func() error) error {
+	err := fn()
+	d.served.Add(int64(len(tracks)))
+	if d.closed.Load() {
+		d.late.Add(int64(len(tracks)))
+	}
+	return err
+}
+func (d *closeLog) ReadTracks(tracks []int, bufs [][]Word) error {
+	return d.transfer(tracks, func() error { return d.DelayDisk.ReadTracks(tracks, bufs) })
+}
+func (d *closeLog) WriteTracks(tracks []int, bufs [][]Word) error {
+	return d.transfer(tracks, func() error { return d.DelayDisk.WriteTracks(tracks, bufs) })
+}
+func (d *closeLog) ReadTrack(t int, dst []Word) error {
+	return d.ReadTracks([]int{t}, [][]Word{dst})
+}
+func (d *closeLog) WriteTrack(t int, src []Word) error {
+	return d.WriteTracks([]int{t}, [][]Word{src})
+}
+func (d *closeLog) Close() error {
+	d.closed.Store(true)
+	return d.DelayDisk.Close()
+}
+
+// TestCloseWaitsForWorkers begins a burst on slow disks and closes the
+// array without waiting for it. Close must let the workers serve what is
+// queued and leave before it closes a disk: every Pending returns (nil or
+// ErrClosed), no transfer runs against a closed disk, and no worker
+// goroutine is left once Close has returned.
+func TestCloseWaitsForWorkers(t *testing.T) {
+	const d, b, ops = 2, 8, 8
+	base := runtime.NumGoroutine()
+	logs := make([]*closeLog, d)
+	disks := make([]Disk, d)
+	for i := range disks {
+		logs[i] = &closeLog{DelayDisk: NewDelayDisk(NewMemDisk(b), 20*time.Millisecond)}
+		disks[i] = logs[i]
+	}
+	arr, err := NewDiskArrayOpts(disks, ArrayOptions{QueueDepth: ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pend []*Pending
+	for op := range ops {
+		reqs := []BlockReq{{Disk: 0, Track: op}, {Disk: 1, Track: op}}
+		p, err := arr.BeginWriteBlocks(reqs, [][]Word{make([]Word, b), make([]Word, b)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pend = append(pend, p)
+	}
+	if err := arr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A worker that has signalled it is done may still be returning, so
+	// the count gets a moment to settle: a fraction of the 140 ms that a
+	// worker Close did not wait for would still spend on its queue.
+	for settle := time.Now().Add(20 * time.Millisecond); runtime.NumGoroutine() > base && time.Now().Before(settle); {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Close, %d before the array", n, base)
+	}
+	for i, p := range pend {
+		if err := p.Wait(); err != nil && !errors.Is(err, ErrClosed) {
+			t.Errorf("op %d: Wait = %v, want nil or ErrClosed", i, err)
+		}
+	}
+	for i, l := range logs {
+		if n := l.late.Load(); n != 0 {
+			t.Errorf("disk %d: %d of %d transfers ran after the disk was closed", i, n, l.served.Load())
+		}
 	}
 }
 

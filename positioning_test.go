@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -93,49 +94,65 @@ func (d *runDisk) queuedRuns() int {
 // TestPositioningsPerDisk runs the single-processor sort on
 // positioning-bound model disks (1 ms per run, 100 MB/s) and counts the
 // runs each disk pays. Every message slot holds its live prefix next to
-// its pair's (layout.slotBlock), so a consecutive burst costs a disk about
-// one positioning per pair of messages rather than one per message: 160
-// runs per disk against 208 for slots stored one after the other, for the
-// same 384 tracks per disk and 384 parallel I/Os. The bound is held
-// on queuedRuns, which the schedule alone decides; the runs of the
-// batches served are logged next to it.
+// its pair's (layout.slotBlock), so a burst that covers both slots of a
+// pair costs a disk one positioning for the two. A consecutive burst
+// covers whole pairs; a staggered one covers one slot of each region, so
+// there the pair meets only when the engine writes the two partner VPs
+// back to back (core.commitOrder), which it does at ring depth K ≥ 3. The
+// sort_seq_model shape (v = 8, D = 2, B = 4096, N = 2¹⁹) pays 160 runs
+// per disk at K = 1 (208 with slots stored one after the other), 148 at
+// K = 2, where only the commit order moves, and 124 at its auto depth
+// K = 3 (148 there too with each VP's writes begun at its own commit); a
+// wider shape (v = 16, D = 4, N = 2²⁰) pays 224 at its auto depth K = 3,
+// 280 without the held writes and 292 in VP order. The tracks
+// per disk and parallel I/Os do not move with K. The bounds are held on
+// queuedRuns, which the schedule alone decides; the runs of the batches
+// served are logged next to it.
 func TestPositioningsPerDisk(t *testing.T) {
-	const n, v = 1 << 19, 8
-	keys := workload.Int64s(1, n)
-	want := slices.Clone(keys)
-	slices.Sort(want)
 	model := pdm.TimeModel{Seek: time.Millisecond, TransferBytesPerSec: 100e6}
-	for _, k := range []int{1, 2, 0} {
+	for _, a := range []struct {
+		n, v, d, k        int
+		ops, tracks, runs int
+	}{
+		{1 << 19, 8, 2, 1, 384, 384, 170},
+		{1 << 19, 8, 2, 2, 384, 384, 150},
+		{1 << 19, 8, 2, 0, 384, 384, 130},
+		{1 << 20, 16, 4, 0, 512, 512, 230},
+	} {
+		tag := fmt.Sprintf("n=%d v=%d D=%d K=%d", a.n, a.v, a.d, a.k)
+		keys := workload.Int64s(1, a.n)
+		want := slices.Clone(keys)
+		slices.Sort(want)
 		var mu sync.Mutex
 		var disks []*runDisk
-		cfg := sortalg.EMSortConfig(core.Config{V: v, P: 1, D: 2, B: 4096, PipelineDepth: k,
+		cfg := sortalg.EMSortConfig(core.Config{V: a.v, P: 1, D: a.d, B: 4096, PipelineDepth: a.k,
 			NewDisk: func(int, int) pdm.Disk {
 				d := &runDisk{BatchDisk: pdm.NewModelDisk(pdm.NewMemDisk(4096), model)}
 				mu.Lock()
 				disks = append(disks, d)
 				mu.Unlock()
 				return d
-			}}, n)
-		res, err := core.RunSeq[int64](sortalg.Sorter[int64]{}, wordcodec.I64{}, cfg, cgm.Scatter(keys, v))
+			}}, a.n)
+		res, err := core.RunSeq[int64](sortalg.Sorter[int64]{}, wordcodec.I64{}, cfg, cgm.Scatter(keys, a.v))
 		if err != nil {
-			t.Fatalf("K=%d: %v", k, err)
+			t.Fatalf("%s: %v", tag, err)
 		}
 		if !slices.Equal(res.Output(), want) {
-			t.Fatalf("K=%d: output is not the sorted input", k)
+			t.Fatalf("%s: output is not the sorted input", tag)
 		}
-		if res.IO.ParallelOps != 384 {
-			t.Errorf("K=%d: ParallelOps = %d, want 384", k, res.IO.ParallelOps)
+		if res.IO.ParallelOps != int64(a.ops) {
+			t.Errorf("%s: ParallelOps = %d, want %d", tag, res.IO.ParallelOps, a.ops)
 		}
 		for i, d := range disks {
 			d.mu.Lock()
 			tracks, runs, queued := len(d.served), d.runs, d.queuedRuns()
 			d.mu.Unlock()
-			t.Logf("K=%d (depth %d) disk %d: %d tracks, %d runs queued, %d served", k, res.Depth, i, tracks, queued, runs)
-			if tracks != 384 {
-				t.Errorf("K=%d disk %d: %d tracks transferred, want 384", k, i, tracks)
+			t.Logf("%s (depth %d) disk %d: %d tracks, %d runs queued, %d served", tag, res.Depth, i, tracks, queued, runs)
+			if tracks != a.tracks {
+				t.Errorf("%s disk %d: %d tracks transferred, want %d", tag, i, tracks, a.tracks)
 			}
-			if queued > 170 {
-				t.Errorf("K=%d disk %d: %d runs, want ≤ 170", k, i, queued)
+			if queued > a.runs {
+				t.Errorf("%s disk %d: %d runs, want ≤ %d", tag, i, queued, a.runs)
 			}
 		}
 	}

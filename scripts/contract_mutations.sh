@@ -50,7 +50,7 @@ check() {
 	cp "$root/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety|TestPositioningsPerDisk'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -231,4 +231,14 @@ f=internal/core/vpmem.go
 mutate $f 'for _, c := range m.chunks {' 2 1 '\tfor _, c := range m.chunks[:0] {'
 check 'keep ignores the lent chunks' $f TestScratchAliasSafety
 
-echo "contract-selftest: all twenty-three mutations caught"
+# Partners write back to back (DESIGN.md §18): at K ≥ 3 the engine holds
+# the writes of the first VP of each facing pair until its partner's
+# commit, so both VPs' message prefixes reach each disk's queue in one
+# stretch and one positioning serves the pair. With every VP's writes
+# begun at its own commit, the reads begun between them cut each pair in
+# two and the sort pays a run per message again.
+f=internal/core/engine.go
+mutate $f 'if K >= 3 && pr.lead[pos] {' 1 1 '\t\t\tif false {'
+check 'begin each VP'"'"'s writes at its own commit' $f TestPositioningsPerDisk
+
+echo "contract-selftest: all twenty-four mutations caught"
