@@ -124,8 +124,9 @@ lint:
 # drop MergeSort's wait error, fail every transfer of a failed disk batch,
 # store the first slot of each facing pair front to back, keep lent
 # scratch but not the chunks lent beyond the region, begin each VP's
-# writes at its own commit instead of a facing pair's back to back
-# — twenty-four in all — and requires the owning test to fail by name.
+# writes at its own commit instead of a facing pair's back to back, store
+# the lead's context front to back
+# — twenty-five in all — and requires the owning test to fail by name.
 # About two minutes; one mutation wedges a run until its 30 s watchdog.
 contract-selftest:
 	@sh scripts/contract_mutations.sh

@@ -62,9 +62,9 @@ func (sl *vpInflight) reset() {
 //     not RunPar at p = 1: Observation 2 halves the disk footprint
 //     (Result.MaxTracks).
 //
-// The disk map of every processor is its v/p context runs first (VP l's
-// occupies striped blocks [l·cb, (l+1)·cb) from track 0), then the matrix
-// or the two rects.
+// The disk map of every processor is its v/p context runs first (the VP at
+// commit position pos owns striped blocks [pos·cb, (pos+1)·cb) from track
+// 0, see ctxRun), then the matrix or the two rects.
 type transport[T any] struct {
 	matrix layout.Matrix
 	rects  [2]layout.Rect
@@ -564,6 +564,24 @@ func commitOrder(v, p, d, i int) (order []int, lead []bool) {
 	return order, lead
 }
 
+// ctxRun places the context of the VP at commit position pos in the
+// processor's striped context region (DESIGN.md §18, "Contexts face each
+// other"): the VP owns run pos, cb blocks from block pos·cb, and the live
+// prefix of its nb blocks is stored in blocks [start, start+nb) — last
+// block first when back. The lead of a facing pair (lead[pos],
+// commitOrder) stores its context back to front from the pair boundary
+// (pos+1)·cb and its partner front to back from there, so both live
+// prefixes grow out of one point and the pair's two context transfers
+// are one run of tracks on every disk; every other position stores front
+// to back from pos·cb. Either way the prefix is nb consecutive striped
+// blocks, ⌈nb/D⌉ parallel I/Os.
+func ctxRun(lead []bool, pos, cb, nb int) (start int, back bool) {
+	if lead[pos] {
+		return (pos+1)*cb - nb, true
+	}
+	return pos * cb, false
+}
+
 // procRound is one real processor's share of one round: the compound
 // superstep of Algorithms 2 and 3, software-pipelined over the
 // processor's ring of K slots. It walks commit positions, not VP numbers:
@@ -813,7 +831,7 @@ func (pr *proc[T]) computing() bool {
 // block. That is every context in round 0 — nothing has been written yet,
 // the tables say 0 — so round 0 begins no read at all.
 func (e *engine[T]) beginReads(pr *proc[T], round, pos int) error {
-	K, B, l := len(pr.ring), e.cfg.B, pr.order[pos]
+	K, l := len(pr.ring), pr.order[pos]
 	sl, s := &pr.pend[pos%K], pr.ring[pos%K]
 	pf := e.rec.Begin(pr.track, "prefetch", "prefetch")
 	e.growCtx(s, e.ctxBlocks(pr.ctxLive[l]))
@@ -830,7 +848,8 @@ func (e *engine[T]) beginReads(pr *proc[T], round, pos int) error {
 		fillStale(s.flat)
 	}
 	if e.cached == nil {
-		if err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg[:e.ctxBlocks(pr.ctxLive[l])*B], &s.lay, &sl.reads); err != nil {
+		start := e.ctxBufs(pr, s, pos, e.ctxBlocks(pr.ctxLive[l]))
+		if err := layout.BeginReadStripedScratch(pr.arr, 0, start, s.bufs, &s.lay, &sl.reads); err != nil {
 			pf.End()
 			return fmt.Errorf("core: round %d vp %d: begin context read: %w", round, pr.i*e.localV+l, err)
 		}
@@ -838,7 +857,7 @@ func (e *engine[T]) beginReads(pr *proc[T], round, pos int) error {
 	}
 	if round > 0 {
 		s.reqs = e.tr.inboxReqs(s.reqs[:0], round, l, s.live)
-		s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, B, msgStride(s.live), s.live)
+		s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, e.cfg.B, msgStride(s.live), s.live)
 		if _, err := layout.BeginReadFIFOScratch(pr.arr, s.reqs, s.bufs, &s.lay, &sl.reads); err != nil {
 			pf.End()
 			return fmt.Errorf("core: round %d vp %d: begin inbox read: %w", round, pr.i*e.localV+l, err)
@@ -1163,17 +1182,30 @@ func (e *engine[T]) noteContext(pr *proc[T], w *worker[T], round, l int) (bool, 
 // of the VP at position pos, which its worker encoded into the position's
 // ring slot and whose item count noteContext recorded.
 func (e *engine[T]) writeContext(pr *proc[T], round, pos int) error {
-	K, B, l := len(pr.ring), e.cfg.B, pr.order[pos]
+	K, l := len(pr.ring), pr.order[pos]
 	sl, s := &pr.pend[pos%K], pr.ring[pos%K]
 	wb := e.rec.Begin(pr.track, "ctx write", "writeback")
-	s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg[:e.ctxBlocks(pr.ctxLive[l])*B], B)
-	if err := layout.BeginWriteStripedScratch(pr.arr, 0, l*e.cb, s.bufs, &s.lay, &sl.writes); err != nil {
+	start := e.ctxBufs(pr, s, pos, e.ctxBlocks(pr.ctxLive[l]))
+	if err := layout.BeginWriteStripedScratch(pr.arr, 0, start, s.bufs, &s.lay, &sl.writes); err != nil {
 		wb.End()
 		return fmt.Errorf("core: round %d vp %d: begin context write: %w", round, pr.i*e.localV+l, err)
 	}
 	wb.End()
 	pr.bank(sl, true)
 	return nil
+}
+
+// ctxBufs splits the live prefix of nb blocks of s's context image into
+// s.bufs in the order ctxRun stores them for the VP at position pos, and
+// returns the striped block the first of them goes to: the one address
+// rule of beginReads and writeContext.
+func (e *engine[T]) ctxBufs(pr *proc[T], s *superstepScratch, pos, nb int) int {
+	s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg[:nb*e.cfg.B], e.cfg.B)
+	start, back := ctxRun(pr.lead, pos, e.cb, nb)
+	if back {
+		slices.Reverse(s.bufs)
+	}
+	return start
 }
 
 // route is the receive side of Algorithm 3's delivery to other

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -98,11 +99,18 @@ func TestParDiskFaultSurfaces(t *testing.T) {
 	var scr layout.Scratch
 	var pend pdm.PendingSet
 	mem := newVPMem[int64](v, 0, false)
-	for l := 0; l < localV; l++ {
+	order, lead := commitOrder(v, p, d, 0)
+	for pos, l := range order {
 		j := 0*localV + l
 		want := parts[j]
 		// Only the live prefix of the context run was ever written.
-		if err := layout.BeginReadStripedScratch(arr, 0, l*cb, img[:pdm.BlocksFor(len(want), b)*b], &scr, &pend); err != nil {
+		nb := pdm.BlocksFor(len(want), b)
+		bufs := layout.SplitBlocksInto(nil, img[:nb*b], b)
+		start, back := ctxRun(lead, pos, cb, nb)
+		if back {
+			slices.Reverse(bufs)
+		}
+		if err := layout.BeginReadStripedScratch(arr, 0, start, bufs, &scr, &pend); err != nil {
 			t.Fatalf("vp %d: read context: %v", j, err)
 		}
 		if err := pend.Wait(); err != nil {

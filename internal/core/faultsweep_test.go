@@ -221,11 +221,13 @@ func (d failDisk) WriteTrack(t int, src []pdm.Word) error {
 
 // diskMap says which VP's transfer in a round uses a track of one disk of
 // real processor proc, by the engine's disk map (DESIGN.md §12): the v/p
-// context runs of cb striped blocks from track 0, then RunSeq's matrix or
-// RunPar's two rects, each with slots of bpm blocks.
+// context runs of cb striped blocks from track 0, run pos the context of
+// the VP at commit position pos (ctxRun), then RunSeq's matrix or RunPar's
+// two rects, each with slots of bpm blocks.
 type diskMap struct {
 	localV, proc, d, cb int
 	ctxTracks           int
+	order               []int // commitOrder's: the local VP at each position
 	// owners[parity][(disk, track)] is the global VP whose transfer uses a
 	// message block in a round of that parity, or −1 for a route write.
 	owners [2]map[[2]int]int
@@ -241,6 +243,7 @@ func newDiskMap(seq bool, v, p, proc, d, cb, bpm int) diskMap {
 	localV := v / p
 	m := diskMap{localV: localV, proc: proc, d: d, cb: cb, ctxTracks: (localV*cb+d-1)/d + 1,
 		owners: [2]map[[2]int]int{{}, {}}}
+	m.order, _ = core.CommitOrder(v, p, d, proc)
 	slots := func(regions int, at func(r, a, q int) pdm.BlockReq, owners func(r, a int) (even, odd int)) {
 		for r := range regions {
 			for a := range v {
@@ -272,10 +275,11 @@ func newDiskMap(seq bool, v, p, proc, d, cb, bpm int) diskMap {
 }
 
 // owner is the global VP whose reads or writes in round use track t of
-// disk dk, or −1 for a route write. A context run is its VP's.
+// disk dk, or −1 for a route write. A context run is the VP's at its
+// position.
 func (m diskMap) owner(round, dk, t int) int {
 	if t < m.ctxTracks {
-		return m.proc*m.localV + (t*m.d+dk)/m.cb
+		return m.proc*m.localV + m.order[(t*m.d+dk)/m.cb]
 	}
 	return m.owners[round%2][[2]int{dk, t}]
 }

@@ -118,6 +118,65 @@ func TestCommitOrder(t *testing.T) {
 	}
 }
 
+// TestContextPairsMeet holds ctxRun, the context region's address rule,
+// for every processor of a set of shapes and every live length: each
+// position's live prefix lies inside its own run of cb blocks, so every
+// block is in [0, v/p·cb) and no two VPs' contexts overlap; a position
+// that is not the lead of a facing pair stores front to back from its
+// run's first block; and for every full pair and every two live lengths
+// 0 … cb, the lead's prefix and its partner's meet at the pair boundary,
+// so together they are one run of tracks on every disk — one positioning
+// for the pair's two context transfers.
+func TestContextPairsMeet(t *testing.T) {
+	for _, g := range []struct{ v, p, d, cb int }{
+		{8, 1, 2, 16}, {8, 1, 2, 3}, {16, 1, 4, 5}, {16, 2, 4, 3}, {12, 2, 2, 7}, {6, 2, 1, 4}, {10, 1, 2, 1}, {16, 4, 3, 6}, {7, 1, 2, 2},
+	} {
+		localV := g.v / g.p
+		for i := range g.p {
+			tag := fmt.Sprintf("v=%d p=%d D=%d cb=%d proc %d", g.v, g.p, g.d, g.cb, i)
+			_, lead := commitOrder(g.v, g.p, g.d, i)
+			for pos := range localV {
+				for nb := 0; nb <= g.cb; nb++ {
+					start, back := ctxRun(lead, pos, g.cb, nb)
+					if start < pos*g.cb || start+nb > (pos+1)*g.cb || start+nb > localV*g.cb {
+						t.Fatalf("%s: position %d, %d blocks at [%d, %d): outside its run [%d, %d)",
+							tag, pos, nb, start, start+nb, pos*g.cb, (pos+1)*g.cb)
+					}
+					if !lead[pos] && (start != pos*g.cb || back) {
+						t.Fatalf("%s: position %d (not a lead), %d blocks: start %d back %v, want front to back from %d",
+							tag, pos, nb, start, back, pos*g.cb)
+					}
+				}
+				if !lead[pos] {
+					continue
+				}
+				for n1 := 0; n1 <= g.cb; n1++ {
+					for n2 := 0; n2 <= g.cb; n2++ {
+						tracks := make([][]int, g.d)
+						for k, nb := range []int{n1, n2} {
+							start, _ := ctxRun(lead, pos+k, g.cb, nb)
+							for b := start; b < start+nb; b++ {
+								r := layout.Striped(b, g.d, 0)
+								tracks[r.Disk] = append(tracks[r.Disk], r.Track)
+							}
+						}
+						for dk, ts := range tracks {
+							slices.Sort(ts)
+							if len(ts) > 0 && ts[len(ts)-1]-ts[0] != len(ts)-1 {
+								t.Fatalf("%s: pair at positions %d, %d with %d and %d live blocks: disk %d tracks %v are not one run",
+									tag, pos, pos+1, n1, n2, dk, ts)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// CommitOrder is commitOrder, exported for the core_test files.
+func CommitOrder(v, p, d, i int) (order []int, lead []bool) { return commitOrder(v, p, d, i) }
+
 // seqInts is 0, 1, …, n−1.
 func seqInts(n int) []int {
 	s := make([]int, n)

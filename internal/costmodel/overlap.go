@@ -29,20 +29,27 @@ import (
 // floor keeps the window at least a ping-pong (K = 2); the ceiling keeps
 // the ring's memory modest — past eight slots the depth sweep measured
 // no further overlap (EXPERIMENTS.md), and a caller who wants a deeper
-// window asks for it with a fixed depth.
+// window asks for it with a fixed depth. A disk whose positioning costs a
+// block transfer or more gets at least autoDepthPaired, the shallowest
+// ring whose prefetch distance ⌊K/2⌋ = 2 begins both reads of a facing
+// pair (core.commitOrder) in one slide, so they reach each disk's queue
+// side by side and one positioning serves the two.
 const (
-	autoDepthMin = 2
-	autoDepthMax = 8
+	autoDepthMin    = 2
+	autoDepthPaired = 4
+	autoDepthMax    = 8
 )
 
 // AutoDepth picks the pipeline window depth for block size b under time
 // model tm: the smallest k whose coalesced k-track batch
 // amortises the fixed positioning cost (seek + half a rotation) below
-// one block's transfer time, clamped to [2, 8]. Positioning-dominated
-// disks (real seeks, O_DIRECT files) get deep windows; transfer-
-// dominated models (memory, fixed-delay) get the minimum. The result is
-// a pure function of the model, so the chosen depth — and with it the
-// begin order — is part of the configuration, not the measurement.
+// one block's transfer time, clamped to [2, 8] — and to at least 4 when
+// positioning costs at least one transfer, so facing pairs read back to
+// back. Positioning-dominated disks (real seeks, O_DIRECT files) get deep
+// windows; transfer-dominated models (memory, fixed-delay) get the
+// minimum. The result is a pure function of the model, so the chosen
+// depth — and with it the begin order — is part of the configuration, not
+// the measurement.
 func AutoDepth(tm pdm.TimeModel, b int) int {
 	pos := tm.Seek + tm.Rotate/2
 	xfer := tm.BlockTime(b) - pos
@@ -51,13 +58,10 @@ func AutoDepth(tm pdm.TimeModel, b int) int {
 	}
 	// Amortised positioning pos/k drops below one transfer at k ≥ pos/x.
 	k := int(pos/xfer) + 1
-	if k < autoDepthMin {
-		k = autoDepthMin
+	if pos >= xfer {
+		k = max(k, autoDepthPaired)
 	}
-	if k > autoDepthMax {
-		k = autoDepthMax
-	}
-	return k
+	return min(max(k, autoDepthMin), autoDepthMax)
 }
 
 // OverlapPoint is one (depth, predicted stall) sample of the stall curve.

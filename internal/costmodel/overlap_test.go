@@ -8,28 +8,41 @@ import (
 )
 
 // TestAutoDepth pins the static depth policy: positioning-dominated
-// models get the deep end, pure-transfer models the shallow end, and the
-// result is always inside [2, 8].
+// models get the deep end, pure-transfer models the shallow end, a model
+// whose positioning costs a transfer or more at least the paired depth,
+// and the result is always inside [2, 8].
 func TestAutoDepth(t *testing.T) {
 	// The 1990s default model: 10ms seek against a 5MB/s transfer —
 	// positioning dominates any sane block size, so auto maxes out.
 	if k := AutoDepth(pdm.DefaultTimeModel(), 512); k != autoDepthMax {
 		t.Errorf("default model B=512: k = %d, want %d", k, autoDepthMax)
 	}
+	// At B = 4096 a block's transfer (6.6ms) is under half its positioning
+	// (14.2ms): amortising alone asks for 3, the pair floor for 4.
+	if k := AutoDepth(pdm.DefaultTimeModel(), 4096); k != autoDepthPaired {
+		t.Errorf("default model B=4096: k = %d, want %d", k, autoDepthPaired)
+	}
 	// Pure transfer (no positioning): nothing to amortise, the floor.
 	flat := pdm.TimeModel{TransferBytesPerSec: 5e6}
-	if k := AutoDepth(flat, 512); k != autoDepthMin {
-		t.Errorf("pure transfer B=512: k = %d, want %d", k, autoDepthMin)
+	for _, b := range []int{512, 4096} {
+		if k := AutoDepth(flat, b); k != autoDepthMin {
+			t.Errorf("pure transfer B=%d: k = %d, want %d", b, k, autoDepthMin)
+		}
+	}
+	// Transfer dominates positioning (1ms against 8ms): no pair floor.
+	if k := AutoDepth(pdm.TimeModel{Seek: time.Millisecond, TransferBytesPerSec: 512e3}, 512); k != autoDepthMin {
+		t.Errorf("transfer-bound model: k = %d, want %d", k, autoDepthMin)
 	}
 	// Degenerate model (zero transfer rate → BlockTime is all
 	// positioning): still clamped to the maximum, never unbounded.
 	if k := AutoDepth(pdm.TimeModel{Seek: time.Millisecond}, 64); k != autoDepthMax {
 		t.Errorf("degenerate model: k = %d, want %d", k, autoDepthMax)
 	}
-	// Middle of the range: positioning ≈ 2.5 transfers → k = 3.
+	// Middle of the range: positioning ≈ 2.5 transfers → k = 3, raised to
+	// the pair floor.
 	mid := pdm.TimeModel{Seek: 10 * time.Millisecond, TransferBytesPerSec: float64(8 * 512 * 250)}
-	if k := AutoDepth(mid, 512); k < autoDepthMin || k > autoDepthMax {
-		t.Errorf("mid model: k = %d outside [%d, %d]", k, autoDepthMin, autoDepthMax)
+	if k := AutoDepth(mid, 512); k != autoDepthPaired {
+		t.Errorf("mid model: k = %d, want %d", k, autoDepthPaired)
 	}
 }
 

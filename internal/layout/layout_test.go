@@ -64,7 +64,7 @@ func readStriped(arr *pdm.DiskArray, baseTrack, startBlock, n int) ([]pdm.Word, 
 	var s Scratch
 	var pend pdm.PendingSet
 	out := make([]pdm.Word, n*arr.B())
-	err := BeginReadStripedScratch(arr, baseTrack, startBlock, out, &s, &pend)
+	err := BeginReadStripedScratch(arr, baseTrack, startBlock, SplitBlocksInto(nil, out, arr.B()), &s, &pend)
 	if werr := pend.Wait(); err == nil {
 		err = werr
 	}

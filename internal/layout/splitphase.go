@@ -42,28 +42,20 @@ func BeginWriteStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, buf
 	return nil
 }
 
-// BeginReadStripedScratch reads the n = len(dst)/B blocks from global
-// index startBlock of the striped region rooted at baseTrack into dst: it
-// begins ⌈n/D⌉ fully parallel read cycles and adds their handles to pend.
-// len(dst) must be a multiple of the array's block size, and dst holds
-// undefined contents until pend is waited.
-func BeginReadStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, dst []pdm.Word, s *Scratch, pend *pdm.PendingSet) error {
-	d, b := arr.D(), arr.B()
-	if len(dst)%b != 0 {
-		panic(badSplit(len(dst), b))
-	}
-	n := len(dst) / b
-	for off := 0; off < n; off += d {
-		end := off + d
-		if end > n {
-			end = n
-		}
-		reqs, bufs := s.grow(end - off)
+// BeginReadStripedScratch is the read-side analogue of
+// BeginWriteStripedScratch: it reads blocks [startBlock,
+// startBlock+len(bufs)) of the striped region rooted at baseTrack into
+// bufs, in ⌈len(bufs)/D⌉ fully parallel read cycles whose handles it adds
+// to pend. bufs hold undefined contents until pend is waited.
+func BeginReadStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, bufs [][]pdm.Word, s *Scratch, pend *pdm.PendingSet) error {
+	d := arr.D()
+	for off := 0; off < len(bufs); off += d {
+		end := min(off+d, len(bufs))
+		reqs, _ := s.grow(end - off)
 		for i := range reqs {
 			reqs[i] = Striped(startBlock+off+i, d, baseTrack)
-			bufs[i] = dst[(off+i)*b : (off+i+1)*b]
 		}
-		p, err := arr.BeginReadBlocks(reqs, bufs)
+		p, err := arr.BeginReadBlocks(reqs, bufs[off:end])
 		if err != nil {
 			return err
 		}

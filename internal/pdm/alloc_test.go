@@ -1,6 +1,7 @@
 package pdm
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -62,25 +63,69 @@ func TestDiskArrayOpZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMemDiskArena checks that arena-backed tracks behave exactly like
-// individually allocated ones: contents are independent across tracks and
-// survive chunk boundaries.
-func TestMemDiskArena(t *testing.T) {
-	const b = 8
+// TestMemDiskAllocatesWhatItStores checks MemDisk's storage: the tracks a
+// batch writes first come from one allocation of exactly their words, a
+// rewrite allocates nothing, and tracks cut from one slab keep independent
+// contents across batches of every length.
+func TestMemDiskAllocatesWhatItStores(t *testing.T) {
+	const b, k = 512, 4
 	d := NewMemDisk(b)
-	n := memDiskArenaTracks*2 + 5 // spans three chunks
-	src := make([]Word, b)
-	for tr := 0; tr < n; tr++ {
-		for i := range src {
-			src[i] = Word(tr*b + i)
+	block := func(tr int) []Word {
+		w := make([]Word, b)
+		for i := range w {
+			w[i] = Word(tr*b + i)
 		}
-		if err := d.WriteTrack(tr, src); err != nil {
+		return w
+	}
+	const high = 1000 // written first, so the track table never grows below
+	if err := d.WriteTrack(high, block(high)); err != nil {
+		t.Fatal(err)
+	}
+	tracks, bufs := make([]int, k), make([][]Word, k)
+	next := 0
+	batch := func() {
+		for i := range tracks {
+			tracks[i], bufs[i] = next+i, block(next+i)
+		}
+		next += k + 1 // a gap: every run meets k new tracks
+	}
+	batch()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := d.WriteTracks(tracks, bufs)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n != 1 || bytes != 8*k*b {
+		t.Errorf("first write of %d tracks: %d allocations of %d bytes, want 1 of %d", k, n, bytes, 8*k*b)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := d.WriteTracks(tracks, bufs); err != nil {
 			t.Fatal(err)
 		}
+	}); allocs != 0 {
+		t.Errorf("rewrite of %d tracks: %v allocations, want 0", k, allocs)
+	}
+	// Batches of 1 … 5 new tracks after the first: contents survive
+	// every slab boundary.
+	for n := 1; n <= 5; n++ {
+		ts, bs := make([]int, n), make([][]Word, n)
+		for i := range ts {
+			ts[i], bs[i] = next+i, block(next+i)
+		}
+		if err := d.WriteTracks(ts, bs); err != nil {
+			t.Fatal(err)
+		}
+		next += n + 1
 	}
 	got := make([]Word, b)
-	for tr := n - 1; tr >= 0; tr-- {
-		if err := d.ReadTrack(tr, got); err != nil {
+	for tr := 0; tr < next; tr++ {
+		err := d.ReadTrack(tr, got)
+		if err == ErrTrackOutOfRange {
+			continue // a gap
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range got {
@@ -89,8 +134,8 @@ func TestMemDiskArena(t *testing.T) {
 			}
 		}
 	}
-	if d.Tracks() != n {
-		t.Errorf("Tracks() = %d, want %d", d.Tracks(), n)
+	if d.Tracks() != high+1 {
+		t.Errorf("Tracks() = %d, want %d", d.Tracks(), high+1)
 	}
 }
 

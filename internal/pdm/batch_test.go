@@ -576,6 +576,35 @@ func TestDelayDiskBatchDelay(t *testing.T) {
 	}
 }
 
+// TestTimeModelZeroRate checks a model without a transfer rate: it is all
+// positioning, so a block costs Seek + Rotate/2 and a model disk charges
+// one positioning per run whatever the batch's length — never the
+// negative or wrapped-around time of a transfer divided by zero.
+func TestTimeModelZeroRate(t *testing.T) {
+	m := TimeModel{Seek: time.Millisecond, Rotate: 2 * time.Millisecond}
+	const b = 512
+	pos := m.Seek + m.Rotate/2
+	if got := m.BlockTime(b); got != pos {
+		t.Errorf("BlockTime = %v, want %v", got, pos)
+	}
+	md := NewModelDisk(NewMemDisk(b), m)
+	for k := 1; k <= 3; k++ {
+		if got := m.BatchTime(b, k); got != pos {
+			t.Errorf("BatchTime(b, %d) = %v, want %v", k, got, pos)
+		}
+		run, gaps := make([]int, k), make([]int, k)
+		for i := range k {
+			run[i], gaps[i] = i, 2*i
+		}
+		if got := md.batchDelay(run); got != pos {
+			t.Errorf("batchDelay(%v) = %v, want one positioning %v", run, got, pos)
+		}
+		if got, want := md.batchDelay(gaps), time.Duration(k)*pos; got != want {
+			t.Errorf("batchDelay(%v) = %v, want %d positionings %v", gaps, got, k, want)
+		}
+	}
+}
+
 // TestTimeModelBatchTime checks the closed form against BlockTime.
 func TestTimeModelBatchTime(t *testing.T) {
 	m := DefaultTimeModel()

@@ -25,18 +25,12 @@ type Disk interface {
 	Close() error
 }
 
-// memDiskArenaTracks is how many tracks' worth of storage a MemDisk
-// allocates at once: first writes slice their track out of the current
-// arena chunk instead of paying one make per track.
-const memDiskArenaTracks = 64
-
 // MemDisk is an in-memory Disk. The zero value is not usable; construct
 // with NewMemDisk.
 type MemDisk struct {
 	mu     sync.RWMutex
 	b      int
 	tracks [][]Word
-	arena  []Word // unused tail of the current chunk
 	closed bool
 }
 
@@ -91,7 +85,9 @@ func (d *MemDisk) ReadTracks(tracks []int, bufs [][]Word) error {
 }
 
 // WriteTracks implements BatchDisk: the whole batch stores under one lock
-// acquisition, and a first write slices its track out of the arena.
+// acquisition. The tracks it writes first are cut from one slab sized to
+// exactly those tracks, so a disk holds what it was given and no more; a
+// rewrite allocates nothing.
 func (d *MemDisk) WriteTracks(tracks []int, bufs [][]Word) error {
 	if err := validateBatch(d.b, tracks, bufs); err != nil {
 		return err
@@ -101,16 +97,19 @@ func (d *MemDisk) WriteTracks(tracks []int, bufs [][]Word) error {
 	if d.closed {
 		return ErrClosed
 	}
+	fresh := 0
+	for _, t := range tracks {
+		if t >= len(d.tracks) || d.tracks[t] == nil {
+			fresh++
+		}
+	}
+	slab := make([]Word, fresh*d.b)
 	for i, t := range tracks {
 		for t >= len(d.tracks) {
 			d.tracks = append(d.tracks, nil)
 		}
 		if d.tracks[t] == nil {
-			if len(d.arena) < d.b {
-				d.arena = make([]Word, memDiskArenaTracks*d.b)
-			}
-			d.tracks[t] = d.arena[:d.b:d.b]
-			d.arena = d.arena[d.b:]
+			d.tracks[t], slab = slab[:d.b:d.b], slab[d.b:]
 		}
 		copy(d.tracks[t], bufs[i])
 	}
@@ -123,7 +122,6 @@ func (d *MemDisk) Close() error {
 	defer d.mu.Unlock()
 	d.closed = true
 	d.tracks = nil
-	d.arena = nil
 	return nil
 }
 

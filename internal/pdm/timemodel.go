@@ -18,7 +18,7 @@ import "time"
 type TimeModel struct {
 	Seek                time.Duration // average seek time per request
 	Rotate              time.Duration // full-revolution time (half is charged)
-	TransferBytesPerSec float64       // sustained media rate
+	TransferBytesPerSec float64       // sustained media rate; ≤ 0 charges no transfer
 }
 
 // DefaultTimeModel returns the late-1990s disk parameters described above.
@@ -32,9 +32,17 @@ func DefaultTimeModel() TimeModel {
 
 // BlockTime returns the service time for one block of b words.
 func (m TimeModel) BlockTime(b int) time.Duration {
-	bytes := float64(8 * b)
-	transfer := time.Duration(bytes / m.TransferBytesPerSec * float64(time.Second))
-	return m.Seek + m.Rotate/2 + transfer
+	return m.Seek + m.Rotate/2 + m.transfer(b, 1)
+}
+
+// transfer is the media time of k blocks of b words. A model without a
+// positive transfer rate charges none: it is all positioning.
+func (m TimeModel) transfer(b, k int) time.Duration {
+	if m.TransferBytesPerSec <= 0 {
+		return 0
+	}
+	bytes := float64(8*b) * float64(k)
+	return time.Duration(bytes / m.TransferBytesPerSec * float64(time.Second))
 }
 
 // OpTime returns the time of one parallel I/O over blocks of b words:
@@ -55,9 +63,7 @@ func (m TimeModel) BatchTime(b, k int) time.Duration {
 	if k < 1 {
 		return 0
 	}
-	bytes := float64(8*b) * float64(k)
-	transfer := time.Duration(bytes / m.TransferBytesPerSec * float64(time.Second))
-	return m.Seek + m.Rotate/2 + transfer
+	return m.Seek + m.Rotate/2 + m.transfer(b, k)
 }
 
 // Throughput returns the effective transfer rate, in bytes per second,

@@ -151,24 +151,22 @@ type stripedIO struct {
 // write writes ws, a whole number of blocks, as the blocks from start on
 // of the striped region rooted at track base.
 func (s *stripedIO) write(base, start int, ws []pdm.Word) error {
-	s.bufs = layout.SplitBlocksInto(s.bufs[:0], ws, s.arr.B())
-	d := s.arr.D()
-	for off := 0; off < len(s.bufs); off += d {
-		cycle := s.bufs[off:min(off+d, len(s.bufs))]
-		if err := s.wait(layout.BeginWriteStripedScratch(s.arr, base, start+off, cycle, &s.lay, &s.pend)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.cycles(layout.BeginWriteStripedScratch, base, start, ws)
 }
 
 // read fills dst, a whole number of blocks, from the blocks from start on
 // of the striped region rooted at track base.
 func (s *stripedIO) read(base, start int, dst []pdm.Word) error {
-	d, b := s.arr.D(), s.arr.B()
-	for off := 0; off < len(dst); off += d * b {
-		cycle := dst[off:min(off+d*b, len(dst))]
-		if err := s.wait(layout.BeginReadStripedScratch(s.arr, base, start+off/b, cycle, &s.lay, &s.pend)); err != nil {
+	return s.cycles(layout.BeginReadStripedScratch, base, start, dst)
+}
+
+// cycles moves ws through begin one D-block cycle at a time.
+func (s *stripedIO) cycles(begin func(*pdm.DiskArray, int, int, [][]pdm.Word, *layout.Scratch, *pdm.PendingSet) error, base, start int, ws []pdm.Word) error {
+	s.bufs = layout.SplitBlocksInto(s.bufs[:0], ws, s.arr.B())
+	d := s.arr.D()
+	for off := 0; off < len(s.bufs); off += d {
+		cycle := s.bufs[off:min(off+d, len(s.bufs))]
+		if err := s.wait(begin(s.arr, base, start+off, cycle, &s.lay, &s.pend)); err != nil {
 			return err
 		}
 	}

@@ -94,18 +94,22 @@ func (d *runDisk) queuedRuns() int {
 // TestPositioningsPerDisk runs the single-processor sort on
 // positioning-bound model disks (1 ms per run, 100 MB/s) and counts the
 // runs each disk pays. Every message slot holds its live prefix next to
-// its pair's (layout.slotBlock), so a burst that covers both slots of a
-// pair costs a disk one positioning for the two. A consecutive burst
-// covers whole pairs; a staggered one covers one slot of each region, so
-// there the pair meets only when the engine writes the two partner VPs
-// back to back (core.commitOrder), which it does at ring depth K ≥ 3. The
-// sort_seq_model shape (v = 8, D = 2, B = 4096, N = 2¹⁹) pays 160 runs
-// per disk at K = 1 (208 with slots stored one after the other), 148 at
-// K = 2, where only the commit order moves, and 124 at its auto depth
-// K = 3 (148 there too with each VP's writes begun at its own commit); a
-// wider shape (v = 16, D = 4, N = 2²⁰) pays 224 at its auto depth K = 3,
-// 280 without the held writes and 292 in VP order. The tracks
-// per disk and parallel I/Os do not move with K. The bounds are held on
+// its pair's (layout.slotBlock), and so does every context run
+// (core.ctxRun), so a burst that covers both of a pair costs a disk one
+// positioning for the two. A consecutive burst covers whole pairs of
+// message slots; a staggered one covers one slot of each region, so there
+// the pair meets only when the engine writes the two partner VPs back to
+// back (core.commitOrder), which it does at ring depth K ≥ 3, or reads
+// them back to back, which a prefetch distance ⌊K/2⌋ ≥ 2 does at K ≥ 4.
+// The sort_seq_model shape (v = 8, D = 2, B = 4096, N = 2¹⁹) pays 156
+// runs per disk at K = 1 (160 with each VP's context at its own index,
+// 208 with slots stored one after the other), 143 at K = 2, where only
+// the commit order moves, 119 at K = 3 (148 with each VP's writes begun
+// at its own commit) and 104 at its auto depth K = 4, where the pairs
+// read together too; a wider shape (v = 16, D = 4, N = 2²⁰) pays 176 at
+// its auto depth K = 4 (215 at K = 3; 224 there with each VP's context at
+// its own index, 292 in VP order). The tracks per
+// disk and parallel I/Os do not move with K. The bounds are held on
 // queuedRuns, which the schedule alone decides; the runs of the batches
 // served are logged next to it.
 func TestPositioningsPerDisk(t *testing.T) {
@@ -114,10 +118,11 @@ func TestPositioningsPerDisk(t *testing.T) {
 		n, v, d, k        int
 		ops, tracks, runs int
 	}{
-		{1 << 19, 8, 2, 1, 384, 384, 170},
-		{1 << 19, 8, 2, 2, 384, 384, 150},
-		{1 << 19, 8, 2, 0, 384, 384, 130},
-		{1 << 20, 16, 4, 0, 512, 512, 230},
+		{1 << 19, 8, 2, 1, 384, 384, 160},
+		{1 << 19, 8, 2, 2, 384, 384, 145},
+		{1 << 19, 8, 2, 3, 384, 384, 120},
+		{1 << 19, 8, 2, 0, 384, 384, 110},
+		{1 << 20, 16, 4, 0, 512, 512, 180},
 	} {
 		tag := fmt.Sprintf("n=%d v=%d D=%d K=%d", a.n, a.v, a.d, a.k)
 		keys := workload.Int64s(1, a.n)

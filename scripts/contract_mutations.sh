@@ -50,7 +50,7 @@ check() {
 	cp "$root/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety|TestPositioningsPerDisk'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety|TestPositioningsPerDisk|TestContextPairsMeet'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -59,8 +59,8 @@ fi
 echo "contract-selftest: unmutated copy passes ($owners)"
 
 f=internal/core/engine.go
-mutate $f 'if err := layout.BeginWriteStripedScratch(pr.arr, 0, l*e.cb, s.bufs, &s.lay, &sl.writes); err != nil {' 1 1 \
-	'\terr := layout.BeginWriteStripedScratch(pr.arr, 0, l*e.cb, s.bufs, &s.lay, &sl.writes)\n\ts.ctxImg[0] ^= 1\n\tif err != nil {'
+mutate $f 'if err := layout.BeginWriteStripedScratch(pr.arr, 0, start, s.bufs, &s.lay, &sl.writes); err != nil {' 1 1 \
+	'\terr := layout.BeginWriteStripedScratch(pr.arr, 0, start, s.bufs, &s.lay, &sl.writes)\n\ts.ctxImg[0] ^= 1\n\tif err != nil {'
 check 'touch a loaned buffer' $f TestInitCheckedEquivalence
 
 f=internal/layout/splitphase.go
@@ -82,8 +82,8 @@ check 'drop the compensating sends' $f TestRunFaultDrains
 # held before. CheckedIO poisons the slot's images ahead of every prefetch,
 # so the missing block decodes as items that are garbage, and the output
 # is wrong.
-mutate $f 'if err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg[:e.ctxBlocks(pr.ctxLive[l])*B], &s.lay, &sl.reads); err != nil {' 1 1 \
-	'\t\tif err := layout.BeginReadStripedScratch(pr.arr, 0, l*e.cb, s.ctxImg[:max(e.ctxBlocks(pr.ctxLive[l])-1, 0)*B], &s.lay, &sl.reads); err != nil {'
+mutate $f 'start := e.ctxBufs(pr, s, pos, e.ctxBlocks(pr.ctxLive[l]))' 2 1 \
+	'\t\tstart := e.ctxBufs(pr, s, pos, max(e.ctxBlocks(pr.ctxLive[l])-1, 0))'
 check 'read one block too few' $f TestPipelineDepthEquivalence
 
 # A ring slot's message slots sit at the stride of the image's largest live
@@ -241,4 +241,13 @@ f=internal/core/engine.go
 mutate $f 'if K >= 3 && pr.lead[pos] {' 1 1 '\t\t\tif false {'
 check 'begin each VP'"'"'s writes at its own commit' $f TestPositioningsPerDisk
 
-echo "contract-selftest: all twenty-four mutations caught"
+# Contexts face each other (DESIGN.md §18): the lead of each facing pair
+# stores its context back to front from the pair boundary, so its live
+# prefix ends where its partner's begins and the pair's two context
+# transfers are one run of tracks on every disk. Stored front to back,
+# the lead's prefix starts at its run's first block and a gap of the
+# run's dead blocks parts it from its partner's.
+mutate $f 'return (pos+1)*cb - nb, true' 1 1 '\t\treturn pos * cb, false'
+check 'store the lead'"'"'s context front to back' $f TestContextPairsMeet
+
+echo "contract-selftest: all twenty-five mutations caught"
