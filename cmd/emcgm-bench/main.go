@@ -43,7 +43,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace of every EM-CGM run to this file (load in Perfetto)")
 	ledgerOut := flag.String("ledger", "", "collect a predicted-vs-measured cost-model ledger over the Figure 5 workloads, print its summary, calibrate its time model from the session's own disk latencies, and write the JSON export to this file; exits 1 if any prediction misses (use with -fig 5 or -fig all)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace.json, /steps and /debug/pprof on this address (e.g. :6060)")
-	depth := flag.Int("depth", 0, "pipeline window depth k for every run (0 = auto from the default time model, clamped by v; 1 = the synchronous schedule; PDM counts are identical at every depth; the depth figure runs its own ladder)")
+	depth := flag.Int("depth", 0, "pipeline window depth k for every run (0 = auto: 2 on in-memory and buffered file disks, the default disk model's depth on O_DIRECT and delay disks, clamped by v; 1 = the synchronous schedule; PDM counts are identical at every depth; the depth figure runs its own ladder)")
 	disks := flag.String("disks", "", "directory for the depth figure's file-disk files (empty = temporary directory)")
 	directio := flag.Bool("directio", true, "include file+direct (O_DIRECT) rows in the depth figure where the filesystem supports them")
 	flag.Parse()

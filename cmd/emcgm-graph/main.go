@@ -33,7 +33,7 @@ func main() {
 	directio := flag.Bool("directio", false, "open file disks with O_DIRECT, bypassing the page cache (needs -disks; falls back to buffered I/O where unsupported)")
 	traceOut := flag.String("trace", "", "write a Chrome trace of all pipeline phases to this file (load in Perfetto)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace.json, /steps and /debug/pprof on this address (e.g. :6060)")
-	depth := flag.Int("depth", 0, "pipeline window depth k for every phase (0 = auto from the calibrated time model, 1 = the synchronous schedule; PDM counts are identical at every depth)")
+	depth := flag.Int("depth", 0, "pipeline window depth k for every phase (0 = auto: 2 on in-memory and buffered file disks, the default disk model's depth under -directio; 1 = the synchronous schedule; PDM counts are identical at every depth)")
 	flag.Parse()
 
 	for _, f := range []struct {

@@ -37,7 +37,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace to this file (load in Perfetto)")
 	steps := flag.Bool("steps", false, "print the per-superstep I/O table")
 	msgs := flag.Bool("msgs", false, "print BalancedRouting message sizes vs the Theorem 1 bound (needs -balanced)")
-	depth := flag.Int("depth", 0, "pipeline window depth k (0 = auto from the calibrated time model, 1 = the synchronous schedule; PDM counts are identical at every depth)")
+	depth := flag.Int("depth", 0, "pipeline window depth k (0 = auto: 2 on in-memory and buffered file disks, the default disk model's depth under -directio; 1 = the synchronous schedule; PDM counts are identical at every depth)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace.json, /steps and /debug/pprof on this address (e.g. :6060)")
 	flag.Parse()
 

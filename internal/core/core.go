@@ -188,8 +188,13 @@ type Config struct {
 	// parallel I/O is waited before the next phase is begun — depth 2 a
 	// ping-pong, and deeper windows prefetch further ahead and expose more
 	// conflict-free transfers to the batch-coalescing disk workers. 0 (the
-	// default) is costmodel.AutoDepth under pdm.DefaultTimeModel, clamped
-	// by v and M; a caller with a calibrated device passes
+	// default) is costmodel.AutoDepth under the time model of the disks
+	// the Config builds, clamped by v and M: in-memory disks and buffered
+	// DiskDir files are priced as never positioning, so they run
+	// AutoDepth's floor of 2 (a buffered file the page cache does not hold
+	// does position; DESIGN.md §17 "Auto depth" has what K = 2 costs
+	// there); DirectIO files and NewDisk disks are priced as
+	// pdm.DefaultTimeModel's disk. A caller with a calibrated device passes
 	// costmodel.AutoDepth(fitted, B) here instead. The depth is resolved
 	// once, from the Config alone, and held for the whole run, so the
 	// begin order is a deterministic function of the configuration —

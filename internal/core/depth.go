@@ -21,9 +21,18 @@ import (
 //     deeper than the VPs it can cover buys nothing); a fixed depth whose
 //     k working sets exceed M is an error, not a silent clamp, because
 //     the caller asked for a specific memory/overlap trade.
-//   - PipelineDepth = 0 (auto): costmodel.AutoDepth under the default
-//     time model, clamped by v and by M. A caller with a calibrated device
-//     passes PipelineDepth: costmodel.AutoDepth(fitted, B) instead.
+//   - PipelineDepth = 0 (auto): costmodel.AutoDepth under the time model
+//     of the disks the Config builds (deviceModel), clamped by v and by M.
+//     In-memory disks never position, so they get AutoDepth's floor of 2:
+//     a deeper ring would hide nothing and only hold more slot images in
+//     memory. Buffered DiskDir files get the same floor: served from the
+//     page cache they do not position either, and where they miss it on
+//     the virtual disk measured, the deeper ring bought at most 9 % of
+//     wall against six more slot images (EXPERIMENTS.md "Beyond the page
+//     cache"). DirectIO files and NewDisk
+//     disks may be anything, so they are priced as pdm.DefaultTimeModel's
+//     disk. A caller with a calibrated device passes
+//     PipelineDepth: costmodel.AutoDepth(fitted, B) instead.
 
 // pipeDepth resolves the configured depth for a machine whose rings cannot
 // usefully exceed vCap slots and whose per-slot working set is slotWords
@@ -32,7 +41,7 @@ import (
 func pipeDepth(cfg Config, vCap, slotWords int) (int, error) {
 	k := cfg.PipelineDepth
 	if k == 0 {
-		k = costmodel.AutoDepth(pdm.DefaultTimeModel(), cfg.B)
+		k = costmodel.AutoDepth(deviceModel(cfg), cfg.B)
 	}
 	k = max(min(k, vCap), 1)
 	if cfg.M <= 0 || slotWords <= 0 {
@@ -47,6 +56,18 @@ func pipeDepth(cfg Config, vCap, slotWords int) (int, error) {
 			k, k*slotWords, slotWords, cfg.M, fit)
 	}
 	return min(k, fit), nil
+}
+
+// deviceModel is the time model auto depth prices: that of the disks cfg
+// builds itself. MemDisk and buffered DiskDir files are priced as having no
+// positioning to amortise (the zero model; see the depth policy above for
+// files the page cache does not hold); DirectIO files and caller-supplied
+// NewDisk disks, which may be anything, are the default device.
+func deviceModel(cfg Config) pdm.TimeModel {
+	if cfg.NewDisk == nil && !cfg.DirectIO {
+		return pdm.TimeModel{}
+	}
+	return pdm.DefaultTimeModel()
 }
 
 // computeWorkers is c, how many of its virtual processors a real processor

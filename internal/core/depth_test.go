@@ -63,39 +63,52 @@ func TestPipelineDepthSingleVP(t *testing.T) {
 
 // TestPipelineDepthResolved pins Result.Depth: fixed depths resolve to
 // min(k, v) — 1 for the synchronous schedule — and the auto policy
-// resolves from the default time model. The depth, and with it the whole
+// resolves from the time model of the disks the Config builds: the floor
+// of 2 on in-memory and buffered file disks, the default device's depth
+// on DirectIO and NewDisk disks. The depth, and with it the whole
 // schedule, is a function of the Config alone: a Recorder, and a Ledger
 // whose time model would pick another auto depth, leave the ring depth,
 // every count, the outputs and the sequence each disk serves exactly as
 // the unobserved run's.
 func TestPipelineDepthResolved(t *testing.T) {
-	const v, n = 8, 1 << 10
+	const v, n, b = 8, 1 << 10, 8
 	keys := workload.Int64s(11, n)
 
-	depth := func(k, p int) int {
+	depth := func(tag string, cfg core.Config) int {
 		t.Helper()
-		cfg := core.Config{V: v, P: p, D: 2, B: 8, PipelineDepth: k}
 		_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
 		if err != nil {
-			t.Fatalf("k=%d p=%d: %v", k, p, err)
+			t.Fatalf("%s: %v", tag, err)
 		}
 		return res.Depth
 	}
 
+	// The default device is positioning-dominated at B = 8, so its auto
+	// depth is the static maximum (8) — still ≤ v here, so no clamp.
+	deviceK := costmodel.AutoDepth(pdm.DefaultTimeModel(), b)
 	for _, p := range []int{1, 2} {
-		if got := depth(1, p); got != 1 {
-			t.Errorf("p=%d k=1: Depth = %d, want 1", p, got)
+		for _, k := range []int{1, 3, 2 * v} {
+			tag := fmt.Sprintf("p=%d k=%d", p, k)
+			if got := depth(tag, core.Config{V: v, P: p, D: 2, B: b, PipelineDepth: k}); got != min(k, v) {
+				t.Errorf("%s: Depth = %d, want min(k, v) = %d", tag, got, min(k, v))
+			}
 		}
-		if got := depth(3, p); got != 3 {
-			t.Errorf("p=%d k=3: Depth = %d, want 3", p, got)
-		}
-		if got := depth(2*v, p); got != v {
-			t.Errorf("p=%d k=%d: Depth = %d, want clamp to v=%d", p, 2*v, got, v)
-		}
-		// DefaultTimeModel is positioning-dominated, so auto starts at the
-		// static maximum (8) — still ≤ v here, so no clamp.
-		if got := depth(0, p); got != 8 {
-			t.Errorf("p=%d auto: Depth = %d, want 8", p, got)
+		for _, be := range []struct {
+			name string
+			cfg  core.Config
+			want int
+		}{
+			{"memory", core.Config{}, 2},
+			{"file", core.Config{DiskDir: t.TempDir()}, 2},
+			{"file+direct", core.Config{DiskDir: t.TempDir(), DirectIO: true}, deviceK},
+			{"newdisk", core.Config{NewDisk: func(int, int) pdm.Disk { return pdm.NewMemDisk(b) }}, deviceK},
+		} {
+			cfg := be.cfg
+			cfg.V, cfg.P, cfg.D, cfg.B = v, p, 2, b
+			tag := fmt.Sprintf("p=%d auto/%s", p, be.name)
+			if got := depth(tag, cfg); got != be.want {
+				t.Errorf("%s: Depth = %d, want %d", tag, got, be.want)
+			}
 		}
 	}
 
@@ -309,9 +322,18 @@ func TestPipelineDepthValidate(t *testing.T) {
 	if err := tight.ValidateFor(1 << 10); err == nil || !strings.Contains(err.Error(), "internal memory") {
 		t.Errorf("depth over M: err = %v, want memory bound error", err)
 	}
-	tight.PipelineDepth = 0 // auto must clamp instead of erroring
+	// Auto must clamp instead of erroring. In memory auto is 2, which M
+	// fits; disks the caller supplies are priced as the default device,
+	// whose 8 — 4 after the clamp to v — M does not.
+	tight.PipelineDepth = 0
+	tight.NewDisk = func(int, int) pdm.Disk { return pdm.NewMemDisk(tight.B) }
 	if err := tight.ValidateFor(1 << 10); err != nil {
 		t.Errorf("auto depth over M: err = %v, want clamp, not error", err)
+	}
+	if _, res, err := sortalg.EMSort(workload.Int64s(11, 64), wordcodec.I64{}, tight); err != nil {
+		t.Errorf("auto depth over M: EMSort err = %v, want clamp, not error", err)
+	} else if res.Depth != 2 {
+		t.Errorf("auto depth over M: Depth = %d, want the 2 working sets M fits", res.Depth)
 	}
 	tight.M = 320 - 1 // not one working set: no depth can run
 	if err := tight.ValidateFor(1 << 10); err == nil || !strings.Contains(err.Error(), "working set") {
@@ -322,6 +344,7 @@ func TestPipelineDepthValidate(t *testing.T) {
 	// ValidateFor as by the engine: 16 windows would need 5120 words, the
 	// 4 the engine runs fit exactly.
 	wide := tight
+	wide.NewDisk = nil
 	wide.PipelineDepth = 16
 	wide.M = 4 * 320
 	if err := wide.ValidateFor(64); err != nil {
@@ -342,7 +365,10 @@ func TestPipelineDepthValidate(t *testing.T) {
 		t.Errorf("driver fixed-depth fit: err = %v, want PipelineDepth error", err)
 	}
 	deep.PipelineDepth = 0
-	if _, _, err := sortalg.EMSort(keys, wordcodec.I64{}, deep); err != nil {
+	deep.NewDisk = func(int, int) pdm.Disk { return pdm.NewMemDisk(deep.B) }
+	if _, res, err := sortalg.EMSort(keys, wordcodec.I64{}, deep); err != nil {
 		t.Errorf("driver auto-depth fit: err = %v, want clamp, not error", err)
+	} else if res.Depth != 2 {
+		t.Errorf("driver auto-depth fit: Depth = %d, want the 2 working sets M fits", res.Depth)
 	}
 }

@@ -244,13 +244,14 @@ func TestDecodeAllocIndependentOfRounds(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		seq     bool
-		depth   int // 1: the synchronous schedule; 0: auto
+		depth   int // 1: the synchronous schedule; 0: auto, 2 in memory
 		procs   int // GOMAXPROCS, which sets the workers per processor
 		workers int
 	}{
 		{"seq/k=1", true, 1, 1, 1}, {"seq/auto", true, 0, 1, 1}, {"seq/auto/c=2", true, 0, 2, 2},
 		{"par/k=1", false, 1, 1, 1}, {"par/auto", false, 0, 1, 1}, {"par/auto/c=2", false, 0, 4, 2},
 		{"seq/auto/borrow", true, 0, 1, 1}, {"par/auto/c=2/borrow", false, 0, 4, 2},
+		{"seq/k=4", true, 4, 1, 1}, {"par/k=4/c=2", false, 4, 4, 2},
 	} {
 		borrow := 0
 		if strings.HasSuffix(tc.name, "/borrow") {

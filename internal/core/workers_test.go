@@ -28,8 +28,9 @@ import (
 // writes shows in the served order.
 //
 // The error arms fail VP 2 fast while VP 1 is still computing: the run
-// must return the c = 1 run's error — VP 1's when both fail — with no
-// transfer outliving the run and no goroutine left behind.
+// must return the c = 1 run's error — the first failing VP's in commit
+// order when both fail — with no transfer outliving the run and no
+// goroutine left behind.
 func TestComputeWorkersInvariant(t *testing.T) {
 	const v, n = 8, 1 << 10
 	keys := workload.Int64s(11, n)

@@ -101,8 +101,14 @@ func runWorkload(t *testing.T, workloadName string, seq bool, depth int, cacheCt
 func TestLedgerReconciles(t *testing.T) {
 	for _, w := range []string{"sort", "permute", "transpose"} {
 		for _, seq := range []bool{true, false} {
-			for _, depth := range []int{1, 0} { // pipe=false: the synchronous schedule; pipe=true: auto
+			// pipe=false: the synchronous schedule; pipe=true: auto, a
+			// ping-pong on these in-memory disks; k=4: the whole ring v
+			// allows.
+			for _, depth := range []int{1, 0, 4} {
 				name := fmt.Sprintf("%s/seq=%v/pipe=%v", w, seq, depth != 1)
+				if depth > 1 {
+					name = fmt.Sprintf("%s/seq=%v/k=%d", w, seq, depth)
+				}
 				t.Run(name, func(t *testing.T) {
 					led, ops := runWorkload(t, w, seq, depth, false)
 					runs := led.Runs()

@@ -46,12 +46,18 @@ const (
 // one block's transfer time, clamped to [2, 8] — and to at least 4 when
 // positioning costs at least one transfer, so facing pairs read back to
 // back. Positioning-dominated disks (real seeks, O_DIRECT files) get deep
-// windows; transfer-dominated models (memory, fixed-delay) get the
-// minimum. The result is a pure function of the model, so the chosen
+// windows; transfer-dominated models (fixed-delay) get the minimum, and a
+// model with no positioning at all — pdm.TimeModel{}, which core's auto
+// depth uses for in-memory and buffered file disks — gets the minimum
+// whatever its transfer rate, since a deeper ring would only hold more
+// slot images. The result is a pure function of the model, so the chosen
 // depth — and with it the begin order — is part of the configuration, not
 // the measurement.
 func AutoDepth(tm pdm.TimeModel, b int) int {
 	pos := tm.Seek + tm.Rotate/2
+	if pos <= 0 {
+		return autoDepthMin // nothing to amortise
+	}
 	xfer := tm.BlockTime(b) - pos
 	if xfer <= 0 {
 		return autoDepthMax

@@ -8,9 +8,9 @@ import (
 )
 
 // TestAutoDepth pins the static depth policy: positioning-dominated
-// models get the deep end, pure-transfer models the shallow end, a model
-// whose positioning costs a transfer or more at least the paired depth,
-// and the result is always inside [2, 8].
+// models get the deep end, pure-transfer and zero models the shallow end,
+// a model whose positioning costs a transfer or more at least the paired
+// depth, and the result is always inside [2, 8].
 func TestAutoDepth(t *testing.T) {
 	// The 1990s default model: 10ms seek against a 5MB/s transfer —
 	// positioning dominates any sane block size, so auto maxes out.
@@ -28,6 +28,12 @@ func TestAutoDepth(t *testing.T) {
 		if k := AutoDepth(flat, b); k != autoDepthMin {
 			t.Errorf("pure transfer B=%d: k = %d, want %d", b, k, autoDepthMin)
 		}
+	}
+	// No positioning and no transfer rate (in-memory and buffered file
+	// disks, as core's auto depth prices them): nothing to amortise, the
+	// floor.
+	if k := AutoDepth(pdm.TimeModel{}, 512); k != autoDepthMin {
+		t.Errorf("zero model: k = %d, want %d", k, autoDepthMin)
 	}
 	// Transfer dominates positioning (1ms against 8ms): no pair floor.
 	if k := AutoDepth(pdm.TimeModel{Seek: time.Millisecond, TransferBytesPerSec: 512e3}, 512); k != autoDepthMin {

@@ -63,7 +63,7 @@ func (ragged) Output(vp *cgm.VP[int64]) []int64 { return vp.State }
 // Theorem 2/3 full-image count — every context run and message slot moved
 // whole, the inputs distributed through disk, the terminal round's
 // contexts written — as an upper bound. The schedule must stay invisible:
-// every count is the same at ring depth 1, 2, 4 and auto, and Algorithm 2 moves the blocks and pays the context I/O
+// every count is the same at ring depth 1, 2, 4, 8 and auto, and Algorithm 2 moves the blocks and pays the context I/O
 // that Algorithm 3 does at p = 1 (their message packing differs, as it
 // always has: one FIFO sequence per outbox against one per routed batch).
 func TestLivePrefixProperties(t *testing.T) {
@@ -123,8 +123,9 @@ func forRandomMachines(seed int64, f func(rng *rand.Rand, tag string, base core.
 }
 
 // livePrefixArms runs one machine of TestLivePrefixProperties at ring
-// depth 1, 2, 4 and auto and returns the depth-1 result with its recorded
-// rows.
+// depth 1, 2, 4, 8 and auto and returns the depth-1 result with its
+// recorded rows. Auto is 2 on these in-memory disks, so 8 is the arm that
+// holds the deep ring to the oracle.
 func livePrefixArms(t *testing.T, tag string, prog cgm.Program[int64], cfg core.Config, par bool,
 	parts, want [][]int64) (*core.Result[int64], []obs.SuperstepIO) {
 	t.Helper()
@@ -145,7 +146,7 @@ func livePrefixArms(t *testing.T, tag string, prog cgm.Program[int64], cfg core.
 
 	var first *core.Result[int64]
 	var rows []obs.SuperstepIO
-	for _, k := range []int{1, 2, 4, 0} {
+	for _, k := range []int{1, 2, 4, 8, 0} {
 		ktag := fmt.Sprintf("%s k=%d", tag, k)
 		cfg.PipelineDepth = k
 		cfg.Recorder = obs.NewRecorder()

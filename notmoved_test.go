@@ -95,7 +95,7 @@ func (p touch) wrote(round, j int) bool {
 // "What is not moved" on the random machines of TestLivePrefixProperties,
 // for every member of the touch family. Through livePrefixArms: outputs
 // equal the in-memory runtime's, counts equal the engine-free oracle's at
-// ring depth 1, 2, 4 and auto, stay under the full-image bound, and the
+// ring depth 1, 2, 4, 8 and auto, stay under the full-image bound, and the
 // ledger reconciles. Row by row, against nothing but the context sizes of
 // the in-memory run and wrote: round 0 begins no context read; a round
 // that leaves a context alone begins no write of it ('a', and every VP of

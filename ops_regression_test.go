@@ -155,7 +155,8 @@ func TestIOOpsMatchSeed(t *testing.T) {
 			depth  int
 		}{
 			{"buffered-sync", false, 1},
-			{"buffered-pipelined", false, 0},
+			{"buffered-pipelined", false, 0}, // auto: 2 through the page cache
+			{"buffered-deep", false, 8},
 			{"direct-pipelined", true, 0},
 		}
 		for _, m := range modes {

@@ -34,6 +34,30 @@ mutate() {
 	mv "$1.mut" "$1"
 }
 
+# failure OUT OWNER: the first line of go test's output OUT that reports
+# the failure — a panic, or a file_test.go:N: line whose source line is
+# not a t.Log/t.Logf call (a test that logs prints those lines too). go
+# test prints the file's base name only, and several packages share base
+# names, so the line is read from the package of the file declaring OWNER.
+failure() {
+	pkg=$(dirname "$(grep -rl --include='*_test.go' "^func $2(" . | head -n 1)")
+	printf '%s\n' "$1" | while IFS= read -r line; do
+		case $line in
+		panic:\ *)
+			printf '%s\n' "$line"
+			break
+			;;
+		esac
+		loc=$(printf '%s\n' "$line" | sed -n 's/^ *\([a-z0-9_]*_test\.go:[0-9]*\): .*/\1/p')
+		[ -n "$loc" ] || continue
+		if sed -n "${loc##*:}p" "$pkg/${loc%%:*}" 2>/dev/null | grep -qE '\.Logf?\('; then
+			continue
+		fi
+		printf '%s\n' "$line" | sed 's/^ *//'
+		break
+	done | cut -c1-160
+}
+
 # check NAME FILE OWNER: the mutated copy must fail OWNER by name; FILE is
 # then restored.
 check() {
@@ -46,7 +70,7 @@ check() {
 		echo "contract-selftest: $1 broke the run, but not as a failure of $3"
 		exit 1
 	fi
-	echo "contract-selftest: $1 -> $3 fails: $(printf '%s\n' "$out" | sed -n 's/^ *\([a-z0-9_]*_test\.go:[0-9]*: .*\)/\1/p; s/^\(panic: .*\)/\1/p' | head -n 1 | cut -c1-160)"
+	echo "contract-selftest: $1 -> $3 fails: $(failure "$out" "$3")"
 	cp "$root/$2" "$2"
 }
 
@@ -250,4 +274,12 @@ check 'begin each VP'"'"'s writes at its own commit' $f TestPositioningsPerDisk
 mutate $f 'return (pos+1)*cb - nb, true' 1 1 '\t\treturn pos * cb, false'
 check 'store the lead'"'"'s context front to back' $f TestContextPairsMeet
 
-echo "contract-selftest: all twenty-five mutations caught"
+# Auto depth prices the Config's own disks (DESIGN.md §17): in-memory and
+# page-cache disks never position, so auto runs them at the floor of 2.
+# Priced as the default device instead, they hold eight slot images that
+# hide nothing.
+f=internal/core/depth.go
+mutate $f 'if cfg.NewDisk == nil && !cfg.DirectIO {' 1 1 '\tif false {'
+check 'price every Config as the default device' $f TestPipelineDepthResolved
+
+echo "contract-selftest: all twenty-six mutations caught"
