@@ -113,8 +113,8 @@ func (nopR) Output(vp *cgm.VP[rec.R]) []rec.R                       { return vp.
 // exported ones and its own test programs — to the Init clause of the
 // cgm.Program contract: the engine runs round 0 on the State Init left, so
 // it must share no memory with the caller's input. The packages whose
-// programs are unexported (graph, geom, recsort, segtree, experiments)
-// carry the same test over theirs.
+// programs are unexported (graph, geom, segtree, experiments), and sortalg
+// for its record order, carry the same test over theirs.
 func TestInitCopiesInput(t *testing.T) {
 	keys := []int64{5, 3, 9, 1, 7, 2}
 	items := make([]permute.Item, len(keys))

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cgm"
 	"repro/internal/permute"
 	"repro/internal/rec"
-	"repro/internal/recsort"
 	"repro/internal/sortalg"
 	"repro/internal/workload"
 )
@@ -16,7 +15,7 @@ import (
 // really are CGM algorithms — h = O(N/v) per round and μ = O(N/v)
 // contexts — the precondition of the simulation theorems. The allowed
 // constants: sorting may hold up to ~2.5·N/v after bucket exchange
-// (regular sampling) and VP 0 gathers v² samples.
+// (regular sampling) and every VP gathers v² samples.
 func TestAlgorithmsAreConformingCGM(t *testing.T) {
 	const v, n = 8, 1 << 13
 
@@ -50,13 +49,16 @@ func TestAlgorithmsAreConformingCGM(t *testing.T) {
 	for i := range recs {
 		recs[i] = rec.R{A: int64(i), X: float64(keys[i])}
 	}
-	// recsort runs through Exec; use the raw program via cgm.Run-like path.
-	e := rec.NewMem(v)
-	if _, err := recsort.Sort(e, recs); err != nil {
+	// The geometry's record sort is the same PSRS under rec.Compare: the
+	// same limits, and the same three rounds.
+	rres, err := cgm.Run[rec.R](sortalg.SorterFunc[rec.R]{Cmp: rec.Compare}, v, cgm.Scatter(recs, v))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Exec does not expose Stats; conformance of recsort mirrors PSRS and
-	// is covered by the scalar check above.
+	check("record sort (PSRS under rec.Compare)", rres.Stats, 2.5, 2.7)
+	if rres.Stats.Rounds != 3 {
+		t.Errorf("record sort: λ = %d, want 3", rres.Stats.Rounds)
+	}
 }
 
 // TestTournamentIsNotConforming documents why the tournament sorter is

@@ -32,10 +32,12 @@ type substrate struct {
 
 // DepthSweep is the wall-clock figure: the sorting workload over the
 // window-depth ladder {1, 2, 4, 8, auto} on every disk substrate. Each row
-// reports the resolved ring depth, the wall clock, the PDM parallel I/Os,
-// the I/O syscalls and syscalls per parallel I/O, the measured stall
-// fraction, the overlap model's predicted stall fraction, and the speedup
-// over the synchronous schedule (k = 1) on the same substrate. The
+// reports the resolved ring depth, the best and the worst wall clock of
+// its runs, the PDM parallel I/Os, the I/O syscalls and syscalls per
+// parallel I/O, the measured stall fraction, the overlap model's
+// predicted stall fraction, and the speedup over the synchronous schedule
+// (k = 1) on the same substrate. A note per substrate ranks auto against
+// the best fixed depth only where their walls' ranges do not overlap. The
 // substrates:
 //
 //   - mem: raw MemDisk — I/O is a memcpy, so the window recovers only
@@ -60,7 +62,7 @@ type substrate struct {
 func DepthSweep(s Scale) (*trace.Table, error) {
 	t := &trace.Table{
 		Title: "Depth sweep — wall, syscalls and stall vs pipeline window depth k (sort, N=" + fmt.Sprint(s.N) + ")",
-		Columns: []string{"disks", "depth", "ring", "wall", "parallel I/Os",
+		Columns: []string{"disks", "depth", "ring", "wall", "wall max", "parallel I/Os",
 			"syscalls", "sys/op", "stall frac", "pred frac", "speedup"},
 	}
 	keys := workload.Int64s(41, s.N)
@@ -81,13 +83,9 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 	if s.Rec != nil {
 		reps = 1 // keep an attached trace to one run per schedule
 	}
-	// run returns the best wall of reps sorts at one (depth, substrate)
-	// and the result of that run.
-	run := func(depth int, sub substrate) (time.Duration, *core.Result[int64], error) {
-		var (
-			best    time.Duration
-			bestRes *core.Result[int64]
-		)
+	// run returns the best and the worst wall of reps sorts at one
+	// (depth, substrate) and the result of the best run.
+	run := func(depth int, sub substrate) (best, worst time.Duration, bestRes *core.Result[int64], _ error) {
 		for r := 0; r < reps; r++ {
 			rec := s.Rec
 			if rec == nil {
@@ -96,33 +94,36 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 			cfg := core.Config{V: s.V, P: s.P, D: 2, B: s.B, Recorder: rec,
 				PipelineDepth: depth, NewDisk: sub.newDisk, DiskDir: sub.dir, DirectIO: sub.direct}
 			if err := cfg.ValidateFor(s.N); err != nil {
-				return 0, nil, err
+				return 0, 0, nil, err
 			}
 			t0 := time.Now()
 			_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
 			wall := time.Since(t0)
 			if err != nil {
-				return 0, nil, err
+				return 0, 0, nil, err
 			}
 			if bestRes == nil || wall < best {
 				best, bestRes = wall, res
 			}
+			worst = max(worst, wall)
 		}
-		return best, bestRes, nil
+		return best, worst, bestRes, nil
 	}
 
 	// sweep adds the ladder's rows for one substrate and returns its
 	// k = 1 row's wall and result.
 	sweep := func(sub substrate) (syncWall time.Duration, syncRes *core.Result[int64], _ error) {
+		// The walls' ranges over the reps: auto's, and the fixed depth's
+		// with the best wall.
 		var (
-			crun      costmodel.Run
-			compute   time.Duration
-			bestFixed time.Duration
-			autoWall  time.Duration
-			autoRing  int
+			crun             costmodel.Run
+			compute          time.Duration
+			fixedLo, fixedHi time.Duration
+			autoLo, autoHi   time.Duration
+			autoRing         int
 		)
 		for _, k := range depthSweepKs {
-			wall, res, err := run(k, sub)
+			wall, worst, res, err := run(k, sub)
 			if err != nil {
 				return 0, nil, fmt.Errorf("depth %s k=%d: %w", sub.name, k, err)
 			}
@@ -150,9 +151,9 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 			kLabel := fmt.Sprint(k)
 			if k == 0 {
 				kLabel = "auto"
-				autoWall, autoRing = wall, res.Depth
-			} else if bestFixed == 0 || wall < bestFixed {
-				bestFixed = wall
+				autoLo, autoHi, autoRing = wall, worst, res.Depth
+			} else if fixedLo == 0 || wall < fixedLo {
+				fixedLo, fixedHi = wall, worst
 			}
 			sysPerOp, pred := "-", "-"
 			if res.Syscalls > 0 {
@@ -162,13 +163,19 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 				pred = trace.FormatFloat(crun.ModelWallPipelined(*sub.tm, compute, res.Depth).StallFrac)
 			}
 			t.AddRow(sub.name, kLabel, res.Depth, wall.Round(time.Microsecond).String(),
-				res.IO.ParallelOps, res.Syscalls, sysPerOp,
+				worst.Round(time.Microsecond).String(), res.IO.ParallelOps, res.Syscalls, sysPerOp,
 				trace.FormatFloat(stallFrac(res.Stall, wall, s.P)), pred,
 				trace.FormatFloat(float64(syncWall)/float64(wall)))
 		}
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"%s: auto resolved to ring %d, wall within %.0f%% of the best fixed depth",
-			sub.name, autoRing, 100*(float64(autoWall)/float64(bestFixed)-1)))
+		// Runs of a few milliseconds swing by tens of percent: where the
+		// ranges overlap, neither wall is known to be the better one.
+		rank := "unresolved against the best fixed depth (their walls' ranges overlap)"
+		if reps < 2 {
+			rank = "unresolved against the best fixed depth (one run each)"
+		} else if autoHi < fixedLo || fixedHi < autoLo {
+			rank = fmt.Sprintf("wall %+.0f%% against the best fixed depth (their ranges apart)", 100*(float64(autoLo)/float64(fixedLo)-1))
+		}
+		t.Notes = append(t.Notes, fmt.Sprintf("%s: auto resolved to ring %d, %s", sub.name, autoRing, rank))
 		return syncWall, syncRes, nil
 	}
 
@@ -208,7 +215,7 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 		"ring = the resolved window depth the run used; depth 1 is the synchronous schedule, the speedup column's reference",
 		"syscalls = pread/pwrite/preadv/pwritev/fsync issued by the FileDisks; sys/op divides by PDM parallel I/Os",
 		"stall frac = engine time blocked on in-flight I/O over p x wall; pred frac = costmodel overlap model at the same ring depth",
-		"wall = best of 3 runs per config; PDM parallel I/Os are asserted bit-identical against k=1 at every depth")
+		"wall, wall max = best and worst of 3 runs per config; auto is ranked only where its range and the best fixed depth's do not overlap; PDM parallel I/Os are asserted bit-identical against k=1 at every depth")
 	return t, nil
 }
 

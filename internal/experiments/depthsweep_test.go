@@ -3,13 +3,16 @@ package experiments
 import (
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestDepthFigure runs the wall-clock figure at a small scale and holds
 // its shape: one row per (substrate, k), the PDM count the same at every
 // depth of a substrate, a fixed depth resolving to its own ring, syscalls
-// only where disks are files, and those files under Scale.DiskDir.
+// only where disks are files, those files under Scale.DiskDir, and auto
+// ranked against the best fixed depth only where their walls' ranges part.
 func TestDepthFigure(t *testing.T) {
 	dir := t.TempDir()
 	s := Scale{N: 8192, V: 8, P: 2, B: 64, DiskDir: dir}
@@ -25,6 +28,17 @@ func TestDepthFigure(t *testing.T) {
 		return i
 	}
 	disks, depth, ring, ios, sys := col("disks"), col("depth"), col("ring"), col("parallel I/Os"), col("syscalls")
+	wallLo, wallHi := col("wall"), col("wall max")
+	walls := func(row []string) (lo, hi time.Duration) {
+		var err error
+		if lo, err = time.ParseDuration(row[wallLo]); err == nil {
+			hi, err = time.ParseDuration(row[wallHi])
+		}
+		if err != nil || hi < lo {
+			t.Fatalf("%s k=%s: walls %s, %s", row[disks], row[depth], row[wallLo], row[wallHi])
+		}
+		return lo, hi
+	}
 
 	subs := []string{"mem", "mem+delay", "file"}
 	ks := []string{"1", "2", "4", "8", "auto"}
@@ -44,6 +58,25 @@ func TestDepthFigure(t *testing.T) {
 		}
 		if (row[sys] != "0") != (sub == "file") {
 			t.Errorf("%s k=%s: %s syscalls", sub, k, row[sys])
+		}
+	}
+	for i, sub := range subs {
+		rows := tb.Rows[i*len(ks) : (i+1)*len(ks)]
+		autoLo, autoHi := walls(rows[len(ks)-1])
+		var fixedLo, fixedHi time.Duration
+		for _, row := range rows[:len(ks)-1] {
+			if lo, hi := walls(row); fixedLo == 0 || lo < fixedLo {
+				fixedLo, fixedHi = lo, hi
+			}
+		}
+		overlap := autoLo <= fixedHi && fixedLo <= autoHi
+		j := slices.IndexFunc(tb.Notes, func(n string) bool { return strings.HasPrefix(n, sub+": auto resolved") })
+		if j < 0 {
+			t.Fatalf("%s: no ranking note in %v", sub, tb.Notes)
+		}
+		if strings.Contains(tb.Notes[j], "unresolved") != overlap {
+			t.Errorf("%s: note %q, but auto's walls [%v, %v] and the best fixed depth's [%v, %v] overlap: %v",
+				sub, tb.Notes[j], autoLo, autoHi, fixedLo, fixedHi, overlap)
 		}
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.disk"))

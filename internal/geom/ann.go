@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cgm"
 	"repro/internal/rec"
-	"repro/internal/recsort"
 	"repro/internal/workload"
 )
 
@@ -164,7 +163,7 @@ func ANN(e *rec.Exec, pts []workload.Point) ([]int, error) {
 	for i, p := range pts {
 		in[i] = rec.R{Tag: tPt, A: int64(i), X: p.X, Y: p.Y}
 	}
-	slabs, err := recsort.Sort(e, in)
+	slabs, err := e.Run(bySlab, rec.Scatter(in, e.V))
 	if err != nil {
 		return nil, err
 	}

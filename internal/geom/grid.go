@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cgm"
 	"repro/internal/rec"
-	"repro/internal/recsort"
 	"repro/internal/workload"
 )
 
@@ -308,14 +307,12 @@ func (f *fenwickMax) prefix(i int) float64 {
 // program's inputs: partition k = residents of x-slab k + row copies of
 // y-slab k. pts[i] must carry A=id, X=x, Y=y, C=payload bits.
 func gridInputs(e *rec.Exec, pts []rec.R) ([][]rec.R, error) {
-	xs := make([]rec.R, len(pts))
-	copy(xs, pts)
-	xSlabs, err := recsort.Sort(e, xs)
+	xSlabs, err := e.Run(bySlab, rec.Scatter(pts, e.V))
 	if err != nil {
 		return nil, err
 	}
 	// Tag residents with their x-slab; prepare the y-sort copies with
-	// swapped coordinates (recsort keys on X).
+	// swapped coordinates (the sort keys on X).
 	var ySortIn []rec.R
 	inputs := make([][]rec.R, e.V)
 	for slab, part := range xSlabs {
@@ -330,7 +327,7 @@ func gridInputs(e *rec.Exec, pts []rec.R) ([][]rec.R, error) {
 			ySortIn = append(ySortIn, cp)
 		}
 	}
-	ySlabs, err := recsort.Sort(e, ySortIn)
+	ySlabs, err := e.Run(bySlab, rec.Scatter(ySortIn, e.V))
 	if err != nil {
 		return nil, err
 	}

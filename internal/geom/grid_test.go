@@ -125,9 +125,9 @@ func TestGridConstantRounds(t *testing.T) {
 		if _, err := Dominance(e, pts, w); err != nil {
 			t.Fatal(err)
 		}
-		// two sorts (4 rounds each) + 4-round finish = constant.
-		if e.Rounds > 12 {
-			t.Errorf("v=%d: %d rounds, want ≤ 12 (λ = O(1))", v, e.Rounds)
+		// two sorts (3 rounds each) + 4-round finish = constant.
+		if e.Rounds > 10 {
+			t.Errorf("v=%d: %d rounds, want ≤ 10 (λ = O(1))", v, e.Rounds)
 		}
 	}
 }

@@ -3,13 +3,18 @@ package geom
 import (
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/cgm"
 	"repro/internal/rec"
-	"repro/internal/recsort"
+	"repro/internal/sortalg"
 	"repro/internal/workload"
 )
+
+// bySlab is the sort the geometry programs begin with: records, keyed
+// into X, Y and a unique id A, redistributed by rec.Compare into globally
+// sorted slabs, slab k the k-th key range.
+var bySlab = sortalg.SorterFunc[rec.R]{Cmp: rec.Compare}
 
 // Tags for the hull program.
 const (
@@ -38,7 +43,7 @@ func localHull(pts []rec.R) []rec.R {
 	if len(pts) <= 2 {
 		return pts
 	}
-	sort.Slice(pts, func(i, j int) bool { return recsort.Less(pts[i], pts[j]) })
+	slices.SortFunc(pts, rec.Compare)
 	cross := func(o, a, b rec.R) float64 {
 		return (a.X-o.X)*(b.Y-o.Y) - (a.Y-o.Y)*(b.X-o.X)
 	}
@@ -110,7 +115,7 @@ func Hull(e *rec.Exec, pts []workload.Point) ([]int, error) {
 	for i, p := range pts {
 		in[i] = rec.R{Tag: tHullPt, A: int64(i), X: p.X, Y: p.Y}
 	}
-	slabs, err := recsort.Sort(e, in)
+	slabs, err := e.Run(bySlab, rec.Scatter(in, e.V))
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@
 package rec
 
 import (
+	"cmp"
 	"math"
 
 	"repro/internal/cgm"
@@ -23,6 +24,20 @@ type R struct {
 	Tag        int64
 	A, B, C, D int64
 	X, Y       float64
+}
+
+// Compare orders records by X, then Y, then A, as cmp.Compare orders
+// each. It is the order the geometry programs sort by: they load the key
+// into X (and Y) and a unique id into A, which makes it total, so a sort
+// under it has one output.
+func Compare(a, b R) int {
+	if c := cmp.Compare(a.X, b.X); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Y, b.Y); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.A, b.A)
 }
 
 // Codec encodes R in seven words.

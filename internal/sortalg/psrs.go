@@ -5,6 +5,8 @@
 //     sampling, λ = O(1) communication rounds) standing in for Goodrich's
 //     CGM sort — the algorithm the paper simulates to obtain its
 //     O(N/(pDB)) external sorting result (Figure 5, Group A, row 1).
+//     SorterFunc is the same program under a comparison order, which the
+//     geometry programs (Group B) sort their records by.
 //   - MergeSort: a classical multiway external mergesort on the Parallel
 //     Disk Model — the "previous result" baseline whose I/O complexity
 //     carries the (N/DB)·log_{M/B}(N/B) factor.
@@ -17,6 +19,7 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
+	"sort"
 
 	"repro/internal/cgm"
 	"repro/internal/core"
@@ -34,16 +37,101 @@ import (
 // throughout, so floats come out in slices.Sort's order, NaNs first.
 type Sorter[T cmp.Ordered] struct{}
 
-// Init stores a sorted copy of the partition: the copy Init owes the
-// caller and the local sort are one pass (sortedInto), into scratch the
-// runtime lends, since the State only lives until round 0 has sampled it.
-func (Sorter[T]) Init(vp *cgm.VP[T], input []T) {
-	vp.State = vp.Scratch(len(input))
-	sortedInto(vp.State, input)
+// SorterFunc is Sorter's program under a caller's order: Cmp(a, b) is
+// negative, zero or positive as a sorts before, with or after b, a strict
+// weak order as slices.SortFunc takes. The rounds, the samples, the
+// splitters and the bucket cuts are Sorter's; only the local sorts, the
+// cut's search and the merge compare through Cmp. Items that Cmp calls
+// equal may come out in any order, so a caller that needs the output to
+// be a function of the input alone makes Cmp total.
+type SorterFunc[T any] struct{ Cmp func(a, b T) int }
+
+// order is what the PSRS rounds ask of a program's order: the four
+// kernels that compare. Sorter's are the radix kernel and the
+// branch-free merge on cmp.Less; SorterFunc's go through its Cmp. The
+// rounds call a kernel through the interface once per call, never per
+// comparison.
+type order[T any] interface {
+	sortInto(dst, src []T)        // the local sort, copying src into dst
+	sortSamples(xs []T)           // the sample sort, in place
+	upperBound(xs []T, key T) int // the first i with xs[i] after key
+	mergeTwo(out, a, b []T) int   // a stable merge of two sorted runs
 }
 
+func (Sorter[T]) sortInto(dst, src []T)        { sortedInto(dst, src) }
+func (Sorter[T]) sortSamples(xs []T)           { sortKeys(xs) }
+func (Sorter[T]) upperBound(xs []T, key T) int { return upperBound(xs, key) }
+func (Sorter[T]) mergeTwo(out, a, b []T) int   { return mergeTwo(out, a, b) }
+
+func (s SorterFunc[T]) sortInto(dst, src []T) {
+	copy(dst, src)
+	slices.SortFunc(dst, s.Cmp)
+}
+
+func (s SorterFunc[T]) sortSamples(xs []T) { slices.SortFunc(xs, s.Cmp) }
+
+func (s SorterFunc[T]) upperBound(xs []T, key T) int {
+	return sort.Search(len(xs), func(i int) bool { return s.Cmp(key, xs[i]) < 0 })
+}
+
+// mergeTwo merges a and b into out, stably: on a tie a's item goes first.
+func (s SorterFunc[T]) mergeTwo(out, a, b []T) int {
+	i, j, k := 0, 0, 0
+	for ; i < len(a) && j < len(b); k++ {
+		if s.Cmp(b[j], a[i]) < 0 {
+			out[k] = b[j]
+			j++
+		} else {
+			out[k] = a[i]
+			i++
+		}
+	}
+	k += copy(out[k:], a[i:])
+	return k + copy(out[k:], b[j:])
+}
+
+// Init stores a sorted copy of the partition: the copy Init owes the
+// caller and the local sort are one pass, into scratch the runtime lends,
+// since the State only lives until round 0 has sampled it.
+func (s Sorter[T]) Init(vp *cgm.VP[T], input []T) { psrsInit[T](s, vp, input) }
+
 // Round implements the three PSRS supersteps.
-func (Sorter[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
+func (s Sorter[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
+	return psrsRound[T](s, vp, round, inbox)
+}
+
+// Output returns the VP's sorted range.
+func (Sorter[T]) Output(vp *cgm.VP[T]) []T { return vp.State }
+
+// MaxContextItems declares μ: the local partition, then the merged range,
+// which regular sampling bounds by about 2N/v (we allow 5/2 for skew
+// slack). The v² samples every VP gathers arrive in its inbox and never
+// enter State; their term stays so that context addresses do not move.
+func (Sorter[T]) MaxContextItems(n, v int) int { return psrsContextItems(n, v) }
+
+// Init is Sorter.Init under Cmp.
+func (s SorterFunc[T]) Init(vp *cgm.VP[T], input []T) { psrsInit[T](s, vp, input) }
+
+// Round is Sorter.Round under Cmp.
+func (s SorterFunc[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
+	return psrsRound[T](s, vp, round, inbox)
+}
+
+// Output returns the VP's sorted range.
+func (SorterFunc[T]) Output(vp *cgm.VP[T]) []T { return vp.State }
+
+// MaxContextItems is Sorter's μ.
+func (SorterFunc[T]) MaxContextItems(n, v int) int { return psrsContextItems(n, v) }
+
+func psrsContextItems(n, v int) int { return 5*((n+v-1)/v)/2 + v*v + v + 8 }
+
+func psrsInit[T any](o order[T], vp *cgm.VP[T], input []T) {
+	vp.State = vp.Scratch(len(input))
+	o.sortInto(vp.State, input)
+}
+
+// psrsRound is the one body of both programs' rounds, under o's order.
+func psrsRound[T any](o order[T], vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
 	v := vp.V
 	switch round {
 	case 0:
@@ -75,14 +163,14 @@ func (Sorter[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
 		// splitter[k]]. A bucket is a view of State, capped so that no
 		// append can reach the next one: the engine copies out of its
 		// decode arena whatever outlives the superstep.
-		splitters := pickSplitters(inbox, v)
+		splitters := pickSplitters(o, inbox, v)
 		out := make([][]T, v)
 		lo := 0
 		for k := 0; k < v; k++ {
 			hi := len(vp.State)
 			if k < len(splitters) {
-				// First index with State[i] > splitters[k].
-				hi = max(lo, upperBound(vp.State, splitters[k]))
+				// First index with State[i] after splitters[k].
+				hi = max(lo, o.upperBound(vp.State, splitters[k]))
 			}
 			out[k] = vp.State[lo:hi:hi]
 			lo = hi
@@ -100,7 +188,7 @@ func (Sorter[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
 				total += len(m)
 			}
 		}
-		vp.State = mergeRuns(runs, total, vp.Scratch)
+		vp.State = mergeRuns(o, runs, total, vp.Scratch)
 		return nil, true
 	}
 }
@@ -108,9 +196,9 @@ func (Sorter[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
 // pickSplitters sorts the samples of all v sources and takes the v−1
 // regular splitters among them (zero values when nobody had a sample). It
 // copies: an inbox is not the receiver's to reorder.
-func pickSplitters[T cmp.Ordered](inbox [][]T, v int) []T {
+func pickSplitters[T any](o order[T], inbox [][]T, v int) []T {
 	samples := slices.Concat(inbox...)
-	sortKeys(samples)
+	o.sortSamples(samples)
 	splitters := make([]T, v-1)
 	if s := len(samples); s > 0 {
 		for k := range splitters {
@@ -118,17 +206,6 @@ func pickSplitters[T cmp.Ordered](inbox [][]T, v int) []T {
 		}
 	}
 	return splitters
-}
-
-// Output returns the VP's sorted range.
-func (Sorter[T]) Output(vp *cgm.VP[T]) []T { return vp.State }
-
-// MaxContextItems declares μ: the local partition, then the merged range,
-// which regular sampling bounds by about 2N/v (we allow 5/2 for skew
-// slack). The v² samples every VP gathers arrive in its inbox and never
-// enter State; their term stays so that context addresses do not move.
-func (Sorter[T]) MaxContextItems(n, v int) int {
-	return 5*((n+v-1)/v)/2 + v*v + v + 8
 }
 
 // upperBound returns the first index i with xs[i] > key (xs sorted), in
@@ -147,12 +224,12 @@ func upperBound[T cmp.Ordered](xs []T, key T) int {
 }
 
 // mergeRuns k-way merges sorted runs of total items in all by repeated
-// pairwise merging of neighbours with mergeTwo, stably (on ties the
+// pairwise merging of neighbours with o's mergeTwo, stably (on ties the
 // earlier run wins). Every level merges out of one total-sized buffer into
 // the other: the one the last level writes is the result and is allocated,
 // the other, needed from three runs up, is borrowed. A single run is
 // returned as it is. runs is overwritten.
-func mergeRuns[T cmp.Ordered](runs [][]T, total int, borrow func(n int) []T) []T {
+func mergeRuns[T any](o order[T], runs [][]T, total int, borrow func(n int) []T) []T {
 	switch len(runs) {
 	case 0:
 		return nil
@@ -174,7 +251,7 @@ func mergeRuns[T cmp.Ordered](runs [][]T, total int, borrow func(n int) []T) []T
 		for i := 0; i < len(runs); i += 2 {
 			var m int
 			if i+1 < len(runs) {
-				m = mergeTwo(dst[off:], runs[i], runs[i+1])
+				m = o.mergeTwo(dst[off:], runs[i], runs[i+1])
 			} else {
 				// The odd run is copied along: left behind in src, it
 				// would be merged over two levels on, when src is dst

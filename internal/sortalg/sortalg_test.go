@@ -2,6 +2,7 @@ package sortalg
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/cgm"
 	"repro/internal/core"
 	"repro/internal/pdm"
+	"repro/internal/rec"
 	"repro/internal/wordcodec"
 	"repro/internal/workload"
 )
@@ -30,23 +32,161 @@ func checkSorted(t *testing.T, tag string, got, in []int64) {
 	}
 }
 
+// byRecord is the geometry programs' record sort: the same PSRS under
+// rec.Compare.
+var byRecord = SorterFunc[rec.R]{Cmp: rec.Compare}
+
+// asRecords carries each key in a record's A, with X and Y zero: rec.Compare
+// then ties exactly where the keys do.
+func asRecords(keys []int64) []rec.R {
+	out := make([]rec.R, len(keys))
+	for i, k := range keys {
+		out[i] = rec.R{A: k}
+	}
+	return out
+}
+
+// checkSameSlabs runs the record sort on parts as records and requires
+// Sorter's result on parts, VP for VP: the two programs share samples,
+// splitters and cuts, so their slabs are the same, in as many rounds.
+func checkSameSlabs(t *testing.T, tag string, parts [][]int64, want *cgm.Result[int64]) {
+	t.Helper()
+	rparts := make([][]rec.R, len(parts))
+	for i, p := range parts {
+		rparts[i] = asRecords(p)
+	}
+	res, err := cgm.Run[rec.R](byRecord, len(parts), rparts)
+	if err != nil {
+		t.Fatalf("%s: record sort: %v", tag, err)
+	}
+	for i, o := range res.Outputs {
+		if !slices.Equal(o, asRecords(want.Outputs[i])) {
+			t.Fatalf("%s: record slab %d holds %d records, Sorter's %d keys", tag, i, len(o), len(want.Outputs[i]))
+		}
+	}
+	if res.Stats.Rounds != want.Stats.Rounds {
+		t.Errorf("%s: record sort rounds = %d, Sorter's %d", tag, res.Stats.Rounds, want.Stats.Rounds)
+	}
+}
+
+// tiedPoints returns n records with few distinct X and Y, so that most
+// ties under rec.Compare are broken by A alone: a permutation of the ids,
+// as the geometry programs set it.
+func tiedPoints(seed int64, n int) []rec.R {
+	ids := workload.Permutation(seed, n)
+	out := make([]rec.R, n)
+	for i, id := range ids {
+		out[i] = rec.R{A: id, X: float64(id * 7 % 5), Y: float64(i % 3)}
+	}
+	return out
+}
+
+// checkRecordsSorted requires got to be in sorted by rec.Compare, record
+// for record.
+func checkRecordsSorted(t *testing.T, tag string, got, in []rec.R) {
+	t.Helper()
+	want := slices.Clone(in)
+	slices.SortFunc(want, rec.Compare)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: %d records out of rec.Compare's order (%d in)", tag, len(got), len(in))
+	}
+}
+
+// TestPSRSInMemory sorts keys, and the same keys as records under
+// rec.Compare; both in three rounds, to the same slabs.
 func TestPSRSInMemory(t *testing.T) {
 	for _, v := range []int{1, 2, 4, 8} {
 		for _, n := range []int{0, 1, 7, v * v * v, 1000} {
+			tag := fmt.Sprintf("v=%d n=%d", v, n)
 			in := workload.Int64s(int64(v*1000+n), n)
-			res, err := cgm.Run[int64](Sorter[int64]{}, v, cgm.Scatter(in, v))
+			parts := cgm.Scatter(in, v)
+			res, err := cgm.Run[int64](Sorter[int64]{}, v, parts)
 			if err != nil {
-				t.Fatalf("v=%d n=%d: %v", v, n, err)
+				t.Fatalf("%s: %v", tag, err)
 			}
 			checkSorted(t, "psrs", res.Output(), in)
-			want := 3 // sort and sample, cut by the splitters, merge
-			if v == 1 {
-				want = 1
+			if res.Stats.Rounds != psrsRounds(v) {
+				t.Errorf("%s: rounds = %d, want %d", tag, res.Stats.Rounds, psrsRounds(v))
 			}
-			if res.Stats.Rounds != want {
-				t.Errorf("v=%d n=%d: rounds = %d, want %d", v, n, res.Stats.Rounds, want)
+			checkSameSlabs(t, tag, parts, res)
+		}
+	}
+}
+
+// psrsRounds is the rounds a PSRS takes at v VPs: sort and sample, cut by
+// the splitters, merge; a single VP only sorts.
+func psrsRounds(v int) int {
+	if v == 1 {
+		return 1
+	}
+	return 3
+}
+
+// TestRecordSortGlobalOrder sorts random points under rec.Compare, each
+// with its index as id, and requires slices.SortFunc's order in three
+// rounds.
+func TestRecordSortGlobalOrder(t *testing.T) {
+	for _, v := range []int{1, 2, 4, 8} {
+		for _, n := range []int{0, 1, 17, v * v * v, 500} {
+			pts := workload.Points(int64(n+v), n)
+			in := make([]rec.R, n)
+			for i, p := range pts {
+				in[i] = rec.R{A: int64(i), X: p.X, Y: p.Y}
+			}
+			tag := fmt.Sprintf("v=%d n=%d", v, n)
+			res, err := cgm.Run[rec.R](byRecord, v, cgm.Scatter(in, v))
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			checkRecordsSorted(t, tag, res.Output(), in)
+			if res.Stats.Rounds != psrsRounds(v) {
+				t.Errorf("%s: rounds = %d, want %d", tag, res.Stats.Rounds, psrsRounds(v))
 			}
 		}
+	}
+}
+
+// TestRecordSortTiesBrokenByID sorts points that tie on X and Y, so that
+// the id A alone orders them.
+func TestRecordSortTiesBrokenByID(t *testing.T) {
+	res, err := cgm.Run[rec.R](byRecord, 2, cgm.Scatter([]rec.R{{A: 3, X: 1}, {A: 1, X: 1}, {A: 2, X: 1}}, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res.Output() {
+		if r.A != int64(i+1) {
+			t.Fatalf("tie order wrong: %v", res.Output())
+		}
+	}
+	for _, v := range []int{2, 4, 8} {
+		for _, n := range []int{7, v * v * v, 1000} {
+			tag := fmt.Sprintf("v=%d n=%d", v, n)
+			pts := tiedPoints(int64(v*1000+n), n)
+			res, err := cgm.Run[rec.R](byRecord, v, cgm.Scatter(pts, v))
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			checkRecordsSorted(t, tag, res.Output(), pts)
+			if res.Stats.Rounds != 3 {
+				t.Errorf("%s: rounds = %d, want 3", tag, res.Stats.Rounds)
+			}
+		}
+	}
+}
+
+// TestInitCopiesInput holds both PSRS programs to the Init clause of the
+// cgm.Program contract: the engine runs round 0 on the State Init left, so
+// it must share no memory with the caller's input.
+func TestInitCopiesInput(t *testing.T) {
+	recs := make([]rec.R, 9)
+	for i := range recs {
+		recs[i] = rec.R{Tag: 1, A: int64(i + 1), B: int64(i + 2), C: 1, D: 1, X: float64(i%4 + 1), Y: float64(i*i%7 + 1)}
+	}
+	if err := cgm.InitCopies[rec.R](byRecord, 4, recs); err != nil {
+		t.Error("SorterFunc:", err)
+	}
+	if err := cgm.InitCopies[int64](Sorter[int64]{}, 4, []int64{5, 3, 9, 1, 7, 2}); err != nil {
+		t.Error("Sorter:", err)
 	}
 }
 
@@ -102,6 +242,27 @@ func TestPSRSProperty(t *testing.T) {
 		want := append([]int64(nil), in...)
 		slices.Sort(want)
 		return slices.Equal(got, want)
+	}, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRecordSortProperty sorts arbitrary float64 keys as records' X under
+// rec.Compare, on 1 to 7 VPs.
+func TestRecordSortProperty(t *testing.T) {
+	if err := quick.Check(func(xs []float64, v8 uint8) bool {
+		v := int(v8)%7 + 1
+		in := make([]rec.R, len(xs))
+		for i, x := range xs {
+			in[i] = rec.R{A: int64(i), X: x}
+		}
+		res, err := cgm.Run[rec.R](byRecord, v, cgm.Scatter(in, v))
+		if err != nil {
+			return false
+		}
+		want := slices.Clone(in)
+		slices.SortFunc(want, rec.Compare)
+		return slices.Equal(res.Output(), want)
 	}, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
@@ -196,6 +357,7 @@ func TestPSRSDegeneratePartitions(t *testing.T) {
 		if res.Stats.Rounds != 3 {
 			t.Errorf("%s: rounds = %d, want 3", name, res.Stats.Rounds)
 		}
+		checkSameSlabs(t, name, parts, res)
 	}
 }
 
@@ -359,18 +521,22 @@ func TestSorterNaNMatchesSlicesSort(t *testing.T) {
 	}
 }
 
+// emShapes are the EM machines both sorts run on: v VPs on p processors
+// with d disks each, balanced or not.
+var emShapes = []struct {
+	v, p, d int
+	bal     bool
+}{
+	{4, 1, 1, false},
+	{4, 2, 2, false},
+	{8, 4, 2, false},
+	{4, 2, 2, true},
+}
+
 func TestEMSortSeqAndPar(t *testing.T) {
 	const n = 1024
 	in := workload.Int64s(5, n)
-	for _, tc := range []struct {
-		v, p, d int
-		bal     bool
-	}{
-		{4, 1, 1, false},
-		{4, 2, 2, false},
-		{8, 4, 2, false},
-		{4, 2, 2, true},
-	} {
+	for _, tc := range emShapes {
 		cfg := core.Config{V: tc.v, P: tc.p, D: tc.d, B: 16, Balanced: tc.bal}
 		got, res, err := EMSort(in, wordcodec.I64{}, cfg)
 		if err != nil {
@@ -379,6 +545,29 @@ func TestEMSortSeqAndPar(t *testing.T) {
 		checkSorted(t, "emsort", got, in)
 		if res.IO.ParallelOps == 0 {
 			t.Errorf("%+v: no I/O recorded", tc)
+		}
+	}
+}
+
+// TestRecordSortUnderEM runs the record sort as the geometry programs run
+// it, through rec.Exec on each EM machine shape: in rec.Compare's order,
+// with I/O, and in three rounds unless balancing adds its own.
+func TestRecordSortUnderEM(t *testing.T) {
+	const n = 1024
+	for _, tc := range emShapes {
+		e := rec.NewEM(tc.v, tc.p, tc.d, 16)
+		e.Balanced = tc.bal
+		pts := tiedPoints(5, n)
+		slabs, err := e.Run(byRecord, rec.Scatter(pts, tc.v))
+		if err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		checkRecordsSorted(t, fmt.Sprintf("%+v", tc), rec.Flatten(slabs), pts)
+		if e.IO.ParallelOps == 0 {
+			t.Errorf("%+v: no I/O recorded", tc)
+		}
+		if !tc.bal && e.Rounds != 3 {
+			t.Errorf("%+v: rounds = %d, want 3", tc, e.Rounds)
 		}
 	}
 }
@@ -603,7 +792,7 @@ func TestMergeRunsTwoBuffers(t *testing.T) {
 			return 0
 		})
 		var lent []float64
-		got := mergeRuns(runs, total, func(n int) []float64 {
+		got := mergeRuns[float64](Sorter[float64]{}, runs, total, func(n int) []float64 {
 			lent = make([]float64, n)
 			return lent
 		})
@@ -626,7 +815,7 @@ func TestMergeRunsTwoBuffers(t *testing.T) {
 		scratch := make([]float64, total)
 		allocs := testing.AllocsPerRun(20, func() {
 			copy(runs, orig) // mergeRuns overwrites its argument
-			mergeRuns(runs, total, func(n int) []float64 { return scratch[:n] })
+			mergeRuns[float64](Sorter[float64]{}, runs, total, func(n int) []float64 { return scratch[:n] })
 		})
 		if int(allocs) != tc.allocs {
 			t.Errorf("k=%d: %v allocations, want %d", tc.k, allocs, tc.allocs)

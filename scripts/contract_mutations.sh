@@ -74,7 +74,7 @@ check() {
 	cp "$root/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety|TestPositioningsPerDisk|TestContextPairsMeet'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety|TestPositioningsPerDisk|TestContextPairsMeet|TestPSRSInMemory'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -282,4 +282,14 @@ f=internal/core/depth.go
 mutate $f 'if cfg.NewDisk == nil && !cfg.DirectIO {' 1 1 '\tif false {'
 check 'price every Config as the default device' $f TestPipelineDepthResolved
 
-echo "contract-selftest: all twenty-six mutations caught"
+# One PSRS (DESIGN.md §7): the record order runs Sorter's rounds, so its
+# bucket k is (splitter[k-1], splitter[k]] as well, cut at the upper
+# bound. Cut at the lower bound, every item equal to a splitter goes to
+# the next VP: the output is still sorted, but its slabs are no longer
+# Sorter's, and the geometry programs built on the slabs see other ones.
+f=internal/sortalg/psrs.go
+mutate $f 's.Cmp(key, xs[i]) < 0' 1 1 \
+	'\treturn sort.Search(len(xs), func(i int) bool { return s.Cmp(key, xs[i]) <= 0 })'
+check 'cut the record order'"'"'s buckets at the lower bound' $f TestPSRSInMemory
+
+echo "contract-selftest: all twenty-seven mutations caught"
