@@ -126,8 +126,9 @@ lint:
 # scratch but not the chunks lent beyond the region, begin each VP's
 # writes at its own commit instead of a facing pair's back to back, store
 # the lead's context front to back, price every auto depth as the default
-# device's, cut a comparison order's sort buckets at the lower bound
-# — twenty-seven in all — and requires the owning test to fail by name.
+# device's, cut a comparison order's sort buckets at the lower bound,
+# place a permutation's round 1 into make instead of lent scratch
+# — twenty-eight in all — and requires the owning test to fail by name.
 # About two minutes; one mutation wedges a run until its 30 s watchdog.
 contract-selftest:
 	@sh scripts/contract_mutations.sh

@@ -83,6 +83,14 @@ func (vp *VP[T]) Scratch(n int) []T {
 // Program value survives, and the views must not be written after the
 // call.
 //
+// Output may instead deliver its share to memory the caller holds — a
+// result vector the Program value carries, say — and return nil. It is
+// called once per VP, on both runtimes, while the State of the VP's last
+// Round is still valid: under the EM simulation on the worker that ran
+// that Round, before the superstep's arena is reused, so it may read a
+// State built in lent scratch. Calls for different VPs may run at once,
+// so each must write only its own share.
+//
 // Init must leave vp.State sharing no memory with input: input is the
 // caller's, and round 0 runs on the State Init left — under the EM
 // simulation as on the in-memory runtime — so a State that aliased input

@@ -931,10 +931,18 @@ func (e *engine[T]) slide(pr *proc[T], round, m int) error {
 // disk: it is what prog.Init makes of the caller's partition, here, on
 // the processor that owns the VP. What can fail here is left in w.err for
 // procRound to report in commit order; a context over μ is left for
-// noteContext to reject.
+// noteContext to reject. So is a panic of the program or the codec —
+// in Init, Round, Output or an encode or decode — as cgm.Run returns one:
+// the processor then aborts the round as for a failed read, draining what
+// it has in flight and sending the batches its peers wait for.
 func (e *engine[T]) work(pr *proc[T], w *worker[T]) {
 	round, l, v := w.round, w.l, e.cfg.V
 	j := pr.i*e.localV + l
+	defer func() {
+		if r := recover(); r != nil {
+			w.err = fmt.Errorf("core: round %d vp %d: program panicked: %v", round, j, r)
+		}
+	}()
 	s := pr.ring[w.pos%len(pr.ring)]
 	// The items the length tables count are the heads of the prefixes
 	// beginReads transferred for them, the inbox's at the stride it derived
@@ -979,12 +987,13 @@ func (e *engine[T]) work(pr *proc[T], w *worker[T]) {
 		}
 		w.err = e.encodeMsgs(pr, s, round, j, e.localMsgs(pr, outbox))
 	}
-	if w.err != nil || len(vp.State) > e.maxCtx {
+	// Nobody reads the terminal round's context, resident or on disk.
+	if w.err != nil || done || len(vp.State) > e.maxCtx {
 		return
 	}
 	if e.cached != nil {
 		e.cached[pr.i] = w.mem.keep(vp.State)
-	} else if !done {
+	} else {
 		e.growCtx(s, e.ctxBlocks(len(vp.State)))
 		w.same = encodeCtx(e.codec, vp.State, s.ctxImg, w.cmp, pr.ctxLive[l], e.ctxBlocks(len(vp.State)), e.cfg.B)
 	}

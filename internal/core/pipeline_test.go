@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/cgm"
@@ -167,12 +168,10 @@ func equivWorkloads(t *testing.T, checked bool, depths []int) {
 			return res, err
 		})
 		depthArms(t, "permute/"+tagP, permuted, base, depths, func(cfg core.Config) (*core.Result[permute.Item], error) {
-			_, res, err := permute.EMPermute(keys, dests, cfg)
-			return res, err
+			return delivered(permute.EMPermute(keys, dests, cfg))
 		})
 		depthArms(t, "transpose/"+tagP, transposed, base, depths, func(cfg core.Config) (*core.Result[permute.Item], error) {
-			_, res, err := transpose.EMTranspose(keys, 32, 32, cfg)
-			return res, err
+			return delivered(transpose.EMTranspose(keys, 32, 32, cfg))
 		})
 	}
 
@@ -186,6 +185,25 @@ func equivWorkloads(t *testing.T, checked bool, depths []int) {
 		func(cfg core.Config) (*core.Result[int64], error) {
 			return core.RunSeq[int64](sortalg.Sorter[int64]{}, wordcodec.I64{}, sortalg.EMSortConfig(cfg, n), cgm.Scatter(keys, v))
 		})
+}
+
+// delivered puts what a permutation wrapper wrote into its result vector
+// back into the Outputs the program leaves (the wrapper's are empty):
+// VP j's partition of the positions, each item tagged with its own.
+func delivered(out []int64, res *core.Result[permute.Item], err error) (*core.Result[permute.Item], error) {
+	if err != nil {
+		return nil, err
+	}
+	if slices.ContainsFunc(res.Outputs, func(o []permute.Item) bool { return len(o) > 0 }) {
+		return nil, errors.New("the wrapper left outputs in the Result")
+	}
+	for j := range res.Outputs {
+		lo, hi := cgm.PartRange(len(out), len(res.Outputs), j)
+		for g := lo; g < hi; g++ {
+			res.Outputs[j] = append(res.Outputs[j], permute.Item{Dest: int64(g), Val: out[g]})
+		}
+	}
+	return res, nil
 }
 
 // TestPipelineEquivalence is the acceptance check of the default

@@ -5,6 +5,13 @@
 // the PDM bound Θ(min(N/D, sort(N))) in the coarse-grained range
 // (Figure 5, Group A, row 2).
 //
+// The permutation delivers in place. Round 1 places the items a VP
+// receives into scratch the runtime lends, and EMPermute's delivery
+// (Deliver, which EMTranspose shares) has each VP's Output write the
+// values straight into the caller's result while that scratch is still
+// valid: the engine keeps no output partition, and no pass projects one.
+// A dests that is not a permutation fails the run.
+//
 // The package is part of the determinism contract (DESIGN.md §11):
 // identical inputs must yield bit-identical I/O schedules and op counts.
 package permute
@@ -98,7 +105,11 @@ func (p Program) Init(vp *cgm.VP[Item], input []Item) {
 // the run whose Dest lies in VP d's partition — the State is grouped in
 // owner order, so a binary search finds where it ends — and is a capped
 // view of the State (cap == len), not a copy. Round 1 places the items it
-// receives.
+// receives into scratch the runtime lends, which Output reads before the
+// runtime reuses it. Destinations that repeat are owned by the same VP, so
+// a slot filled twice is found here, as it is filled; Round panics on it,
+// as Init does on a destination outside [0, N), and the runtimes return
+// the panic as the run's error.
 func (p Program) Round(vp *cgm.VP[Item], round int, inbox [][]Item) ([][]Item, bool) {
 	switch round {
 	case 0:
@@ -114,17 +125,28 @@ func (p Program) Round(vp *cgm.VP[Item], round int, inbox [][]Item) ([][]Item, b
 		return out, false
 	default:
 		lo, hi := cgm.PartRange(p.N, vp.V, vp.ID)
-		vp.State = make([]Item, hi-lo)
+		st := vp.Scratch(hi - lo)
+		// A filled slot holds its own index in Dest, which is nonzero but
+		// for index 0, the one slot that needs a flag.
+		zero := false
 		for _, msg := range inbox {
 			for _, it := range msg {
-				vp.State[int(it.Dest)-lo] = it
+				k := int(it.Dest) - lo
+				if st[k].Dest != 0 || it.Dest == 0 && zero {
+					panic(fmt.Sprintf("permute: destination %d is repeated", it.Dest))
+				}
+				zero = zero || it.Dest == 0
+				st[k] = it
 			}
 		}
+		vp.State = st
 		return nil, true
 	}
 }
 
-// Output returns the permuted partition in position order.
+// Output returns the permuted partition in position order. Under the EM
+// simulation it still points into lent scratch, and the engine copies it
+// out; EMPermute's delivery reads it in place instead.
 func (Program) Output(vp *cgm.VP[Item]) []Item { return vp.State }
 
 // MaxContextItems declares μ: the partition (in and out have equal sizes).
@@ -132,7 +154,10 @@ func (p Program) MaxContextItems(n, v int) int { return (n+v-1)/v + 1 }
 
 // EMPermute permutes vals by dests (a permutation of 0..N-1) under the
 // EM-CGM simulation, returning the permuted vector and the accounting.
-// cfg is validated before the limits below are derived from cfg.V.
+// Each VP writes its values straight into the returned vector, so the
+// Result's Outputs are empty. A dests that is not a permutation — a
+// destination outside [0, N) or one that repeats — is an error. cfg is
+// validated before the limits below are derived from cfg.V.
 func EMPermute(vals, dests []int64, cfg core.Config) ([]int64, *core.Result[Item], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -153,38 +178,58 @@ func EMPermute(vals, dests []int64, cfg core.Config) ([]int64, *core.Result[Item
 	}); err != nil {
 		return nil, nil, err
 	}
+	return Deliver(New(n), cfg, parts)
+}
+
+// Deliver is the tail EMPermute and transpose.EMTranspose share. It runs
+// prog, whose last round leaves each VP's partition of the n result
+// positions in its State in position order, under core.RunPar on the n
+// items of parts, with the permutation's message and h bounds unless cfg
+// sets its own. Each VP's Output writes its values straight into the
+// returned vector, on the worker that ran its last round and before the
+// worker's arena is reused, and hands the engine nothing to keep: the
+// Result's Outputs are empty, and there is no projection pass.
+func Deliver(prog sizedProgram, cfg core.Config, parts [][]Item) ([]int64, *core.Result[Item], error) {
+	n, v := 0, cfg.V
+	for _, part := range parts {
+		n += len(part)
+	}
 	if cfg.MaxMsgItems == 0 {
 		cfg.MaxMsgItems = 4*((n+v*v-1)/(v*v)) + v + 16
 	}
 	if cfg.MaxHItems == 0 {
 		cfg.MaxHItems = 2*((n+v-1)/v) + v + 16
 	}
-	res, err := core.RunPar[Item](New(n), Codec{}, cfg, parts)
+	out := make([]int64, n)
+	res, err := core.RunPar[Item](into{prog, out}, Codec{}, cfg, parts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return Values(res.Outputs, n), res, nil
+	return out, res, nil
 }
 
-// Values projects the n values out of per-VP output partitions, in VP
-// order, without concatenating the partitions first: each partition is
-// projected on its own, at its prefix offset, through cgm.ForEachVP.
-func Values(parts [][]Item, n int) []int64 {
-	out := make([]int64, n)
-	offs := make([]int, len(parts)+1)
-	for i, part := range parts {
-		offs[i+1] = offs[i] + len(part)
+// sizedProgram is a program that declares its context bound μ, which
+// into passes on to the engine.
+type sizedProgram interface {
+	cgm.Program[Item]
+	cgm.ContextSizer
+}
+
+// into is a program whose Output delivers into out: VP i writes the
+// values of its partition at PartRange's lo. The VPs write disjoint
+// ranges, so they need no lock.
+type into struct {
+	sizedProgram
+	out []int64
+}
+
+func (p into) Output(vp *cgm.VP[Item]) []Item {
+	lo, _ := cgm.PartRange(len(p.out), vp.V, vp.ID)
+	dst := p.out[lo : lo+len(vp.State)]
+	for k, it := range vp.State {
+		dst[k] = it.Val
 	}
-	if err := cgm.ForEachVP(len(parts), func(i int) error {
-		dst := out[offs[i]:offs[i+1]]
-		for k, it := range parts[i] {
-			dst[k] = it.Val
-		}
-		return nil
-	}); err != nil {
-		panic(err)
-	}
-	return out
+	return nil
 }
 
 // Sequential permutes vals by dests in RAM — the Θ(N) reference.

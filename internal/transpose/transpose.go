@@ -3,7 +3,9 @@
 // CGM it is a special permutation whose destinations are computed, not
 // stored, so items travel as bare (position, value) pairs in one
 // communication round; the simulation yields O(N/(pDB)) I/Os versus the
-// PDM's Θ((N/DB)·log_{M/B} min(M,k,ℓ,N/B)).
+// PDM's Θ((N/DB)·log_{M/B} min(M,k,ℓ,N/B)). Its rounds are the
+// permutation's, and so is its delivery (permute.Deliver): each VP writes
+// its values straight into the caller's result.
 //
 // The package is part of the determinism contract (DESIGN.md §11):
 // identical inputs must yield bit-identical I/O schedules and op counts.
@@ -42,7 +44,7 @@ func (p Program) Init(vp *cgm.VP[permute.Item], input []permute.Item) {
 }
 
 // Round is permute.Program's on the State Init left: round 0 sends each
-// owner its group, round 1 places received elements.
+// owner its group, round 1 places received elements into lent scratch.
 func (p Program) Round(vp *cgm.VP[permute.Item], round int, inbox [][]permute.Item) ([][]permute.Item, bool) {
 	return permute.New(p.K*p.L).Round(vp, round, inbox)
 }
@@ -62,8 +64,10 @@ func (Program) Output(vp *cgm.VP[permute.Item]) []permute.Item { return vp.State
 func (p Program) MaxContextItems(n, v int) int { return (n+v-1)/v + 1 }
 
 // EMTranspose transposes the K×L row-major matrix vals under the EM-CGM
-// simulation, returning the L×K column-major result. cfg is validated
-// before the limits below are derived from cfg.V.
+// simulation, returning the L×K column-major result. Like EMPermute it
+// ends in permute.Deliver: each VP writes its values straight into the
+// result, and the Result's Outputs are empty. cfg is validated before the
+// limits are derived from cfg.V.
 func EMTranspose(vals []int64, k, l int, cfg core.Config) ([]int64, *core.Result[permute.Item], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -84,17 +88,7 @@ func EMTranspose(vals []int64, k, l int, cfg core.Config) ([]int64, *core.Result
 	}); err != nil {
 		return nil, nil, err
 	}
-	if cfg.MaxMsgItems == 0 {
-		cfg.MaxMsgItems = 4*((n+v*v-1)/(v*v)) + v + 16
-	}
-	if cfg.MaxHItems == 0 {
-		cfg.MaxHItems = 2*((n+v-1)/v) + v + 16
-	}
-	res, err := core.RunPar[permute.Item](New(k, l), permute.Codec{}, cfg, parts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return permute.Values(res.Outputs, n), res, nil
+	return permute.Deliver(New(k, l), cfg, parts)
 }
 
 // Sequential transposes in RAM — the Θ(N) reference.

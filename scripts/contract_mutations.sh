@@ -2,23 +2,27 @@
 # Seeded-negative self-test of the contracts the engine's own tests hold
 # (DESIGN.md §10): break each contract in a scratch copy of the tree, run
 # only the test that owns it — in internal/core, internal/sortalg,
-# internal/cgm, internal/pdm, internal/layout, or in the root package for
-# the property tests — and
+# internal/cgm, internal/pdm, internal/layout, internal/permute, or in the
+# root package for the property tests — and
 # require that test to fail by name. The
 # unmutated copy must pass the same tests first. An anchor line that no
 # longer matches is itself a failure, so a refactor that moves the code
-# must move its mutation with it.
+# must move its mutation with it. The tree is copied once, at the start,
+# and every mutated file is restored from that copy, so a run does not
+# depend on edits made to the tree while it runs.
 set -eu
 root=$(cd "$(dirname "$0")/.." && pwd)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-cp -R "$root/go.mod" "$root"/*.go "$root/internal" "$tmp/"
-cd "$tmp"
+mkdir "$tmp/pristine" "$tmp/work"
+cp -R "$root/go.mod" "$root"/*.go "$root/internal" "$tmp/pristine/"
+cp -R "$tmp/pristine/." "$tmp/work/"
+cd "$tmp/work"
 
 # run_tests PATTERN: the tests of internal/core, internal/sortalg,
-# internal/cgm, internal/pdm, internal/layout and the root package that
-# PATTERN names.
-run_tests() { go test . ./internal/core ./internal/sortalg ./internal/cgm ./internal/pdm ./internal/layout -count=1 -timeout 300s -run "^($1)\$" 2>&1; }
+# internal/cgm, internal/pdm, internal/layout, internal/permute and the
+# root package that PATTERN names.
+run_tests() { go test . ./internal/core ./internal/sortalg ./internal/cgm ./internal/pdm ./internal/layout ./internal/permute -count=1 -timeout 300s -run "^($1)\$" 2>&1; }
 
 # mutate FILE ANCHOR COUNT NTH REPLACEMENT: ANCHOR (a fixed string) must
 # be on exactly COUNT lines of FILE; the NTH such line becomes REPLACEMENT
@@ -59,7 +63,7 @@ failure() {
 }
 
 # check NAME FILE OWNER: the mutated copy must fail OWNER by name; FILE is
-# then restored.
+# then restored from the pristine copy.
 check() {
 	if out=$(run_tests "$3"); then
 		echo "contract-selftest: $1 is not caught by $3"
@@ -71,10 +75,10 @@ check() {
 		exit 1
 	fi
 	echo "contract-selftest: $1 -> $3 fails: $(failure "$out" "$3")"
-	cp "$root/$2" "$2"
+	cp "$tmp/pristine/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety|TestPositioningsPerDisk|TestContextPairsMeet|TestPSRSInMemory'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety|TestPositioningsPerDisk|TestContextPairsMeet|TestPSRSInMemory|TestDeliveryAllocation'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -292,4 +296,12 @@ mutate $f 's.Cmp(key, xs[i]) < 0' 1 1 \
 	'\treturn sort.Search(len(xs), func(i int) bool { return s.Cmp(key, xs[i]) <= 0 })'
 check 'cut the record order'"'"'s buckets at the lower bound' $f TestPSRSInMemory
 
-echo "contract-selftest: all twenty-seven mutations caught"
+# Permutations deliver in place (DESIGN.md §6): round 1 places what it
+# receives into lent scratch, and the wrapper's Output writes the values
+# straight into the caller's result. A round 1 that makes its partition
+# instead allocates 16 bytes an item the engine never needed.
+f=internal/permute/permute.go
+mutate $f 'st := vp.Scratch(hi - lo)' 1 1 '\t\tst := make([]Item, hi-lo)'
+check 'round 1 places into make, not vp.Scratch' $f TestDeliveryAllocation
+
+echo "contract-selftest: all twenty-eight mutations caught"
