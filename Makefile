@@ -127,8 +127,10 @@ lint:
 # writes at its own commit instead of a facing pair's back to back, store
 # the lead's context front to back, price every auto depth as the default
 # device's, cut a comparison order's sort buckets at the lower bound,
-# place a permutation's round 1 into make instead of lent scratch
-# — twenty-eight in all — and requires the owning test to fail by name.
+# place a permutation's round 1 into make instead of lent scratch, merge
+# a sort's last level into make instead of the caller's result, start a
+# sort VP's range past its own column of the cut table
+# — thirty in all — and requires the owning test to fail by name.
 # About two minutes; one mutation wedges a run until its 30 s watchdog.
 contract-selftest:
 	@sh scripts/contract_mutations.sh
@@ -142,3 +144,4 @@ fuzz:
 	$(GO) test ./internal/pdm -run '^$$' -fuzz FuzzBatchCoalesce -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sortalg -run '^$$' -fuzz FuzzSortKeys -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sortalg -run '^$$' -fuzz FuzzMergeTwo -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sortalg -run '^$$' -fuzz FuzzEMSortKeys -fuzztime $(FUZZTIME)

@@ -164,8 +164,7 @@ func equivWorkloads(t *testing.T, checked bool, depths []int) {
 		base := core.Config{V: v, P: p, D: 2, B: 8, CheckedIO: checked}
 		tagP := fmt.Sprintf("p=%d", p)
 		depthArms(t, "sort/"+tagP, sorted, base, depths, func(cfg core.Config) (*core.Result[int64], error) {
-			_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
-			return res, err
+			return sortDelivered(sorted)(sortalg.EMSort(keys, wordcodec.I64{}, cfg))
 		})
 		depthArms(t, "permute/"+tagP, permuted, base, depths, func(cfg core.Config) (*core.Result[permute.Item], error) {
 			return delivered(permute.EMPermute(keys, dests, cfg))
@@ -204,6 +203,25 @@ func delivered(out []int64, res *core.Result[permute.Item], err error) (*core.Re
 		}
 	}
 	return res, nil
+}
+
+// sortDelivered puts the vector the sort wrapper wrote back into the
+// Outputs the program leaves (the wrapper's are empty), cut at the
+// reference's partition sizes: the merged ranges follow the splitters,
+// which the in-memory run shares.
+func sortDelivered(want [][]int64) func([]int64, *core.Result[int64], error) (*core.Result[int64], error) {
+	return func(out []int64, res *core.Result[int64], err error) (*core.Result[int64], error) {
+		if err != nil {
+			return nil, err
+		}
+		if slices.ContainsFunc(res.Outputs, func(o []int64) bool { return len(o) > 0 }) {
+			return nil, errors.New("the wrapper left outputs in the Result")
+		}
+		for j, w := range want {
+			res.Outputs[j], out = out[:len(w):len(w)], out[len(w):]
+		}
+		return res, nil
+	}
 }
 
 // TestPipelineEquivalence is the acceptance check of the default

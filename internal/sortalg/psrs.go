@@ -46,21 +46,32 @@ type Sorter[T cmp.Ordered] struct{}
 // be a function of the input alone makes Cmp total.
 type SorterFunc[T any] struct{ Cmp func(a, b T) int }
 
-// order is what the PSRS rounds ask of a program's order: the four
-// kernels that compare. Sorter's are the radix kernel and the
-// branch-free merge on cmp.Less; SorterFunc's go through its Cmp. The
-// rounds call a kernel through the interface once per call, never per
-// comparison.
+// order is what the PSRS rounds ask of a program's order: the kernels
+// that compare. Sorter's are the radix kernel and the branch-free merge on
+// cmp.Less; SorterFunc's go through its Cmp. The rounds call a kernel
+// through the interface once per call, never per comparison.
 type order[T any] interface {
 	sortInto(dst, src []T)        // the local sort, copying src into dst
-	sortSamples(xs []T)           // the sample sort, in place
+	sortSamples(xs []sample[T])   // the sample sort by key, stable, in place
 	upperBound(xs []T, key T) int // the first i with xs[i] after key
+	lowerBound(xs []T, key T) int // the first i with xs[i] not before key
 	mergeTwo(out, a, b []T) int   // a stable merge of two sorted runs
 }
 
-func (Sorter[T]) sortInto(dst, src []T)        { sortedInto(dst, src) }
-func (Sorter[T]) sortSamples(xs []T)           { sortKeys(xs) }
+// sample is a regular sample with where it was drawn: the VP it came from
+// and its index among that VP's samples. The receiver knows both from
+// where the sample sits in its inbox, so no tag travels.
+type sample[T any] struct {
+	key      T
+	src, idx int
+}
+
+func (Sorter[T]) sortInto(dst, src []T) { sortedInto(dst, src) }
+func (Sorter[T]) sortSamples(xs []sample[T]) {
+	slices.SortStableFunc(xs, func(a, b sample[T]) int { return cmp.Compare(a.key, b.key) })
+}
 func (Sorter[T]) upperBound(xs []T, key T) int { return upperBound(xs, key) }
+func (Sorter[T]) lowerBound(xs []T, key T) int { return lowerBound(xs, key) }
 func (Sorter[T]) mergeTwo(out, a, b []T) int   { return mergeTwo(out, a, b) }
 
 func (s SorterFunc[T]) sortInto(dst, src []T) {
@@ -68,10 +79,16 @@ func (s SorterFunc[T]) sortInto(dst, src []T) {
 	slices.SortFunc(dst, s.Cmp)
 }
 
-func (s SorterFunc[T]) sortSamples(xs []T) { slices.SortFunc(xs, s.Cmp) }
+func (s SorterFunc[T]) sortSamples(xs []sample[T]) {
+	slices.SortStableFunc(xs, func(a, b sample[T]) int { return s.Cmp(a.key, b.key) })
+}
 
 func (s SorterFunc[T]) upperBound(xs []T, key T) int {
 	return sort.Search(len(xs), func(i int) bool { return s.Cmp(key, xs[i]) < 0 })
+}
+
+func (s SorterFunc[T]) lowerBound(xs []T, key T) int {
+	return sort.Search(len(xs), func(i int) bool { return s.Cmp(xs[i], key) >= 0 })
 }
 
 // mergeTwo merges a and b into out, stably: on a tie a's item goes first.
@@ -97,7 +114,7 @@ func (s Sorter[T]) Init(vp *cgm.VP[T], input []T) { psrsInit[T](s, vp, input) }
 
 // Round implements the three PSRS supersteps.
 func (s Sorter[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
-	return psrsRound[T](s, vp, round, inbox)
+	return psrsRound[T](s, vp, round, inbox, nil)
 }
 
 // Output returns the VP's sorted range.
@@ -114,7 +131,7 @@ func (s SorterFunc[T]) Init(vp *cgm.VP[T], input []T) { psrsInit[T](s, vp, input
 
 // Round is Sorter.Round under Cmp.
 func (s SorterFunc[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
-	return psrsRound[T](s, vp, round, inbox)
+	return psrsRound[T](s, vp, round, inbox, nil)
 }
 
 // Output returns the VP's sorted range.
@@ -130,8 +147,10 @@ func psrsInit[T any](o order[T], vp *cgm.VP[T], input []T) {
 	o.sortInto(vp.State, input)
 }
 
-// psrsRound is the one body of both programs' rounds, under o's order.
-func psrsRound[T any](o order[T], vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
+// psrsRound is the one body of both programs' rounds, under o's order. d
+// is where an EMSort delivers (nil: a program on its own, whose last
+// round merges into memory of its own).
+func psrsRound[T any](o order[T], vp *cgm.VP[T], round int, inbox [][]T, d *delivery[T]) ([][]T, bool) {
 	v := vp.V
 	switch round {
 	case 0:
@@ -141,18 +160,13 @@ func psrsRound[T any](o order[T], vp *cgm.VP[T], round int, inbox [][]T) ([][]T,
 			return nil, true
 		}
 		m := len(vp.State)
-		var samples []T
-		if m <= v {
-			samples = append([]T(nil), vp.State...)
-		} else {
-			samples = make([]T, v)
-			for k := 0; k < v; k++ {
-				samples[k] = vp.State[k*m/v]
-			}
+		samples := make([]T, min(m, v))
+		for i := range samples {
+			samples[i] = vp.State[samplePos(m, v, i)]
 		}
 		out := make([][]T, v)
-		for d := range out {
-			out[d] = samples
+		for j := range out {
+			out[j] = samples
 		}
 		return out, false
 
@@ -160,26 +174,31 @@ func psrsRound[T any](o order[T], vp *cgm.VP[T], round int, inbox [][]T) ([][]T,
 		// Every VP holds the same samples in the same source order, so
 		// every VP picks the same v−1 splitters; it cuts its sorted data by
 		// them and bucket k goes to VP k. Bucket k = (splitter[k-1],
-		// splitter[k]]. A bucket is a view of State, capped so that no
-		// append can reach the next one: the engine copies out of its
-		// decode arena whatever outlives the superstep.
+		// splitter[k]] in the order of (key, source VP, position), so a run
+		// of equal keys is cut where its sample was drawn, not all sent to
+		// one VP. A bucket is a view of State, capped so that no append can
+		// reach the next one: the engine copies out of its decode arena
+		// whatever outlives the superstep.
 		splitters := pickSplitters(o, inbox, v)
 		out := make([][]T, v)
-		lo := 0
+		lo, m := 0, len(vp.State)
 		for k := 0; k < v; k++ {
-			hi := len(vp.State)
+			hi := m
 			if k < len(splitters) {
-				// First index with State[i] after splitters[k].
-				hi = max(lo, o.upperBound(vp.State, splitters[k]))
+				hi = min(max(lo, cut(o, vp.State, vp.ID, v, splitters[k])), m)
 			}
 			out[k] = vp.State[lo:hi:hi]
+			if d != nil {
+				d.cuts[vp.ID*v+k] = hi - lo
+			}
 			lo = hi
 		}
 		vp.State = vp.State[:0]
 		return out, false
 
 	default:
-		// Merge the received sorted runs.
+		// Merge the received sorted runs, under an EMSort straight into
+		// the VP's range of the caller's result.
 		runs := make([][]T, 0, v)
 		total := 0
 		for _, m := range inbox {
@@ -188,24 +207,67 @@ func psrsRound[T any](o order[T], vp *cgm.VP[T], round int, inbox [][]T) ([][]T,
 				total += len(m)
 			}
 		}
-		vp.State = mergeRuns(o, runs, total, vp.Scratch)
+		var dst []T
+		if d != nil {
+			dst = d.at(vp.ID, v, total)
+		} else {
+			dst = make([]T, total)
+		}
+		mergeRuns(o, runs, dst, vp.Scratch)
+		vp.State = dst
 		return nil, true
 	}
 }
 
-// pickSplitters sorts the samples of all v sources and takes the v−1
-// regular splitters among them (zero values when nobody had a sample). It
-// copies: an inbox is not the receiver's to reorder.
-func pickSplitters[T any](o order[T], inbox [][]T, v int) []T {
-	samples := slices.Concat(inbox...)
+// samplePos is the position in a sorted partition of m items of the i-th
+// of the VP's regular samples to v VPs: every item when m ≤ v.
+func samplePos(m, v, i int) int {
+	if m <= v {
+		return i
+	}
+	return i * m / v
+}
+
+// pickSplitters sorts the samples of all v sources, each tagged with its
+// source and index, stably by key — so equal keys stay in (source, index)
+// order — and takes the v−1 regular splitters among them (zero values
+// when nobody had a sample). It copies: an inbox is not the receiver's to
+// reorder.
+func pickSplitters[T any](o order[T], inbox [][]T, v int) []sample[T] {
+	n := 0
+	for _, msg := range inbox {
+		n += len(msg)
+	}
+	samples := make([]sample[T], 0, n)
+	for src, msg := range inbox {
+		for i, key := range msg {
+			samples = append(samples, sample[T]{key, src, i})
+		}
+	}
 	o.sortSamples(samples)
-	splitters := make([]T, v-1)
+	splitters := make([]sample[T], v-1)
 	if s := len(samples); s > 0 {
 		for k := range splitters {
 			splitters[k] = samples[(k+1)*s/v]
 		}
 	}
 	return splitters
+}
+
+// cut returns where VP id of v ends its bucket at splitter sp in its
+// sorted State: past every item at or before sp in the order of (key,
+// source VP, position). A VP before the splitter's source keeps the keys
+// equal to sp's, one after it passes them on, and the source itself cuts
+// just past the sample. The caller clamps the cut to [lo, len(st)], which
+// also covers the zero splitter of a run without samples.
+func cut[T any](o order[T], st []T, id, v int, sp sample[T]) int {
+	switch {
+	case id < sp.src:
+		return o.upperBound(st, sp.key)
+	case id > sp.src:
+		return o.lowerBound(st, sp.key)
+	}
+	return samplePos(len(st), v, sp.idx) + 1
 }
 
 // upperBound returns the first index i with xs[i] > key (xs sorted), in
@@ -223,25 +285,40 @@ func upperBound[T cmp.Ordered](xs []T, key T) int {
 	return lo
 }
 
-// mergeRuns k-way merges sorted runs of total items in all by repeated
-// pairwise merging of neighbours with o's mergeTwo, stably (on ties the
-// earlier run wins). Every level merges out of one total-sized buffer into
-// the other: the one the last level writes is the result and is allocated,
-// the other, needed from three runs up, is borrowed. A single run is
-// returned as it is. runs is overwritten.
-func mergeRuns[T any](o order[T], runs [][]T, total int, borrow func(n int) []T) []T {
+// lowerBound returns the first index i with xs[i] ≥ key (xs sorted), in
+// cmp.Less's order.
+func lowerBound[T cmp.Ordered](xs []T, key T) int {
+	lo, hi := 0, len(xs)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cmp.Less(xs[mid], key) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// mergeRuns k-way merges sorted runs into dst, which holds them all, by
+// repeated pairwise merging of neighbours with o's mergeTwo, stably (on
+// ties the earlier run wins). Every level merges out of one dst-sized
+// buffer into the other: the last level writes dst, and the other buffer,
+// needed from three runs up, is borrowed. A single run is copied. runs is
+// overwritten.
+func mergeRuns[T any](o order[T], runs [][]T, dst []T, borrow func(n int) []T) {
 	switch len(runs) {
 	case 0:
-		return nil
+		return
 	case 1:
-		return runs[0]
+		copy(dst, runs[0])
+		return
 	}
-	// Level 1 writes dst, level 2 src, and so on: dst is the result when
+	// Level 1 writes dst, level 2 src, and so on: dst is written last when
 	// the level count, ⌈log₂ len(runs)⌉, is odd.
-	dst := make([]T, total)
 	var src []T
 	if len(runs) > 2 {
-		src = borrow(total)
+		src = borrow(len(dst))
 		if bits.Len(uint(len(runs)-1))%2 == 0 {
 			dst, src = src, dst
 		}
@@ -265,7 +342,6 @@ func mergeRuns[T any](o order[T], runs [][]T, total int, borrow func(n int) []T)
 		runs = runs[:n]
 		dst, src = src, dst
 	}
-	return runs[0]
 }
 
 // mergeTwo merges sorted a and b into out, which must hold them both, and
@@ -312,8 +388,11 @@ func b2i(c bool) int {
 
 // EMSortConfig fills sensible EM-CGM limits for sorting n items: bucket
 // messages are ≈ N/v² for well-spread keys (Theorem 4's parameter range);
-// we allow 5/2× plus v + 16 for skew. Heavily skewed inputs should set
-// Balanced.
+// we allow 5/2× plus v + 16 for skew. Inputs whose keys are not spread —
+// sorted or reversed runs, few distinct values, a value most keys share,
+// Zipf-skewed keys — should set Balanced: the bucket cuts break ties by
+// source VP and position, so every such input sorts in BalancedRouting's
+// bounded messages.
 // A cfg with V < 1 is returned as it came, for the run's own Validate to
 // report.
 func EMSortConfig(cfg core.Config, n int) core.Config {
@@ -331,15 +410,63 @@ func EMSortConfig(cfg core.Config, n int) core.Config {
 }
 
 // EMSort runs the CGM sorter under the EM-CGM simulation (RunPar) and
-// returns the sorted keys along with the machine's accounting.
+// returns the sorted keys along with the machine's accounting. The sort
+// delivers in place: each VP's last merge level writes its bucket straight
+// into the returned slice, so the Result's Outputs are empty and nothing
+// concatenates them.
 func EMSort[T cmp.Ordered](keys []T, codec wordcodec.Codec[T], cfg core.Config) ([]T, *core.Result[T], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
 	cfg = EMSortConfig(cfg, len(keys))
-	res, err := core.RunPar[T](Sorter[T]{}, codec, cfg, cgm.Scatter(keys, cfg.V))
+	d := &delivery[T]{out: make([]T, len(keys)), cuts: make([]int, cfg.V*cfg.V)}
+	res, err := core.RunPar[T](into[T]{d: d}, codec, cfg, cgm.Scatter(keys, cfg.V))
 	if err != nil {
 		return nil, nil, err
 	}
-	return res.Output(), res, nil
+	return d.out, res, nil
+}
+
+// delivery is where an EMSort's VPs put their sorted ranges: out is the
+// caller's result, and cuts[s·v + k] the size of the bucket k that VP s
+// cut in round 1. VP s writes only row s; the superstep's barrier orders
+// those writes before round 2 reads them.
+type delivery[T any] struct {
+	out  []T
+	cuts []int
+}
+
+// at returns VP k's range of out, total items long: it starts past every
+// source's buckets 0 … k−1.
+func (d *delivery[T]) at(k, v, total int) []T {
+	off := 0
+	for s := 0; s < v; s++ {
+		for _, c := range d.cuts[s*v : s*v+k] {
+			off += c
+		}
+	}
+	return d.out[off : off+total]
+}
+
+// into is Sorter delivering into d: its rounds are Sorter's, with the
+// cuts recorded and the last merge writing into out. The VPs write
+// disjoint ranges, so they need no lock.
+type into[T cmp.Ordered] struct {
+	Sorter[T]
+	d *delivery[T]
+}
+
+// Round is Sorter.Round delivering into d.
+func (p into[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
+	return psrsRound[T](p.Sorter, vp, round, inbox, p.d)
+}
+
+// Output hands the engine nothing to keep. The merge already delivered a
+// VP's range; a lone VP, done before any bucket round, copies its sorted
+// partition.
+func (p into[T]) Output(vp *cgm.VP[T]) []T {
+	if vp.V == 1 {
+		copy(p.d.out, vp.State)
+	}
+	return nil
 }

@@ -5,24 +5,6 @@ import (
 	"slices"
 )
 
-// sortKeys sorts xs ascending in place: int64, uint64 (pdm.Word) and int
-// slices through the radix kernel, any other type through slices.Sort
-// (floats keep it because a NaN has no place in a radix order). It is the
-// one in-place local sort of the package's key paths; sortedInto is the
-// one that copies.
-func sortKeys[T cmp.Ordered](xs []T) {
-	switch s := any(xs).(type) {
-	case []int64:
-		radixSort(s, 1)
-	case []uint64:
-		radixSort(s, 1)
-	case []int:
-		radixSort(s, 1)
-	default:
-		slices.Sort(xs)
-	}
-}
-
 // sortedInto writes src, sorted, into dst, which must be as long, and
 // leaves src as it is; what dst held before does not matter. For int64,
 // uint64 (pdm.Word) and int keys the copy is the kernel's first level:

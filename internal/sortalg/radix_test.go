@@ -12,6 +12,24 @@ import (
 	"repro/internal/pdm"
 )
 
+// sortKeys sorts xs ascending in place the way the package's local sorts
+// do: int64, uint64 (pdm.Word) and int slices through the radix kernel,
+// any other type through slices.Sort (floats keep it because a NaN has no
+// place in a radix order). It is the tests' in-place entry point to the
+// kernel; sortedInto is the one the sorts use, and copies.
+func sortKeys[T cmp.Ordered](xs []T) {
+	switch s := any(xs).(type) {
+	case []int64:
+		radixSort(s, 1)
+	case []uint64:
+		radixSort(s, 1)
+	case []int:
+		radixSort(s, 1)
+	default:
+		slices.Sort(xs)
+	}
+}
+
 // radixSizes straddle the insertion cut-off (64) and lsdFinish's (2048),
 // and reach several levels: 1<<18 is a VP's share of the benchmark sort,
 // whose top-byte buckets lsdFinish takes whole.

@@ -93,22 +93,29 @@ func checkRecordsSorted(t *testing.T, tag string, got, in []rec.R) {
 }
 
 // TestPSRSInMemory sorts keys, and the same keys as records under
-// rec.Compare; both in three rounds, to the same slabs.
+// rec.Compare; both in three rounds, to the same slabs. Distinct keys and
+// keys of three values: a run of equal keys is cut by source VP and
+// position, so only ties show whether each cut searches the right side
+// of a splitter's key.
 func TestPSRSInMemory(t *testing.T) {
 	for _, v := range []int{1, 2, 4, 8} {
 		for _, n := range []int{0, 1, 7, v * v * v, 1000} {
-			tag := fmt.Sprintf("v=%d n=%d", v, n)
-			in := workload.Int64s(int64(v*1000+n), n)
-			parts := cgm.Scatter(in, v)
-			res, err := cgm.Run[int64](Sorter[int64]{}, v, parts)
-			if err != nil {
-				t.Fatalf("%s: %v", tag, err)
+			for name, in := range map[string][]int64{
+				"distinct": workload.Int64s(int64(v*1000+n), n),
+				"ties":     workload.FewDistinctInt64s(int64(v*1000+n), n, 3),
+			} {
+				tag := fmt.Sprintf("%s v=%d n=%d", name, v, n)
+				parts := cgm.Scatter(in, v)
+				res, err := cgm.Run[int64](Sorter[int64]{}, v, parts)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				checkSorted(t, tag, res.Output(), in)
+				if res.Stats.Rounds != psrsRounds(v) {
+					t.Errorf("%s: rounds = %d, want %d", tag, res.Stats.Rounds, psrsRounds(v))
+				}
+				checkSameSlabs(t, tag, parts, res)
 			}
-			checkSorted(t, "psrs", res.Output(), in)
-			if res.Stats.Rounds != psrsRounds(v) {
-				t.Errorf("%s: rounds = %d, want %d", tag, res.Stats.Rounds, psrsRounds(v))
-			}
-			checkSameSlabs(t, tag, parts, res)
 		}
 	}
 }
@@ -290,15 +297,26 @@ func (p *outboxTap) Round(vp *cgm.VP[int64], round int, inbox [][]int64) ([][]in
 // No VP is told the splitters: each derives them from the samples it was
 // sent. They must all derive the same ones, or an item falls between two
 // buckets' ranges and the output is sorted only by luck. Seen from the
-// round-1 outboxes: bucket k of every source lies strictly below bucket
-// k+1 of every source, duplicate-heavy keys included.
+// round-1 outboxes: in the order of (key, source VP, position in the
+// source's sorted partition) that the cuts follow, bucket k of every
+// source lies strictly below bucket k+1 of every source, duplicate-heavy
+// keys included — a run of equal keys may straddle a cut, but only in
+// that order.
 func TestPSRSSameSplittersEverywhere(t *testing.T) {
 	const n = 3000
+	type place struct {
+		key           int64
+		src, position int
+	}
+	less := func(a, b place) bool {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.src, b.src), cmp.Compare(a.position, b.position)) < 0
+	}
 	inputs := map[string][]int64{
 		"uniform":     workload.Int64s(21, n),
 		"fewDistinct": workload.FewDistinctInt64s(4, n, 5),
 		"zipf":        workload.ZipfInt64s(5, n, 40),
 		"sorted":      workload.SortedInt64s(n),
+		"allEqual":    make([]int64, n),
 	}
 	for name, in := range inputs {
 		for _, v := range []int{2, 5, 8} {
@@ -308,18 +326,23 @@ func TestPSRSSameSplittersEverywhere(t *testing.T) {
 				t.Fatalf("%s v=%d: %v", name, v, err)
 			}
 			checkSorted(t, name, res.Output(), in)
-			below := int64(math.MinInt64) // the largest key of buckets 0 … k−1
+			start := make([]int, v) // where each source's bucket k begins
+			var below *place        // the largest place of buckets 0 … k−1
 			for k := 0; k < v; k++ {
 				top := below
 				for src := 0; src < v; src++ {
-					b := tap.out[src][k]
+					b, at := tap.out[src][k], start[src]
+					start[src] += len(b)
 					if len(b) == 0 {
 						continue
 					}
-					if k > 0 && b[0] <= below {
-						t.Fatalf("%s v=%d: bucket %d of vp %d starts at %d, an earlier bucket reaches %d", name, v, k, src, b[0], below)
+					first, last := place{b[0], src, at}, place{b[len(b)-1], src, at + len(b) - 1}
+					if below != nil && !less(*below, first) {
+						t.Fatalf("%s v=%d: bucket %d of vp %d starts at %+v, an earlier bucket reaches %+v", name, v, k, src, first, *below)
 					}
-					top = max(top, b[len(b)-1])
+					if top == nil || less(*top, last) {
+						top = &last
+					}
 				}
 				below = top
 			}
@@ -757,10 +780,11 @@ func TestEMSortZipfSkewNeedsBalancing(t *testing.T) {
 // TestMergeRunsTwoBuffers: the merge equals a stable sort of the
 // concatenated runs for every run count — none, one, two, odd, sixteen,
 // empty runs among them — and uses at most two data-sized buffers however
-// many levels it takes: it allocates the one that holds the result and
-// borrows the other, from three runs up, whatever the level count's
-// parity. Stability is visible on float64 zeros: -0 and +0 compare equal,
-// so their sign bits must keep the run order.
+// many levels it takes: the destination it is given, which the last level
+// writes, and one it borrows, from three runs up, whatever the level
+// count's parity; it allocates neither. Stability is visible on float64
+// zeros: -0 and +0 compare equal, so their sign bits must keep the run
+// order.
 func TestMergeRunsTwoBuffers(t *testing.T) {
 	mkRuns := func(k int) ([][]float64, int) {
 		runs := make([][]float64, k)
@@ -792,12 +816,13 @@ func TestMergeRunsTwoBuffers(t *testing.T) {
 			return 0
 		})
 		var lent []float64
-		got := mergeRuns[float64](Sorter[float64]{}, runs, total, func(n int) []float64 {
+		got := make([]float64, total)
+		mergeRuns[float64](Sorter[float64]{}, runs, got, func(n int) []float64 {
 			lent = make([]float64, n)
 			return lent
 		})
-		if k > 2 && (lent == nil || len(got) > 0 && &got[0] == &lent[0]) {
-			t.Fatalf("k=%d: the result is not the allocated buffer", k)
+		if k > 2 && (lent == nil || total > 0 && &got[0] == &lent[0]) {
+			t.Fatalf("k=%d: the borrowed buffer is the destination", k)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("k=%d: %d items, want %d", k, len(got), len(want))
@@ -809,16 +834,16 @@ func TestMergeRunsTwoBuffers(t *testing.T) {
 			}
 		}
 	}
-	for _, tc := range []struct{ k, allocs int }{{1, 0}, {2, 1}, {5, 1}, {16, 1}} {
-		orig, total := mkRuns(tc.k)
-		runs := make([][]float64, tc.k)
-		scratch := make([]float64, total)
+	for _, k := range []int{1, 2, 5, 16} {
+		orig, total := mkRuns(k)
+		runs := make([][]float64, k)
+		dst, scratch := make([]float64, total), make([]float64, total)
 		allocs := testing.AllocsPerRun(20, func() {
 			copy(runs, orig) // mergeRuns overwrites its argument
-			mergeRuns[float64](Sorter[float64]{}, runs, total, func(n int) []float64 { return scratch[:n] })
+			mergeRuns[float64](Sorter[float64]{}, runs, dst, func(n int) []float64 { return scratch[:n] })
 		})
-		if int(allocs) != tc.allocs {
-			t.Errorf("k=%d: %v allocations, want %d", tc.k, allocs, tc.allocs)
+		if allocs != 0 {
+			t.Errorf("k=%d: %v allocations, want none", k, allocs)
 		}
 	}
 }

@@ -78,7 +78,7 @@ check() {
 	cp "$tmp/pristine/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety|TestPositioningsPerDisk|TestContextPairsMeet|TestPSRSInMemory|TestDeliveryAllocation'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety|TestPositioningsPerDisk|TestContextPairsMeet|TestPSRSInMemory|TestDeliveryAllocation|TestSortDeliveryAllocation|TestSortDeliveryCheckedIO'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -287,10 +287,12 @@ mutate $f 'if cfg.NewDisk == nil && !cfg.DirectIO {' 1 1 '\tif false {'
 check 'price every Config as the default device' $f TestPipelineDepthResolved
 
 # One PSRS (DESIGN.md §7): the record order runs Sorter's rounds, so its
-# bucket k is (splitter[k-1], splitter[k]] as well, cut at the upper
-# bound. Cut at the lower bound, every item equal to a splitter goes to
-# the next VP: the output is still sorted, but its slabs are no longer
-# Sorter's, and the geometry programs built on the slabs see other ones.
+# bucket k is (splitter[k-1], splitter[k]] in the order of (key, source
+# VP, position) as well: a VP before the splitter's source cuts at the
+# upper bound of its key. Cut at the lower bound, the items equal to a
+# splitter go to the next VP: the output is still sorted, but its slabs
+# are no longer Sorter's, and the geometry programs built on the slabs
+# see other ones.
 f=internal/sortalg/psrs.go
 mutate $f 's.Cmp(key, xs[i]) < 0' 1 1 \
 	'\treturn sort.Search(len(xs), func(i int) bool { return s.Cmp(key, xs[i]) <= 0 })'
@@ -304,4 +306,18 @@ f=internal/permute/permute.go
 mutate $f 'st := vp.Scratch(hi - lo)' 1 1 '\t\tst := make([]Item, hi-lo)'
 check 'round 1 places into make, not vp.Scratch' $f TestDeliveryAllocation
 
-echo "contract-selftest: all twenty-eight mutations caught"
+# Sorts deliver in place (DESIGN.md §7): EMSort's last merge level writes
+# each VP's bucket straight into the caller's result, at the offset the
+# round-1 cut table gives. A merge into a made run that is then copied
+# allocates 8 bytes an item the sort never needed; a VP that counts its
+# own column of the table starts past its range.
+f=internal/sortalg/psrs.go
+mutate $f 'mergeRuns(o, runs, dst, vp.Scratch)' 1 1 \
+	'\t\ttmp := make([]T, total)\n\t\tmergeRuns(o, runs, tmp, vp.Scratch)\n\t\tcopy(dst, tmp)'
+check 'merge the last level into make, then copy' $f TestSortDeliveryAllocation
+
+mutate $f 'for _, c := range d.cuts[s*v : s*v+k] {' 1 1 \
+	'\t\tfor _, c := range d.cuts[s*v : s*v+k+1] {'
+check 'a VP'"'"'s offset counts its own column' $f TestSortDeliveryCheckedIO
+
+echo "contract-selftest: all thirty mutations caught"
