@@ -129,8 +129,10 @@ lint:
 # device's, cut a comparison order's sort buckets at the lower bound,
 # place a permutation's round 1 into make instead of lent scratch, merge
 # a sort's last level into make instead of the caller's result, start a
-# sort VP's range past its own column of the cut table
-# — thirty in all — and requires the owning test to fail by name.
+# sort VP's range past its own column of the cut table, build a
+# permutation's Item partitions again, drop the guard's room from a
+# permutation's derived slot — thirty-two in all — and requires the
+# owning test to fail by name.
 # About two minutes; one mutation wedges a run until its 30 s watchdog.
 contract-selftest:
 	@sh scripts/contract_mutations.sh
@@ -145,3 +147,4 @@ fuzz:
 	$(GO) test ./internal/sortalg -run '^$$' -fuzz FuzzSortKeys -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sortalg -run '^$$' -fuzz FuzzMergeTwo -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sortalg -run '^$$' -fuzz FuzzEMSortKeys -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/permute -run '^$$' -fuzz FuzzEMPermute -fuzztime $(FUZZTIME)

@@ -519,6 +519,13 @@ func encodeLive[T any](codec wordcodec.Codec[T], items []T, img []pdm.Word, nb, 
 // than three quarters full.
 func msgGuard(b int) int { return b / 4 }
 
+// SlotItems is the message slot, in items of w words on b-word blocks,
+// that holds a message of n items with its guard: a program that knows
+// its largest message declares this as Config.MaxMsgItems, and no live
+// prefix is then cut short at the slot's end, so every message moves the
+// blocks it would move in any larger slot.
+func SlotItems(n, w, b int) int { return n + (msgGuard(b)+w-1)/w }
+
 // encodeCtx is encodeLive for a context whose image still holds, at its
 // head, the was items the slot read this round — which is what is on disk.
 // If there are was items and they encode to exactly those words, same is

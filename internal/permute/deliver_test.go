@@ -23,16 +23,18 @@ func allocBytes(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestDeliveryAllocation holds the in-place delivery to what it saves: the
-// last round places into lent scratch and each VP writes its values
-// straight into the result, so a wrapper allocates its input partitions
-// (16 bytes an item), the result (8), the disk images (about 48: a context
-// and two message rects of two words an item) and the arena, but no
-// output partition (16 more) and no projection. The arena is one
-// worker's: K = 1 pins c = 1 on any host. The permutation allocates about
-// 81 bytes an item and the transposition, whose Init tags a copy of its
-// partition, about 87; each bound lies halfway to the 16 bytes more that
-// round 1's partitions cost.
+// TestDeliveryAllocation holds the in-place run to what it saves: the
+// wrappers read their input where the caller keeps it, the last round
+// places into lent scratch and each VP writes its values straight into
+// the result. So a wrapper allocates the result (8 bytes an item), the
+// disk images of slots sized to the largest message, and the arena (about
+// 33 together), but no input partition (16 more), no output partition (16
+// more) and no projection. The arena is one worker's: K = 1 pins c = 1 on
+// any host. The permutation and the transposition, which computes its
+// destinations as it reads, both allocate about 41 bytes an item (81 and
+// 87 while the wrappers built input partitions and sized slots by
+// 4·N/v² + v + 16); each bound lies just above that, well short of the 16
+// bytes more that an input or output partition costs.
 func TestDeliveryAllocation(t *testing.T) {
 	const n, v = 1 << 16, 8
 	vals := workload.Int64s(1, n)
@@ -43,11 +45,11 @@ func TestDeliveryAllocation(t *testing.T) {
 		bound float64 // bytes an item
 		run   func() error
 	}{
-		{"permute", 88, func() error {
+		{"permute", 44, func() error {
 			_, _, err := permute.EMPermute(vals, dests, cfg)
 			return err
 		}},
-		{"transpose", 95, func() error {
+		{"transpose", 44, func() error {
 			_, _, err := transpose.EMTranspose(vals, 256, n/256, cfg)
 			return err
 		}},
@@ -61,7 +63,7 @@ func TestDeliveryAllocation(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got > tc.bound {
-			t.Errorf("%s: %.1f bytes allocated an item, want at most %.0f: an output partition or a projection is back", tc.name, got, tc.bound)
+			t.Errorf("%s: %.1f bytes allocated an item, want at most %.0f: an input partition, an output partition or a projection is back", tc.name, got, tc.bound)
 		}
 	}
 }
@@ -146,4 +148,141 @@ func TestEMPermuteRejectsNonPermutation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// classes are the permutation classes every permutation must run on, as
+// destinations of n positions over v VPs: the identity and the reverse
+// send each VP's whole partition to one owner; a block rotation sends
+// partition s to the positions of partition s+1; the transpose pattern is
+// the column-major order of a k×(n/k) matrix, k the largest divisor of n
+// not above √n (returned too); and a random permutation of the seed.
+func classes(seed int64, n, v int) (cs []class, k int) {
+	id, rev, rot, tr := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
+	shift := (n + v - 1) / v
+	k = 1
+	for d := 2; d*d <= n; d++ {
+		if n%d == 0 {
+			k = d
+		}
+	}
+	for i := range n {
+		id[i] = int64(i)
+		rev[i] = int64(n - 1 - i)
+		rot[i] = int64((i + shift) % n)
+		tr[i] = int64(i%(n/k)*k + i/(n/k))
+	}
+	return []class{
+		{"identity", id},
+		{"reverse", rev},
+		{"block rotation", rot},
+		{fmt.Sprintf("transpose %d×%d", k, n/k), tr},
+		{"random", workload.Permutation(seed, n)},
+	}, k
+}
+
+// class is a named permutation.
+type class struct {
+	name  string
+	dests []int64
+}
+
+// oddVals is n values none of which is zero, so a zero read cannot pass.
+func oddVals(seed int64, n int) []int64 {
+	vals := workload.Int64s(seed, n)
+	for i := range vals {
+		vals[i] |= 1
+	}
+	return vals
+}
+
+// TestEMPermuteEveryPattern: every permutation runs, not only a random
+// one. The slot holds the largest message the destinations make, so the
+// identity, the reverse and a block rotation — one message of a whole
+// partition from each VP — fit it, as do 1×N and N×1 transposes (both are
+// the identity) and a shape v does not divide. Each runs against
+// Sequential at one and two processors, depths 1, 2 and auto, balanced or
+// not, under CheckedIO.
+func TestEMPermuteEveryPattern(t *testing.T) {
+	const n, v = 1 << 12, 8
+	vals := oddVals(5, n)
+	perms, _ := classes(6, n, v)
+	shapes := []struct{ k, l int }{{1, n}, {n, 1}, {64, 64}, {63, 65}}
+	for _, p := range []int{1, 2} {
+		for _, depth := range []int{1, 2, 0} {
+			for _, bal := range []bool{false, true} {
+				tag := fmt.Sprintf("p=%d k=%d balanced=%v", p, depth, bal)
+				cfg := core.Config{V: v, P: p, D: 2, B: 16, PipelineDepth: depth, CheckedIO: true, Balanced: bal}
+				for _, c := range perms {
+					got, res, err := permute.EMPermute(vals, c.dests, cfg)
+					if err != nil {
+						t.Errorf("%s %s: %v", c.name, tag, err)
+						continue
+					}
+					if !slices.Equal(got, permute.Sequential(vals, c.dests)) {
+						t.Errorf("%s %s: output differs from Sequential", c.name, tag)
+					}
+					for j, o := range res.Outputs {
+						if len(o) != 0 {
+							t.Errorf("%s %s: vp %d left %d items in Outputs, want none", c.name, tag, j, len(o))
+						}
+					}
+				}
+				for _, s := range shapes {
+					in := vals[:s.k*s.l]
+					got, _, err := transpose.EMTranspose(in, s.k, s.l, cfg)
+					if err != nil {
+						t.Errorf("transpose %d×%d %s: %v", s.k, s.l, tag, err)
+						continue
+					}
+					if !slices.Equal(got, transpose.Sequential(in, s.k, s.l)) {
+						t.Errorf("transpose %d×%d %s: output differs from Sequential", s.k, s.l, tag)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzEMPermute runs the permutation class pattern % 5 of classes on n
+// positions over v VPs against Sequential, at two processors when
+// pattern/5 is odd and v even, and balanced when pattern/10 is odd. The
+// transpose pattern also runs through EMTranspose. Every run must
+// succeed: no class may overflow its slot.
+func FuzzEMPermute(f *testing.F) {
+	f.Add(uint8(0), uint16(4096), uint8(8))
+	f.Add(uint8(1), uint16(777), uint8(5))
+	f.Add(uint8(7), uint16(1000), uint8(16))
+	f.Add(uint8(13), uint16(4095), uint8(8))
+	f.Add(uint8(19), uint16(1), uint8(3))
+	f.Add(uint8(3), uint16(0), uint8(2))
+	f.Fuzz(func(t *testing.T, pattern uint8, n16 uint16, v8 uint8) {
+		n, v := int(n16)%5000, int(v8)%16+1
+		p := 1
+		if pattern/5%2 == 1 && v%2 == 0 {
+			p = 2
+		}
+		bal := pattern/10%2 == 1
+		cs, k := classes(int64(n16), n, v)
+		c := cs[pattern%5]
+		tag := fmt.Sprintf("%s n=%d v=%d p=%d balanced=%v", c.name, n, v, p, bal)
+		vals := oddVals(int64(pattern), n)
+		cfg := core.Config{V: v, P: p, D: 2, B: 8, Balanced: bal}
+		got, _, err := permute.EMPermute(vals, c.dests, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		if !slices.Equal(got, permute.Sequential(vals, c.dests)) {
+			t.Fatalf("%s: output differs from Sequential", tag)
+		}
+		if pattern%5 != 3 {
+			return
+		}
+		got, _, err = transpose.EMTranspose(vals, k, n/k, cfg)
+		if err != nil {
+			t.Fatalf("EMTranspose %s: %v", tag, err)
+		}
+		if !slices.Equal(got, transpose.Sequential(vals, k, n/k)) {
+			t.Fatalf("EMTranspose %s: output differs from Sequential", tag)
+		}
+	})
 }

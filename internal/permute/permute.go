@@ -5,12 +5,17 @@
 // the PDM bound Θ(min(N/D, sort(N))) in the coarse-grained range
 // (Figure 5, Group A, row 2).
 //
-// The permutation delivers in place. Round 1 places the items a VP
-// receives into scratch the runtime lends, and EMPermute's delivery
-// (Deliver, which EMTranspose shares) has each VP's Output write the
-// values straight into the caller's result while that scratch is still
-// valid: the engine keeps no output partition, and no pass projects one.
-// A dests that is not a permutation fails the run.
+// The permutation runs in place. EMPermute's run (Deliver, which
+// EMTranspose shares) reads the input where the caller keeps it: one
+// pass before the run counts the (source VP, owner) message sizes, each
+// VP's Init reads its own positions of the caller's vectors and scatters
+// them with its row of that table, and the engine is handed empty input
+// partitions. The largest count sizes the message slots, so every
+// permutation fits them — the identity and the reverse too. Round 1
+// places the items a VP receives into scratch the runtime lends, and each
+// VP's Output writes the values straight into the caller's result while
+// that scratch is still valid: the engine keeps no output partition, and
+// no pass projects one. A dests that is not a permutation fails the run.
 //
 // The package is part of the determinism contract (DESIGN.md §11):
 // identical inputs must yield bit-identical I/O schedules and op counts.
@@ -18,6 +23,7 @@ package permute
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cgm"
@@ -85,20 +91,47 @@ func New(n int) Program { return Program{N: n} }
 // of it.
 func (p Program) Init(vp *cgm.VP[Item], input []Item) {
 	own := cgm.NewOwners(p.N, vp.V)
-	next := make([]int, vp.V+1)
-	for _, it := range input {
-		next[own.Owner(int(it.Dest))+1]++
-	}
-	for d := 1; d < len(next); d++ {
-		next[d] += next[d-1]
-	}
+	row := make([]int, vp.V+1)
+	countRow(row, len(input), func(k int) int { return own.Owner(int(input[k].Dest)) })
 	st := vp.Scratch(len(input))
-	for _, it := range input {
-		d := own.Owner(int(it.Dest))
+	scatter(st, starts(row), len(input), func(k int) (int, Item) {
+		return own.Owner(int(input[k].Dest)), input[k]
+	})
+	vp.State = st
+}
+
+// countRow adds one to row[d+1] for each of n items whose destination
+// owner(k) is VP d, which makes row one source's row of the (source,
+// owner) table: the sizes of the messages it sends. It and scatter are
+// the one routing loop of every Init, and each is small enough to inline,
+// so owner and at are calls of a known literal and cost nothing over the
+// loop written out at its call site.
+func countRow(row []int, n int, owner func(k int) int) {
+	for k := range n {
+		row[owner(k)+1]++
+	}
+}
+
+// scatter copies the n items at(k) — each with the owner of its
+// destination — into st, grouped by owner in owner order and stable
+// within a group: next[d] is where owner d's group starts (starts gives
+// it from countRow's row), and is advanced past each item placed.
+func scatter(st []Item, next []int, n int, at func(k int) (int, Item)) {
+	for k := range n {
+		d, it := at(k)
 		st[next[d]] = it
 		next[d]++
 	}
-	vp.State = st
+}
+
+// starts turns a row of counts, row[d+1] items for owner d, into where
+// each owner's group starts: the prefix sums of row, in a new slice.
+func starts(row []int) []int {
+	next := make([]int, len(row))
+	for d := 1; d < len(row); d++ {
+		next[d] = next[d-1] + row[d]
+	}
+	return next
 }
 
 // Round 0 sends each owner its group of the State Init left: message d is
@@ -154,10 +187,11 @@ func (p Program) MaxContextItems(n, v int) int { return (n+v-1)/v + 1 }
 
 // EMPermute permutes vals by dests (a permutation of 0..N-1) under the
 // EM-CGM simulation, returning the permuted vector and the accounting.
-// Each VP writes its values straight into the returned vector, so the
-// Result's Outputs are empty. A dests that is not a permutation — a
-// destination outside [0, N) or one that repeats — is an error. cfg is
-// validated before the limits below are derived from cfg.V.
+// It runs Deliver: the input is read where the caller keeps it, each VP
+// writes its values straight into the returned vector, and the Result's
+// Outputs are empty. A dests that is not a permutation — a destination
+// outside [0, N) or one that repeats — is an error. cfg is validated
+// before the limits are derived from cfg.V.
 func EMPermute(vals, dests []int64, cfg core.Config) ([]int64, *core.Result[Item], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -165,72 +199,125 @@ func EMPermute(vals, dests []int64, cfg core.Config) ([]int64, *core.Result[Item
 	if len(vals) != len(dests) {
 		return nil, nil, fmt.Errorf("permute: %d values but %d destinations", len(vals), len(dests))
 	}
-	n, v := len(vals), cfg.V
-	parts := make([][]Item, v)
-	if err := cgm.ForEachVP(v, func(i int) error {
-		lo, hi := cgm.PartRange(n, v, i)
-		part := make([]Item, hi-lo)
-		for k := range part {
-			part[k] = Item{Dest: dests[lo+k], Val: vals[lo+k]}
-		}
-		parts[i] = part
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-	return Deliver(New(n), cfg, parts)
+	return Deliver(vals, dests, nil, cfg)
 }
 
-// Deliver is the tail EMPermute and transpose.EMTranspose share. It runs
-// prog, whose last round leaves each VP's partition of the n result
-// positions in its State in position order, under core.RunPar on the n
-// items of parts, with the permutation's message and h bounds unless cfg
-// sets its own. Each VP's Output writes its values straight into the
-// returned vector, on the worker that ran its last round and before the
-// worker's arena is reused, and hands the engine nothing to keep: the
-// Result's Outputs are empty, and there is no projection pass.
-func Deliver(prog sizedProgram, cfg core.Config, parts [][]Item) ([]int64, *core.Result[Item], error) {
-	n, v := 0, cfg.V
-	for _, part := range parts {
-		n += len(part)
-	}
-	if cfg.MaxMsgItems == 0 {
-		cfg.MaxMsgItems = 4*((n+v*v-1)/(v*v)) + v + 16
+// Deliver is the run EMPermute and transpose.EMTranspose share: CGMPermute
+// under core.RunPar on the vector vals, the destination of position g
+// being dests[g] or, when dests is nil, rule(g). cfg must be valid.
+//
+// The input stays where the caller keeps it. One parallel pass before the
+// run counts the v×(v+1) table of (source VP, owner) message sizes; each
+// VP's Init then reads its own vals[lo:hi] and destinations in place and
+// scatters them with its row of the table, counting nothing again. So the
+// engine is handed v empty input partitions, by design, and no bound is
+// taken from their lengths: Deliver sets every bound itself, and the
+// program declares μ from its own N. Unless cfg sets them, the h bound is ⌈N/v⌉
+// (each VP sends its partition and receives one) and a message slot holds
+// the table's largest entry and the guard past it (core.SlotItems). A
+// Balanced run leaves the slot to Theorem 1's bound on that h, which is
+// all a balanced message can be.
+//
+// The output is delivered in place too: each VP's Output writes its
+// values straight into the returned vector, on the worker that ran its
+// last round and before the worker's arena is reused, and hands the
+// engine nothing to keep. The Result's Outputs are empty, and there is no
+// projection pass.
+func Deliver(vals, dests []int64, rule func(g int) int64, cfg core.Config) ([]int64, *core.Result[Item], error) {
+	n, v := len(vals), cfg.V
+	d := &delivery{Program: New(n), v: v, own: cgm.NewOwners(n, v), vals: vals, dests: dests, rule: rule,
+		table: make([]int, v*(v+1)), out: make([]int64, n)}
+	if err := cgm.ForEachVP(v, d.count); err != nil {
+		return nil, nil, err
 	}
 	if cfg.MaxHItems == 0 {
-		cfg.MaxHItems = 2*((n+v-1)/v) + v + 16
+		cfg.MaxHItems = (n + v - 1) / v
 	}
-	out := make([]int64, n)
-	res, err := core.RunPar[Item](into{prog, out}, Codec{}, cfg, parts)
+	if cfg.MaxMsgItems == 0 && !cfg.Balanced {
+		cfg.MaxMsgItems = core.SlotItems(slices.Max(d.table), Codec{}.Words(), cfg.B)
+	}
+	res, err := core.RunPar[Item](d, Codec{}, cfg, make([][]Item, v))
 	if err != nil {
 		return nil, nil, err
 	}
-	return out, res, nil
+	return d.out, res, nil
 }
 
-// sizedProgram is a program that declares its context bound μ, which
-// into passes on to the engine.
-type sizedProgram interface {
-	cgm.Program[Item]
-	cgm.ContextSizer
+// delivery is CGMPermute on a vector the caller keeps: VP i's input is
+// positions lo..hi of vals (cgm.PartRange), read in place, and its Output
+// writes the values of its result partition into out at lo. The VPs write
+// disjoint ranges, so they need no lock. table holds v rows of v+1
+// counts, row i being countRow's row for VP i. Stored destinations and a
+// rule each get a literal of their own, so that a stored one costs a
+// slice read per item and not a call.
+type delivery struct {
+	Program
+	v           int
+	own         cgm.Owners
+	vals, dests []int64
+	rule        func(g int) int64
+	table       []int
+	out         []int64
 }
 
-// into is a program whose Output delivers into out: VP i writes the
-// values of its partition at PartRange's lo. The VPs write disjoint
-// ranges, so they need no lock.
-type into struct {
-	sizedProgram
-	out []int64
+// row is VP i's row of the table.
+func (d *delivery) row(i int) []int { return d.table[i*(d.v+1) : (i+1)*(d.v+1)] }
+
+// count fills VP i's row of the table. It counts into a row of its own and
+// copies that in whole: goroutines that incremented neighbouring rows of
+// the shared table would write to the same cache lines all pass long.
+func (d *delivery) count(i int) error {
+	lo, hi := cgm.PartRange(d.N, d.v, i)
+	own, row := d.own, make([]int, d.v+1)
+	if d.dests != nil {
+		dests := d.dests[lo:hi]
+		countRow(row, len(dests), func(k int) int { return own.Owner(int(dests[k])) })
+	} else {
+		rule := d.rule
+		countRow(row, hi-lo, func(k int) int { return own.Owner(int(rule(lo + k))) })
+	}
+	copy(d.row(i), row)
+	return nil
 }
 
-func (p into) Output(vp *cgm.VP[Item]) []Item {
-	lo, _ := cgm.PartRange(len(p.out), vp.V, vp.ID)
-	dst := p.out[lo : lo+len(vp.State)]
+// Init ignores the empty input the engine hands it and reads the VP's
+// positions in place: the destinations are looked up (or computed) once
+// more to place each item, but the row the count left says where every
+// owner's group starts. The State is lent scratch, as Program.Init's is.
+func (d *delivery) Init(vp *cgm.VP[Item], _ []Item) {
+	lo, hi := cgm.PartRange(d.N, vp.V, vp.ID)
+	own, vals := d.own, d.vals[lo:hi]
+	st := vp.Scratch(len(vals))
+	next := starts(d.row(vp.ID))
+	if d.dests != nil {
+		dests := d.dests[lo:hi]
+		scatter(st, next, len(vals), func(k int) (int, Item) {
+			return own.Owner(int(dests[k])), Item{Dest: dests[k], Val: vals[k]}
+		})
+	} else {
+		rule := d.rule
+		scatter(st, next, len(vals), func(k int) (int, Item) {
+			g := rule(lo + k)
+			return own.Owner(int(g)), Item{Dest: g, Val: vals[k]}
+		})
+	}
+	vp.State = st
+}
+
+// Output writes the VP's values into out at PartRange's lo and returns
+// nothing for the engine to keep.
+func (d *delivery) Output(vp *cgm.VP[Item]) []Item {
+	lo, _ := cgm.PartRange(d.N, vp.V, vp.ID)
+	dst := d.out[lo : lo+len(vp.State)]
 	for k, it := range vp.State {
 		dst[k] = it.Val
 	}
 	return nil
 }
+
+// MaxContextItems declares μ from the delivery's own N: the engine's n,
+// counted from the empty partitions, is 0.
+func (d *delivery) MaxContextItems(_, v int) int { return d.Program.MaxContextItems(d.N, v) }
 
 // Sequential permutes vals by dests in RAM — the Θ(N) reference.
 func Sequential(vals, dests []int64) []int64 {
@@ -262,4 +349,5 @@ func Baseline(arr *pdm.DiskArray, vals, dests []int64, mWords int) ([]int64, sor
 }
 
 var _ cgm.Program[Item] = Program{}
+var _ cgm.ContextSizer = (*delivery)(nil)
 var _ wordcodec.BulkCodec[Item] = Codec{}

@@ -4,8 +4,10 @@
 // stored, so items travel as bare (position, value) pairs in one
 // communication round; the simulation yields O(N/(pDB)) I/Os versus the
 // PDM's Θ((N/DB)·log_{M/B} min(M,k,ℓ,N/B)). Its rounds are the
-// permutation's, and so is its delivery (permute.Deliver): each VP writes
-// its values straight into the caller's result.
+// permutation's, and so is its run (permute.Deliver): each VP reads its
+// row-major positions where the caller keeps them, computing their
+// destinations as it goes, and writes its values straight into the
+// caller's result.
 //
 // The package is part of the determinism contract (DESIGN.md §11):
 // identical inputs must yield bit-identical I/O schedules and op counts.
@@ -38,7 +40,7 @@ func New(k, l int) Program { return Program{K: k, L: l} }
 func (p Program) Init(vp *cgm.VP[permute.Item], input []permute.Item) {
 	tagged := vp.Scratch(len(input))
 	for i, it := range input {
-		tagged[i] = permute.Item{Dest: int64(p.dest(it)), Val: it.Val}
+		tagged[i] = permute.Item{Dest: p.dest(int(it.Dest)), Val: it.Val}
 	}
 	permute.New(p.K*p.L).Init(vp, tagged)
 }
@@ -49,12 +51,11 @@ func (p Program) Round(vp *cgm.VP[permute.Item], round int, inbox [][]permute.It
 	return permute.New(p.K*p.L).Round(vp, round, inbox)
 }
 
-// dest is the column-major position of an element still tagged with its
-// row-major position (set by EMTranspose).
-func (p Program) dest(it permute.Item) int {
-	g := int(it.Dest)
+// dest is the column-major position of the element at row-major
+// position g.
+func (p Program) dest(g int) int64 {
 	r, c := g/p.L, g%p.L
-	return c*p.K + r
+	return int64(c*p.K + r)
 }
 
 // Output returns the column-major partition.
@@ -65,7 +66,8 @@ func (p Program) MaxContextItems(n, v int) int { return (n+v-1)/v + 1 }
 
 // EMTranspose transposes the K×L row-major matrix vals under the EM-CGM
 // simulation, returning the L×K column-major result. Like EMPermute it
-// ends in permute.Deliver: each VP writes its values straight into the
+// runs permute.Deliver, with the destinations computed per position: the
+// input is read in place, each VP writes its values straight into the
 // result, and the Result's Outputs are empty. cfg is validated before the
 // limits are derived from cfg.V.
 func EMTranspose(vals []int64, k, l int, cfg core.Config) ([]int64, *core.Result[permute.Item], error) {
@@ -75,20 +77,7 @@ func EMTranspose(vals []int64, k, l int, cfg core.Config) ([]int64, *core.Result
 	if len(vals) != k*l {
 		return nil, nil, fmt.Errorf("transpose: %d values for a %d×%d matrix", len(vals), k, l)
 	}
-	n, v := len(vals), cfg.V
-	parts := make([][]permute.Item, v)
-	if err := cgm.ForEachVP(v, func(i int) error {
-		lo, hi := cgm.PartRange(n, v, i)
-		part := make([]permute.Item, hi-lo)
-		for k := range part {
-			part[k] = permute.Item{Dest: int64(lo + k), Val: vals[lo+k]} // Dest holds the source position pre-routing
-		}
-		parts[i] = part
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-	return permute.Deliver(New(k, l), cfg, parts)
+	return permute.Deliver(vals, nil, New(k, l).dest, cfg)
 }
 
 // Sequential transposes in RAM — the Θ(N) reference.

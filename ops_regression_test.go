@@ -26,6 +26,7 @@ package repro
 // kept slots a pitch ≡ 1 (mod D) blocks apart went; no count moved.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/balance"
@@ -120,7 +121,10 @@ func TestIOOpsMatchSeed(t *testing.T) {
 		const n = 1 << 10
 		vals := workload.Int64s(3, n)
 		dests := workload.Permutation(4, n)
-		// MaxMsgItems is EMPermute's own default, spelled out for the oracle.
+		// MaxMsgItems is the slack rule 4·N/v² + v + 16 that sized every
+		// permutation's slots until EMPermute counted its messages; set in
+		// the Config, it overrides the derived bound and keeps this arm's
+		// count, and the oracle is given the same Config.
 		cfg := core.Config{V: 4, P: 2, D: 2, B: 32, MaxMsgItems: 4*(n/16) + 4 + 16}
 		_, res, err := permute.EMPermute(vals, dests, cfg)
 		if err != nil {
@@ -139,6 +143,63 @@ func TestIOOpsMatchSeed(t *testing.T) {
 		if res.IO.ParallelOps != 79 || res.CtxOps != 0 || res.MsgOps != 79 {
 			t.Errorf("ops = (%d, ctx %d, msg %d), pinned (79, ctx 0, msg 79)",
 				res.IO.ParallelOps, res.CtxOps, res.MsgOps)
+		}
+	})
+
+	// The bound EMPermute derives itself: the largest message of the
+	// (source VP, owner) table, counted here from the destinations, plus
+	// the quarter-block guard in items (B/4 words, two words an item). The
+	// oracle is given the same Config. On the random permutation of the arm
+	// above, the slots shrink from 276 items to 75 (the largest message is
+	// 71): every message moves the blocks it moved there, so the count is
+	// the same, and only the tracks the slots take fall, from 165 to 61.
+	// The identity sends one message of 256 items, exactly 16 blocks, from
+	// each VP: only the guard's room in the slot lets its live prefix reach
+	// the 17th block that a message of that size moves in any larger slot.
+	t.Run("permute-par-derived", func(t *testing.T) {
+		const n, v, b = 1 << 10, 4, 32
+		vals := workload.Int64s(3, n)
+		id := make([]int64, n)
+		for i := range id {
+			id[i] = int64(i)
+		}
+		for _, c := range []struct {
+			name           string
+			dests          []int64
+			slot           int
+			ops, maxTracks int64
+		}{
+			{"random", workload.Permutation(4, n), 75, 79, 61},
+			{"identity", id, 260, 72, 157},
+		} {
+			largest := 0
+			for src := range v {
+				lo, hi := cgm.PartRange(n, v, src)
+				sizes := make([]int, v)
+				for _, d := range c.dests[lo:hi] {
+					sizes[cgm.Owner(n, v, int(d))]++
+				}
+				largest = max(largest, slices.Max(sizes))
+			}
+			cfg := core.Config{V: v, P: 2, D: 2, B: b}
+			_, res, err := permute.EMPermute(vals, c.dests, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			items := make([]permute.Item, n)
+			for i := range items {
+				items[i] = permute.Item{Dest: c.dests[i], Val: vals[i]}
+			}
+			cfg.MaxMsgItems = largest + (b/4+1)/2
+			ctx, msg, _ := oracle[permute.Item](t, permute.New(n), permute.Codec{}, cfg, true, cgm.Scatter(items, cfg.V))
+			if ctx != 0 || msg != c.ops || cfg.MaxMsgItems != c.slot {
+				t.Errorf("%s: the oracle derives (ctx %d, msg %d) at MaxMsgItems %d, pinned (ctx 0, msg %d) at %d",
+					c.name, ctx, msg, cfg.MaxMsgItems, c.ops, c.slot)
+			}
+			if res.IO.ParallelOps != c.ops || res.CtxOps != 0 || res.MsgOps != c.ops || int64(res.MaxTracks) != c.maxTracks {
+				t.Errorf("%s: ops = (%d, ctx %d, msg %d), MaxTracks %d, pinned (%d, ctx 0, msg %d), MaxTracks %d",
+					c.name, res.IO.ParallelOps, res.CtxOps, res.MsgOps, res.MaxTracks, c.ops, c.ops, c.maxTracks)
+			}
 		}
 	})
 

@@ -78,7 +78,7 @@ check() {
 	cp "$tmp/pristine/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety|TestPositioningsPerDisk|TestContextPairsMeet|TestPSRSInMemory|TestDeliveryAllocation|TestSortDeliveryAllocation|TestSortDeliveryCheckedIO'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety|TestPositioningsPerDisk|TestContextPairsMeet|TestPSRSInMemory|TestDeliveryAllocation|TestSortDeliveryAllocation|TestSortDeliveryCheckedIO|TestIOOpsMatchSeed'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -306,6 +306,21 @@ f=internal/permute/permute.go
 mutate $f 'st := vp.Scratch(hi - lo)' 1 1 '\t\tst := make([]Item, hi-lo)'
 check 'round 1 places into make, not vp.Scratch' $f TestDeliveryAllocation
 
+# Permutations read their input in place (DESIGN.md §7): the wrappers
+# hand the engine empty partitions, and each VP's Init reads its own
+# positions of the caller's vectors. Partitions of Items built again cost
+# 16 bytes an item. The slot is the largest message of the counted table
+# and the guard past it (core.SlotItems); a slot without the guard cuts
+# the live prefix of a message that fills whole blocks, so the identity
+# moves fewer blocks than in any larger slot.
+mutate $f 'res, err := core.RunPar[Item](d, Codec{}, cfg, make([][]Item, v))' 1 1 \
+	'\tparts := make([][]Item, v)\n\tfor i := range parts {\n\t\tlo, hi := cgm.PartRange(n, v, i)\n\t\tparts[i] = make([]Item, hi-lo)\n\t\tfor k := range parts[i] {\n\t\t\tparts[i][k] = Item{Val: vals[lo+k]}\n\t\t}\n\t}\n\tres, err := core.RunPar[Item](d, Codec{}, cfg, parts)'
+check 'the wrappers build Item partitions again' $f TestDeliveryAllocation
+
+mutate $f 'cfg.MaxMsgItems = core.SlotItems(slices.Max(d.table), Codec{}.Words(), cfg.B)' 1 1 \
+	'\t\tcfg.MaxMsgItems = slices.Max(d.table)'
+check 'the derived slot drops the guard'"'"'s room' $f TestIOOpsMatchSeed
+
 # Sorts deliver in place (DESIGN.md §7): EMSort's last merge level writes
 # each VP's bucket straight into the caller's result, at the offset the
 # round-1 cut table gives. A merge into a made run that is then copied
@@ -320,4 +335,4 @@ mutate $f 'for _, c := range d.cuts[s*v : s*v+k] {' 1 1 \
 	'\t\tfor _, c := range d.cuts[s*v : s*v+k+1] {'
 check 'a VP'"'"'s offset counts its own column' $f TestSortDeliveryCheckedIO
 
-echo "contract-selftest: all thirty mutations caught"
+echo "contract-selftest: all thirty-two mutations caught"
