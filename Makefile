@@ -131,8 +131,10 @@ lint:
 # a sort's last level into make instead of the caller's result, start a
 # sort VP's range past its own column of the cut table, build a
 # permutation's Item partitions again, drop the guard's room from a
-# permutation's derived slot — thirty-two in all — and requires the
-# owning test to fail by name.
+# permutation's derived slot, bin BalancedRouting's items without their
+# position in the message, copy State in the balanced wrapper every
+# round — thirty-four in all — and requires the owning test to fail by
+# name.
 # About two minutes; one mutation wedges a run until its 30 s watchdog.
 contract-selftest:
 	@sh scripts/contract_mutations.sh

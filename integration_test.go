@@ -126,7 +126,7 @@ func TestInitCopiesInput(t *testing.T) {
 		"sortalg.TournamentSorter": cgm.InitCopies[int64](sortalg.TournamentSorter[int64]{}, 4, keys),
 		"permute.Program":          cgm.InitCopies[permute.Item](permute.New(len(items)), 4, items),
 		"transpose.Program":        cgm.InitCopies[permute.Item](transpose.New(2, 3), 4, items),
-		"balance.Wrap":             cgm.InitCopies(balance.Wrap[int64](sortalg.Sorter[int64]{}), 4, balance.WrapInputs([][]int64{keys})[0]),
+		"balance.Wrap":             cgm.InitCopies(balance.Wrap[int64](sortalg.Sorter[int64]{}), 4, keys),
 		"ragged":                   cgm.InitCopies[int64](ragged{R: 1}, 4, keys),
 		"touch":                    cgm.InitCopies[int64](touch{kind: 'b'}, 4, keys),
 		"nopR":                     cgm.InitCopies[rec.R](nopR{}, 4, []rec.R{{Tag: 1, A: 2}, {Tag: 3, B: 4}}),

@@ -10,233 +10,213 @@
 // the EM-CGM simulation assign fixed-size disk slots to messages
 // (Lemma 2: minimum message size Ω(B) whenever N ≥ v²B + v²(v−1)/2).
 //
-// The package balances whole items rather than words; each item travels
-// with a (src, dst, seq) tag so the final recipient can reassemble every
-// original message in order. Wrap lifts any cgm.Program to its balanced
-// version, doubling the round count exactly as Lemma 2 states.
+// Items travel untagged. Where element ℓ of msg_{i,j} lands follows from
+// i, j, ℓ and the h-relation's size matrix (|msg_{i,j}| for every i, j):
+// bin b of source i holds, for each j in turn, the elements ℓ ≡ b−i−j
+// (mod v) of msg_{i,j}. The matrix travels beside the messages as
+// metadata, as the simulator's length tables do. Wrap lifts any
+// cgm.Program[T] to its balanced version over the same T, doubling the
+// round count exactly as Lemma 2 states.
 //
 // The package is part of the determinism contract (DESIGN.md §11):
 // identical inputs must yield bit-identical I/O schedules and op counts.
 package balance
 
 import (
-	"sort"
+	"sync"
 
 	"repro/internal/cgm"
 	"repro/internal/obs"
-	"repro/internal/pdm"
-	"repro/internal/wordcodec"
 )
 
-// Item is a routed element: the original value plus its routing tag.
-type Item[T any] struct {
-	Src, Dst int // original sender and final destination
-	Seq      int // position within the original message msg_{Src,Dst}
-	Val      T
+// share is how many of a message's m elements a bin takes when its first
+// one is element l0 (0 ≤ l0 < v): elements l0, l0+v, l0+2v, … below m.
+func share(m, l0, v int) int {
+	if m <= l0 {
+		return 0
+	}
+	return (m - l0 + v - 1) / v
+}
+
+// first is the index of the first element of msg_{i,j} in bin b:
+// (b−i−j) mod v.
+func first(b, i, j, v int) int { return (b + 2*v - i - j) % v }
+
+// alloc returns n items from lend, or made ones when lend is nil.
+func alloc[T any](lend func(int) []T, n int) []T {
+	if lend == nil {
+		return make([]T, n)
+	}
+	return lend(n)
 }
 
 // PhaseA computes processor self's superstep-A bins for its outgoing
 // messages msgs (msgs[j] = message to processor j; len(msgs) must be v or
-// msgs may be nil). bins[b] is the tagged content to send to intermediate
+// msgs may be nil). bins[b] is the content to send to intermediate
 // processor b, allocated round-robin: element ℓ of msgs[j] goes to bin
-// (self+j+ℓ) mod v.
-func PhaseA[T any](self, v int, msgs [][]T) [][]Item[T] {
-	bins := make([][]Item[T], v)
+// (self+j+ℓ) mod v, and within a bin the elements stand by j, then by ℓ.
+// The bins are carved out of one borrow from lend (nil: make).
+func PhaseA[T any](self, v int, msgs [][]T, lend func(int) []T) [][]T {
+	bins := make([][]T, v)
 	if msgs == nil {
 		return bins
 	}
+	total := 0
+	for _, msg := range msgs {
+		total += len(msg)
+	}
+	buf := alloc(lend, total)
+	for b := range bins {
+		n := 0
+		for j, msg := range msgs {
+			n += share(len(msg), first(b, self, j, v), v)
+		}
+		bins[b], buf = buf[:0:n], buf[n:]
+	}
 	for j, msg := range msgs {
-		for l, val := range msg {
-			b := (self + j + l) % v
-			bins[b] = append(bins[b], Item[T]{Src: self, Dst: j, Seq: l, Val: val})
+		b := (self + j) % v
+		for _, x := range msg {
+			bins[b] = append(bins[b], x)
+			if b++; b == v {
+				b = 0
+			}
 		}
 	}
 	return bins
 }
 
-// PhaseB regroups the items a processor received in superstep A by final
-// destination: out[d] collects every item with Dst == d.
-func PhaseB[T any](v int, received [][]Item[T]) [][]Item[T] {
-	out := make([][]Item[T], v)
-	for _, bin := range received {
-		for _, it := range bin {
-			out[it.Dst] = append(out[it.Dst], it)
+// PhaseB regroups the bins intermediate processor self received in
+// superstep A (received[i] = bin self of source i) by final destination:
+// out[j] holds, source by source, the elements of msg_{i,j} that crossed
+// self. sizes is the round's size matrix, sizes[i·v+j] = |msg_{i,j}|, from
+// which each bin's run for j is share(|msg_{i,j}|, (self−i−j) mod v) items
+// long. The messages are carved out of one borrow from lend (nil: make).
+func PhaseB[T any](self, v int, sizes []int, received [][]T, lend func(int) []T) [][]T {
+	out, size, total := make([][]T, v), make([]int, v), 0
+	for i := range received {
+		for j := range size {
+			n := share(sizes[i*v+j], first(self, i, j, v), v)
+			size[j] += n
+			total += n
+		}
+	}
+	buf := alloc(lend, total)
+	for j, n := range size {
+		out[j], buf = buf[:0:n], buf[n:]
+	}
+	for i, bin := range received {
+		for j := range out {
+			n := share(sizes[i*v+j], first(self, i, j, v), v)
+			out[j], bin = append(out[j], bin[:n]...), bin[n:]
 		}
 	}
 	return out
 }
 
-// Deliver reconstructs the original inbox from the items received in
-// superstep B: inbox[s] is the message originally sent by processor s,
-// with elements restored to their original order.
-func Deliver[T any](v int, received [][]Item[T]) [][]T {
-	bySrc := make([][]Item[T], v)
-	for _, msg := range received {
-		for _, it := range msg {
-			bySrc[it.Src] = append(bySrc[it.Src], it)
+// Deliver reconstructs processor self's original inbox from the messages
+// it received in superstep B (received[b] from intermediate b): inbox[i]
+// is msg_{i,self}, elements in their original order. Intermediate b
+// forwards, source by source, elements l0, l0+v, l0+2v, … of msg_{i,self}
+// with l0 = (b−i−self) mod v, and sizes (as for PhaseB) says how many. The
+// inbox is carved out of one borrow from lend (nil: make); an empty
+// message stays nil.
+func Deliver[T any](self, v int, sizes []int, received [][]T, lend func(int) []T) [][]T {
+	inbox, total := make([][]T, v), 0
+	for i := range inbox {
+		total += sizes[i*v+self]
+	}
+	buf := alloc(lend, total)
+	for i := range inbox {
+		if n := sizes[i*v+self]; n > 0 {
+			inbox[i], buf = buf[:n:n], buf[n:]
 		}
 	}
-	inbox := make([][]T, v)
-	for s, items := range bySrc {
-		sort.Slice(items, func(a, b int) bool { return items[a].Seq < items[b].Seq })
-		vals := make([]T, len(items))
-		for i, it := range items {
-			vals[i] = it.Val
+	for b, msg := range received {
+		for i, dst := range inbox {
+			l0 := first(b, i, self, v)
+			n := share(len(dst), l0, v)
+			for t, x := range msg[:n] {
+				dst[l0+t*v] = x
+			}
+			msg = msg[n:]
 		}
-		inbox[s] = vals
 	}
 	return inbox
 }
 
-// Codec wraps an item codec to encode routed items; the tag costs two
-// extra words (src/dst packed in one, seq in the other).
-type Codec[T any] struct{ Inner wordcodec.Codec[T] }
-
-// Words returns the inner width plus two tag words.
-func (c Codec[T]) Words() int { return c.Inner.Words() + 2 }
-
-// Encode stores the tag then the value.
-func (c Codec[T]) Encode(dst []pdm.Word, it Item[T]) {
-	dst[0] = pdm.Word(uint64(uint32(it.Src))<<32 | uint64(uint32(it.Dst)))
-	dst[1] = pdm.Word(it.Seq)
-	c.Inner.Encode(dst[2:], it.Val)
-}
-
-// Decode loads the tag then the value.
-func (c Codec[T]) Decode(src []pdm.Word) Item[T] {
-	return Item[T]{
-		Src: int(uint32(src[0] >> 32)),
-		Dst: int(uint32(src[0])),
-		Seq: int(src[1]),
-		Val: c.Inner.Decode(src[2:]),
-	}
-}
-
-// EncodeSliceInto is the bulk fast path (wordcodec.BulkCodec): one loop
-// with the widths hoisted, so balanced runs skip per-item dispatch too.
-func (c Codec[T]) EncodeSliceInto(dst []pdm.Word, items []Item[T]) {
-	w := c.Inner.Words() + 2
-	for i := range items {
-		base := i * w
-		dst[base] = pdm.Word(uint64(uint32(items[i].Src))<<32 | uint64(uint32(items[i].Dst)))
-		dst[base+1] = pdm.Word(items[i].Seq)
-		c.Inner.Encode(dst[base+2:base+w], items[i].Val)
-	}
-}
-
-// DecodeSliceInto is the decoding analogue of EncodeSliceInto.
-func (c Codec[T]) DecodeSliceInto(dst []Item[T], src []pdm.Word) {
-	w := c.Inner.Words() + 2
-	for i := range dst {
-		base := i * w
-		dst[i] = Item[T]{
-			Src: int(uint32(src[base] >> 32)),
-			Dst: int(uint32(src[base])),
-			Seq: int(src[base+1]),
-			Val: c.Inner.Decode(src[base+2 : base+w]),
-		}
-	}
-}
-
-var _ wordcodec.BulkCodec[Item[int64]] = Codec[int64]{Inner: wordcodec.I64{}}
-
-// program lifts an inner cgm.Program[T] to a balanced cgm.Program[Item[T]]
-// in which every inner communication round becomes two balanced rounds.
+// program lifts an inner cgm.Program[T] to a balanced cgm.Program[T] in
+// which every inner communication round becomes two balanced rounds.
 //
-// Wrapped round 2r delivers the reassembled inbox to inner round r and
-// scatters its outbox per PhaseA; wrapped round 2r+1 regroups per PhaseB.
+// Wrapped round 2r delivers the reassembled inbox to inner round r, writes
+// its own row of inner round r's size matrix and scatters its outbox per
+// PhaseA; wrapped round 2r+1 regroups per PhaseB. Round 2r+2 reads round
+// r's matrix while it writes round r+1's, so the matrices alternate by
+// r's parity. Contexts are the inner program's own: vp is forwarded as it
+// is, and a phase-B round leaves State as it found it.
 type program[T any] struct {
 	inner cgm.Program[T]
 	rec   *obs.Recorder
+	once  sync.Once
+	sizes [2][]int // inner round r's size matrix is sizes[r%2]
 }
 
 // Wrap returns the balanced version of p: identical outputs, 2λ rounds,
-// message sizes within Theorem 1's bounds.
-func Wrap[T any](p cgm.Program[T]) cgm.Program[Item[T]] { return program[T]{inner: p} }
+// message sizes within Theorem 1's bounds. The wrapped value holds the
+// size matrices its VPs share, made for the v of its first run, so it
+// serves one v and one run at a time.
+func Wrap[T any](p cgm.Program[T]) cgm.Program[T] { return &program[T]{inner: p} }
 
 // WrapObserved is Wrap with observability: every message the balanced
 // program produces is folded into rec's per-round size statistics, which
-// the obs.Recorder.MsgTable report compares against the Theorem 1 slot
-// bound. rec may be nil, in which case this is exactly Wrap.
-func WrapObserved[T any](p cgm.Program[T], rec *obs.Recorder) cgm.Program[Item[T]] {
-	return program[T]{inner: p, rec: rec}
+// the obs.Recorder.MsgTable report compares against the provisioned slot.
+// rec may be nil, in which case this is exactly Wrap.
+func WrapObserved[T any](p cgm.Program[T], rec *obs.Recorder) cgm.Program[T] {
+	return &program[T]{inner: p, rec: rec}
 }
 
-// WrapInputs tags raw input partitions for a wrapped program.
-func WrapInputs[T any](ins [][]T) [][]Item[T] {
-	out := make([][]Item[T], len(ins))
-	for i, in := range ins {
-		w := make([]Item[T], len(in))
-		for k, v := range in {
-			w[k] = Item[T]{Val: v}
-		}
-		out[i] = w
+// WrapInputs returns ins: a wrapped program takes the inner program's
+// inputs as they are.
+func WrapInputs[T any](ins [][]T) [][]T { return ins }
+
+func (p *program[T]) Init(vp *cgm.VP[T], input []T) {
+	p.once.Do(func() { p.sizes = [2][]int{make([]int, vp.V*vp.V), make([]int, vp.V*vp.V)} })
+	if len(p.sizes[0]) != vp.V*vp.V {
+		panic("balance: a wrapped program serves one v")
 	}
-	return out
+	p.inner.Init(vp, input)
 }
 
-// UnwrapOutputs strips tags from a wrapped program's outputs.
-func UnwrapOutputs[T any](outs [][]Item[T]) [][]T {
-	res := make([][]T, len(outs))
-	for i, o := range outs {
-		vals := make([]T, len(o))
-		for k, it := range o {
-			vals[k] = it.Val
-		}
-		res[i] = vals
-	}
-	return res
-}
-
-func unwrapState[T any](st []Item[T]) []T {
-	vals := make([]T, len(st))
-	for i, it := range st {
-		vals[i] = it.Val
-	}
-	return vals
-}
-
-func wrapState[T any](vals []T) []Item[T] {
-	st := make([]Item[T], len(vals))
-	for i, v := range vals {
-		st[i] = Item[T]{Val: v}
-	}
-	return st
-}
-
-func (p program[T]) Init(vp *cgm.VP[Item[T]], input []Item[T]) {
-	iv := &cgm.VP[T]{ID: vp.ID, V: vp.V}
-	p.inner.Init(iv, unwrapState(input))
-	vp.State = wrapState(iv.State)
-}
-
-func (p program[T]) Round(vp *cgm.VP[Item[T]], round int, inbox [][]Item[T]) ([][]Item[T], bool) {
+func (p *program[T]) Round(vp *cgm.VP[T], round int, inbox [][]T) ([][]T, bool) {
+	r := round / 2
 	if round%2 == 1 {
 		// Superstep B: regroup by final destination; state untouched.
-		out := PhaseB(vp.V, inbox)
+		out := PhaseB(vp.ID, vp.V, p.sizes[r%2], inbox, vp.Scratch)
 		p.observe(round, out)
 		return out, false
 	}
-	// Superstep A: deliver previous round's items to the inner program.
-	var innerInbox [][]T
-	if round == 0 {
-		innerInbox = make([][]T, vp.V)
-	} else {
-		innerInbox = Deliver(vp.V, inbox)
+	// Superstep A: deliver the previous inner round's messages.
+	if round > 0 {
+		inbox = Deliver(vp.ID, vp.V, p.sizes[(r+1)%2], inbox, vp.Scratch)
 	}
-	iv := &cgm.VP[T]{ID: vp.ID, V: vp.V, State: unwrapState(vp.State)}
-	out, done := p.inner.Round(iv, round/2, innerInbox)
-	vp.State = wrapState(iv.State)
+	out, done := p.inner.Round(vp, r, inbox)
 	if done {
 		return nil, true
 	}
-	bins := PhaseA(vp.ID, vp.V, out)
+	if out != nil && len(out) != vp.V {
+		return out, false // malformed: the runtime rejects it
+	}
+	row := p.sizes[r%2][vp.ID*vp.V : (vp.ID+1)*vp.V]
+	clear(row) // a nil outbox sends nothing
+	for j, msg := range out {
+		row[j] = len(msg)
+	}
+	bins := PhaseA(vp.ID, vp.V, out, vp.Scratch)
 	p.observe(round, bins)
 	return bins, false
 }
 
 // observe records every produced message's size (items) under the round.
-func (p program[T]) observe(round int, out [][]Item[T]) {
+func (p *program[T]) observe(round int, out [][]T) {
 	if p.rec == nil {
 		return
 	}
@@ -245,14 +225,11 @@ func (p program[T]) observe(round int, out [][]Item[T]) {
 	}
 }
 
-func (p program[T]) Output(vp *cgm.VP[Item[T]]) []Item[T] {
-	iv := &cgm.VP[T]{ID: vp.ID, V: vp.V, State: unwrapState(vp.State)}
-	return wrapState(p.inner.Output(iv))
-}
+func (p *program[T]) Output(vp *cgm.VP[T]) []T { return p.inner.Output(vp) }
 
 // MaxContextItems forwards the inner program's context bound when it
-// declares one (wrapped items hold one inner item each).
-func (p program[T]) MaxContextItems(n, v int) int {
+// declares one.
+func (p *program[T]) MaxContextItems(n, v int) int {
 	if cs, ok := p.inner.(cgm.ContextSizer); ok {
 		return cs.MaxContextItems(n, v)
 	}

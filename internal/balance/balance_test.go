@@ -6,8 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/cgm"
-	"repro/internal/pdm"
-	"repro/internal/wordcodec"
 	"repro/internal/workload"
 )
 
@@ -38,42 +36,55 @@ func randomHRelation(rng *rand.Rand, v, perProc int) [][][]int64 {
 	return msgs
 }
 
+// sizeMatrix is the h-relation's size matrix: sizes[i·v+j] = |msgs[i][j]|.
+func sizeMatrix(msgs [][][]int64) []int {
+	v := len(msgs)
+	sizes := make([]int, v*v)
+	for i, row := range msgs {
+		for j, m := range row {
+			sizes[i*v+j] = len(m)
+		}
+	}
+	return sizes
+}
+
 // exchange simulates the two balanced supersteps across all processors and
 // returns (sizesA, sizesB, final inboxes).
 func exchange(v int, msgs [][][]int64) (sizesA, sizesB []int, inboxes [][][]int64) {
-	binsBySrc := make([][][]Item[int64], v)
+	sizes := sizeMatrix(msgs)
+	binsBySrc := make([][][]int64, v)
 	for i := 0; i < v; i++ {
-		binsBySrc[i] = PhaseA(i, v, msgs[i])
+		binsBySrc[i] = PhaseA(i, v, msgs[i], nil)
 		for _, bin := range binsBySrc[i] {
 			sizesA = append(sizesA, len(bin))
 		}
 	}
 	// Superstep A delivery: processor b receives bin b from every source.
-	recvA := make([][][]Item[int64], v)
+	recvA := make([][][]int64, v)
 	for b := 0; b < v; b++ {
-		recvA[b] = make([][]Item[int64], v)
+		recvA[b] = make([][]int64, v)
 		for i := 0; i < v; i++ {
 			recvA[b][i] = binsBySrc[i][b]
 		}
 	}
 	// Superstep B.
-	outB := make([][][]Item[int64], v)
+	outB := make([][][]int64, v)
 	for b := 0; b < v; b++ {
-		outB[b] = PhaseB(v, recvA[b])
+		outB[b] = PhaseB(b, v, sizes, recvA[b], nil)
 		for _, m := range outB[b] {
 			sizesB = append(sizesB, len(m))
 		}
 	}
-	recvB := make([][][]Item[int64], v)
+	recvB := make([][][]int64, v)
 	for d := 0; d < v; d++ {
-		recvB[d] = make([][]Item[int64], v)
+		recvB[d] = make([][]int64, v)
 		for b := 0; b < v; b++ {
 			recvB[d][b] = outB[b][d]
 		}
 	}
 	inboxes = make([][][]int64, v)
 	for d := 0; d < v; d++ {
-		inboxes[d] = Deliver(v, recvB[d])
+		inboxes[d] = Deliver(d, v, sizes, recvB[d], nil)
 	}
 	return sizesA, sizesB, inboxes
 }
@@ -228,7 +239,7 @@ func TestConversionReducesPaddedVolume(t *testing.T) {
 	const v = 8
 	n := v * v * 40 // h = n/v = 320 items per processor
 	in := cgm.Scatter(workload.Int64s(1, n), v)
-	res, err := cgm.Run[Item[int64]](Wrap[int64](fragmented{}), v, WrapInputs(in))
+	res, err := cgm.Run(Wrap[int64](fragmented{}), v, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +268,7 @@ func TestObservation1(t *testing.T) {
 		v := int(v8)%7 + 2
 		rng := rand.New(rand.NewSource(seed))
 		msgs := randomHRelation(rng, v, v*v+v)
-		bins := PhaseA(0, v, msgs[0])
+		bins := PhaseA(0, v, msgs[0], nil)
 		minSz := len(bins[0])
 		for _, b := range bins {
 			if len(b) < minSz {
@@ -271,19 +282,6 @@ func TestObservation1(t *testing.T) {
 		return extra <= v*(v-1)/2
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCodecRoundTrip(t *testing.T) {
-	c := Codec[int64]{Inner: wordcodec.I64{}}
-	if c.Words() != 3 {
-		t.Fatalf("Words = %d, want 3", c.Words())
-	}
-	it := Item[int64]{Src: 5, Dst: 1234567, Seq: 1 << 30, Val: -42}
-	buf := make([]pdm.Word, 3)
-	c.Encode(buf, it)
-	if got := c.Decode(buf); got != it {
-		t.Fatalf("round trip = %+v, want %+v", got, it)
 	}
 }
 
@@ -317,11 +315,11 @@ func TestWrapPreservesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapped, err := cgm.Run[Item[int64]](Wrap[int64](rotate{k: v}), v, WrapInputs(cgm.Scatter(in, v)))
+	wrapped, err := cgm.Run(Wrap[int64](rotate{k: v}), v, cgm.Scatter(in, v))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := UnwrapOutputs(wrapped.Outputs)
+	got := wrapped.Outputs
 	for i := range plain.Outputs {
 		if len(got[i]) != len(plain.Outputs[i]) {
 			t.Fatalf("vp %d output length %d, want %d", i, len(got[i]), len(plain.Outputs[i]))

@@ -12,7 +12,7 @@ func ExamplePhaseA() {
 	// Processor 0 of 4 sends 8 items to processor 2 only.
 	msgs := make([][]int64, 4)
 	msgs[2] = []int64{10, 11, 12, 13, 14, 15, 16, 17}
-	bins := balance.PhaseA(0, 4, msgs)
+	bins := balance.PhaseA(0, 4, msgs, nil)
 	for b, items := range bins {
 		fmt.Printf("bin %d: %d items\n", b, len(items))
 	}

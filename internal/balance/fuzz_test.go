@@ -52,9 +52,10 @@ func FuzzBalancedRouting(f *testing.F) {
 		}
 
 		// Superstep A: bins[i][b] travels i → b.
-		bins := make([][][]Item[int64], v)
+		sizes := sizeMatrix(msgs)
+		bins := make([][][]int64, v)
 		for i := 0; i < v; i++ {
-			bins[i] = PhaseA(i, v, msgs[i])
+			bins[i] = PhaseA(i, v, msgs[i], nil)
 			for b, bin := range bins[i] {
 				if limit := float64(sent[i])/float64(v) + float64(v-1)/2; float64(len(bin)) > limit+1e-9 {
 					t.Errorf("v=%d: phase A message %d→%d has %d items, Theorem 1 limit %.2f",
@@ -65,13 +66,13 @@ func FuzzBalancedRouting(f *testing.F) {
 
 		// Superstep B: regroup at each intermediate; out[b][d] travels b → d.
 		inboxes := make([][][]int64, v)
-		outs := make([][][]Item[int64], v)
+		outs := make([][][]int64, v)
 		for b := 0; b < v; b++ {
-			recvA := make([][]Item[int64], v)
+			recvA := make([][]int64, v)
 			for i := 0; i < v; i++ {
 				recvA[i] = bins[i][b]
 			}
-			outs[b] = PhaseB(v, recvA)
+			outs[b] = PhaseB(b, v, sizes, recvA, nil)
 			for d, msg := range outs[b] {
 				if limit := float64(recv[d])/float64(v) + float64(v-1)/2; float64(len(msg)) > limit+1e-9 {
 					t.Errorf("v=%d: phase B message %d→%d has %d items, Theorem 1 limit %.2f",
@@ -80,11 +81,11 @@ func FuzzBalancedRouting(f *testing.F) {
 			}
 		}
 		for d := 0; d < v; d++ {
-			recvB := make([][]Item[int64], v)
+			recvB := make([][]int64, v)
 			for b := 0; b < v; b++ {
 				recvB[b] = outs[b][d]
 			}
-			inboxes[d] = Deliver(v, recvB)
+			inboxes[d] = Deliver(d, v, sizes, recvB, nil)
 		}
 
 		// Delivery: inboxes[d][s] must be msgs[s][d] verbatim.

@@ -587,8 +587,9 @@ func RunPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 	return run(prog, codec, cfg, inputs, true)
 }
 
-// runBalanced lifts the program, codec and inputs through BalancedRouting,
-// runs the engine on the lifted program, and unwraps the result.
+// runBalanced runs the program lifted through BalancedRouting, on the
+// caller's own codec and inputs, with message slots sized by Theorem 1
+// unless the Config sets them.
 func runBalanced[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, inputs [][]T, par bool) (*Result[T], error) {
 	n := 0
 	for _, in := range inputs {
@@ -600,34 +601,14 @@ func runBalanced[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Confi
 	}
 	wcfg := cfg
 	wcfg.Balanced = false
-	if wcfg.MaxMsgItems == 0 {
-		wcfg.MaxMsgItems = balancedMsgBound(maxH, cfg.V)
+	rule := "Theorem 1's h/v + (v-1)/2 + 1"
+	if bound := balancedMsgBound(maxH, cfg.V); wcfg.MaxMsgItems == 0 {
+		wcfg.MaxMsgItems = bound
+	} else {
+		rule = fmt.Sprintf("Config.MaxMsgItems, in place of %s = %d", rule, bound)
 	}
-	// Observe the routed message sizes against the slot bound the machine
-	// actually provisioned (Theorem 1's h/v + (v−1)/2 + 1); without a
-	// Recorder both calls are exactly Wrap.
-	cfg.Recorder.SetMsgBound(wcfg.MaxMsgItems)
-	wrapped := balance.WrapObserved(prog, cfg.Recorder)
-	wres, err := run(wrapped, balance.Codec[T]{Inner: codec}, wcfg, balance.WrapInputs(inputs), par)
-	if err != nil {
-		return nil, err
-	}
-	return &Result[T]{
-		Outputs:        balance.UnwrapOutputs(wres.Outputs),
-		Rounds:         wres.Rounds,
-		IO:             wres.IO,
-		IOPerProc:      wres.IOPerProc,
-		CtxOps:         wres.CtxOps,
-		MsgOps:         wres.MsgOps,
-		CommItems:      wres.CommItems,
-		MaxTracks:      wres.MaxTracks,
-		MaxH:           wres.MaxH,
-		MaxMsgObserved: wres.MaxMsgObserved,
-		MaxCtxObserved: wres.MaxCtxObserved,
-		Supersteps:     wres.Supersteps,
-		Syscalls:       wres.Syscalls,
-		Stall:          wres.Stall,
-		Depth:          wres.Depth,
-		Workers:        wres.Workers,
-	}, nil
+	// Observe the routed message sizes against the slot the machine
+	// actually provisioned; without a Recorder WrapObserved is Wrap.
+	cfg.Recorder.SetMsgBound(wcfg.MaxMsgItems, rule)
+	return run(balance.WrapObserved(prog, cfg.Recorder), codec, wcfg, inputs, par)
 }

@@ -193,8 +193,7 @@ func Balance() *trace.Table {
 		n := v * v * 8
 		per := n / v
 		plain, _ := cgm.Run[int64](toNeighbour{}, v, cgm.Scatter(workload.Int64s(1, n), v))
-		wrapped, _ := cgm.Run[balance.Item[int64]](balance.Wrap[int64](toNeighbour{}),
-			v, balance.WrapInputs(cgm.Scatter(workload.Int64s(1, n), v)))
+		wrapped, _ := cgm.Run(balance.Wrap[int64](toNeighbour{}), v, cgm.Scatter(workload.Int64s(1, n), v))
 		bound := per/v + (v-1)/2 + 1
 		t.AddRow(v, per, plain.Stats.MaxMsg, wrapped.Stats.MaxMsg, bound,
 			fmt.Sprintf("%d→%d", plain.Stats.Rounds, wrapped.Stats.Rounds))

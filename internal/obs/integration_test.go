@@ -198,8 +198,8 @@ func TestParTraceReconciles(t *testing.T) {
 }
 
 // TestBalancedParTrace checks the BalancedRouting message-size recording:
-// every round's messages stay within the Theorem 1 slot bound the
-// recorder was configured with.
+// every round's messages stay within the slot the run provisioned, and
+// the table names the rule that set it.
 func TestBalancedParTrace(t *testing.T) {
 	rec := obs.NewRecorder()
 	cfg := core.Config{V: 4, P: 2, D: 2, B: 16, MaxCtxItems: 64, Recorder: rec, Balanced: true}
@@ -219,7 +219,7 @@ func TestBalancedParTrace(t *testing.T) {
 			t.Fatalf("round %d has no bound", s.Round)
 		}
 		if s.Max > s.Bound {
-			t.Errorf("round %d max message %d exceeds Theorem 1 bound %d", s.Round, s.Max, s.Bound)
+			t.Errorf("round %d max message %d exceeds the slot bound %d", s.Round, s.Max, s.Bound)
 		}
 		if s.Count != 4*4 {
 			t.Errorf("round %d recorded %d messages, want v² = 16", s.Round, s.Count)
@@ -227,5 +227,21 @@ func TestBalancedParTrace(t *testing.T) {
 	}
 	if rows := rec.MsgTable().Rows; len(rows) != len(st) {
 		t.Errorf("msg table has %d rows, want %d", len(rows), len(st))
+	}
+	// The table names the rule that set the slot: Theorem 1's unless the
+	// Config overrides it.
+	note := func(r *obs.Recorder) string { n := r.MsgTable().Notes; return n[len(n)-1] }
+	if got := note(rec); !strings.HasSuffix(got, "set by Theorem 1's h/v + (v-1)/2 + 1") {
+		t.Errorf("note %q, want Theorem 1's rule", got)
+	}
+	cfg.Recorder, cfg.MaxMsgItems = obs.NewRecorder(), 40
+	if _, err := core.RunPar[int64](shuffle{k: 3}, wordcodec.I64{}, cfg, seqInputs(64, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if st := cfg.Recorder.MsgStats(); st[0].Bound != 40 {
+		t.Errorf("bound %d, want the Config's 40", st[0].Bound)
+	}
+	if got := note(cfg.Recorder); !strings.Contains(got, "set by Config.MaxMsgItems, in place of Theorem 1's") {
+		t.Errorf("note %q, want the Config's MaxMsgItems named", got)
 	}
 }

@@ -91,6 +91,7 @@ type Recorder struct {
 	fits      []*FitAcc
 	gauges    []gauge
 	msgBound  int
+	msgRule   string
 	msgRounds map[int]*msgAgg
 }
 
@@ -301,15 +302,26 @@ func (r *Recorder) Gauge(name string, f func() int64) {
 	r.gauges = append(r.gauges, gauge{name: name, f: f})
 }
 
-// SetMsgBound records Theorem 1's message-size bound (items) so the
-// message-size table can report each round against it.
-func (r *Recorder) SetMsgBound(bound int) {
+// SetMsgBound records the message slot (items) a balanced run
+// provisioned, and the rule that set it, so the message-size table can
+// report each round against it.
+func (r *Recorder) SetMsgBound(bound int, rule string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.msgBound = bound
+	r.msgBound, r.msgRule = bound, rule
+}
+
+// msgSlotRule is the rule SetMsgBound recorded; "" if none.
+func (r *Recorder) msgSlotRule() string {
+	if r == nil {
+		return ""
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.msgRule
 }
 
 // MsgSize folds one routed message's size (items) into round's
@@ -342,7 +354,7 @@ type MsgRoundStats struct {
 	Min   int
 	Max   int
 	Sum   int64
-	Bound int // Theorem 1 slot bound; 0 if never set
+	Bound int // provisioned message slot; 0 if never set
 }
 
 // MsgStats returns per-round message-size statistics sorted by round.

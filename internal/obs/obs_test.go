@@ -29,7 +29,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 		t.Errorf("nil histogram mean = %v", got)
 	}
 	r.Gauge("g", func() int64 { return 1 })
-	r.SetMsgBound(10)
+	r.SetMsgBound(10, "test")
 	r.MsgSize(0, 5)
 	if st := r.MsgStats(); st != nil {
 		t.Errorf("nil MsgStats = %v", st)
@@ -134,7 +134,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestMsgStats(t *testing.T) {
 	r := NewRecorder()
-	r.SetMsgBound(9)
+	r.SetMsgBound(9, "test")
 	r.MsgSize(1, 4)
 	r.MsgSize(0, 7)
 	r.MsgSize(0, 3)
@@ -149,6 +149,9 @@ func TestMsgStats(t *testing.T) {
 	tb := r.MsgTable()
 	if len(tb.Rows) != 2 || tb.Rows[0][6] != "yes" {
 		t.Errorf("msg table rows = %v", tb.Rows)
+	}
+	if note := tb.Notes[len(tb.Notes)-1]; !strings.HasSuffix(note, "set by test") {
+		t.Errorf("msg table note %q does not name the rule that set the slot", note)
 	}
 }
 

@@ -52,10 +52,10 @@ func modelled(ops int64, opTime time.Duration) string {
 }
 
 // MsgTable renders BalancedRouting's per-round message-size statistics
-// against the Theorem 1 slot bound.
+// against the message slot the run provisioned.
 func (r *Recorder) MsgTable() *trace.Table {
 	t := &trace.Table{
-		Title:   "BalancedRouting — message sizes per round vs Theorem 1 slot bound",
+		Title:   "BalancedRouting — message sizes per round vs the provisioned slot",
 		Columns: []string{"round", "msgs", "min", "avg", "max", "bound", "within"},
 	}
 	for _, s := range r.MsgStats() {
@@ -73,6 +73,10 @@ func (r *Recorder) MsgTable() *trace.Table {
 		}
 		t.AddRow(s.Round, s.Count, s.Min, trace.FormatFloat(avg), s.Max, s.Bound, within)
 	}
-	t.Notes = append(t.Notes, "bound = h/v + (v-1)/2 + 1 items (Theorem 1), the fixed disk slot size")
+	note := "bound = the provisioned disk slot (items)"
+	if rule := r.msgSlotRule(); rule != "" {
+		note += ", set by " + rule
+	}
+	t.Notes = append(t.Notes, note)
 	return t
 }

@@ -140,20 +140,68 @@ func allocBytes(f func()) uint64 {
 // (16 bytes an item between them). The arena is one worker's: K = 1 pins
 // c = 1 on any host. The sort allocates about 44 bytes an item, and the
 // bound lies halfway to the 52 that merging into made runs cost.
+// Balanced, the routing borrows its bins, regrouped messages and rebuilt
+// inboxes from the same arena and leaves State the inner program's: the
+// sort allocates about 56 bytes an item, and the bound lies just above
+// that (a State copied each round adds 24).
 func TestSortDeliveryAllocation(t *testing.T) {
-	const n, v, bound = 1 << 16, 8, 48
+	const n, v = 1 << 16, 8
 	keys := workload.Int64s(1, n)
-	cfg := core.Config{V: v, P: 1, D: 2, B: 64, PipelineDepth: 1}
-	if _, _, err := EMSort(keys, wordcodec.I64{}, cfg); err != nil { // warm the runtime's one-off allocations
-		t.Fatal(err)
+	for _, arm := range []struct {
+		balanced bool
+		bound    float64
+	}{{false, 48}, {true, 60}} {
+		cfg := core.Config{V: v, P: 1, D: 2, B: 64, PipelineDepth: 1, Balanced: arm.balanced}
+		if _, _, err := EMSort(keys, wordcodec.I64{}, cfg); err != nil { // warm the runtime's one-off allocations
+			t.Fatal(err)
+		}
+		var err error
+		got := float64(allocBytes(func() { _, _, err = EMSort(keys, wordcodec.I64{}, cfg) })) / n
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got > arm.bound {
+			t.Errorf("balanced=%v: %.1f bytes allocated an item, want at most %g: a merged run, a concatenation or a copy of State is back",
+				arm.balanced, got, arm.bound)
+		}
 	}
-	var err error
-	got := float64(allocBytes(func() { _, _, err = EMSort(keys, wordcodec.I64{}, cfg) })) / n
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got > bound {
-		t.Errorf("%.1f bytes allocated an item, want at most %d: a merged run or a concatenation is back", got, bound)
+}
+
+// TestBalancedAtLemma2Price holds BalancedRouting to Lemma 2's price on
+// the sort: twice the message passes of the unbalanced run and no more,
+// with contexts at the inner program's own width. Balanced messages are
+// untagged, so each of the doubled passes moves the unbalanced run's
+// words; phase-B rounds leave State as they found it, so they read the
+// context and write none: six context passes where the unbalanced run
+// makes four. Measured 2.01, 1.50 and 1.77 at p = 1 and 2.
+func TestBalancedAtLemma2Price(t *testing.T) {
+	const n, v = 1 << 16, 8
+	keys := workload.Int64s(1, n)
+	for _, p := range []int{1, 2} {
+		cfg := core.Config{V: v, P: p, D: 2, B: 64, PipelineDepth: 1}
+		_, plain, err := EMSort(keys, wordcodec.I64{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Balanced = true
+		_, bal, err := EMSort(keys, wordcodec.I64{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []struct {
+			what       string
+			got, plain int64
+			limit      float64
+		}{
+			{"message", bal.MsgOps, plain.MsgOps, 2.1},
+			{"context", bal.CtxOps, plain.CtxOps, 1.55},
+			{"total", bal.IO.ParallelOps, plain.IO.ParallelOps, 1.8},
+		} {
+			if ratio := float64(r.got) / float64(r.plain); ratio > r.limit {
+				t.Errorf("p=%d: balanced %s ops %d are %.2f× the unbalanced %d, want ≤ %g×",
+					p, r.what, r.got, ratio, r.plain, r.limit)
+			}
+		}
 	}
 }
 

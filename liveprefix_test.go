@@ -132,17 +132,13 @@ func livePrefixArms(t *testing.T, tag string, prog cgm.Program[int64], cfg core.
 	if !par {
 		cfg.P = 1
 	}
-	// The oracle prices the program as the engine runs it.
-	words := 1
-	var ctx, msg int64
-	var rounds int
+	// The oracle prices the program as the engine runs it: lifted through
+	// BalancedRouting when cfg says so, on the inner codec either way.
+	oprog := prog
 	if cfg.Balanced {
-		codec := balance.Codec[int64]{Inner: wordcodec.I64{}}
-		words = codec.Words()
-		ctx, msg, rounds = oracle(t, balance.Wrap(prog), codec, cfg, par, balance.WrapInputs(parts))
-	} else {
-		ctx, msg, rounds = oracle[int64](t, prog, wordcodec.I64{}, cfg, par, parts)
+		oprog = balance.Wrap(prog)
 	}
+	ctx, msg, rounds := oracle(t, oprog, wordcodec.I64{}, cfg, par, parts)
 
 	var first *core.Result[int64]
 	var rows []obs.SuperstepIO
@@ -177,8 +173,8 @@ func livePrefixArms(t *testing.T, tag string, prog cgm.Program[int64], cfg core.
 			if full := fullImageOps(m, cfg.MaxCtxItems, cfg.MaxMsgItems); res.IO.ParallelOps > full {
 				t.Errorf("%s: %d parallel I/Os, above the full-image count %d", ktag, res.IO.ParallelOps, full)
 			}
-			if m.Words != words {
-				t.Errorf("%s: ledger records %d words per item, want %d", ktag, m.Words, words)
+			if m.Words != 1 {
+				t.Errorf("%s: ledger records %d words per item, want 1", ktag, m.Words)
 			}
 			continue
 		}

@@ -2,8 +2,8 @@
 # Seeded-negative self-test of the contracts the engine's own tests hold
 # (DESIGN.md §10): break each contract in a scratch copy of the tree, run
 # only the test that owns it — in internal/core, internal/sortalg,
-# internal/cgm, internal/pdm, internal/layout, internal/permute, or in the
-# root package for the property tests — and
+# internal/cgm, internal/pdm, internal/layout, internal/permute,
+# internal/balance, or in the root package for the property tests — and
 # require that test to fail by name. The
 # unmutated copy must pass the same tests first. An anchor line that no
 # longer matches is itself a failure, so a refactor that moves the code
@@ -20,9 +20,9 @@ cp -R "$tmp/pristine/." "$tmp/work/"
 cd "$tmp/work"
 
 # run_tests PATTERN: the tests of internal/core, internal/sortalg,
-# internal/cgm, internal/pdm, internal/layout, internal/permute and the
-# root package that PATTERN names.
-run_tests() { go test . ./internal/core ./internal/sortalg ./internal/cgm ./internal/pdm ./internal/layout ./internal/permute -count=1 -timeout 300s -run "^($1)\$" 2>&1; }
+# internal/cgm, internal/pdm, internal/layout, internal/permute,
+# internal/balance and the root package that PATTERN names.
+run_tests() { go test . ./internal/core ./internal/sortalg ./internal/cgm ./internal/pdm ./internal/layout ./internal/permute ./internal/balance -count=1 -timeout 300s -run "^($1)\$" 2>&1; }
 
 # mutate FILE ANCHOR COUNT NTH REPLACEMENT: ANCHOR (a fixed string) must
 # be on exactly COUNT lines of FILE; the NTH such line becomes REPLACEMENT
@@ -78,7 +78,7 @@ check() {
 	cp "$tmp/pristine/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety|TestPositioningsPerDisk|TestContextPairsMeet|TestPSRSInMemory|TestDeliveryAllocation|TestSortDeliveryAllocation|TestSortDeliveryCheckedIO|TestIOOpsMatchSeed'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety|TestPositioningsPerDisk|TestContextPairsMeet|TestPSRSInMemory|TestDeliveryAllocation|TestSortDeliveryAllocation|TestSortDeliveryCheckedIO|TestIOOpsMatchSeed|FuzzBalancedRouting'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -335,4 +335,20 @@ mutate $f 'for _, c := range d.cuts[s*v : s*v+k] {' 1 1 \
 	'\t\tfor _, c := range d.cuts[s*v : s*v+k+1] {'
 check 'a VP'"'"'s offset counts its own column' $f TestSortDeliveryCheckedIO
 
-echo "contract-selftest: all thirty-two mutations caught"
+# BalancedRouting bins element ℓ of msg_{i,j} into bin (i+j+ℓ) mod v
+# (DESIGN.md §7): the staggered round-robin is what holds every balanced
+# message to Theorem 1's bound. A PhaseA that drops ℓ puts each message
+# whole into bin (i+j) mod v, and the fuzz target's seed corpus finds a
+# bin over the bound.
+f=internal/balance/balance.go
+mutate $f 'if b++; b == v {' 1 1 '\t\t\tif false {'
+check 'PhaseA bins by (i+j) mod v, dropping l' $f FuzzBalancedRouting
+
+# Balanced contexts are the inner program's own (DESIGN.md §6): the
+# wrapper forwards vp, and its routing borrows from the arena. A wrapper
+# that copies State into a made slice every round allocates a context a
+# round that the balanced sort never needed (about 24 bytes an item).
+mutate $f 'r := round / 2' 1 1 '\tr := round / 2\n\tvp.State = append(make([]T, 0, len(vp.State)), vp.State...)'
+check 'the wrapper copies State every round' $f TestSortDeliveryAllocation
+
+echo "contract-selftest: all thirty-four mutations caught"
