@@ -118,9 +118,9 @@ lint:
 # the tree — touch a loaned buffer, drop a read or a write hand-off, leak
 # the superstep span, drop the barrier's compensating sends, decode an
 # inbox at b′ instead of its image's stride, allocate per transfer, serve
-# a burst in map order, read the environment in sortalg, drop a
-# write-behind error, finish the local sort's LSD buckets without their
-# tie pass, look a permutation's owner up off by one at a partition start,
+# a burst in map order, read the environment in sortalg, import net/http
+# in obs, drop a write-behind error, finish the local sort's LSD buckets
+# without their tie pass, look a permutation's owner up off by one at a partition start,
 # drop MergeSort's wait error, fail every transfer of a failed disk batch,
 # store the first slot of each facing pair front to back, keep lent
 # scratch but not the chunks lent beyond the region, begin each VP's
@@ -133,7 +133,7 @@ lint:
 # permutation's Item partitions again, drop the guard's room from a
 # permutation's derived slot, bin BalancedRouting's items without their
 # position in the message, copy State in the balanced wrapper every
-# round — thirty-four in all — and requires the owning test to fail by
+# round — thirty-five in all — and requires the owning test to fail by
 # name.
 # About two minutes; one mutation wedges a run until its 30 s watchdog.
 contract-selftest:

@@ -7,7 +7,6 @@
 //	emcgm-bench -json           # machine-readable output (JSON)
 //	emcgm-bench -trace out.json # Chrome trace of every EM run (Perfetto)
 //	emcgm-bench -ledger led.json    # predicted-vs-measured cost-model ledger
-//	emcgm-bench -debug-addr :6060   # live /metrics, /trace.json, pprof
 //	emcgm-bench -fig depth -disks /data -directio   # wall clock on real disks
 //
 // Figures: 3 (VM vs EM-CGM sort), 4 (1 vs 2 disks), 5 (measured problem
@@ -42,7 +41,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit one JSON array of tables instead of aligned tables")
 	traceOut := flag.String("trace", "", "write a Chrome trace of every EM-CGM run to this file (load in Perfetto)")
 	ledgerOut := flag.String("ledger", "", "collect a predicted-vs-measured cost-model ledger over the Figure 5 workloads, print its summary, calibrate its time model from the session's own disk latencies, and write the JSON export to this file; exits 1 if any prediction misses (use with -fig 5 or -fig all)")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace.json, /steps and /debug/pprof on this address (e.g. :6060)")
 	depth := flag.Int("depth", 0, "pipeline window depth k for every run (0 = auto: 2 on in-memory and buffered file disks, the default disk model's depth on O_DIRECT and delay disks, clamped by v; 1 = the synchronous schedule; PDM counts are identical at every depth; the depth figure runs its own ladder)")
 	disks := flag.String("disks", "", "directory for the depth figure's file-disk files (empty = temporary directory)")
 	directio := flag.Bool("directio", true, "include file+direct (O_DIRECT) rows in the depth figure where the filesystem supports them")
@@ -91,19 +89,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *traceOut != "" || *debugAddr != "" || *ledgerOut != "" {
+	if *traceOut != "" || *ledgerOut != "" {
 		s.Rec = obs.NewRecorder()
 	}
 	if *ledgerOut != "" {
 		s.Ledger = costmodel.NewLedger(pdm.DefaultTimeModel())
-	}
-	opTime := pdm.DefaultTimeModel().OpTime(s.B)
-	if *debugAddr != "" {
-		go func() {
-			if err := obs.Serve(*debugAddr, s.Rec, opTime); err != nil {
-				fmt.Fprintf(os.Stderr, "emcgm-bench: debug endpoint: %v\n", err)
-			}
-		}()
 	}
 
 	var tables []*trace.Table

@@ -32,7 +32,6 @@ func main() {
 	disks := flag.String("disks", "", "directory for file-backed disks (empty = in-memory)")
 	directio := flag.Bool("directio", false, "open file disks with O_DIRECT, bypassing the page cache (needs -disks; falls back to buffered I/O where unsupported)")
 	traceOut := flag.String("trace", "", "write a Chrome trace of all pipeline phases to this file (load in Perfetto)")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace.json, /steps and /debug/pprof on this address (e.g. :6060)")
 	depth := flag.Int("depth", 0, "pipeline window depth k for every phase (0 = auto: 2 on in-memory and buffered file disks, the default disk model's depth under -directio; 1 = the synchronous schedule; PDM counts are identical at every depth)")
 	flag.Parse()
 
@@ -71,17 +70,10 @@ func main() {
 	}
 
 	var recorder *obs.Recorder
-	if *traceOut != "" || *debugAddr != "" {
+	if *traceOut != "" {
 		recorder = obs.NewRecorder()
 	}
 	mcfg.Recorder = recorder
-	if *debugAddr != "" {
-		go func() {
-			if err := obs.Serve(*debugAddr, recorder, pdm.DefaultTimeModel().OpTime(*b)); err != nil {
-				fmt.Fprintf(os.Stderr, "emcgm-graph: debug endpoint: %v\n", err)
-			}
-		}()
-	}
 
 	var edges []workload.Edge
 	nv := *n

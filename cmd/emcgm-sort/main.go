@@ -38,7 +38,6 @@ func main() {
 	steps := flag.Bool("steps", false, "print the per-superstep I/O table")
 	msgs := flag.Bool("msgs", false, "print BalancedRouting message sizes vs the Theorem 1 bound (needs -balanced)")
 	depth := flag.Int("depth", 0, "pipeline window depth k (0 = auto: 2 on in-memory and buffered file disks, the default disk model's depth under -directio; 1 = the synchronous schedule; PDM counts are identical at every depth)")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace.json, /steps and /debug/pprof on this address (e.g. :6060)")
 	flag.Parse()
 
 	for _, f := range []struct {
@@ -64,15 +63,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "emcgm-sort: %v\n", err)
 		os.Exit(2)
 	}
-	if *traceOut != "" || *steps || *msgs || *debugAddr != "" {
+	if *traceOut != "" || *steps || *msgs {
 		cfg.Recorder = obs.NewRecorder()
-	}
-	if *debugAddr != "" {
-		go func() {
-			if err := obs.Serve(*debugAddr, cfg.Recorder, pdm.DefaultTimeModel().OpTime(*b)); err != nil {
-				fmt.Fprintf(os.Stderr, "emcgm-sort: debug endpoint: %v\n", err)
-			}
-		}()
 	}
 	if *disks != "" {
 		if err := os.MkdirAll(*disks, 0o755); err != nil {

@@ -214,7 +214,8 @@ type Config struct {
 	// layer: one span per compound superstep with its parallel-I/O
 	// accounting in the args, child spans per phase (context read,
 	// inbox read, compute, routing, context write, barrier wait),
-	// per-disk latency histograms, and BalancedRouting message sizes.
+	// per-disk service spans and calibration fits, and BalancedRouting
+	// message sizes.
 	// nil disables recording; the disabled path is a nil check.
 	Recorder *obs.Recorder
 	// Ledger, when non-nil, receives one costmodel entry per run: every

@@ -494,9 +494,6 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 		}
 	}
 
-	if rec != nil {
-		rec.Counter(metric + "stall_ns").Add(stallNS)
-	}
 	res.Stall = time.Duration(stallNS)
 	res.Depth, res.Workers = k, c
 	res.IOPerProc = make([]pdm.IOStats, p)

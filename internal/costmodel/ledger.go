@@ -34,9 +34,6 @@ type Row struct {
 // PredOps is the row's total predicted parallel I/Os.
 func (r Row) PredOps() int64 { return r.PredCtxOps + r.PredMsgOps }
 
-// MeasOps is the row's total measured parallel I/Os.
-func (r Row) MeasOps() int64 { return r.MeasCtxOps + r.MeasMsgOps }
-
 // RunTotals carries the driver's end-of-run Result aggregates, so the
 // ledger can reconcile per-row sums against the totals the CLIs report.
 type RunTotals struct {

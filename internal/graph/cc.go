@@ -201,10 +201,3 @@ func ConnectedComponents(e *rec.Exec, n int, edges []workload.Edge) ([]int64, []
 	}
 	return labels, forest, nil
 }
-
-// SpanningForest returns a spanning forest of the graph as indices into
-// edges.
-func SpanningForest(e *rec.Exec, n int, edges []workload.Edge) ([]int, error) {
-	_, forest, err := ConnectedComponents(e, n, edges)
-	return forest, err
-}

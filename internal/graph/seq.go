@@ -83,32 +83,6 @@ func CCSeq(n int, edges []workload.Edge) []int64 {
 	return labels
 }
 
-// SpanningForestSeq returns a spanning forest as a subset of the input
-// edges (indices into edges).
-func SpanningForestSeq(n int, edges []workload.Edge) []int {
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	var forest []int
-	for i, e := range edges {
-		ru, rv := find(int(e.U)), find(int(e.V))
-		if ru != rv {
-			parent[ru] = rv
-			forest = append(forest, i)
-		}
-	}
-	return forest
-}
-
 // TreeFnsSeq computes depth, preorder number and subtree size for every
 // node of the rooted tree given as a parent array (parent[root] = root).
 // Children are visited in increasing id order, matching the CGM Euler

@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -59,12 +60,27 @@ type traceEvent struct {
 		CtxOps int64  `json:"ctxOps"`
 		MsgOps int64  `json:"msgOps"`
 		Blocks int64  `json:"blocks"`
+		Value  int64  `json:"value"` // counter ("C") events
 	} `json:"args"`
 }
 
 type traceFile struct {
 	TraceEvents     []traceEvent `json:"traceEvents"`
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
+}
+
+// decodeTrace renders rec's Chrome trace and parses it back.
+func decodeTrace(t *testing.T, rec *obs.Recorder) traceFile {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var tf traceFile
+	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
+		t.Fatalf("chrome trace is not valid JSON: %v", err)
+	}
+	return tf
 }
 
 // reconcile checks the recorder's accounting against the run's: the
@@ -96,14 +112,7 @@ func reconcile(t *testing.T, rec *obs.Recorder, res *core.Result[int64]) {
 		t.Errorf("dropped %d events", d)
 	}
 
-	var buf bytes.Buffer
-	if err := rec.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var tf traceFile
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
-		t.Fatalf("chrome trace is not valid JSON: %v", err)
-	}
+	tf := decodeTrace(t, rec)
 	if tf.DisplayTimeUnit != "ms" {
 		t.Errorf("displayTimeUnit = %q", tf.DisplayTimeUnit)
 	}
@@ -177,22 +186,37 @@ func TestParTraceReconciles(t *testing.T) {
 	}
 	reconcile(t, rec, res)
 
-	// The parallel machine traces per-disk spans onto their own tracks
-	// and observes every transfer in the per-disk latency histograms.
-	var buf bytes.Buffer
-	if err := rec.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
+	// The parallel machine traces per-disk spans onto their own tracks,
+	// one per disk of each processor, and its parallel-op gauges render as
+	// counter events holding each processor's final count.
+	tf := decodeTrace(t, rec)
+	tids := map[string]int{}
+	spans := map[int]int{}
+	counters := map[string]int64{}
+	for _, e := range tf.TraceEvents {
+		switch {
+		case e.Ph == "M" && e.Name == "thread_name":
+			tids[e.Args.Name] = e.Tid
+		case e.Ph == "X" && e.Cat == "disk":
+			spans[e.Tid]++
+		case e.Ph == "C":
+			counters[e.Name] = e.Args.Value
+		}
 	}
-	out := buf.String()
-	for _, want := range []string{
-		"pdm_p0_disk0_latency_ns_count",
-		"pdm_p1_disk1_latency_ns_count",
-		"pdm_p0_queue_depth_count",
-		"pdm_p0_blocks_per_op_count",
-		"pdm_p0_parallel_ops",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q", want)
+	for proc := range cfg.P {
+		for disk := range cfg.D {
+			track := fmt.Sprintf("p%d disk %d", proc, disk)
+			if tid, ok := tids[track]; !ok {
+				t.Errorf("no %q track", track)
+			} else if spans[tid] == 0 {
+				t.Errorf("track %q has no disk span", track)
+			}
+		}
+		name := fmt.Sprintf("pdm_p%d_parallel_ops", proc)
+		if got, ok := counters[name]; !ok {
+			t.Errorf("no %s counter event", name)
+		} else if want := res.IOPerProc[proc].ParallelOps; got != want {
+			t.Errorf("%s = %d, want processor %d's %d parallel ops", name, got, proc, want)
 		}
 	}
 }

@@ -1,27 +1,26 @@
 // Package obs is the observability layer of the EM-CGM simulation: a
-// Recorder that collects superstep/phase spans, per-disk latency
-// histograms, counters and per-round message-size statistics, and exports
-// them as a Chrome trace-event file (chrome://tracing / Perfetto), a
-// per-superstep summary trace.Table, and a Prometheus-style text endpoint.
+// Recorder that collects superstep/phase spans, per-disk service spans
+// and calibration fits, gauges and per-round message-size statistics,
+// and exports them one way: a Chrome trace-event file (chrome://tracing /
+// Perfetto), with the per-superstep and message-size trace.Tables as its
+// printed summaries.
 //
-// The design contract, inherited from the PR 1 hot-path discipline, is
-// that a *disabled* recorder costs one nil check and zero allocations:
-// every exported method is safe on a nil *Recorder (and nil *Counter /
-// *Histogram) and returns immediately. Packages therefore hold a plain
-// *Recorder field that is nil by default; no build tags, no interfaces,
-// no indirection on the hot path.
+// The design contract is that a *disabled* recorder costs one nil check
+// and zero allocations: every exported method is safe on a nil *Recorder
+// (and nil *FitAcc) and returns immediately. Packages therefore hold a
+// plain *Recorder field that is nil by default; no build tags, no
+// interfaces, no indirection on the hot path.
 //
 // An *enabled* recorder may allocate (appending events amortises through
-// slice growth) but never blocks I/O: histogram and counter updates are
-// atomic, and span emission takes one short mutex-protected append. Event
-// storage is capped (DroppedEvents reports overflow) so a long run cannot
-// grow the trace without bound.
+// slice growth) but never blocks I/O: fit updates are atomic, and span
+// emission takes one short mutex-protected append. Event storage is
+// capped (DroppedEvents reports overflow) so a long run cannot grow the
+// trace without bound.
 package obs
 
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -86,8 +85,6 @@ type Recorder struct {
 	events    []event
 	dropped   int64
 	steps     []SuperstepIO
-	counters  []*Counter
-	hists     []*Histogram
 	fits      []*FitAcc
 	gauges    []gauge
 	msgBound  int
@@ -244,46 +241,6 @@ func (r *Recorder) DroppedEvents() int64 {
 	return r.dropped
 }
 
-// Counter is a named atomic counter. A nil *Counter ignores updates, so
-// holders need not re-check the recorder.
-type Counter struct {
-	name string
-	v    atomic.Int64
-}
-
-// Add increments the counter.
-func (c *Counter) Add(d int64) {
-	if c != nil {
-		c.v.Add(d)
-	}
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Counter returns the counter registered under name, creating it on first
-// use. Returns nil on a nil recorder.
-func (r *Recorder) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		if c.name == name {
-			return c
-		}
-	}
-	c := &Counter{name: name}
-	r.counters = append(r.counters, c)
-	return c
-}
-
 // gauge is a named read-on-export value, used to surface counters that
 // already exist elsewhere (e.g. pdm's atomic IOStats) without duplicating
 // their hot-path updates.
@@ -292,7 +249,8 @@ type gauge struct {
 	f    func() int64
 }
 
-// Gauge registers f to be sampled at metrics-export time under name.
+// Gauge registers f to be sampled at trace-export time under name; it
+// renders as a Chrome counter event.
 func (r *Recorder) Gauge(name string, f func() int64) {
 	if r == nil || f == nil {
 		return

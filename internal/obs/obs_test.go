@@ -20,14 +20,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	s.EndIO(SuperstepIO{CtxOps: 1})
 	r.SpanSince(tr, "a", "b", time.Now())
 	r.Event(tr, "a", "b")
-	r.Counter("c").Add(1)
-	if got := r.Counter("c").Value(); got != 0 {
-		t.Errorf("nil counter value = %d", got)
-	}
-	r.Histogram("h").Observe(7)
-	if got := r.Histogram("h").Mean(); got != 0 {
-		t.Errorf("nil histogram mean = %v", got)
-	}
 	r.Gauge("g", func() int64 { return 1 })
 	r.SetMsgBound(10, "test")
 	r.MsgSize(0, 5)
@@ -47,88 +39,24 @@ func TestNilRecorderIsInert(t *testing.T) {
 	if buf.String() != `{"traceEvents":[],"displayTimeUnit":"ms"}`+"\n" {
 		t.Errorf("nil trace = %q", buf.String())
 	}
-	buf.Reset()
-	if err := r.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "disabled") {
-		t.Errorf("nil metrics = %q", buf.String())
-	}
 }
 
+// TestCounterAndGauge checks that a gauge renders as one Chrome counter
+// ("C") event holding the value sampled at export, stamped at the end of
+// the recorded interval.
 func TestCounterAndGauge(t *testing.T) {
 	r := NewRecorder()
-	c := r.Counter("ops")
-	c.Add(3)
-	c.Add(4)
-	if c.Value() != 7 {
-		t.Errorf("counter = %d, want 7", c.Value())
-	}
-	if r.Counter("ops") != c {
-		t.Error("Counter not idempotent by name")
-	}
-	r.Gauge("g", func() int64 { return 42 })
+	r.clock = func() time.Duration { return 500 * time.Microsecond }
+	n := int64(40)
+	r.Gauge("g", func() int64 { return n })
+	n += 2 // sampled at export, not at registration
 	var buf bytes.Buffer
-	if err := r.WriteMetrics(&buf); err != nil {
+	if err := r.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE ops counter\nops 7\n",
-		"# TYPE g gauge\ng 42\n",
-		"emcgm_trace_events 0\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q in:\n%s", want, out)
-		}
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	r := NewRecorder()
-	h := r.Histogram("lat")
-	for _, v := range []int64{0, 1, 3, 1000, -5} {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	if s.Count != 5 || s.Sum != 1004 {
-		t.Errorf("count=%d sum=%d, want 5, 1004", s.Count, s.Sum)
-	}
-	// -5 clamps to 0; bits.Len64: 0→bucket 0, 1→1, 3→2, 1000→10.
-	wantBuckets := map[int]int64{0: 2, 1: 1, 2: 1, 10: 1}
-	for k, want := range wantBuckets {
-		if s.Buckets[k] != want {
-			t.Errorf("bucket %d = %d, want %d", k, s.Buckets[k], want)
-		}
-	}
-	if got := h.Mean(); got != 1004.0/5 {
-		t.Errorf("mean = %v", got)
-	}
-	if BucketUpper(0) != 0 || BucketUpper(10) != 1023 || BucketUpper(64) != 1<<63-1 {
-		t.Errorf("BucketUpper wrong: %d %d %d", BucketUpper(0), BucketUpper(10), BucketUpper(64))
-	}
-	if r.Histogram("lat") != h {
-		t.Error("Histogram not idempotent by name")
-	}
-
-	var buf bytes.Buffer
-	if err := r.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE lat histogram\n",
-		`lat_bucket{le="0"} 2`,
-		`lat_bucket{le="1"} 3`,
-		`lat_bucket{le="3"} 4`,
-		`lat_bucket{le="1023"} 5`,
-		`lat_bucket{le="+Inf"} 5`,
-		"lat_sum 1004",
-		"lat_count 5",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q in:\n%s", want, out)
-		}
+	want := `{"name":"g","cat":"counter","ph":"C","ts":500,"pid":0,"tid":0,"args":{"value":42}}`
+	if !strings.Contains(buf.String(), want) {
+		t.Errorf("trace lacks the gauge's counter event %s:\n%s", want, buf.String())
 	}
 }
 
@@ -235,19 +163,5 @@ func TestChromeTraceGolden(t *testing.T) {
 		`],"displayTimeUnit":"ms"}` + "\n"
 	if buf.String() != want {
 		t.Errorf("golden mismatch:\ngot  %s\nwant %s", buf.String(), want)
-	}
-}
-
-func TestPromName(t *testing.T) {
-	cases := map[string]string{
-		"pdm_p0_disk0_latency_ns": "pdm_p0_disk0_latency_ns",
-		"p0 disk 0":               "p0_disk_0",
-		"0abc":                    "_abc",
-		"a:b":                     "a:b",
-	}
-	for in, want := range cases {
-		if got := promName(in); got != want {
-			t.Errorf("promName(%q) = %q, want %q", in, got, want)
-		}
 	}
 }

@@ -25,12 +25,9 @@ type diskOp struct {
 // flight; the worker reads it only while servicing an op, and the channel
 // hand-off orders those accesses, so no atomics are needed.
 type diskObs struct {
-	rec      *obs.Recorder
-	track    obs.TrackID
-	lat      *obs.Histogram // per-service service time, nanoseconds
-	batch    *obs.Histogram // transfers coalesced per service (BatchDisk workers)
-	fit      *obs.FitAcc    // (runs, tracks, latency) calibration moments
-	inflight *atomic.Int64  // array-wide outstanding transfers
+	rec   *obs.Recorder
+	track obs.TrackID
+	fit   *obs.FitAcc // (runs, tracks, latency) calibration moments
 }
 
 // workerBatch is one batching worker's private scratch, allocated once in
@@ -46,8 +43,9 @@ type workerBatch struct {
 // diskWorker services one disk's transfers for the lifetime of the array
 // and marks done when it leaves. It references only its disk, channel,
 // observability slot and done — never the DiskArray — so an abandoned
-// array stays collectable and its cleanup can stop the workers. With a recorder attached, each service is timed into
-// the disk's latency histogram and emitted as a span on the disk's track.
+// array stays collectable and its cleanup can stop the workers. With a
+// recorder attached, each service is timed into the disk's calibration fit
+// and emitted as a span on the disk's track.
 //
 // When the disk implements BatchDisk (bat non-nil), every service is one
 // batch call: after taking one op the worker drains whatever else is
@@ -116,10 +114,9 @@ func (ob *diskObs) start() time.Time {
 }
 
 // served records a service of the given ascending tracks that began at
-// t0: its latency, the (runs, tracks, latency) sample the TimeModel
-// calibration fit regresses on, a span — read/write for one track,
-// readv/writev for a coalesced batch — and the tracks leaving flight.
-// Without a recorder it does nothing.
+// t0: the (runs, tracks, latency) sample the TimeModel calibration fit
+// regresses on, and a span — read/write for one track, readv/writev for a
+// coalesced batch. Without a recorder it does nothing.
 func (ob *diskObs) served(t0 time.Time, read bool, tracks []int) {
 	if ob.rec == nil {
 		return
@@ -140,10 +137,8 @@ func (ob *diskObs) served(t0 time.Time, read bool, tracks []int) {
 	case len(tracks) > 1:
 		name = "writev"
 	}
-	ob.lat.Observe(lat)
 	ob.fit.Observe(runs, len(tracks), lat)
 	ob.rec.SpanSince(ob.track, name, "disk", t0)
-	ob.inflight.Add(-int64(len(tracks)))
 }
 
 // serveOp services one transfer on a disk without BatchDisk and signals
@@ -195,9 +190,6 @@ func serveBatch(bd BatchDisk, ops []diskOp, ob *diskObs, bat *workerBatch) {
 	transfer := bd.WriteTracks
 	if read {
 		transfer = bd.ReadTracks
-	}
-	if ob.rec != nil {
-		ob.batch.Observe(int64(len(ops)))
 	}
 	t0 := ob.start()
 	err := transfer(tracks, bufs)
@@ -278,13 +270,10 @@ type DiskArray struct {
 
 	stats ioCounters
 
-	// Observability (nil when recording is disabled — the hot path then
-	// pays exactly one nil check per parallel operation).
-	rec       *obs.Recorder
-	diskObs   []*diskObs
-	depthHist *obs.Histogram // outstanding transfers observed per op
-	fullHist  *obs.Histogram // blocks per parallel op (fullness numerator)
-	inflight  atomic.Int64
+	// Observability: each disk worker's recorder slot (a nil recorder
+	// when recording is disabled — the worker then pays one nil check per
+	// service).
+	diskObs []*diskObs
 }
 
 // ioCounters is the atomic backing of IOStats: accounting never takes a
@@ -391,38 +380,31 @@ func (a *DiskArray) B() int { return a.b }
 func (a *DiskArray) Disk(i int) Disk { return a.disks[i] }
 
 // SetRecorder attaches an observability recorder to the array: one trace
-// track and latency histogram per disk (named after the owning real
-// processor proc), queue-depth and blocks-per-op histograms, and gauges
-// mirroring the atomic I/O counters for the /metrics endpoint. A nil rec
-// detaches. Serialised against I/O by opMu, so it must not be called from
-// inside a transfer; attach before the run starts.
+// track and calibration fit per disk (named after the owning real
+// processor proc), and gauges mirroring the atomic I/O counters, which
+// the Chrome trace renders as counter events. A nil rec detaches.
+// Serialised against I/O by opMu, so it must not be called from inside a
+// transfer; attach before the run starts.
 //
 // Recording never changes the counted operations — the PDM accounting
 // stays bit-identical with and without a recorder.
 func (a *DiskArray) SetRecorder(rec *obs.Recorder, proc int) {
 	a.opMu.Lock()
 	defer a.opMu.Unlock()
-	a.rec = rec
 	if rec == nil {
 		for _, ob := range a.diskObs {
 			*ob = diskObs{}
 		}
-		a.depthHist, a.fullHist = nil, nil
 		return
 	}
 	for i, ob := range a.diskObs {
 		ob.rec = rec
 		ob.track = rec.Track(fmt.Sprintf("p%d disk %d", proc, i))
-		ob.lat = rec.Histogram(fmt.Sprintf("pdm_p%d_disk%d_latency_ns", proc, i))
-		ob.batch = rec.Histogram(fmt.Sprintf("pdm_p%d_disk%d_batch_blocks", proc, i))
 		ob.fit = rec.Fit(fmt.Sprintf("pdm_p%d_disk%d", proc, i))
-		ob.inflight = &a.inflight
 		if sc, ok := a.disks[i].(SyscallCounter); ok {
 			rec.Gauge(fmt.Sprintf("pdm_p%d_disk%d_syscalls", proc, i), sc.Syscalls)
 		}
 	}
-	a.depthHist = rec.Histogram(fmt.Sprintf("pdm_p%d_queue_depth", proc))
-	a.fullHist = rec.Histogram(fmt.Sprintf("pdm_p%d_blocks_per_op", proc))
 	rec.Gauge(fmt.Sprintf("pdm_p%d_parallel_ops", proc), a.stats.parallelOps.Load)
 	rec.Gauge(fmt.Sprintf("pdm_p%d_read_ops", proc), a.stats.readOps.Load)
 	rec.Gauge(fmt.Sprintf("pdm_p%d_write_ops", proc), a.stats.writeOps.Load)

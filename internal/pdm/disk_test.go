@@ -261,27 +261,6 @@ func TestDiskLastWriteWinsProperty(t *testing.T) {
 	}
 }
 
-func TestParamsValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		p    Params
-		ok   bool
-	}{
-		{"valid", Params{N: 1000, M: 100, B: 10, D: 2, P: 1}, true},
-		{"zero B", Params{N: 10, M: 10, B: 0, D: 1, P: 1}, false},
-		{"zero D", Params{N: 10, M: 10, B: 1, D: 0, P: 1}, false},
-		{"zero P", Params{N: 10, M: 10, B: 1, D: 1, P: 0}, false},
-		{"DB > M", Params{N: 10, M: 5, B: 3, D: 2, P: 1}, false},
-		{"M unset", Params{N: 10, B: 3, D: 2, P: 1}, true},
-	}
-	for _, c := range cases {
-		err := c.p.Validate()
-		if (err == nil) != c.ok {
-			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
-		}
-	}
-}
-
 func TestBlocksFor(t *testing.T) {
 	cases := []struct{ n, b, want int }{
 		{0, 4, 0}, {-3, 4, 0}, {1, 4, 1}, {4, 4, 1}, {5, 4, 2}, {8, 4, 2}, {9, 4, 3},

@@ -62,35 +62,6 @@ func (r BlockReq) String() string {
 	return fmt.Sprintf("d%d/t%d", r.Disk, r.Track)
 }
 
-// Params carries the PDM parameters of a machine configuration.
-// All sizes are in items (words after encoding).
-type Params struct {
-	N int // problem size
-	M int // internal memory size per processor
-	B int // block (track) size
-	D int // disks per processor
-	P int // number of (real) processors
-}
-
-// Validate checks the standard PDM constraints: M < N is not required here
-// (small test instances are legal), but B ≥ 1, D ≥ 1, P ≥ 1 and DB ≤ M
-// (a processor must be able to hold one block from each disk) are.
-func (p Params) Validate() error {
-	if p.B < 1 {
-		return fmt.Errorf("pdm: B = %d, want ≥ 1", p.B)
-	}
-	if p.D < 1 {
-		return fmt.Errorf("pdm: D = %d, want ≥ 1", p.D)
-	}
-	if p.P < 1 {
-		return fmt.Errorf("pdm: P = %d, want ≥ 1", p.P)
-	}
-	if p.M > 0 && p.D*p.B > p.M {
-		return fmt.Errorf("pdm: DB = %d exceeds internal memory M = %d", p.D*p.B, p.M)
-	}
-	return nil
-}
-
 // BlocksFor returns the number of B-sized blocks needed to hold n items.
 func BlocksFor(n, b int) int {
 	if n <= 0 {

@@ -112,15 +112,6 @@ func (a *DiskArray) begin(reqs []BlockReq, bufs [][]Word, read bool) (*Pending, 
 	if err := a.checkReqs(reqs); err != nil {
 		return nil, err
 	}
-	if a.rec != nil {
-		// Queue depth is now genuinely dynamic: with split-phase callers
-		// several operations can be outstanding, so the depth observed at
-		// dispatch includes the transfers still in flight from earlier
-		// Begins.
-		a.fullHist.Observe(int64(len(reqs)))
-		a.inflight.Add(int64(len(reqs)))
-		a.depthHist.Observe(a.inflight.Load())
-	}
 	p := a.free
 	if p == nil {
 		p = &Pending{errs: make([]error, len(a.disks))}

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/pdm"
 	"repro/internal/workload"
 )
@@ -19,9 +18,8 @@ import (
 // one to four words, fan-in 2 to 7, D = 1 to 4. The counts are a
 // function of the shape alone, so any drift is a change in how MergeSort
 // issues its transfers. It also pins the schedule: one parallel I/O in
-// flight at a time, so the array-wide transfer depth each operation sees
-// at dispatch is its own block count, and those depths sum to the blocks
-// moved.
+// flight at a time, so no transfer starts while the array has begun an
+// operation whose transfers have not started (see schedule).
 func TestMergeSortCountsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		n, d, b, rec, m  int
@@ -38,17 +36,26 @@ func TestMergeSortCountsPinned(t *testing.T) {
 		for i, x := range workload.Int64s(3, len(recs)) {
 			recs[i] = pdm.Word(x)
 		}
-		arr := pdm.NewMemArray(tc.d, tc.b)
-		rec := obs.NewRecorder()
-		arr.SetRecorder(rec, 0)
+		sched := &schedule{holdAt: 3}
+		disks := make([]pdm.Disk, tc.d)
+		for i := range disks {
+			disks[i] = &scheduleDisk{Disk: pdm.NewMemDisk(tc.b), s: sched, i: i}
+		}
+		arr, err := pdm.NewDiskArray(disks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched.arr = arr
 		out, info, err := MergeSort(arr, recs, tc.rec, tc.m)
+		if cerr := arr.Close(); err == nil {
+			err = cerr
+		}
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
-		st, depth := arr.Stats(), rec.Histogram("pdm_p0_queue_depth").Snapshot()
-		if depth.Count != st.ParallelOps || depth.Sum != st.BlocksMoved {
-			t.Errorf("n=%d D=%d B=%d rec=%d M=%d: %d operations saw %d transfers in flight at dispatch; want %d operations, %d transfers (one operation at a time)",
-				tc.n, tc.d, tc.b, tc.rec, tc.m, depth.Count, depth.Sum, st.ParallelOps, st.BlocksMoved)
+		if lead := sched.lead.Load(); lead > 0 {
+			t.Errorf("n=%d D=%d B=%d rec=%d M=%d: a transfer started with the array %d operations ahead of the transfers started; want none ahead (one operation at a time)",
+				tc.n, tc.d, tc.b, tc.rec, tc.m, lead)
 		}
 		h := fnv.New64a()
 		for _, w := range out {
@@ -131,6 +138,51 @@ func TestMergeSortSurfacesBeginError(t *testing.T) {
 	if _, _, err := MergeSort(arr, make([]pdm.Word, 100), 1, 48); !errors.Is(err, pdm.ErrClosed) {
 		t.Fatalf("err = %v, want %v", err, pdm.ErrClosed)
 	}
+}
+
+// schedule watches every transfer of an array whose disks are its
+// scheduleDisks. As a transfer starts it counts itself in started and
+// folds into lead how far the operations the array has begun run ahead
+// of the transfers started so far. A caller that waits each operation
+// before it begins the next keeps lead at or below 0: every earlier
+// operation's transfers have started, and the current one's include this
+// transfer.
+// Disk 0 holds its holdAt-th transfer for a while before it starts, so a
+// caller that does not wait builds a lead the next start sees.
+type schedule struct {
+	arr     *pdm.DiskArray
+	holdAt  int
+	started atomic.Int64
+	lead    atomic.Int64
+}
+
+// scheduleDisk is one disk under a schedule. Embedding the interface
+// hides the inner disk's batch methods, so every transfer is one call.
+type scheduleDisk struct {
+	pdm.Disk
+	s      *schedule
+	i      int
+	served int // touched only by the disk's one worker
+}
+
+func (d *scheduleDisk) start() {
+	d.served++
+	if d.i == 0 && d.served == d.s.holdAt {
+		time.Sleep(20 * time.Millisecond)
+	}
+	lead := d.s.arr.Stats().ParallelOps - d.s.started.Add(1)
+	for old := d.s.lead.Load(); lead > old && !d.s.lead.CompareAndSwap(old, lead); old = d.s.lead.Load() {
+	}
+}
+
+func (d *scheduleDisk) ReadTrack(t int, dst []pdm.Word) error {
+	d.start()
+	return d.Disk.ReadTrack(t, dst)
+}
+
+func (d *scheduleDisk) WriteTrack(t int, src []pdm.Word) error {
+	d.start()
+	return d.Disk.WriteTrack(t, src)
 }
 
 // blipDisk counts the transfers it serves in seen and fails the one that

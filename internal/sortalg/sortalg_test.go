@@ -758,25 +758,6 @@ func TestMergeSortProperty(t *testing.T) {
 	}
 }
 
-// Heavy key skew overflows the tight default slots; BalancedRouting
-// rescues it without changing the result — the Lemma 2 use case.
-func TestEMSortZipfSkewNeedsBalancing(t *testing.T) {
-	const n, v = 1 << 12, 8
-	in := workload.ZipfInt64s(7, n, 40) // ~41 distinct values, heavily skewed
-	// Unbalanced with the tight default slots should overflow...
-	_, _, err := EMSort(in, wordcodec.I64{}, core.Config{V: v, P: 2, D: 2, B: 32})
-	if err == nil {
-		t.Skip("skew did not overflow the default slots on this seed")
-	}
-	// ...and the balanced run must succeed and sort.
-	got, _, err := EMSort(in, wordcodec.I64{}, core.Config{V: v, P: 2, D: 2, B: 32, Balanced: true,
-		MaxCtxItems: n})
-	if err != nil {
-		t.Fatalf("balanced: %v", err)
-	}
-	checkSorted(t, "zipf", got, in)
-}
-
 // TestMergeRunsTwoBuffers: the merge equals a stable sort of the
 // concatenated runs for every run count — none, one, two, odd, sixteen,
 // empty runs among them — and uses at most two data-sized buffers however

@@ -196,6 +196,14 @@ mutate $f '"cmp"' 1 1 '\t"cmp"\n\t"os"'
 mutate $f 'if cfg.MaxMsgItems == 0 {' 1 1 '\tif cfg.MaxMsgItems == 0 && os.Getenv("EMSORT_MSG_ITEMS") == "" {'
 check 'read the environment in sortalg' $f TestDeterministicImports
 
+# The ban holds through every module package the deterministic ones
+# import, not only their own files: obs, which core and balance import,
+# may not reach the network either.
+f=internal/obs/obs.go
+mutate $f '"sort"' 1 1 '\t"net/http"\n\t"sort"'
+mutate $f 'const maxEvents = 1 << 20' 1 1 'const maxEvents = 1 << 20\n\nvar _ = http.MethodGet'
+check 'import net/http in obs' $f TestDeterministicImports
+
 # No I/O error is dropped: the round epilogue's wait on the write-behind
 # is the only report of a write that failed, since nothing reads the
 # block before the next round does. The sweep's one-shot faults fail that
@@ -351,4 +359,4 @@ check 'PhaseA bins by (i+j) mod v, dropping l' $f FuzzBalancedRouting
 mutate $f 'r := round / 2' 1 1 '\tr := round / 2\n\tvp.State = append(make([]T, 0, len(vp.State)), vp.State...)'
 check 'the wrapper copies State every round' $f TestSortDeliveryAllocation
 
-echo "contract-selftest: all thirty-four mutations caught"
+echo "contract-selftest: all thirty-five mutations caught"
