@@ -87,7 +87,7 @@ import (
 // the slot's pending set has been waited.
 type superstepScratch struct {
 	ctxImg []pdm.Word     // context encode/decode image, at most cb·B words
-	flat   []pdm.Word     // message slot images at one stride (msgStride), at most v·b′·B words
+	flat   []pdm.Word     // message slots' live prefixes, back to back (growFlat), at most v·b′·B words
 	live   []int          // live blocks per slot of flat being written or read
 	reqs   []pdm.BlockReq // request staging for matrix/striped sequences
 	bufs   [][]pdm.Word   // block views over ctxImg or flat
@@ -102,16 +102,17 @@ func newSuperstepScratch(slots int) *superstepScratch {
 	return &superstepScratch{ctxImg: []pdm.Word{}, live: make([]int, slots)}
 }
 
-// grow returns img with at least n words: img itself when it holds them,
-// else a new image of an eighth more than n, never more than limit words
-// (the worst case the slot is charged at), that starts with img's words.
-// Those are kept because a context image still holds, at its head, what
-// the slot read, which encodeCtx compares against.
-func grow(img []pdm.Word, n, limit int) []pdm.Word {
-	if n <= len(img) {
+// grow returns img with at least nb blocks of b words: img itself when it
+// holds them, else a new image of an eighth more blocks than nb, rounded
+// up (an image is only ever split into whole blocks), never more than
+// limit blocks (the worst case the slot is charged at), that starts with
+// img's words. Those are kept because a context image still holds, at its
+// head, what the slot read, which encodeCtx compares against.
+func grow(img []pdm.Word, nb, b, limit int) []pdm.Word {
+	if nb*b <= len(img) {
 		return img
 	}
-	g := make([]pdm.Word, min(n+n/8, limit))
+	g := make([]pdm.Word, min(nb+(nb+7)/8, limit)*b)
 	copy(g, img)
 	return g
 }
@@ -482,17 +483,11 @@ func balancedMsgBound(maxH, v int) int {
 
 // liveBlocks is the one rule that turns an image's item count — its
 // length-table entry, the only record of its size — into its live prefix:
-// the b-word blocks that n items of w words, and guard words past them,
-// reach within an image of size blocks; none for no items. The writer
-// fills and transfers that prefix, the reader transfers it, and decode
-// reads the n·w words at its head, so nothing is decoded that was not
-// transferred.
-func liveBlocks(n, w, guard, b, size int) int {
-	if n == 0 {
-		return 0
-	}
-	return min(pdm.BlocksFor(n*w+guard, b), size)
-}
+// the b-word blocks that n items of w words reach within an image of size
+// blocks; none for no items. The writer fills and transfers that prefix,
+// the reader transfers it, and decode reads the n·w words at its head, so
+// nothing is decoded that was not transferred.
+func liveBlocks(n, w, b, size int) int { return min(pdm.BlocksFor(n*w, b), size) }
 
 // encodeLive serialises items into the head of the fixed-address image img
 // and zero-fills the rest of its first nb blocks of b words, the live
@@ -506,26 +501,6 @@ func encodeLive[T any](codec wordcodec.Codec[T], items []T, img []pdm.Word, nb, 
 	wordcodec.EncodeInto(codec, img[:end], items)
 	clear(img[end : nb*b])
 }
-
-// msgGuard is how far past its last word a message's live prefix reaches:
-// a quarter of a block. With N, v and B powers of two the messages of a
-// balanced h-relation average an exact number of blocks, so a prefix cut
-// at the last word would take k blocks for one half of them and k + 1 for
-// the other, whichever way the keys fell, and the I/O count of a run
-// would move with its input's low-order randomness by more than any
-// change worth measuring. Cut a quarter block later, every message within
-// −B/4 … +3B/4 words of k blocks moves k + 1, and the cut itself (at
-// three quarters of a block) is a size no power-of-two geometry averages.
-// The price is one dead block for the messages whose last block is more
-// than three quarters full.
-func msgGuard(b int) int { return b / 4 }
-
-// SlotItems is the message slot, in items of w words on b-word blocks,
-// that holds a message of n items with its guard: a program that knows
-// its largest message declares this as Config.MaxMsgItems, and no live
-// prefix is then cut short at the slot's end, so every message moves the
-// blocks it would move in any larger slot.
-func SlotItems(n, w, b int) int { return n + (msgGuard(b)+w-1)/w }
 
 // encodeCtx is encodeLive for a context whose image still holds, at its
 // head, the was items the slot read this round — which is what is on disk.

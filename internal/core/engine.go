@@ -215,29 +215,27 @@ func (e *engine[T]) inboxLive(pr *proc[T], round, l int) []int {
 }
 
 // ctxBlocks is liveBlocks for a context run of n items.
-func (e *engine[T]) ctxBlocks(n int) int { return liveBlocks(n, e.codec.Words(), 0, e.cfg.B, e.cb) }
+func (e *engine[T]) ctxBlocks(n int) int { return liveBlocks(n, e.codec.Words(), e.cfg.B, e.cb) }
 
-// msgBlocks is liveBlocks for a message slot of n items, guard and all.
-func (e *engine[T]) msgBlocks(n int) int {
-	return liveBlocks(n, e.codec.Words(), msgGuard(e.cfg.B), e.cfg.B, e.bpm)
-}
-
-// msgStride is the one rule that places the message slots of a ring slot's
-// flat image: live[i] blocks are live in slot i, and every slot sits the
-// largest of them apart — at most b′, the bound the disk slots are sized
-// by, and only what the image's largest message needs. The writer derives
-// live from the messages it encodes, the reader from the length table's
-// counts of them, so both place every slot at the same words.
-func msgStride(live []int) int { return slices.Max(live) }
+// msgBlocks is liveBlocks for a message slot of n items.
+func (e *engine[T]) msgBlocks(n int) int { return liveBlocks(n, e.codec.Words(), e.cfg.B, e.bpm) }
 
 // growCtx makes s's context image hold nb blocks.
 func (e *engine[T]) growCtx(s *superstepScratch, nb int) {
-	s.ctxImg = grow(s.ctxImg, nb*e.cfg.B, e.cb*e.cfg.B)
+	s.ctxImg = grow(s.ctxImg, nb, e.cfg.B, e.cb)
 }
 
-// growFlat makes s's flat image hold n message slots sb blocks apart.
-func (e *engine[T]) growFlat(s *superstepScratch, n, sb int) {
-	s.flat = grow(s.flat, n*sb*e.cfg.B, e.cfg.V*e.bpm*e.cfg.B)
+// growFlat makes s's flat image hold the live prefixes live of its message
+// slots, back to back: slot i starts Σ_{k<i} live[k] blocks in, so the
+// writer, which derives live from the messages it encodes, and the reader,
+// which derives it from the length table's counts of them, place every
+// slot at the same words.
+func (e *engine[T]) growFlat(s *superstepScratch, live []int) {
+	nb := 0
+	for _, n := range live {
+		nb += n
+	}
+	s.flat = grow(s.flat, nb, e.cfg.B, e.cfg.V*e.bpm)
 }
 
 // bank charges the ops begun since the last snapshot to sl's trace row,
@@ -836,7 +834,7 @@ func (e *engine[T]) beginReads(pr *proc[T], round, pos int) error {
 		for src, n := range e.inboxLive(pr, round, l) {
 			s.live[src] = e.msgBlocks(n)
 		}
-		e.growFlat(s, e.cfg.V, msgStride(s.live))
+		e.growFlat(s, s.live)
 	}
 	if e.cfg.CheckedIO {
 		// What the reads below do not transfer must never decode as the
@@ -854,7 +852,7 @@ func (e *engine[T]) beginReads(pr *proc[T], round, pos int) error {
 	}
 	if round > 0 {
 		s.reqs = e.tr.inboxReqs(s.reqs[:0], round, l, s.live)
-		s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, e.cfg.B, msgStride(s.live), s.live)
+		s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, e.cfg.B, s.live)
 		if _, err := layout.BeginReadFIFOScratch(pr.arr, s.reqs, s.bufs, &s.lay, &sl.reads); err != nil {
 			pf.End()
 			return fmt.Errorf("core: round %d vp %d: begin inbox read: %w", round, pr.i*e.localV+l, err)
@@ -942,7 +940,7 @@ func (e *engine[T]) work(pr *proc[T], w *worker[T]) {
 	}()
 	s := pr.ring[w.pos%len(pr.ring)]
 	// The items the length tables count are the heads of the prefixes
-	// beginReads transferred for them, the inbox's at the stride it derived
+	// beginReads transferred for them, the inbox's at the offsets it derived
 	// from the same counts (s.live still holds their live blocks).
 	var ctxImg []pdm.Word
 	var counts []int
@@ -952,7 +950,7 @@ func (e *engine[T]) work(pr *proc[T], w *worker[T]) {
 	if round > 0 {
 		counts = e.inboxLive(pr, round, l)
 	}
-	state, inbox, recv := w.mem.decode(e.codec, ctxImg, s.flat, msgStride(s.live)*e.cfg.B, counts)
+	state, inbox, recv := w.mem.decode(e.codec, ctxImg, s.flat, e.cfg.B, s.live, counts)
 	if e.cached != nil {
 		state = e.cached[pr.i]
 	}
@@ -1046,8 +1044,8 @@ func (e *engine[T]) localMsgs(pr *proc[T], outbox [][]T) [][]T {
 
 // encodeMsgs encodes the messages VP src sends in round to this
 // processor's VPs — msgs[dl] to local VP dl — into
-// s's flat image, each slot at the stride msgStride gives for them, and
-// leaves each one's live blocks in s.live. It is a worker's half of its
+// s's flat image, their live prefixes back to back (growFlat), and leaves
+// each one's live blocks in s.live. It is a worker's half of its
 // VP's delivery, and the route phase's for a batch from another processor.
 // A message over the slot bound is an error: it is the range check on what
 // the length table is told, which nothing else records.
@@ -1056,14 +1054,15 @@ func (e *engine[T]) encodeMsgs(pr *proc[T], s *superstepScratch, round, src int,
 	for dl, msg := range msgs {
 		live[dl] = e.msgBlocks(len(msg))
 	}
-	sb := msgStride(live)
-	e.growFlat(s, len(live), sb)
+	e.growFlat(s, live)
+	at := 0
 	for dl, msg := range msgs {
 		if len(msg) > e.maxMsg {
 			return fmt.Errorf("vp %d round %d → %d: core: message of %d items exceeds the slot bound %d items; set Config.MaxMsgItems (or Balanced) accordingly",
 				src, round, pr.i*e.localV+dl, len(msg), e.maxMsg)
 		}
-		encodeLive(e.codec, msg, s.flat[dl*sb*B:(dl+1)*sb*B], live[dl], B)
+		encodeLive(e.codec, msg, s.flat[at:at+live[dl]*B], live[dl], B)
+		at += live[dl] * B
 	}
 	return nil
 }
@@ -1084,7 +1083,7 @@ func (e *engine[T]) noteMsgs(pr *proc[T], round, src int, msgs [][]T) {
 func (e *engine[T]) beginMsgs(pr *proc[T], s *superstepScratch, round, src int, ps *pdm.PendingSet) error {
 	live := s.live[:e.localV]
 	s.reqs = e.tr.outboxReqs(s.reqs[:0], round, src, live)
-	s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, e.cfg.B, msgStride(live), live)
+	s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, e.cfg.B, live)
 	_, err := layout.BeginWriteFIFOScratch(pr.arr, s.reqs, s.bufs, &s.lay, ps)
 	return err
 }

@@ -116,7 +116,7 @@ func TestParDiskFaultSurfaces(t *testing.T) {
 		if err := pend.Wait(); err != nil {
 			t.Fatalf("vp %d: read context: %v", j, err)
 		}
-		state, _, _ := mem.decode(wordcodec.I64{}, img[:len(want)], nil, 0, nil)
+		state, _, _ := mem.decode(wordcodec.I64{}, img[:len(want)], nil, 0, nil, nil)
 		for k := range want {
 			if state[k] != want[k] {
 				t.Fatalf("vp %d item %d = %d, want %d", j, k, state[k], want[k])

@@ -80,13 +80,14 @@ func (m *vpMem[T]) scratch(n int) []T {
 // decode deserialises virtual processor state and inbox for one superstep:
 // the state out of ctxImg, the words of the context's items (nil when the
 // context is resident), and, when counts is non-nil (after round 0), the
-// inbox out of the flat image of len(counts) message slots sw words apart,
-// of which slot src holds counts[src] items at its head. The counts are the
-// length table's, the numbers the reads and the stride were sized by, so
-// every word decoded was transferred. Every slice is handed out with
+// inbox out of the flat image of len(counts) message slots of b-word
+// blocks, back to back, of which slot src is live[src] blocks long and
+// holds counts[src] items at its head. The counts are the length table's,
+// the numbers the reads and live were sized by, so every word decoded was
+// transferred. Every slice is handed out with
 // cap == len, so a program's append reallocates rather than running into
 // its neighbour. recv is the number of items received.
-func (m *vpMem[T]) decode(codec wordcodec.Codec[T], ctxImg, flat []pdm.Word, sw int, counts []int) (state []T, inbox [][]T, recv int) {
+func (m *vpMem[T]) decode(codec wordcodec.Codec[T], ctxImg, flat []pdm.Word, b int, live, counts []int) (state []T, inbox [][]T, recv int) {
 	iw := codec.Words()
 	if ctxImg != nil {
 		n := len(ctxImg) / iw
@@ -106,14 +107,14 @@ func (m *vpMem[T]) decode(codec wordcodec.Codec[T], ctxImg, flat []pdm.Word, sw 
 	if recv > cap(m.msgs) {
 		m.msgs = make([]T, min(recv+recv/8, m.maxRecv))
 	}
-	off := 0
+	off, at := 0, 0
 	for src, n := range counts {
-		if n == 0 {
-			continue
+		if n > 0 {
+			m.inbox[src] = m.msgs[off : off+n : off+n]
+			wordcodec.DecodeInto(codec, m.inbox[src], flat[at:at+n*iw])
+			off += n
 		}
-		m.inbox[src] = m.msgs[off : off+n : off+n]
-		wordcodec.DecodeInto(codec, m.inbox[src], flat[src*sw:src*sw+n*iw])
-		off += n
+		at += live[src] * b
 	}
 	return state, m.inbox, recv
 }

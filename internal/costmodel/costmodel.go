@@ -118,13 +118,9 @@ func (p *predictor) ctxOps(r, j int) int64 {
 }
 
 // msgBlocks is the live prefix of the message src sent dst in round r: the
-// blocks its items reach and a quarter block more (core's msgGuard),
-// within the slot; an empty message has none.
+// blocks its items reach, within the slot; an empty message has none.
 func (p *predictor) msgBlocks(r, src, dst int) int {
-	if items := p.sz.Msg[r][src*p.m.V+dst]; items > 0 {
-		return min(pdm.BlocksFor(items*p.m.Words+p.m.B/4, p.m.B), p.m.BPM)
-	}
-	return 0
+	return min(pdm.BlocksFor(p.sz.Msg[r][src*p.m.V+dst]*p.m.Words, p.m.B), p.m.BPM)
 }
 
 // inboxOps prices VP j's inbox read in round ≥ 1: the messages round−1

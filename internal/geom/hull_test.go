@@ -2,9 +2,12 @@ package geom
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/pdm"
 	"repro/internal/rec"
 	"repro/internal/workload"
 )
@@ -80,6 +83,51 @@ func TestHullUnderEM(t *testing.T) {
 	sameHull(t, "em", got, want)
 	if e.IO.ParallelOps == 0 {
 		t.Error("no I/O accumulated")
+	}
+}
+
+// closeTracks is a disk that records how many tracks it held when its
+// phase closed it.
+type closeTracks struct {
+	pdm.Disk
+	tracks *int
+}
+
+func (d closeTracks) Close() error {
+	*d.tracks = d.Disk.Tracks()
+	return d.Disk.Close()
+}
+
+// TestExecKeepsLargestPhaseTracks: the hull runs as several phases, each
+// on P·D disks of its own, and the executor's MaxTracks is the largest
+// track count any one of them reached — the largest phase's, not a sum.
+func TestExecKeepsLargestPhaseTracks(t *testing.T) {
+	const p, d = 2, 2
+	e := rec.NewEM(4, p, d, 16)
+	var mu sync.Mutex
+	var tracks []*int // in NewDisk's call order: phase k's are [k·p·d, (k+1)·p·d)
+	e.NewDisk = func(int, int) pdm.Disk {
+		mu.Lock()
+		defer mu.Unlock()
+		tracks = append(tracks, new(int))
+		return closeTracks{pdm.NewMemDisk(16), tracks[len(tracks)-1]}
+	}
+	if _, err := Hull(e, workload.Points(7, 150)); err != nil {
+		t.Fatal(err)
+	}
+	var phases []int
+	for k := 0; k < len(tracks); k += p * d {
+		most := 0
+		for _, n := range tracks[k : k+p*d] {
+			most = max(most, *n)
+		}
+		phases = append(phases, most)
+	}
+	if len(phases) < 2 || len(tracks)%(p*d) != 0 {
+		t.Fatalf("%d disks in %d phases, want several phases of %d", len(tracks), len(phases), p*d)
+	}
+	if want := slices.Max(phases); e.MaxTracks != want {
+		t.Errorf("MaxTracks = %d, the largest phase took %d (phases %v)", e.MaxTracks, want, phases)
 	}
 }
 

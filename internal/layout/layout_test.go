@@ -534,25 +534,28 @@ func TestPrefixReqs(t *testing.T) {
 		t.Errorf("rect slot prefix: %v, want %v", got, want)
 	}
 
-	// Round trip: VP 1's outbox prefixes of phase 0 are read back, slot by
-	// slot, by the inbox prefixes of phase 1 of each destination.
+	// Round trip: VP 1's outbox prefixes of phase 0, held back to back, are
+	// read back, slot by slot, by the inbox prefixes of phase 1 of each
+	// destination.
 	arr := pdm.NewMemArray(d, b)
-	flat := make([]pdm.Word, v*bpm*b)
+	flat := make([]pdm.Word, total*b)
 	for i := range flat {
 		flat[i] = pdm.Word(1000 + i)
 	}
-	if _, err := fifo(arr, false, m.AppendOutboxPrefixReqs(nil, 0, 1, live), SplitPrefixesInto(nil, flat, b, bpm, live)); err != nil {
+	if _, err := fifo(arr, false, m.AppendOutboxPrefixReqs(nil, 0, 1, live), SplitPrefixesInto(nil, flat, b, live)); err != nil {
 		t.Fatal(err)
 	}
+	at := 0
 	for dst, n := range live {
 		only := make([]int, v)
 		only[1] = n // the message from VP 1
-		got := make([]pdm.Word, v*bpm*b)
-		if _, err := fifo(arr, true, m.AppendInboxPrefixReqs(nil, 1, dst, only), SplitPrefixesInto(nil, got, b, bpm, only)); err != nil {
+		got := make([]pdm.Word, n*b)
+		if _, err := fifo(arr, true, m.AppendInboxPrefixReqs(nil, 1, dst, only), SplitPrefixesInto(nil, got, b, only)); err != nil {
 			t.Fatal(err)
 		}
-		if want := flat[dst*bpm*b : dst*bpm*b+n*b]; !slices.Equal(got[bpm*b:bpm*b+n*b], want) {
-			t.Errorf("message 1→%d: read back %v, wrote %v", dst, got[bpm*b:bpm*b+n*b], want)
+		if want := flat[at : at+n*b]; !slices.Equal(got, want) {
+			t.Errorf("message 1→%d: read back %v, wrote %v", dst, got, want)
 		}
+		at += n * b
 	}
 }

@@ -76,14 +76,15 @@ func SplitBlocksInto(dst [][]pdm.Word, ws []pdm.Word, b int) [][]pdm.Word {
 	return dst
 }
 
-// SplitPrefixesInto is SplitBlocksInto over the live prefixes of equal
-// slots: ws holds len(live) slot images of slotBlocks blocks each, back to
-// back, and only the first live[i] blocks of slot i are appended — the
-// buffers that pair with the layouts' …PrefixReqs request sequences.
-func SplitPrefixesInto(dst [][]pdm.Word, ws []pdm.Word, b, slotBlocks int, live []int) [][]pdm.Word {
-	for i, n := range live {
-		off := i * slotBlocks * b
+// SplitPrefixesInto is SplitBlocksInto over live prefixes held back to
+// back: ws holds the live[i] blocks of slot i after the blocks of the slots
+// before it, and all of them are appended in slot order — the buffers that
+// pair with the layouts' …PrefixReqs request sequences.
+func SplitPrefixesInto(dst [][]pdm.Word, ws []pdm.Word, b int, live []int) [][]pdm.Word {
+	off := 0
+	for _, n := range live {
 		dst = SplitBlocksInto(dst, ws[off:off+n*b], b)
+		off += n * b
 	}
 	return dst
 }

@@ -214,9 +214,8 @@ func EMPermute(vals, dests []int64, cfg core.Config) ([]int64, *core.Result[Item
 // taken from their lengths: Deliver sets every bound itself, and the
 // program declares μ from its own N. Unless cfg sets them, the h bound is ⌈N/v⌉
 // (each VP sends its partition and receives one) and a message slot holds
-// the table's largest entry and the guard past it (core.SlotItems). A
-// Balanced run leaves the slot to Theorem 1's bound on that h, which is
-// all a balanced message can be.
+// the table's largest entry. A Balanced run leaves the slot to Theorem 1's
+// bound on that h, which is all a balanced message can be.
 //
 // The output is delivered in place too: each VP's Output writes its
 // values straight into the returned vector, on the worker that ran its
@@ -234,7 +233,7 @@ func Deliver(vals, dests []int64, rule func(g int) int64, cfg core.Config) ([]in
 		cfg.MaxHItems = (n + v - 1) / v
 	}
 	if cfg.MaxMsgItems == 0 && !cfg.Balanced {
-		cfg.MaxMsgItems = core.SlotItems(slices.Max(d.table), Codec{}.Words(), cfg.B)
+		cfg.MaxMsgItems = slices.Max(d.table)
 	}
 	res, err := core.RunPar[Item](d, Codec{}, cfg, make([][]Item, v))
 	if err != nil {

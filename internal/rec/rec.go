@@ -82,7 +82,10 @@ type Exec struct {
 	core.Config
 	EM bool // run phases under the EM-CGM simulation
 
-	// Accumulated accounting.
+	// Accumulated accounting. MaxTracks is the largest Result.MaxTracks
+	// of the phases, not their sum: each phase's disks are its own (or,
+	// with DiskDir, the same files rewritten), so the footprint of the
+	// composite is its largest phase's.
 	Rounds     int
 	IO         pdm.IOStats
 	CtxOps     int64
@@ -90,6 +93,7 @@ type Exec struct {
 	CommItems  int64
 	Supersteps int
 	Syscalls   int64
+	MaxTracks  int
 }
 
 // NewMem returns an in-memory executor with v virtual processors.
@@ -142,6 +146,7 @@ func (e *Exec) Run(prog cgm.Program[R], inputs [][]R) ([][]R, error) {
 	e.CommItems += res.CommItems
 	e.Supersteps += res.Supersteps
 	e.Syscalls += res.Syscalls
+	e.MaxTracks = max(e.MaxTracks, res.MaxTracks)
 	return res.Outputs, nil
 }
 

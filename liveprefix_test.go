@@ -214,19 +214,31 @@ func fullImageOps(m costmodel.Machine, maxCtx, maxMsg int) int64 {
 	return ctx + msg
 }
 
-// TestCountSteadyAcrossSeeds holds what the quarter-block message guard is
-// for (core's msgGuard): with N, v and B powers of two the messages of the
-// sort's all-to-all average an exact number of blocks — here 2048 items, two
-// blocks of 1024 — so a prefix cut at the last word would move two blocks
-// for one half of them and three for the other, a different half for every
-// input. The count must be one number for every seed, on both machines.
-func TestCountSteadyAcrossSeeds(t *testing.T) {
+// TestCountMatchesOracleEverySeed holds each seed's count to the oracle's
+// derivation for that seed's sizes (ops_regression_test.go's predict). A
+// message's live prefix is the blocks its items reach, so with N, v and B
+// powers of two the messages of the sort's all-to-all, which average an
+// exact number of blocks — here 2048 items, two blocks of 1024 — move two
+// blocks for those at or under the mean and three for the rest, a
+// different set for every input: the count moves with the seed (355–365
+// over these eight), and it is exact at every one of them, on both
+// machines. The messages are checked to straddle the boundary, so both
+// sizes of prefix are moved.
+func TestCountMatchesOracleEverySeed(t *testing.T) {
 	const n, v = 1 << 17, 8
-	for _, par := range []bool{false, true} {
-		var first int64
-		for seed := int64(1); seed <= 8; seed++ {
-			keys := workload.Int64s(seed, n)
-			cfg := sortalg.EMSortConfig(core.Config{V: v, P: 1, D: 2, B: 1024}, n)
+	for seed := int64(1); seed <= 8; seed++ {
+		keys := workload.Int64s(seed, n)
+		cfg := sortalg.EMSortConfig(core.Config{V: v, P: 1, D: 2, B: 1024}, n)
+		sz, ref, err := costmodel.SizesOf[int64](sortalg.Sorter[int64]{}, wordcodec.I64{}, v, cgm.Scatter(keys, v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The all-to-all is the round that sends the most, whichever it is.
+		buckets := slices.MaxFunc(sz.Msg, func(a, b []int) int { return cmp.Compare(sum(a), sum(b)) })
+		if lo, hi := slices.Min(buckets), slices.Max(buckets); lo >= n/(v*v) || hi <= n/(v*v) {
+			t.Fatalf("seed %d: messages of %d..%d items do not straddle the block boundary at %d", seed, lo, hi, n/(v*v))
+		}
+		for _, par := range []bool{false, true} {
 			run := core.RunSeq[int64]
 			if par {
 				run = core.RunPar[int64]
@@ -235,19 +247,10 @@ func TestCountSteadyAcrossSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sz, _, err := costmodel.SizesOf[int64](sortalg.Sorter[int64]{}, wordcodec.I64{}, v, cgm.Scatter(keys, v))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The all-to-all is the round that sends the most, whichever it is.
-			buckets := slices.MaxFunc(sz.Msg, func(a, b []int) int { return cmp.Compare(sum(a), sum(b)) })
-			if lo, hi := slices.Min(buckets), slices.Max(buckets); lo >= n/(v*v) || hi < n/(v*v) {
-				t.Fatalf("seed %d: messages of %d..%d items do not straddle the block boundary at %d", seed, lo, hi, n/(v*v))
-			}
-			if seed == 1 {
-				first = res.IO.ParallelOps
-			} else if res.IO.ParallelOps != first {
-				t.Errorf("par=%v seed %d: %d parallel I/Os, seed 1 took %d", par, seed, res.IO.ParallelOps, first)
+			ctx, msg := predict(cfg, par, 1, sz, ref.Stats.Rounds)
+			if res.IO.ParallelOps != ctx+msg || res.CtxOps != ctx || res.MsgOps != msg {
+				t.Errorf("par=%v seed %d: %d parallel I/Os (%d ctx, %d msg), the oracle derives %d (%d, %d)",
+					par, seed, res.IO.ParallelOps, res.CtxOps, res.MsgOps, ctx+msg, ctx, msg)
 			}
 		}
 	}

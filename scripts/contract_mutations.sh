@@ -78,7 +78,7 @@ check() {
 	cp "$tmp/pristine/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety|TestPositioningsPerDisk|TestContextPairsMeet|TestPSRSInMemory|TestDeliveryAllocation|TestSortDeliveryAllocation|TestSortDeliveryCheckedIO|TestIOOpsMatchSeed|FuzzBalancedRouting'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety|TestPositioningsPerDisk|TestContextPairsMeet|TestPSRSInMemory|TestDeliveryAllocation|TestSortDeliveryAllocation|TestSortDeliveryCheckedIO|TestCountMatchesOracleEverySeed|FuzzBalancedRouting'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -114,17 +114,28 @@ mutate $f 'start := e.ctxBufs(pr, s, pos, e.ctxBlocks(pr.ctxLive[l]))' 2 1 \
 	'\t\tstart := e.ctxBufs(pr, s, pos, max(e.ctxBlocks(pr.ctxLive[l])-1, 0))'
 check 'read one block too few' $f TestPipelineDepthEquivalence
 
-# A ring slot's message slots sit at the stride of the image's largest live
-# prefix, not at b′ (DESIGN.md §18): writer, reader and decoder derive it
-# from the same counts. A decoder still at b′ reads past every slot but the
-# first. The arena test catches it first: its sequential machine runs at
-# c = 1, so the decode runs on the test's own goroutine, where an index
-# past the image fails the test by name; the parallel arms of the
-# equivalence tests decode on the run's goroutines, where it kills the
-# test binary instead.
-mutate $f 'w.mem.decode(e.codec, ctxImg, s.flat, msgStride(s.live)*e.cfg.B, counts)' 1 1 \
-	'\tstate, inbox, recv := w.mem.decode(e.codec, ctxImg, s.flat, e.bpm*e.cfg.B, counts)'
-check 'decode at the declared stride b′ instead of the image'"'"'s stride' $f TestArenaAliasSafety
+# A ring slot's message slots hold their live prefixes back to back
+# (DESIGN.md §18): writer, reader and decoder place slot i after the live
+# blocks of the slots before it, all three from the same counts. A decoder
+# that takes every slot at a fixed stride, b′, reads every slot but the
+# first at the wrong words, or past the image. The arena test catches it
+# first: its sequential machine runs at c = 1, so the decode runs on the
+# test's own goroutine, where an index past the image fails the test by
+# name; the parallel arms of the equivalence tests decode on the run's
+# goroutines, where it kills the test binary instead.
+mutate $f 'w.mem.decode(e.codec, ctxImg, s.flat, e.cfg.B, s.live, counts)' 1 1 \
+	'\tfixed := make([]int, len(s.live))\n\tfor i := range fixed {\n\t\tfixed[i] = e.bpm\n\t}\n\tstate, inbox, recv := w.mem.decode(e.codec, ctxImg, s.flat, e.cfg.B, fixed, counts)'
+check 'decode at a fixed stride b′ instead of the packed offsets' $f TestArenaAliasSafety
+
+# A message's live prefix is the blocks its items reach, and the oracle
+# derives every seed's count from the sizes alone (costmodel.Predict). An
+# engine that moves a quarter block past the last word of each message, as
+# it did while that held counts steady across seeds, moves a block more
+# for every message whose last block is more than three quarters full,
+# and the predictor no longer knows it.
+mutate $f 'func (e *engine[T]) msgBlocks(n int) int { return liveBlocks(n, e.codec.Words(), e.cfg.B, e.bpm) }' 1 1 \
+	'func (e *engine[T]) msgBlocks(n int) int {\n\tif n == 0 {\n\t\treturn 0\n\t}\n\treturn min(pdm.BlocksFor(n*e.codec.Words()+e.cfg.B/4, e.cfg.B), e.bpm)\n}'
+check 'the engine keeps a B/4 guard the predictor does not' $f TestCountMatchesOracleEverySeed
 
 # What is not moved (DESIGN.md §18): a context is clean only if its
 # encoding is, word for word, what the slot read. Neither shortcut may
@@ -317,17 +328,10 @@ check 'round 1 places into make, not vp.Scratch' $f TestDeliveryAllocation
 # Permutations read their input in place (DESIGN.md §7): the wrappers
 # hand the engine empty partitions, and each VP's Init reads its own
 # positions of the caller's vectors. Partitions of Items built again cost
-# 16 bytes an item. The slot is the largest message of the counted table
-# and the guard past it (core.SlotItems); a slot without the guard cuts
-# the live prefix of a message that fills whole blocks, so the identity
-# moves fewer blocks than in any larger slot.
+# 16 bytes an item.
 mutate $f 'res, err := core.RunPar[Item](d, Codec{}, cfg, make([][]Item, v))' 1 1 \
 	'\tparts := make([][]Item, v)\n\tfor i := range parts {\n\t\tlo, hi := cgm.PartRange(n, v, i)\n\t\tparts[i] = make([]Item, hi-lo)\n\t\tfor k := range parts[i] {\n\t\t\tparts[i][k] = Item{Val: vals[lo+k]}\n\t\t}\n\t}\n\tres, err := core.RunPar[Item](d, Codec{}, cfg, parts)'
 check 'the wrappers build Item partitions again' $f TestDeliveryAllocation
-
-mutate $f 'cfg.MaxMsgItems = core.SlotItems(slices.Max(d.table), Codec{}.Words(), cfg.B)' 1 1 \
-	'\t\tcfg.MaxMsgItems = slices.Max(d.table)'
-check 'the derived slot drops the guard'"'"'s room' $f TestIOOpsMatchSeed
 
 # Sorts deliver in place (DESIGN.md §7): EMSort's last merge level writes
 # each VP's bucket straight into the caller's result, at the offset the
