@@ -40,7 +40,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := flag.Bool("json", false, "emit one JSON array of tables instead of aligned tables")
 	traceOut := flag.String("trace", "", "write a Chrome trace of every EM-CGM run to this file (load in Perfetto)")
-	ledgerOut := flag.String("ledger", "", "collect a predicted-vs-measured cost-model ledger over the Figure 5 workloads, print its summary, calibrate its time model from the session's own disk latencies, and write the JSON export to this file; exits 1 if any prediction misses (use with -fig 5 or -fig all)")
+	ledgerOut := flag.String("ledger", "", "collect a predicted-vs-measured cost-model ledger over every EM-CGM run of the chosen figures, print its summary, calibrate its time model from the session's own disk latencies, and write the JSON export to this file; exits 1 if any prediction misses")
 	depth := flag.Int("depth", 0, "pipeline window depth k for every run (0 = auto: 2 on in-memory and buffered file disks, the default disk model's depth on O_DIRECT and delay disks, clamped by v; 1 = the synchronous schedule; PDM counts are identical at every depth; the depth figure runs its own ladder)")
 	disks := flag.String("disks", "", "directory for the depth figure's file-disk files (empty = temporary directory)")
 	directio := flag.Bool("directio", true, "include file+direct (O_DIRECT) rows in the depth figure where the filesystem supports them")
@@ -112,29 +112,16 @@ func main() {
 		}
 	}
 
-	run := map[string]func(){
-		"3":       func() { emit(experiments.Fig3(s)) },
-		"4":       func() { emit(experiments.Fig4(s)) },
-		"5":       func() { emit(experiments.Fig5(s)) },
-		"6":       func() { emit(experiments.Fig6(), nil) },
-		"7":       func() { emit(experiments.Fig7(), nil) },
-		"8":       func() { emit(experiments.Fig8(), nil) },
-		"balance": func() { emit(experiments.Balance(), nil) },
-		"cache":   func() { emit(experiments.Cache()) },
-		"sweep":   func() { emit(experiments.Sweep(s)) },
-		"depth":   func() { emit(experiments.DepthSweep(s)) },
+	found := false
+	for _, f := range experiments.Figures {
+		if *fig == "all" || *fig == f.Key {
+			found = true
+			emit(f.Make(s))
+		}
 	}
-	if *fig == "all" {
-		for _, k := range []string{"3", "4", "5", "6", "7", "8", "balance", "cache", "sweep", "depth"} {
-			run[k]()
-		}
-	} else {
-		f, ok := run[*fig]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "emcgm-bench: unknown figure %q\n", *fig)
-			os.Exit(2)
-		}
-		f()
+	if !found {
+		fmt.Fprintf(os.Stderr, "emcgm-bench: unknown figure %q\n", *fig)
+		os.Exit(2)
 	}
 
 	if *jsonOut {

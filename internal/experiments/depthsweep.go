@@ -91,8 +91,9 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 			if rec == nil {
 				rec = obs.NewRecorder()
 			}
-			cfg := core.Config{V: s.V, P: s.P, D: 2, B: s.B, Recorder: rec,
-				PipelineDepth: depth, NewDisk: sub.newDisk, DiskDir: sub.dir, DirectIO: sub.direct}
+			cfg := s.machine(s.P, 2)
+			cfg.Recorder, cfg.PipelineDepth = rec, depth
+			cfg.NewDisk, cfg.DiskDir, cfg.DirectIO = sub.newDisk, sub.dir, sub.direct
 			if err := cfg.ValidateFor(s.N); err != nil {
 				return 0, 0, nil, err
 			}

@@ -60,6 +60,33 @@ type Scale struct {
 // DefaultScale is used by the CLI and the benchmarks.
 func DefaultScale() Scale { return Scale{N: 1 << 16, V: 8, P: 4, B: 512} }
 
+// machine is the EM-CGM machine of an experiment's run on p processors
+// and d disks: the Scale's v, B and depth, traced by its recorder and
+// priced by its ledger. Every EM-CGM run of this package is built here,
+// a composite Figure 5 row's executor included.
+func (s Scale) machine(p, d int) core.Config {
+	return core.Config{V: s.V, P: p, D: d, B: s.B, PipelineDepth: s.Depth, Recorder: s.Rec, Ledger: s.Ledger}
+}
+
+// Figure is one table of the evaluation under its emcgm-bench -fig key.
+type Figure struct {
+	Key  string
+	Make func(Scale) (*trace.Table, error)
+}
+
+// Figures lists every table in the order emcgm-bench -fig all prints them.
+var Figures = []Figure{
+	{"3", Fig3}, {"4", Fig4}, {"5", Fig5},
+	{"6", fixed(Fig6)}, {"7", fixed(Fig7)}, {"8", fixed(Fig8)}, {"balance", fixed(Balance)},
+	{"cache", func(Scale) (*trace.Table, error) { return Cache() }},
+	{"sweep", Sweep}, {"depth", DepthSweep},
+}
+
+// fixed adapts a table that no Scale changes.
+func fixed(f func() *trace.Table) func(Scale) (*trace.Table, error) {
+	return func(Scale) (*trace.Table, error) { return f(), nil }
+}
+
 // Fig3 reproduces Figure 3: sorting wall time of (a) the in-memory CGM
 // sort run through the virtual-memory model versus (b) the EM-CGM
 // simulation, as N grows past the memory size. The VM curve explodes at
@@ -79,9 +106,7 @@ func Fig3(s Scale) (*trace.Table, error) {
 		SyncTime:   100 * time.Microsecond,
 	}
 	for _, n := range []int{s.N / 8, s.N / 4, s.N / 2, s.N, 2 * s.N} {
-		keys := workload.Int64s(int64(n), n)
-		cfg := core.Config{V: s.V, P: s.P, D: 2, B: s.B, Recorder: s.Rec, PipelineDepth: s.Depth}
-		_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
+		_, res, err := sortalg.EMSort(workload.Int64s(int64(n), n), wordcodec.I64{}, s.machine(s.P, 2))
 		if err != nil {
 			return nil, fmt.Errorf("fig3 n=%d: %w", n, err)
 		}
@@ -106,9 +131,7 @@ func Fig4(s Scale) (*trace.Table, error) {
 	tm := pdm.DefaultTimeModel()
 	for _, n := range []int{s.N / 4, s.N / 2, s.N} {
 		for _, d := range []int{1, 2} {
-			keys := workload.Int64s(int64(n), n)
-			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, PipelineDepth: s.Depth}
-			_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
+			_, res, err := sortalg.EMSort(workload.Int64s(int64(n), n), wordcodec.I64{}, s.machine(s.P, d))
 			if err != nil {
 				return nil, fmt.Errorf("fig4 n=%d d=%d: %w", n, d, err)
 			}
@@ -258,37 +281,27 @@ func Sweep(s Scale) (*trace.Table, error) {
 		Title:   "Claim 6 — scalability: per-processor I/O vs p, total I/O vs D (sorting)",
 		Columns: []string{"N", "v", "p", "D", "I/Os total", "I/Os per proc", "comm items"},
 	}
-	keys := workload.Int64s(1, s.N)
+	// The p ladder at D = 2, then the D ladder at Scale.P.
+	var machines []core.Config
 	for _, p := range []int{1, 2, 4, 8} {
-		if s.V%p != 0 {
-			continue
+		if s.V%p == 0 {
+			machines = append(machines, s.machine(p, 2))
 		}
-		cfg := core.Config{V: s.V, P: p, D: 2, B: s.B, Recorder: s.Rec, PipelineDepth: s.Depth}
-		_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("sweep p=%d: %w", p, err)
-		}
-		var maxOps int64
-		for _, st := range res.IOPerProc {
-			if st.ParallelOps > maxOps {
-				maxOps = st.ParallelOps
-			}
-		}
-		t.AddRow(s.N, s.V, p, 2, res.IO.ParallelOps, maxOps, res.CommItems)
 	}
 	for _, d := range []int{1, 2, 4, 8} {
-		cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, PipelineDepth: s.Depth}
+		machines = append(machines, s.machine(s.P, d))
+	}
+	keys := workload.Int64s(1, s.N)
+	for _, cfg := range machines {
 		_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("sweep d=%d: %w", d, err)
+			return nil, fmt.Errorf("sweep p=%d d=%d: %w", cfg.P, cfg.D, err)
 		}
 		var maxOps int64
 		for _, st := range res.IOPerProc {
-			if st.ParallelOps > maxOps {
-				maxOps = st.ParallelOps
-			}
+			maxOps = max(maxOps, st.ParallelOps)
 		}
-		t.AddRow(s.N, s.V, s.P, d, res.IO.ParallelOps, maxOps, res.CommItems)
+		t.AddRow(s.N, s.V, cfg.P, cfg.D, res.IO.ParallelOps, maxOps, res.CommItems)
 	}
 	t.Notes = append(t.Notes,
 		"per-processor I/O halves with each doubling of p (v/p contexts each) — Theorem 3's v/p factor",

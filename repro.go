@@ -6,9 +6,11 @@
 // benchmark harness regenerating its evaluation.
 //
 // See README.md for the tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the paper-vs-measured record. The benchmarks in
-// bench_test.go regenerate every table and figure:
+// EXPERIMENTS.md for the paper-vs-measured record. emcgm-bench prints
+// every table and figure, and internal/experiments pins them to its
+// golden output; the benchmarks in bench_test.go time them, Figure 5 row
+// by row:
 //
-//	go test -bench=. -benchmem
 //	go run ./cmd/emcgm-bench
+//	go test -bench=. -benchmem
 package repro
