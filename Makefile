@@ -55,10 +55,12 @@ bench-smoke:
 # by disk; 504
 # with four rounds, once contexts moved only when their reader needed
 # them moved; 736 with the live-prefix transfer alone; 2664 when every
-# context run and message slot moved whole) and allocate under 40 MB per
-# iteration (37.2 since the ring slots hold only their live prefix, 40.7
-# while each was sized for the worst case; the figure repeats to 0.001
-# MB), and one short traced
+# context run and message slot moved whole) and allocate under 27 MB per
+# iteration (24.98 since MemDisk holds only what is live: a shrinking
+# context gives its tracks back for the buckets to reuse, and the track
+# table grows by chunks; 28.25 before that, 37.2 since the ring slots
+# hold only their live prefix, 40.7 while each was sized for the worst
+# case; the figure repeats to 0.001 MB), and one short traced
 # run must keep the disk footprint core.max_tracks at or under the
 # full-image layout's 396 tracks (391 today: each slot takes exactly its
 # own tracks on a disk, and the last one written ends sooner; 395 while
@@ -78,7 +80,7 @@ benchmark-smoke:
 	echo "$$out" | grep -q '"correct":true' || { echo "benchmark-smoke: output not verified"; exit 1; }; \
 	echo "$$out" | grep -q '"parallel_ios":{"value":364,' || { echo "benchmark-smoke: parallel_ios is not 364"; exit 1; }; \
 	mb=$$(echo "$$out" | sed -n 's/.*"alloc_mb":{"value":\([0-9.]*\).*/\1/p'); \
-	awk -v mb="$$mb" 'BEGIN { exit !(mb != "" && mb + 0 < 40) }' || { echo "benchmark-smoke: alloc_mb '$$mb' is not below 40"; exit 1; }; \
+	awk -v mb="$$mb" 'BEGIN { exit !(mb != "" && mb + 0 < 27) }' || { echo "benchmark-smoke: alloc_mb '$$mb' is not below 27"; exit 1; }; \
 	out=$$($(GO) run ./benchmark -workload sort_seq_model -seconds 2 -trace 1 | tail -n 1); \
 	echo "$$out" | grep -q '"correct":true' || { echo "benchmark-smoke: traced output not verified"; exit 1; }; \
 	tr=$$(echo "$$out" | sed -n 's/.*"core.max_tracks":{"value":\([0-9.]*\).*/\1/p'); \
@@ -137,8 +139,9 @@ lint:
 # sort VP's range past its own column of the cut table, build a
 # permutation's Item partitions again, bin BalancedRouting's items without their
 # position in the message, copy State in the balanced wrapper every
-# round — thirty-five in all — and requires the owning test to fail by
-# name.
+# round, discard a shrinking context's whole old run instead of the part
+# the new run leaves, leave the checker's written set alone on a discard
+# — thirty-seven in all — and requires the owning test to fail by name.
 # About two minutes; one mutation wedges a run until its 30 s watchdog.
 contract-selftest:
 	@sh scripts/contract_mutations.sh

@@ -577,6 +577,18 @@ func ctxRun(lead []bool, pos, cb, nb int) (start int, back bool) {
 	return pos * cb, false
 }
 
+// ctxDead returns the striped blocks [start, start+n) of the context run
+// of the VP at position pos that a live prefix shrinking from old to nb
+// blocks leaves dead. ctxRun anchors every prefix of a position at the
+// same point, so they are one range: the far end of the old run.
+func ctxDead(lead []bool, pos, cb, old, nb int) (start, n int) {
+	start, back := ctxRun(lead, pos, cb, old)
+	if !back {
+		start += nb
+	}
+	return start, old - nb
+}
+
 // procRound is one real processor's share of one round: the compound
 // superstep of Algorithms 2 and 3, software-pipelined over the
 // processor's ring of K slots. It walks commit positions, not VP numbers:
@@ -718,11 +730,12 @@ func (e *engine[T]) procRound(pr *proc[T], round int) {
 		// (e) Context out; then the writes are begun, or held for the
 		// partner's commit.
 		var ctx bool
+		was := pr.ctxLive[l]
 		if err == nil {
 			ctx, err = e.noteContext(pr, w, round, l)
 		}
 		if err == nil {
-			vw := vpWrites{pos: pos, msgs: !w.done, ctx: ctx, ss: w.ss}
+			vw := vpWrites{pos: pos, msgs: !w.done, ctx: ctx, was: was, ss: w.ss}
 			if K >= 3 && pr.lead[pos] {
 				held = vw
 			} else {
@@ -752,11 +765,13 @@ func (e *engine[T]) procRound(pr *proc[T], round int) {
 }
 
 // vpWrites is what a VP's commit leaves to begin out of the ring slot of
-// its position: its outbox (msgs) and its context (ctx), and the superstep
-// span that closes once they are begun.
+// its position: its outbox (msgs) and its context (ctx), the items of the
+// context run it read (was), and the superstep span that closes once they
+// are begun.
 type vpWrites struct {
 	pos       int
 	msgs, ctx bool
+	was       int
 	ss        obs.Span
 }
 
@@ -770,7 +785,7 @@ func (e *engine[T]) release(pr *proc[T], round int, vw vpWrites) error {
 		}
 	}
 	if vw.ctx {
-		if err := e.writeContext(pr, round, vw.pos); err != nil {
+		if err := e.writeContext(pr, round, vw.pos, vw.was); err != nil {
 			return err
 		}
 	}
@@ -1185,8 +1200,11 @@ func (e *engine[T]) noteContext(pr *proc[T], w *worker[T], round, l int) (bool, 
 
 // writeContext begins the write-behind of the live prefix of the context
 // of the VP at position pos, which its worker encoded into the position's
-// ring slot and whose item count noteContext recorded.
-func (e *engine[T]) writeContext(pr *proc[T], round, pos int) error {
+// ring slot and whose item count noteContext recorded. A context that
+// shrank out of blocks of the run of was items it read gives them back
+// (pdm.DiskArray.Discard): no transfer of them is in flight, since that
+// read was waited before the VP computed.
+func (e *engine[T]) writeContext(pr *proc[T], round, pos, was int) error {
 	K, l := len(pr.ring), pr.order[pos]
 	sl, s := &pr.pend[pos%K], pr.ring[pos%K]
 	wb := e.rec.Begin(pr.track, "ctx write", "writeback")
@@ -1194,6 +1212,10 @@ func (e *engine[T]) writeContext(pr *proc[T], round, pos int) error {
 	if err := layout.BeginWriteStripedScratch(pr.arr, 0, start, s.bufs, &s.lay, &sl.writes); err != nil {
 		wb.End()
 		return fmt.Errorf("core: round %d vp %d: begin context write: %w", round, pr.i*e.localV+l, err)
+	}
+	if old, nb := e.ctxBlocks(was), len(s.bufs); old > nb {
+		dead, n := ctxDead(pr.lead, pos, e.cb, old, nb)
+		layout.DiscardStriped(pr.arr, 0, dead, n, &s.lay)
 	}
 	wb.End()
 	pr.bank(sl, true)

@@ -64,6 +64,21 @@ func BeginReadStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, bufs
 	return nil
 }
 
+// DiscardStriped discards blocks [startBlock, startBlock+n) of the
+// striped region rooted at baseTrack (pdm.DiskArray.Discard): no
+// transfer and no operation, in cycles of D requests built in s. The
+// caller guarantees that no transfer of those blocks is in flight.
+func DiscardStriped(arr *pdm.DiskArray, baseTrack, startBlock, n int, s *Scratch) {
+	d := arr.D()
+	for off := 0; off < n; off += d {
+		reqs, _ := s.grow(min(d, n-off))
+		for i := range reqs {
+			reqs[i] = Striped(startBlock+off+i, d, baseTrack)
+		}
+		arr.Discard(reqs)
+	}
+}
+
 // BeginWriteFIFOScratch writes a burst of blocks in the fewest parallel
 // I/Os its addresses allow. The paper's DiskWrite procedure serves the
 // queue strictly front to back and cuts a write cycle at the first block

@@ -77,9 +77,13 @@ func TestMemDiskAllocatesWhatItStores(t *testing.T) {
 		}
 		return w
 	}
-	const high = 1000 // written first, so the track table never grows below
-	if err := d.WriteTrack(high, block(high)); err != nil {
-		t.Fatal(err)
+	// Written first, so the table's chunk of the measured tracks exists
+	// and the table never grows below high.
+	const high = 1000
+	for _, tr := range []int{trackChunk - 1, high} {
+		if err := d.WriteTrack(tr, block(tr)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	tracks, bufs := make([]int, k), make([][]Word, k)
 	next := 0

@@ -263,6 +263,10 @@ type DiskArray struct {
 	// before it closes the disks.
 	workers *sync.WaitGroup
 
+	// discard holds the disks that can discard, nil when none can (an
+	// array of FileDisks): Discard then calls no disk.
+	discard *discardSet
+
 	// check, when non-nil, validates every operation against the layout
 	// discipline before dispatch (see EnableChecked). nil in production:
 	// the hot path pays one nil check, like the recorder.
@@ -274,6 +278,14 @@ type DiskArray struct {
 	// when recording is disabled — the worker then pays one nil check per
 	// service).
 	diskObs []*diskObs
+}
+
+// discardSet is what DiskArray.Discard needs: disks[i] is disk i as a
+// Discarder, nil where it is none, and tracks is the per-disk scratch of
+// one call, guarded by the array's opMu.
+type discardSet struct {
+	disks  []Discarder
+	tracks []int
 }
 
 // ioCounters is the atomic backing of IOStats: accounting never takes a
@@ -344,6 +356,14 @@ func NewDiskArrayOpts(disks []Disk, opts ArrayOptions) (*DiskArray, error) {
 		}
 		a.workers.Add(1)
 		go diskWorker(d, ch, a.diskObs[i], bat, a.workers)
+	}
+	for i, d := range disks {
+		if dd, ok := d.(Discarder); ok {
+			if a.discard == nil {
+				a.discard = &discardSet{disks: make([]Discarder, len(disks))}
+			}
+			a.discard.disks[i] = dd
+		}
 	}
 	// Backstop for arrays dropped without Close: closing the request
 	// channels lets the workers exit once the array is unreachable.
@@ -458,6 +478,41 @@ func (a *DiskArray) checkReqs(reqs []BlockReq) error {
 		seen[w] |= bit
 	}
 	return nil
+}
+
+// Discard declares the blocks reqs address dead: each disk that is a
+// Discarder drops its tracks among them, and under checked mode the blocks
+// leave the written set, so a later read of one is ErrCheckUninitRead.
+// It is no parallel I/O: nothing is transferred or counted, and reqs may
+// address a disk any number of times. The caller guarantees that no
+// transfer of those blocks is in flight. When no disk of the array can
+// discard, it calls no disk and allocates nothing; requests for disks
+// outside the array are ignored.
+func (a *DiskArray) Discard(reqs []BlockReq) {
+	a.opMu.Lock()
+	defer a.opMu.Unlock()
+	if a.check != nil {
+		a.check.discard(reqs)
+	}
+	if a.closed || a.discard == nil {
+		return
+	}
+	ds := a.discard
+	for i, dd := range ds.disks {
+		if dd == nil {
+			continue
+		}
+		ts := ds.tracks[:0]
+		for _, r := range reqs {
+			if r.Disk == i {
+				ts = append(ts, r.Track)
+			}
+		}
+		ds.tracks = ts
+		if len(ts) > 0 {
+			dd.Discard(ts)
+		}
+	}
 }
 
 // ReadBlocks performs one parallel I/O reading reqs[i] into bufs[i]

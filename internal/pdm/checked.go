@@ -19,9 +19,9 @@ import (
 //   - ErrCheckOverlap: two requests of one parallel operation address the
 //     same (disk, track) block — for writes, silent last-writer-wins
 //     corruption; for reads, a wasted slot the layouts never produce;
-//   - ErrCheckUninitRead: a read of a block no prior operation wrote
-//     (requires RequireInit) — the PDM analogue of reading uninitialised
-//     memory;
+//   - ErrCheckUninitRead: a read of a block no prior operation wrote,
+//     or one discarded since its last write (requires RequireInit) — the
+//     PDM analogue of reading uninitialised memory;
 //   - ErrCheckStripe: the operation's requests do not form a contiguous
 //     ascending run of global block indices g = Track·D + Disk (requires
 //     Stripe) — the consecutive-format conformance check for striped
@@ -156,6 +156,14 @@ func (c *checker) commit(reqs []BlockReq, read bool) {
 	}
 	for _, r := range reqs {
 		c.written[blockAddr{r.Disk, r.Track}] = struct{}{}
+	}
+}
+
+// discard records a DiskArray.Discard: the blocks are uninitialised
+// again. Called with opMu held.
+func (c *checker) discard(reqs []BlockReq) {
+	for _, r := range reqs {
+		delete(c.written, blockAddr{r.Disk, r.Track})
 	}
 }
 

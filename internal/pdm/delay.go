@@ -77,6 +77,14 @@ func (d *DelayDisk) WriteTracks(tracks []int, bufs [][]Word) error {
 	return d.inner.WriteTracks(tracks, bufs)
 }
 
+// Discard forwards to the inner disk if it is a Discarder, without a
+// delay: a discard moves no data.
+func (d *DelayDisk) Discard(tracks []int) {
+	if dd, ok := d.inner.(Discarder); ok {
+		dd.Discard(tracks)
+	}
+}
+
 // Syscalls forwards the inner disk's syscall count, if it keeps one.
 func (d *DelayDisk) Syscalls() int64 {
 	if sc, ok := d.inner.(SyscallCounter); ok {
@@ -98,4 +106,5 @@ var (
 	_ Disk           = (*DelayDisk)(nil)
 	_ BatchDisk      = (*DelayDisk)(nil)
 	_ SyscallCounter = (*DelayDisk)(nil)
+	_ Discarder      = (*DelayDisk)(nil)
 )

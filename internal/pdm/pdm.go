@@ -37,7 +37,7 @@ type Word = uint64
 // Common errors returned by disks and disk arrays.
 var (
 	// ErrTrackOutOfRange is returned when reading a track that was never
-	// written (or a negative track number).
+	// written or was discarded since (or a negative track number).
 	ErrTrackOutOfRange = errors.New("pdm: track out of range")
 	// ErrBadBlockSize is returned when a buffer's length does not equal
 	// the disk's block size.

@@ -138,19 +138,23 @@ func allocBytes(f func()) uint64 {
 // result, so EMSort allocates the result (8 bytes an item), the disk
 // images and the arena, but no merged runs and no concatenation of them
 // (16 bytes an item between them). The arena is one worker's: K = 1 pins
-// c = 1 on any host. The sort allocates about 44 bytes an item, and the
-// bound lies halfway to the 52 that merging into made runs cost.
-// Balanced, the routing borrows its bins, regrouped messages and rebuilt
-// inboxes from the same arena and leaves State the inner program's: the
-// sort allocates about 56 bytes an item, and the bound lies just above
-// that (a State copied each round adds 24).
+// c = 1 on any host. The disks hold only what is live: round 1's empty
+// contexts give their tracks back and the buckets reuse them, and the
+// track table grows by chunks, not by appends. The sort allocates about
+// 29.3 bytes an item (43.9 while dead context tracks stayed allocated and
+// the table was appended to), and the bound lies about halfway to the
+// 37.5 or so that merging into made runs costs. Balanced, the routing
+// borrows its bins, regrouped messages and rebuilt inboxes from the same
+// arena and leaves State the inner program's: the sort allocates about
+// 39.8 bytes an item (55.8 before), and the bound lies just above that (a
+// State copied each round adds 24).
 func TestSortDeliveryAllocation(t *testing.T) {
 	const n, v = 1 << 16, 8
 	keys := workload.Int64s(1, n)
 	for _, arm := range []struct {
 		balanced bool
 		bound    float64
-	}{{false, 48}, {true, 60}} {
+	}{{false, 34}, {true, 44}} {
 		cfg := core.Config{V: v, P: 1, D: 2, B: 64, PipelineDepth: 1, Balanced: arm.balanced}
 		if _, _, err := EMSort(keys, wordcodec.I64{}, cfg); err != nil { // warm the runtime's one-off allocations
 			t.Fatal(err)

@@ -78,7 +78,7 @@ check() {
 	cp "$tmp/pristine/$2" "$2"
 }
 
-owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety|TestPositioningsPerDisk|TestContextPairsMeet|TestPSRSInMemory|TestDeliveryAllocation|TestSortDeliveryAllocation|TestSortDeliveryCheckedIO|TestCountMatchesOracleEverySeed|FuzzBalancedRouting'
+owners='TestInitCheckedEquivalence|TestPipelineDepthEquivalence|TestArenaAliasSafety|TestRunFaultDrains|TestWhatIsNotMoved|TestLivePrefixProperties|TestPipelineDepthResolved|TestComputeWorkersInvariant|TestDecodeAllocIndependentOfRounds|TestDeterministicImports|TestSortedCopy|TestOwnersMatchOwner|TestMergeSortSurfacesDiskFaults|TestBatchFailureAttributedPerTransfer|TestLivePrefixesMeet|TestScratchAliasSafety|TestPositioningsPerDisk|TestContextPairsMeet|TestPSRSInMemory|TestDeliveryAllocation|TestSortDeliveryAllocation|TestSortDeliveryCheckedIO|TestCountMatchesOracleEverySeed|FuzzBalancedRouting|TestDiskArrayDiscard'
 if ! out=$(run_tests "$owners"); then
 	printf '%s\n' "$out" | tail -n 20
 	echo "contract-selftest: the unmutated tree fails its own contract tests"
@@ -363,4 +363,23 @@ check 'PhaseA bins by (i+j) mod v, dropping l' $f FuzzBalancedRouting
 mutate $f 'r := round / 2' 1 1 '\tr := round / 2\n\tvp.State = append(make([]T, 0, len(vp.State)), vp.State...)'
 check 'the wrapper copies State every round' $f TestSortDeliveryAllocation
 
-echo "contract-selftest: all thirty-five mutations caught"
+# A context that shrinks gives back only what it shrank out of (DESIGN.md
+# §6): the blocks of its old run that the new run does not cover. The
+# engine discards them after it begins the new run's write, so discarding
+# the whole old run drops blocks that write is filling; CheckedIO reports
+# the next round's read of them as uninitialised, on the ragged program
+# whose contexts shrink to a random length every round.
+f=internal/core/engine.go
+mutate $f 'dead, n := ctxDead(pr.lead, pos, e.cb, old, nb)' 1 1 \
+	'\t\tdead, n := ctxDead(pr.lead, pos, e.cb, old, 0)'
+check 'discard the whole old context run' $f TestLivePrefixProperties
+
+# A discarded block is uninitialised again: checked mode drops it from the
+# written set, so a read of it is ErrCheckUninitRead before any disk sees
+# it. Left in the set, the read reaches the disk, which gave the track
+# back.
+f=internal/pdm/array.go
+mutate $f 'a.check.discard(reqs)' 1 1 '\t\t_ = reqs'
+check 'Discard leaves the written set alone' $f TestDiskArrayDiscard
+
+echo "contract-selftest: all thirty-seven mutations caught"
