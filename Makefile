@@ -140,8 +140,9 @@ lint:
 # permutation's Item partitions again, bin BalancedRouting's items without their
 # position in the message, copy State in the balanced wrapper every
 # round, discard a shrinking context's whole old run instead of the part
-# the new run leaves, leave the checker's written set alone on a discard
-# — thirty-seven in all — and requires the owning test to fail by name.
+# the new run leaves (held by two tests), leave the checker's written set
+# alone on a discard — thirty-eight in all — and requires the owning test
+# to fail by name.
 # About two minutes; one mutation wedges a run until its 30 s watchdog.
 contract-selftest:
 	@sh scripts/contract_mutations.sh

@@ -203,27 +203,3 @@ func BenchmarkObservation2Footprint(b *testing.B) {
 
 // cgmScatter re-exports the partitioner for benches.
 func cgmScatter(keys []int64, v int) [][]int64 { return cgm.Scatter(keys, v) }
-
-// BenchmarkContextCaching is the M = Θ(μ) ablation: at p = v, resident
-// contexts eliminate the context-swap I/O, leaving only message-matrix
-// traffic.
-func BenchmarkContextCaching(b *testing.B) {
-	b.ReportAllocs()
-	const n, v = 1 << 16, 8
-	keys := workload.Int64s(5, n)
-	for _, cached := range []bool{false, true} {
-		b.Run(fmt.Sprintf("cached=%v", cached), func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := sortalg.EMSortConfig(core.Config{V: v, P: v, D: benchD, B: benchB, CacheContexts: cached}, n)
-			var ops int64
-			for i := 0; i < b.N; i++ {
-				res, err := core.RunPar[int64](sortalg.Sorter[int64]{}, wordcodec.I64{}, cfg, cgmScatter(keys, v))
-				if err != nil {
-					b.Fatal(err)
-				}
-				ops = res.IO.ParallelOps
-			}
-			b.ReportMetric(float64(ops), "parallel-IOs")
-		})
-	}
-}

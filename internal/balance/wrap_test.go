@@ -45,6 +45,10 @@ func (p scripted) Round(vp *cgm.VP[int64], r int, inbox [][]int64) ([][]int64, b
 
 func (scripted) Output(vp *cgm.VP[int64]) []int64 { return vp.State }
 
+// MaxContextItems declares μ: a context keeps everything its VP receives,
+// and no case sends a VP more than 512 items.
+func (scripted) MaxContextItems(int, int) int { return 512 }
+
 // TestWrapEdgeCases runs programs whose h-relations would expose a stale
 // or misread size matrix — VPs that alternate nil and non-nil outboxes,
 // rounds in which only some VPs send, empty messages, one VP, a program
@@ -112,8 +116,7 @@ func TestWrapEdgeCases(t *testing.T) {
 			if c.v%p != 0 {
 				continue
 			}
-			cfg := core.Config{V: c.v, P: p, D: 2, B: 4, Balanced: true, CheckedIO: true,
-				MaxMsgItems: 64, MaxCtxItems: 512}
+			cfg := core.Config{V: c.v, P: p, D: 2, B: 4, Balanced: true, CheckedIO: true, MaxMsgItems: 64}
 			res, err := core.RunPar[int64](c.prog, wordcodec.I64{}, cfg, parts)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", c.name, p, err)
@@ -134,7 +137,7 @@ func TestWrapRejectsMalformedOutbox(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "outbox of length 3") {
 		t.Errorf("cgm.Run: err = %v, want the malformed outbox rejected", err)
 	}
-	cfg := core.Config{V: v, P: 2, D: 2, B: 4, Balanced: true, MaxMsgItems: 8, MaxCtxItems: 64}
+	cfg := core.Config{V: v, P: 2, D: 2, B: 4, Balanced: true, MaxMsgItems: 8}
 	_, err = core.RunPar[int64](bad, wordcodec.I64{}, cfg, parts)
 	if err == nil || !strings.Contains(err.Error(), "outbox of length 3") {
 		t.Errorf("RunPar: err = %v, want the malformed outbox rejected", err)

@@ -97,9 +97,7 @@ type superstepScratch struct {
 // newSuperstepScratch makes a slot for flat images of up to slots message
 // slots.
 func newSuperstepScratch(slots int) *superstepScratch {
-	// ctxImg starts empty but non-nil: an empty context decodes to an
-	// empty state, and nil means a resident one.
-	return &superstepScratch{ctxImg: []pdm.Word{}, live: make([]int, slots)}
+	return &superstepScratch{live: make([]int, slots)}
 }
 
 // grow returns img with at least nb blocks of b words: img itself when it
@@ -130,9 +128,10 @@ type Config struct {
 	// M, when positive, is the internal memory limit per real processor in
 	// words; the machine fails fast if a superstep's working set (context
 	// plus one inbox) cannot fit. It is charged one worst-case working set
-	// (a context run of MaxCtxItems plus v message slots of MaxMsgItems)
-	// per ring slot — PipelineDepth of them — and one more for each decode
-	// arena beyond the first: a real processor computes c = min(GOMAXPROCS
+	// (a context run of μ items, the bound the program declares through
+	// cgm.ContextSizer, plus v message slots of MaxMsgItems) per ring
+	// slot — PipelineDepth of them — and one more for each decode arena
+	// beyond the first: a real processor computes c = min(GOMAXPROCS
 	// ÷ P, ⌊k/2⌋ + 1, V/P) of its virtual processors at once, each decoded
 	// into an arena of its own, and M lowers c until the k slots and c − 1
 	// extra arenas fit. c = 1 always fits where the ring does, so that
@@ -140,10 +139,6 @@ type Config struct {
 	// host. The charge is the worst case; what a slot or an arena holds is
 	// only the live prefix of the largest working set it has met.
 	M int
-	// MaxCtxItems bounds any virtual processor's context (μ, in items).
-	// 0 means: use the program's ContextSizer if implemented, else a
-	// generous default. The bound is enforced at run time.
-	MaxCtxItems int
 	// MaxMsgItems bounds any single message (items); it fixes the message
 	// slot size on disk. 0 means the worst case ⌈N/V⌉ (one destination
 	// receives a whole h-relation).
@@ -205,12 +200,6 @@ type Config struct {
 	// changes. The memory bound is enforced against M: k in-flight working
 	// sets (context + message scratch) must fit, Lemma 1–2 style.
 	PipelineDepth int
-	// CacheContexts keeps virtual-processor contexts resident in the real
-	// processor's memory when P = V (one context per processor, M = Θ(μ)),
-	// eliminating the context-swap I/O entirely — the machine then pays
-	// only the message-matrix I/O. An optimisation the paper's M = Θ(μ)
-	// regime makes legal; ignored when P < V.
-	CacheContexts bool
 	// Recorder, when non-nil, records the run into the observability
 	// layer: one span per compound superstep with its parallel-I/O
 	// accounting in the args, child spans per phase (context read,
@@ -295,19 +284,6 @@ func (c Config) ValidateFor(n int) error {
 			return fmt.Errorf("core: N = %d items violates the Lemma 1–2 precondition N ≥ v²B + v²(v−1)/2 = %d for v = %d, B = %d; BalancedRouting cannot guarantee minimum message size B (grow N, or shrink v or B)", n, min, c.V, c.B)
 		}
 	}
-	// Memory bound on the pipeline window, checkable before the program's
-	// codec is known only when the item bounds are explicit: the engine's
-	// own depth rule, applied to a working set of one context run + v
-	// message slots at one word per item, its lower bound. The engine
-	// re-checks with the real item width; this catches a hopeless fixed k
-	// before any disk is allocated.
-	if c.M > 0 && c.MaxCtxItems > 0 && c.MaxMsgItems > 0 {
-		cb := pdm.BlocksFor(c.MaxCtxItems, c.B)
-		bpm := pdm.BlocksFor(c.MaxMsgItems, c.B)
-		if _, err := pipeDepth(c, c.V, (cb+c.V*bpm)*c.B); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -342,9 +318,8 @@ func (c Config) newArray(proc, queueHint int) (*pdm.DiskArray, error) {
 		// A context is read only as far as the length table says it was
 		// written (round 0 reads none), and every message slot is rewritten
 		// each round before its inbox is read, so read-before-write holds
-		// for the whole superstep schedule. Stripe stays off: the staggered
-		// matrix and FIFO packs are not consecutive runs.
-		arr.EnableChecked(pdm.CheckConfig{RequireInit: true})
+		// for the whole superstep schedule.
+		arr.EnableChecked()
 	}
 	return arr, nil
 }
@@ -455,14 +430,13 @@ func (r *Result[T]) Output() []T {
 	return out
 }
 
-// limits resolves the context and message bounds for a run of n items.
+// limits resolves the context and message bounds for a run of n items: μ
+// is what the program declares through cgm.ContextSizer, else a generous
+// default.
 func limits[T any](prog cgm.Program[T], cfg Config, n int) (maxCtx, maxMsg int) {
 	perVP := (n + cfg.V - 1) / cfg.V
-	maxCtx = cfg.MaxCtxItems
-	if maxCtx == 0 {
-		if cs, ok := prog.(cgm.ContextSizer); ok {
-			maxCtx = cs.MaxContextItems(n, cfg.V)
-		}
+	if cs, ok := prog.(cgm.ContextSizer); ok {
+		maxCtx = cs.MaxContextItems(n, cfg.V)
 	}
 	if maxCtx <= 0 {
 		maxCtx = 8*perVP + 4*cfg.V + 64
@@ -531,7 +505,7 @@ func encodeCtx[T any](codec wordcodec.Codec[T], items []T, img, cmp []pdm.Word, 
 // checkCtx reports a context over the declared bound μ.
 func checkCtx(items, maxCtx int) error {
 	if items > maxCtx {
-		return fmt.Errorf("core: context of %d items exceeds the declared bound μ = %d items; set Config.MaxCtxItems or implement cgm.ContextSizer", items, maxCtx)
+		return fmt.Errorf("core: context of %d items exceeds the declared bound μ = %d items; implement cgm.ContextSizer", items, maxCtx)
 	}
 	return nil
 }

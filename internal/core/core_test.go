@@ -29,6 +29,15 @@ func (p rotate) Round(vp *cgm.VP[int64], round int, inbox [][]int64) ([][]int64,
 }
 func (p rotate) Output(vp *cgm.VP[int64]) []int64 { return vp.State }
 
+// sized declares μ = mu items (cgm.ContextSizer) for a test program that
+// declares none: a run learns its context bound from the program alone.
+type sized[T any] struct {
+	cgm.Program[T]
+	mu int
+}
+
+func (s sized[T]) MaxContextItems(int, int) int { return s.mu }
+
 // allToAll sends one item to every VP each round for k rounds, then each
 // VP outputs the sum of everything it received.
 type allToAll struct{ k int }
@@ -131,8 +140,9 @@ func TestMachinesMatchCGMRuntime(t *testing.T) {
 func TestSeqIOAccounting(t *testing.T) {
 	const v, n = 4, 32
 	parts := cgm.Scatter(seq64(n), v)
-	cfg := Config{V: v, P: 1, D: 2, B: 4, MaxMsgItems: 8, MaxCtxItems: 16}
-	res, err := RunSeq[int64](rotate{k: 2}, wordcodec.I64{}, cfg, parts)
+	cfg := Config{V: v, P: 1, D: 2, B: 4, MaxMsgItems: 8}
+	prog := sized[int64]{rotate{k: 2}, 16}
+	res, err := RunSeq[int64](prog, wordcodec.I64{}, cfg, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +169,7 @@ func TestSeqIOAccounting(t *testing.T) {
 	}
 	// Deterministic content-oblivious schedule: same run again gives the
 	// exact same I/O counts.
-	res2, err := RunSeq[int64](rotate{k: 2}, wordcodec.I64{}, cfg, parts)
+	res2, err := RunSeq[int64](prog, wordcodec.I64{}, cfg, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +213,8 @@ func TestSeqMultiDiskSpeedup(t *testing.T) {
 	parts := cgm.Scatter(seq64(n), v)
 	ops := map[int]int64{}
 	for _, d := range []int{1, 2, 4} {
-		cfg := Config{V: v, P: 1, D: d, B: 4, MaxMsgItems: n / v, MaxCtxItems: n / v}
-		res, err := RunSeq[int64](rotate{k: 3}, wordcodec.I64{}, cfg, parts)
+		cfg := Config{V: v, P: 1, D: d, B: 4, MaxMsgItems: n / v}
+		res, err := RunSeq[int64](sized[int64]{rotate{k: 3}, n / v}, wordcodec.I64{}, cfg, parts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,8 +231,8 @@ func TestSeqMultiDiskSpeedup(t *testing.T) {
 func TestParIOBalancedAcrossProcs(t *testing.T) {
 	const v, n = 8, 256
 	parts := cgm.Scatter(seq64(n), v)
-	cfg := Config{V: v, P: 4, D: 2, B: 4, MaxMsgItems: n / v, MaxCtxItems: n / v}
-	res, err := RunPar[int64](rotate{k: 3}, wordcodec.I64{}, cfg, parts)
+	cfg := Config{V: v, P: 4, D: 2, B: 4, MaxMsgItems: n / v}
+	res, err := RunPar[int64](sized[int64]{rotate{k: 3}, n / v}, wordcodec.I64{}, cfg, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +266,8 @@ func TestParPerProcIOScalesDown(t *testing.T) {
 	parts := cgm.Scatter(seq64(n), v)
 	perProc := map[int]int64{}
 	for _, p := range []int{1, 2, 4, 8} {
-		cfg := Config{V: v, P: p, D: 2, B: 4, MaxMsgItems: n / v, MaxCtxItems: n / v}
-		res, err := RunPar[int64](rotate{k: 3}, wordcodec.I64{}, cfg, parts)
+		cfg := Config{V: v, P: p, D: 2, B: 4, MaxMsgItems: n / v}
+		res, err := RunPar[int64](sized[int64]{rotate{k: 3}, n / v}, wordcodec.I64{}, cfg, parts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,8 +319,8 @@ func TestMessageOverflowSurfaces(t *testing.T) {
 
 func TestContextOverflowSurfaces(t *testing.T) {
 	parts := cgm.Scatter(seq64(32), 4)
-	cfg := Config{V: 4, P: 1, D: 2, B: 4, MaxCtxItems: 3}
-	_, err := RunSeq[int64](rotate{k: 1}, wordcodec.I64{}, cfg, parts)
+	cfg := Config{V: 4, P: 1, D: 2, B: 4}
+	_, err := RunSeq[int64](sized[int64]{rotate{k: 1}, 3}, wordcodec.I64{}, cfg, parts)
 	if err == nil || !strings.Contains(err.Error(), "declared bound") {
 		t.Errorf("err = %v, want context overflow", err)
 	}
@@ -318,8 +328,8 @@ func TestContextOverflowSurfaces(t *testing.T) {
 
 func TestMemoryLimitEnforced(t *testing.T) {
 	parts := cgm.Scatter(seq64(32), 4)
-	cfg := Config{V: 4, P: 1, D: 2, B: 4, M: 10, MaxMsgItems: 8, MaxCtxItems: 8}
-	_, err := RunSeq[int64](rotate{k: 1}, wordcodec.I64{}, cfg, parts)
+	cfg := Config{V: 4, P: 1, D: 2, B: 4, M: 10, MaxMsgItems: 8}
+	_, err := RunSeq[int64](sized[int64]{rotate{k: 1}, 8}, wordcodec.I64{}, cfg, parts)
 	if err == nil || !strings.Contains(err.Error(), "exceeds M") {
 		t.Errorf("err = %v, want memory limit", err)
 	}
@@ -328,7 +338,7 @@ func TestMemoryLimitEnforced(t *testing.T) {
 func TestDiskFaultSurfaces(t *testing.T) {
 	parts := cgm.Scatter(seq64(32), 4)
 	cfg := Config{
-		V: 4, P: 1, D: 2, B: 4, MaxMsgItems: 8, MaxCtxItems: 8,
+		V: 4, P: 1, D: 2, B: 4, MaxMsgItems: 8,
 		NewDisk: func(proc, disk int) pdm.Disk {
 			if disk == 1 {
 				return pdm.NewFaultyDisk(pdm.NewMemDisk(4), 5)
@@ -336,7 +346,7 @@ func TestDiskFaultSurfaces(t *testing.T) {
 			return pdm.NewMemDisk(4)
 		},
 	}
-	_, err := RunSeq[int64](rotate{k: 3}, wordcodec.I64{}, cfg, parts)
+	_, err := RunSeq[int64](sized[int64]{rotate{k: 3}, 8}, wordcodec.I64{}, cfg, parts)
 	if !errors.Is(err, pdm.ErrInjected) {
 		t.Errorf("err = %v, want injected disk fault", err)
 	}
@@ -346,7 +356,7 @@ func TestFileDiskBackedRun(t *testing.T) {
 	dir := t.TempDir()
 	parts := cgm.Scatter(seq64(64), 4)
 	cfg := Config{
-		V: 4, P: 2, D: 2, B: 8, MaxMsgItems: 16, MaxCtxItems: 16,
+		V: 4, P: 2, D: 2, B: 8, MaxMsgItems: 16,
 		NewDisk: func(proc, disk int) pdm.Disk {
 			fd, err := pdm.NewFileDisk(filepath.Join(dir, "p"+string(rune('0'+proc))+"d"+string(rune('0'+disk))+".disk"), 8)
 			if err != nil {
@@ -355,7 +365,7 @@ func TestFileDiskBackedRun(t *testing.T) {
 			return fd
 		},
 	}
-	res, err := RunPar[int64](rotate{k: 4}, wordcodec.I64{}, cfg, parts)
+	res, err := RunPar[int64](sized[int64]{rotate{k: 4}, 16}, wordcodec.I64{}, cfg, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,12 +419,13 @@ func TestGrowingContextAndContextSizer(t *testing.T) {
 func TestObservation2HalvesFootprint(t *testing.T) {
 	const v, n = 8, 512
 	parts := cgm.Scatter(seq64(n), v)
-	cfg := Config{V: v, P: 1, D: 2, B: 4, MaxMsgItems: 2 * n / (v * v), MaxCtxItems: n / v}
-	seqRes, err := RunSeq[int64](allToAll{k: 3}, wordcodec.I64{}, cfg, parts)
+	cfg := Config{V: v, P: 1, D: 2, B: 4, MaxMsgItems: 2 * n / (v * v)}
+	prog := sized[int64]{allToAll{k: 3}, n / v}
+	seqRes, err := RunSeq[int64](prog, wordcodec.I64{}, cfg, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRes, err := RunPar[int64](allToAll{k: 3}, wordcodec.I64{}, cfg, parts)
+	parRes, err := RunPar[int64](prog, wordcodec.I64{}, cfg, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,45 +495,5 @@ func TestBalancedSlotInvariant(t *testing.T) {
 	bound := (2*n/v)/v + (v-1)/2 + 1
 	if res.MaxMsgObserved > bound {
 		t.Errorf("balanced message of %d items exceeds Theorem 1 bound %d", res.MaxMsgObserved, bound)
-	}
-}
-
-// Context caching (P = V, M = Θ(μ)): identical outputs, zero context I/O,
-// message I/O unchanged.
-func TestCacheContextsEliminatesCtxIO(t *testing.T) {
-	const v, n = 4, 256
-	parts := cgm.Scatter(seq64(n), v)
-	base := Config{V: v, P: v, D: 2, B: 8, MaxMsgItems: n / v, MaxCtxItems: n / v}
-	plain, err := RunPar[int64](rotate{k: 3}, wordcodec.I64{}, base, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cachedCfg := base
-	cachedCfg.CacheContexts = true
-	cres, err := RunPar[int64](rotate{k: 3}, wordcodec.I64{}, cachedCfg, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameOutputs(t, "cachectx", cres.Outputs, plain.Outputs)
-	if cres.CtxOps != 0 {
-		t.Errorf("cached run still did %d context ops", cres.CtxOps)
-	}
-	if cres.MsgOps != plain.MsgOps {
-		t.Errorf("message I/O changed: %d vs %d", cres.MsgOps, plain.MsgOps)
-	}
-	if cres.IO.ParallelOps >= plain.IO.ParallelOps {
-		t.Errorf("caching did not reduce total I/O: %d vs %d", cres.IO.ParallelOps, plain.IO.ParallelOps)
-	}
-	// With P < V the flag is ignored but still correct.
-	halfCfg := base
-	halfCfg.P = v / 2
-	halfCfg.CacheContexts = true
-	hres, err := RunPar[int64](rotate{k: 3}, wordcodec.I64{}, halfCfg, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameOutputs(t, "cachectx-ignored", hres.Outputs, plain.Outputs)
-	if hres.CtxOps == 0 {
-		t.Error("P<V run unexpectedly skipped context I/O")
 	}
 }

@@ -48,11 +48,11 @@ func TestPipelineDepthSingleVP(t *testing.T) {
 	keys := workload.Int64s(3, n)
 	parts := cgm.Scatter(keys, 1)
 
-	base := core.Config{V: 1, P: 1, D: 2, B: 8, MaxMsgItems: n + 16, MaxCtxItems: 2*n + 16}
+	base := core.Config{V: 1, P: 1, D: 2, B: 8, MaxMsgItems: n + 16}
 	want := reference[int64](t, "v=1", echo{}, 1, parts)
 	for _, seq := range []bool{true, false} {
 		depthArms(t, fmt.Sprintf("v=1/seq=%v", seq), want, base, []int{0, 4}, func(cfg core.Config) (*core.Result[int64], error) {
-			res, err := runMachine(seq, echo{}, cfg, parts)
+			res, err := runMachine(seq, sized[int64]{echo{}, 2*n + 16}, cfg, parts)
 			if err == nil && res.Depth != 1 {
 				t.Errorf("seq=%v k=%d: ring depth = %d, want 1 (clamped to v)", seq, cfg.PipelineDepth, res.Depth)
 			}
@@ -271,7 +271,7 @@ func TestPipelineDepthFault(t *testing.T) {
 		for _, k := range []int{2, 4} {
 			rec := obs.NewRecorder()
 			cfg := core.Config{V: v, P: p, D: 2, B: 8,
-				MaxMsgItems: n/v + 4, MaxCtxItems: n/v + 4,
+				MaxMsgItems:   n/v + 4,
 				PipelineDepth: k, Recorder: rec,
 				NewDisk: func(proc, disk int) pdm.Disk {
 					if proc == p-1 && disk == 0 {
@@ -280,12 +280,7 @@ func TestPipelineDepthFault(t *testing.T) {
 					return pdm.NewMemDisk(8)
 				},
 			}
-			var err error
-			if p == 1 {
-				_, err = core.RunSeq[int64](echo{}, wordcodec.I64{}, cfg, parts)
-			} else {
-				_, err = core.RunPar[int64](echo{}, wordcodec.I64{}, cfg, parts)
-			}
+			_, err := runMachine(p == 1, sized[int64]{echo{}, n/v + 4}, cfg, parts)
 			if !errors.Is(err, pdm.ErrInjected) {
 				t.Fatalf("p=%d k=%d: err = %v, want injected disk fault", p, k, err)
 			}
@@ -297,11 +292,11 @@ func TestPipelineDepthFault(t *testing.T) {
 }
 
 // TestPipelineDepthValidate pins the configuration contract of
-// PipelineDepth: negative depths are rejected by Validate; ValidateFor
-// applies the engine's depth rule — clamp to v, then reject a fixed window
-// whose k working sets exceed M, or any machine where one does not fit —
-// at one word per item; and the engine itself rejects a fixed depth the
-// machine's actual scratch geometry cannot fit.
+// PipelineDepth: negative depths are rejected by Validate; the engine
+// applies its depth rule — clamp to v, then reject a fixed window whose k
+// working sets exceed M, or any machine where one does not fit — before
+// it builds a disk; and it rejects a fixed depth the machine's actual
+// scratch geometry cannot fit.
 func TestPipelineDepthValidate(t *testing.T) {
 	base := core.Config{V: 4, P: 2, D: 2, B: 8}
 
@@ -312,46 +307,51 @@ func TestPipelineDepthValidate(t *testing.T) {
 	}
 
 	// One working set here is an 8-block context run and 4 message slots of
-	// 8 blocks — 64 one-word items fill 8 blocks of 8 exactly — so 320
-	// words.
+	// 8 blocks — the program declares μ = 64, and 64 one-word items fill 8
+	// blocks of 8 exactly — so 320 words. A machine M rejects builds no
+	// disk.
+	parts := cgm.Scatter(workload.Int64s(11, 64), 4)
+	built := 0
+	run := func(cfg core.Config) (*core.Result[int64], error) {
+		built = 0
+		return core.RunPar[int64](sized[int64]{echo{}, 64}, wordcodec.I64{}, cfg, parts)
+	}
 	tight := base
 	tight.PipelineDepth = 8
-	tight.MaxCtxItems = 64
 	tight.MaxMsgItems = 64
 	tight.M = 2 * 320 // two working sets, not 8
-	if err := tight.ValidateFor(1 << 10); err == nil || !strings.Contains(err.Error(), "internal memory") {
+	tight.NewDisk = func(int, int) pdm.Disk { built++; return pdm.NewMemDisk(tight.B) }
+	if _, err := run(tight); err == nil || !strings.Contains(err.Error(), "internal memory") {
 		t.Errorf("depth over M: err = %v, want memory bound error", err)
 	}
-	// Auto must clamp instead of erroring. In memory auto is 2, which M
-	// fits; disks the caller supplies are priced as the default device,
-	// whose 8 — 4 after the clamp to v — M does not.
-	tight.PipelineDepth = 0
-	tight.NewDisk = func(int, int) pdm.Disk { return pdm.NewMemDisk(tight.B) }
-	if err := tight.ValidateFor(1 << 10); err != nil {
-		t.Errorf("auto depth over M: err = %v, want clamp, not error", err)
+	if built != 0 {
+		t.Errorf("depth over M: %d disks built, want none", built)
 	}
-	if _, res, err := sortalg.EMSort(workload.Int64s(11, 64), wordcodec.I64{}, tight); err != nil {
-		t.Errorf("auto depth over M: EMSort err = %v, want clamp, not error", err)
+	// Auto must clamp instead of erroring: disks the caller supplies are
+	// priced as the default device, whose 8 — 4 after the clamp to v — M
+	// does not fit.
+	tight.PipelineDepth = 0
+	if res, err := run(tight); err != nil {
+		t.Errorf("auto depth over M: err = %v, want clamp, not error", err)
 	} else if res.Depth != 2 {
 		t.Errorf("auto depth over M: Depth = %d, want the 2 working sets M fits", res.Depth)
 	}
 	tight.M = 320 - 1 // not one working set: no depth can run
-	if err := tight.ValidateFor(1 << 10); err == nil || !strings.Contains(err.Error(), "working set") {
+	if _, err := run(tight); err == nil || !strings.Contains(err.Error(), "working set") {
 		t.Errorf("auto depth, one working set over M: err = %v, want memory bound error", err)
 	}
+	if built != 0 {
+		t.Errorf("auto depth, one working set over M: %d disks built, want none", built)
+	}
 
-	// A fixed depth past v is clamped to v before it is held to M, by
-	// ValidateFor as by the engine: 16 windows would need 5120 words, the
-	// 4 the engine runs fit exactly.
+	// A fixed depth past v is clamped to v before it is held to M: 16
+	// windows would need 5120 words, the 4 the engine runs fit exactly.
 	wide := tight
 	wide.NewDisk = nil
 	wide.PipelineDepth = 16
 	wide.M = 4 * 320
-	if err := wide.ValidateFor(64); err != nil {
-		t.Errorf("depth clamped to v within M: ValidateFor err = %v, want nil", err)
-	}
-	if _, res, err := sortalg.EMSort(workload.Int64s(11, 64), wordcodec.I64{}, wide); err != nil {
-		t.Errorf("depth clamped to v within M: EMSort err = %v", err)
+	if res, err := run(wide); err != nil {
+		t.Errorf("depth clamped to v within M: err = %v", err)
 	} else if res.Depth != 4 {
 		t.Errorf("depth clamped to v within M: Depth = %d, want 4", res.Depth)
 	}

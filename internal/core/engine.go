@@ -286,7 +286,6 @@ type engine[T any] struct {
 	tr      transport[T]
 	inputs  [][]T // what round 0 hands prog.Init
 	noMsgs  [][]T // v/p empty messages: what an outbox of nil sends each local VP
-	cached  [][]T // resident contexts under CacheContexts, nil otherwise
 	outputs [][]T
 	sizes   *costmodel.Sizes // what the ledger's predictor is told of the data, nil without one
 }
@@ -341,9 +340,6 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 		}
 	} else if e.tr.matrix, err = layout.NewMatrix(v, e.bpm, cfg.D, ctxTracks); err != nil {
 		return nil, err
-	}
-	if cfg.CacheContexts && par && localV == 1 {
-		e.cached = make([][]T, p)
 	}
 
 	// Registered before the first array is built: a set-up failure at
@@ -508,7 +504,7 @@ func run[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, input
 		cfg.Ledger.AddRun(
 			costmodel.Machine{
 				Par: par, V: v, P: p, D: cfg.D, B: cfg.B,
-				CB: e.cb, BPM: e.bpm, Rounds: res.Rounds, CacheCtx: e.cached != nil,
+				CB: e.cb, BPM: e.bpm, Rounds: res.Rounds,
 				Depth: res.Depth, Words: codec.Words(),
 			},
 			e.sizes,
@@ -833,13 +829,13 @@ func (pr *proc[T]) computing() bool {
 }
 
 // beginReads prefetches the live prefix of the context of the VP at
-// position pos (unless resident) and, after round 0, of each message of
-// its inbox into ring slot pos mod K, charging the begun ops to that
-// slot's row. The prefixes come from the item counts in the length
-// tables, so the whole prefetch is one burst with nothing read first to
-// size it, and the slot's images grow to hold it. An empty image moves no
-// block. That is every context in round 0 — nothing has been written yet,
-// the tables say 0 — so round 0 begins no read at all.
+// position pos and, after round 0, of each message of its inbox into ring
+// slot pos mod K, charging the begun ops to that slot's row. The prefixes
+// come from the item counts in the length tables, so the whole prefetch
+// is one burst with nothing read first to size it, and the slot's images
+// grow to hold it. An empty image moves no block. That is every context
+// in round 0 — nothing has been written yet, the tables say 0 — so round
+// 0 begins no read at all.
 func (e *engine[T]) beginReads(pr *proc[T], round, pos int) error {
 	K, l := len(pr.ring), pr.order[pos]
 	sl, s := &pr.pend[pos%K], pr.ring[pos%K]
@@ -857,14 +853,12 @@ func (e *engine[T]) beginReads(pr *proc[T], round, pos int) error {
 		fillStale(s.ctxImg)
 		fillStale(s.flat)
 	}
-	if e.cached == nil {
-		start := e.ctxBufs(pr, s, pos, e.ctxBlocks(pr.ctxLive[l]))
-		if err := layout.BeginReadStripedScratch(pr.arr, 0, start, s.bufs, &s.lay, &sl.reads); err != nil {
-			pf.End()
-			return fmt.Errorf("core: round %d vp %d: begin context read: %w", round, pr.i*e.localV+l, err)
-		}
-		pr.bank(sl, true)
+	start := e.ctxBufs(pr, s, pos, e.ctxBlocks(pr.ctxLive[l]))
+	if err := layout.BeginReadStripedScratch(pr.arr, 0, start, s.bufs, &s.lay, &sl.reads); err != nil {
+		pf.End()
+		return fmt.Errorf("core: round %d vp %d: begin context read: %w", round, pr.i*e.localV+l, err)
 	}
+	pr.bank(sl, true)
 	if round > 0 {
 		s.reqs = e.tr.inboxReqs(s.reqs[:0], round, l, s.live)
 		s.bufs = layout.SplitPrefixesInto(s.bufs[:0], s.flat, e.cfg.B, s.live)
@@ -957,18 +951,12 @@ func (e *engine[T]) work(pr *proc[T], w *worker[T]) {
 	// The items the length tables count are the heads of the prefixes
 	// beginReads transferred for them, the inbox's at the offsets it derived
 	// from the same counts (s.live still holds their live blocks).
-	var ctxImg []pdm.Word
+	ctxImg := s.ctxImg[:pr.ctxLive[l]*e.codec.Words()]
 	var counts []int
-	if e.cached == nil {
-		ctxImg = s.ctxImg[:pr.ctxLive[l]*e.codec.Words()]
-	}
 	if round > 0 {
 		counts = e.inboxLive(pr, round, l)
 	}
 	state, inbox, recv := w.mem.decode(e.codec, ctxImg, s.flat, e.cfg.B, s.live, counts)
-	if e.cached != nil {
-		state = e.cached[pr.i]
-	}
 	w.recv = recv
 
 	cp := e.rec.Begin(w.track, "compute", "phase")
@@ -997,16 +985,12 @@ func (e *engine[T]) work(pr *proc[T], w *worker[T]) {
 		}
 		w.err = e.encodeMsgs(pr, s, round, j, e.localMsgs(pr, outbox))
 	}
-	// Nobody reads the terminal round's context, resident or on disk.
+	// Nobody reads the terminal round's context.
 	if w.err != nil || done || len(vp.State) > e.maxCtx {
 		return
 	}
-	if e.cached != nil {
-		e.cached[pr.i] = w.mem.keep(vp.State)
-	} else {
-		e.growCtx(s, e.ctxBlocks(len(vp.State)))
-		w.same = encodeCtx(e.codec, vp.State, s.ctxImg, w.cmp, pr.ctxLive[l], e.ctxBlocks(len(vp.State)), e.cfg.B)
-	}
+	e.growCtx(s, e.ctxBlocks(len(vp.State)))
+	w.same = encodeCtx(e.codec, vp.State, s.ctxImg, w.cmp, pr.ctxLive[l], e.ctxBlocks(len(vp.State)), e.cfg.B)
 }
 
 // commit collects the VP at position pos from its worker and makes the
@@ -1172,11 +1156,10 @@ func (e *engine[T]) batchTo(pr *proc[T], l, k int, done bool) batch[T] {
 // noteContext is the commit's half of local VP l's context out: it holds
 // the context to the bound μ, records its size for the ledger's predictor
 // and its item count in the length table, and reports whether it must be
-// written. A context kept resident under CacheContexts (its worker kept
-// it) is not written, and neither is the terminal round's, which nobody
-// reads. Nor is a context written whose encoding is, word for word, the
-// one the slot read this round: its next reader finds on disk what it
-// needs, and the length table stands.
+// written. The terminal round's context is not written: nobody reads it.
+// Nor is a context written whose encoding is, word for word, the one the
+// slot read this round: its next reader finds on disk what it needs, and
+// the length table stands.
 func (e *engine[T]) noteContext(pr *proc[T], w *worker[T], round, l int) (bool, error) {
 	j := pr.i*e.localV + l
 	n := len(w.vp.State)
@@ -1184,7 +1167,7 @@ func (e *engine[T]) noteContext(pr *proc[T], w *worker[T], round, l int) (bool, 
 	if err := checkCtx(n, e.maxCtx); err != nil {
 		return false, fmt.Errorf("core: round %d vp %d: write context: %w", round, j, err)
 	}
-	if e.cached != nil || w.done {
+	if w.done {
 		return false, nil
 	}
 	if e.sizes != nil {

@@ -68,7 +68,7 @@ func TestParDiskFaultSurfaces(t *testing.T) {
 		disks[i] = make([]pdm.Disk, d)
 	}
 	cfg := Config{
-		V: v, P: p, D: d, B: b, MaxMsgItems: 16, MaxCtxItems: maxCtx,
+		V: v, P: p, D: d, B: b, MaxMsgItems: 16,
 		NewDisk: func(proc, disk int) pdm.Disk {
 			var dk pdm.Disk = keepOpen{pdm.NewMemDisk(b)}
 			if proc == 1 && disk == 0 {
@@ -80,7 +80,7 @@ func TestParDiskFaultSurfaces(t *testing.T) {
 	}
 	var err error
 	Watchdog(t, "par p=2 fault=p1/d0@1", func() {
-		_, err = RunPar[int64](rotate{k: 3}, wordcodec.I64{}, cfg, parts)
+		_, err = RunPar[int64](sized[int64]{rotate{k: 3}, maxCtx}, wordcodec.I64{}, cfg, parts)
 	})
 	if !errors.Is(err, pdm.ErrInjected) {
 		t.Fatalf("err = %v, want injected disk fault", err)

@@ -110,17 +110,11 @@ func waitGoroutines(t *testing.T, tag string, base int) {
 	}
 }
 
-// watchedRun runs a machine on lateDisk-wrapped disks and, whatever the
-// run returns, requires that nothing outlives it: no transfer finishes
-// after the arrays closed their disks, and the goroutine count returns to
-// what it was before the run. The run itself is under core.Watchdog, so
-// one that wedges fails under its tag.
-func watchedRun(t *testing.T, tag string, seq bool, cfg core.Config, inner func(proc, disk int) pdm.Disk, parts [][]int64) error {
-	t.Helper()
-	return watchedProg(t, tag, seq, echo{}, cfg, inner, parts)
-}
-
-// watchedProg is watchedRun for any program.
+// watchedProg runs prog on a machine on lateDisk-wrapped disks and,
+// whatever the run returns, requires that nothing outlives it: no
+// transfer finishes after the arrays closed their disks, and the
+// goroutine count returns to what it was before the run. The run itself
+// is under core.Watchdog, so one that wedges fails under its tag.
 func watchedProg(t *testing.T, tag string, seq bool, prog cgm.Program[int64], cfg core.Config, inner func(proc, disk int) pdm.Disk, parts [][]int64) error {
 	t.Helper()
 	base := runtime.NumGoroutine()
@@ -345,17 +339,18 @@ func faultDrains(t *testing.T) {
 	// Full contexts, so both disks are in every context transfer.
 	parts := cgm.Scatter(workload.Int64s(7, v*maxCtx), v)
 	mem := func(proc, disk int) pdm.Disk { return pdm.NewMemDisk(b) }
+	prog := sized[int64]{echo{}, maxCtx}
 
 	for _, m := range []struct {
 		seq bool
 		p   int
 	}{{true, 1}, {false, 1}, {false, 4}} {
 		for _, k := range []int{1, 2, 4} {
-			base := core.Config{V: v, P: m.p, D: d, B: b, MaxMsgItems: maxMsg, MaxCtxItems: maxCtx, PipelineDepth: k}
+			base := core.Config{V: v, P: m.p, D: d, B: b, MaxMsgItems: maxMsg, PipelineDepth: k}
 
 			// A fault-free run counts the transfers each disk serves.
 			counts := make([]atomic.Int64, m.p*d)
-			err := watchedRun(t, fmt.Sprintf("seq=%v p=%d k=%d fault-free", m.seq, m.p, k), m.seq, base,
+			err := watchedProg(t, fmt.Sprintf("seq=%v p=%d k=%d fault-free", m.seq, m.p, k), m.seq, prog, base,
 				func(proc, disk int) pdm.Disk { return countDisk{mem(proc, disk), &counts[proc*d+disk]} }, parts)
 			if err != nil {
 				t.Fatalf("seq=%v p=%d k=%d fault-free: %v", m.seq, m.p, k, err)
@@ -379,7 +374,7 @@ func faultDrains(t *testing.T) {
 						}
 						var seen atomic.Int64
 						var fails failLog
-						err := watchedRun(t, tag, m.seq, cfg, func(proc, disk int) pdm.Disk {
+						err := watchedProg(t, tag, m.seq, prog, cfg, func(proc, disk int) pdm.Disk {
 							switch {
 							case proc != fproc || disk != fdisk:
 								return mem(proc, disk)
@@ -405,7 +400,7 @@ func faultDrains(t *testing.T) {
 			big[v-1] = workload.Int64s(9, maxCtx+1)
 			cfg := base
 			cfg.Recorder = obs.NewRecorder()
-			err = watchedRun(t, tag, m.seq, cfg, mem, big)
+			err = watchedProg(t, tag, m.seq, prog, cfg, mem, big)
 			if err == nil || !strings.Contains(err.Error(), "exceeds") {
 				t.Fatalf("%s: err = %v, want the context bound error", tag, err)
 			}
@@ -475,7 +470,7 @@ func TestSetupFailureClosesDisks(t *testing.T) {
 		tag := fmt.Sprintf("seq=%v p=%d bad=p%d", m.seq, m.p, m.fproc)
 		base := runtime.NumGoroutine()
 		var built, closed atomic.Int64
-		cfg := core.Config{V: v, P: m.p, D: d, B: b, MaxMsgItems: 16, MaxCtxItems: 31,
+		cfg := core.Config{V: v, P: m.p, D: d, B: b, MaxMsgItems: 16,
 			NewDisk: func(proc, disk int) pdm.Disk {
 				built.Add(1)
 				bs := b
@@ -484,7 +479,7 @@ func TestSetupFailureClosesDisks(t *testing.T) {
 				}
 				return sizedDisk{pdm.NewMemDisk(bs), bs, &closed}
 			}}
-		_, err := runMachine(m.seq, echo{}, cfg, parts)
+		_, err := runMachine(m.seq, sized[int64]{echo{}, 31}, cfg, parts)
 		if err == nil || !strings.Contains(err.Error(), "block size") {
 			t.Fatalf("%s: err = %v, want the array's block-size rejection", tag, err)
 		}

@@ -112,8 +112,9 @@ func TestChaosEquivalence(t *testing.T) {
 		// The chaos program can concentrate items; allow worst-case slots.
 		// CheckedIO zeroes the decode arena after every superstep, so a
 		// reference kept past it is a mismatch here.
-		cfg := Config{V: v, P: 1, D: 2, B: 8, MaxMsgItems: 4 * n, MaxCtxItems: 8*n + 16, CheckedIO: true}
-		sres, err := RunSeq[int64](prog, codec, cfg, parts)
+		cfg := Config{V: v, P: 1, D: 2, B: 8, MaxMsgItems: 4 * n, CheckedIO: true}
+		em := sized[int64]{prog, 8*n + 16}
+		sres, err := RunSeq[int64](em, codec, cfg, parts)
 		if err != nil || !check(sres, "seq") {
 			t.Logf("seq: %v", err)
 			return false
@@ -124,7 +125,7 @@ func TestChaosEquivalence(t *testing.T) {
 			}
 			pcfg := cfg
 			pcfg.P = p
-			pres, err := RunPar[int64](prog, codec, pcfg, parts)
+			pres, err := RunPar[int64](em, codec, pcfg, parts)
 			if err != nil || !check(pres, fmt.Sprintf("par p=%d", p)) {
 				t.Logf("par p=%d: %v", p, err)
 				return false
@@ -133,7 +134,7 @@ func TestChaosEquivalence(t *testing.T) {
 		bcfg := cfg
 		bcfg.Balanced = true
 		bcfg.MaxHItems = 8 * n
-		bres, err := RunSeq[int64](prog, codec, bcfg, parts)
+		bres, err := RunSeq[int64](em, codec, bcfg, parts)
 		if err != nil || !check(bres, "balanced seq") {
 			t.Logf("balanced: %v", err)
 			return false
@@ -153,10 +154,10 @@ func TestChaosDeterminism(t *testing.T) {
 		in[i] = mix(int64(i))
 	}
 	const v = 4
-	cfg := Config{V: v, P: 2, D: 2, B: 8, MaxMsgItems: 800, MaxCtxItems: 1616}
+	cfg := Config{V: v, P: 2, D: 2, B: 8, MaxMsgItems: 800}
 	var first *Result[int64]
 	for trial := 0; trial < 3; trial++ {
-		res, err := RunPar[int64](prog, wordcodec.I64{}, cfg, cgm.Scatter(in, v))
+		res, err := RunPar[int64](sized[int64]{prog, 1616}, wordcodec.I64{}, cfg, cgm.Scatter(in, v))
 		if err != nil {
 			t.Fatal(err)
 		}

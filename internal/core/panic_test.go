@@ -62,9 +62,9 @@ func TestProgramPanicReturnsError(t *testing.T) {
 					{stage: "output", vp: 5, round: 3},
 				} {
 					tag := fmt.Sprintf("seq=%v p=%d k=%d c=%d %s vp %d round %d", m.seq, m.p, k, c, prog.stage, prog.vp, prog.round)
-					cfg := core.Config{V: v, P: m.p, D: 2, B: 8, MaxMsgItems: 16, MaxCtxItems: 16, PipelineDepth: k}
+					cfg := core.Config{V: v, P: m.p, D: 2, B: 8, MaxMsgItems: 16, PipelineDepth: k}
 					var err error
-					core.AtProcs(c*m.p, func() { err = watchedProg(t, tag, m.seq, prog, cfg, mem, parts) })
+					core.AtProcs(c*m.p, func() { err = watchedProg(t, tag, m.seq, sized[int64]{prog, 16}, cfg, mem, parts) })
 					if err == nil {
 						t.Fatalf("%s: the run returned no error", tag)
 					}

@@ -118,13 +118,16 @@ func depthArms[T comparable](t *testing.T, tag string, want [][]T, base core.Con
 	}
 }
 
-// equivWorkloads runs depthArms over sorting, permutation, transposition
-// and a skewed rotation on RunPar at p = 1, 2, 4 and on the sequential
-// machine proper (Algorithm 2, not p = 1 of Algorithm 3). The rotation is
-// there for the live-prefix transfer's corners: its partitions run from
-// empty (a context of no block) to a third of the input, every VP's
-// context changes size every round, and all but one message of every
-// outbox is empty and moves no block.
+// equivWorkloads runs depthArms over sorting, permutation, transposition,
+// a skewed rotation and a skewed shrink on RunPar at p = 1, 2, 4 and on
+// the sequential machine proper (Algorithm 2, not p = 1 of Algorithm 3).
+// The rotation and the shrink are there for the live-prefix transfer's
+// corners: their partitions run from empty (a context of no block) to a
+// third of the input, and all but one message of every outbox is empty
+// and moves no block. The rotation's contexts never change; the shrink's
+// shrink every round to a shorter one that is not empty, which the next
+// round reads back, so a context run that gives back more than the blocks
+// it shrank out of fails here.
 func equivWorkloads(t *testing.T, checked bool, depths []int) {
 	const v, n = 8, 1 << 10
 	keys := workload.Int64s(11, n)
@@ -141,22 +144,29 @@ func equivWorkloads(t *testing.T, checked bool, depths []int) {
 	skewed := cgm.Scatter(keys, v)
 	skewed[0], skewed[1], skewed[2] = append(append(skewed[0], skewed[1]...), skewed[2]...), nil, nil
 	skewed[5] = skewed[5][:1]
-	rotated := reference[int64](t, "rotate", echo{}, v, skewed)
-	skewCfg := core.Config{V: v, D: 2, B: 8, CheckedIO: checked, MaxMsgItems: n, MaxCtxItems: n}
+	skewCfg := core.Config{V: v, D: 2, B: 8, CheckedIO: checked, MaxMsgItems: n}
 
-	// The rotation runs first. It never looks at its items, so a transfer
-	// that hands it the wrong words — CheckedIO's poison, say — fails here
-	// by name, as an output that differs from the reference, before a
-	// program that indexes by its keys (the sort's merge) meets them.
-	for _, p := range []int{1, 2, 4} {
-		skewCfg.P = p
-		depthArms(t, fmt.Sprintf("rotate/p=%d", p), rotated, skewCfg, depths, func(cfg core.Config) (*core.Result[int64], error) {
-			return runMachine(false, echo{}, cfg, skewed)
+	// The rotation and the shrink run first. Neither looks at its items'
+	// values to index, so a transfer that hands them the wrong words —
+	// CheckedIO's poison, say — fails here by name, as an output that
+	// differs from the reference, before a program that indexes by its
+	// keys (the sort's merge) meets them.
+	for _, w := range []struct {
+		name string
+		prog cgm.Program[int64]
+	}{{"rotate", echo{}}, {"shrink", shrink{}}} {
+		want := reference(t, w.name, w.prog, v, skewed)
+		prog := sized[int64]{w.prog, n}
+		for _, p := range []int{1, 2, 4} {
+			skewCfg.P = p
+			depthArms(t, fmt.Sprintf("%s/p=%d", w.name, p), want, skewCfg, depths, func(cfg core.Config) (*core.Result[int64], error) {
+				return runMachine(false, prog, cfg, skewed)
+			})
+		}
+		depthArms(t, w.name+"/seq", want, skewCfg, depths, func(cfg core.Config) (*core.Result[int64], error) {
+			return runMachine(true, prog, cfg, skewed)
 		})
 	}
-	depthArms(t, "rotate/seq", rotated, skewCfg, depths, func(cfg core.Config) (*core.Result[int64], error) {
-		return runMachine(true, echo{}, cfg, skewed)
-	})
 	if t.Failed() {
 		t.FailNow() // the sort's merge may index out of its runs on such words
 	}
@@ -245,8 +255,8 @@ func TestPipelineFaultWithRecorder(t *testing.T) {
 	for _, p := range []int{1, 2} {
 		rec := obs.NewRecorder()
 		cfg := core.Config{V: v, P: p, D: 2, B: 8,
-			MaxMsgItems: n/v + 4, MaxCtxItems: n/v + 4,
-			Recorder: rec,
+			MaxMsgItems: n/v + 4,
+			Recorder:    rec,
 			NewDisk: func(proc, disk int) pdm.Disk {
 				if proc == p-1 && disk == 0 {
 					return pdm.NewFaultyDisk(pdm.NewMemDisk(8), 5)
@@ -254,12 +264,7 @@ func TestPipelineFaultWithRecorder(t *testing.T) {
 				return pdm.NewMemDisk(8)
 			},
 		}
-		var err error
-		if p == 1 {
-			_, err = core.RunSeq[int64](echo{}, wordcodec.I64{}, cfg, parts)
-		} else {
-			_, err = core.RunPar[int64](echo{}, wordcodec.I64{}, cfg, parts)
-		}
+		_, err := runMachine(p == 1, sized[int64]{echo{}, n/v + 4}, cfg, parts)
 		if !errors.Is(err, pdm.ErrInjected) {
 			t.Fatalf("p=%d: err = %v, want injected disk fault", p, err)
 		}
@@ -283,3 +288,38 @@ func (echo) Round(vp *cgm.VP[int64], round int, inbox [][]int64) ([][]int64, boo
 	return out, false
 }
 func (echo) Output(vp *cgm.VP[int64]) []int64 { return vp.State }
+
+// shrink sheds the last quarter of its context every round and sends it to
+// the next VP, which adds what it receives into its first item: a context
+// of two items or more shrinks every round to a shorter one that is not
+// empty. It finishes after four rounds.
+type shrink struct{}
+
+func (shrink) Init(vp *cgm.VP[int64], input []int64) { vp.State = append([]int64(nil), input...) }
+func (shrink) Round(vp *cgm.VP[int64], round int, inbox [][]int64) ([][]int64, bool) {
+	for _, m := range inbox {
+		for _, x := range m {
+			if len(vp.State) > 0 {
+				vp.State[0] += x
+			}
+		}
+	}
+	if round == 4 {
+		return nil, true
+	}
+	keep := len(vp.State) - len(vp.State)/4
+	out := make([][]int64, vp.V)
+	out[(vp.ID+1)%vp.V] = vp.State[keep:]
+	vp.State = vp.State[:keep]
+	return out, false
+}
+func (shrink) Output(vp *cgm.VP[int64]) []int64 { return vp.State }
+
+// sized declares μ = mu items (cgm.ContextSizer) for a test program that
+// declares none: a run learns its context bound from the program alone.
+type sized[T any] struct {
+	cgm.Program[T]
+	mu int
+}
+
+func (s sized[T]) MaxContextItems(int, int) int { return s.mu }

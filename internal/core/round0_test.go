@@ -30,9 +30,11 @@ func TestInitCheckedEquivalence(t *testing.T) {
 		seq bool
 		p   int
 	}{{true, 1}, {false, 1}, {false, 4}} {
-		base := core.Config{V: v, P: m.p, D: 2, B: 8, MaxMsgItems: n/v + 4, MaxCtxItems: n/v + 4, CheckedIO: true}
+		base := core.Config{V: v, P: m.p, D: 2, B: 8, MaxMsgItems: n/v + 4, CheckedIO: true}
 		depthArms(t, fmt.Sprintf("checked seq=%v p=%d", m.seq, m.p), want, base, []int{2, 8},
-			func(cfg core.Config) (*core.Result[int64], error) { return runMachine(m.seq, echo{}, cfg, parts) })
+			func(cfg core.Config) (*core.Result[int64], error) {
+				return runMachine(m.seq, sized[int64]{echo{}, n/v + 4}, cfg, parts)
+			})
 	}
 }
 
@@ -54,9 +56,9 @@ func TestInitStallRecorded(t *testing.T) {
 	}{{true, 1}, {false, 2}} {
 		round0 := func(depth int, newDisk func(proc, disk int) pdm.Disk) ([]obs.SuperstepIO, *core.Result[int64], *obs.Recorder) {
 			rec := obs.NewRecorder()
-			cfg := core.Config{V: v, P: m.p, D: 2, B: b, MaxMsgItems: n/v + 4, MaxCtxItems: n/v + 4,
+			cfg := core.Config{V: v, P: m.p, D: 2, B: b, MaxMsgItems: n/v + 4,
 				PipelineDepth: depth, Recorder: rec, NewDisk: newDisk}
-			res, err := runMachine(m.seq, echo{}, cfg, parts)
+			res, err := runMachine(m.seq, sized[int64]{echo{}, n/v + 4}, cfg, parts)
 			if err != nil {
 				t.Fatalf("seq=%v depth=%d: %v", m.seq, depth, err)
 			}
@@ -101,8 +103,8 @@ func TestInitStallRecorded(t *testing.T) {
 			t.Errorf("seq=%v: Result.Stall = %v on a 200µs disk", m.seq, res.Stall)
 		}
 
-		cfg := core.Config{V: v, P: m.p, D: 2, B: b, MaxMsgItems: n/v + 4, MaxCtxItems: n/v + 4, NewDisk: slow}
-		plain, err := runMachine(m.seq, echo{}, cfg, parts)
+		cfg := core.Config{V: v, P: m.p, D: 2, B: b, MaxMsgItems: n/v + 4, NewDisk: slow}
+		plain, err := runMachine(m.seq, sized[int64]{echo{}, n/v + 4}, cfg, parts)
 		if err != nil {
 			t.Fatalf("seq=%v unrecorded: %v", m.seq, err)
 		}

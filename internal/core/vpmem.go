@@ -13,8 +13,8 @@ import (
 // processor has c of them, one per worker (Config.M charges the c − 1
 // beyond the first one working set each). It only ever grows — to the
 // largest context and the largest inbox total actually seen, read from the
-// length tables, never to the MaxCtxItems/MaxMsgItems bounds the disk
-// slots are sized by. An inbox that outgrows it grows it by an eighth more
+// length tables, never to the bounds μ and MaxMsgItems the disk slots are
+// sized by. An inbox that outgrows it grows it by an eighth more
 // than it needs (still within the declared bound of v messages of
 // MaxMsgItems), so the arenas, which each see only every c-th VP, do not
 // each re-grow through a run of slightly larger inboxes. The ring slots'
@@ -33,10 +33,10 @@ import (
 //
 // Ownership rule: what decode returns and what the arena lends is valid
 // until release, i.e. for one compound superstep. The engine copies out
-// (keep) the three things that outlive it when they still point here — an
-// outbox message queued for the route phase, a context kept resident
-// under CacheContexts, and the slice prog.Output returned; everything else
-// is consumed (encoded to a word image) before the superstep ends.
+// (keep) the two things that outlive it when they still point here — an
+// outbox message queued for the route phase and the slice prog.Output
+// returned; everything else is consumed (encoded to a word image) before
+// the superstep ends.
 type vpMem[T any] struct {
 	state   []T   // context items
 	msgs    []T   // the v messages of one inbox, back to back
@@ -78,25 +78,22 @@ func (m *vpMem[T]) scratch(n int) []T {
 }
 
 // decode deserialises virtual processor state and inbox for one superstep:
-// the state out of ctxImg, the words of the context's items (nil when the
-// context is resident), and, when counts is non-nil (after round 0), the
-// inbox out of the flat image of len(counts) message slots of b-word
-// blocks, back to back, of which slot src is live[src] blocks long and
-// holds counts[src] items at its head. The counts are the length table's,
-// the numbers the reads and live were sized by, so every word decoded was
-// transferred. Every slice is handed out with
-// cap == len, so a program's append reallocates rather than running into
-// its neighbour. recv is the number of items received.
+// the state out of ctxImg, the words of the context's items, and, when
+// counts is non-nil (after round 0), the inbox out of the flat image of
+// len(counts) message slots of b-word blocks, back to back, of which slot
+// src is live[src] blocks long and holds counts[src] items at its head.
+// The counts are the length table's, the numbers the reads and live were
+// sized by, so every word decoded was transferred. Every slice is handed
+// out with cap == len, so a program's append reallocates rather than
+// running into its neighbour. recv is the number of items received.
 func (m *vpMem[T]) decode(codec wordcodec.Codec[T], ctxImg, flat []pdm.Word, b int, live, counts []int) (state []T, inbox [][]T, recv int) {
 	iw := codec.Words()
-	if ctxImg != nil {
-		n := len(ctxImg) / iw
-		if n > cap(m.state) {
-			m.state = make([]T, n)
-		}
-		state = m.state[:n:n]
-		wordcodec.DecodeInto(codec, state, ctxImg)
+	n := len(ctxImg) / iw
+	if n > cap(m.state) {
+		m.state = make([]T, n)
 	}
+	state = m.state[:n:n]
+	wordcodec.DecodeInto(codec, state, ctxImg)
 	clear(m.inbox)
 	if counts == nil {
 		return state, m.inbox, 0

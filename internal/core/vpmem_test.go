@@ -62,8 +62,8 @@ func TestArenaAliasSafety(t *testing.T) {
 }
 
 // aliasSafety runs prog on 103 items over four VPs under both machines,
-// at p = 1, 2 and 4, CheckedIO and CacheContexts on and off, at depths 1,
-// 2, 8 and auto, and holds every output to the in-memory runtime's.
+// at p = 1, 2 and 4, CheckedIO on and off, at depths 1, 2, 8 and auto,
+// and holds every output to the in-memory runtime's.
 func aliasSafety(t *testing.T, prog cgm.Program[int64]) {
 	const v, n = 4, 103
 	in := make([]int64, n)
@@ -76,25 +76,23 @@ func aliasSafety(t *testing.T, prog cgm.Program[int64]) {
 		t.Fatal(err)
 	}
 	codec := wordcodec.I64{}
+	em := sized[int64]{prog, n}
 	for _, checked := range []bool{true, false} {
-		for _, cache := range []bool{false, true} {
-			for _, k := range []int{1, 2, 8, 0} { // 1: the synchronous schedule; 0: auto
-				cfg := Config{V: v, D: 2, B: 8, MaxMsgItems: n, MaxCtxItems: n,
-					CheckedIO: checked, CacheContexts: cache, PipelineDepth: k}
-				tag := fmt.Sprintf("checked=%v cache=%v k=%d", checked, cache, k)
-				res, err := RunSeq[int64](prog, codec, cfg, parts)
+		for _, k := range []int{1, 2, 8, 0} { // 1: the synchronous schedule; 0: auto
+			cfg := Config{V: v, D: 2, B: 8, MaxMsgItems: n, CheckedIO: checked, PipelineDepth: k}
+			tag := fmt.Sprintf("checked=%v k=%d", checked, k)
+			res, err := RunSeq[int64](em, codec, cfg, parts)
+			if err != nil {
+				t.Fatalf("seq %s: %v", tag, err)
+			}
+			sameOutputs(t, "seq "+tag, res.Outputs, ref.Outputs)
+			for _, p := range []int{1, 2, 4} {
+				cfg.P = p
+				res, err := RunPar[int64](em, codec, cfg, parts)
 				if err != nil {
-					t.Fatalf("seq %s: %v", tag, err)
+					t.Fatalf("par p=%d %s: %v", p, tag, err)
 				}
-				sameOutputs(t, "seq "+tag, res.Outputs, ref.Outputs)
-				for _, p := range []int{1, 2, 4} {
-					cfg.P = p
-					res, err := RunPar[int64](prog, codec, cfg, parts)
-					if err != nil {
-						t.Fatalf("par p=%d %s: %v", p, tag, err)
-					}
-					sameOutputs(t, fmt.Sprintf("par p=%d %s", p, tag), res.Outputs, ref.Outputs)
-				}
+				sameOutputs(t, fmt.Sprintf("par p=%d %s", p, tag), res.Outputs, ref.Outputs)
 			}
 		}
 	}
@@ -258,7 +256,7 @@ func TestDecodeAllocIndependentOfRounds(t *testing.T) {
 			borrow = perVP
 		}
 		total := func(rounds int) (uint64, uint64) {
-			cfg := Config{V: v, P: 2, D: 2, B: 64, MaxMsgItems: 8, MaxCtxItems: perVP, PipelineDepth: tc.depth}
+			cfg := Config{V: v, P: 2, D: 2, B: 64, MaxMsgItems: 8, PipelineDepth: tc.depth}
 			run := RunPar[int64]
 			if tc.seq {
 				run = RunSeq[int64]
@@ -268,7 +266,7 @@ func TestDecodeAllocIndependentOfRounds(t *testing.T) {
 			var err error
 			AtProcs(tc.procs, func() {
 				runtime.ReadMemStats(&before)
-				res, err = run(holdEcho{R: rounds, Borrow: borrow}, codec, cfg, parts)
+				res, err = run(sized[int64]{holdEcho{R: rounds, Borrow: borrow}, perVP}, codec, cfg, parts)
 				runtime.ReadMemStats(&after)
 			})
 			if err != nil {

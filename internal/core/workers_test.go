@@ -22,8 +22,8 @@ import (
 // each of those runs must reproduce the c = 1 run's outputs, IOStats,
 // context/message split and bounds (equivResults), its ledger rows, and
 // the (direction, track) sequence every disk served. The arms cover both
-// machines, K ∈ {8, 3, 2, 1}, and plain, CheckedIO, CacheContexts at P = V,
-// and Balanced under a Recorder and Ledger. The relay rewrites every
+// machines, K ∈ {8, 3, 2, 1}, and plain, CheckedIO, and Balanced under a
+// Recorder and Ledger. The relay rewrites every
 // context every round, so a prefetch begun ahead of the previous VP's
 // writes shows in the served order.
 //
@@ -44,29 +44,19 @@ func TestComputeWorkersInvariant(t *testing.T) {
 	for _, w := range []struct {
 		name string
 		prog cgm.Program[int64]
-		cfg  func(v int) core.Config
+		cfg  core.Config
 	}{
-		{"relay", relay{}, func(v int) core.Config { return core.Config{V: v, D: 2, B: 8} }},
-		{"sort", sortalg.Sorter[int64]{}, func(v int) core.Config {
-			return sortalg.EMSortConfig(core.Config{V: v, D: 2, B: 8}, n)
-		}},
+		{"relay", relay{}, core.Config{V: v, D: 2, B: 8}},
+		{"sort", sortalg.Sorter[int64]{}, sortalg.EMSortConfig(core.Config{V: v, D: 2, B: 8}, n)},
 	} {
 		for _, m := range []machine{{true, 1}, {false, 1}, {false, 2}} {
 			for _, k := range []int{8, 3, 2, 1} {
-				for _, variant := range []string{"plain", "checked", "cache", "balanced"} {
-					vv := v
-					if variant == "cache" {
-						if m.seq {
-							continue // CacheContexts applies to RunPar at P = V only
-						}
-						vv = m.p
-					}
-					cfg := w.cfg(vv)
+				for _, variant := range []string{"plain", "checked", "balanced"} {
+					cfg := w.cfg
 					cfg.P, cfg.PipelineDepth = m.p, k
 					cfg.CheckedIO = variant == "checked"
-					cfg.CacheContexts = variant == "cache"
 					cfg.Balanced = variant == "balanced"
-					parts := cgm.Scatter(keys, vv)
+					parts := cgm.Scatter(keys, v)
 					tag := fmt.Sprintf("%s/seq=%v/p=%d/k=%d/%s", w.name, m.seq, m.p, k, variant)
 
 					run := func(g int) (*core.Result[int64], [][]access, []costmodel.Row) {
@@ -80,7 +70,7 @@ func TestComputeWorkersInvariant(t *testing.T) {
 						var res *core.Result[int64]
 						var served [][]access
 						core.AtProcs(g, func() { res, served = servedRunOn(t, gtag, m.seq, w.prog, cfg, parts) })
-						if want := max(min(g/m.p, res.Depth/2+1, vv/m.p), 1); res.Workers != want {
+						if want := max(min(g/m.p, res.Depth/2+1, v/m.p), 1); res.Workers != want {
 							t.Fatalf("%s: Workers = %d, want %d", gtag, res.Workers, want)
 						}
 						if cfg.Ledger == nil {
@@ -93,7 +83,7 @@ func TestComputeWorkersInvariant(t *testing.T) {
 					}
 
 					base, baseServed, baseRows := run(1)
-					sameOutputs(t, tag, base.Outputs, reference(t, tag, w.prog, vv, parts))
+					sameOutputs(t, tag, base.Outputs, reference(t, tag, w.prog, v, parts))
 					for _, g := range procs {
 						gtag := fmt.Sprintf("%s/gomaxprocs=%d", tag, g)
 						res, served, rows := run(g)
@@ -128,16 +118,17 @@ func TestComputeWorkersInvariant(t *testing.T) {
 			{slow: 1, bad: []int{2}, how: "vote"},
 			{slow: 1, bad: []int{1, 2}, how: "oversize"},
 		} {
-			cfg := core.Config{V: v, P: m.p, D: 2, B: 8, MaxMsgItems: maxItems, MaxCtxItems: maxItems, PipelineDepth: 8}
+			cfg := core.Config{V: v, P: m.p, D: 2, B: 8, MaxMsgItems: maxItems, PipelineDepth: 8}
 			tag := fmt.Sprintf("error/seq=%v/p=%d/%s%v", m.seq, m.p, prog.how, prog.bad)
+			sp := sized[int64]{prog, maxItems}
 			var want error
-			core.AtProcs(1, func() { want = watchedProg(t, tag+"/gomaxprocs=1", m.seq, prog, cfg, mem, parts) })
+			core.AtProcs(1, func() { want = watchedProg(t, tag+"/gomaxprocs=1", m.seq, sp, cfg, mem, parts) })
 			if want == nil {
 				t.Fatalf("%s: the c = 1 run did not fail", tag)
 			}
 			for _, g := range procs {
 				var err error
-				core.AtProcs(g, func() { err = watchedProg(t, fmt.Sprintf("%s/gomaxprocs=%d", tag, g), m.seq, prog, cfg, mem, parts) })
+				core.AtProcs(g, func() { err = watchedProg(t, fmt.Sprintf("%s/gomaxprocs=%d", tag, g), m.seq, sp, cfg, mem, parts) })
 				if err == nil || err.Error() != want.Error() {
 					t.Errorf("%s/gomaxprocs=%d: err = %v, want the c = 1 run's %v", tag, g, err, want)
 				}

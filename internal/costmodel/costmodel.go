@@ -43,16 +43,15 @@ import (
 // contexts nor outboxes (sequential) and lands no batches (parallel), so
 // prediction needs it.
 type Machine struct {
-	Par      bool `json:"par"`
-	V        int  `json:"v"`
-	P        int  `json:"p"`
-	D        int  `json:"d"`
-	B        int  `json:"b"`
-	CB       int  `json:"cb"`
-	BPM      int  `json:"bpm"`
-	Rounds   int  `json:"rounds"`
-	CacheCtx bool `json:"cacheCtx,omitempty"` // parallel machine kept contexts resident
-	Words    int  `json:"words,omitempty"`    // words per encoded item
+	Par    bool `json:"par"`
+	V      int  `json:"v"`
+	P      int  `json:"p"`
+	D      int  `json:"d"`
+	B      int  `json:"b"`
+	CB     int  `json:"cb"`
+	BPM    int  `json:"bpm"`
+	Rounds int  `json:"rounds"`
+	Words  int  `json:"words,omitempty"` // words per encoded item
 	// Depth is the pipeline window depth the run used (1 = synchronous
 	// schedule). The Theorem 2/3 op-count predictor ignores
 	// it — the operation multiset is depth-invariant by construction —
@@ -111,9 +110,6 @@ func stripedOps(n, d int) int64 { return int64((n + d - 1) / d) }
 // direction: a striped transfer of the blocks its items reach, and nothing
 // for a context that holds nothing.
 func (p *predictor) ctxOps(r, j int) int64 {
-	if p.m.Par && p.m.CacheCtx {
-		return 0
-	}
 	return stripedOps(pdm.BlocksFor(p.sz.Ctx[r][j]*p.m.Words, p.m.B), p.m.D)
 }
 

@@ -21,17 +21,13 @@ import (
 
 // runWorkload executes one named workload on the given machine axis and
 // returns the run's Result totals alongside the ledger that priced it.
-func runWorkload(t *testing.T, workloadName string, seq bool, depth int, cacheCtx bool) (*costmodel.Ledger, int64) {
+func runWorkload(t *testing.T, workloadName string, seq bool, depth int) (*costmodel.Ledger, int64) {
 	t.Helper()
 	const n = 1 << 12
 	v, p := 4, 2
-	if cacheCtx {
-		p = v
-	}
 	rec := obs.NewRecorder()
 	led := costmodel.NewLedger(pdm.DefaultTimeModel())
-	cfg := core.Config{V: v, P: p, D: 2, B: 64, PipelineDepth: depth,
-		CacheContexts: cacheCtx, Recorder: rec, Ledger: led}
+	cfg := core.Config{V: v, P: p, D: 2, B: 64, PipelineDepth: depth, Recorder: rec, Ledger: led}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
@@ -110,7 +106,7 @@ func TestLedgerReconciles(t *testing.T) {
 					name = fmt.Sprintf("%s/seq=%v/k=%d", w, seq, depth)
 				}
 				t.Run(name, func(t *testing.T) {
-					led, ops := runWorkload(t, w, seq, depth, false)
+					led, ops := runWorkload(t, w, seq, depth)
 					runs := led.Runs()
 					if len(runs) != 1 {
 						t.Fatalf("ledger recorded %d runs, want 1", len(runs))
@@ -130,22 +126,6 @@ func TestLedgerReconciles(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestLedgerReconcilesCachedContexts covers the P = V resident-context
-// machine, whose prediction drops the context-swap term entirely.
-func TestLedgerReconcilesCachedContexts(t *testing.T) {
-	led, ops := runWorkload(t, "permute", false, 1, true)
-	if err := led.Reconcile(); err != nil {
-		t.Fatalf("reconcile: %v", err)
-	}
-	runs := led.Runs()
-	if runs[0].PredOps != ops {
-		t.Fatalf("predicted %d, measured %d", runs[0].PredOps, ops)
-	}
-	if !runs[0].Machine.CacheCtx {
-		t.Fatal("machine should record CacheCtx")
 	}
 }
 
@@ -320,7 +300,7 @@ func TestValidateRejectsLedgerWithoutRecorder(t *testing.T) {
 
 // TestLedgerJSONRoundTrip pins the export schema version and shape.
 func TestLedgerJSONRoundTrip(t *testing.T) {
-	led, _ := runWorkload(t, "permute", true, 1, false)
+	led, _ := runWorkload(t, "permute", true, 1)
 	var buf bytes.Buffer
 	if err := led.WriteJSON(&buf); err != nil {
 		t.Fatalf("write: %v", err)

@@ -132,14 +132,3 @@ func (r Run) ModelWallPipelined(tm pdm.TimeModel, compute time.Duration, k int) 
 	}
 	return pt
 }
-
-// StallCurve prices the run at each given depth — the predicted
-// stall-fraction-vs-k curve the depth-sweep experiment plots against
-// measurement.
-func (r Run) StallCurve(tm pdm.TimeModel, compute time.Duration, depths []int) []OverlapPoint {
-	pts := make([]OverlapPoint, 0, len(depths))
-	for _, k := range depths {
-		pts = append(pts, r.ModelWallPipelined(tm, compute, k))
-	}
-	return pts
-}

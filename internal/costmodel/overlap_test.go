@@ -64,10 +64,9 @@ func TestModelWallPipelined(t *testing.T) {
 	tm := pdm.DefaultTimeModel()
 	compute := 5 * time.Millisecond
 
-	depths := []int{1, 2, 4, 8, 16}
-	pts := r.StallCurve(tm, compute, depths)
-	if len(pts) != len(depths) {
-		t.Fatalf("%d points, want %d", len(pts), len(depths))
+	var pts []OverlapPoint
+	for _, k := range []int{1, 2, 4, 8, 16} {
+		pts = append(pts, r.ModelWallPipelined(tm, compute, k))
 	}
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Stall > pts[i-1].Stall {

@@ -177,11 +177,6 @@ func NextAbove(e *rec.Exec, ss []workload.Segment, qs []workload.Point) ([]int, 
 	return nesRun(e, ss, qs, false)
 }
 
-// NextBelow is the downward variant.
-func NextBelow(e *rec.Exec, ss []workload.Segment, qs []workload.Point) ([]int, error) {
-	return nesRun(e, ss, qs, true)
-}
-
 // Trapezoid describes one vertical extension of the trapezoidal
 // decomposition: from segment endpoint (X, Y) the segment directly above
 // (Above) and below (Below), -1 for unbounded.
@@ -204,7 +199,7 @@ func TrapezoidalDecomposition(e *rec.Exec, ss []workload.Segment) ([]Trapezoid, 
 	if err != nil {
 		return nil, err
 	}
-	below, err := NextBelow(e, ss, qs)
+	below, err := nesRun(e, ss, qs, true)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +216,7 @@ func TrapezoidalDecomposition(e *rec.Exec, ss []workload.Segment) ([]Trapezoid, 
 // (faces[seg]), or -1 when the query sees no segment below (the outer
 // face). faces must have one label per segment — its "above" face.
 func LocatePoints(e *rec.Exec, ss []workload.Segment, faces []int, qs []workload.Point) ([]int, error) {
-	below, err := NextBelow(e, ss, qs)
+	below, err := nesRun(e, ss, qs, true)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"repro/internal/cgm"
@@ -27,11 +26,6 @@ const (
 	stUnary         // linear form (a·x + b) over the pending child
 	stDone          // resolved to a value (in X)
 )
-
-// i2f / f2i smuggle exact int64 payloads through the record's float
-// fields (bit casts are exact both in memory and through the codec).
-func i2f(x int64) float64 { return math.Float64frombits(uint64(x)) }
-func f2i(x float64) int64 { return int64(math.Float64bits(x)) }
 
 func packCode(op byte, status int64, notified bool) int64 {
 	n := int64(0)
@@ -113,14 +107,14 @@ func (p exprEval) Round(vp *cgm.VP[rec.R], round int, inbox [][]rec.R) ([][]rec.
 			}
 			nd.C = packCode(op, stUnary, notified)
 			nd.D = other
-			nd.X, nd.Y = i2f(a), i2f(b)
+			nd.X, nd.Y = rec.I2F(a), rec.I2F(b)
 		case stUnary:
 			if from != nd.D {
 				return // we composed past this child; its value is already folded in
 			}
-			a, b := f2i(nd.X), f2i(nd.Y)
+			a, b := rec.F2I(nd.X), rec.F2I(nd.Y)
 			nd.C = packCode(op, stDone, notified)
-			nd.X = i2f(a*val + b)
+			nd.X = rec.I2F(a*val + b)
 		case stDone:
 			// Already resolved; ignore.
 		}
@@ -160,16 +154,16 @@ func (p exprEval) Round(vp *cgm.VP[rec.R], round int, inbox [][]rec.R) ([][]rec.
 					break
 				}
 				op := byte('+')
-				a, b := f2i(nd.X), f2i(nd.Y)
+				a, b := rec.F2I(nd.X), rec.F2I(nd.Y)
 				switch m.B {
 				case stDone:
-					val := f2i(m.X)
+					val := rec.F2I(m.X)
 					nd.C = packCode(op, stDone, notified)
-					nd.X = i2f(a*val + b)
+					nd.X = rec.I2F(a*val + b)
 				case stUnary:
 					// Compose: self(a,b) ∘ child(a',b') = (a·a', a·b' + b).
-					a2, b2 := f2i(m.X), f2i(m.Y)
-					nd.X, nd.Y = i2f(a*a2), i2f(a*b2+b)
+					a2, b2 := rec.F2I(m.X), rec.F2I(m.Y)
+					nd.X, nd.Y = rec.I2F(a*a2), rec.I2F(a*b2+b)
 					nd.D = m.C
 				}
 			}
@@ -203,7 +197,7 @@ func (p exprEval) Round(vp *cgm.VP[rec.R], round int, inbox [][]rec.R) ([][]rec.
 		switch status {
 		case stDone:
 			if !notified && nd.A != 0 && nd.B >= 0 {
-				send(ownerOf(nd.B), rec.R{Tag: tValUp, A: nd.B, B: f2i(nd.X), C: nd.A})
+				send(ownerOf(nd.B), rec.R{Tag: tValUp, A: nd.B, B: rec.F2I(nd.X), C: nd.A})
 				nd.C = packCode(op, stDone, true)
 			}
 		case stUnary:
@@ -225,7 +219,7 @@ func (p exprEval) Output(vp *cgm.VP[rec.R]) []rec.R {
 		if r.Tag == tExpr {
 			_, status, _ := unpackCode(r.C)
 			if status == stDone {
-				outs = append(outs, rec.R{Tag: tResult, A: r.A, B: f2i(r.X)})
+				outs = append(outs, rec.R{Tag: tResult, A: r.A, B: rec.F2I(r.X)})
 			}
 		}
 	}
@@ -246,7 +240,7 @@ func ExprEval(e *rec.Exec, nodes []workload.ExprNode) (int64, error) {
 		r := rec.R{Tag: tExpr, A: int64(i), B: -1}
 		if nd.Op == 0 {
 			r.C = packCode('+', stDone, false)
-			r.X = i2f(nd.Value)
+			r.X = rec.I2F(nd.Value)
 		} else {
 			r.C = packCode(nd.Op, stBinary, false)
 			r.D = packKids(nd.L, nd.R)

@@ -75,18 +75,14 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		)
 	}
 	for _, e := range events {
+		dur := float64(e.dur.Nanoseconds()) / 1e3
 		ce := chromeEvent{
 			Name: e.name,
 			Cat:  e.cat,
+			Ph:   "X",
 			Ts:   float64(e.ts.Nanoseconds()) / 1e3,
+			Dur:  &dur,
 			Tid:  int(e.track),
-		}
-		if e.dur < 0 {
-			ce.Ph = "i"
-		} else {
-			ce.Ph = "X"
-			dur := float64(e.dur.Nanoseconds()) / 1e3
-			ce.Dur = &dur
 		}
 		if e.io != nil {
 			ce.Args = chromeIOArgs{

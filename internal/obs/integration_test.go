@@ -37,6 +37,9 @@ func (p shuffle) Round(vp *cgm.VP[int64], round int, inbox [][]int64) ([][]int64
 }
 func (p shuffle) Output(vp *cgm.VP[int64]) []int64 { return vp.State }
 
+// MaxContextItems declares μ: twice a VP's share of the input.
+func (shuffle) MaxContextItems(n, v int) int { return 2 * ((n + v - 1) / v) }
+
 func seqInputs(n, v int) [][]int64 {
 	xs := make([]int64, n)
 	for i := range xs {
@@ -169,7 +172,7 @@ func reconcile(t *testing.T, rec *obs.Recorder, res *core.Result[int64]) {
 
 func TestSeqTraceReconciles(t *testing.T) {
 	rec := obs.NewRecorder()
-	cfg := core.Config{V: 4, P: 1, D: 2, B: 16, MaxMsgItems: 16, MaxCtxItems: 32, Recorder: rec}
+	cfg := core.Config{V: 4, P: 1, D: 2, B: 16, MaxMsgItems: 16, Recorder: rec}
 	res, err := core.RunSeq[int64](shuffle{k: 3}, wordcodec.I64{}, cfg, seqInputs(64, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +182,7 @@ func TestSeqTraceReconciles(t *testing.T) {
 
 func TestParTraceReconciles(t *testing.T) {
 	rec := obs.NewRecorder()
-	cfg := core.Config{V: 4, P: 2, D: 2, B: 16, MaxMsgItems: 16, MaxCtxItems: 32, Recorder: rec}
+	cfg := core.Config{V: 4, P: 2, D: 2, B: 16, MaxMsgItems: 16, Recorder: rec}
 	res, err := core.RunPar[int64](shuffle{k: 3}, wordcodec.I64{}, cfg, seqInputs(64, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +229,7 @@ func TestParTraceReconciles(t *testing.T) {
 // the table names the rule that set it.
 func TestBalancedParTrace(t *testing.T) {
 	rec := obs.NewRecorder()
-	cfg := core.Config{V: 4, P: 2, D: 2, B: 16, MaxCtxItems: 64, Recorder: rec, Balanced: true}
+	cfg := core.Config{V: 4, P: 2, D: 2, B: 16, Recorder: rec, Balanced: true}
 	res, err := core.RunPar[int64](shuffle{k: 3}, wordcodec.I64{}, cfg, seqInputs(64, 4))
 	if err != nil {
 		t.Fatal(err)

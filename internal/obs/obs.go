@@ -33,7 +33,7 @@ type TrackID int32
 // dropped instead of stored, so recording cannot exhaust memory.
 const maxEvents = 1 << 20
 
-// event is one stored trace entry. dur < 0 marks an instant event.
+// event is one stored trace entry: a span of dur from ts.
 type event struct {
 	name  string
 	cat   string
@@ -178,14 +178,6 @@ func (r *Recorder) SpanSince(track TrackID, name, cat string, start time.Time) {
 		return
 	}
 	r.emit(event{name: name, cat: cat, track: track, ts: start.Sub(r.start), dur: time.Since(start)})
-}
-
-// Event stores an instant event.
-func (r *Recorder) Event(track TrackID, name, cat string) {
-	if r == nil {
-		return
-	}
-	r.emit(event{name: name, cat: cat, track: track, ts: r.now(), dur: -1})
 }
 
 // Supersteps returns a copy of the per-superstep accounting rows in

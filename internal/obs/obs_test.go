@@ -19,7 +19,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	s.End()
 	s.EndIO(SuperstepIO{CtxOps: 1})
 	r.SpanSince(tr, "a", "b", time.Now())
-	r.Event(tr, "a", "b")
 	r.Gauge("g", func() int64 { return 1 })
 	r.SetMsgBound(10, "test")
 	r.MsgSize(0, 5)
@@ -89,8 +88,8 @@ func TestEventCapDrops(t *testing.T) {
 	r.mu.Lock()
 	r.events = make([]event, maxEvents) // simulate a full buffer
 	r.mu.Unlock()
-	r.Event(tr, "x", "y")
-	r.Begin(tr, "s", "c").End()
+	r.Begin(tr, "x", "y").End()
+	r.SpanSince(tr, "s", "c", time.Now())
 	if d := r.DroppedEvents(); d != 2 {
 		t.Errorf("dropped = %d, want 2", d)
 	}
@@ -146,7 +145,6 @@ func TestChromeTraceGolden(t *testing.T) {
 	sp.End()                                    // ends at 200µs
 	ss.EndIO(SuperstepIO{Proc: 0, Round: 0, VP: 0, Label: "superstep",
 		CtxOps: 2, MsgOps: 1, Blocks: 6}) // ends at 300µs
-	r.Event(tr, "fault", "disk") // t=400µs
 
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
@@ -158,8 +156,7 @@ func TestChromeTraceGolden(t *testing.T) {
 		`{"name":"thread_sort_index","ph":"M","ts":0,"pid":0,"tid":0,"args":{"sort_index":0}},` +
 		`{"name":"ctx read","cat":"phase","ph":"X","ts":100,"dur":100,"pid":0,"tid":0},` +
 		`{"name":"superstep","cat":"superstep","ph":"X","ts":0,"dur":300,"pid":0,"tid":0,` +
-		`"args":{"proc":0,"round":0,"vp":0,"label":"superstep","ctxOps":2,"msgOps":1,"blocks":6}},` +
-		`{"name":"fault","cat":"disk","ph":"i","ts":400,"pid":0,"tid":0}` +
+		`"args":{"proc":0,"round":0,"vp":0,"label":"superstep","ctxOps":2,"msgOps":1,"blocks":6}}` +
 		`],"displayTimeUnit":"ms"}` + "\n"
 	if buf.String() != want {
 		t.Errorf("golden mismatch:\ngot  %s\nwant %s", buf.String(), want)

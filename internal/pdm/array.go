@@ -446,16 +446,6 @@ func (a *DiskArray) Stats() IOStats {
 	}
 }
 
-// ResetStats zeroes the accumulated statistics.
-func (a *DiskArray) ResetStats() {
-	a.stats.parallelOps.Store(0)
-	a.stats.readOps.Store(0)
-	a.stats.writeOps.Store(0)
-	a.stats.blocksMoved.Store(0)
-	a.stats.wordsMoved.Store(0)
-	a.stats.fullOps.Store(0)
-}
-
 // checkReqs validates the one-track-per-disk PDM rule. Called with opMu
 // held; the seen bitset is cleared and reused across operations.
 func (a *DiskArray) checkReqs(reqs []BlockReq) error {

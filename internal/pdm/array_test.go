@@ -144,17 +144,6 @@ func TestDiskArrayManyDisksConflictCheck(t *testing.T) {
 	}
 }
 
-func TestDiskArrayResetStats(t *testing.T) {
-	a := NewMemArray(1, 2)
-	if err := a.WriteBlocks([]BlockReq{{0, 0}}, mkBufs(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	a.ResetStats()
-	if s := a.Stats(); s.ParallelOps != 0 || s.WordsMoved != 0 {
-		t.Errorf("ResetStats left %+v", s)
-	}
-}
-
 func TestIOStatsAdd(t *testing.T) {
 	s := IOStats{ParallelOps: 1, ReadOps: 1, BlocksMoved: 2, WordsMoved: 8, FullOps: 1}
 	s.Add(IOStats{ParallelOps: 2, WriteOps: 2, BlocksMoved: 3, WordsMoved: 12})

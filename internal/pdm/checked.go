@@ -14,18 +14,14 @@ import (
 //
 // Violation classes, each with its own sentinel:
 //
-//   - ErrCheckBounds: a request addresses a negative track, a disk
-//     outside [0, D), or a track at or beyond the configured MaxTracks;
+//   - ErrCheckBounds: a request addresses a negative track or a disk
+//     outside [0, D);
 //   - ErrCheckOverlap: two requests of one parallel operation address the
 //     same (disk, track) block — for writes, silent last-writer-wins
 //     corruption; for reads, a wasted slot the layouts never produce;
 //   - ErrCheckUninitRead: a read of a block no prior operation wrote,
-//     or one discarded since its last write (requires RequireInit) — the
-//     PDM analogue of reading uninitialised memory;
-//   - ErrCheckStripe: the operation's requests do not form a contiguous
-//     ascending run of global block indices g = Track·D + Disk (requires
-//     Stripe) — the consecutive-format conformance check for striped
-//     context runs;
+//     or one discarded since its last write — the PDM analogue of
+//     reading uninitialised memory;
 //   - ErrCheckUseAfterBegin: a write buffer was modified between
 //     BeginWriteBlocks and Wait — the check that holds the loaned-buffer
 //     contract: in checked mode the workers write from a private snapshot
@@ -37,7 +33,6 @@ var (
 	ErrCheckBounds        = errors.New("pdm: checked: block address out of bounds")
 	ErrCheckOverlap       = errors.New("pdm: checked: overlapping blocks in one parallel op")
 	ErrCheckUninitRead    = errors.New("pdm: checked: read of never-written block")
-	ErrCheckStripe        = errors.New("pdm: checked: parallel op violates striping")
 	ErrCheckUseAfterBegin = errors.New("pdm: checked: write buffer modified between Begin and Wait")
 )
 
@@ -46,53 +41,28 @@ var (
 // the usual sentinel-pattern caveat.
 const poisonWord Word = 0xDEAD_BEEF_FEED_FACE
 
-// CheckConfig selects what the sanitizer validates. The zero value checks
-// bounds (against D only) and intra-op overlap.
-type CheckConfig struct {
-	// MaxTracks, when positive, bounds the track index of every request:
-	// track ∈ [0, MaxTracks). Zero leaves tracks bounded below only.
-	MaxTracks int
-	// RequireInit makes reading a block that no prior operation has
-	// written an ErrCheckUninitRead.
-	RequireInit bool
-	// Stripe requires every operation to address a contiguous ascending
-	// run of global block indices g = Track·D + Disk, the consecutive
-	// format of the paper's appendix. Only meaningful for workloads built
-	// entirely from striped runs (the message matrix's staggered and FIFO
-	// operations are not runs).
-	Stripe bool
-}
-
 // blockAddr identifies one block for the written-set.
 type blockAddr struct{ disk, track int }
 
 // checker is the per-array sanitizer state. Guarded by the array's opMu.
 type checker struct {
-	cfg     CheckConfig
 	d       int
 	written map[blockAddr]struct{}
 }
 
 // EnableChecked switches the array into checked mode: every subsequent
-// ReadBlocks/WriteBlocks call is validated against cfg before it touches
-// a disk, and failed validation rejects the whole operation without
-// performing any I/O (or counting it). The written-block set starts
-// empty: blocks written before EnableChecked count as uninitialised.
+// ReadBlocks/WriteBlocks call is validated before it touches a disk, and
+// failed validation rejects the whole operation without performing any
+// I/O (or counting it). The written-block set starts empty: blocks
+// written before EnableChecked count as uninitialised.
 //
 // Checked mode is for tests and debugging runs; it allocates per
 // operation and serialises no differently than normal mode (opMu already
 // serialises operations).
-func (a *DiskArray) EnableChecked(cfg CheckConfig) {
+func (a *DiskArray) EnableChecked() {
 	a.opMu.Lock()
 	defer a.opMu.Unlock()
-	a.check = &checker{cfg: cfg, d: len(a.disks), written: map[blockAddr]struct{}{}}
-}
-
-// DisableChecked leaves checked mode, dropping the written-block set.
-func (a *DiskArray) DisableChecked() {
-	a.opMu.Lock()
-	defer a.opMu.Unlock()
-	a.check = nil
+	a.check = &checker{d: len(a.disks), written: map[blockAddr]struct{}{}}
 }
 
 // validate checks one parallel operation's requests. Called with opMu
@@ -108,10 +78,6 @@ func (c *checker) validate(reqs []BlockReq, read bool) error {
 			return fmt.Errorf("%w: request %d addresses negative track %d",
 				ErrCheckBounds, i, r.Track)
 		}
-		if c.cfg.MaxTracks > 0 && r.Track >= c.cfg.MaxTracks {
-			return fmt.Errorf("%w: request %d addresses track %d, configured bound is %d",
-				ErrCheckBounds, i, r.Track, c.cfg.MaxTracks)
-		}
 	}
 	seen := make(map[blockAddr]int, len(reqs))
 	for i, r := range reqs {
@@ -126,23 +92,12 @@ func (c *checker) validate(reqs []BlockReq, read bool) error {
 		}
 		seen[addr] = i
 	}
-	if read && c.cfg.RequireInit {
+	if read {
 		for i, r := range reqs {
 			if _, ok := c.written[blockAddr{r.Disk, r.Track}]; !ok {
 				return fmt.Errorf("%w: request %d reads disk %d track %d before any write",
 					ErrCheckUninitRead, i, r.Disk, r.Track)
 			}
-		}
-	}
-	if c.cfg.Stripe && len(reqs) > 1 {
-		prev := reqs[0].Track*c.d + reqs[0].Disk
-		for i := 1; i < len(reqs); i++ {
-			g := reqs[i].Track*c.d + reqs[i].Disk
-			if g != prev+1 {
-				return fmt.Errorf("%w: request %d has global block index %d, want %d (consecutive format g = track·D + disk)",
-					ErrCheckStripe, i, g, prev+1)
-			}
-			prev = g
 		}
 	}
 	return nil

@@ -10,11 +10,11 @@ import (
 // sentinel and a descriptive message — silent corruption is the failure
 // mode the sanitizer exists to prevent.
 
-func checkedArray(t *testing.T, d, b int, cfg CheckConfig) *DiskArray {
+func checkedArray(t *testing.T, d, b int) *DiskArray {
 	t.Helper()
 	a := NewMemArray(d, b)
 	t.Cleanup(func() { _ = a.Close() })
-	a.EnableChecked(cfg)
+	a.EnableChecked()
 	return a
 }
 
@@ -27,7 +27,7 @@ func blocks(b, n int) [][]Word {
 }
 
 func TestCheckedBoundsDisk(t *testing.T) {
-	a := checkedArray(t, 2, 4, CheckConfig{})
+	a := checkedArray(t, 2, 4)
 	err := a.WriteBlocks([]BlockReq{{Disk: 2, Track: 0}}, blocks(4, 1))
 	if !errors.Is(err, ErrCheckBounds) {
 		t.Fatalf("disk out of range: got %v, want ErrCheckBounds", err)
@@ -38,7 +38,7 @@ func TestCheckedBoundsDisk(t *testing.T) {
 }
 
 func TestCheckedBoundsNegativeTrack(t *testing.T) {
-	a := checkedArray(t, 2, 4, CheckConfig{})
+	a := checkedArray(t, 2, 4)
 	err := a.WriteBlocks([]BlockReq{{Disk: 0, Track: -1}}, blocks(4, 1))
 	if !errors.Is(err, ErrCheckBounds) {
 		t.Fatalf("negative track: got %v, want ErrCheckBounds", err)
@@ -48,22 +48,8 @@ func TestCheckedBoundsNegativeTrack(t *testing.T) {
 	}
 }
 
-func TestCheckedBoundsMaxTracks(t *testing.T) {
-	a := checkedArray(t, 2, 4, CheckConfig{MaxTracks: 8})
-	if err := a.WriteBlocks([]BlockReq{{Disk: 0, Track: 7}}, blocks(4, 1)); err != nil {
-		t.Fatalf("track inside bound rejected: %v", err)
-	}
-	err := a.WriteBlocks([]BlockReq{{Disk: 0, Track: 8}}, blocks(4, 1))
-	if !errors.Is(err, ErrCheckBounds) {
-		t.Fatalf("track at bound: got %v, want ErrCheckBounds", err)
-	}
-	if !strings.Contains(err.Error(), "track 8") || !strings.Contains(err.Error(), "bound is 8") {
-		t.Errorf("error should name track and bound: %v", err)
-	}
-}
-
 func TestCheckedOverlappingWrites(t *testing.T) {
-	a := checkedArray(t, 2, 4, CheckConfig{})
+	a := checkedArray(t, 2, 4)
 	err := a.WriteBlocks([]BlockReq{{Disk: 0, Track: 3}, {Disk: 0, Track: 3}}, blocks(4, 2))
 	if !errors.Is(err, ErrCheckOverlap) {
 		t.Fatalf("overlapping writes: got %v, want ErrCheckOverlap", err)
@@ -79,7 +65,7 @@ func TestCheckedOverlappingWrites(t *testing.T) {
 }
 
 func TestCheckedUninitializedRead(t *testing.T) {
-	a := checkedArray(t, 2, 4, CheckConfig{RequireInit: true})
+	a := checkedArray(t, 2, 4)
 	err := a.ReadBlocks([]BlockReq{{Disk: 1, Track: 5}}, blocks(4, 1))
 	if !errors.Is(err, ErrCheckUninitRead) {
 		t.Fatalf("uninitialised read: got %v, want ErrCheckUninitRead", err)
@@ -97,7 +83,7 @@ func TestCheckedUninitializedRead(t *testing.T) {
 }
 
 func TestCheckedFailedWriteNotCommitted(t *testing.T) {
-	a := checkedArray(t, 2, 4, CheckConfig{RequireInit: true})
+	a := checkedArray(t, 2, 4)
 	// A write rejected by validation must not mark its blocks initialised.
 	if err := a.WriteBlocks([]BlockReq{{Disk: 0, Track: 1}, {Disk: 0, Track: 1}}, blocks(4, 2)); err == nil {
 		t.Fatal("overlapping write unexpectedly accepted")
@@ -108,27 +94,8 @@ func TestCheckedFailedWriteNotCommitted(t *testing.T) {
 	}
 }
 
-func TestCheckedStripeConformance(t *testing.T) {
-	a := checkedArray(t, 2, 4, CheckConfig{Stripe: true})
-	// g = track·D + disk: {0,0}=0, {1,0}... write run g=0,1,2,3 over two ops.
-	if err := a.WriteBlocks([]BlockReq{{Disk: 0, Track: 0}, {Disk: 1, Track: 0}}, blocks(4, 2)); err != nil {
-		t.Fatalf("consecutive run rejected: %v", err)
-	}
-	if err := a.WriteBlocks([]BlockReq{{Disk: 0, Track: 1}, {Disk: 1, Track: 1}}, blocks(4, 2)); err != nil {
-		t.Fatalf("consecutive run rejected: %v", err)
-	}
-	// g=0 then g=3: a gap inside one op violates the consecutive format.
-	err := a.WriteBlocks([]BlockReq{{Disk: 0, Track: 0}, {Disk: 1, Track: 1}}, blocks(4, 2))
-	if !errors.Is(err, ErrCheckStripe) {
-		t.Fatalf("gapped run: got %v, want ErrCheckStripe", err)
-	}
-	if !strings.Contains(err.Error(), "global block index 3, want 1") {
-		t.Errorf("error should name observed and expected index: %v", err)
-	}
-}
-
 func TestCheckedRejectedOpNotCounted(t *testing.T) {
-	a := checkedArray(t, 2, 4, CheckConfig{})
+	a := checkedArray(t, 2, 4)
 	before := a.Stats().ParallelOps
 	if err := a.WriteBlocks([]BlockReq{{Disk: 5, Track: 0}}, blocks(4, 1)); err == nil {
 		t.Fatal("out-of-bounds write unexpectedly accepted")
@@ -138,26 +105,13 @@ func TestCheckedRejectedOpNotCounted(t *testing.T) {
 	}
 }
 
-func TestCheckedDisable(t *testing.T) {
-	a := checkedArray(t, 2, 4, CheckConfig{RequireInit: true})
-	a.DisableChecked()
-	// MemDisk itself still rejects truly unallocated tracks, so write
-	// first, then the read must pass without the sanitizer objecting.
-	if err := a.WriteBlocks([]BlockReq{{Disk: 0, Track: 0}}, blocks(4, 1)); err != nil {
-		t.Fatalf("write after disable: %v", err)
-	}
-	if err := a.ReadBlocks([]BlockReq{{Disk: 0, Track: 0}}, blocks(4, 1)); err != nil {
-		t.Fatalf("read after disable: %v", err)
-	}
-}
-
 // Use-after-begin poison tests: in checked mode a split-phase write
 // loans its buffers to the workers — the caller's copies are
 // poison-filled until Wait, which verifies the sentinel and restores
 // the original contents.
 
 func TestCheckedUseAfterBeginFires(t *testing.T) {
-	a := checkedArray(t, 2, 4, CheckConfig{})
+	a := checkedArray(t, 2, 4)
 	bufs := blocks(4, 2)
 	for i := range bufs {
 		for j := range bufs[i] {
@@ -181,7 +135,7 @@ func TestCheckedUseAfterBeginFires(t *testing.T) {
 }
 
 func TestCheckedUseAfterBeginRestores(t *testing.T) {
-	a := checkedArray(t, 2, 4, CheckConfig{})
+	a := checkedArray(t, 2, 4)
 	bufs := blocks(4, 2)
 	for i := range bufs {
 		for j := range bufs[i] {
@@ -224,7 +178,7 @@ func TestCheckedOuterSliceRecycleIsNotTamper(t *testing.T) {
 	// Drivers recycle the outer [][]Word header slice between begins
 	// (SplitBlocksInto(s.bufs[:0], ...)); the loan covers the buffer
 	// data only, so this must not trip the poison verifier.
-	a := checkedArray(t, 1, 4, CheckConfig{})
+	a := checkedArray(t, 1, 4)
 	data := make([]Word, 4)
 	for j := range data {
 		data[j] = Word(j + 1)

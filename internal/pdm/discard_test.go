@@ -120,10 +120,9 @@ func TestMemDiskSparseTable(t *testing.T) {
 
 // TestDiskArrayDiscard checks DiskArray.Discard on MemDisks, directly and
 // through DelayDisks: it moves nothing and counts nothing, a later read
-// of a discarded block is ErrCheckUninitRead under checked mode with
-// RequireInit (the block left the written set) and ErrTrackOutOfRange
-// without it (the disk gave the track back), and the blocks it did not
-// name still read.
+// of a discarded block is ErrCheckUninitRead under checked mode (the
+// block left the written set) and ErrTrackOutOfRange without it (the disk
+// gave the track back), and the blocks it did not name still read.
 func TestDiskArrayDiscard(t *testing.T) {
 	const d, b = 2, 16
 	for _, c := range []struct {
@@ -141,7 +140,7 @@ func TestDiskArrayDiscard(t *testing.T) {
 			t.Fatal(err)
 		}
 		if c.checked {
-			a.EnableChecked(CheckConfig{RequireInit: true})
+			a.EnableChecked()
 		}
 		for tr := range 3 {
 			if err := a.WriteBlocks([]BlockReq{{0, tr}, {1, tr}}, blocks(b, d)); err != nil {

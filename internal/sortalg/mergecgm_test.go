@@ -40,7 +40,7 @@ func TestRoundAblationPSRSvsTournament(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfgT := core.Config{V: v, P: 1, D: 2, B: 64, MaxMsgItems: n, MaxCtxItems: n + v + 8}
+		cfgT := core.Config{V: v, P: 1, D: 2, B: 64, MaxMsgItems: n}
 		tour, err := core.RunSeq[int64](TournamentSorter[int64]{}, wordcodec.I64{}, cfgT, cgm.Scatter(in, v))
 		if err != nil {
 			t.Fatal(err)

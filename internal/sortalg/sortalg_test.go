@@ -416,8 +416,7 @@ func TestSorterFitsEMSortConfig(t *testing.T) {
 // Round 1's buckets are views of the sender's State, not copies. Each
 // machine must still deliver them intact: under CheckedIO (the decode
 // arena is zeroed after every superstep, so a view the engine failed to
-// copy out reads zeros), with contexts cached (State never enters the
-// arena), through BalancedRouting, and in memory.
+// copy out reads zeros), through BalancedRouting, and in memory.
 func TestPSRSBucketViews(t *testing.T) {
 	const n, v = 1 << 13, 8
 	in := workload.Int64s(41, n)
@@ -435,7 +434,6 @@ func TestPSRSBucketViews(t *testing.T) {
 		cfg  core.Config
 	}{
 		{"checked", core.Config{P: 2, CheckedIO: true}},
-		{"cached", core.Config{P: v, CacheContexts: true, CheckedIO: true}},
 		{"balanced", core.Config{P: 2, Balanced: true, CheckedIO: true}},
 	} {
 		cfg := tc.cfg

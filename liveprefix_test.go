@@ -54,9 +54,13 @@ func (p ragged) Round(vp *cgm.VP[int64], round int, inbox [][]int64) ([][]int64,
 
 func (ragged) Output(vp *cgm.VP[int64]) []int64 { return vp.State }
 
+// MaxContextItems declares μ = 2n + 8, above anything a context holds:
+// items only move between VPs, so none holds more than the n of the input.
+func (ragged) MaxContextItems(n, v int) int { return 2*n + 8 }
+
 // TestLivePrefixProperties drives the live-prefix transfer over random
 // legal machines — v = 1 and p = v included, skewed and empty partitions,
-// balanced routing, checked I/O, resident contexts — and holds every run
+// balanced routing, checked I/O — and holds every run
 // to what does not depend on the engine: the outputs of the in-memory
 // runtime; the context and message parallel I/Os an oracle derives from
 // that run's sizes (see oracle); the ledger's own reconciliation; and the
@@ -79,8 +83,7 @@ func TestLivePrefixProperties(t *testing.T) {
 		par1 := base
 		par1.P = 1
 		one, _ := livePrefixArms(t, tag+" par p=1", prog, par1, true, parts, ref.Outputs)
-		if cached := base.CacheContexts && v == 1; !cached &&
-			(seq.CtxOps != one.CtxOps || seq.IO.BlocksMoved != one.IO.BlocksMoved || seq.Rounds != one.Rounds) {
+		if seq.CtxOps != one.CtxOps || seq.IO.BlocksMoved != one.IO.BlocksMoved || seq.Rounds != one.Rounds {
 			t.Errorf("%s: Algorithm 2 pays %d context ops and moves %d blocks in %d rounds, Algorithm 3 at p = 1 %d, %d and %d",
 				tag, seq.CtxOps, seq.IO.BlocksMoved, seq.Rounds, one.CtxOps, one.IO.BlocksMoved, one.Rounds)
 		}
@@ -92,7 +95,7 @@ func TestLivePrefixProperties(t *testing.T) {
 
 // forRandomMachines calls f on 60 random legal machines with an input
 // each: v = 1 and p = v included, skewed and empty partitions, balanced
-// routing, checked I/O, resident contexts. f may draw from rng.
+// routing, checked I/O. f may draw from rng.
 func forRandomMachines(seed int64, f func(rng *rand.Rand, tag string, base core.Config, parts [][]int64)) {
 	rng := rand.New(rand.NewSource(seed))
 	pick := func(xs ...int) int { return xs[rng.Intn(len(xs))] }
@@ -104,8 +107,7 @@ func forRandomMachines(seed int64, f func(rng *rand.Rand, tag string, base core.
 		}
 		n := rng.Intn(400)
 		base := core.Config{V: v, P: p, D: pick(1, 2, 3, 4), B: pick(4, 8, 16, 32),
-			MaxMsgItems: n + 1, MaxCtxItems: 2*n + 8,
-			Balanced: rng.Intn(4) == 0, CheckedIO: rng.Intn(2) == 0, CacheContexts: rng.Intn(2) == 0}
+			MaxMsgItems: n + 1, Balanced: rng.Intn(4) == 0, CheckedIO: rng.Intn(2) == 0}
 		in := make([]int64, n)
 		for i := range in {
 			in[i] = rng.Int63n(1 << 20)
@@ -116,8 +118,8 @@ func forRandomMachines(seed int64, f func(rng *rand.Rand, tag string, base core.
 			b := (a + 1) % v
 			parts[b], parts[a] = append(parts[b], parts[a]...), nil
 		}
-		tag := fmt.Sprintf("trial %d (v=%d p=%d D=%d B=%d n=%d balanced=%v checked=%v cache=%v)",
-			trial, v, p, base.D, base.B, n, base.Balanced, base.CheckedIO, base.CacheContexts)
+		tag := fmt.Sprintf("trial %d (v=%d p=%d D=%d B=%d n=%d balanced=%v checked=%v)",
+			trial, v, p, base.D, base.B, n, base.Balanced, base.CheckedIO)
 		f(rng, tag, base, parts)
 	}
 }
@@ -170,7 +172,7 @@ func livePrefixArms(t *testing.T, tag string, prog cgm.Program[int64], cfg core.
 		if k == 1 {
 			first, rows = res, cfg.Recorder.Supersteps()
 			m := cfg.Ledger.Runs()[0].Machine
-			if full := fullImageOps(m, cfg.MaxCtxItems, cfg.MaxMsgItems); res.IO.ParallelOps > full {
+			if full := fullImageOps(m, cfg.MaxMsgItems); res.IO.ParallelOps > full {
 				t.Errorf("%s: %d parallel I/Os, above the full-image count %d", ktag, res.IO.ParallelOps, full)
 			}
 			if m.Words != 1 {
@@ -188,18 +190,18 @@ func livePrefixArms(t *testing.T, tag string, prog cgm.Program[int64], cfg core.
 
 // fullImageOps is the Theorem 2/3 count the engine paid until PR 22, when
 // every transfer moved its whole fixed-address image: machine m with
-// every context at μ = maxCtx items and every message at the slot bound
-// maxMsg, plus the three context passes the engine no longer makes at any
-// size — the input distribution's write, round 0's read of it, and the
-// terminal round's write.
-func fullImageOps(m costmodel.Machine, maxCtx, maxMsg int) int64 {
+// every context filling its run of m.CB blocks and every message at the
+// slot bound maxMsg, plus the three context passes the engine no longer
+// makes at any size — the input distribution's write, round 0's read of
+// it, and the terminal round's write.
+func fullImageOps(m costmodel.Machine, maxMsg int) int64 {
 	full := costmodel.NewSizes(m.V)
 	for r := 0; r < m.Rounds; r++ {
 		full.AddRound()
 	}
 	for _, row := range full.Ctx {
 		for j := range row {
-			row[j] = maxCtx
+			row[j] = m.CB * m.B / m.Words
 		}
 	}
 	for _, row := range full.Msg {
@@ -208,9 +210,7 @@ func fullImageOps(m costmodel.Machine, maxCtx, maxMsg int) int64 {
 		}
 	}
 	ctx, msg := costmodel.Predict(m, full)
-	if !m.CacheCtx {
-		ctx += 3 * int64(m.V) * int64((m.CB+m.D-1)/m.D)
-	}
+	ctx += 3 * int64(m.V) * int64((m.CB+m.D-1)/m.D)
 	return ctx + msg
 }
 

@@ -75,6 +75,9 @@ func (p touch) Round(vp *cgm.VP[int64], round int, inbox [][]int64) ([][]int64, 
 
 func (touch) Output(vp *cgm.VP[int64]) []int64 { return vp.State }
 
+// MaxContextItems declares μ = 2n + 8, as ragged does.
+func (touch) MaxContextItems(n, v int) int { return 2*n + 8 }
+
 // wrote is the family's own account of which rounds leave VP j a context
 // that is not, word for word, the one they found — stated from the
 // program text above, not from the codec, the engine or the predictor.
@@ -142,7 +145,7 @@ func TestWhatIsNotMoved(t *testing.T) {
 	for i := range keys {
 		keys[i] = int64(i)*7 + 1
 	}
-	check("p=4", core.Config{V: 8, P: 4, D: 2, B: 8, MaxMsgItems: 201, MaxCtxItems: 408, CheckedIO: true},
+	check("p=4", core.Config{V: 8, P: 4, D: 2, B: 8, MaxMsgItems: 201, CheckedIO: true},
 		cgm.Scatter(keys, 8))
 }
 
@@ -152,7 +155,7 @@ func TestWhatIsNotMoved(t *testing.T) {
 func touchRows(t *testing.T, tag string, prog touch, cfg core.Config, par bool, sz *costmodel.Sizes, rows []obs.SuperstepIO) {
 	t.Helper()
 	ops := func(items int) int64 {
-		if items == 0 || par && cfg.CacheContexts && cfg.P == cfg.V {
+		if items == 0 {
 			return 0
 		}
 		return int64((pdm.BlocksFor(items, cfg.B) + cfg.D - 1) / cfg.D)

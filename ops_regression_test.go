@@ -64,8 +64,7 @@ func oracle[T any](t *testing.T, prog cgm.Program[T], codec wordcodec.Codec[T], 
 // words words, in a run of rounds compound rounds.
 func predict(cfg core.Config, par bool, words int, sz *costmodel.Sizes, rounds int) (ctx, msg int64) {
 	m := costmodel.Machine{Par: par, V: cfg.V, P: cfg.P, D: cfg.D, B: cfg.B, Words: words,
-		BPM: pdm.BlocksFor(cfg.MaxMsgItems*words, cfg.B), Rounds: rounds,
-		CacheCtx: par && cfg.CacheContexts && cfg.P == cfg.V}
+		BPM: pdm.BlocksFor(cfg.MaxMsgItems*words, cfg.B), Rounds: rounds}
 	return costmodel.Predict(m, sz)
 }
 

@@ -271,9 +271,9 @@ check 'store the first slot of each pair front to back' $f TestLivePrefixesMeet
 
 # What a program builds out of lent scratch outlives its superstep only as
 # a copy (DESIGN.md §17): keep and the batches copy out of the arena's
-# chunks as out of its region. Ignoring the chunks, an output, a batched
-# message or a resident context borrowed beyond the region is handed on
-# as it is, and CheckedIO zeroes it at release.
+# chunks as out of its region. Ignoring the chunks, an output or a batched
+# message borrowed beyond the region is handed on as it is, and CheckedIO
+# zeroes it at release.
 f=internal/core/vpmem.go
 mutate $f 'for _, c := range m.chunks {' 2 1 '\tfor _, c := range m.chunks[:0] {'
 check 'keep ignores the lent chunks' $f TestScratchAliasSafety
@@ -368,11 +368,16 @@ check 'the wrapper copies State every round' $f TestSortDeliveryAllocation
 # engine discards them after it begins the new run's write, so discarding
 # the whole old run drops blocks that write is filling; CheckedIO reports
 # the next round's read of them as uninitialised, on the ragged program
-# whose contexts shrink to a random length every round.
+# whose contexts shrink to a random length every round, and on the
+# equivalence suite's shrink, whose contexts shrink by a quarter.
 f=internal/core/engine.go
 mutate $f 'dead, n := ctxDead(pr.lead, pos, e.cb, old, nb)' 1 1 \
 	'\t\tdead, n := ctxDead(pr.lead, pos, e.cb, old, 0)'
 check 'discard the whole old context run' $f TestLivePrefixProperties
+
+mutate $f 'dead, n := ctxDead(pr.lead, pos, e.cb, old, nb)' 1 1 \
+	'\t\tdead, n := ctxDead(pr.lead, pos, e.cb, old, 0)'
+check 'discard the whole old context run' $f TestPipelineDepthEquivalence
 
 # A discarded block is uninitialised again: checked mode drops it from the
 # written set, so a read of it is ErrCheckUninitRead before any disk sees
@@ -382,4 +387,4 @@ f=internal/pdm/array.go
 mutate $f 'a.check.discard(reqs)' 1 1 '\t\t_ = reqs'
 check 'Discard leaves the written set alone' $f TestDiskArrayDiscard
 
-echo "contract-selftest: all thirty-seven mutations caught"
+echo "contract-selftest: all thirty-eight mutations caught"
